@@ -37,6 +37,7 @@ from .segment import from_json as segment_from_json
 from .segment import to_json as segment_to_json
 
 SCHEMA_VERSION = 1
+DEFAULT_DEPTH = 12
 
 CONFIG_SCHEMA = {
     "type": "object",
@@ -269,34 +270,24 @@ def _definability_targets(command: str, scenario):
     return []
 
 
-def classify_report(config: dict, depth: int) -> dict:
+def config_report(command: str, config: dict, depth: int) -> dict:
+    """The classify report of a config; kaehler adds the differential module."""
     datum = datum_from_config(config)
-    base = {
+    report = {
         "schema_version": SCHEMA_VERSION,
-        "command": "classify",
+        "command": command,
         "config_hash": _config_hash(config),
         "depth": depth,
     }
     if isinstance(datum, DefectlessDatum):
         res = defectless_analyze(datum)
-        base["certificate"] = res.certificate
-        base["case"] = res.case.value
-        return base
-    res = classify(datum, depth=depth)
-    base["certificate"] = res.certificate
-    base["classification"] = res.kind.value
-    return base
-
-
-def kaehler_report(config: dict, depth: int) -> dict:
-    datum = datum_from_config(config)
-    if isinstance(datum, DefectlessDatum):
-        res = defectless_analyze(datum)
+        report["case"] = res.case.value
     else:
         res = classify(datum, depth=depth)
-    report = classify_report(config, depth)
-    report["command"] = "kaehler"
-    report["omega"] = _omega_json(res)
+        report["classification"] = res.kind.value
+    report["certificate"] = res.certificate
+    if command == "kaehler":
+        report["omega"] = _omega_json(res)
     return report
 
 
@@ -372,6 +363,13 @@ def _emit(report: dict, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="valcuts",
@@ -380,9 +378,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"valcuts {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, default_p=2):
+    def common(sp, default_p=2, default_depth=DEFAULT_DEPTH):
         sp.add_argument("--p", type=int, default=default_p, help="prime")
-        sp.add_argument("--depth", type=int, default=12, help="truncation depth")
+        sp.add_argument("--depth", type=_positive_int, default=default_depth,
+                        help="truncation depth")
         sp.add_argument("--seed", type=int, default=0, help="sample seed")
         sp.add_argument("--out", help="output path (stdout when omitted)")
         sp.add_argument("--format", choices=["json"], default="json")
@@ -400,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("classify", "kaehler"):
         sp = sub.add_parser(name, help=f"{name} an extension from a config file")
         sp.add_argument("--config", required=True)
-        common(sp)
+        common(sp, default_depth=None)  # the config's depth, else DEFAULT_DEPTH
 
     sp = sub.add_parser("eval", help="evaluate a formula against a scenario")
     sp.add_argument("--formula", required=True)
@@ -411,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("check-def", help="agreement of a definition with its set")
     sp.add_argument("--name", required=True)
     sp.add_argument("--scenario", choices=sorted(SCENARIOS), default="abhyankar")
-    sp.add_argument("--samples", type=int, default=50)
+    sp.add_argument("--samples", type=_positive_int, default=50)
     common(sp)
     return parser
 
@@ -424,10 +423,10 @@ def main(argv=None) -> int:
         elif args.command == "prescribe":
             select = [int(x) for x in args.select.split(",") if x.strip()]
             report = prescribe_report(args.rank, select, args.p, args.char, args.depth)
-        elif args.command == "classify":
-            report = classify_report(load_config(args.config), args.depth)
-        elif args.command == "kaehler":
-            report = kaehler_report(load_config(args.config), args.depth)
+        elif args.command in ("classify", "kaehler"):
+            config = load_config(args.config)
+            depth = args.depth or config.get("depth", DEFAULT_DEPTH)
+            report = config_report(args.command, config, depth)
         elif args.command == "eval":
             report = eval_report(args.formula, args.scenario, args.p, args.depth,
                                  args.bind)

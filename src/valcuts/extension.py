@@ -32,13 +32,10 @@ from .ogroup import (
     ConvexSubgroup,
     GroupDescriptor,
     GroupElement,
-    Position,
     is_prime,
-    position,
     quotient_has_smallest_positive,
 )
 from .segment import (
-    CutKind,
     Direction,
     IdealDescriptor,
     Segment,
@@ -86,8 +83,7 @@ class DeclaredSchedule:
             if not a < b:
                 raise NotImmediateError(
                     f"declared values do not increase strictly: {a} then {b}")
-        seg = normalize(seq_cut(self.limit, self.scale, start=1,
-                                direction=Direction.INITIAL))
+        seg = seq_cut(self.limit, self.scale, start=1, direction=Direction.INITIAL)
         return ApproachResult(seg, schedule, depth)
 
 
@@ -130,13 +126,8 @@ def _require_positive_final(seg: Segment) -> Segment:
     seg = normalize(seg)
     if not seg.is_final:
         raise StructuralError("the value segment of the extension must be final")
-    if seg.kind is CutKind.ELEMENT:
-        ok = seg.gamma.sign() > 0
-    elif seg.closed:
-        ok = False  # the closed coset always reaches below zero
-    else:
-        ok = seg.shift.is_zero or position(seg.shift, seg.subgroup()) is Position.ABOVE
-    if not ok:
+    # a final segment without 0 lies entirely above it
+    if contains(seg, seg.group.zero()):
         raise StructuralError("the value segment must consist of positive values")
     return seg
 
@@ -163,6 +154,7 @@ class DefectClassification:
     ram_ideal: IdealDescriptor
     max_ideal: IdealDescriptor
     certificate: dict
+    approach: ApproachResult | None  # None for a declared sigma segment
 
     @property
     def group(self) -> GroupDescriptor:
@@ -201,7 +193,8 @@ def classify(datum: DefectDatum, depth: int = 12) -> DefectClassification:
     if approach is not None:
         certificate["schedule"] = [[str(c) for c in v.coords] for v in approach.schedule]
         certificate["approach_segment"] = to_json(approach.segment)
-    return DefectClassification(datum, kind, H, sigma, ram, max_ideal, certificate)
+    return DefectClassification(datum, kind, H, sigma, ram, max_ideal, certificate,
+                                approach)
 
 
 # --------------------------------------------------------------------------
@@ -288,10 +281,7 @@ def defectless_analyze(datum: DefectlessDatum) -> DefectlessAnalysis:
             else DefectlessCase.DL2C)
     if H.is_whole_group:
         raise InconsistentDatumError("vK and vL share no proper convex structure")
-    if H.is_trivial:
-        max_ideal = IdealDescriptor.maximal_ideal(group, label="M_E")
-    else:
-        max_ideal = IdealDescriptor(subgroup_cut(H, closed=False), label="M_E")
+    max_ideal = IdealDescriptor(subgroup_cut(H, closed=False), label="M_E")
 
     ram = _defectless_ram_ideal(datum)
     certificate = {

@@ -36,11 +36,12 @@ from .errors import (
 from .gpsfield import INF, FieldModel, PatternSeries, SeriesElement, val_diff
 from .ogroup import ConvexSubgroup, GroupElement, Position, position
 from .segment import (
-    CutKind,
     Direction,
     IdealDescriptor,
     Segment,
     contains,
+    element_cut,
+    is_subset,
     negate,
     normalize,
     scale_int,
@@ -1107,8 +1108,6 @@ def _flip_rel(rel: str) -> str:
 
 def _initial_below(seg: Segment, bound: GroupElement) -> bool:
     """Every member of the initial segment lies strictly below `bound`."""
-    from .segment import element_cut, is_subset
-
     return is_subset(negate(seg), negate(element_cut(bound, closed=False,
                                                      direction=Direction.INITIAL)))
 
@@ -1127,8 +1126,7 @@ def _decide(seg: Segment, quant: str, rel: str, w) -> Truth:
     """Exact answer to (exists|forall) s in seg: s REL w, for an initial segment."""
     seg = normalize(seg)
     member = contains(seg, w)
-    has_max = seg.kind is CutKind.ELEMENT
-    at_max = has_max and seg.gamma == w
+    at_max = seg == element_cut(w, direction=seg.direction)
     if quant == "exists":
         if rel == ">=":
             return Truth.of(member)

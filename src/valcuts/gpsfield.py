@@ -20,7 +20,7 @@ from fractions import Fraction
 from .errors import NotImmediateError, StructuralError
 from .ogroup import ConvexSubgroup, GroupDescriptor, GroupElement
 from .residue import FqElement, FqField
-from .segment import Direction, Segment, normalize, seq_cut
+from .segment import Direction, Segment, normalize, seq_cut, subgroup_cut
 
 
 class _Infinity:
@@ -224,9 +224,6 @@ class Tail:
             return self.gamma * Fraction(1, p**i)
         return self.gamma * (p ** (-i))
 
-    def leading_exponent(self) -> GroupElement:
-        return self.exponent(self.start)
-
 
 def _merge_tails(model: FieldModel, tails, extra_finite):
     """Combine tails sharing a base exponent; spilled head terms go finite."""
@@ -271,9 +268,6 @@ class PatternSeries:
     @property
     def has_tails(self) -> bool:
         return bool(self.tails)
-
-    def in_base_field(self) -> bool:
-        return not self.has_tails
 
     def as_series(self) -> SeriesElement:
         if self.has_tails:
@@ -405,8 +399,8 @@ def approach_segment(theta: PatternSeries, K: FieldModel, depth: int = 12) -> Ap
     gamma_min = theta.min_tail_gamma()
     if gamma_min.sign() > 0:
         raise NotImmediateError("tail exponents decrease; v(theta - K) has a maximum")
-    seg = normalize(seq_cut(theta.model.value_group.zero(), -gamma_min,
-                            start=1, direction=Direction.INITIAL))
+    seg = seq_cut(theta.model.value_group.zero(), -gamma_min, start=1,
+                  direction=Direction.INITIAL)
     return ApproachResult(seg, schedule, depth)
 
 
@@ -436,28 +430,15 @@ class Composition:
         pad = (Fraction(0),) * self.outer.value_group.rank
         return GroupElement(self.composite.value_group, pad + x.coords)
 
-    def lift_subgroup(self, H: ConvexSubgroup) -> ConvexSubgroup:
-        if self.inner is None:
-            return H
-        if H.group != self.inner.value_group:
-            raise StructuralError("subgroup does not live in the inner value group")
-        return ConvexSubgroup(self.composite.value_group, self.coarse_level + H.level)
-
     def lift_segment(self, s: Segment) -> Segment:
         """Transfer a cut of the inner value group across the decomposition."""
-        if self.inner is None:
-            return normalize(s)
         s = normalize(s)
-        if s.kind.value == "element":
-            from .segment import element_cut
-
-            return element_cut(self.lift_element(s.gamma), closed=s.closed,
-                               direction=s.direction)
-        from .segment import subgroup_cut
-
-        return normalize(subgroup_cut(
+        if self.inner is None:
+            return s
+        # the cut classes keep their kinds, so the lifted cut stays canonical
+        return subgroup_cut(
             ConvexSubgroup(self.composite.value_group, self.coarse_level + s.level),
-            shift=self.lift_element(s.shift), closed=s.closed, direction=s.direction))
+            shift=self.lift_element(s.shift), closed=s.closed, direction=s.direction)
 
     def project_coarse(self, x: GroupElement) -> GroupElement:
         """w(a) = v(a)/H: drop the fine coordinates."""

@@ -18,9 +18,7 @@ from .extension import (
     DefectlessAnalysis,
     DefectlessKind,
 )
-from .ogroup import ConvexSubgroup, quotient_has_smallest_positive
 from .segment import (
-    CutKind,
     IdealDescriptor,
     coarsening_value_set,
     is_subset,
@@ -134,7 +132,7 @@ def annihilate(pres: OmegaPresentation,
 def _principal_generator_value(ideal: IdealDescriptor):
     if not ideal.is_principal:
         raise StructuralError("expected a principal ramification ideal")
-    return ideal.values.gamma
+    return ideal.values.shift
 
 
 def _dependent_defect_annihilator(pres: OmegaPresentation,
@@ -144,16 +142,11 @@ def _dependent_defect_annihilator(pres: OmegaPresentation,
     p = result.datum.degree
     power = result.ram_ideal.power(p - 1, label="I_E^(p-1)")
     v = power.values
-    if v.kind is CutKind.ELEMENT or v.closed:
+    if v.closed:
         return power
-    H = ConvexSubgroup(v.group, v.level)
-    if quotient_has_smallest_positive(v.group, H) and not H.is_trivial:
-        # the quotient attains the infimum one step up; no improvement
-        return power
-    # the extension is immediate, so vK = vL realizes the infimum shift
-    if H.is_trivial:
-        return IdealDescriptor.principal(v.shift, label="ann")
-    return IdealDescriptor(coarsening_value_set(H), label="ann").shifted(v.shift, label="ann")
+    # a canonical open cut sits over a dense cut class, so the infimum is not
+    # attained; the extension is immediate, so vK = vL realizes the shift
+    return IdealDescriptor(replace(v, closed=True), label="ann")
 
 
 def containment_holds(pres: OmegaPresentation) -> bool:

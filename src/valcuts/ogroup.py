@@ -194,10 +194,6 @@ class ConvexSubgroup:
     def is_trivial(self) -> bool:
         return self.level == self.group.rank
 
-    @property
-    def is_proper(self) -> bool:
-        return self.level >= 1
-
     def contains(self, x: GroupElement) -> bool:
         if x.group != self.group:
             raise StructuralError("element belongs to a different group descriptor")

@@ -200,10 +200,8 @@ def verify(plan: ConstructionPlan, depth: int = 10) -> VerificationReport:
         res = classify(w.datum, depth=depth)
         ok = (res.kind is DefectKind.INDEPENDENT and res.H_E.level == w.level)
         identity = _check_witness_identity(plan, w)
-        schedule = tuple(plan.group.element(*[_f(c) for c in row])
-                         for row in res.certificate.get("schedule", []))
         reports.append(WitnessReport(w.level, ok, res.H_E.level, res.kind.value,
-                                     schedule, identity))
+                                     res.approach.schedule, identity))
     chain_ok = _chain_order_isomorphic(plan)
     divisible_ok = all(k is not Component.INT for k in plan.group.components)
     report = VerificationReport(plan, tuple(reports), plan.exclusions,
@@ -215,12 +213,6 @@ def verify(plan: ConstructionPlan, depth: int = 10) -> VerificationReport:
             f"schedules: {[[str(v) for v in w.schedule] for w in bad]}",
             report=report)
     return report
-
-
-def _f(coord_str: str):
-    from fractions import Fraction
-
-    return Fraction(coord_str)
 
 
 def _chain_order_isomorphic(plan: ConstructionPlan) -> bool:

@@ -23,7 +23,6 @@ from .gpsfield import (
     FieldModel,
     PatternSeries,
     Tail,
-    approach_segment,
     compose_valuation,
 )
 from .ogroup import Component, GroupDescriptor
@@ -58,67 +57,71 @@ def wild_root(model: FieldModel, class_index: int = 0) -> PatternSeries:
     return PatternSeries(model, model.zero(), (Tail(model.residue.one(), gamma, 1),))
 
 
-def abhyankar(p: int, depth: int = 12) -> Scenario:
-    model = perfect_series_model(p)
-    theta = wild_root(model)
-    datum = DefectDatum(name="theta", kind=ExtensionKind.AS_DEFECT, base=model,
-                        degree=p, generator=theta)
-    res = classify(datum, depth=depth)
-    approach = approach_segment(theta, model, depth=depth)
-    fmodel = FormulaModel(
+def _generator_fmodel(model: FieldModel, res: DefectClassification,
+                      constants: dict) -> FormulaModel:
+    """Formula model whose distinguished element theta is the generator of res."""
+    approach = res.approach
+    return FormulaModel(
         model=model,
         immediates=(ImmediateElement("theta", approach.segment, approach.schedule,
-                                     carrier=theta,
+                                     carrier=res.datum.generator,
                                      facts=frozenset({"as_generator"})),),
-        constants={"t": model.monomial(1, model.value_group.element(1))},
+        constants=constants,
     )
+
+
+def abhyankar(p: int, depth: int = 12) -> Scenario:
+    model = perfect_series_model(p)
+    datum = DefectDatum(name="theta", kind=ExtensionKind.AS_DEFECT, base=model,
+                        degree=p, generator=wild_root(model))
+    res = classify(datum, depth=depth)
+    fmodel = _generator_fmodel(
+        model, res, {"t": model.monomial(1, model.value_group.element(1))})
     return Scenario(f"abhyankar_p{p}", model, (datum,), (res,), fmodel)
 
 
-def example_e1(p: int, depth: int = 12) -> Scenario:
-    """Rank-2 composition with wild witnesses over both archimedean classes."""
+def _rank2_composite(p: int) -> Composition:
     inner = perfect_series_model(p, name="K")
     outer = FieldModel(name="K((x))^(1/p^inf)", char=p,
                        value_group=GroupDescriptor((Component.PDIV,), p),
                        residue=None, residue_name="K")
-    comp = compose_valuation(outer, inner)
+    return compose_valuation(outer, inner)
+
+
+def _theta_t_datum(comp: Composition, p: int) -> DefectDatum:
+    """The wild witness over the fine class, lifted from the residue field."""
+    return DefectDatum(name="theta_t", kind=ExtensionKind.AS_DEFECT,
+                       base=comp.composite, degree=p,
+                       generator=comp.lift_pattern(wild_root(comp.inner)))
+
+
+def _t_constant(L: FieldModel) -> dict:
+    return {"t": L.monomial(1, L.value_group.element(0, 1))}
+
+
+def example_e1(p: int, depth: int = 12) -> Scenario:
+    """Rank-2 composition with wild witnesses over both archimedean classes."""
+    comp = _rank2_composite(p)
     L = comp.composite
-    theta_x = wild_root(L, class_index=0)
-    theta_t = comp.lift_pattern(wild_root(inner))
     data = (
         DefectDatum(name="theta_x", kind=ExtensionKind.AS_DEFECT, base=L,
-                    degree=p, generator=theta_x),
-        DefectDatum(name="theta_t", kind=ExtensionKind.AS_DEFECT, base=L,
-                    degree=p, generator=theta_t),
+                    degree=p, generator=wild_root(L, class_index=0)),
+        _theta_t_datum(comp, p),
     )
     results = tuple(classify(d, depth=depth) for d in data)
-    ax = approach_segment(theta_x, L, depth=depth)
-    fmodel = FormulaModel(
-        model=L,
-        immediates=(ImmediateElement("theta", ax.segment, ax.schedule,
-                                     carrier=theta_x,
-                                     facts=frozenset({"as_generator"})),),
-        constants={"t": L.monomial(1, L.value_group.element(0, 1))},
-    )
+    fmodel = _generator_fmodel(L, results[0], _t_constant(L))
     return Scenario(f"example_e1_p{p}", L, data, results, fmodel, composition=comp)
 
 
 def example_e2(p: int, depth: int = 12) -> Scenario:
     """The e1 shape with a tame-closure step killing the coarse-class witness:
     only the fine-class extension survives, realizing the trivial subgroup."""
-    base = example_e1(p, depth=depth)
-    datum = base.data[1]
-    res = base.result("theta_t")
-    approach = approach_segment(datum.generator, base.model, depth=depth)
-    fmodel = FormulaModel(
-        model=base.model,
-        immediates=(ImmediateElement("theta", approach.segment, approach.schedule,
-                                     carrier=datum.generator,
-                                     facts=frozenset({"as_generator"})),),
-        constants=dict(base.fmodel.constants),
-    )
-    return Scenario(f"example_e2_p{p}", base.model, (datum,), (res,), fmodel,
-                    composition=base.composition)
+    comp = _rank2_composite(p)
+    L = comp.composite
+    datum = _theta_t_datum(comp, p)
+    res = classify(datum, depth=depth)
+    fmodel = _generator_fmodel(L, res, _t_constant(L))
+    return Scenario(f"example_e2_p{p}", L, (datum,), (res,), fmodel, composition=comp)
 
 
 def kummer_mixed(p: int, depth: int = 12) -> Scenario:
@@ -139,7 +142,7 @@ def kummer_mixed(p: int, depth: int = 12) -> Scenario:
                     degree=p, generator=eta_sched, sigma_shift=zeta_value),
     )
     results = tuple(classify(d, depth=depth) for d in data)
-    eta_approach = eta_sched.approach(depth)
+    eta_approach = results[1].approach
     fmodel = FormulaModel(
         model=model,
         immediates=(ImmediateElement("eta", eta_approach.segment,

@@ -1,21 +1,22 @@
 """Canonical descriptors for initial and final segments of a Hahn sum.
 
-Three constructor forms are supported: element cuts {a >= g} / {a > g},
-subgroup cuts {a - d > H} (optionally closed, i.e. including the coset
-d + H), and geometric sequence cuts (the union of element cuts along a
-schedule g - c/p^k).  normalize() rewrites every descriptor into a canonical
-form in which structural equality decides set equality:
+Every cut is stored in one form, (direction, level, shift, closed): the
+points strictly beyond the coset shift + H_level, together with the coset
+itself when the cut is closed.  A final cut lies above its coset, an initial
+cut below it.  This is the shape of every value set the library handles:
+coarsening rings O(H) and their maximal ideals, ramification ideals, and
+annihilators shaped like a^m * O(H).
 
-  * closed element cuts stay as they are;
-  * open element cuts become trivial-subgroup cuts (dense finest class) or
-    closed element cuts shifted by one unit (discrete finest class);
-  * sequence cuts collapse to the subgroup cut at the subprincipal convex
-    subgroup of the scale's archimedean class;
-  * subgroup-cut shifts are reduced by zeroing every coordinate inside H.
+An element cut {a >= g} / {a > g} is the cut at the trivial subgroup H_n
+(n the rank) with shift g; it is an "element" cut in the reports exactly
+when it is closed.  Geometric sequence cuts (unions of element cuts along a
+schedule g -/+ c/p^k) are reduced to this form when built.
 
-Closed subgroup cuts {a - d >= H} are the value sets of coarsening rings
-and of annihilators shaped like a^m * O(H); they cannot be expressed by the
-other forms, so they are first-class here.
+normalize() rewrites a descriptor so that structural equality decides set
+equality: an open cut over a discrete cut class becomes the closed cut one
+unit further in, and the shift is reduced by zeroing every coordinate
+inside H.  Both rules are mirror symmetric, so initial and final cuts share
+one code path, with the direction entering only as a sign.
 """
 
 from __future__ import annotations
@@ -24,15 +25,17 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 
-from .errors import DegenerateInputError, StructuralError, UnsupportedDensityError
+from .errors import (
+    ConfigError,
+    DegenerateInputError,
+    StructuralError,
+    UnsupportedDensityError,
+)
 from .ogroup import (
     ConvexSubgroup,
     GroupDescriptor,
     GroupElement,
-    Position,
     archimedean_class_subgroups,
-    position,
-    quotient_has_smallest_positive,
 )
 
 
@@ -43,62 +46,50 @@ class Direction(str, Enum):
     def flipped(self) -> "Direction":
         return Direction.FINAL if self is Direction.INITIAL else Direction.INITIAL
 
+    @property
+    def sign(self) -> int:
+        """+1 when the cut lies above its coset, -1 when below."""
+        return 1 if self is Direction.FINAL else -1
+
 
 class CutKind(str, Enum):
     ELEMENT = "element"
     SUBGROUP = "subgroup"
-    SEQ = "seq"
 
 
 @dataclass(frozen=True)
 class Segment:
     group: GroupDescriptor
     direction: Direction
-    kind: CutKind
-    gamma: GroupElement | None = None      # element cuts
-    closed: bool = True                    # element and subgroup cuts
-    level: int | None = None               # subgroup cuts
-    shift: GroupElement | None = None      # subgroup cuts
-    limit: GroupElement | None = None      # sequence cuts
-    scale: GroupElement | None = None      # sequence cuts
-    start: int | None = None               # sequence cuts
+    level: int
+    shift: GroupElement
+    closed: bool
 
     @property
     def is_final(self) -> bool:
         return self.direction is Direction.FINAL
 
+    @property
+    def kind(self) -> CutKind:
+        """ELEMENT exactly when the cut has an extreme point, the shift."""
+        if self.closed and self.level == self.group.rank:
+            return CutKind.ELEMENT
+        return CutKind.SUBGROUP
+
     def subgroup(self) -> ConvexSubgroup:
-        if self.kind is not CutKind.SUBGROUP:
-            raise StructuralError("not a subgroup cut")
         return ConvexSubgroup(self.group, self.level)
 
     def __str__(self) -> str:
+        rel = ("<", "<=", ">", ">=")[2 * self.is_final + self.closed]
         if self.kind is CutKind.ELEMENT:
-            rel = {
-                (Direction.FINAL, True): ">=",
-                (Direction.FINAL, False): ">",
-                (Direction.INITIAL, True): "<=",
-                (Direction.INITIAL, False): "<",
-            }[(self.direction, self.closed)]
-            return f"{{a {rel} {self.gamma}}}"
-        if self.kind is CutKind.SUBGROUP:
-            rel = {
-                (Direction.FINAL, False): ">",
-                (Direction.FINAL, True): ">=",
-                (Direction.INITIAL, False): "<",
-                (Direction.INITIAL, True): "<=",
-            }[(self.direction, self.closed)]
-            off = "" if self.shift.is_zero else f"{self.shift} + "
-            return f"{{a {rel} {off}H_{self.level}}}"
-        return (
-            f"seq({self.direction.value}, limit={self.limit}, scale={self.scale}, "
-            f"start={self.start})"
-        )
+            return f"{{a {rel} {self.shift}}}"
+        off = "" if self.shift.is_zero else f"{self.shift} + "
+        return f"{{a {rel} {off}H_{self.level}}}"
 
 
 def element_cut(gamma: GroupElement, closed: bool = True,
                 direction: Direction = Direction.FINAL) -> Segment:
-    return Segment(gamma.group, direction, CutKind.ELEMENT, gamma=gamma, closed=closed)
+    return Segment(gamma.group, direction, gamma.group.rank, gamma, closed)
 
 
 def subgroup_cut(H: ConvexSubgroup, shift: GroupElement | None = None,
@@ -108,96 +99,61 @@ def subgroup_cut(H: ConvexSubgroup, shift: GroupElement | None = None,
         shift = H.group.zero()
     if shift.group != H.group:
         raise StructuralError("shift belongs to a different group descriptor")
-    return Segment(H.group, direction, CutKind.SUBGROUP, level=H.level,
-                   shift=shift, closed=closed)
+    return Segment(H.group, direction, H.level, shift, closed)
 
 
 def seq_cut(limit: GroupElement, scale: GroupElement, start: int = 1,
             direction: Direction = Direction.INITIAL) -> Segment:
+    """The union over k >= start of the closed element cuts at limit -/+ scale/p^k.
+
+    The threshold moves towards the limit (minus for initial cuts, plus for
+    final ones).  A positive scale gives the open cut at the limit's coset of
+    the subprincipal subgroup of the scale's class; a negative one moves the
+    thresholds away from the limit, so the union is its first member.
+    """
     if scale.group != limit.group:
         raise StructuralError("scale belongs to a different group descriptor")
-    return Segment(limit.group, direction, CutKind.SEQ, limit=limit,
-                   scale=scale, start=start)
-
-
-def _canonical_shift(group: GroupDescriptor, level: int, shift: GroupElement) -> GroupElement:
-    coords = tuple(c if i < level else Fraction(0) for i, c in enumerate(shift.coords))
-    return GroupElement(group, coords)
-
-
-def _finest_is_discrete(group: GroupDescriptor) -> bool:
-    return not group.is_dense_at(group.rank - 1)
-
-
-def _normalize_final(s: Segment) -> Segment:
-    group = s.group
-    n = group.rank
-    if s.kind is CutKind.ELEMENT:
-        if s.closed:
-            return s
-        if _finest_is_discrete(group):
-            return element_cut(s.gamma + group.unit(n - 1), closed=True)
-        return _normalize_final(subgroup_cut(ConvexSubgroup(group, n), shift=s.gamma))
-    if s.kind is CutKind.SUBGROUP:
-        if s.level == 0:
-            raise DegenerateInputError("cut at the whole group describes the empty set")
-        if s.level == n:
-            if s.closed:
-                return element_cut(s.shift, closed=True)
-            if _finest_is_discrete(group):
-                return element_cut(s.shift + group.unit(n - 1), closed=True)
-            return Segment(group, Direction.FINAL, CutKind.SUBGROUP, level=n,
-                           shift=s.shift, closed=False)
-        closed, delta = s.closed, s.shift
-        if not closed and not group.is_dense_at(s.level - 1):
-            # over a discrete cut class {a > d + H} = {a >= d + 1 + H}
-            closed, delta = True, delta + group.unit(s.level - 1)
-        return Segment(group, Direction.FINAL, CutKind.SUBGROUP, level=s.level,
-                       shift=_canonical_shift(group, s.level, delta), closed=closed)
-    # sequence cut {a >= limit + scale/p^k : k >= start}
-    if s.scale.is_zero:
+    if scale.is_zero:
         raise DegenerateInputError("sequence cut with zero scale")
-    if s.scale.sign() > 0:
-        _, sub = archimedean_class_subgroups(s.scale)
-        return _normalize_final(subgroup_cut(sub, shift=s.limit))
-    # decreasing thresholds: the union is its first member
-    step = s.scale * Fraction(1, s.group.prime ** s.start)
-    return element_cut(s.limit + step, closed=True)
+    if scale.sign() > 0:
+        _, sub = archimedean_class_subgroups(scale)
+        return normalize(subgroup_cut(sub, shift=limit, direction=direction))
+    step = scale * Fraction(direction.sign, limit.group.prime ** start)
+    return element_cut(limit + step, closed=True, direction=direction)
 
 
 def negate(s: Segment) -> Segment:
     """Pointwise negation -S; flips the direction."""
-    d = s.direction.flipped()
-    if s.kind is CutKind.ELEMENT:
-        return Segment(s.group, d, CutKind.ELEMENT, gamma=-s.gamma, closed=s.closed)
-    if s.kind is CutKind.SUBGROUP:
-        return Segment(s.group, d, CutKind.SUBGROUP, level=s.level, shift=-s.shift,
-                       closed=s.closed)
-    return Segment(s.group, d, CutKind.SEQ, limit=-s.limit, scale=s.scale, start=s.start)
+    return Segment(s.group, s.direction.flipped(), s.level, -s.shift, s.closed)
 
 
 def _is_canonical(s: Segment) -> bool:
-    # the canonical conditions are mirror symmetric in the direction
-    if s.kind is CutKind.ELEMENT:
-        return s.closed
-    if s.kind is not CutKind.SUBGROUP:
-        return False
-    n = s.group.rank
-    if not 1 <= s.level <= n:
-        return False
-    if s.level == n:
-        return not s.closed and not _finest_is_discrete(s.group)
-    if not s.closed and not s.group.is_dense_at(s.level - 1):
-        return False
-    return all(c == 0 for c in s.shift.coords[s.level:])
+    return (s.level >= 1
+            and (s.closed or s.group.is_dense_at(s.level - 1))
+            and all(c == 0 for c in s.shift.coords[s.level:]))
 
 
 def normalize(s: Segment) -> Segment:
     if _is_canonical(s):
         return s
-    if s.direction is Direction.FINAL:
-        return _normalize_final(s)
-    return negate(_normalize_final(negate(s)))
+    group = s.group
+    if s.level == 0:
+        raise DegenerateInputError("cut at the whole group describes the empty set")
+    closed, delta = s.closed, s.shift
+    if not closed and not group.is_dense_at(s.level - 1):
+        # over a discrete cut class {a > d + H} = {a >= d + 1 + H}, and
+        # {a < d + H} = {a <= d - 1 + H}
+        closed, delta = True, delta + group.unit(s.level - 1, s.direction.sign)
+    coords = delta.coords[:s.level] + (Fraction(0),) * (group.rank - s.level)
+    return Segment(group, s.direction, s.level, GroupElement(group, coords), closed)
+
+
+def _side(x: GroupElement, d: GroupElement, level: int) -> int:
+    """Position of x - d against H_level: 1 above, 0 inside, -1 below."""
+    for a, b in zip(x.coords[:level], d.coords):
+        if a != b:
+            return 1 if a > b else -1
+    return 0
 
 
 def contains(s: Segment, x: GroupElement) -> bool:
@@ -205,38 +161,27 @@ def contains(s: Segment, x: GroupElement) -> bool:
     s = normalize(s)
     if x.group != s.group:
         raise StructuralError("element belongs to a different group descriptor")
-    if s.direction is Direction.INITIAL:
-        return contains(negate(s), -x)
-    if s.kind is CutKind.ELEMENT:
-        return x >= s.gamma
-    pos = position(x - s.shift, s.subgroup())
-    if s.closed:
-        return pos is not Position.BELOW
-    return pos is Position.ABOVE
+    side = _side(x, s.shift, s.level) * s.direction.sign
+    return side > 0 or (side == 0 and s.closed)
 
 
 def invariance_group(s: Segment) -> ConvexSubgroup:
-    """All g with S + g = S; element cuts are rigid, subgroup cuts return H."""
-    s = normalize(s)
-    if s.kind is CutKind.ELEMENT:
-        return ConvexSubgroup(s.group, s.group.rank)
-    return s.subgroup()
+    """All g with S + g = S; element cuts are rigid, other cuts return their H."""
+    return normalize(s).subgroup()
 
 
 def shift(s: Segment, gamma: GroupElement) -> Segment:
     """The translate gamma + S."""
-    s = normalize(s)
     if gamma.group != s.group:
         raise StructuralError("shift element belongs to a different group descriptor")
-    if s.kind is CutKind.ELEMENT:
-        return element_cut(s.gamma + gamma, closed=s.closed, direction=s.direction)
-    return normalize(Segment(s.group, s.direction, CutKind.SUBGROUP, level=s.level,
-                             shift=s.shift + gamma, closed=s.closed))
+    return normalize(replace(s, shift=s.shift + gamma))
 
 
 def _require_dense_at_cut(s: Segment) -> None:
     # contract restriction: a discrete class at or below the cut class of a
-    # subgroup cut makes sums leave the descriptor algebra
+    # cut at a nontrivial subgroup makes sums leave the descriptor algebra
+    if s.level == s.group.rank:
+        return
     for i in range(s.level - 1, s.group.rank):
         if not s.group.is_dense_at(i):
             raise UnsupportedDensityError(
@@ -251,21 +196,13 @@ def sum(s1: Segment, s2: Segment) -> Segment:
         raise StructuralError("segments live over different group descriptors")
     if not (s1.is_final and s2.is_final):
         raise StructuralError("sum is defined for final segments only")
-    for s in (s1, s2):
-        if s.kind is CutKind.SUBGROUP:
-            _require_dense_at_cut(s)
-    if s1.kind is CutKind.ELEMENT and s2.kind is CutKind.ELEMENT:
-        return element_cut(s1.gamma + s2.gamma, closed=True)
-    if s1.kind is CutKind.ELEMENT:
-        s1, s2 = s2, s1
-    if s2.kind is CutKind.ELEMENT:
-        return normalize(replace(s1, shift=s1.shift + s2.gamma))
-    # two subgroup cuts: the coarser boundary wins; the result is closed only
-    # when every operand sitting at that boundary is closed
+    _require_dense_at_cut(s1)
+    _require_dense_at_cut(s2)
+    # the coarser boundary wins; the result is closed only when every operand
+    # sitting at that boundary is closed
     level = min(s1.level, s2.level)
     closed = all(s.closed for s in (s1, s2) if s.level == level)
-    return normalize(Segment(s1.group, Direction.FINAL, CutKind.SUBGROUP, level=level,
-                             shift=s1.shift + s2.shift, closed=closed))
+    return normalize(Segment(s1.group, Direction.FINAL, level, s1.shift + s2.shift, closed))
 
 
 def scale_int(s: Segment, m: int) -> Segment:
@@ -277,12 +214,8 @@ def scale_int(s: Segment, m: int) -> Segment:
     if m < 1:
         raise DegenerateInputError("scale factor must be a positive integer")
     s = normalize(s)
-    if s.direction is Direction.INITIAL:
-        return negate(scale_int(negate(s), m))
-    if s.kind is CutKind.SUBGROUP:
-        _require_dense_at_cut(s)
-        return normalize(replace(s, shift=s.shift * m))
-    return element_cut(s.gamma * m, closed=True)
+    _require_dense_at_cut(s)
+    return normalize(replace(s, shift=s.shift * m))
 
 
 def is_subset(inner: Segment, outer: Segment) -> bool:
@@ -292,72 +225,58 @@ def is_subset(inner: Segment, outer: Segment) -> bool:
         raise StructuralError("segments live over different group descriptors")
     if not (inner.is_final and outer.is_final):
         raise StructuralError("containment is implemented for final segments")
-    if inner.kind is CutKind.ELEMENT and outer.kind is CutKind.ELEMENT:
-        return inner.gamma >= outer.gamma
-    if inner.kind is CutKind.ELEMENT:
-        pos = position(inner.gamma - outer.shift, outer.subgroup())
-        if outer.closed:
-            return pos is not Position.BELOW
-        return pos is Position.ABOVE
-    if outer.kind is CutKind.ELEMENT:
-        # every x above (or on) the coset shift+H must be >= gamma
-        pos = position(outer.gamma - inner.shift, inner.subgroup())
-        if inner.closed:
-            return pos is Position.BELOW
-        return pos is not Position.ABOVE
-    d = inner.shift - outer.shift
-    if inner.level == outer.level:
-        pos = position(d, inner.subgroup())
-        if inner.closed and not outer.closed:
-            return pos is Position.ABOVE
-        return pos is not Position.BELOW
-    if inner.level < outer.level:
-        # the inner boundary is coarser; the closed coset d + H spills below
-        # the outer boundary unless d clears it entirely
-        pos = position(d, inner.subgroup())
-        if inner.closed:
-            return pos is Position.ABOVE
-        return pos is not Position.BELOW
-    pos = position(d, outer.subgroup())
-    if pos is Position.ABOVE:
-        return True
-    return pos is Position.INSIDE and outer.closed
+    # compare the shifts against the coarser of the two subgroups H
+    level = min(inner.level, outer.level)
+    side = _side(inner.shift, outer.shift, level)
+    if side:
+        return side > 0
+    # same coset of H: inner reaches into that coset unless it is open at
+    # H itself, and outer holds the whole coset only when closed at H
+    reaches = inner.closed or inner.level > level
+    return not reaches or (outer.closed and outer.level == level)
 
 
 def to_json(s: Segment) -> dict:
-    def coords(e: GroupElement):
-        return [str(c) for c in e.coords]
-
-    out = {"direction": s.direction.value, "kind": s.kind.value}
+    coords = [str(c) for c in s.shift.coords]
     if s.kind is CutKind.ELEMENT:
-        out["gamma"] = coords(s.gamma)
-        out["closed"] = s.closed
-    elif s.kind is CutKind.SUBGROUP:
-        out["level"] = s.level
-        out["shift"] = coords(s.shift)
-        out["closed"] = s.closed
-    else:
-        out["limit"] = coords(s.limit)
-        out["scale"] = coords(s.scale)
-        out["start"] = s.start
-    return out
+        return {"direction": s.direction.value, "kind": "element", "gamma": coords,
+                "closed": True}
+    return {"direction": s.direction.value, "kind": "subgroup", "level": s.level,
+            "shift": coords, "closed": s.closed}
 
 
 def from_json(group: GroupDescriptor, data: dict) -> Segment:
+    """Inverse of to_json; also accepts {"kind": "seq", limit, scale, start}.
+
+    A missing or malformed field raises ConfigError naming the field.
+    """
+    def read(name, convert, default=None):
+        if name not in data:
+            if default is None:
+                raise ConfigError(f"segment field {name!r} is missing", fields=[name])
+            return default
+        try:
+            return convert(data[name])
+        except (TypeError, ValueError) as err:
+            raise ConfigError(f"segment field {name!r}: {err}", fields=[name]) from None
+
     def element(values):
         return group.element(*[Fraction(v) for v in values])
 
-    direction = Direction(data["direction"])
-    kind = CutKind(data["kind"])
-    if kind is CutKind.ELEMENT:
-        return element_cut(element(data["gamma"]), closed=bool(data.get("closed", True)),
+    direction = read("direction", Direction)
+    kind = read("kind", str)
+    if kind == CutKind.ELEMENT:
+        return element_cut(read("gamma", element), closed=read("closed", bool, True),
                            direction=direction)
-    if kind is CutKind.SUBGROUP:
-        return subgroup_cut(ConvexSubgroup(group, int(data["level"])),
-                            shift=element(data.get("shift", ["0"] * group.rank)),
-                            closed=bool(data.get("closed", False)), direction=direction)
-    return seq_cut(element(data["limit"]), element(data["scale"]),
-                   start=int(data.get("start", 1)), direction=direction)
+    if kind == CutKind.SUBGROUP:
+        return subgroup_cut(ConvexSubgroup(group, read("level", int)),
+                            shift=read("shift", element, group.zero()),
+                            closed=read("closed", bool, False), direction=direction)
+    if kind == "seq":
+        return seq_cut(read("limit", element), read("scale", element),
+                       start=read("start", int, 1), direction=direction)
+    raise ConfigError(f"segment field 'kind': {kind!r} is not one of "
+                      "'element', 'subgroup', 'seq'", fields=["kind"])
 
 
 # --------------------------------------------------------------------------
@@ -397,18 +316,14 @@ class IdealDescriptor:
         """Whether the image of the value set in G/H attains a minimum.
 
         Only meaningful when H is contained in the invariance group of the
-        value set, i.e. H.level >= invariance level.
+        value set, i.e. H.level >= invariance level.  A canonical cut is open
+        only over a dense cut class, so the minimum exists exactly when the
+        cut is closed and its coset collapses to a point of G/H.
         """
         v = self.values
-        if v.kind is CutKind.ELEMENT:
-            return True
         if H.level < v.level:
             raise StructuralError("quotient subgroup exceeds the invariance group")
-        if v.closed:
-            return True
-        if H.level > v.level:
-            return False
-        return quotient_has_smallest_positive(self.group, H)
+        return v.closed and H.level == v.level
 
     def multiply(self, other: "IdealDescriptor", label: str = "") -> "IdealDescriptor":
         return IdealDescriptor(sum(self.values, other.values), label=label)
@@ -450,8 +365,5 @@ def invariance_ring(I: IdealDescriptor) -> tuple[ConvexSubgroup, IdealDescriptor
     by any group element does not change the result.
     """
     H = invariance_group(I.values)
-    if H.is_trivial:
-        M = IdealDescriptor.maximal_ideal(I.group, label=f"M({I.label or 'I'})")
-    else:
-        M = IdealDescriptor(subgroup_cut(H, closed=False), label=f"M({I.label or 'I'})")
+    M = IdealDescriptor(subgroup_cut(H, closed=False), label=f"M({I.label or 'I'})")
     return H, M

@@ -35,7 +35,6 @@ from valcuts.scenarios import (
     samples_for,
 )
 from valcuts.segment import (
-    CutKind,
     Direction,
     IdealDescriptor,
     contains,
@@ -248,10 +247,7 @@ def _probe_candidates(ann_values, depth=3, spread=3):
     group = ann_values.group
     p = group.prime
     out = []
-    if ann_values.kind is CutKind.ELEMENT:
-        base, cls = ann_values.gamma, group.rank - 1
-    else:
-        base, cls = ann_values.shift, ann_values.level - 1
+    base, cls = ann_values.shift, ann_values.level - 1
     for d in range(depth + 1):
         if group.is_dense_at(cls):
             step = group.unit(cls, Fraction(1, p**d))

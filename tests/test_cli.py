@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import json
 import pathlib
+import sys
 
 import pytest
 
+from valcuts import gpsfield
 from valcuts.cli import (
     CONFIG_SCHEMA,
     build_parser,
@@ -139,6 +141,96 @@ class TestConfigs:
         d1 = datum_from_config(config)
         d2 = datum_from_config(config)
         assert d1 == d2
+
+
+def write_config(tmp_path, segment, components=("pdiv",), p=2):
+    path = tmp_path / "sigma.json"
+    path.write_text(json.dumps({
+        "schema": 1,
+        "group": {"components": list(components), "p": p},
+        "extension": {"kind": "as_defect", "degree": p, "char": p,
+                      "generator": {"type": "sigma", "segment": segment}},
+    }))
+    return str(path)
+
+
+class TestDeclaredSigma:
+    def test_closed_subgroup_cut_is_positive(self, tmp_path):
+        # {a : a_0 >= 1} lies entirely above 0
+        config = write_config(tmp_path, {
+            "direction": "final", "kind": "subgroup", "level": 1,
+            "shift": ["1", "0"], "closed": True}, components=("pdiv", "pdiv"))
+        code, report = run(["kaehler", "--config", config], tmp_path)
+        assert code == 0
+        assert report["classification"] == "dependent"
+        assert report["certificate"]["H_E_level"] == 1
+        assert report["omega"]["containment_holds"] is True
+
+    def test_cut_through_zero_rejected(self, tmp_path, capsys):
+        config = write_config(tmp_path, {
+            "direction": "final", "kind": "subgroup", "level": 1,
+            "shift": ["0", "0"], "closed": True}, components=("pdiv", "pdiv"))
+        assert main(["classify", "--config", config]) == 1
+        assert "positive values" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("segment,field", [
+        ({"direction": "final", "kind": "ray", "gamma": ["1"]}, "'kind'"),
+        ({"kind": "element", "gamma": ["1"], "closed": True}, "'direction'"),
+    ])
+    def test_malformed_segment_exit_code(self, tmp_path, capsys, segment, field):
+        assert main(["classify", "--config", write_config(tmp_path, segment)]) == 2
+        assert field in capsys.readouterr().err
+
+
+class TestInputContract:
+    @pytest.mark.parametrize("args", [
+        ["abhyankar", "--depth", "0"],
+        ["abhyankar", "--depth", "-3"],
+        ["check-def", "--name", "ram-ideal-as", "--samples", "0"],
+    ])
+    def test_nonpositive_counts_rejected(self, args, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(args)
+        assert err.value.code == 2
+        assert "must be at least 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["classify", "kaehler"])
+    def test_config_depth_used_by_default(self, tmp_path, command):
+        config = str(CONFIGS / "synthetic-dependent.json")  # declares depth 10
+        _, report = run([command, "--config", config], tmp_path)
+        assert report["depth"] == 10
+        assert report["certificate"]["truncation_depth"] == 10
+        _, report = run([command, "--config", config, "--depth", "7"], tmp_path)
+        assert report["depth"] == 7
+        assert report["certificate"]["truncation_depth"] == 7
+
+    def test_default_depth_without_config_depth(self, tmp_path):
+        _, report = run(["classify", "--config",
+                         str(CONFIGS / "defectless-dense.json")], tmp_path)
+        assert report["depth"] == 12
+
+
+class TestApproachComputedOnce:
+    @pytest.mark.parametrize("args,calls", [
+        (["abhyankar"], 1),
+        (["example-e1"], 2),
+        (["example-e2"], 1),
+        (["kaehler", "--config", str(CONFIGS / "abhyankar-p3.json")], 1),
+    ])
+    def test_approach_segment_calls(self, tmp_path, monkeypatch, args, calls):
+        count = []
+        original = gpsfield.approach_segment
+
+        def counting(*a, **kw):
+            count.append(1)
+            return original(*a, **kw)
+
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("valcuts") and hasattr(mod, "approach_segment"):
+                monkeypatch.setattr(mod, "approach_segment", counting)
+        code, _ = run(args, tmp_path)
+        assert code == 0
+        assert len(count) == calls
 
 
 class TestDeterminismAndGoldens:

@@ -112,7 +112,7 @@ class TestConvexSubgroups:
     def test_rank_two_proper_subgroups(self):
         g = zp2()
         chain = convex_subgroups(g)
-        proper = [h for h in chain if h.is_proper]
+        proper = [h for h in chain if h.is_subprincipal]
         assert [h.level for h in proper] == [1, 2]
         h1 = proper[0]
         # second-coordinate axis
@@ -122,7 +122,7 @@ class TestConvexSubgroups:
     def test_rank_three_all_proper_are_subprincipal(self):
         g = GroupDescriptor((Component.PDIV,) * 3, 2)
         for h in convex_subgroups(g):
-            if h.is_proper:
+            if not h.is_whole_group:
                 assert h.is_subprincipal
 
     def test_strict_descending_chain(self, pdiv2_rank2):

@@ -9,11 +9,12 @@ import pytest
 
 from valcuts import segment as sg
 from valcuts.errors import (
+    ConfigError,
     DegenerateInputError,
     StructuralError,
     UnsupportedDensityError,
 )
-from valcuts.ogroup import Component, ConvexSubgroup, GroupDescriptor
+from valcuts.ogroup import Component, ConvexSubgroup, GroupDescriptor, Position, position
 from valcuts.segment import (
     CutKind,
     Direction,
@@ -118,6 +119,50 @@ class TestNormalize:
         assert segment_set(s, pts) == frozenset(expect)
 
 
+def random_initial_cut(rng: random.Random, group: GroupDescriptor):
+    """A random initial cut with its membership predicate read off the definition."""
+    d = random_element(rng, group)
+    closed = rng.random() < 0.5
+    if rng.random() < 0.4:
+        cut = element_cut(d, closed=closed, direction=Direction.INITIAL)
+        return cut, (lambda x: x <= d) if closed else (lambda x: x < d)
+    H = ConvexSubgroup(group, rng.randint(1, group.rank))
+    cut = subgroup_cut(H, shift=d, closed=closed, direction=Direction.INITIAL)
+
+    def member(x):
+        pos = position(x - d, H)
+        return pos is Position.BELOW or (closed and pos is Position.INSIDE)
+
+    return cut, member
+
+
+class TestInitialCuts:
+    @pytest.mark.parametrize("group", [ZP2, ZMIX], ids=["ZP2", "ZMIX"])
+    def test_grid_oracle(self, group):
+        rng = random.Random(37)
+        pts = list(grid_points(group, 2, 2))
+        for _ in range(80):
+            s, member = random_initial_cut(rng, group)
+            canon = normalize(s)
+            assert canon.direction is Direction.INITIAL
+            assert normalize(canon) == canon
+            mirror = negate(s)
+            h = invariance_group(s)
+            assert h == invariance_group(mirror)
+            g = random_element(rng, group)
+            moved = shift(s, g)
+            assert negate(moved) == shift(mirror, -g)
+            for x in rng.sample(pts, 30):
+                want = member(x)
+                assert contains(s, x) == want
+                assert contains(canon, x) == want
+                assert contains(mirror, -x) == want
+                assert contains(moved, x + g) == want
+            for x in rng.sample(pts, 10):
+                if h.contains(x):
+                    assert shift(s, x) == canon
+
+
 class TestInvariance:
     def test_element_cut_rigid(self):
         h = invariance_group(element_cut(ZP1.element(5)))
@@ -180,7 +225,7 @@ class TestArithmetic:
             # keep shifts small so witnesses stay on the wide grid
             s1 = normalize(s1)
             s2 = normalize(s2)
-            if any(abs(c) > 1 for s in (s1, s2) for c in _shift_of(s).coords):
+            if any(abs(c) > 1 for s in (s1, s2) for c in s.shift.coords):
                 continue
             total = sg.sum(s1, s2)
             set1 = segment_set(s1, wide)
@@ -226,12 +271,6 @@ class TestArithmetic:
     def test_mismatched_groups_rejected(self):
         with pytest.raises(StructuralError):
             sg.sum(element_cut(ZP1.element(0)), element_cut(ZP1_3.element(0)))
-
-
-def _shift_of(s):
-    if s.kind is CutKind.ELEMENT:
-        return s.gamma
-    return s.shift
 
 
 class TestSubset:
@@ -308,6 +347,23 @@ class TestIdeals:
         assert contains(s, ZP2.element(0, -5))   # inside H
         assert contains(s, ZP2.element(1, -5))   # above H
         assert not contains(s, ZP2.element(-1, 5))
+
+    def test_json_seq_input(self):
+        data = {"direction": "initial", "kind": "seq", "limit": ["1", "0"],
+                "scale": ["0", "1"], "start": 2}
+        assert sg.from_json(ZP2, data) == seq_cut(ZP2.element(1, 0), ZP2.unit(1), start=2)
+
+    @pytest.mark.parametrize("data,field", [
+        ({"direction": "final", "kind": "ray", "gamma": ["1"]}, "kind"),
+        ({"kind": "element", "gamma": ["1"]}, "direction"),
+        ({"direction": "up", "kind": "element", "gamma": ["1"]}, "direction"),
+        ({"direction": "final", "kind": "element"}, "gamma"),
+        ({"direction": "final", "kind": "subgroup", "level": "one"}, "level"),
+    ])
+    def test_json_malformed_field_named(self, data, field):
+        with pytest.raises(ConfigError) as err:
+            sg.from_json(ZP1, data)
+        assert err.value.fields == (field,)
 
     def test_json_roundtrip(self):
         rng = random.Random(31)
