@@ -16,7 +16,7 @@ from fractions import Fraction
 import jsonschema
 
 from . import __version__
-from .errors import ConfigError, ValcutsError, VerificationError
+from .errors import ConfigError, StructuralError, ValcutsError, VerificationError
 from .extension import (
     DeclaredSchedule,
     DefectDatum,
@@ -38,6 +38,13 @@ from .segment import to_json as segment_to_json
 
 SCHEMA_VERSION = 1
 DEFAULT_DEPTH = 12
+
+
+def _requires(key: str, value: str, fields: list) -> dict:
+    """Schema clause: an object whose `key` is `value` needs `fields` too."""
+    return {"if": {"required": [key], "properties": {key: {"const": value}}},
+            "then": {"required": fields}}
+
 
 CONFIG_SCHEMA = {
     "type": "object",
@@ -64,6 +71,7 @@ CONFIG_SCHEMA = {
         "extension": {
             "type": "object",
             "required": ["kind", "degree"],
+            "allOf": [_requires("kind", "defectless_value", ["star_index", "x0_value"])],
             "properties": {
                 "kind": {"enum": ["as_defect", "kummer_defect", "defectless_value"]},
                 "degree": {"type": "integer", "minimum": 2},
@@ -71,7 +79,25 @@ CONFIG_SCHEMA = {
                 "residue_char": {"type": "integer", "minimum": 0},
                 "vp": {"type": "array", "items": {"type": "string"}},
                 "sigma_shift": {"type": "array", "items": {"type": "string"}},
-                "generator": {"type": "object"},
+                "generator": {
+                    "type": "object",
+                    "required": ["type"],
+                    "allOf": [_requires("type", "pattern", ["tails"]),
+                              _requires("type", "schedule", ["limit", "scale"]),
+                              _requires("type", "sigma", ["segment"])],
+                    "properties": {
+                        "finite": {"type": "string"},
+                        "tails": {"type": "array",
+                                  "items": {"type": "object", "required": ["gamma"],
+                                            "properties": {"coeff": {"type": "integer"},
+                                                           "gamma": {"type": "array"},
+                                                           "start": {"type": "integer"}}}},
+                        "limit": {"type": "array"},
+                        "scale": {"type": "array"},
+                        "start": {"type": "integer"},
+                        "segment": {"type": "object"},
+                    },
+                },
                 "declared_sigma": {"type": "object"},
                 "synthetic": {"type": "boolean"},
                 "star_index": {"type": "integer", "minimum": 0},
@@ -139,8 +165,23 @@ def load_config(path: str) -> dict:
     return config
 
 
-def _element(group: GroupDescriptor, coords):
-    return group.element(*[Fraction(c) for c in coords])
+def _element(group: GroupDescriptor, coords, field: str):
+    """The element at `coords`; one outside the group is an error in `field`."""
+    try:
+        return group.element(*[Fraction(c) for c in coords])
+    except (TypeError, ValueError, ZeroDivisionError):
+        raise ConfigError(f"{field}: {coords!r} is not a list of exact rationals",
+                          fields=[field]) from None
+    except StructuralError as err:
+        raise ConfigError(f"{field}: {err}", fields=[field]) from None
+
+
+def _series(model: FieldModel, text: str, field: str):
+    """parse_element; a text that is no element of the model is an error in `field`."""
+    try:
+        return parse_element(model, text)
+    except StructuralError as err:
+        raise ConfigError(f"{field}: {err}", fields=[field]) from None
 
 
 def datum_from_config(config: dict):
@@ -157,11 +198,11 @@ def datum_from_config(config: dict):
         return DefectlessDatum(
             name=label, group=group, q=ext["degree"],
             star_index=ext["star_index"],
-            x0_value=_element(group, ext["x0_value"]),
+            x0_value=_element(group, ext["x0_value"], "extension/x0_value"),
             subkind=DefectlessKind(ext.get("subkind", "value_only")),
             residue_char=ext.get("residue_char", 0),
-            vp=_element(group, ext["vp"]) if "vp" in ext else None,
-            v_eta_minus_1=(_element(group, ext["v_eta_minus_1"])
+            vp=_element(group, ext["vp"], "extension/vp") if "vp" in ext else None,
+            v_eta_minus_1=(_element(group, ext["v_eta_minus_1"], "extension/v_eta_minus_1")
                            if "v_eta_minus_1" in ext else None))
     char = ext.get("char", group.prime if kind == "as_defect" else 0)
     model = FieldModel(
@@ -169,23 +210,25 @@ def datum_from_config(config: dict):
         residue_char=ext.get("residue_char", group.prime),
         value_group=group,
         residue=GF(char) if char else None,
-        vp=_element(group, ext["vp"]) if "vp" in ext else None)
+        vp=_element(group, ext["vp"], "extension/vp") if "vp" in ext else None)
     generator = None
     declared_sigma = None
     gen = ext.get("generator")
     if gen is not None:
         if gen["type"] == "pattern":
-            finite = (parse_element(model, gen["finite"])
+            finite = (_series(model, gen["finite"], "extension/generator/finite")
                       if gen.get("finite") else model.zero())
             tails = tuple(
                 Tail(model.residue.element(t.get("coeff", 1)),
-                     _element(group, t["gamma"]), int(t.get("start", 1)))
-                for t in gen["tails"])
+                     _element(group, t["gamma"], f"extension/generator/tails/{n}/gamma"),
+                     int(t.get("start", 1)))
+                for n, t in enumerate(gen["tails"]))
             generator = PatternSeries(model, finite, tails)
         elif gen["type"] == "schedule":
-            generator = DeclaredSchedule(group, _element(group, gen["limit"]),
-                                         _element(group, gen["scale"]),
-                                         start=int(gen.get("start", 0)))
+            generator = DeclaredSchedule(
+                group, _element(group, gen["limit"], "extension/generator/limit"),
+                _element(group, gen["scale"], "extension/generator/scale"),
+                start=int(gen.get("start", 0)))
         elif gen["type"] == "sigma":
             declared_sigma = segment_from_json(group, gen["segment"])
         else:
@@ -194,7 +237,7 @@ def datum_from_config(config: dict):
     return DefectDatum(
         name=label, kind=ExtensionKind(kind), base=model, degree=ext["degree"],
         generator=generator, declared_sigma=declared_sigma,
-        sigma_shift=(_element(group, ext["sigma_shift"])
+        sigma_shift=(_element(group, ext["sigma_shift"], "extension/sigma_shift")
                      if "sigma_shift" in ext else None),
         synthetic=bool(ext.get("synthetic", declared_sigma is not None)))
 
@@ -314,9 +357,9 @@ def eval_report(formula: str, scenario_name: str, p: int, depth: int,
             from .formlang import DeclaredValue
 
             bindings[name] = DeclaredValue(
-                scenario.model.value_group.element(Fraction(text[2:])))
+                _element(scenario.model.value_group, [text[2:]], "--bind"))
         else:
-            bindings[name] = parse_element(scenario.model, text)
+            bindings[name] = _series(scenario.model, text, "--bind")
     res = evaluate(parse(formula), scenario.fmodel, bindings=bindings)
     return {
         "schema_version": SCHEMA_VERSION,
@@ -370,6 +413,14 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _level_list(text: str) -> list:
+    try:
+        return [int(x) for x in text.split(",") if x.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="valcuts",
@@ -392,7 +443,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("prescribe", help="build and verify a selection of levels")
     sp.add_argument("--rank", type=int, required=True)
-    sp.add_argument("--select", default="", help="comma-separated levels, e.g. 1,3")
+    sp.add_argument("--select", type=_level_list, default="",
+                    help="comma-separated levels, e.g. 1,3")
     sp.add_argument("--char", choices=["equal", "mixed"], default="equal")
     common(sp)
 
@@ -421,8 +473,8 @@ def main(argv=None) -> int:
         if args.command in SCENARIOS:
             report = scenario_report(args.command, args.p, args.depth, args.seed)
         elif args.command == "prescribe":
-            select = [int(x) for x in args.select.split(",") if x.strip()]
-            report = prescribe_report(args.rank, select, args.p, args.char, args.depth)
+            report = prescribe_report(args.rank, args.select, args.p, args.char,
+                                      args.depth)
         elif args.command in ("classify", "kaehler"):
             config = load_config(args.config)
             depth = args.depth or config.get("depth", DEFAULT_DEPTH)

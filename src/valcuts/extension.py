@@ -169,8 +169,7 @@ def classify(datum: DefectDatum, depth: int = 12) -> DefectClassification:
     quotient_dense = not quotient_has_smallest_positive(datum.group, H)
 
     ideal_route = ram.same_values(max_ideal) and not max_ideal.is_principal_over(H)
-    canonical = normalize(subgroup_cut(H, closed=False)) if not H.is_whole_group else None
-    segment_route = (canonical is not None and sigma == canonical and quotient_dense)
+    segment_route = sigma == max_ideal.values and quotient_dense  # {a > H}, normalized
     if ideal_route != segment_route:
         raise InternalConsistencyError(
             f"independence criteria disagree on {datum.name}: "

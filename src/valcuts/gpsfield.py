@@ -2,9 +2,12 @@
 
 A SeriesElement is a finite sum of monomials c * t^g with exact group-element
 exponents.  A PatternSeries adds geometric exponent tails sum_{i>=k0} c *
-t^(g/p^i); these represent immediate elements intentionally, so valuations of
-differences against finite-support elements are computable exactly: only
-finitely many tail terms can ever interact with a finite support.
+t^(g/p^i); these represent immediate elements intentionally.  Tails are
+merged so that no two share an exponent: equal base exponents, and base
+exponents that differ by a factor p^m, become one tail.  A finite support
+then meets each tail only at its head, one term at a time, so v(theta - c)
+for finite-support c is read off in one ordered pass over the finite
+support of theta - c.
 
 Fields of residue characteristic p with char 0 carry no series arithmetic
 here; they enter the extension layer through declared approximation
@@ -225,8 +228,28 @@ class Tail:
         return self.gamma * (p ** (-i))
 
 
+def _family_shift(base: GroupElement, gamma: GroupElement, p: int) -> int | None:
+    """m with gamma = base * p^m, or None when the two tails share no exponent."""
+    i = base.leading_index()
+    r = gamma.coords[i] / base.coords[i]
+    if r <= 0 or any(b != a * r for a, b in zip(base.coords, gamma.coords)):
+        return None
+    num, den, m = r.numerator, r.denominator, 0
+    while num % p == 0:
+        num //= p
+        m += 1
+    while den % p == 0:
+        den //= p
+        m -= 1
+    return m if num == den == 1 else None
+
+
 def _merge_tails(model: FieldModel, tails, extra_finite):
-    """Combine tails sharing a base exponent; spilled head terms go finite."""
+    """Combine tails that share exponents; spilled head terms go finite.
+
+    A tail whose base exponent is base * p^m for a present base is the tail
+    at that base starting m places earlier.
+    """
     by_gamma: dict = {}
     finite = extra_finite
     for t in tails:
@@ -235,8 +258,14 @@ def _merge_tails(model: FieldModel, tails, extra_finite):
         for i in range(len(t.gamma.coords)):
             if t.gamma.coords[i] != 0 and not model.value_group.is_dense_at(i):
                 raise StructuralError("tail exponents need a divisible component")
-        if t.gamma in by_gamma:
-            prev = by_gamma[t.gamma]
+        prev = by_gamma.get(t.gamma)
+        if prev is None:
+            for base, tail in by_gamma.items():
+                m = _family_shift(base, t.gamma, model.char)
+                if m is not None:
+                    prev, t = tail, Tail(t.coeff, base, t.start - m)
+                    break
+        if prev is not None:
             lo, hi = sorted((prev, t), key=lambda x: x.start)
             for i in range(lo.start, hi.start):
                 finite = finite + model.monomial(lo.coeff, lo.exponent(i))
@@ -288,8 +317,6 @@ class PatternSeries:
             tuple(Tail(-t.coeff, t.gamma, t.start) for t in self.tails))
 
     def __sub__(self, other):
-        if isinstance(other, PatternSeries):
-            return self + (-other)
         return self + (-other)
 
     def __radd__(self, other):
@@ -314,11 +341,9 @@ class PatternSeries:
 
     def partial_sum(self, k: int) -> SeriesElement:
         """finite_part plus every tail term with index <= k."""
-        out = self.finite_part
-        for t in self.tails:
-            for i in range(t.start, k + 1):
-                out = out + self.model.monomial(t.coeff, t.exponent(i))
-        return out
+        terms = tuple((t.exponent(i), t.coeff)
+                      for t in self.tails for i in range(t.start, k + 1))
+        return self.finite_part + SeriesElement(self.model, terms)
 
     def min_tail_gamma(self) -> GroupElement:
         if not self.tails:
@@ -335,39 +360,26 @@ class PatternSeries:
 def val_diff(theta: PatternSeries, c: SeriesElement) -> GroupElement:
     """v(theta - c), exact, for finite-support c.
 
-    Tails are expanded just far enough that the minimum is witnessed either
-    by an explicit term or by an uncontested tail remainder.
+    One ordered pass: the support of finite_part - c is walked upwards
+    against the heads of the tails with negative base exponent (the others
+    lie above 0, so above every such head).  A term that cancels a head moves
+    that tail on by one; the first term or head that nothing cancels is the
+    valuation.  Merged tails share no exponent, so a term meets one head at
+    most, and each term is visited once.  theta needs a tail with negative
+    base exponent.
     """
     if c.model != theta.model:
         raise StructuralError("operands from different field models")
-    if not theta.has_tails:
-        raise StructuralError("val_diff needs at least one tail")
-    model = theta.model
-    diff = theta - c
-    explicit = diff.finite_part
-    tails = diff.tails
-    if not tails:
-        v = explicit.valuation()
-        if v is INF:
-            raise StructuralError("difference is zero; the element is not immediate")
-        return v
-    depth = max(t.start for t in tails)
-    for _ in range(64):
-        remainders = [t.exponent(depth + 1) for t in tails]
-        lead_rem = min(remainders, key=lambda g: g.coords)
-        expanded = explicit
-        for t in tails:
-            for i in range(t.start, depth + 1):
-                expanded = expanded + model.monomial(t.coeff, t.exponent(i))
-        e0 = expanded.valuation()
-        if e0 is INF:
-            return lead_rem
-        if e0 < lead_rem:
-            return e0
-        if lead_rem < e0:
-            return lead_rem
-        depth += 1  # explicit term sits exactly on the remainder boundary
-    raise RuntimeError("valuation search did not settle")  # pragma: no cover
+    heads = {t: (t.start, t.exponent(t.start))
+             for t in theta.tails if t.gamma.sign() < 0}
+    if not heads:
+        raise StructuralError("val_diff needs a tail with negative base exponent")
+    for e, coeff in (theta.finite_part - c).terms:
+        t, (i, head) = min(heads.items(), key=lambda item: item[1][1].coords)
+        if head != e or not (coeff + t.coeff).is_zero:
+            return min(head, e)
+        heads[t] = (i + 1, t.exponent(i + 1))
+    return min(head for _, head in heads.values())
 
 
 @dataclass(frozen=True)
@@ -389,6 +401,9 @@ def approach_segment(theta: PatternSeries, K: FieldModel, depth: int = 12) -> Ap
         raise StructuralError("base field has a different value group")
     if not theta.has_tails:
         raise NotImmediateError("element has finite support over the base field")
+    gamma_min = theta.min_tail_gamma()
+    if gamma_min.sign() > 0:
+        raise NotImmediateError("tail exponents decrease; v(theta - K) has a maximum")
     k_lo = max(0, min(t.start for t in theta.tails) - 1)
     schedule = tuple(val_diff(theta, theta.partial_sum(k))
                      for k in range(k_lo, k_lo + depth))
@@ -396,9 +411,6 @@ def approach_segment(theta: PatternSeries, K: FieldModel, depth: int = 12) -> Ap
         if not a < b:
             raise NotImmediateError(
                 f"approximation values do not increase strictly: {a} then {b}")
-    gamma_min = theta.min_tail_gamma()
-    if gamma_min.sign() > 0:
-        raise NotImmediateError("tail exponents decrease; v(theta - K) has a maximum")
     seg = seq_cut(theta.model.value_group.zero(), -gamma_min, start=1,
                   direction=Direction.INITIAL)
     return ApproachResult(seg, schedule, depth)
@@ -499,6 +511,13 @@ _TERM_RE = re.compile(
 )
 
 
+def _rational(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise StructuralError(f"not an exact rational: {text!r}") from None
+
+
 def parse_element(model: FieldModel, text: str) -> SeriesElement:
     model._require_series()
     out = model.zero()
@@ -528,11 +547,11 @@ def parse_element(model: FieldModel, text: str) -> SeriesElement:
         elif exp_text is None:
             exponent = model.value_group.element(*([1] + [0] * (model.value_group.rank - 1)))
         elif exp_text.startswith("("):
-            coords = [Fraction(x.strip()) for x in exp_text[1:-1].split(",")]
+            coords = [_rational(x.strip()) for x in exp_text[1:-1].split(",")]
             exponent = model.value_group.element(*coords)
         else:
             if model.value_group.rank != 1:
                 raise StructuralError("scalar exponent in a higher-rank value group")
-            exponent = model.value_group.element(Fraction(exp_text))
+            exponent = model.value_group.element(_rational(exp_text))
         out = out + model.monomial(coeff, exponent)
     return out

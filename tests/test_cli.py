@@ -37,6 +37,12 @@ class TestScenarios:
         assert report["extensions"][0]["classification"] == "independent"
         assert report["extensions"][0]["omega"]["is_zero"] is True
 
+    def test_abhyankar_past_depth_64(self, tmp_path):
+        code, report = run(["abhyankar", "--p", "2", "--depth", "66"], tmp_path)
+        assert code == 0
+        schedule = report["extensions"][0]["certificate"]["schedule"]
+        assert schedule == [[f"-1/{2 ** (k + 1)}"] for k in range(66)]
+
     def test_example_e1_levels(self, tmp_path):
         code, report = run(["example-e1", "--depth", "12"], tmp_path)
         assert code == 0
@@ -143,15 +149,43 @@ class TestConfigs:
         assert d1 == d2
 
 
-def write_config(tmp_path, segment, components=("pdiv",), p=2):
-    path = tmp_path / "sigma.json"
+def write_extension(tmp_path, extension, components=("pdiv",), p=2):
+    path = tmp_path / "config.json"
     path.write_text(json.dumps({
         "schema": 1,
         "group": {"components": list(components), "p": p},
-        "extension": {"kind": "as_defect", "degree": p, "char": p,
-                      "generator": {"type": "sigma", "segment": segment}},
+        "extension": extension,
     }))
     return str(path)
+
+
+def write_config(tmp_path, segment, components=("pdiv",), p=2):
+    return write_extension(tmp_path, {"kind": "as_defect", "degree": p, "char": p,
+                                      "generator": {"type": "sigma", "segment": segment}},
+                           components, p)
+
+
+def pattern(p, *tails):
+    return {"kind": "as_defect", "degree": p, "char": p,
+            "generator": {"type": "pattern", "tails": list(tails)}}
+
+
+class TestOverlappingTails:
+    def test_cancelling_family_has_finite_support(self, tmp_path, capsys):
+        # over F_2, sum_{i>=2} t^(-2/2^i) is sum_{i>=1} t^(-1/2^i): the tails cancel
+        config = write_extension(tmp_path, pattern(2, {"gamma": ["-1"], "start": 1},
+                                                   {"gamma": ["-2"], "start": 2}))
+        assert main(["classify", "--config", config]) == 1
+        assert "error: element has finite support" in capsys.readouterr().err
+
+    def test_family_merged_into_one_tail(self, tmp_path):
+        # sum_{i>=4} t^(-3/3^i) doubles the tail sum_{i>=1} t^(-1/3^i) from i = 3
+        config = write_extension(tmp_path, pattern(3, {"gamma": ["-1"], "start": 1},
+                                                   {"gamma": ["-3"], "start": 4}), p=3)
+        code, report = run(["classify", "--config", config], tmp_path)
+        assert code == 0
+        assert report["classification"] == "independent"
+        assert report["certificate"]["schedule"][:2] == [["-1/27"], ["-1/81"]]
 
 
 class TestDeclaredSigma:
@@ -208,6 +242,44 @@ class TestInputContract:
         _, report = run(["classify", "--config",
                          str(CONFIGS / "defectless-dense.json")], tmp_path)
         assert report["depth"] == 12
+
+    @pytest.mark.parametrize("args,named", [
+        (["classify", "--config", {"kind": "as_defect", "degree": 2,
+                                   "generator": {"type": "sigma"}}], "'segment'"),
+        (["classify", "--config", {"kind": "as_defect", "degree": 2,
+                                   "generator": {"type": "pattern"}}], "'tails'"),
+        (["classify", "--config", pattern(2, {"start": 1})], "'gamma'"),
+        (["classify", "--config", {"kind": "kummer_defect", "degree": 2,
+                                   "generator": {"type": "schedule", "scale": ["1"]}}],
+         "'limit'"),
+        (["classify", "--config", {"kind": "as_defect", "degree": 2,
+                                   "generator": {"tails": [{"gamma": ["-1"]}]}}], "'type'"),
+        (["classify", "--config", {"kind": "defectless_value", "degree": 2,
+                                   "x0_value": ["1"]}], "'star_index'"),
+        (["classify", "--config", pattern(2, {"gamma": ["abc"]})],
+         "extension/generator/tails/0/gamma"),
+        (["classify", "--config", pattern(2, {"gamma": ["-1"], "coeff": "1"})],
+         "extension/generator/tails/0/coeff"),
+        (["classify", "--config", pattern(2, {"gamma": ["-1"], "start": "x"})],
+         "extension/generator/tails/0/start"),
+        (["classify", "--config", {"kind": "as_defect", "degree": 2,
+                                   "generator": {"type": "pattern", "finite": "t^(1/0)",
+                                                 "tails": [{"gamma": ["-1"]}]}}],
+         "extension/generator/finite"),
+        (["eval", "--formula", "v(b) >= 0", "--bind", "b=v:abc"], "--bind"),
+        (["eval", "--formula", "v(b) >= 0", "--bind", "b=v:1/0"], "--bind"),
+        (["eval", "--formula", "v(b) >= 0", "--bind", "b=t^(1/0)"], "--bind"),
+        (["prescribe", "--rank", "3", "--select", "1,x"], "--select"),
+    ])
+    def test_bad_value_exits_2_naming_it(self, tmp_path, capsys, args, named):
+        args = [write_extension(tmp_path, a) if isinstance(a, dict) else a for a in args]
+        try:
+            code = main(args)
+        except SystemExit as exit:  # argparse rejects the flag value itself
+            code = exit.code
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and named in err
 
 
 class TestApproachComputedOnce:
