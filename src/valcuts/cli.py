@@ -71,6 +71,7 @@ CONFIG_SCHEMA = {
         "extension": {
             "type": "object",
             "required": ["kind", "degree"],
+            "additionalProperties": False,
             "allOf": [_requires("kind", "defectless_value", ["star_index", "x0_value"])],
             "properties": {
                 "kind": {"enum": ["as_defect", "kummer_defect", "defectless_value"]},
@@ -89,6 +90,7 @@ CONFIG_SCHEMA = {
                         "finite": {"type": "string"},
                         "tails": {"type": "array",
                                   "items": {"type": "object", "required": ["gamma"],
+                                            "additionalProperties": False,
                                             "properties": {"coeff": {"type": "integer"},
                                                            "gamma": {"type": "array"},
                                                            "start": {"type": "integer"}}}},
@@ -98,7 +100,6 @@ CONFIG_SCHEMA = {
                         "segment": {"type": "object"},
                     },
                 },
-                "declared_sigma": {"type": "object"},
                 "synthetic": {"type": "boolean"},
                 "star_index": {"type": "integer", "minimum": 0},
                 "x0_value": {"type": "array", "items": {"type": "string"}},

@@ -6,11 +6,16 @@ a symbolic exponent, both of which the standard definition texts need):
     formula := quant | bool
     quant   := ("forall" | "exists") ident "in" ("L" | "K" | "L\\K") ":" formula
     bool    := bool ("and" | "or" | "->") bool | "not" bool | "(" formula ")" | atom
-    atom    := vexpr rel vexpr | term "=" term | "inK(" term ")"
+    atom    := term "=" term | vexpr rel vexpr | "inK(" term ")"
     vexpr   := ["-"] "v(" term ")" | rational
     rel     := "<" | "<=" | "=" | ">=" | ">"
-    term    := ident | constant | integer | term ("+"|"-"|"*") term
+    term    := ident | integer | term ("+"|"-"|"*") term
              | term "^" (integer | "p") | "1/" term | "(" term ")"
+
+An atom reads as `term = term` when it parses so, else as a comparison.  A
+name resolves through the bindings (a quantifier shadows any name), the model
+constants and immediate elements, then the built-ins `p` (known by v(p)) and
+`zeta_p` (a unit); a name that resolves nowhere is an error.
 
 Evaluation is three-valued.  A quantifier over the base field K is answered
 exactly (ORACLE mode) when its body compares a valuation of a recognized
@@ -26,6 +31,7 @@ import re
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from functools import reduce
 
 from .errors import (
     EvaluationUnsupported,
@@ -59,11 +65,6 @@ class Domain(str, Enum):
 
 @dataclass(frozen=True)
 class Var:
-    name: str
-
-
-@dataclass(frozen=True)
-class Sym:
     name: str
 
 
@@ -150,6 +151,10 @@ class Quant:
     body: object
 
 
+_BINARY = (Add, Sub, Mul, ValAtom, EqAtom, BinOp)   # nodes with .left and .right
+_BUILTINS = frozenset({"p", "zeta_p"})
+
+
 # --------------------------------------------------------------------------
 # Lexer / parser
 
@@ -191,7 +196,8 @@ class _Parser:
 
     def next(self):
         tok = self.tokens[self.i]
-        self.i += 1
+        if tok[0] != "end":   # the end token is never consumed
+            self.i += 1
         return tok
 
     def expect(self, value):
@@ -200,7 +206,7 @@ class _Parser:
             raise ParseError(f"expected {value!r}, found {text or 'end of input'!r}", pos)
 
     def at(self, value):
-        return self.peek()[1] == value
+        return self.tokens[self.i][1] == value
 
     def formula(self):
         return self.implies()
@@ -268,42 +274,18 @@ class _Parser:
             t = self.term()
             self.expect(")")
             return InK(t)
-        if self._vexpr_ahead():
-            left = self.vexpr()
-            rel_tok = self.next()
-            if rel_tok[1] not in ("<", "<=", "=", ">=", ">"):
-                raise ParseError("expected a comparison", rel_tok[2])
-            right = self.vexpr()
-            return ValAtom(left, rel_tok[1], right)
-        left = self.term()
-        self.expect("=")
-        return EqAtom(left, self.term())
-
-    def _vexpr_ahead(self):
-        k, t, _ = self.peek()
-        if t == "v" and self.peek(1)[1] == "(":
-            return True
-        if t == "-" and self.peek(1)[1] == "v" and self.peek(2)[1] == "(":
-            return True
-        if k == "int":
-            # a rational is a vexpr unless it starts a term comparison
-            j = self.i
-            depth = 0
-            while j < len(self.tokens):
-                tok = self.tokens[j][1]
-                if tok in ("<", "<=", ">=", ">"):
-                    return True
-                if tok == "=" and depth == 0:
-                    return False
-                if tok == "(":
-                    depth += 1
-                if tok == ")":
-                    depth -= 1
-                if tok in (":", "and", "or", "->", ""):
-                    break
-                j += 1
-            return False
-        return False
+        save = self.i
+        try:
+            left = self.term()
+            self.expect("=")
+            return EqAtom(left, self.term())
+        except ParseError:
+            self.i = save
+        left = self.vexpr()
+        rel_tok = self.next()
+        if rel_tok[1] not in ("<", "<=", "=", ">=", ">"):
+            raise ParseError("expected a comparison", rel_tok[2])
+        return ValAtom(left, rel_tok[1], self.vexpr())
 
     def vexpr(self):
         if self.at("-") and self.peek(1)[1] == "v" and self.peek(2)[1] == "(":
@@ -333,8 +315,8 @@ class _Parser:
         if self.at("/"):
             self.next()
             den_tok = self.next()
-            if den_tok[0] != "int":
-                raise ParseError("expected a denominator", den_tok[2])
+            if den_tok[0] != "int" or int(den_tok[1]) == 0:
+                raise ParseError("expected a nonzero denominator", den_tok[2])
             return Fraction(sign * num, int(den_tok[1]))
         return Fraction(sign * num)
 
@@ -379,10 +361,11 @@ class _Parser:
                 return Recip(self.term_power())
             return IntLit(int(text))
         if kind == "name":
-            if text in ("forall", "exists", "and", "or", "not", "in"):
+            if text in ("forall", "exists", "and", "or", "not", "in", "inK") or (
+                    text == "v" and self.peek(1)[1] == "("):
                 raise ParseError(f"unexpected keyword {text!r} in term", pos)
             self.next()
-            return Sym(text) if text in ("t", "p", "theta", "eta", "zeta_p") else Var(text)
+            return Var(text)
         raise ParseError(f"unexpected token {text!r} in term", pos)
 
 
@@ -423,17 +406,16 @@ def _print_vexpr(v) -> str:
     return str(v.value)
 
 
+_TERM_OPS = {Add: "+", Sub: "-", Mul: "*"}
+
+
 def print_term(t) -> str:
-    if isinstance(t, (Var, Sym)):
+    if isinstance(t, Var):
         return t.name
     if isinstance(t, IntLit):
         return str(t.value)
-    if isinstance(t, Add):
-        return f"({print_term(t.left)} + {print_term(t.right)})"
-    if isinstance(t, Sub):
-        return f"({print_term(t.left)} - {print_term(t.right)})"
-    if isinstance(t, Mul):
-        return f"({print_term(t.left)} * {print_term(t.right)})"
+    if type(t) in _TERM_OPS:
+        return f"({print_term(t.left)} {_TERM_OPS[type(t)]} {print_term(t.right)})"
     if isinstance(t, Pow):
         base = print_term(t.base)
         if isinstance(t.base, (Recip, Pow)):
@@ -516,9 +498,11 @@ class Approximant:
 @dataclass(frozen=True)
 class Budget:
     schedule_depth: int = 12
-    exponent_bound: int = 2
-    denominator_depth: int = 2
     max_candidates: int = 64
+
+
+_EXPONENT_BOUND = 2       # monomial witnesses t^(n / p^d) with |n / p^d| <= 2
+_DENOMINATOR_DEPTH = 2    # and d <= 2
 
 
 @dataclass(frozen=True)
@@ -580,19 +564,23 @@ class _Evaluator:
         im = self.fm.immediate(name)
         if im is not None:
             return im
+        if name == "p":
+            return DeclaredValue(self._int_valuation(self.fm.prime))
+        if name == "zeta_p":
+            return DeclaredValue(self.fm.group.zero())
         raise EvaluationUnsupported(f"unbound name {name!r}")
+
+    def _declared(self, name: str) -> bool:   # bound, a constant or an immediate
+        return (name in self.bindings or name in self.fm.constants
+                or self.fm.immediate(name) is not None)
 
     def term_carrier(self, t):
         """Exact carrier (series or pattern) of a term, when computable."""
-        if isinstance(t, (Var, Sym)):
+        if isinstance(t, Var):
             v = self._resolve(t.name)
-            if isinstance(v, ImmediateElement):
+            if isinstance(v, (ImmediateElement, Approximant)):
                 if v.carrier is None:
                     raise EvaluationUnsupported(f"{t.name} has no series form")
-                return v.carrier
-            if isinstance(v, Approximant):
-                if v.carrier is None:
-                    raise EvaluationUnsupported("declared approximant has no series form")
                 return v.carrier
             if isinstance(v, (SeriesElement, PatternSeries)):
                 return v
@@ -641,40 +629,25 @@ class _Evaluator:
             v = self.term_valuation(t.base)
             e = self._exponent(t.exponent)
             return INF if v is INF else v * e
-        if isinstance(t, Sub) and t == Sub(Sym("zeta_p"), IntLit(1)):
-            return self.fm.zeta_value()
-        if isinstance(t, Sym) and t.name == "p" and "p" not in self.fm.constants:
-            return self._int_valuation(self.fm.prime)
-        if isinstance(t, Sym) and t.name == "zeta_p" and "zeta_p" not in self.fm.constants:
-            return self.fm.group.zero()  # a root of unity is a unit
-        if isinstance(t, (Var, Sym)):
+        if isinstance(t, Var):
             v = self._resolve(t.name)
             if isinstance(v, DeclaredValue):
                 return v.valuation
             if isinstance(v, ImmediateElement) and v.carrier is None:
                 raise EvaluationUnsupported(f"{t.name} is schedule-only")
         if isinstance(t, (Add, Sub)):
+            if t == _ZETA_MINUS_ONE and not self._declared("zeta_p"):
+                return self.fm.zeta_value()
             special = self._schedule_difference(t)
             if special is not None:
                 return special
             try:
-                carrier = self.term_carrier(t)
+                return _carrier_valuation(self.term_carrier(t))
             except EvaluationUnsupported:
                 return self._min_rule(t)
-            if isinstance(carrier, PatternSeries):
-                return self._pattern_val(carrier)
-            return carrier.valuation()
         if isinstance(t, IntLit):
             return self._int_valuation(t.value)
-        carrier = self.term_carrier(t)
-        if isinstance(carrier, PatternSeries):
-            return self._pattern_val(carrier)
-        return carrier.valuation()
-
-    def _pattern_val(self, pat: PatternSeries):
-        if not pat.has_tails:
-            return pat.finite_part.valuation()
-        return val_diff(pat, pat.model.zero())
+        return _carrier_valuation(self.term_carrier(t))
 
     def _int_valuation(self, n: int):
         p = self.fm.prime
@@ -694,9 +667,8 @@ class _Evaluator:
         """v(x - b_k) from the declared schedule of the immediate x."""
         if not isinstance(t, Sub):
             return None
-        left, right = t.left, t.right
-        for a, b in ((left, right), (right, left)):
-            if isinstance(a, (Var, Sym)) and isinstance(b, (Var, Sym)):
+        for a, b in ((t.left, t.right), (t.right, t.left)):
+            if isinstance(a, Var) and isinstance(b, Var):
                 try:
                     xa = self._resolve(a.name)
                     xb = self._resolve(b.name)
@@ -769,7 +741,7 @@ class _Evaluator:
         raise StructuralError(f"not an atom: {atom!r}")
 
     def _in_base(self, t) -> Truth:
-        if isinstance(t, (Var, Sym)):
+        if isinstance(t, Var):
             v = self._resolve(t.name)
             if isinstance(v, ImmediateElement):
                 if v.carrier is not None:
@@ -777,13 +749,11 @@ class _Evaluator:
                 return Truth.FALSE
             if isinstance(v, DeclaredValue):
                 return Truth.of(v.in_base)
-            if isinstance(v, Approximant):
-                return Truth.TRUE
-            if isinstance(v, SeriesElement):
+            if isinstance(v, (Approximant, SeriesElement)):
                 return Truth.TRUE
             if isinstance(v, PatternSeries):
                 return Truth.of(not v.has_tails)
-        if isinstance(t, Pow) and isinstance(t.base, (Var, Sym)):
+        if isinstance(t, Pow) and isinstance(t.base, Var):
             v = self._try_resolve(t.base.name)
             if isinstance(v, ImmediateElement) and "kummer_generator" in v.facts \
                     and self._exponent(t.exponent) == self.fm.prime:
@@ -818,21 +788,21 @@ class _Evaluator:
             return _kleene_or(self.eval(f.left).negated(), self.eval(f.right))
         return self.eval_atom(f)
 
+    def _eval_with(self, var: str, value, body) -> Truth:
+        """body with var bound to value; an outer binding of var comes back after."""
+        outer, self.bindings = self.bindings, {**self.bindings, var: value}
+        result = self.eval(body)
+        self.bindings = outer
+        return result
+
     def eval_quant(self, q: Quant) -> Truth:
         if q.domain is Domain.L_MINUS_K:
             if not self.fm.immediates:
                 raise StructuralError(
                     "domain L\\K needs a model with a distinguished immediate element")
-            results = []
-            for im in self.fm.immediates:
-                self.bindings[q.var] = im
-                results.append(self.eval(q.body))
-            del self.bindings[q.var]
             # the distinguished elements are exhaustive for this model
-            agg = Truth.TRUE if q.kind == "forall" else Truth.FALSE
-            for r in results:
-                agg = _kleene_and(agg, r) if q.kind == "forall" else _kleene_or(agg, r)
-            return agg
+            return reduce(_kleene_and if q.kind == "forall" else _kleene_or,
+                          [self._eval_with(q.var, im, q.body) for im in self.fm.immediates])
         if q.domain is Domain.K:
             exact = self._oracle(q)
             if exact is not None:
@@ -842,18 +812,20 @@ class _Evaluator:
     # oracle: the quantified atom compares a recognized shape against a value
     def _oracle(self, q: Quant) -> Truth | None:
         body = q.body
-        if not _formula_mentions(body, q.var):
+        if not _mentions(body, q.var):
             return self.eval(body)  # constant body over a nonempty domain
+        if self._declared(q.var) or q.var in _BUILTINS:
+            return None  # the shapes read names, and q.var hides an outer one
         if isinstance(body, BinOp) and body.op == "and":
             for guard, rest in ((body.left, body.right), (body.right, body.left)):
-                if not _formula_mentions(guard, q.var):
+                if not _mentions(guard, q.var):
                     inner = self._oracle(Quant(q.kind, q.var, q.domain, rest))
                     if inner is None:
                         return None
                     return _kleene_and(self.eval(guard), inner)
             return None
         if isinstance(body, BinOp) and body.op == "->":
-            if not _formula_mentions(body.left, q.var):
+            if not _mentions(body.left, q.var):
                 inner = self._oracle(Quant(q.kind, q.var, q.domain, body.right))
                 if inner is None:
                     return None
@@ -899,7 +871,7 @@ class _Evaluator:
         v(term) = cofactors + e * (mult * s + offset) with s ranging over the
         segment; e is the integer exponent the c-bearing factor carries."""
         factors = _flatten_factors(term)
-        with_var = [(f, e) for f, e in factors if _mentions_term(f, var)]
+        with_var = [(f, e) for f, e in factors if _mentions(f, var)]
         if len(with_var) != 1:
             return None
         fvar, e = with_var[0]
@@ -926,10 +898,6 @@ class _Evaluator:
             return Pow(t.base, "p")
         return t
 
-    def _is_var_char_pow(self, t, var) -> bool:
-        return (isinstance(t, Pow) and t.base == Var(var)
-                and self._exponent(t.exponent) == self.fm.prime)
-
     def _match_shape(self, t, var):
         """Recognized shapes in the quantified variable c:
         x - c, x^p - x - c^p + c, x^p - c^p (x a distinguished element)."""
@@ -945,7 +913,7 @@ class _Evaluator:
                     return im.segment, 1, self.fm.group.zero()
             for x_t, c_t in ((pos_t, neg_t), (neg_t, pos_t)):
                 im = self._immediate_of_pow(x_t)
-                if im is not None and self._is_var_char_pow(c_t, var):
+                if im is not None and c_t == Pow(Var(var), "p"):
                     if "one_unit" not in im.facts:
                         return None
                     try:
@@ -960,20 +928,14 @@ class _Evaluator:
         if len(terms) == 4:
             sgn: dict = {}
             for tt, s in terms:
-                key = _term_key(tt)
-                sgn[key] = sgn.get(key, 0) + s
+                sgn[tt] = sgn.get(tt, 0) + s
             candidates = [im.name for im in self.fm.immediates] + list(self.bindings)
             for x_name in candidates:
                 xv = self._try_resolve(x_name)
                 if not isinstance(xv, ImmediateElement):
                     continue
-                x_node = _name_node(x_name)
-                pat = {
-                    _term_key(Pow(x_node, "p")): 1,
-                    _term_key(x_node): -1,
-                    _term_key(Pow(Var(var), "p")): -1,
-                    _term_key(Var(var)): 1,
-                }
+                x, c = Var(x_name), Var(var)
+                pat = {Pow(x, "p"): 1, x: -1, Pow(c, "p"): -1, c: 1}
                 if sgn == pat or sgn == {k: -v for k, v in pat.items()}:
                     if "as_generator" not in xv.facts:
                         return None
@@ -984,25 +946,22 @@ class _Evaluator:
         return None
 
     def _immediate_of(self, t):
-        if isinstance(t, (Var, Sym)):
+        if isinstance(t, Var):
             v = self._try_resolve(t.name)
             if isinstance(v, ImmediateElement):
                 return v
         return None
 
     def _immediate_of_pow(self, t):
-        if isinstance(t, Pow) and self._exponent(t.exponent) == self.fm.prime:
-            return self._immediate_of(t.base)
-        return None
+        """x for a canonical x^p, x a distinguished element."""
+        return self._immediate_of(t.base) if isinstance(t, Pow) and t.exponent == "p" else None
 
     # bounded fallback: enumerate candidate witnesses
     def _bounded(self, q: Quant) -> Truth:
         self.bounded_used = True
         for label, cand in self._candidates():
             self.candidates_used += 1
-            self.bindings[q.var] = cand
-            r = self.eval(q.body)
-            del self.bindings[q.var]
+            r = self._eval_with(q.var, cand, q.body)
             if q.kind == "exists" and r is Truth.TRUE:
                 self.witness = label
                 return Truth.TRUE
@@ -1020,11 +979,10 @@ class _Evaluator:
         if self.fm.model.series_capable:
             g = self.fm.group
             p = self.fm.prime
-            bound = self.budget.exponent_bound
             out.append(("0", self.fm.model.zero()))
-            for d in range(self.budget.denominator_depth + 1):
+            for d in range(_DENOMINATOR_DEPTH + 1):
                 den = p**d
-                for num in range(-bound * den, bound * den + 1):
+                for num in range(-_EXPONENT_BOUND * den, _EXPONENT_BOUND * den + 1):
                     coords = [Fraction(0)] * g.rank
                     coords[g.rank - 1] = Fraction(num, den)
                     try:
@@ -1038,50 +996,32 @@ class _Evaluator:
         return out[: self.budget.max_candidates]
 
 
-def _name_node(name: str):
-    return Sym(name) if name in ("t", "p", "theta", "eta", "zeta_p") else Var(name)
+_ZETA_MINUS_ONE = Sub(Var("zeta_p"), IntLit(1))
 
 
-def _term_key(t) -> str:
-    return print_term(t)
+def _carrier_valuation(carrier):
+    if not isinstance(carrier, PatternSeries):
+        return carrier.valuation()
+    if not carrier.has_tails:
+        return carrier.finite_part.valuation()
+    return val_diff(carrier, carrier.model.zero())
 
 
-def _mentions(vexpr, var) -> bool:
-    if isinstance(vexpr, RatConst):
-        return False
-    return _mentions_term(vexpr.term, var)
-
-
-def _formula_mentions(f, var) -> bool:
-    if isinstance(f, Quant):
-        return f.var != var and _formula_mentions(f.body, var)
-    if isinstance(f, BinOp):
-        return _formula_mentions(f.left, var) or _formula_mentions(f.right, var)
-    if isinstance(f, Not):
-        return _formula_mentions(f.body, var)
-    if isinstance(f, ValAtom):
-        return _mentions(f.left, var) or _mentions(f.right, var)
-    if isinstance(f, EqAtom):
-        return _mentions_term(f.left, var) or _mentions_term(f.right, var)
-    if isinstance(f, InK):
-        return _mentions_term(f.term, var)
-    return False
-
-
-def _mentions_term(t, var) -> bool:
-    if isinstance(t, Var):
-        return t.name == var
-    if isinstance(t, Sym):
-        return False
-    if isinstance(t, IntLit):
-        return False
-    if isinstance(t, (Add, Sub, Mul)):
-        return _mentions_term(t.left, var) or _mentions_term(t.right, var)
-    if isinstance(t, Pow):
-        return _mentions_term(t.base, var)
-    if isinstance(t, Recip):
-        return _mentions_term(t.term, var)
-    return False
+def _mentions(node, var) -> bool:
+    """Whether `var` occurs free in a formula, valuation expression or term."""
+    if isinstance(node, Var):
+        return node.name == var
+    if isinstance(node, _BINARY):
+        return _mentions(node.left, var) or _mentions(node.right, var)
+    if isinstance(node, Pow):
+        return _mentions(node.base, var)
+    if isinstance(node, (Recip, VOf, InK)):
+        return _mentions(node.term, var)
+    if isinstance(node, Not):
+        return _mentions(node.body, var)
+    if isinstance(node, Quant):
+        return node.var != var and _mentions(node.body, var)
+    return False  # IntLit, RatConst
 
 
 def _flatten_factors(t, exponent=1):
@@ -1142,36 +1082,20 @@ def _decide(seg: Segment, quant: str, rel: str, w) -> Truth:
     return Truth.FALSE  # >=, >, =: fail far down the segment
 
 
-def free_variables(f, bound=frozenset()) -> frozenset:
-    if isinstance(f, Quant):
-        return free_variables(f.body, bound | {f.var})
-    if isinstance(f, BinOp):
-        return free_variables(f.left, bound) | free_variables(f.right, bound)
-    if isinstance(f, Not):
-        return free_variables(f.body, bound)
-    if isinstance(f, ValAtom):
-        out = frozenset()
-        if isinstance(f.left, VOf):
-            out |= _term_free(f.left.term, bound)
-        if isinstance(f.right, VOf):
-            out |= _term_free(f.right.term, bound)
-        return out
-    if isinstance(f, EqAtom):
-        return _term_free(f.left, bound) | _term_free(f.right, bound)
-    if isinstance(f, InK):
-        return _term_free(f.term, bound)
-    return frozenset()
-
-
-def _term_free(t, bound) -> frozenset:
-    if isinstance(t, Var):
-        return frozenset() if t.name in bound else frozenset({t.name})
-    if isinstance(t, (Add, Sub, Mul)):
-        return _term_free(t.left, bound) | _term_free(t.right, bound)
-    if isinstance(t, Pow):
-        return _term_free(t.base, bound)
-    if isinstance(t, Recip):
-        return _term_free(t.term, bound)
+def free_variables(node, bound=frozenset()) -> frozenset:
+    """The names a formula, valuation expression or term uses unbound."""
+    if isinstance(node, Var):
+        return frozenset() if node.name in bound else frozenset({node.name})
+    if isinstance(node, _BINARY):
+        return free_variables(node.left, bound) | free_variables(node.right, bound)
+    if isinstance(node, Pow):
+        return free_variables(node.base, bound)
+    if isinstance(node, (Recip, VOf, InK)):
+        return free_variables(node.term, bound)
+    if isinstance(node, Not):
+        return free_variables(node.body, bound)
+    if isinstance(node, Quant):
+        return free_variables(node.body, bound | {node.var})
     return frozenset()
 
 
@@ -1181,7 +1105,7 @@ def evaluate(phi, fmodel: FormulaModel, bindings: dict | None = None,
     ast = parse(phi) if isinstance(phi, str) else phi
     bindings = bindings or {}
     known = set(bindings) | set(fmodel.constants) | {im.name for im in fmodel.immediates}
-    unbound = free_variables(ast) - known
+    unbound = free_variables(ast) - known - _BUILTINS
     if unbound:
         raise StructuralError(f"unbound variables: {sorted(unbound)}")
     ev = _Evaluator(fmodel, bindings, budget or Budget())

@@ -394,8 +394,12 @@ class ApproachResult:
 def approach_segment(theta: PatternSeries, K: FieldModel, depth: int = 12) -> ApproachResult:
     """The initial segment v(theta - K), with the first `depth` schedule values.
 
-    The schedule values v(theta - b_k) must increase strictly; otherwise
-    v(theta - K) would attain a maximum and theta would not be immediate.
+    The schedule lists the distinct values of v(theta - b_k), b_k the partial
+    sum through index k, for k = k_lo, k_lo + 1, ...  theta - b_k is the tail
+    terms past index k, and merged tails share no exponent, so v(theta - b_k)
+    is the least t.exponent(max(k + 1, t.start)) over the tails t with
+    negative base exponent.  These values never decrease and reach every
+    negative-tail exponent, so the distinct ones increase strictly.
     """
     if K.value_group != theta.model.value_group:
         raise StructuralError("base field has a different value group")
@@ -404,16 +408,18 @@ def approach_segment(theta: PatternSeries, K: FieldModel, depth: int = 12) -> Ap
     gamma_min = theta.min_tail_gamma()
     if gamma_min.sign() > 0:
         raise NotImmediateError("tail exponents decrease; v(theta - K) has a maximum")
-    k_lo = max(0, min(t.start for t in theta.tails) - 1)
-    schedule = tuple(val_diff(theta, theta.partial_sum(k))
-                     for k in range(k_lo, k_lo + depth))
-    for a, b in zip(schedule, schedule[1:]):
-        if not a < b:
-            raise NotImmediateError(
-                f"approximation values do not increase strictly: {a} then {b}")
+    negative = [t for t in theta.tails if t.gamma.sign() < 0]
+    schedule = []
+    k = max(0, min(t.start for t in theta.tails) - 1)
+    while len(schedule) < depth:
+        value = min((t.exponent(max(k + 1, t.start)) for t in negative),
+                    key=lambda e: e.coords)
+        if not schedule or schedule[-1] != value:
+            schedule.append(value)
+        k += 1
     seg = seq_cut(theta.model.value_group.zero(), -gamma_min, start=1,
                   direction=Direction.INITIAL)
-    return ApproachResult(seg, schedule, depth)
+    return ApproachResult(seg, tuple(schedule), depth)
 
 
 # --------------------------------------------------------------------------

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import pathlib
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -74,6 +75,12 @@ class TestScenarios:
         assert code == 0
         assert report["result"]["value"] == "TRUE"
         assert report["result"]["mode"] == "oracle"
+
+    def test_eval_unbound_name_exits_1_naming_it(self, capsys):
+        code = main(["eval", "--scenario", "kummer-mixed", "--p", "3",
+                     "--formula", "v(t) > 0"])
+        assert code == 1
+        assert "'t'" in capsys.readouterr().err
 
     def test_check_def(self, tmp_path):
         code, report = run(["check-def", "--name", "coarse-ring-kummer",
@@ -187,6 +194,20 @@ class TestOverlappingTails:
         assert report["classification"] == "independent"
         assert report["certificate"]["schedule"][:2] == [["-1/27"], ["-1/81"]]
 
+    def test_tails_of_different_families_classify(self, tmp_path):
+        # the -1/3 family runs from index 1, the -1 family only from index 10,
+        # so v(theta - b_k) repeats -1/1024 at k = 8, 9; the schedule skips it
+        config = write_extension(tmp_path, pattern(2, {"gamma": ["-1"], "start": 10},
+                                                   {"gamma": ["-1/3"], "start": 1}),
+                                 components=("rat",))
+        code, report = run(["classify", "--config", config], tmp_path)
+        assert code == 0
+        assert report["classification"] == "independent"
+        schedule = [Fraction(v[0]) for v in report["certificate"]["schedule"]]
+        assert schedule[:9] == [Fraction(-1, 3 * 2 ** k) for k in range(1, 9)] + [
+            Fraction(-1, 1024)]
+        assert schedule[9] == Fraction(-1, 2048)
+
 
 class TestDeclaredSigma:
     def test_closed_subgroup_cut_is_positive(self, tmp_path):
@@ -270,6 +291,11 @@ class TestInputContract:
         (["eval", "--formula", "v(b) >= 0", "--bind", "b=v:1/0"], "--bind"),
         (["eval", "--formula", "v(b) >= 0", "--bind", "b=t^(1/0)"], "--bind"),
         (["prescribe", "--rank", "3", "--select", "1,x"], "--select"),
+        (["classify", "--config", dict(pattern(2, {"gamma": ["-1"]}), declared_sigma={
+            "direction": "final", "kind": "element", "gamma": ["5"], "closed": True})],
+         "extension: Additional properties are not allowed ('declared_sigma'"),
+        (["classify", "--config", pattern(2, {"gamma": ["-1"], "strat": 3})],
+         "extension/generator/tails/0: Additional properties are not allowed ('strat'"),
     ])
     def test_bad_value_exits_2_naming_it(self, tmp_path, capsys, args, named):
         args = [write_extension(tmp_path, a) if isinstance(a, dict) else a for a in args]

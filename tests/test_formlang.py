@@ -6,6 +6,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from valcuts.errors import ParseError, StructuralError
 from valcuts.formlang import (
@@ -26,7 +28,6 @@ from valcuts.formlang import (
     RatConst,
     Recip,
     Sub,
-    Sym,
     Truth,
     ValAtom,
     Var,
@@ -40,6 +41,37 @@ from valcuts.formlang import (
 from valcuts.gpsfield import INF
 from valcuts.ogroup import ConvexSubgroup
 from valcuts.scenarios import abhyankar, example_e1, kummer_mixed
+
+
+NAMES = st.sampled_from(["b", "c", "x", "t", "theta", "eta", "p", "zeta_p"])
+terms = st.recursive(
+    st.one_of(NAMES.map(Var), st.integers(0, 30).map(IntLit)),
+    lambda sub: st.one_of(
+        st.builds(Add, sub, sub), st.builds(Sub, sub, sub), st.builds(Mul, sub, sub),
+        st.builds(Pow, sub, st.one_of(st.integers(0, 9), st.just("p"))),
+        st.builds(Recip, sub)),
+    max_leaves=6)
+valuations = st.builds(VOf, terms, st.booleans())
+rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12).map(RatConst)
+RELS = st.sampled_from(["<", "<=", "=", ">=", ">"])
+# "q = q" between two rationals also reads as an equation of terms, so a
+# comparison keeps a valuation on at least one side
+atoms = st.one_of(
+    st.builds(ValAtom, valuations, RELS, st.one_of(valuations, rationals)),
+    st.builds(ValAtom, rationals, RELS, valuations),
+    st.builds(EqAtom, terms, terms),
+    st.builds(InK, terms))
+formulas = st.recursive(
+    atoms,
+    lambda sub: st.one_of(
+        st.builds(BinOp, st.sampled_from(["and", "or", "->"]), sub, sub),
+        st.builds(Not, sub),
+        st.builds(Quant, st.sampled_from(["forall", "exists"]), NAMES,
+                  st.sampled_from(list(Domain)), sub)),
+    max_leaves=4)
+TOKENS = ["forall", "exists", "in", "L", "K", "\\", ":", "and", "or", "->", "not",
+          "inK", "v", "(", ")", "-", "+", "*", "^", "/", "<", "<=", "=", ">=", ">",
+          "0", "1", "2", "b", "c", "p", "t", "v(b)", "-1/2", "1/0"]
 
 
 class TestParser:
@@ -69,7 +101,7 @@ class TestParser:
         f = parse("v((zeta_p - 1) * (1/(x - c))) <= v(b)")
         term = f.left.term
         assert isinstance(term, Mul)
-        assert term.left == Sub(Sym("zeta_p"), IntLit(1))
+        assert term.left == Sub(Var("zeta_p"), IntLit(1))
         assert term.right == Recip(Sub(Var("x"), Var("c")))
 
     def test_errors_carry_position(self):
@@ -86,47 +118,32 @@ class TestParser:
             ast = parse(text)
             assert parse(print_formula(ast)) == ast
 
-    def test_roundtrip_on_random_asts(self):
-        rng = random.Random(5)
+    @settings(max_examples=400, derandomize=True)
+    @given(formulas)
+    def test_roundtrip_on_random_asts(self, ast):
+        assert parse(print_formula(ast)) == ast
 
-        def rand_term(depth):
-            if depth == 0:
-                return rng.choice([Var("b"), Var("c"), Sym("t"), Sym("theta"),
-                                   IntLit(rng.randint(0, 3))])
-            kind = rng.randrange(5)
-            if kind == 0:
-                return Add(rand_term(depth - 1), rand_term(depth - 1))
-            if kind == 1:
-                return Sub(rand_term(depth - 1), rand_term(depth - 1))
-            if kind == 2:
-                return Mul(rand_term(depth - 1), rand_term(depth - 1))
-            if kind == 3:
-                return Pow(rand_term(depth - 1), rng.choice([2, 3, "p"]))
-            return Recip(rand_term(depth - 1))
+    @settings(max_examples=400, derandomize=True)
+    @given(st.lists(st.sampled_from(TOKENS), max_size=16))
+    def test_random_tokens_raise_only_parse_errors(self, tokens):
+        try:
+            parse(" ".join(tokens))
+        except ParseError:
+            pass
 
-        def rand_formula(depth):
-            if depth == 0:
-                kind = rng.randrange(3)
-                if kind == 0:
-                    return ValAtom(VOf(rand_term(1), negated=rng.random() < 0.3),
-                                   rng.choice(["<", "<=", "=", ">=", ">"]),
-                                   rng.choice([VOf(rand_term(1)),
-                                               RatConst(Fraction(rng.randint(-2, 2)))]))
-                if kind == 1:
-                    return EqAtom(rand_term(1), rand_term(1))
-                return InK(rand_term(1))
-            kind = rng.randrange(4)
-            if kind == 0:
-                return BinOp(rng.choice(["and", "or", "->"]),
-                             rand_formula(depth - 1), rand_formula(depth - 1))
-            if kind == 1:
-                return Not(rand_formula(depth - 1))
-            return Quant(rng.choice(["forall", "exists"]), rng.choice(["c", "y"]),
-                         rng.choice(list(Domain)), rand_formula(depth - 1))
+    @pytest.mark.parametrize("text,left", [
+        ("0 = v(b)", RatConst(Fraction(0))),
+        ("1/2 = v(b)", RatConst(Fraction(1, 2))),
+        ("-1 < v(b)", RatConst(Fraction(-1))),
+    ])
+    def test_rational_left_of_a_valuation(self, text, left):
+        f = parse(text)
+        assert f == ValAtom(left, text.split()[1], VOf(Var("b")))
+        assert parse(print_formula(f)) == f
 
-        for _ in range(150):
-            ast = rand_formula(rng.randrange(3))
-            assert parse(print_formula(ast)) == ast
+    def test_zero_denominator_is_a_parse_error(self):
+        with pytest.raises(ParseError):
+            parse("v(b) < 1/0")
 
 
 class TestEvaluation:
@@ -231,6 +248,48 @@ class TestEvaluation:
         # quantified occurrences are in scope
         ok = evaluate("exists zz in K : v(zz) = 0", sc.fmodel)
         assert ok.value is Truth.TRUE
+
+
+    @pytest.mark.parametrize("text,value", [
+        ("forall t in K : v(t) > 0", Truth.FALSE),
+        ("forall p in K : v(p) >= 0", Truth.FALSE),
+        ("exists t in K : v(t) < 0", Truth.TRUE),
+    ])
+    def test_quantifier_shadows_model_names(self, text, value):
+        res = evaluate(text, abhyankar(2).fmodel)
+        assert res.value is value
+        assert res.mode == "bounded" and res.witness is not None
+
+    def test_unbound_model_name_rejected(self):
+        # kummer-mixed has no constant t
+        with pytest.raises(StructuralError, match="'t'"):
+            evaluate("v(t) > 0", kummer_mixed(3).fmodel)
+
+    def test_builtins_and_their_shadowing(self):
+        sc = kummer_mixed(3)
+        g = sc.model.value_group
+        assert evaluate("v(p) = 2", sc.fmodel).value is Truth.TRUE  # vp = p - 1
+        assert evaluate("v(zeta_p - 1) = 1", sc.fmodel).value is Truth.TRUE
+        assert evaluate("v(zeta_p) = 0", sc.fmodel).value is Truth.TRUE
+        shadow = {"p": DeclaredValue(g.zero()), "zeta_p": DeclaredValue(g.element(5))}
+        assert evaluate("v(p) = 0", sc.fmodel, bindings=shadow).value is Truth.TRUE
+        res = evaluate("v(zeta_p - 1) = 1", sc.fmodel, bindings=shadow)
+        assert res.value is Truth.FALSE  # the bound zeta_p has value 5
+        assert evaluate("v(p) = v(0)", abhyankar(2).fmodel).value is Truth.TRUE
+
+    def test_inner_quantifier_restores_the_outer_binding(self):
+        sc = abhyankar(2)
+        res = evaluate("exists c in K : (forall c in K : v(c) >= 0) or v(c) = 2",
+                       sc.fmodel)
+        assert res.value is Truth.TRUE
+        res = evaluate("(exists b in K : v(b) = 1) and v(b) >= 0", sc.fmodel,
+                       bindings={"b": sc.model.one()})
+        assert res.value is Truth.TRUE
+
+    def test_quantifier_hiding_an_immediate_skips_the_oracle(self):
+        # v(theta - theta) is v(0) for every theta in K, not v(x - c)
+        res = evaluate("forall theta in K : v(theta - theta) >= 0", abhyankar(2).fmodel)
+        assert res.value is not Truth.FALSE and res.mode == "bounded"
 
 
 class TestSamples:

@@ -56,6 +56,16 @@ def random_pattern(rng: random.Random, model: FieldModel):
     return finite, tuple(tails)
 
 
+def seeded_patterns(rng: random.Random):
+    """(model, finite, tails) for 40 random patterns per p in {2, 3, 5} and rank 1-2."""
+    cases = []
+    for p in (2, 3, 5):
+        for rank in (1, 2):
+            m = perfect_model(p, rank)
+            cases += [(m, *random_pattern(rng, m)) for _ in range(40)]
+    return cases
+
+
 class TestSeriesArithmetic:
     def test_additive_inverse(self):
         m = perfect_model(3)
@@ -194,11 +204,7 @@ class TestValDiff:
         rng = random.Random(9)
         n = 12
         m2 = perfect_model(2)
-        cases = [(m2, m2.zero(), abhyankar_root(m2).tails)] * 100
-        for p in (2, 3, 5):
-            for rank in (1, 2):
-                m = perfect_model(p, rank)
-                cases += [(m, *random_pattern(rng, m)) for _ in range(40)]
+        cases = [(m2, m2.zero(), abhyankar_root(m2).tails)] * 100 + seeded_patterns(rng)
         decided = 0
         for m, finite, tails in cases:
             g, p = m.value_group, m.char
@@ -248,6 +254,25 @@ class TestApproachSegment:
             assert contains(res.segment, v)
             assert contains(res.segment, nxt) and v < nxt  # no maximum inside
         assert not contains(res.segment, m.value_group.zero())
+
+    def test_schedule_matches_partial_sums(self):
+        # the closed form against v(theta - b_k) along the series path
+        depth, checked, repeats = 8, 0, 0
+        for m, finite, tails in seeded_patterns(random.Random(9)):
+            theta = PatternSeries(m, finite, tails)
+            if not any(t.gamma.sign() < 0 for t in theta.tails):
+                continue
+            want, k = [], max(0, min(t.start for t in theta.tails) - 1)
+            while len(want) < depth:
+                value = val_diff(theta, theta.partial_sum(k))
+                if want and want[-1] == value:
+                    repeats += 1
+                else:
+                    want.append(value)
+                k += 1
+            assert approach_segment(theta, m, depth).schedule == tuple(want)
+            checked += 1
+        assert checked >= 200 and repeats > 0
 
     def test_finite_element_rejected(self):
         m = perfect_model(2)
