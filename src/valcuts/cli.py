@@ -16,7 +16,7 @@ from fractions import Fraction
 import jsonschema
 
 from . import __version__
-from .errors import ConfigError, StructuralError, ValcutsError, VerificationError
+from .errors import ConfigError, ParseError, StructuralError, ValcutsError, VerificationError
 from .extension import (
     DeclaredSchedule,
     DefectDatum,
@@ -170,7 +170,7 @@ def _element(group: GroupDescriptor, coords, field: str):
     """The element at `coords`; one outside the group is an error in `field`."""
     try:
         return group.element(*[Fraction(c) for c in coords])
-    except (TypeError, ValueError, ZeroDivisionError):
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
         raise ConfigError(f"{field}: {coords!r} is not a list of exact rationals",
                           fields=[field]) from None
     except StructuralError as err:
@@ -486,7 +486,7 @@ def main(argv=None) -> int:
         else:
             report = check_def_report(args.name, args.scenario, args.p, args.depth,
                                       args.samples, args.seed)
-    except ConfigError as err:
+    except (ConfigError, ParseError) as err:
         sys.stderr.write(f"error: {err}\n")
         return 2
     except ValcutsError as err:

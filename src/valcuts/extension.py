@@ -78,11 +78,11 @@ class DeclaredSchedule:
         return self.limit - self.scale * Fraction(1, self.group.prime ** (k + 1))
 
     def approach(self, depth: int) -> ApproachResult:
+        # limit - scale/p^(k+1) increases strictly in k exactly when scale > 0
+        if self.scale.sign() <= 0:
+            raise NotImmediateError(
+                f"declared values do not increase strictly: scale {self.scale} <= 0")
         schedule = tuple(self.value_at(k) for k in range(self.start, self.start + depth))
-        for a, b in zip(schedule, schedule[1:]):
-            if not a < b:
-                raise NotImmediateError(
-                    f"declared values do not increase strictly: {a} then {b}")
         seg = seq_cut(self.limit, self.scale, start=1, direction=Direction.INITIAL)
         return ApproachResult(seg, schedule, depth)
 
@@ -334,14 +334,3 @@ def _defectless_ram_ideal(datum: DefectlessDatum) -> IdealDescriptor | None:
         raise WrongCaseError("one-unit case needs v(eta - 1) <= v(zeta_q - 1)")
     return IdealDescriptor.principal(zeta_value - datum.v_eta_minus_1, label="I_E")
 
-
-def coinitial_in_max_ideal(analysis: DefectlessAnalysis, sample_values, floor) -> bool:
-    """Whether {vc + vx0 : vc sampled, vc + vx0 > 0} reaches below `floor`
-    inside the value set of M_E; the sampled witnesses certify coinitiality
-    down to the truncation the samples cover."""
-    datum = analysis.datum
-    hits = [vc + datum.x0_value for vc in sample_values
-            if (vc + datum.x0_value).sign() > 0]
-    if not all(contains(analysis.max_ideal.values, h) for h in hits):
-        return False
-    return any(h <= floor for h in hits)

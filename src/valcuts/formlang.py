@@ -664,7 +664,8 @@ class _Evaluator:
         return self.fm.model.vp * k
 
     def _schedule_difference(self, t):
-        """v(x - b_k) from the declared schedule of the immediate x."""
+        """v(x - b_k) from the declared schedule of an immediate x without a
+        carrier; with one, the carriers give v(x - b_k) exactly."""
         if not isinstance(t, Sub):
             return None
         for a, b in ((t.left, t.right), (t.right, t.left)):
@@ -674,7 +675,8 @@ class _Evaluator:
                     xb = self._resolve(b.name)
                 except EvaluationUnsupported:
                     return None
-                if isinstance(xa, ImmediateElement) and isinstance(xb, Approximant):
+                if (isinstance(xa, ImmediateElement) and xa.carrier is None
+                        and isinstance(xb, Approximant)):
                     if xb.owner != xa.name:
                         raise EvaluationUnsupported(
                             "approximant belongs to a different element")

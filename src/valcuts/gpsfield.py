@@ -111,12 +111,6 @@ class FieldModel:
     def one(self) -> "SeriesElement":
         return self.monomial(1, self.value_group.zero())
 
-    def element(self, terms: dict) -> "SeriesElement":
-        out = self.zero()
-        for exponent, coeff in terms.items():
-            out = out + self.monomial(coeff, exponent)
-        return out
-
 
 @dataclass(frozen=True)
 class SeriesElement:
@@ -198,8 +192,9 @@ class SeriesElement:
         return SeriesElement(self.model, ((-e, c.inverse()),))
 
     def frobenius(self) -> "SeriesElement":
+        """x -> x^p; it fixes the prime-field coefficients."""
         p = self.model.char
-        return SeriesElement(self.model, tuple((e * p, c**p) for e, c in self.terms))
+        return SeriesElement(self.model, tuple((e * p, c) for e, c in self.terms))
 
     def __str__(self):
         if not self.terms:
@@ -323,10 +318,9 @@ class PatternSeries:
         return self + other
 
     def frobenius(self) -> "PatternSeries":
-        p = self.model.char
         return PatternSeries(
             self.model, self.finite_part.frobenius(),
-            tuple(Tail(t.coeff**p, t.gamma, t.start - 1) for t in self.tails))
+            tuple(Tail(t.coeff, t.gamma, t.start - 1) for t in self.tails))
 
     def pow_char_power(self, n: int) -> "PatternSeries":
         """n-th power for n a power of the characteristic (via Frobenius)."""

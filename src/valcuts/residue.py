@@ -1,9 +1,4 @@
-"""Arithmetic in small finite fields F_{p^m}.
-
-Elements are coefficient tuples modulo a monic irreducible polynomial found
-by brute force; the fields used by the models are tiny (m <= 3), so the
-search cost is negligible.
-"""
+"""Arithmetic in the prime fields F_p of the series coefficients."""
 
 from __future__ import annotations
 
@@ -13,112 +8,30 @@ from .errors import StructuralError
 from .ogroup import is_prime
 
 
-def _poly_trim(a: list[int]) -> tuple[int, ...]:
-    while a and a[-1] == 0:
-        a.pop()
-    return tuple(a)
-
-
-def _poly_mul(a, b, p):
-    out = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] = (out[i + j] + x * y) % p
-    return _poly_trim(out)
-
-
-def _poly_mod(a, mod, p):
-    a = list(a)
-    inv_lead = pow(mod[-1], p - 2, p)
-    while len(a) >= len(mod):
-        if a[-1] == 0:
-            a.pop()
-            continue
-        factor = (a[-1] * inv_lead) % p
-        shiftby = len(a) - len(mod)
-        for i, c in enumerate(mod):
-            a[shiftby + i] = (a[shiftby + i] - factor * c) % p
-        a.pop()
-    return _poly_trim(a)
-
-
-def _irreducible(p: int, m: int) -> tuple[int, ...]:
-    """Smallest monic irreducible of degree m over F_p, by trial division."""
-    if m == 1:
-        return (0, 1)
-    lower: list[tuple[int, ...]] = []
-    for d in range(1, m // 2 + 1):
-        lower.extend(_monic_polys(p, d))
-    for cand in _monic_polys(p, m):
-        if all(_poly_mod(cand, q, p) != () for q in lower):
-            return cand
-    raise RuntimeError("irreducible search failed")  # unreachable for prime p
-
-
-def _monic_polys(p: int, d: int):
-    def rec(coeffs, i):
-        if i == d:
-            yield tuple(coeffs) + (1,)
-            return
-        for c in range(p):
-            coeffs.append(c)
-            yield from rec(coeffs, i + 1)
-            coeffs.pop()
-
-    yield from rec([], 0)
-
-
 @dataclass(frozen=True)
 class FqField:
     p: int
-    m: int
-    modulus: tuple[int, ...]
 
-    @property
-    def order(self) -> int:
-        return self.p**self.m
-
-    def element(self, coeffs) -> "FqElement":
-        if isinstance(coeffs, int):
-            coeffs = [coeffs]
-        cs = [c % self.p for c in coeffs]
-        cs = list(_poly_mod(cs, self.modulus, self.p)) if len(cs) > self.m else cs
-        cs += [0] * (self.m - len(cs))
-        return FqElement(self, tuple(cs[: self.m]))
+    def element(self, value: int) -> "FqElement":
+        return FqElement(self, value % self.p)
 
     def zero(self) -> "FqElement":
-        return self.element(0)
+        return FqElement(self, 0)
 
     def one(self) -> "FqElement":
-        return self.element(1)
-
-    def elements(self):
-        def rec(coeffs, i):
-            if i == self.m:
-                yield FqElement(self, tuple(coeffs))
-                return
-            for c in range(self.p):
-                coeffs.append(c)
-                yield from rec(coeffs, i + 1)
-                coeffs.pop()
-
-        yield from rec([], 0)
+        return FqElement(self, 1)
 
 
-def GF(p: int, m: int = 1) -> FqField:
+def GF(p: int) -> FqField:
     if not is_prime(p):
         raise StructuralError(f"{p} is not prime")
-    if m < 1:
-        raise StructuralError("extension degree must be positive")
-    return FqField(p, m, _irreducible(p, m))
+    return FqField(p)
 
 
 @dataclass(frozen=True)
 class FqElement:
     field: FqField
-    coeffs: tuple[int, ...]
+    value: int
 
     def _check(self, other):
         if not isinstance(other, FqElement) or other.field != self.field:
@@ -126,52 +39,35 @@ class FqElement:
 
     @property
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return self.value == 0
 
     def __bool__(self) -> bool:
         return not self.is_zero
 
     def __add__(self, other):
         self._check(other)
-        p = self.field.p
-        return FqElement(self.field, tuple((a + b) % p for a, b in zip(self.coeffs, other.coeffs)))
+        return FqElement(self.field, (self.value + other.value) % self.field.p)
 
     def __sub__(self, other):
         self._check(other)
-        p = self.field.p
-        return FqElement(self.field, tuple((a - b) % p for a, b in zip(self.coeffs, other.coeffs)))
+        return FqElement(self.field, (self.value - other.value) % self.field.p)
 
     def __neg__(self):
-        p = self.field.p
-        return FqElement(self.field, tuple((-a) % p for a in self.coeffs))
+        return FqElement(self.field, -self.value % self.field.p)
 
     def __mul__(self, other):
         self._check(other)
-        p = self.field.p
-        prod = _poly_mul(self.coeffs, other.coeffs, p)
-        return self.field.element(list(_poly_mod(prod, self.field.modulus, p)))
+        return FqElement(self.field, self.value * other.value % self.field.p)
 
     def __pow__(self, n: int):
         if n < 0:
             return self.inverse() ** (-n)
-        out = self.field.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return FqElement(self.field, pow(self.value, n, self.field.p))
 
     def inverse(self) -> "FqElement":
         if self.is_zero:
             raise ZeroDivisionError("inverse of zero in a finite field")
-        return self ** (self.field.order - 2)
-
-    def frobenius(self) -> "FqElement":
-        return self**self.field.p
+        return FqElement(self.field, pow(self.value, -1, self.field.p))
 
     def __str__(self) -> str:
-        if self.field.m == 1:
-            return str(self.coeffs[0])
-        return "[" + ",".join(str(c) for c in self.coeffs) + "]"
+        return str(self.value)

@@ -257,7 +257,7 @@ def from_json(group: GroupDescriptor, data: dict) -> Segment:
             return default
         try:
             return convert(data[name])
-        except (TypeError, ValueError) as err:
+        except (TypeError, ValueError, OverflowError, StructuralError) as err:
             raise ConfigError(f"segment field {name!r}: {err}", fields=[name]) from None
 
     def element(values):
@@ -269,7 +269,7 @@ def from_json(group: GroupDescriptor, data: dict) -> Segment:
         return element_cut(read("gamma", element), closed=read("closed", bool, True),
                            direction=direction)
     if kind == CutKind.SUBGROUP:
-        return subgroup_cut(ConvexSubgroup(group, read("level", int)),
+        return subgroup_cut(read("level", lambda v: ConvexSubgroup(group, int(v))),
                             shift=read("shift", element, group.zero()),
                             closed=read("closed", bool, False), direction=direction)
     if kind == "seq":

@@ -2,16 +2,23 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import pathlib
 import sys
+import tempfile
 from fractions import Fraction
 
+import jsonschema
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from valcuts import gpsfield
 from valcuts.cli import (
     CONFIG_SCHEMA,
+    REPORT_SCHEMA,
     build_parser,
     datum_from_config,
     load_config,
@@ -148,6 +155,19 @@ class TestConfigs:
         bad.write_text(json.dumps({"schema": 1}))
         code = main(["classify", "--config", str(bad)])
         assert code == 2
+
+    @pytest.mark.parametrize("depth", [1, 2])
+    def test_negative_declared_scale_rejected_at_every_depth(self, tmp_path, capsys, depth):
+        # limit - scale/p^(k+1) decreases for scale < 0, even with one value shown
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({
+            "schema": 1, "depth": depth, "group": {"components": ["pdiv"], "p": 2},
+            "extension": {"kind": "kummer_defect", "degree": 2, "char": 0,
+                          "residue_char": 2, "vp": ["1"], "sigma_shift": ["10"],
+                          "generator": {"type": "schedule", "limit": ["0"],
+                                        "scale": ["-1"]}}}))
+        assert main(["classify", "--config", str(path)]) == 1
+        assert "do not increase strictly" in capsys.readouterr().err
 
     def test_config_hash_stable(self):
         config = load_config(str(CONFIGS / "abhyankar-p3.json"))
@@ -296,6 +316,9 @@ class TestInputContract:
          "extension: Additional properties are not allowed ('declared_sigma'"),
         (["classify", "--config", pattern(2, {"gamma": ["-1"], "strat": 3})],
          "extension/generator/tails/0: Additional properties are not allowed ('strat'"),
+        (["eval", "--formula", "v(b) <"], "expected a rational constant"),
+        (["classify", "--config", pattern(2, {"gamma": [float("inf")]})],
+         "extension/generator/tails/0/gamma"),
     ])
     def test_bad_value_exits_2_naming_it(self, tmp_path, capsys, args, named):
         args = [write_extension(tmp_path, a) if isinstance(a, dict) else a for a in args]
@@ -306,6 +329,141 @@ class TestInputContract:
         assert code == 2
         err = capsys.readouterr().err
         assert "error:" in err and named in err
+
+
+# Schema-valid configs: a well-formed extension of each kind, then up to two
+# fields replaced by any value the schema allows.
+@st.composite
+def _element(draw, components, p, sign=0):
+    """Coordinates of a group element; with a sign, its leading one has it."""
+    def coord(kind, lo, hi):
+        d = draw(st.sampled_from({"int": (1,), "pdiv": (1, p, p * p),
+                                  "rat": (1, 2, 3, p)}[kind]))
+        return f"{draw(st.integers(lo, hi))}/{d}"
+
+    coords = [coord(kind, -4, 4) for kind in components]
+    if sign:
+        i = draw(st.integers(0, len(components) - 1))
+        coords[:i + 1] = ["0"] * i + [coord(components[i], 1, 4)]
+        if sign < 0:
+            coords[i] = "-" + coords[i]
+    return coords
+
+
+def _loose_coords(p):
+    item = st.one_of(st.builds(lambda n, d: f"{n}/{d}", st.integers(-8, 8),
+                               st.sampled_from([1, 2, 3, p, p * p])),
+                     st.integers(-3, 3), st.floats(), st.none(), st.text(max_size=3))
+    return st.lists(item, max_size=4)
+
+
+@st.composite
+def _well_formed(draw):
+    p = draw(st.sampled_from([2, 3, 5]))
+    kind = draw(st.sampled_from(["as_defect", "as_defect", "kummer_defect",
+                                 "defectless_value"]))
+    dense = st.lists(st.sampled_from(["pdiv", "rat"]), min_size=1, max_size=3)
+    components = draw(dense if kind == "as_defect" else
+                      st.lists(st.sampled_from(["int", "pdiv", "rat"]),
+                               min_size=1, max_size=3))
+
+    def elem(sign=0):
+        return draw(_element(components, p, sign))
+
+    if kind == "as_defect" and draw(st.booleans()):
+        tails = [{"gamma": elem(-1), "start": draw(st.integers(1, 3)),
+                  "coeff": draw(st.integers(1, p - 1))}
+                 for _ in range(draw(st.integers(1, 2)))]
+        ext = {"kind": kind, "degree": p, "char": p,
+               "generator": {"type": "pattern", "tails": tails}}
+    elif kind == "as_defect":
+        segment = draw(st.sampled_from([
+            {"direction": "final", "kind": "element", "gamma": elem(1)},
+            {"direction": "final", "kind": "subgroup", "level": len(components),
+             "shift": elem(1), "closed": draw(st.booleans())}]))
+        ext = {"kind": kind, "degree": p, "generator": {"type": "sigma", "segment": segment}}
+    elif kind == "kummer_defect":
+        ext = {"kind": kind, "degree": p, "char": 0, "residue_char": p, "vp": elem(1),
+               "generator": {"type": "schedule", "limit": elem(-1), "scale": elem(1)}}
+    else:
+        star = draw(st.integers(0, len(components) - 1))
+        ext = {"kind": kind, "degree": draw(st.sampled_from([2, 3, 5])),
+               "star_index": star, "x0_value": elem(draw(st.sampled_from([-1, 1]))),
+               "subkind": draw(st.sampled_from(["value_only", "artin_schreier",
+                                                "kummer_value", "kummer_one_unit"])),
+               "residue_char": draw(st.sampled_from([0, p])), "vp": elem(1),
+               "v_eta_minus_1": elem(1)}
+    if kind != "defectless_value" and draw(st.booleans()):
+        ext["sigma_shift"] = elem()
+    return {"schema": 1, "depth": draw(st.integers(1, 6)),
+            "group": {"components": components, "p": p}, "extension": ext}
+
+
+def _mutations(p):
+    """(path, strategy) for every field a mutation may replace."""
+    loose = _loose_coords(p)
+    gen = ("extension", "generator")
+    return [
+        (("depth",), st.integers(1, 6)),
+        (("group", "p"), st.sampled_from([2, 3, 4, 5])),
+        (("group", "rank"), st.integers(1, 4)),
+        (("group", "components"), st.lists(st.sampled_from(["int", "pdiv", "rat"]),
+                                          min_size=1, max_size=3)),
+        (("extension", "degree"), st.sampled_from([2, 3, 4, 5])),
+        (("extension", "char"), st.sampled_from([0, 2, 3, 4, 5])),
+        (("extension", "residue_char"), st.sampled_from([0, 2, 3, 5])),
+        (("extension", "star_index"), st.integers(0, 4)),
+        (("extension", "synthetic"), st.booleans()),
+        (("extension", "vp"), loose),
+        (("extension", "sigma_shift"), loose),
+        (("extension", "x0_value"), loose),
+        (("extension", "v_eta_minus_1"), loose),
+        (gen + ("limit",), loose),
+        (gen + ("scale",), loose),
+        (gen + ("start",), st.integers(-2, 6)),
+        (gen + ("finite",), st.sampled_from(["", "t^-1", "1 + t^(1/2)", "2*t^(1,0)", "x"])),
+        (gen + ("tails",), st.lists(st.fixed_dictionaries(
+            {"gamma": loose},
+            optional={"coeff": st.integers(-3, 3), "start": st.integers(-2, 6)}),
+            max_size=3)),
+        (gen + ("segment",), st.fixed_dictionaries({}, optional={
+            "direction": st.sampled_from(["final", "initial", "up"]),
+            "kind": st.sampled_from(["element", "subgroup", "seq", "cut"]),
+            "gamma": loose, "shift": loose, "limit": loose, "scale": loose,
+            "level": st.integers(-1, 4), "closed": st.booleans(),
+            "start": st.integers(-2, 4)})),
+    ]
+
+
+@st.composite
+def _configs(draw):
+    config = draw(_well_formed())
+    mutations = _mutations(config["group"]["p"])
+    for index in draw(st.lists(st.integers(0, len(mutations) - 1), max_size=2)):
+        path, values = mutations[index]
+        target = config
+        for key in path[:-1]:
+            target = target.setdefault(key, {"type": "pattern", "tails": []})
+        target[path[-1]] = draw(values)
+    assume(jsonschema.Draft202012Validator(CONFIG_SCHEMA).is_valid(config))
+    return config
+
+
+class TestConfigProperty:
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(config=_configs())
+    def test_report_or_documented_failure(self, config):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = pathlib.Path(tmp) / "config.json"
+            path.write_text(json.dumps(config))
+            for command in ("classify", "kaehler"):
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = main([command, "--config", str(path)])
+                if code == 0:
+                    jsonschema.validate(json.loads(out.getvalue()), REPORT_SCHEMA)
+                else:
+                    assert code in (1, 2) and err.getvalue().startswith("error:")
 
 
 class TestApproachComputedOnce:

@@ -23,7 +23,6 @@ from valcuts.extension import (
     DefectlessKind,
     ExtensionKind,
     classify,
-    coinitial_in_max_ideal,
     defectless_analyze,
     sigma_segment,
 )
@@ -96,8 +95,9 @@ class TestSigmaSegment:
         sched = DeclaredSchedule(G, limit=G.zero(), scale=G.element(-1))
         datum = DefectDatum(name="bad", kind=ExtensionKind.KUMMER_DEFECT,
                             base=base, degree=2, generator=sched)
-        with pytest.raises(NotImmediateError):
-            sigma_segment(datum)
+        for depth in (1, 2, 12):  # the scale decides, also at depth 1 (one value)
+            with pytest.raises(NotImmediateError):
+                sigma_segment(datum, depth)
 
     def test_nonpositive_declared_sigma_rejected(self):
         from valcuts.residue import GF
@@ -291,13 +291,3 @@ class TestDefectless:
         with pytest.raises(InconsistentDatumError):
             defectless_analyze(DefectlessDatum(name="bad", group=G, q=2, star_index=0,
                                                x0_value=G.element(1), residue_char=2))
-
-    def test_coinitiality_of_witness_values(self):
-        G = GroupDescriptor((Component.PDIV,), 3)
-        datum = DefectlessDatum(name="dense", group=G, q=2, star_index=0,
-                                x0_value=G.element(1))
-        res = defectless_analyze(datum)
-        samples = [G.element(Fraction(n, 3**d) * 2)
-                   for n in range(-20, 21) for d in range(0, 4)]
-        floor = G.element(Fraction(1, 27))
-        assert coinitial_in_max_ideal(res, samples, floor)

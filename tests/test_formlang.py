@@ -13,12 +13,14 @@ from valcuts.errors import ParseError, StructuralError
 from valcuts.formlang import (
     DEFINITIONS,
     Add,
+    Approximant,
     BinOp,
     Budget,
     DeclaredValue,
     Domain,
     EqAtom,
     FormulaModel,
+    ImmediateElement,
     InK,
     IntLit,
     Mul,
@@ -38,9 +40,9 @@ from valcuts.formlang import (
     parse,
     print_formula,
 )
-from valcuts.gpsfield import INF
+from valcuts.gpsfield import INF, PatternSeries, Tail, approach_segment, val_diff
 from valcuts.ogroup import ConvexSubgroup
-from valcuts.scenarios import abhyankar, example_e1, kummer_mixed
+from valcuts.scenarios import abhyankar, example_e1, kummer_mixed, perfect_series_model
 
 
 NAMES = st.sampled_from(["b", "c", "x", "t", "theta", "eta", "p", "zeta_p"])
@@ -290,6 +292,25 @@ class TestEvaluation:
         # v(theta - theta) is v(0) for every theta in K, not v(x - c)
         res = evaluate("forall theta in K : v(theta - theta) >= 0", abhyankar(2).fmodel)
         assert res.value is not Truth.FALSE and res.mode == "bounded"
+
+    def test_approximants_of_a_late_tail(self):
+        # theta = sum_{i>=3} t^(-1/2^i): the schedule starts at -1/8 and the
+        # approximant b_k = partial_sum(k) is 0 for k < 3, so v(theta - b_k)
+        # is not schedule[k]
+        model = perfect_series_model(2)
+        theta = PatternSeries(model, model.zero(),
+                              (Tail(model.residue.one(), model.value_group.unit(0, -1), 3),))
+        approach = approach_segment(theta, model)
+        fm = FormulaModel(model, (ImmediateElement("theta", approach.segment,
+                                                   approach.schedule, carrier=theta),))
+        for k in range(6):
+            b_k = Approximant("theta", k, theta.partial_sum(k))
+            value = val_diff(theta, theta.partial_sum(k)).coords[0]
+            res = evaluate(f"v(theta - b) = {value}", fm, bindings={"b": b_k})
+            assert res.value is Truth.TRUE, k
+        # every c with v(theta - c) = -1/32 has v(c) = -1/8
+        res = evaluate("forall c in K : not (v(theta - c) = -1/32) or v(c) <= -1/16", fm)
+        assert res.value is not Truth.FALSE, res.witness
 
 
 class TestSamples:

