@@ -8,12 +8,11 @@ and repeated runs with the same flags are byte-identical.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
 from fractions import Fraction
-
-import jsonschema
 
 from . import __version__
 from .errors import ConfigError, ParseError, StructuralError, ValcutsError, VerificationError
@@ -111,6 +110,8 @@ CONFIG_SCHEMA = {
 }
 
 
+# The shape of every report.  The code builds reports, so they are not
+# re-validated at run time; the test suite checks each one it emits.
 REPORT_SCHEMA = {
     "type": "object",
     "required": ["schema_version", "command"],
@@ -152,10 +153,18 @@ def _config_hash(config: dict) -> str:
     return hashlib.sha256(_canonical_json(config).encode()).hexdigest()
 
 
+@functools.cache
+def _config_validator():
+    # imported here so that only the config commands pay for jsonschema
+    import jsonschema
+
+    return jsonschema.Draft202012Validator(CONFIG_SCHEMA)
+
+
 def load_config(path: str) -> dict:
     with open(path, encoding="utf-8") as fh:
         config = json.load(fh)
-    errors = sorted(jsonschema.Draft202012Validator(CONFIG_SCHEMA).iter_errors(config),
+    errors = sorted(_config_validator().iter_errors(config),
                     key=lambda e: list(e.absolute_path))
     if errors:
         fields = ["/".join(str(p) for p in e.absolute_path) or "(root)" for e in errors]
@@ -398,7 +407,6 @@ def check_def_report(name: str, scenario_name: str, p: int, depth: int,
 # --------------------------------------------------------------------------
 
 def _emit(report: dict, out: str | None) -> None:
-    jsonschema.validate(report, REPORT_SCHEMA)
     text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     if out:
         with open(out, "w", encoding="utf-8") as fh:
@@ -469,6 +477,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    if hasattr(sys, "set_int_max_str_digits"):  # the limit is absent before 3.10.7
+        sys.set_int_max_str_digits(0)  # reports print every number whole
     args = build_parser().parse_args(argv)
     try:
         if args.command in SCENARIOS:

@@ -66,10 +66,10 @@ class GroupDescriptor:
             return True
         if kind is Component.INT:
             return value.denominator == 1
+        # den is a power of p iff it divides p^e for an e >= its exponent;
+        # den.bit_length() is such an e, since p^k >= 2^k
         den = value.denominator
-        while den % self.prime == 0:
-            den //= self.prime
-        return den == 1
+        return pow(self.prime, den.bit_length(), den) == 0
 
     def element(self, *coords) -> GroupElement:
         return GroupElement(self, tuple(Fraction(c) for c in coords))

@@ -5,9 +5,35 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
+import jsonschema
 import pytest
 
+from valcuts import cli
 from valcuts.ogroup import Component, GroupDescriptor
+
+# Built once: jsonschema.validate would re-check the schema itself on every call.
+_REPORT_VALIDATOR = jsonschema.Draft202012Validator(cli.REPORT_SCHEMA)
+
+
+@pytest.fixture(scope="session")
+def report_validator() -> jsonschema.Draft202012Validator:
+    return _REPORT_VALIDATOR
+
+
+@pytest.fixture(autouse=True)
+def _reports_match_schema(monkeypatch):
+    """Every report a test emits through cli.main is checked against REPORT_SCHEMA.
+
+    The CLI does not validate the reports it builds; this is where they are
+    checked, before they are written.
+    """
+    emit = cli._emit
+
+    def checked_emit(report, out):
+        _REPORT_VALIDATOR.validate(report)
+        emit(report, out)
+
+    monkeypatch.setattr(cli, "_emit", checked_emit)
 
 
 @pytest.fixture

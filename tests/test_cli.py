@@ -5,7 +5,9 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
 import pathlib
+import subprocess
 import sys
 import tempfile
 from fractions import Fraction
@@ -15,6 +17,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import valcuts
 from valcuts import gpsfield
 from valcuts.cli import (
     CONFIG_SCHEMA,
@@ -197,6 +200,42 @@ def pattern(p, *tails):
             "generator": {"type": "pattern", "tails": list(tails)}}
 
 
+class TestLongNumbers:
+    def test_numbers_past_the_digit_limit_print_whole(self, tmp_path):
+        # 3^10000 has 4,772 digits, past the default int-to-str limit of 4,300
+        config = json.loads((CONFIGS / "abhyankar-p3.json").read_text())
+        config["depth"] = 3
+        config["extension"]["generator"]["tails"][0]["start"] = 10000
+        path = tmp_path / "deep.json"
+        path.write_text(json.dumps(config))
+        code, report = run(["classify", "--config", str(path)], tmp_path)
+        assert code == 0
+        # main lifted the limit for this process, so the expected text can be built
+        assert report["certificate"]["schedule"] == [
+            [f"-1/{3 ** k}"] for k in (10000, 10001, 10002)]
+
+
+class TestImportCost:
+    @pytest.mark.parametrize("args,loads", [
+        (["abhyankar", "--p", "3", "--depth", "15"], False),
+        (["classify", "--config", str(CONFIGS / "abhyankar-p3.json")], True),
+    ])
+    def test_only_config_commands_import_jsonschema(self, tmp_path, report_validator,
+                                                    args, loads):
+        out = tmp_path / "out.json"
+        script = ("import sys\n"
+                  "from valcuts.cli import main\n"
+                  "code = main(sys.argv[1:])\n"
+                  "print(code, 'jsonschema' in sys.modules)\n")
+        src = str(pathlib.Path(valcuts.__file__).parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", script, *args, "--out", str(out)],
+                              capture_output=True, text=True, env=env, check=True)
+        assert proc.stdout.split() == ["0", str(loads)]
+        report_validator.validate(json.loads(out.read_text()))
+
+
 class TestOverlappingTails:
     def test_cancelling_family_has_finite_support(self, tmp_path, capsys):
         # over F_2, sum_{i>=2} t^(-2/2^i) is sum_{i>=1} t^(-1/2^i): the tails cancel
@@ -319,6 +358,8 @@ class TestInputContract:
         (["eval", "--formula", "v(b) <"], "expected a rational constant"),
         (["classify", "--config", pattern(2, {"gamma": [float("inf")]})],
          "extension/generator/tails/0/gamma"),
+        (["classify", "--config", pattern(2, {"gamma": ["-1/6"]})],  # not a power of p
+         "extension/generator/tails/0/gamma: coordinate -1/6 not allowed"),
     ])
     def test_bad_value_exits_2_naming_it(self, tmp_path, capsys, args, named):
         args = [write_extension(tmp_path, a) if isinstance(a, dict) else a for a in args]
@@ -435,6 +476,9 @@ def _mutations(p):
     ]
 
 
+_CONFIG_VALIDATOR = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
+
+
 @st.composite
 def _configs(draw):
     config = draw(_well_formed())
@@ -445,14 +489,14 @@ def _configs(draw):
         for key in path[:-1]:
             target = target.setdefault(key, {"type": "pattern", "tails": []})
         target[path[-1]] = draw(values)
-    assume(jsonschema.Draft202012Validator(CONFIG_SCHEMA).is_valid(config))
+    assume(_CONFIG_VALIDATOR.is_valid(config))
     return config
 
 
 class TestConfigProperty:
     @settings(derandomize=True, max_examples=200, deadline=None)
     @given(config=_configs())
-    def test_report_or_documented_failure(self, config):
+    def test_report_or_documented_failure(self, report_validator, config):
         with tempfile.TemporaryDirectory() as tmp:
             path = pathlib.Path(tmp) / "config.json"
             path.write_text(json.dumps(config))
@@ -461,7 +505,7 @@ class TestConfigProperty:
                 with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                     code = main([command, "--config", str(path)])
                 if code == 0:
-                    jsonschema.validate(json.loads(out.getvalue()), REPORT_SCHEMA)
+                    report_validator.validate(json.loads(out.getvalue()))
                 else:
                     assert code in (1, 2) and err.getvalue().startswith("error:")
 
@@ -517,18 +561,11 @@ class TestDeterminismAndGoldens:
             "classify", "kaehler", "eval", "check-def"}
 
     def test_schema_is_valid_jsonschema(self):
-        import jsonschema
-
-        from valcuts.cli import REPORT_SCHEMA
-
         jsonschema.Draft202012Validator.check_schema(CONFIG_SCHEMA)
         jsonschema.Draft202012Validator.check_schema(REPORT_SCHEMA)
 
-    def test_all_reports_validate_against_published_schema(self, tmp_path):
-        import jsonschema
-
-        from valcuts.cli import REPORT_SCHEMA
-
+    def test_all_reports_validate_against_published_schema(self, tmp_path,
+                                                             report_validator):
         runs = [
             ["abhyankar", "--p", "2"],
             ["kummer-mixed", "--p", "3"],
@@ -540,6 +577,6 @@ class TestDeterminismAndGoldens:
         ]
         for i, args in enumerate(runs):
             _, report = run(args, tmp_path, name=f"r{i}.json")
-            jsonschema.validate(report, REPORT_SCHEMA)
+            report_validator.validate(report)
         for golden in GOLDENS.glob("*.json"):
-            jsonschema.validate(json.loads(golden.read_text()), REPORT_SCHEMA)
+            report_validator.validate(json.loads(golden.read_text()))

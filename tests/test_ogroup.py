@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from valcuts.errors import DegenerateInputError, StructuralError
+from valcuts import segment
+from valcuts.errors import ConfigError, DegenerateInputError, StructuralError
+from valcuts.gpsfield import FieldModel, parse_element
 from valcuts.ogroup import (
     Component,
     ConvexSubgroup,
@@ -18,6 +20,7 @@ from valcuts.ogroup import (
     convex_subgroups,
     quotient_has_smallest_positive,
 )
+from valcuts.residue import GF
 
 from conftest import grid_points
 
@@ -58,6 +61,35 @@ class TestDescriptor:
             g.element(Fraction(1, 2), 0, 0)
         with pytest.raises(StructuralError):
             g.element(0, Fraction(1, 3), 0)
+
+
+def divides_out(den: int, p: int) -> bool:
+    """The division loop the one-step p-power test replaced."""
+    while den % p == 0:
+        den //= p
+    return den == 1
+
+
+class TestPPowerDenominators:
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_one_step_test_matches_division_loop(self, p):
+        g = GroupDescriptor((Component.PDIV,), p)
+        dens = list(range(1, 5001)) + [p**3000, 3 * p**3000]
+        for den in dens:
+            assert g.coordinate_allowed(0, Fraction(1, den)) is divides_out(den, p), den
+
+    @pytest.mark.parametrize("make", [
+        lambda g: g.element(0, Fraction(1, 6)),
+        lambda g: g.unit(1, Fraction(5, 12)),
+        lambda g: segment.from_json(g, {"direction": "final", "kind": "element",
+                                        "gamma": ["0", "1/6"]}),
+        lambda g: parse_element(FieldModel(name="F", char=2, value_group=g, residue=GF(2)),
+                                "t^(1, 1/6)"),
+    ], ids=["element", "unit", "segment.from_json", "parse_element"])
+    def test_boundaries_reject_non_p_power_denominator(self, make):
+        g = GroupDescriptor((Component.PDIV, Component.PDIV), 2)
+        with pytest.raises((StructuralError, ConfigError), match="1/6|5/12"):
+            make(g)
 
 
 class TestCompare:
