@@ -162,8 +162,11 @@ def _config_validator():
 
 
 def load_config(path: str) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        config = json.load(fh)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            config = json.load(fh)
+    except (OSError, ValueError) as err:  # unreadable, not UTF-8, or not JSON
+        raise ConfigError(f"--config {path}: {err}", fields=["--config"]) from None
     errors = sorted(_config_validator().iter_errors(config),
                     key=lambda e: list(e.absolute_path))
     if errors:

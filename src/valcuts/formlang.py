@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import reduce
+from itertools import islice
 
 from .errors import (
     EvaluationUnsupported,
@@ -512,6 +513,8 @@ class FormulaModel:
     model: FieldModel
     immediates: tuple[ImmediateElement, ...]
     constants: dict = field(default_factory=dict)   # symbol -> carrier
+    # Budget -> candidate pool; a copy made with dataclasses.replace starts empty
+    _pools: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def group(self):
@@ -531,6 +534,38 @@ class FormulaModel:
         if self.model.vp is None:
             raise EvaluationUnsupported("model declares no value for p")
         return self.model.vp * Fraction(1, self.prime - 1)
+
+    def candidates(self, budget: Budget) -> tuple:
+        """(label, value) witnesses bounded enumeration tries, in order.
+
+        The pool depends only on the model and the budget, so it is built once
+        and shared by every evaluation under that budget.
+        """
+        pool = self._pools.get(budget)
+        if pool is None:
+            pool = self._pools[budget] = tuple(
+                islice(self._witnesses(budget.schedule_depth), budget.max_candidates))
+        return pool
+
+    def _witnesses(self, schedule_depth: int):
+        for im in self.immediates:
+            for k in range(min(schedule_depth, len(im.schedule))):
+                carrier = im.carrier.partial_sum(k) if im.carrier is not None else None
+                yield f"{im.name}~{k}", Approximant(im.name, k, carrier)
+        if self.model.series_capable:
+            g = self.group
+            p = self.prime
+            yield "0", self.model.zero()
+            for d in range(_DENOMINATOR_DEPTH + 1):
+                den = p**d
+                for num in range(-_EXPONENT_BOUND * den, _EXPONENT_BOUND * den + 1):
+                    coords = [Fraction(0)] * g.rank
+                    coords[g.rank - 1] = Fraction(num, den)
+                    try:
+                        e = g.element(*coords)
+                    except StructuralError:
+                        continue
+                    yield f"t^{Fraction(num, den)}", self.model.monomial(1, e)
 
 
 @dataclass(frozen=True)
@@ -961,7 +996,7 @@ class _Evaluator:
     # bounded fallback: enumerate candidate witnesses
     def _bounded(self, q: Quant) -> Truth:
         self.bounded_used = True
-        for label, cand in self._candidates():
+        for label, cand in self.fm.candidates(self.budget):
             self.candidates_used += 1
             r = self._eval_with(q.var, cand, q.body)
             if q.kind == "exists" and r is Truth.TRUE:
@@ -971,31 +1006,6 @@ class _Evaluator:
                 self.witness = label
                 return Truth.FALSE
         return Truth.UNKNOWN  # the domain is infinite; the pool cannot settle it
-
-    def _candidates(self):
-        out = []
-        for im in self.fm.immediates:
-            for k in range(min(self.budget.schedule_depth, len(im.schedule))):
-                carrier = im.carrier.partial_sum(k) if im.carrier is not None else None
-                out.append((f"{im.name}~{k}", Approximant(im.name, k, carrier)))
-        if self.fm.model.series_capable:
-            g = self.fm.group
-            p = self.fm.prime
-            out.append(("0", self.fm.model.zero()))
-            for d in range(_DENOMINATOR_DEPTH + 1):
-                den = p**d
-                for num in range(-_EXPONENT_BOUND * den, _EXPONENT_BOUND * den + 1):
-                    coords = [Fraction(0)] * g.rank
-                    coords[g.rank - 1] = Fraction(num, den)
-                    try:
-                        e = g.element(*coords)
-                    except StructuralError:
-                        continue
-                    out.append((f"t^{Fraction(num, den)}",
-                                self.fm.model.monomial(1, e)))
-                    if len(out) >= self.budget.max_candidates:
-                        return out[: self.budget.max_candidates]
-        return out[: self.budget.max_candidates]
 
 
 _ZETA_MINUS_ONE = Sub(Var("zeta_p"), IntLit(1))

@@ -19,6 +19,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import NotImmediateError, StructuralError
 from .ogroup import ConvexSubgroup, GroupDescriptor, GroupElement
@@ -160,18 +161,29 @@ class SeriesElement:
         return self + (-other)
 
     def __mul__(self, other):
+        """The product, on integers: each coordinate is scaled by one common
+        denominator, coefficients are summed mod p, and group elements are
+        built only for the terms that survive."""
         self._check(other)
+        terms = self.terms + other.terms
+        dens = [lcm(*[e.coords[i].denominator for e, _ in terms])
+                for i in range(self.model.value_group.rank)]
+
+        def scaled(factor):
+            return [([c.numerator * (d // c.denominator) for c, d in zip(e.coords, dens)],
+                     a.value) for e, a in factor.terms]
+
         acc: dict = {}
-        zero = self.model.residue.zero()
-        for e1, c1 in self.terms:
-            for e2, c2 in other.terms:
-                e = e1 + e2
-                s = acc.get(e, zero) + c1 * c2
-                if s.is_zero:
-                    acc.pop(e, None)
-                else:
-                    acc[e] = s
-        return SeriesElement(self.model, tuple(acc.items()))
+        right = scaled(other)
+        for k1, a1 in scaled(self):
+            for k2, a2 in right:
+                k = tuple([x + y for x, y in zip(k1, k2)])
+                acc[k] = acc.get(k, 0) + a1 * a2
+        group, field = self.model.value_group, self.model.residue
+        return SeriesElement(self.model, [
+            (GroupElement(group, tuple([Fraction(n, d) for n, d in zip(k, dens)])),
+             FqElement(field, a % field.p))
+            for k, a in acc.items() if a % field.p])
 
     def __pow__(self, n: int):
         if n < 0:

@@ -179,14 +179,18 @@ class TestConfigs:
         assert d1 == d2
 
 
-def write_extension(tmp_path, extension, components=("pdiv",), p=2):
+def write_text(tmp_path, text):
     path = tmp_path / "config.json"
-    path.write_text(json.dumps({
+    path.write_text(text)
+    return str(path)
+
+
+def write_extension(tmp_path, extension, components=("pdiv",), p=2):
+    return write_text(tmp_path, json.dumps({
         "schema": 1,
         "group": {"components": list(components), "p": p},
         "extension": extension,
     }))
-    return str(path)
 
 
 def write_config(tmp_path, segment, components=("pdiv",), p=2):
@@ -360,9 +364,15 @@ class TestInputContract:
          "extension/generator/tails/0/gamma"),
         (["classify", "--config", pattern(2, {"gamma": ["-1/6"]})],  # not a power of p
          "extension/generator/tails/0/gamma: coordinate -1/6 not allowed"),
+        (["classify", "--config", lambda tmp: str(tmp / "missing.json")],
+         "--config"),
+        (["classify", "--config", lambda tmp: str(tmp)], "--config"),  # a directory
+        (["kaehler", "--config", lambda tmp: write_text(tmp, '{"schema": 1,')],
+         "--config"),
     ])
     def test_bad_value_exits_2_naming_it(self, tmp_path, capsys, args, named):
-        args = [write_extension(tmp_path, a) if isinstance(a, dict) else a for a in args]
+        args = [write_extension(tmp_path, a) if isinstance(a, dict)
+                else a(tmp_path) if callable(a) else a for a in args]
         try:
             code = main(args)
         except SystemExit as exit:  # argparse rejects the flag value itself

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -42,7 +43,13 @@ from valcuts.formlang import (
 )
 from valcuts.gpsfield import INF, PatternSeries, Tail, approach_segment, val_diff
 from valcuts.ogroup import ConvexSubgroup
-from valcuts.scenarios import abhyankar, example_e1, kummer_mixed, perfect_series_model
+from valcuts.scenarios import (
+    abhyankar,
+    example_e1,
+    kummer_mixed,
+    perfect_series_model,
+    series_samples,
+)
 
 
 NAMES = st.sampled_from(["b", "c", "x", "t", "theta", "eta", "p", "zeta_p"])
@@ -311,6 +318,60 @@ class TestEvaluation:
         # every c with v(theta - c) = -1/32 has v(c) = -1/8
         res = evaluate("forall c in K : not (v(theta - c) = -1/32) or v(c) <= -1/16", fm)
         assert res.value is not Truth.FALSE, res.witness
+
+
+SQUARE_FORMULAS = (
+    "forall c in K : v(theta - c*c) < v(b)",
+    "exists c in K : v(theta - c*c) >= v(b)",
+    "exists c in K : v(theta - c*c) >= v(b*t)",
+)
+
+
+class TestCandidatePool:
+    """Each formula model builds one bounded candidate pool per budget."""
+
+    @staticmethod
+    def outcomes(fmodel, budget, samples):
+        return [evaluate(text, fmodel, bindings={"b": b}, budget=budget).to_json()
+                for text in SQUARE_FORMULAS for _, b, _ in samples]
+
+    def test_reused_pool_gives_fresh_results(self):
+        shared = example_e1(2).fmodel
+        samples = series_samples(shared.model, 4, 3)
+        budgets = (Budget(max_candidates=2, schedule_depth=1), Budget(),
+                   Budget(max_candidates=128, schedule_depth=12), Budget())
+        for budget in budgets:
+            fresh = example_e1(2).fmodel
+            assert (self.outcomes(shared, budget, samples)
+                    == self.outcomes(fresh, budget, samples))
+            assert shared.candidates(budget) is shared.candidates(budget)
+        assert [len(shared.candidates(b)) for b in budgets] == [2, 44, 44, 44]
+
+    def test_models_do_not_share_a_pool(self):
+        a = example_e1(2).fmodel
+        pool = a.candidates(Budget())
+        for other in (example_e1(2).fmodel, replace(a), abhyankar(2).fmodel):
+            own = other.candidates(Budget())
+            assert own is not pool
+            assert dict(own)["0"].model == other.model
+        assert a.candidates(Budget()) is pool
+
+    def test_check_definition_batch_matches_fresh_evaluation(self):
+        sc = example_e1(2)
+        samples = series_samples(sc.model, 8, 5)
+        direct = ConvexSubgroup(sc.model.value_group, 1)
+        rep = check_definition(SQUARE_FORMULAS[1], direct, sc.fmodel, samples)
+        verdicts = [evaluate(SQUARE_FORMULAS[1], example_e1(2).fmodel,
+                             bindings={"b": b}).value for _, b, _ in samples]
+        wants = [membership(direct, v) for _, _, v in samples]
+        assert rep.total == len(samples)
+        assert rep.unknowns == verdicts.count(Truth.UNKNOWN)
+        assert rep.agreements == sum(
+            got is not Truth.UNKNOWN and (got is Truth.TRUE) == want
+            for got, want in zip(verdicts, wants))
+        assert [d["sample"] for d in rep.disagreements] == [
+            label for (label, _, _), got, want in zip(samples, verdicts, wants)
+            if got is not Truth.UNKNOWN and (got is Truth.TRUE) != want]
 
 
 class TestSamples:

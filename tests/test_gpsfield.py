@@ -12,14 +12,16 @@ from valcuts.gpsfield import (
     INF,
     FieldModel,
     PatternSeries,
+    SeriesElement,
     Tail,
     approach_segment,
     compose_valuation,
     parse_element,
     val_diff,
 )
-from valcuts.ogroup import Component, GroupDescriptor
+from valcuts.ogroup import Component, GroupDescriptor, GroupElement
 from valcuts.residue import GF
+from valcuts.scenarios import example_e1
 from valcuts.segment import CutKind, Direction, contains
 
 
@@ -134,6 +136,101 @@ class TestSeriesArithmetic:
         assert t.inverse() * t == m.one()
         with pytest.raises(StructuralError):
             (t + m.one()).inverse()
+
+
+def naive_product(x: dict, y: dict, p: int) -> tuple[dict, int]:
+    """{exponent coords: coefficient} of a product, on Fractions; also the
+    number of exponents hit more than once whose coefficients cancelled."""
+    acc, hits = {}, {}
+    for e1, c1 in x.items():
+        for e2, c2 in y.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            acc[e] = (acc.get(e, 0) + c1 * c2) % p
+            hits[e] = hits.get(e, 0) + 1
+    cancelled = sum(1 for e, c in acc.items() if c == 0 and hits[e] > 1)
+    return {e: c for e, c in acc.items() if c}, cancelled
+
+
+def as_dict(a: SeriesElement) -> dict:
+    return {e.coords: c.value for e, c in a.terms}
+
+
+def random_series(rng: random.Random, model: FieldModel, terms: int) -> SeriesElement:
+    """`terms` distinct exponents from a small grid, so products collide."""
+    g, p = model.value_group, model.char
+    dens = {Component.INT: (1,), Component.PDIV: (1, p, p * p),
+            Component.RAT: (1, 2, 3, 4, 5, 6)}
+    acc = {}
+    while len(acc) < terms:
+        e = g.element(*[Fraction(rng.randint(-4, 4), rng.choice(dens[k]))
+                        for k in g.components])
+        acc[e] = model.residue.element(rng.randint(1, p - 1))
+    return SeriesElement(model, tuple(acc.items()))
+
+
+class TestProductKernel:
+    """SeriesElement.__mul__ against a product computed term by term."""
+
+    @staticmethod
+    def models(rng):
+        for p in (2, 3, 5, 7):
+            for rank in (1, 2, 3):
+                for _ in range(3):
+                    components = tuple(rng.choice(list(Component)) for _ in range(rank))
+                    yield FieldModel(name="K", char=p, residue=GF(p),
+                                     value_group=GroupDescriptor(components, p))
+
+    def test_product_matches_naive_reference(self):
+        rng = random.Random(7)
+        products = cancelled = 0
+        for m in self.models(rng):
+            for _ in range(15):
+                a = random_series(rng, m, rng.choice((0, 1, 1, 2, 3, 4, 6)))
+                b = random_series(rng, m, rng.choice((0, 1, 2, 3, 5)))
+                x, y = rng.choice(((a, b), (a, a), (a + b, a - b)))
+                want, hit = naive_product(as_dict(x), as_dict(y), m.char)
+                got = x * y
+                assert as_dict(got) == want
+                assert [e.coords for e, _ in got.terms] == sorted(want)
+                assert all(type(c) is Fraction for e, _ in got.terms for c in e.coords)
+                assert all(c.field == m.residue for _, c in got.terms)
+                products += 1
+                cancelled += hit
+        assert products >= 500
+        assert cancelled >= 100  # coefficient sums that vanish mod p are exercised
+
+    def test_powers_and_inverses_round_trip(self):
+        rng = random.Random(8)
+        for m in self.models(rng):
+            one = m.one()
+            for _ in range(4):
+                mono = random_series(rng, m, 1)
+                assert mono * mono.inverse() == one
+                assert mono ** -1 == mono.inverse()
+                for n in (1, 2, 3, 5):
+                    assert mono ** n * mono ** -n == one
+                a = random_series(rng, m, rng.randint(0, 4))
+                assert a ** 0 == one
+                square, _ = naive_product(as_dict(a), as_dict(a), m.char)
+                cube, _ = naive_product(square, as_dict(a), m.char)
+                assert as_dict(a ** 3) == cube
+
+    def test_square_builds_only_surviving_exponents(self, monkeypatch):
+        # in characteristic 2 the cross terms of (sum a_i)^2 cancel, so the
+        # square of an n-term approximant has n terms from n^2 term products;
+        # one group element per product would mean per-product rational work
+        b = example_e1(2).fmodel.immediates[0].carrier.partial_sum(11)
+        built = []
+        check = GroupElement.__post_init__
+
+        def counting(self):
+            built.append(self)
+            check(self)
+
+        monkeypatch.setattr(GroupElement, "__post_init__", counting)
+        square = b * b
+        assert len(b.terms) == len(square.terms) == 11
+        assert len(built) == len(square.terms)
 
 
 class TestPatternSeries:
