@@ -15,7 +15,14 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .errors import ConfigError, ParseError, StructuralError, ValcutsError, VerificationError
+from .errors import (
+    ConfigError,
+    InvalidSelectionError,
+    ParseError,
+    StructuralError,
+    ValcutsError,
+    VerificationError,
+)
 from .extension import (
     DeclaredSchedule,
     DefectDatum,
@@ -28,7 +35,7 @@ from .extension import (
 from .formlang import DEFINITIONS, check_definition, evaluate, parse
 from .gpsfield import FieldModel, PatternSeries, Tail, parse_element
 from .kaehler import annihilate, containment_holds, present
-from .ogroup import Component, GroupDescriptor
+from .ogroup import Component, GroupDescriptor, is_prime
 from .prescribe import CharCase, build, verify
 from .residue import GF
 from .scenarios import SCENARIOS, samples_for
@@ -283,11 +290,10 @@ def scenario_report(command: str, p: int, depth: int, seed: int) -> dict:
             "omega": _omega_json(res),
         }
         extensions.append(entry)
-    checks = []
-    for name, direct in _definability_targets(command, scenario):
-        rep = check_definition(DEFINITIONS[name], direct, scenario.fmodel,
-                               samples_for(scenario, 50, seed), name=name)
-        checks.append(rep.to_json())
+    samples = samples_for(scenario, 50, seed)
+    checks = [check_definition(DEFINITIONS[name], direct, scenario.fmodel, samples,
+                               name=name).to_json()
+              for name, direct in _definability_targets(command, scenario)]
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": command,
@@ -348,7 +354,10 @@ def config_report(command: str, config: dict, depth: int) -> dict:
 
 
 def prescribe_report(rank: int, select, p: int, char_case: str, depth: int) -> dict:
-    plan = build(rank, select, p, CharCase(char_case))
+    try:
+        plan = build(rank, select, p, CharCase(char_case))
+    except InvalidSelectionError as err:
+        raise ConfigError(f"--select: {err}", fields=["--select"]) from None
     try:
         result = verify(plan, depth=depth)
         data = result.to_json()
@@ -425,6 +434,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _prime(text: str) -> int:
+    value = int(text)
+    if not is_prime(value):
+        raise argparse.ArgumentTypeError(f"{value} is not prime")
+    return value
+
+
 def _level_list(text: str) -> list:
     try:
         return [int(x) for x in text.split(",") if x.strip()]
@@ -441,20 +457,21 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"valcuts {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, default_p=2, default_depth=DEFAULT_DEPTH):
-        sp.add_argument("--p", type=int, default=default_p, help="prime")
+    def common(sp, default_p=2, default_depth=DEFAULT_DEPTH, seed=False):
+        if default_p is not None:
+            sp.add_argument("--p", type=_prime, default=default_p, help="prime")
         sp.add_argument("--depth", type=_positive_int, default=default_depth,
                         help="truncation depth")
-        sp.add_argument("--seed", type=int, default=0, help="sample seed")
+        if seed:
+            sp.add_argument("--seed", type=int, default=0, help="sample seed")
         sp.add_argument("--out", help="output path (stdout when omitted)")
-        sp.add_argument("--format", choices=["json"], default="json")
 
     for name in ("abhyankar", "example-e1", "example-e2", "kummer-mixed"):
         common(sub.add_parser(name, help=f"run the {name} scenario"),
-               default_p=3 if name == "kummer-mixed" else 2)
+               default_p=3 if name == "kummer-mixed" else 2, seed=True)
 
     sp = sub.add_parser("prescribe", help="build and verify a selection of levels")
-    sp.add_argument("--rank", type=int, required=True)
+    sp.add_argument("--rank", type=_positive_int, required=True)
     sp.add_argument("--select", type=_level_list, default="",
                     help="comma-separated levels, e.g. 1,3")
     sp.add_argument("--char", choices=["equal", "mixed"], default="equal")
@@ -463,7 +480,8 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("classify", "kaehler"):
         sp = sub.add_parser(name, help=f"{name} an extension from a config file")
         sp.add_argument("--config", required=True)
-        common(sp, default_depth=None)  # the config's depth, else DEFAULT_DEPTH
+        # the config fixes the prime; the depth defaults to the config's, else DEFAULT_DEPTH
+        common(sp, default_p=None, default_depth=None)
 
     sp = sub.add_parser("eval", help="evaluate a formula against a scenario")
     sp.add_argument("--formula", required=True)
@@ -475,7 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--name", required=True)
     sp.add_argument("--scenario", choices=sorted(SCENARIOS), default="abhyankar")
     sp.add_argument("--samples", type=_positive_int, default=50)
-    common(sp)
+    common(sp, seed=True)
     return parser
 
 

@@ -42,7 +42,6 @@ from .segment import (
     contains,
     invariance_ring,
     negate,
-    normalize,
     seq_cut,
     shift,
     subgroup_cut,
@@ -123,7 +122,6 @@ class DefectDatum:
 
 
 def _require_positive_final(seg: Segment) -> Segment:
-    seg = normalize(seg)
     if not seg.is_final:
         raise StructuralError("the value segment of the extension must be final")
     # a final segment without 0 lies entirely above it
@@ -164,12 +162,12 @@ class DefectClassification:
 def classify(datum: DefectDatum, depth: int = 12) -> DefectClassification:
     """Defect classification with both independence criteria evaluated."""
     sigma, approach = sigma_segment(datum, depth)
-    ram = IdealDescriptor(sigma, label="I_E")
+    ram = IdealDescriptor(sigma)
     H, max_ideal = invariance_ring(ram)
     quotient_dense = not quotient_has_smallest_positive(datum.group, H)
 
     ideal_route = ram.same_values(max_ideal) and not max_ideal.is_principal_over(H)
-    segment_route = sigma == max_ideal.values and quotient_dense  # {a > H}, normalized
+    segment_route = sigma == max_ideal.values and quotient_dense  # {a > H}
     if ideal_route != segment_route:
         raise InternalConsistencyError(
             f"independence criteria disagree on {datum.name}: "
@@ -206,7 +204,6 @@ def classify(datum: DefectDatum, depth: int = 12) -> DefectClassification:
 # index-q extension at all.
 
 class DefectlessCase(str, Enum):
-    DL2A = "no_next_subgroup"        # needs infinite rank; kept for completeness
     DL2B = "dense_archimedean_step"
     DL2C = "discrete_archimedean_step"
 
@@ -280,7 +277,7 @@ def defectless_analyze(datum: DefectlessDatum) -> DefectlessAnalysis:
             else DefectlessCase.DL2C)
     if H.is_whole_group:
         raise InconsistentDatumError("vK and vL share no proper convex structure")
-    max_ideal = IdealDescriptor(subgroup_cut(H, closed=False), label="M_E")
+    max_ideal = IdealDescriptor(subgroup_cut(H, closed=False))
 
     ram = _defectless_ram_ideal(datum)
     certificate = {
@@ -313,7 +310,7 @@ def _defectless_ram_ideal(datum: DefectlessDatum) -> IdealDescriptor | None:
             raise WrongCaseError("Artin-Schreier defectless data need q = residue char")
         if datum.x0_value.sign() > 0:
             raise WrongCaseError("the generator must have value <= 0")
-        return IdealDescriptor.principal(-datum.x0_value, label="I_E")
+        return IdealDescriptor.principal(-datum.x0_value)
     if datum.subkind is DefectlessKind.KUMMER_2B and not wild:
         raise WrongCaseError("a one-unit Kummer generator needs q = residue char")
     if not wild:
@@ -324,7 +321,7 @@ def _defectless_ram_ideal(datum: DefectlessDatum) -> IdealDescriptor | None:
     if datum.subkind is DefectlessKind.KUMMER_2A:
         if datum.x0_value.sign() <= 0:
             raise WrongCaseError("the generator must have positive value")
-        return IdealDescriptor.principal(zeta_value, label="I_E")
+        return IdealDescriptor.principal(zeta_value)
     if datum.v_eta_minus_1 is None:
         raise InconsistentDatumError("one-unit Kummer data must declare v(eta - 1)")
     if datum.in_vK(datum.v_eta_minus_1):
@@ -332,5 +329,5 @@ def _defectless_ram_ideal(datum: DefectlessDatum) -> IdealDescriptor | None:
     # the equality edge v(eta - 1) = v(zeta - 1) is accepted, not rejected
     if not datum.v_eta_minus_1 <= zeta_value:
         raise WrongCaseError("one-unit case needs v(eta - 1) <= v(zeta_q - 1)")
-    return IdealDescriptor.principal(zeta_value - datum.v_eta_minus_1, label="I_E")
+    return IdealDescriptor.principal(zeta_value - datum.v_eta_minus_1)
 

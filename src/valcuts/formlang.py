@@ -50,7 +50,6 @@ from .segment import (
     element_cut,
     is_subset,
     negate,
-    normalize,
     scale_int,
 )
 
@@ -472,7 +471,7 @@ class ImmediateElement:
     """A distinguished element of L outside K with its approach data."""
 
     name: str
-    segment: Segment                      # v(x - K), initial, normalized
+    segment: Segment                      # v(x - K), initial
     schedule: tuple[GroupElement, ...]    # v(x - b_k) along the approximants
     carrier: PatternSeries | None = None  # exact series form when available
     facts: frozenset = frozenset()        # e.g. "as_generator", "kummer_generator",
@@ -849,20 +848,20 @@ class _Evaluator:
     # oracle: the quantified atom compares a recognized shape against a value
     def _oracle(self, q: Quant) -> Truth | None:
         body = q.body
-        if not _mentions(body, q.var):
+        if q.var not in free_variables(body):
             return self.eval(body)  # constant body over a nonempty domain
         if self._declared(q.var) or q.var in _BUILTINS:
             return None  # the shapes read names, and q.var hides an outer one
         if isinstance(body, BinOp) and body.op == "and":
             for guard, rest in ((body.left, body.right), (body.right, body.left)):
-                if not _mentions(guard, q.var):
+                if q.var not in free_variables(guard):
                     inner = self._oracle(Quant(q.kind, q.var, q.domain, rest))
                     if inner is None:
                         return None
                     return _kleene_and(self.eval(guard), inner)
             return None
         if isinstance(body, BinOp) and body.op == "->":
-            if not _mentions(body.left, q.var):
+            if q.var not in free_variables(body.left):
                 inner = self._oracle(Quant(q.kind, q.var, q.domain, body.right))
                 if inner is None:
                     return None
@@ -870,11 +869,11 @@ class _Evaluator:
             return None
         if not isinstance(body, ValAtom):
             return None
-        mentions_left = _mentions(body.left, q.var)
+        mentions_left = q.var in free_variables(body.left)
         cside = body.left if mentions_left else body.right
         other = body.right if mentions_left else body.left
         rel = body.rel if mentions_left else _flip_rel(body.rel)
-        if _mentions(other, q.var) or not isinstance(cside, VOf):
+        if q.var in free_variables(other) or not isinstance(cside, VOf):
             return None
         decomposed = self._decompose(cside.term, q.var)
         if decomposed is None:
@@ -908,7 +907,7 @@ class _Evaluator:
         v(term) = cofactors + e * (mult * s + offset) with s ranging over the
         segment; e is the integer exponent the c-bearing factor carries."""
         factors = _flatten_factors(term)
-        with_var = [(f, e) for f, e in factors if _mentions(f, var)]
+        with_var = [(f, e) for f, e in factors if var in free_variables(f)]
         if len(with_var) != 1:
             return None
         fvar, e = with_var[0]
@@ -1019,23 +1018,6 @@ def _carrier_valuation(carrier):
     return val_diff(carrier, carrier.model.zero())
 
 
-def _mentions(node, var) -> bool:
-    """Whether `var` occurs free in a formula, valuation expression or term."""
-    if isinstance(node, Var):
-        return node.name == var
-    if isinstance(node, _BINARY):
-        return _mentions(node.left, var) or _mentions(node.right, var)
-    if isinstance(node, Pow):
-        return _mentions(node.base, var)
-    if isinstance(node, (Recip, VOf, InK)):
-        return _mentions(node.term, var)
-    if isinstance(node, Not):
-        return _mentions(node.body, var)
-    if isinstance(node, Quant):
-        return node.var != var and _mentions(node.body, var)
-    return False  # IntLit, RatConst
-
-
 def _flatten_factors(t, exponent=1):
     if isinstance(t, Mul):
         return _flatten_factors(t.left, exponent) + _flatten_factors(t.right, exponent)
@@ -1076,7 +1058,6 @@ def _compare_values(a, b, rel: str) -> bool:
 
 def _decide(seg: Segment, quant: str, rel: str, w) -> Truth:
     """Exact answer to (exists|forall) s in seg: s REL w, for an initial segment."""
-    seg = normalize(seg)
     member = contains(seg, w)
     at_max = seg == element_cut(w, direction=seg.direction)
     if quant == "exists":
@@ -1160,7 +1141,7 @@ class AgreementReport:
 def membership(direct, value) -> bool:
     """Membership of a sample by its valuation, for ideals and coarsenings."""
     if isinstance(direct, IdealDescriptor):
-        return direct.contains_value(None if value is INF else value)
+        return value is INF or direct.contains_value(value)
     if isinstance(direct, ConvexSubgroup):
         if value is INF:
             return True

@@ -22,9 +22,9 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import NotImmediateError, StructuralError
-from .ogroup import ConvexSubgroup, GroupDescriptor, GroupElement
+from .ogroup import GroupDescriptor, GroupElement
 from .residue import FqElement, FqField
-from .segment import Direction, Segment, normalize, seq_cut, subgroup_cut
+from .segment import Direction, Segment, seq_cut
 
 
 class _Infinity:
@@ -390,7 +390,7 @@ def val_diff(theta: PatternSeries, c: SeriesElement) -> GroupElement:
 
 @dataclass(frozen=True)
 class ApproachResult:
-    """v(theta - K) as a normalized cut plus the schedule certificate."""
+    """v(theta - K) as a cut plus the schedule certificate."""
 
     segment: Segment
     schedule: tuple[GroupElement, ...]
@@ -438,14 +438,6 @@ class Composition:
     inner: FieldModel | None
     composite: FieldModel
 
-    @property
-    def coarse_level(self) -> int:
-        return self.outer.value_group.rank if self.inner is not None else self.composite.value_group.rank
-
-    def coarse_subgroup(self) -> ConvexSubgroup:
-        """H of the coarsening realizing the outer valuation: w(a) = v(a)/H."""
-        return ConvexSubgroup(self.composite.value_group, self.coarse_level)
-
     def lift_element(self, x: GroupElement) -> GroupElement:
         if self.inner is None:
             return x
@@ -453,22 +445,6 @@ class Composition:
             raise StructuralError("element does not live in the inner value group")
         pad = (Fraction(0),) * self.outer.value_group.rank
         return GroupElement(self.composite.value_group, pad + x.coords)
-
-    def lift_segment(self, s: Segment) -> Segment:
-        """Transfer a cut of the inner value group across the decomposition."""
-        s = normalize(s)
-        if self.inner is None:
-            return s
-        # the cut classes keep their kinds, so the lifted cut stays canonical
-        return subgroup_cut(
-            ConvexSubgroup(self.composite.value_group, self.coarse_level + s.level),
-            shift=self.lift_element(s.shift), closed=s.closed, direction=s.direction)
-
-    def project_coarse(self, x: GroupElement) -> GroupElement:
-        """w(a) = v(a)/H: drop the fine coordinates."""
-        if x.group != self.composite.value_group:
-            raise StructuralError("element does not live in the composite value group")
-        return GroupElement(self.outer.value_group, x.coords[: self.coarse_level])
 
     def lift_pattern(self, theta: PatternSeries) -> PatternSeries:
         if self.inner is None:
@@ -487,7 +463,7 @@ def compose_valuation(outer: FieldModel, inner: FieldModel | None) -> Compositio
     """Compose the coarse valuation of `outer` with the valuation on its residue field.
 
     With a trivial inner valuation the composite is the outer model itself and
-    every segment transfers unchanged.
+    every element and pattern transfers unchanged.
     """
     if inner is None:
         return Composition(outer, None, outer)

@@ -76,7 +76,7 @@ def present(result: DefectClassification | DefectlessAnalysis) -> OmegaPresentat
     datum = result.datum
     wild = datum.residue_char == datum.q
     if datum.subkind is DefectlessKind.ARTIN_SCHREIER:
-        num = result.ram_ideal.multiply(result.max_ideal, label="I_E*M_E")
+        num = result.ram_ideal.multiply(result.max_ideal)
         return OmegaPresentation(num, datum.q, PresentationForm.RAM_MAX_QUOTIENT,
                                  is_zero=False, provenance="defectless:artin_schreier")
     if not wild:
@@ -86,13 +86,13 @@ def present(result: DefectClassification | DefectlessAnalysis) -> OmegaPresentat
         return OmegaPresentation(result.max_ideal, datum.q, PresentationForm.MAX_QUOTIENT,
                                  is_zero=zero, provenance="defectless:tame_value")
     if datum.subkind is DefectlessKind.KUMMER_2B:
-        num = result.ram_ideal.multiply(result.max_ideal, label="I_E*M_E")
+        num = result.ram_ideal.multiply(result.max_ideal)
         return OmegaPresentation(num, datum.q, PresentationForm.RAM_MAX_QUOTIENT,
                                  is_zero=False, provenance="defectless:kummer_one_unit")
     # wild Kummer with a positive-value generator
     q_in_max = result.max_ideal.contains_value(datum.vp)
     zero = (not q_in_max) and not result.max_ideal.is_principal_over(result.H_E)
-    num = result.ram_ideal.multiply(result.max_ideal, label="I_E*M_E")
+    num = result.ram_ideal.multiply(result.max_ideal)
     return OmegaPresentation(num, datum.q, PresentationForm.RAM_MAX_QUOTIENT,
                              is_zero=zero, provenance="defectless:kummer_value")
 
@@ -102,7 +102,7 @@ def annihilate(pres: OmegaPresentation,
     """Attach the annihilator ideal; the full ring exactly when the module is zero."""
     group = pres.numerator.group
     if pres.is_zero:
-        ann = IdealDescriptor.ring(group, label="ann")
+        ann = IdealDescriptor.ring(group)
         return replace(pres, annihilator=ann)
     if isinstance(result, DefectClassification):
         ann = _dependent_defect_annihilator(pres, result)
@@ -112,16 +112,16 @@ def annihilate(pres: OmegaPresentation,
     n = datum.q
     if pres.form is PresentationForm.MAX_QUOTIENT:
         # nonzero forces M_E principal over the coarse ring; a = 1
-        ann = result.max_ideal.power(n - 1, label="ann")
+        ann = result.max_ideal.power(n - 1)
         is_max = n == 2 and result.H_E.is_trivial
         return replace(pres, annihilator=ann, annihilator_is_max_ideal=is_max)
 
     a_value = _principal_generator_value(result.ram_ideal)
     if result.max_ideal.is_principal_over(result.H_E):
-        ann = pres.numerator.power(n - 1, label="ann")
+        ann = pres.numerator.power(n - 1)
     else:
-        base = IdealDescriptor(coarsening_value_set(result.H_E), label="O_E")
-        ann = base.shifted(a_value * (n - 1), label="ann")
+        base = IdealDescriptor(coarsening_value_set(result.H_E))
+        ann = base.shifted(a_value * (n - 1))
     is_max = (n == 2
               and not result.max_ideal.contains_value(a_value)
               and result.H_E.is_trivial
@@ -140,13 +140,13 @@ def _dependent_defect_annihilator(pres: OmegaPresentation,
     """I_E^(p-1), improved to a*O(I_E) when the quotient value set of
     I_E^(p-1) has an unattained infimum realized by a base-field value."""
     p = result.datum.degree
-    power = result.ram_ideal.power(p - 1, label="I_E^(p-1)")
+    power = result.ram_ideal.power(p - 1)
     v = power.values
     if v.closed:
         return power
     # a canonical open cut sits over a dense cut class, so the infimum is not
     # attained; the extension is immediate, so vK = vL realizes the shift
-    return IdealDescriptor(replace(v, closed=True), label="ann")
+    return IdealDescriptor(replace(v, closed=True))
 
 
 def containment_holds(pres: OmegaPresentation) -> bool:

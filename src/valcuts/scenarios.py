@@ -36,7 +36,6 @@ class Scenario:
     data: tuple[DefectDatum, ...]
     results: tuple[DefectClassification, ...]
     fmodel: FormulaModel
-    composition: Composition | None = None
 
     def result(self, name: str) -> DefectClassification:
         for r in self.results:
@@ -110,7 +109,7 @@ def example_e1(p: int, depth: int = 12) -> Scenario:
     )
     results = tuple(classify(d, depth=depth) for d in data)
     fmodel = _generator_fmodel(L, results[0], _t_constant(L))
-    return Scenario(f"example_e1_p{p}", L, data, results, fmodel, composition=comp)
+    return Scenario(f"example_e1_p{p}", L, data, results, fmodel)
 
 
 def example_e2(p: int, depth: int = 12) -> Scenario:
@@ -121,7 +120,7 @@ def example_e2(p: int, depth: int = 12) -> Scenario:
     datum = _theta_t_datum(comp, p)
     res = classify(datum, depth=depth)
     fmodel = _generator_fmodel(L, res, _t_constant(L))
-    return Scenario(f"example_e2_p{p}", L, (datum,), (res,), fmodel, composition=comp)
+    return Scenario(f"example_e2_p{p}", L, (datum,), (res,), fmodel)
 
 
 def kummer_mixed(p: int, depth: int = 12) -> Scenario:

@@ -12,11 +12,12 @@ An element cut {a >= g} / {a > g} is the cut at the trivial subgroup H_n
 when it is closed.  Geometric sequence cuts (unions of element cuts along a
 schedule g -/+ c/p^k) are reduced to this form when built.
 
-normalize() rewrites a descriptor so that structural equality decides set
-equality: an open cut over a discrete cut class becomes the closed cut one
-unit further in, and the shift is reduced by zeroing every coordinate
-inside H.  Both rules are mirror symmetric, so initial and final cuts share
-one code path, with the direction entering only as a sign.
+Cuts are canonical when built, so structural equality decides set
+equality: the constructor turns an open cut over a discrete cut class into
+the closed cut one unit further in, and zeroes every coordinate of the
+shift inside H.  Both rules are mirror symmetric, so initial and final cuts
+share one code path, with the direction entering only as a sign.  A cut at
+H_0, the whole group, describes the empty set and is rejected when built.
 """
 
 from __future__ import annotations
@@ -59,11 +60,28 @@ class CutKind(str, Enum):
 
 @dataclass(frozen=True)
 class Segment:
-    group: GroupDescriptor
     direction: Direction
     level: int
     shift: GroupElement
     closed: bool
+
+    def __post_init__(self):
+        group, level, delta = self.shift.group, self.level, self.shift
+        if level == 0:
+            raise DegenerateInputError("cut at the whole group describes the empty set")
+        if not self.closed and not group.is_dense_at(level - 1):
+            # over a discrete cut class {a > d + H} = {a >= d + 1 + H}, and
+            # {a < d + H} = {a <= d - 1 + H}
+            object.__setattr__(self, "closed", True)
+            delta = delta + group.unit(level - 1, self.direction.sign)
+        if any(delta.coords[level:]):
+            delta = GroupElement(group, delta.coords[:level]
+                                 + (Fraction(0),) * (group.rank - level))
+        object.__setattr__(self, "shift", delta)
+
+    @property
+    def group(self) -> GroupDescriptor:
+        return self.shift.group
 
     @property
     def is_final(self) -> bool:
@@ -76,9 +94,6 @@ class Segment:
             return CutKind.ELEMENT
         return CutKind.SUBGROUP
 
-    def subgroup(self) -> ConvexSubgroup:
-        return ConvexSubgroup(self.group, self.level)
-
     def __str__(self) -> str:
         rel = ("<", "<=", ">", ">=")[2 * self.is_final + self.closed]
         if self.kind is CutKind.ELEMENT:
@@ -89,7 +104,7 @@ class Segment:
 
 def element_cut(gamma: GroupElement, closed: bool = True,
                 direction: Direction = Direction.FINAL) -> Segment:
-    return Segment(gamma.group, direction, gamma.group.rank, gamma, closed)
+    return Segment(direction, gamma.group.rank, gamma, closed)
 
 
 def subgroup_cut(H: ConvexSubgroup, shift: GroupElement | None = None,
@@ -99,7 +114,7 @@ def subgroup_cut(H: ConvexSubgroup, shift: GroupElement | None = None,
         shift = H.group.zero()
     if shift.group != H.group:
         raise StructuralError("shift belongs to a different group descriptor")
-    return Segment(H.group, direction, H.level, shift, closed)
+    return Segment(direction, H.level, shift, closed)
 
 
 def seq_cut(limit: GroupElement, scale: GroupElement, start: int = 1,
@@ -117,35 +132,22 @@ def seq_cut(limit: GroupElement, scale: GroupElement, start: int = 1,
         raise DegenerateInputError("sequence cut with zero scale")
     if scale.sign() > 0:
         _, sub = archimedean_class_subgroups(scale)
-        return normalize(subgroup_cut(sub, shift=limit, direction=direction))
+        return subgroup_cut(sub, shift=limit, direction=direction)
     step = scale * Fraction(direction.sign, limit.group.prime ** start)
     return element_cut(limit + step, closed=True, direction=direction)
 
 
 def negate(s: Segment) -> Segment:
     """Pointwise negation -S; flips the direction."""
-    return Segment(s.group, s.direction.flipped(), s.level, -s.shift, s.closed)
-
-
-def _is_canonical(s: Segment) -> bool:
-    return (s.level >= 1
-            and (s.closed or s.group.is_dense_at(s.level - 1))
-            and all(c == 0 for c in s.shift.coords[s.level:]))
+    return Segment(s.direction.flipped(), s.level, -s.shift, s.closed)
 
 
 def normalize(s: Segment) -> Segment:
-    if _is_canonical(s):
-        return s
-    group = s.group
-    if s.level == 0:
-        raise DegenerateInputError("cut at the whole group describes the empty set")
-    closed, delta = s.closed, s.shift
-    if not closed and not group.is_dense_at(s.level - 1):
-        # over a discrete cut class {a > d + H} = {a >= d + 1 + H}, and
-        # {a < d + H} = {a <= d - 1 + H}
-        closed, delta = True, delta + group.unit(s.level - 1, s.direction.sign)
-    coords = delta.coords[:s.level] + (Fraction(0),) * (group.rank - s.level)
-    return Segment(group, s.direction, s.level, GroupElement(group, coords), closed)
+    """The identity: every Segment is canonical when built.
+
+    Kept public because benchmark workloads call it as an operation.
+    """
+    return s
 
 
 def _side(x: GroupElement, d: GroupElement, level: int) -> int:
@@ -157,8 +159,7 @@ def _side(x: GroupElement, d: GroupElement, level: int) -> int:
 
 
 def contains(s: Segment, x: GroupElement) -> bool:
-    """Exact membership; the descriptor is normalized first."""
-    s = normalize(s)
+    """Exact membership."""
     if x.group != s.group:
         raise StructuralError("element belongs to a different group descriptor")
     side = _side(x, s.shift, s.level) * s.direction.sign
@@ -167,14 +168,14 @@ def contains(s: Segment, x: GroupElement) -> bool:
 
 def invariance_group(s: Segment) -> ConvexSubgroup:
     """All g with S + g = S; element cuts are rigid, other cuts return their H."""
-    return normalize(s).subgroup()
+    return ConvexSubgroup(s.group, s.level)
 
 
 def shift(s: Segment, gamma: GroupElement) -> Segment:
     """The translate gamma + S."""
     if gamma.group != s.group:
         raise StructuralError("shift element belongs to a different group descriptor")
-    return normalize(replace(s, shift=s.shift + gamma))
+    return replace(s, shift=s.shift + gamma)
 
 
 def _require_dense_at_cut(s: Segment) -> None:
@@ -191,7 +192,6 @@ def _require_dense_at_cut(s: Segment) -> None:
 
 def sum(s1: Segment, s2: Segment) -> Segment:
     """Pointwise sumset of two final segments."""
-    s1, s2 = normalize(s1), normalize(s2)
     if s1.group != s2.group:
         raise StructuralError("segments live over different group descriptors")
     if not (s1.is_final and s2.is_final):
@@ -202,7 +202,7 @@ def sum(s1: Segment, s2: Segment) -> Segment:
     # sitting at that boundary is closed
     level = min(s1.level, s2.level)
     closed = all(s.closed for s in (s1, s2) if s.level == level)
-    return normalize(Segment(s1.group, Direction.FINAL, level, s1.shift + s2.shift, closed))
+    return Segment(Direction.FINAL, level, s1.shift + s2.shift, closed)
 
 
 def scale_int(s: Segment, m: int) -> Segment:
@@ -213,14 +213,12 @@ def scale_int(s: Segment, m: int) -> Segment:
     """
     if m < 1:
         raise DegenerateInputError("scale factor must be a positive integer")
-    s = normalize(s)
     _require_dense_at_cut(s)
-    return normalize(replace(s, shift=s.shift * m))
+    return replace(s, shift=s.shift * m)
 
 
 def is_subset(inner: Segment, outer: Segment) -> bool:
     """Decide inner <= outer for two final segments, exactly."""
-    inner, outer = normalize(inner), normalize(outer)
     if inner.group != outer.group:
         raise StructuralError("segments live over different group descriptors")
     if not (inner.is_final and outer.is_final):
@@ -286,30 +284,20 @@ def from_json(group: GroupDescriptor, data: dict) -> Segment:
 @dataclass(frozen=True)
 class IdealDescriptor:
     values: Segment
-    label: str = ""
 
     def __post_init__(self):
-        v = normalize(self.values)
-        if not v.is_final:
+        if not self.values.is_final:
             raise StructuralError("an ideal's value set is a final segment")
-        object.__setattr__(self, "values", v)
 
     @property
     def group(self) -> GroupDescriptor:
         return self.values.group
 
     @property
-    def min_attained(self) -> bool:
+    def is_principal(self) -> bool:
         return self.values.kind is CutKind.ELEMENT
 
-    @property
-    def is_principal(self) -> bool:
-        return self.min_attained
-
-    def contains_value(self, v) -> bool:
-        """Membership of a value; None stands for v(0) = infinity."""
-        if v is None:
-            return True
+    def contains_value(self, v: GroupElement) -> bool:
         return contains(self.values, v)
 
     def is_principal_over(self, H: ConvexSubgroup) -> bool:
@@ -325,36 +313,34 @@ class IdealDescriptor:
             raise StructuralError("quotient subgroup exceeds the invariance group")
         return v.closed and H.level == v.level
 
-    def multiply(self, other: "IdealDescriptor", label: str = "") -> "IdealDescriptor":
-        return IdealDescriptor(sum(self.values, other.values), label=label)
+    def multiply(self, other: "IdealDescriptor") -> "IdealDescriptor":
+        return IdealDescriptor(sum(self.values, other.values))
 
-    def power(self, m: int, label: str = "") -> "IdealDescriptor":
-        return IdealDescriptor(scale_int(self.values, m), label=label)
+    def power(self, m: int) -> "IdealDescriptor":
+        return IdealDescriptor(scale_int(self.values, m))
 
-    def shifted(self, gamma: GroupElement, label: str = "") -> "IdealDescriptor":
-        return IdealDescriptor(shift(self.values, gamma), label=label)
+    def shifted(self, gamma: GroupElement) -> "IdealDescriptor":
+        return IdealDescriptor(shift(self.values, gamma))
 
     def same_values(self, other: "IdealDescriptor") -> bool:
         return self.values == other.values
 
     @classmethod
-    def ring(cls, G: GroupDescriptor, label: str = "O_L") -> "IdealDescriptor":
-        return cls(element_cut(G.zero(), closed=True), label=label)
+    def ring(cls, G: GroupDescriptor) -> "IdealDescriptor":
+        return cls(element_cut(G.zero(), closed=True))
 
     @classmethod
-    def maximal_ideal(cls, G: GroupDescriptor, label: str = "M_L") -> "IdealDescriptor":
-        return cls(element_cut(G.zero(), closed=False), label=label)
+    def maximal_ideal(cls, G: GroupDescriptor) -> "IdealDescriptor":
+        return cls(element_cut(G.zero(), closed=False))
 
     @classmethod
-    def principal(cls, gamma: GroupElement, label: str = "") -> "IdealDescriptor":
-        return cls(element_cut(gamma, closed=True), label=label)
+    def principal(cls, gamma: GroupElement) -> "IdealDescriptor":
+        return cls(element_cut(gamma, closed=True))
 
 
 def coarsening_value_set(H: ConvexSubgroup) -> Segment:
     """Value set of the coarsening ring O(H): the coset of H and everything above."""
-    if H.level == 0:
-        raise DegenerateInputError("the whole group corresponds to the trivial valuation")
-    return normalize(subgroup_cut(H, closed=True))
+    return subgroup_cut(H, closed=True)
 
 
 def invariance_ring(I: IdealDescriptor) -> tuple[ConvexSubgroup, IdealDescriptor]:
@@ -365,5 +351,4 @@ def invariance_ring(I: IdealDescriptor) -> tuple[ConvexSubgroup, IdealDescriptor
     by any group element does not change the result.
     """
     H = invariance_group(I.values)
-    M = IdealDescriptor(subgroup_cut(H, closed=False), label=f"M({I.label or 'I'})")
-    return H, M
+    return H, IdealDescriptor(subgroup_cut(H, closed=False))

@@ -369,6 +369,11 @@ class TestInputContract:
         (["classify", "--config", lambda tmp: str(tmp)], "--config"),  # a directory
         (["kaehler", "--config", lambda tmp: write_text(tmp, '{"schema": 1,')],
          "--config"),
+        (["abhyankar", "--p", "4"], "--p"),
+        (["prescribe", "--rank", "3", "--select", "1", "--p", "6"], "--p"),
+        (["prescribe", "--rank", "0"], "--rank"),
+        (["prescribe", "--rank", "3", "--select", "0"], "--select"),
+        (["prescribe", "--rank", "3", "--select", "4"], "--select"),
     ])
     def test_bad_value_exits_2_naming_it(self, tmp_path, capsys, args, named):
         args = [write_extension(tmp_path, a) if isinstance(a, dict)
@@ -380,6 +385,19 @@ class TestInputContract:
         assert code == 2
         err = capsys.readouterr().err
         assert "error:" in err and named in err
+
+    @pytest.mark.parametrize("args", [
+        ["classify", "--config", str(CONFIGS / "abhyankar-p3.json"), "--p", "7"],
+        ["kaehler", "--config", str(CONFIGS / "abhyankar-p3.json"), "--seed", "9"],
+        ["prescribe", "--rank", "3", "--select", "1", "--seed", "9"],
+        ["eval", "--formula", "v(t) > 0", "--seed", "4"],
+        ["abhyankar", "--format", "json"],
+    ])
+    def test_flag_the_command_does_not_read_exits_2(self, capsys, args):
+        with pytest.raises(SystemExit) as err:
+            main(args)
+        assert err.value.code == 2
+        assert f"unrecognized arguments: {' '.join(args[-2:])}" in capsys.readouterr().err
 
 
 # Schema-valid configs: a well-formed extension of each kind, then up to two

@@ -399,7 +399,6 @@ class TestComposition:
         outer, inner = self.make_pair(2)
         comp = compose_valuation(outer, inner)
         assert comp.composite.value_group.rank == 2
-        assert comp.coarse_subgroup().level == 1
 
     def test_residue_mismatch_rejected(self):
         outer, inner = self.make_pair(2)
@@ -411,21 +410,8 @@ class TestComposition:
         m = perfect_model(3)
         comp = compose_valuation(m, None)
         assert comp.composite is m
-        assert comp.coarse_subgroup().is_trivial
         theta = abhyankar_root(m)
-        seg = approach_segment(theta, m).segment
-        assert comp.lift_segment(seg) == seg
-
-    def test_lift_whole_negative_cone(self):
-        # an inner cut {a < 0} lifts to the composite whole negative cone
-        outer, inner = self.make_pair(2)
-        comp = compose_valuation(outer, inner)
-        theta_t = abhyankar_root(inner)
-        inner_seg = approach_segment(theta_t, inner).segment
-        lifted = comp.lift_segment(inner_seg)
-        assert lifted.kind is CutKind.SUBGROUP
-        assert lifted.level == comp.composite.value_group.rank
-        assert lifted.shift.is_zero
+        assert comp.lift_pattern(theta) is theta
 
     def test_lift_pattern_matches_direct_construction(self):
         outer, inner = self.make_pair(2)
@@ -437,9 +423,3 @@ class TestComposition:
             (Tail(comp.composite.residue.one(),
                   comp.composite.value_group.element(0, -1), 1),))
         assert lifted == direct
-
-    def test_projection_is_quotient_by_coarse_subgroup(self):
-        outer, inner = self.make_pair(2)
-        comp = compose_valuation(outer, inner)
-        x = comp.composite.value_group.element(Fraction(3, 2), 7)
-        assert comp.project_coarse(x) == outer.value_group.element(Fraction(3, 2))

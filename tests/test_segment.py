@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -59,6 +60,44 @@ def random_final_segment(rng: random.Random, group: GroupDescriptor):
     return subgroup_cut(ConvexSubgroup(group, level), shift=gamma, closed=closed)
 
 
+def built_cuts(rng: random.Random, group: GroupDescriptor, count: int) -> list:
+    """Cuts from every constructor, none of them passed through normalize."""
+    cuts = []
+    for _ in range(count):
+        a, b = random_final_segment(rng, group), random_final_segment(rng, group)
+        g = random_element(rng, group, depth=1, bound=1)
+        # p^2/p^start is integral, so a negative scale keeps the cut inside the group
+        scale = group.unit(rng.randrange(group.rank), rng.choice((-1, 1)) * group.prime ** 2)
+        cuts += [a, negate(b), shift(a, g), replace(b, closed=not b.closed),
+                 replace(a, shift=a.shift + g),
+                 seq_cut(g, scale, start=rng.randint(1, 2),
+                         direction=rng.choice(list(Direction)))]
+        try:
+            cuts += [sg.sum(a, b), sg.scale_int(a, rng.randint(2, 3))]
+        except UnsupportedDensityError:
+            pass
+    return cuts
+
+
+def fits_grid(s, bound: int, depth: int) -> bool:
+    """Whether grid_points(group, bound, depth) holds a witness against every
+    other fitting cut: the shift lies inside the box, on a grid one p-power
+    coarser, so the grid has points on both sides of it and between shifts."""
+    p = s.group.prime
+    return all(abs(c) < bound and p ** (depth - 1) % c.denominator == 0
+               for c in s.shift.coords)
+
+
+def assert_equal_exactly_when_same_set(cuts, bound: int, depth: int) -> None:
+    """Two fitting cuts compare == exactly when they have the same grid points."""
+    pts = list(grid_points(cuts[0].group, bound, depth))
+    seen = {}
+    for cut in {c for c in cuts if fits_grid(c, bound, depth)}:
+        members = segment_set(cut, pts)
+        assert members not in seen, f"{cut} and {seen[members]} are one set"
+        seen[members] = cut
+
+
 class TestNormalize:
     def test_seq_cut_rank1(self):
         # schedule approaching 0 from below collapses to the open negative cone
@@ -107,6 +146,15 @@ class TestNormalize:
             assert normalize(canon) == canon
             for x in rng.sample(pts, 40):
                 assert contains(raw, x) == contains(canon, x)
+        # cuts are canonical when built, so == decides set equality unaided
+        assert element_cut(ZINT.element(3), closed=False) == element_cut(ZINT.element(4))
+        h1 = ConvexSubgroup(ZMIX, 1)
+        assert (subgroup_cut(h1, shift=ZMIX.element(2, Fraction(5, 4)))
+                == subgroup_cut(h1, shift=ZMIX.element(3, 0), closed=True))
+        for group in (ZINT, ZMIX, ZP2):
+            cuts = built_cuts(rng, group, 25)
+            assert all(normalize(s) is s for s in cuts)
+            assert_equal_exactly_when_same_set(cuts, bound=4, depth=3)
 
     def test_seq_membership_matches_union_semantics(self):
         # union over k >= 1 of {a <= -1/2^k} on the grid
@@ -141,6 +189,7 @@ class TestInitialCuts:
     def test_grid_oracle(self, group):
         rng = random.Random(37)
         pts = list(grid_points(group, 2, 2))
+        built = []
         for _ in range(80):
             s, member = random_initial_cut(rng, group)
             canon = normalize(s)
@@ -161,6 +210,9 @@ class TestInitialCuts:
             for x in rng.sample(pts, 10):
                 if h.contains(x):
                     assert shift(s, x) == canon
+                    assert replace(s, shift=s.shift + x) == s
+            built += [s, negate(mirror), shift(moved, -g)]
+        assert_equal_exactly_when_same_set(built, bound=4, depth=3)
 
 
 class TestInvariance:
@@ -302,8 +354,8 @@ class TestIdeals:
     def test_unit_ideal_and_maximal_ideal(self):
         ring = IdealDescriptor.ring(ZP1)
         m = IdealDescriptor.maximal_ideal(ZP1)
-        assert ring.min_attained and ring.is_principal
-        assert not m.min_attained
+        assert ring.is_principal
+        assert not m.is_principal
         assert m.values.kind is CutKind.SUBGROUP
 
     def test_maximal_ideal_discrete_is_principal(self):
@@ -318,7 +370,7 @@ class TestIdeals:
 
     def test_invariance_ring_of_subgroup_cut(self):
         h1 = ConvexSubgroup(ZP2, 1)
-        ideal = IdealDescriptor(subgroup_cut(h1), label="I")
+        ideal = IdealDescriptor(subgroup_cut(h1))
         h, m = invariance_ring(ideal)
         assert h == h1
         assert m.same_values(ideal)  # the ideal equals the maximal ideal here
