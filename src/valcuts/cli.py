@@ -196,10 +196,10 @@ def _element(group: GroupDescriptor, coords, field: str):
         raise ConfigError(f"{field}: {err}", fields=[field]) from None
 
 
-def _series(model: FieldModel, text: str, field: str):
-    """parse_element; a text that is no element of the model is an error in `field`."""
+def _checked(field: str, build, *args):
+    """build(*args); a StructuralError it raises is an error in `field`."""
     try:
-        return parse_element(model, text)
+        return build(*args)
     except StructuralError as err:
         raise ConfigError(f"{field}: {err}", fields=[field]) from None
 
@@ -209,11 +209,14 @@ def datum_from_config(config: dict):
     if "rank" in gspec and gspec["rank"] != len(gspec["components"]):
         raise ConfigError("group rank does not match the component list",
                           fields=["group/rank"])
-    group = GroupDescriptor(tuple(Component(c) for c in gspec["components"]),
-                            gspec["p"])
+    group = _checked("group/p", GroupDescriptor,
+                     tuple(Component(c) for c in gspec["components"]), gspec["p"])
     ext = config["extension"]
     kind = ext["kind"]
     label = config.get("label", "configured")
+    if not _checked("extension/degree", is_prime, ext["degree"]):
+        raise ConfigError(f"extension/degree: {ext['degree']} is not prime",
+                          fields=["extension/degree"])
     if kind == "defectless_value":
         return DefectlessDatum(
             name=label, group=group, q=ext["degree"],
@@ -229,15 +232,19 @@ def datum_from_config(config: dict):
         name=label, char=char,
         residue_char=ext.get("residue_char", group.prime),
         value_group=group,
-        residue=GF(char) if char else None,
+        residue=_checked("extension/char", GF, char) if char else None,
         vp=_element(group, ext["vp"], "extension/vp") if "vp" in ext else None)
+    if ext["degree"] != model.residue_char:
+        raise ConfigError(f"extension/degree: a defect extension has degree "
+                          f"{model.residue_char}, the residue characteristic",
+                          fields=["extension/degree"])
     generator = None
     declared_sigma = None
     gen = ext.get("generator")
     if gen is not None:
         if gen["type"] == "pattern":
-            finite = (_series(model, gen["finite"], "extension/generator/finite")
-                      if gen.get("finite") else model.zero())
+            finite = (_checked("extension/generator/finite", parse_element, model,
+                               gen["finite"]) if gen.get("finite") else model.zero())
             tails = tuple(
                 Tail(model.residue.element(t.get("coeff", 1)),
                      _element(group, t["gamma"], f"extension/generator/tails/{n}/gamma"),
@@ -300,10 +307,11 @@ def scenario_report(command: str, p: int, depth: int, seed: int) -> dict:
         "prime": p,
         "depth": depth,
         "seed": seed,
+        # declared, not inferred: every scenario models a perfect henselian field
         "model": {"name": scenario.model.name,
                   "char": scenario.model.char,
-                  "henselian": scenario.model.henselian,
-                  "perfect_hull": scenario.model.perfect_hull,
+                  "henselian": True,
+                  "perfect_hull": True,
                   "group": _group_json(scenario.model.value_group)},
         "extensions": extensions,
         "definability": checks,
@@ -381,7 +389,7 @@ def eval_report(formula: str, scenario_name: str, p: int, depth: int,
             bindings[name] = DeclaredValue(
                 _element(scenario.model.value_group, [text[2:]], "--bind"))
         else:
-            bindings[name] = _series(scenario.model, text, "--bind")
+            bindings[name] = _checked("--bind", parse_element, scenario.model, text)
     res = evaluate(parse(formula), scenario.fmodel, bindings=bindings)
     return {
         "schema_version": SCHEMA_VERSION,
@@ -436,7 +444,11 @@ def _positive_int(text: str) -> int:
 
 def _prime(text: str) -> int:
     value = int(text)
-    if not is_prime(value):
+    try:
+        prime = is_prime(value)
+    except StructuralError as err:
+        raise argparse.ArgumentTypeError(str(err)) from None
+    if not prime:
         raise argparse.ArgumentTypeError(f"{value} is not prime")
     return value
 

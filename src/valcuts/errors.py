@@ -33,10 +33,6 @@ class InvalidSelectionError(ValcutsError):
     """Selected level is not a subprincipal convex subgroup of the built group."""
 
 
-class InternalConsistencyError(ValcutsError):
-    """Two routes that must agree by construction disagreed; report loudly."""
-
-
 class VerificationError(ValcutsError):
     """A positive witness check failed; carries the offending report."""
 

@@ -6,11 +6,11 @@ characteristic, where exact p-adic arithmetic is out of reach but the
 schedule values are known in closed form).  Synthetic instances may declare
 the positive value segment directly; their certificates say so.
 
-Classification evaluates two independence criteria that must agree:
-the ideal route (ramification ideal equals the coarsening's maximal ideal,
-the latter nonprincipal over the coarse ring) and the segment route (the
-value segment is exactly everything above its invariance group, whose
-quotient has no smallest positive element).
+An extension is independent when its ramification ideal is the maximal
+ideal of its invariance ring and that ideal is nonprincipal over the coarse
+ring.  On canonical cuts this one test is also the segment criterion (the
+value segment is everything above its invariance group H, and G/H has no
+smallest positive element), so the certificate reports it under both names.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from fractions import Fraction
 
 from .errors import (
     InconsistentDatumError,
-    InternalConsistencyError,
     NotImmediateError,
     StructuralError,
     WrongCaseError,
@@ -33,7 +32,6 @@ from .ogroup import (
     GroupDescriptor,
     GroupElement,
     is_prime,
-    quotient_has_smallest_positive,
 )
 from .segment import (
     Direction,
@@ -83,7 +81,7 @@ class DeclaredSchedule:
                 f"declared values do not increase strictly: scale {self.scale} <= 0")
         schedule = tuple(self.value_at(k) for k in range(self.start, self.start + depth))
         seg = seq_cut(self.limit, self.scale, start=1, direction=Direction.INITIAL)
-        return ApproachResult(seg, schedule, depth)
+        return ApproachResult(seg, schedule)
 
 
 @dataclass(frozen=True)
@@ -104,6 +102,10 @@ class DefectDatum:
             raise StructuralError("defectless data use DefectlessDatum")
         if not is_prime(self.degree):
             raise StructuralError("extension degree must be prime")
+        if self.degree != self.base.residue_char:
+            raise StructuralError(
+                f"a defect extension has degree {self.base.residue_char}, "
+                "the residue characteristic")
         if self.generator is None and self.declared_sigma is None:
             raise StructuralError("datum needs a generator or a declared segment")
         if self.sigma_shift is None:
@@ -160,27 +162,19 @@ class DefectClassification:
 
 
 def classify(datum: DefectDatum, depth: int = 12) -> DefectClassification:
-    """Defect classification with both independence criteria evaluated."""
+    """Defect classification by the independence criterion."""
     sigma, approach = sigma_segment(datum, depth)
     ram = IdealDescriptor(sigma)
     H, max_ideal = invariance_ring(ram)
-    quotient_dense = not quotient_has_smallest_positive(datum.group, H)
-
-    ideal_route = ram.same_values(max_ideal) and not max_ideal.is_principal_over(H)
-    segment_route = sigma == max_ideal.values and quotient_dense  # {a > H}
-    if ideal_route != segment_route:
-        raise InternalConsistencyError(
-            f"independence criteria disagree on {datum.name}: "
-            f"ideal={ideal_route} segment={segment_route}")
-
-    kind = DefectKind.INDEPENDENT if ideal_route else DefectKind.DEPENDENT
+    independent = ram.same_values(max_ideal) and not max_ideal.is_principal_over(H)
+    kind = DefectKind.INDEPENDENT if independent else DefectKind.DEPENDENT
     certificate = {
         "extension": datum.name,
         "kind": datum.kind.value,
         "degree": datum.degree,
         "sigma_segment": to_json(sigma),
         "H_E_level": H.level,
-        "criteria": {"ideal_route": ideal_route, "segment_route": segment_route},
+        "criteria": {"ideal_route": independent, "segment_route": independent},
         "truncation_depth": depth,
         "synthetic": datum.synthetic,
         "sigma_shift": [str(c) for c in datum.sigma_shift.coords],
@@ -226,7 +220,6 @@ class DefectlessDatum:
     residue_char: int = 0
     vp: GroupElement | None = None            # value of p when residue char divides it
     v_eta_minus_1: GroupElement | None = None  # one-unit case
-    henselian: bool = True
 
     def __post_init__(self):
         if not is_prime(self.q):

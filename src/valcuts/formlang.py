@@ -31,7 +31,7 @@ import re
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import islice
 
 from .errors import (
@@ -480,10 +480,9 @@ class ImmediateElement:
 
 @dataclass(frozen=True)
 class DeclaredValue:
-    """A value-only carrier: nothing but v and membership facts are known."""
+    """A value-only carrier of K: nothing but its valuation is known."""
 
     valuation: object                     # GroupElement | INF
-    in_base: bool = True
 
 
 @dataclass(frozen=True)
@@ -495,12 +494,8 @@ class Approximant:
     carrier: SeriesElement | None = None
 
 
-@dataclass(frozen=True)
-class Budget:
-    schedule_depth: int = 12
-    max_candidates: int = 64
-
-
+_SCHEDULE_DEPTH = 12      # bounded witnesses: the first 12 approximants of each
+_MAX_CANDIDATES = 64      # immediate, then monomials, 64 witnesses in all
 _EXPONENT_BOUND = 2       # monomial witnesses t^(n / p^d) with |n / p^d| <= 2
 _DENOMINATOR_DEPTH = 2    # and d <= 2
 
@@ -512,8 +507,6 @@ class FormulaModel:
     model: FieldModel
     immediates: tuple[ImmediateElement, ...]
     constants: dict = field(default_factory=dict)   # symbol -> carrier
-    # Budget -> candidate pool; a copy made with dataclasses.replace starts empty
-    _pools: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def group(self):
@@ -534,21 +527,18 @@ class FormulaModel:
             raise EvaluationUnsupported("model declares no value for p")
         return self.model.vp * Fraction(1, self.prime - 1)
 
-    def candidates(self, budget: Budget) -> tuple:
+    @cached_property
+    def candidates(self) -> tuple:
         """(label, value) witnesses bounded enumeration tries, in order.
 
-        The pool depends only on the model and the budget, so it is built once
-        and shared by every evaluation under that budget.
+        The pool depends only on the model, so it is built once and shared by
+        every evaluation; a copy made with dataclasses.replace builds its own.
         """
-        pool = self._pools.get(budget)
-        if pool is None:
-            pool = self._pools[budget] = tuple(
-                islice(self._witnesses(budget.schedule_depth), budget.max_candidates))
-        return pool
+        return tuple(islice(self._witnesses(), _MAX_CANDIDATES))
 
-    def _witnesses(self, schedule_depth: int):
+    def _witnesses(self):
         for im in self.immediates:
-            for k in range(min(schedule_depth, len(im.schedule))):
+            for k in range(min(_SCHEDULE_DEPTH, len(im.schedule))):
                 carrier = im.carrier.partial_sum(k) if im.carrier is not None else None
                 yield f"{im.name}~{k}", Approximant(im.name, k, carrier)
         if self.model.series_capable:
@@ -580,10 +570,9 @@ class EvalResult:
 
 
 class _Evaluator:
-    def __init__(self, fmodel: FormulaModel, bindings: dict, budget: Budget):
+    def __init__(self, fmodel: FormulaModel, bindings: dict):
         self.fm = fmodel
         self.bindings = dict(bindings)
-        self.budget = budget
         self.bounded_used = False
         self.candidates_used = 0
         self.witness: str | None = None
@@ -783,9 +772,7 @@ class _Evaluator:
                 if v.carrier is not None:
                     return Truth.of(not v.carrier.has_tails)
                 return Truth.FALSE
-            if isinstance(v, DeclaredValue):
-                return Truth.of(v.in_base)
-            if isinstance(v, (Approximant, SeriesElement)):
+            if isinstance(v, (DeclaredValue, Approximant, SeriesElement)):
                 return Truth.TRUE
             if isinstance(v, PatternSeries):
                 return Truth.of(not v.has_tails)
@@ -956,10 +943,12 @@ class _Evaluator:
                         vzeta = self.fm.zeta_value()
                     except EvaluationUnsupported:
                         return None
-                    # v(x^p - c^p) = vp + v(x - c) needs v(x - c) < v(zeta - 1)
+                    # x^p - c^p is the product of the x - zeta^i c, and each has
+                    # value v(x - c) when v(x - c) < v(zeta - 1): then
+                    # v(x^p - c^p) = p * v(x - c)
                     if not _initial_below(im.segment, vzeta):
                         return None
-                    return im.segment, 1, self.fm.model.vp
+                    return im.segment, self.fm.prime, self.fm.group.zero()
             return None
         if len(terms) == 4:
             sgn: dict = {}
@@ -995,7 +984,7 @@ class _Evaluator:
     # bounded fallback: enumerate candidate witnesses
     def _bounded(self, q: Quant) -> Truth:
         self.bounded_used = True
-        for label, cand in self.fm.candidates(self.budget):
+        for label, cand in self.fm.candidates:
             self.candidates_used += 1
             r = self._eval_with(q.var, cand, q.body)
             if q.kind == "exists" and r is Truth.TRUE:
@@ -1092,8 +1081,7 @@ def free_variables(node, bound=frozenset()) -> frozenset:
     return frozenset()
 
 
-def evaluate(phi, fmodel: FormulaModel, bindings: dict | None = None,
-             budget: Budget | None = None) -> EvalResult:
+def evaluate(phi, fmodel: FormulaModel, bindings: dict | None = None) -> EvalResult:
     """Three-valued evaluation; exact where the segment oracle applies."""
     ast = parse(phi) if isinstance(phi, str) else phi
     bindings = bindings or {}
@@ -1101,7 +1089,7 @@ def evaluate(phi, fmodel: FormulaModel, bindings: dict | None = None,
     unbound = free_variables(ast) - known - _BUILTINS
     if unbound:
         raise StructuralError(f"unbound variables: {sorted(unbound)}")
-    ev = _Evaluator(fmodel, bindings, budget or Budget())
+    ev = _Evaluator(fmodel, bindings)
     value = ev.eval(ast)
     mode = "bounded" if ev.bounded_used else "oracle"
     return EvalResult(value, mode, ev.witness, ev.candidates_used)
@@ -1150,12 +1138,12 @@ def membership(direct, value) -> bool:
 
 
 def check_definition(phi, direct, fmodel: FormulaModel, samples,
-                     free_var: str = "b", budget: Budget | None = None,
                      name: str = "") -> AgreementReport:
     """Compare formula truth against descriptor membership on each sample.
 
-    Samples are (label, carrier, valuation) triples; TRUE/FALSE disagreements
-    are reported as hard failures, UNKNOWNs are counted against the budget.
+    Samples are (label, carrier, valuation) triples, each bound to the free
+    variable b; TRUE/FALSE disagreements are reported as hard failures,
+    UNKNOWNs are counted.
     """
     ast = parse(phi) if isinstance(phi, str) else phi
     agreements = 0
@@ -1164,7 +1152,7 @@ def check_definition(phi, direct, fmodel: FormulaModel, samples,
     total = 0
     for label, carrier, value in samples:
         total += 1
-        res = evaluate(ast, fmodel, bindings={free_var: carrier}, budget=budget)
+        res = evaluate(ast, fmodel, bindings={"b": carrier})
         want = membership(direct, value)
         if res.value is Truth.UNKNOWN:
             unknowns += 1

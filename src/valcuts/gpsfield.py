@@ -58,21 +58,13 @@ INF = _Infinity()
 
 @dataclass(frozen=True)
 class FieldModel:
-    """A valued field of generalized power series, or a declared shell.
-
-    henselian and perfect_hull are declared assumptions recorded in reports;
-    they are never inferred.  residue_name names the residue field of the
-    coarse valuation when the model is the top of a composition.
-    """
+    """A valued field of generalized power series, or a declared shell."""
 
     name: str
     char: int
     value_group: GroupDescriptor
     residue: FqField | None = None
     residue_char: int | None = None
-    perfect_hull: bool = True
-    henselian: bool = True
-    residue_name: str | None = None
     vp: GroupElement | None = None
 
     def __post_init__(self):
@@ -394,7 +386,6 @@ class ApproachResult:
 
     segment: Segment
     schedule: tuple[GroupElement, ...]
-    depth: int
 
 
 def approach_segment(theta: PatternSeries, K: FieldModel, depth: int = 12) -> ApproachResult:
@@ -425,69 +416,7 @@ def approach_segment(theta: PatternSeries, K: FieldModel, depth: int = 12) -> Ap
         k += 1
     seg = seq_cut(theta.model.value_group.zero(), -gamma_min, start=1,
                   direction=Direction.INITIAL)
-    return ApproachResult(seg, tuple(schedule), depth)
-
-
-# --------------------------------------------------------------------------
-# Composition of valuations: v = w o wbar, value groups concatenated with the
-# coarse group in front.
-
-@dataclass(frozen=True)
-class Composition:
-    outer: FieldModel
-    inner: FieldModel | None
-    composite: FieldModel
-
-    def lift_element(self, x: GroupElement) -> GroupElement:
-        if self.inner is None:
-            return x
-        if x.group != self.inner.value_group:
-            raise StructuralError("element does not live in the inner value group")
-        pad = (Fraction(0),) * self.outer.value_group.rank
-        return GroupElement(self.composite.value_group, pad + x.coords)
-
-    def lift_pattern(self, theta: PatternSeries) -> PatternSeries:
-        if self.inner is None:
-            return theta
-        if theta.model != self.inner:
-            raise StructuralError("pattern does not live in the inner model")
-        finite = SeriesElement(
-            self.composite,
-            tuple((self.lift_element(e), c) for e, c in theta.finite_part.terms))
-        tails = tuple(Tail(t.coeff, self.lift_element(t.gamma), t.start)
-                      for t in theta.tails)
-        return PatternSeries(self.composite, finite, tails)
-
-
-def compose_valuation(outer: FieldModel, inner: FieldModel | None) -> Composition:
-    """Compose the coarse valuation of `outer` with the valuation on its residue field.
-
-    With a trivial inner valuation the composite is the outer model itself and
-    every element and pattern transfers unchanged.
-    """
-    if inner is None:
-        return Composition(outer, None, outer)
-    if outer.residue_name != inner.name:
-        raise StructuralError(
-            f"residue field of {outer.name} is {outer.residue_name!r}, not {inner.name!r}")
-    og, ig = outer.value_group, inner.value_group
-    if og.prime != ig.prime:
-        raise StructuralError("value groups use different primes")
-    group = GroupDescriptor(og.components + ig.components, og.prime)
-    vp = None
-    if outer.vp is not None:
-        vp = GroupElement(group, outer.vp.coords + (Fraction(0),) * ig.rank)
-    composite = FieldModel(
-        name=f"{outer.name} o {inner.name}",
-        char=outer.char,
-        value_group=group,
-        residue=inner.residue,
-        residue_char=inner.residue_char,
-        perfect_hull=outer.perfect_hull and inner.perfect_hull,
-        henselian=outer.henselian and inner.henselian,
-        vp=vp,
-    )
-    return Composition(outer, inner, composite)
+    return ApproachResult(seg, tuple(schedule))
 
 
 # --------------------------------------------------------------------------

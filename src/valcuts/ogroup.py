@@ -28,14 +28,33 @@ class Component(str, Enum):
         return self is not Component.INT
 
 
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# the least strong pseudoprime to all 13 witnesses; below it the test is exact
+_PRIME_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    """Miller-Rabin to the prime bases 2..41, exact for n < _PRIME_BOUND.
+
+    A larger n raises StructuralError: its primality is not decided here.
+    """
+    if n >= _PRIME_BOUND:
+        raise StructuralError(f"{n} is too large: primality is decided below {_PRIME_BOUND}")
+    if n < 2 or any(n % a == 0 for a in _WITNESSES):
+        return n in _WITNESSES
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 

@@ -18,22 +18,14 @@ from .extension import (
     classify,
 )
 from .formlang import FormulaModel, ImmediateElement
-from .gpsfield import (
-    Composition,
-    FieldModel,
-    PatternSeries,
-    Tail,
-    compose_valuation,
-)
+from .gpsfield import FieldModel, PatternSeries, Tail
 from .ogroup import Component, GroupDescriptor
 from .residue import GF
 
 
 @dataclass(frozen=True)
 class Scenario:
-    name: str
     model: FieldModel
-    data: tuple[DefectDatum, ...]
     results: tuple[DefectClassification, ...]
     fmodel: FormulaModel
 
@@ -76,22 +68,18 @@ def abhyankar(p: int, depth: int = 12) -> Scenario:
     res = classify(datum, depth=depth)
     fmodel = _generator_fmodel(
         model, res, {"t": model.monomial(1, model.value_group.element(1))})
-    return Scenario(f"abhyankar_p{p}", model, (datum,), (res,), fmodel)
+    return Scenario(model, (res,), fmodel)
 
 
-def _rank2_composite(p: int) -> Composition:
-    inner = perfect_series_model(p, name="K")
-    outer = FieldModel(name="K((x))^(1/p^inf)", char=p,
-                       value_group=GroupDescriptor((Component.PDIV,), p),
-                       residue=None, residue_name="K")
-    return compose_valuation(outer, inner)
+def _rank2_composite(p: int) -> FieldModel:
+    """K((x))^(1/p^inf) composed with the valuation of its residue field K."""
+    return perfect_series_model(p, rank=2, name="K((x))^(1/p^inf) o K")
 
 
-def _theta_t_datum(comp: Composition, p: int) -> DefectDatum:
-    """The wild witness over the fine class, lifted from the residue field."""
-    return DefectDatum(name="theta_t", kind=ExtensionKind.AS_DEFECT,
-                       base=comp.composite, degree=p,
-                       generator=comp.lift_pattern(wild_root(comp.inner)))
+def _theta_t_datum(L: FieldModel, p: int) -> DefectDatum:
+    """The wild witness over the fine class, the one of the residue field K."""
+    return DefectDatum(name="theta_t", kind=ExtensionKind.AS_DEFECT, base=L, degree=p,
+                       generator=wild_root(L, class_index=1))
 
 
 def _t_constant(L: FieldModel) -> dict:
@@ -100,27 +88,24 @@ def _t_constant(L: FieldModel) -> dict:
 
 def example_e1(p: int, depth: int = 12) -> Scenario:
     """Rank-2 composition with wild witnesses over both archimedean classes."""
-    comp = _rank2_composite(p)
-    L = comp.composite
+    L = _rank2_composite(p)
     data = (
         DefectDatum(name="theta_x", kind=ExtensionKind.AS_DEFECT, base=L,
                     degree=p, generator=wild_root(L, class_index=0)),
-        _theta_t_datum(comp, p),
+        _theta_t_datum(L, p),
     )
     results = tuple(classify(d, depth=depth) for d in data)
     fmodel = _generator_fmodel(L, results[0], _t_constant(L))
-    return Scenario(f"example_e1_p{p}", L, data, results, fmodel)
+    return Scenario(L, results, fmodel)
 
 
 def example_e2(p: int, depth: int = 12) -> Scenario:
     """The e1 shape with a tame-closure step killing the coarse-class witness:
     only the fine-class extension survives, realizing the trivial subgroup."""
-    comp = _rank2_composite(p)
-    L = comp.composite
-    datum = _theta_t_datum(comp, p)
-    res = classify(datum, depth=depth)
+    L = _rank2_composite(p)
+    res = classify(_theta_t_datum(L, p), depth=depth)
     fmodel = _generator_fmodel(L, res, _t_constant(L))
-    return Scenario(f"example_e2_p{p}", L, (datum,), (res,), fmodel)
+    return Scenario(L, (res,), fmodel)
 
 
 def kummer_mixed(p: int, depth: int = 12) -> Scenario:
@@ -150,7 +135,7 @@ def kummer_mixed(p: int, depth: int = 12) -> Scenario:
                                                       "one_unit"})),),
         constants={},
     )
-    return Scenario(f"kummer_mixed_p{p}", model, data, results, fmodel)
+    return Scenario(model, results, fmodel)
 
 
 SCENARIOS = {

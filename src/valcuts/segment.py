@@ -261,13 +261,18 @@ def from_json(group: GroupDescriptor, data: dict) -> Segment:
     def element(values):
         return group.element(*[Fraction(v) for v in values])
 
+    def subgroup(value):
+        if int(value) == 0:
+            raise ValueError("a cut at the whole group describes the empty set")
+        return ConvexSubgroup(group, int(value))
+
     direction = read("direction", Direction)
     kind = read("kind", str)
     if kind == CutKind.ELEMENT:
         return element_cut(read("gamma", element), closed=read("closed", bool, True),
                            direction=direction)
     if kind == CutKind.SUBGROUP:
-        return subgroup_cut(read("level", lambda v: ConvexSubgroup(group, int(v))),
+        return subgroup_cut(read("level", subgroup),
                             shift=read("shift", element, group.zero()),
                             closed=read("closed", bool, False), direction=direction)
     if kind == "seq":

@@ -41,3 +41,28 @@ def test_tracer_install_and_uninstall_restore_the_library(monkeypatch):
     finally:
         tracer.uninstall()
     assert _state(tracer) == before
+
+
+def test_each_workload_op_class_runs_against_the_library(monkeypatch):
+    """The first op of every (kind, class) pair runs without raising and checks out.
+
+    The benchmark builds its inputs through library names and keywords that
+    nothing else in the suite calls the same way, so deleting one fails here.
+    """
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    ops = importlib.import_module("ops")
+    worker = importlib.import_module("worker")
+    ran = 0
+    for name in ops.WORKLOADS:
+        workload = worker.Workload(name)
+        seen = set()
+        for round_ops in ops.rounds(name, 1, 2):
+            for op in round_ops:
+                if (op["kind"], op["cls"]) in seen:
+                    continue
+                seen.add((op["kind"], op["cls"]))
+                call, finish = workload.prepare(op)
+                _, err = finish(call())
+                assert err is None, (name, op["kind"], op["cls"], err)
+                ran += 1
+    assert ran == 18

@@ -151,7 +151,7 @@ class TestConfigs:
                                                    "start": 1}]}},
         }))
         code = main(["classify", "--config", str(bad)])
-        assert code == 1  # schema-clean but structurally invalid
+        assert code == 2  # schema-clean, but p is out of range
 
     def test_bad_config_exit_code(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -374,6 +374,20 @@ class TestInputContract:
         (["prescribe", "--rank", "0"], "--rank"),
         (["prescribe", "--rank", "3", "--select", "0"], "--select"),
         (["prescribe", "--rank", "3", "--select", "4"], "--select"),
+        (["abhyankar", "--p", "3317044064679887385961981"], "--p"),
+        (["classify", "--config", lambda tmp: write_extension(tmp, pattern(2, {
+            "gamma": ["-1"]}), p=4)], "group/p"),
+        (["classify", "--config", lambda tmp: write_extension(tmp, pattern(2, {
+            "gamma": ["-1"]}), p=3317044064679887385961981)], "group/p"),
+        (["classify", "--config", dict(pattern(2, {"gamma": ["-1"]}), degree=4)],
+         "extension/degree"),
+        (["classify", "--config", dict(pattern(2, {"gamma": ["-1"]}), degree=5)],
+         "extension/degree"),  # a defect extension has degree p
+        (["kaehler", "--config", dict(pattern(2, {"gamma": ["-1"]}), char=4)],
+         "extension/char"),
+        (["classify", "--config", lambda tmp: write_config(tmp, {
+            "direction": "final", "kind": "subgroup", "level": 0}, ("pdiv", "pdiv"))],
+         "level"),
     ])
     def test_bad_value_exits_2_naming_it(self, tmp_path, capsys, args, named):
         args = [write_extension(tmp_path, a) if isinstance(a, dict)

@@ -26,7 +26,7 @@ from valcuts.extension import (
     defectless_analyze,
     sigma_segment,
 )
-from valcuts.gpsfield import FieldModel, PatternSeries, Tail, compose_valuation
+from valcuts.gpsfield import FieldModel, PatternSeries, Tail
 from valcuts.ogroup import Component, ConvexSubgroup, GroupDescriptor
 from valcuts.residue import GF
 from valcuts.segment import (
@@ -46,12 +46,9 @@ def abhyankar_datum(p: int) -> DefectDatum:
                        base=m, degree=p, generator=abhyankar_root(m))
 
 
-def rank2_composite(p: int):
-    inner = perfect_model(p, name="K")
-    outer = FieldModel(name="K((x))^(1/p^inf)", char=p,
-                       value_group=GroupDescriptor((Component.PDIV,), p),
-                       residue=None, residue_name="K")
-    return compose_valuation(outer, inner)
+def rank2_composite(p: int) -> FieldModel:
+    """K((x))^(1/p^inf) composed with the valuation of its residue field K."""
+    return perfect_model(p, rank=2, name="K((x))^(1/p^inf) o K")
 
 
 class TestSigmaSegment:
@@ -63,8 +60,7 @@ class TestSigmaSegment:
         assert approach.schedule[0] == approach.segment.group.element(Fraction(-1, p))
 
     def test_rank2_coarse_witness(self):
-        comp = rank2_composite(2)
-        L = comp.composite
+        L = rank2_composite(2)
         theta_x = PatternSeries(L, L.zero(),
                                 (Tail(L.residue.one(), L.value_group.element(-1, 0), 1),))
         datum = DefectDatum(name="theta_x", kind=ExtensionKind.AS_DEFECT,
@@ -124,9 +120,14 @@ class TestClassify:
         assert res.H_E.is_trivial
         assert res.certificate["criteria"] == {"ideal_route": True, "segment_route": True}
 
+    def test_degree_is_the_residue_characteristic(self):
+        m = perfect_model(3)
+        with pytest.raises(StructuralError, match="residue characteristic"):
+            DefectDatum(name="deg5", kind=ExtensionKind.AS_DEFECT, base=m, degree=5,
+                        generator=abhyankar_root(m))
+
     def test_rank2_theta_x_independent_at_level1(self):
-        comp = rank2_composite(3)
-        L = comp.composite
+        L = rank2_composite(3)
         theta_x = PatternSeries(L, L.zero(),
                                 (Tail(L.residue.one(), L.value_group.element(-1, 0), 1),))
         res = classify(DefectDatum(name="theta_x", kind=ExtensionKind.AS_DEFECT,
@@ -135,9 +136,9 @@ class TestClassify:
         assert res.H_E.level == 1
 
     def test_rank2_theta_t_independent_at_trivial(self):
-        comp = rank2_composite(3)
-        L = comp.composite
-        theta_t = comp.lift_pattern(abhyankar_root(comp.inner))
+        L = rank2_composite(3)
+        theta_t = PatternSeries(L, L.zero(),
+                                (Tail(L.residue.one(), L.value_group.element(0, -1), 1),))
         res = classify(DefectDatum(name="theta_t", kind=ExtensionKind.AS_DEFECT,
                                    base=L, degree=3, generator=theta_t))
         assert res.kind is DefectKind.INDEPENDENT

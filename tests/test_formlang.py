@@ -16,7 +16,6 @@ from valcuts.formlang import (
     Add,
     Approximant,
     BinOp,
-    Budget,
     DeclaredValue,
     Domain,
     EqAtom,
@@ -50,6 +49,7 @@ from valcuts.scenarios import (
     perfect_series_model,
     series_samples,
 )
+from valcuts.segment import Direction, seq_cut
 
 
 NAMES = st.sampled_from(["b", "c", "x", "t", "theta", "eta", "p", "zeta_p"])
@@ -193,16 +193,14 @@ class TestEvaluation:
         # every candidate satisfies the body, but a finite pool cannot close
         # a universal claim over an infinite domain
         sc = abhyankar(2)
-        res = evaluate("forall c in K : inK(c + c)", sc.fmodel,
-                       budget=Budget(max_candidates=10))
+        res = evaluate("forall c in K : inK(c + c)", sc.fmodel)
         assert res.value is Truth.UNKNOWN
         assert res.mode == "bounded"
         assert res.candidates_used > 0
 
     def test_bounded_forall_refuted_by_counterexample(self):
         sc = abhyankar(2)
-        res = evaluate("forall c in K : v(c * c) >= v(c)", sc.fmodel,
-                       budget=Budget(max_candidates=10))
+        res = evaluate("forall c in K : v(c * c) >= v(c)", sc.fmodel)
         assert res.value is Truth.FALSE  # any c of negative value refutes it
         assert res.witness is not None
 
@@ -211,23 +209,6 @@ class TestEvaluation:
         res = evaluate("exists c in K : v(c) = 2", sc.fmodel)
         assert res.value is Truth.TRUE
         assert res.mode == "bounded" and res.witness is not None
-
-    def test_kleene_monotone_under_budget(self):
-        sc = abhyankar(2)
-        texts = [
-            "exists c in K : v(c) = 2",
-            "forall c in K : v(c * c) >= v(c)",
-            "exists c in K : v(c) = 2 or v(b) < 0",
-            "not (exists c in K : v(c) = 3)",
-        ]
-        b = sc.model.one()
-        for text in texts:
-            small = evaluate(text, sc.fmodel, bindings={"b": b},
-                             budget=Budget(max_candidates=2, schedule_depth=1))
-            big = evaluate(text, sc.fmodel, bindings={"b": b},
-                           budget=Budget(max_candidates=128, schedule_depth=12))
-            if small.value is not Truth.UNKNOWN:
-                assert small.value == big.value
 
     def test_oracle_agrees_with_bounded_witnesses(self):
         # where the oracle says TRUE for an existential, explicit approximants
@@ -300,6 +281,20 @@ class TestEvaluation:
         res = evaluate("forall theta in K : v(theta - theta) >= 0", abhyankar(2).fmodel)
         assert res.value is not Truth.FALSE and res.mode == "bounded"
 
+    def test_kummer_power_difference_below_zeta(self):
+        # with every v(eta - c) < v(zeta_p - 1), each factor eta - zeta^i c of
+        # eta^p - c^p has value v(eta - c), so v(eta^p - c^p) = p * v(eta - c)
+        sc = kummer_mixed(3)
+        g = sc.model.value_group
+        eta = sc.fmodel.immediates[0]
+        below_half = seq_cut(g.element(Fraction(1, 2)), g.element(2), start=1,
+                             direction=Direction.INITIAL)   # {a < 1/2}
+        fm = replace(sc.fmodel, immediates=(replace(eta, segment=below_half),))
+        for text, want in (("exists c in K : v(eta^p - c^p) >= 2", Truth.FALSE),
+                           ("forall c in K : v(eta^p - c^p) < 3/2", Truth.TRUE)):
+            res = evaluate(text, fm)
+            assert (res.value, res.mode) == (want, "oracle"), text
+
     def test_approximants_of_a_late_tail(self):
         # theta = sum_{i>=3} t^(-1/2^i): the schedule starts at -1/8 and the
         # approximant b_k = partial_sum(k) is 0 for k < 3, so v(theta - b_k)
@@ -328,33 +323,30 @@ SQUARE_FORMULAS = (
 
 
 class TestCandidatePool:
-    """Each formula model builds one bounded candidate pool per budget."""
+    """Each formula model builds one bounded candidate pool."""
 
     @staticmethod
-    def outcomes(fmodel, budget, samples):
-        return [evaluate(text, fmodel, bindings={"b": b}, budget=budget).to_json()
+    def outcomes(fmodel, samples):
+        return [evaluate(text, fmodel, bindings={"b": b}).to_json()
                 for text in SQUARE_FORMULAS for _, b, _ in samples]
 
     def test_reused_pool_gives_fresh_results(self):
         shared = example_e1(2).fmodel
         samples = series_samples(shared.model, 4, 3)
-        budgets = (Budget(max_candidates=2, schedule_depth=1), Budget(),
-                   Budget(max_candidates=128, schedule_depth=12), Budget())
-        for budget in budgets:
+        for _ in range(2):
             fresh = example_e1(2).fmodel
-            assert (self.outcomes(shared, budget, samples)
-                    == self.outcomes(fresh, budget, samples))
-            assert shared.candidates(budget) is shared.candidates(budget)
-        assert [len(shared.candidates(b)) for b in budgets] == [2, 44, 44, 44]
+            assert self.outcomes(shared, samples) == self.outcomes(fresh, samples)
+            assert shared.candidates is shared.candidates
+        assert len(shared.candidates) == 44
 
     def test_models_do_not_share_a_pool(self):
         a = example_e1(2).fmodel
-        pool = a.candidates(Budget())
+        pool = a.candidates
         for other in (example_e1(2).fmodel, replace(a), abhyankar(2).fmodel):
-            own = other.candidates(Budget())
+            own = other.candidates
             assert own is not pool
             assert dict(own)["0"].model == other.model
-        assert a.candidates(Budget()) is pool
+        assert a.candidates is pool
 
     def test_check_definition_batch_matches_fresh_evaluation(self):
         sc = example_e1(2)

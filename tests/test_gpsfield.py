@@ -1,4 +1,4 @@
-"""Series arithmetic, pattern tails, exact valuations, composition."""
+"""Series arithmetic, pattern tails, exact valuations."""
 
 from __future__ import annotations
 
@@ -15,7 +15,6 @@ from valcuts.gpsfield import (
     SeriesElement,
     Tail,
     approach_segment,
-    compose_valuation,
     parse_element,
     val_diff,
 )
@@ -125,8 +124,7 @@ class TestSeriesArithmetic:
 
     def test_exponent_constraint_enforced(self):
         g = GroupDescriptor((Component.INT,), 2)
-        m = FieldModel(name="F2((t))", char=2, value_group=g, residue=GF(2),
-                       perfect_hull=False)
+        m = FieldModel(name="F2((t))", char=2, value_group=g, residue=GF(2))
         with pytest.raises(StructuralError):
             m.monomial(1, g.element(Fraction(1, 2)))
 
@@ -385,41 +383,3 @@ class TestApproachSegment:
             approach_segment(bad, m)
         with pytest.raises(StructuralError):  # its support has no least term
             val_diff(bad, m.zero())
-
-
-class TestComposition:
-    def make_pair(self, p: int):
-        inner = perfect_model(p, name="K")
-        outer = FieldModel(name="K((x))^(1/p^inf)", char=p,
-                           value_group=GroupDescriptor((Component.PDIV,), p),
-                           residue=None, residue_name="K")
-        return outer, inner
-
-    def test_composite_group_and_coarsening(self):
-        outer, inner = self.make_pair(2)
-        comp = compose_valuation(outer, inner)
-        assert comp.composite.value_group.rank == 2
-
-    def test_residue_mismatch_rejected(self):
-        outer, inner = self.make_pair(2)
-        other = perfect_model(2, name="Kprime")
-        with pytest.raises(StructuralError):
-            compose_valuation(outer, other)
-
-    def test_trivial_inner_identity(self):
-        m = perfect_model(3)
-        comp = compose_valuation(m, None)
-        assert comp.composite is m
-        theta = abhyankar_root(m)
-        assert comp.lift_pattern(theta) is theta
-
-    def test_lift_pattern_matches_direct_construction(self):
-        outer, inner = self.make_pair(2)
-        comp = compose_valuation(outer, inner)
-        theta_t = abhyankar_root(inner)
-        lifted = comp.lift_pattern(theta_t)
-        direct = PatternSeries(
-            comp.composite, comp.composite.zero(),
-            (Tail(comp.composite.residue.one(),
-                  comp.composite.value_group.element(0, -1), 1),))
-        assert lifted == direct

@@ -18,6 +18,7 @@ from valcuts.ogroup import (
     archimedean_class_subgroups,
     compare,
     convex_subgroups,
+    is_prime,
     quotient_has_smallest_positive,
 )
 from valcuts.residue import GF
@@ -53,6 +54,26 @@ class TestDescriptor:
     def test_prime_must_be_prime(self):
         with pytest.raises(StructuralError):
             GroupDescriptor((Component.PDIV,), 6)
+
+    def test_is_prime_matches_trial_division(self):
+        def trial(n):
+            return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+        assert [n for n in range(20000) if is_prime(n)] == [
+            n for n in range(20000) if trial(n)]
+
+    @pytest.mark.parametrize("n,prime", [
+        (3215031751, False),                # strong pseudoprime to bases 2, 3, 5, 7
+        (318665857834031151167461, False),  # strong pseudoprime to bases 2..37
+        (2**61 - 1, True),
+    ])
+    def test_is_prime_past_small_witness_sets(self, n, prime):
+        assert is_prime(n) is prime
+
+    def test_is_prime_rejects_past_its_bound(self):
+        # a strong pseudoprime to all 13 bases 2..41: the test cannot decide it
+        with pytest.raises(StructuralError, match="too large"):
+            is_prime(3317044064679887385961981)
 
     def test_component_constraints(self):
         g = GroupDescriptor((Component.INT, Component.PDIV, Component.RAT), 2)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -15,7 +16,14 @@ from valcuts.errors import (
     StructuralError,
     UnsupportedDensityError,
 )
-from valcuts.ogroup import Component, ConvexSubgroup, GroupDescriptor, Position, position
+from valcuts.ogroup import (
+    Component,
+    ConvexSubgroup,
+    GroupDescriptor,
+    Position,
+    position,
+    quotient_has_smallest_positive,
+)
 from valcuts.segment import (
     CutKind,
     Direction,
@@ -392,6 +400,16 @@ class TestIdeals:
         mp = IdealDescriptor(subgroup_cut(ConvexSubgroup(ZP2, 1), closed=False))
         assert mp.is_principal_over(ConvexSubgroup(ZP2, 1)) is False
         assert mp.is_principal_over(ConvexSubgroup(ZP2, 2)) is False
+        # on canonical cuts, {a > H} is principal over H exactly when G/H has a
+        # smallest positive element; classification relies on this
+        for rank in (1, 2, 3):
+            for kinds in itertools.product(Component, repeat=rank):
+                G = GroupDescriptor(kinds, 2)
+                for level in range(1, rank + 1):
+                    H = ConvexSubgroup(G, level)
+                    m = IdealDescriptor(subgroup_cut(H, closed=False))
+                    assert (m.is_principal_over(H)
+                            == quotient_has_smallest_positive(G, H)), (kinds, level)
 
     def test_coarsening_value_set(self):
         h1 = ConvexSubgroup(ZP2, 1)
@@ -414,6 +432,7 @@ class TestIdeals:
         ({"direction": "final", "kind": "subgroup", "level": 2}, "level"),
         ({"direction": "final", "kind": "element", "gamma": ["1/3"]}, "gamma"),
         ({"direction": "final", "kind": "element", "gamma": [float("inf")]}, "gamma"),
+        ({"direction": "final", "kind": "subgroup", "level": 0}, "level"),
     ])
     def test_json_malformed_field_named(self, data, field):
         with pytest.raises(ConfigError) as err:
