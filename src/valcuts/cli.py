@@ -214,6 +214,10 @@ def datum_from_config(config: dict):
     ext = config["extension"]
     kind = ext["kind"]
     label = config.get("label", "configured")
+    residue_char = ext.get("residue_char", 0)
+    if residue_char and not _checked("extension/residue_char", is_prime, residue_char):
+        raise ConfigError(f"extension/residue_char: {residue_char} is neither 0 nor prime",
+                          fields=["extension/residue_char"])
     if not _checked("extension/degree", is_prime, ext["degree"]):
         raise ConfigError(f"extension/degree: {ext['degree']} is not prime",
                           fields=["extension/degree"])

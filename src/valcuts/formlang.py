@@ -31,7 +31,7 @@ import re
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import cached_property, lru_cache, reduce
 from itertools import islice
 
 from .errors import (
@@ -370,6 +370,12 @@ class _Parser:
 
 
 def parse(text: str):
+    return _parse_text(text)
+
+
+@lru_cache(maxsize=256)
+def _parse_text(text: str):
+    # the AST is immutable, so one parse of a text serves every evaluation
     p = _Parser(text)
     out = p.formula()
     tok = p.next()
@@ -533,8 +539,18 @@ class FormulaModel:
 
         The pool depends only on the model, so it is built once and shared by
         every evaluation; a copy made with dataclasses.replace builds its own.
+        Each candidate-only valuation is likewise computed once per model
+        (candidate_valuations).
         """
         return tuple(islice(self._witnesses(), _MAX_CANDIDATES))
+
+    @cached_property
+    def candidate_valuations(self) -> dict:
+        """v(term), or the EvaluationUnsupported it raised, keyed by (term,
+        quantified variable, pool index) for a term whose only other names are
+        the model's own, so that value is computed once per model and candidate.
+        """
+        return {}
 
     def _witnesses(self):
         for im in self.immediates:
@@ -576,6 +592,7 @@ class _Evaluator:
         self.bounded_used = False
         self.candidates_used = 0
         self.witness: str | None = None
+        self.pooled: dict[str, int] = {}   # quantified variable -> pool index it holds
 
     # -- term carriers ------------------------------------------------
 
@@ -727,11 +744,32 @@ class _Evaluator:
                 raise EvaluationUnsupported(
                     "nonzero rational constants need a rank-1 value group")
             return self.fm.group.element(v.value)
-        val = self.term_valuation(v.term)
+        val = self._valuation_of(v.term)
         if v.negated:
             if val is INF:
                 raise EvaluationUnsupported("-v(0) has no value")
             return -val
+        return val
+
+    def _valuation_of(self, t):
+        """term_valuation(t), read from the model's cache when t names one pool
+        candidate and, apart from it, only the model's own names."""
+        names = _term_names(t) if self.pooled else frozenset()
+        held = self.pooled.keys() & names
+        if len(held) != 1 or any(name in self.bindings for name in names - held):
+            return self.term_valuation(t)
+        (var,) = held
+        cache = self.fm.candidate_valuations
+        key = (t, var, self.pooled[var])
+        val = cache.get(key)
+        if val is None:
+            try:
+                val = self.term_valuation(t)
+            except EvaluationUnsupported as exc:
+                val = exc
+            cache[key] = val
+        if isinstance(val, EvaluationUnsupported):
+            raise val.with_traceback(None)   # drop the frames of an earlier raise
         return val
 
     def eval_atom(self, atom) -> Truth:
@@ -811,11 +849,17 @@ class _Evaluator:
             return _kleene_or(self.eval(f.left).negated(), self.eval(f.right))
         return self.eval_atom(f)
 
-    def _eval_with(self, var: str, value, body) -> Truth:
-        """body with var bound to value; an outer binding of var comes back after."""
+    def _eval_with(self, var: str, value, body, index: int | None = None) -> Truth:
+        """body with var bound to value, pool candidate `index` if given; an
+        outer binding of var comes back after."""
         outer, self.bindings = self.bindings, {**self.bindings, var: value}
+        pooled = self.pooled
+        if index is not None:
+            self.pooled = {**pooled, var: index}
+        elif var in pooled:
+            self.pooled = {name: i for name, i in pooled.items() if name != var}
         result = self.eval(body)
-        self.bindings = outer
+        self.bindings, self.pooled = outer, pooled
         return result
 
     def eval_quant(self, q: Quant) -> Truth:
@@ -984,9 +1028,9 @@ class _Evaluator:
     # bounded fallback: enumerate candidate witnesses
     def _bounded(self, q: Quant) -> Truth:
         self.bounded_used = True
-        for label, cand in self.fm.candidates:
+        for index, (label, cand) in enumerate(self.fm.candidates):
             self.candidates_used += 1
-            r = self._eval_with(q.var, cand, q.body)
+            r = self._eval_with(q.var, cand, q.body, index)
             if q.kind == "exists" and r is Truth.TRUE:
                 self.witness = label
                 return Truth.TRUE
@@ -1079,6 +1123,11 @@ def free_variables(node, bound=frozenset()) -> frozenset:
     if isinstance(node, Quant):
         return free_variables(node.body, bound | {node.var})
     return frozenset()
+
+
+@lru_cache(maxsize=1024)
+def _term_names(t) -> frozenset:
+    return free_variables(t)
 
 
 def evaluate(phi, fmodel: FormulaModel, bindings: dict | None = None) -> EvalResult:

@@ -400,6 +400,24 @@ class TestInputContract:
         err = capsys.readouterr().err
         assert "error:" in err and named in err
 
+    @staticmethod
+    def residue_char_4(tmp_path, capsys, config_name):
+        config = json.loads((CONFIGS / config_name).read_text())
+        config["extension"]["residue_char"] = 4
+        path = write_text(tmp_path, json.dumps(config))
+        assert main(["classify", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert "error: extension/residue_char: 4 is neither 0 nor prime" in err
+        return err
+
+    def test_residue_char_not_prime_on_a_defectless_config(self, tmp_path, capsys):
+        # read as tame before, because 4 never equals the prime degree
+        self.residue_char_4(tmp_path, capsys, "defectless-dense.json")
+
+    def test_residue_char_checked_before_the_degree(self, tmp_path, capsys):
+        err = self.residue_char_4(tmp_path, capsys, "mixed-schedule-p5.json")
+        assert "extension/degree" not in err
+
     @pytest.mark.parametrize("args", [
         ["classify", "--config", str(CONFIGS / "abhyankar-p3.json"), "--p", "7"],
         ["kaehler", "--config", str(CONFIGS / "abhyankar-p3.json"), "--seed", "9"],

@@ -34,8 +34,10 @@ from valcuts.formlang import (
     ValAtom,
     Var,
     VOf,
+    _Evaluator,
     check_definition,
     evaluate,
+    free_variables,
     membership,
     parse,
     print_formula,
@@ -44,6 +46,7 @@ from valcuts.gpsfield import INF, PatternSeries, Tail, approach_segment, val_dif
 from valcuts.ogroup import ConvexSubgroup
 from valcuts.scenarios import (
     abhyankar,
+    declared_samples,
     example_e1,
     kummer_mixed,
     perfect_series_model,
@@ -315,11 +318,15 @@ class TestEvaluation:
         assert res.value is not Truth.FALSE, res.witness
 
 
+# the bounded formulas of the definability benchmark, and one with nested
+# bounded quantifiers
 SQUARE_FORMULAS = (
     "forall c in K : v(theta - c*c) < v(b)",
     "exists c in K : v(theta - c*c) >= v(b)",
+    "forall c in K : v(theta - c*c) < v(b*t)",
     "exists c in K : v(theta - c*c) >= v(b*t)",
 )
+NESTED_FORMULA = "forall d in K : exists c in K : v(theta - c*c) >= v(d)"
 
 
 class TestCandidatePool:
@@ -364,6 +371,101 @@ class TestCandidatePool:
         assert [d["sample"] for d in rep.disagreements] == [
             label for (label, _, _), got, want in zip(samples, verdicts, wants)
             if got is not Truth.UNKNOWN and (got is Truth.TRUE) != want]
+
+
+class TestCandidateValuations:
+    """Bounded enumeration computes each candidate-only valuation once per model."""
+
+    @staticmethod
+    def calls(fmodel):
+        samples = series_samples(fmodel.model, 4, 7)
+        calls = [(text, {"b": b}) for text in SQUARE_FORMULAS for _, b, _ in samples]
+        calls.append((NESTED_FORMULA, {}))
+        # the inner c is an element of L\K, not the candidate the outer c holds
+        calls += [("exists c in K : v(c) < -5 or (exists c in L\\K : v(c - t) > 0)", {}),
+                  ("forall c in K : v(c - t) < 0", {})]
+        # theta bound by the caller hides the model's theta
+        calls += [(text, {"theta": samples[1][1], "b": samples[2][1]})
+                  for text in SQUARE_FORMULAS[:2]]
+        return calls
+
+    @pytest.mark.parametrize("build", [abhyankar, example_e1])
+    def test_cache_never_changes_an_answer(self, build):
+        shared = build(2).fmodel
+        calls = self.calls(shared)
+        for _ in range(2):   # the second pass reads a warm cache throughout
+            for text, bindings in calls:
+                warm = evaluate(text, shared, bindings=bindings).to_json()
+                cold = evaluate(text, replace(shared), bindings=bindings).to_json()
+                for key, value in cold.items():
+                    assert warm[key] == value, (text, sorted(bindings), key)
+        cache = shared.candidate_valuations
+        assert cache and replace(shared).candidate_valuations == {}
+        per_term: dict = {}
+        for term, _var, _index in cache:
+            per_term[term] = per_term.get(term, 0) + 1
+        assert max(per_term.values()) <= len(shared.candidates)
+        assert all("b" not in free_variables(term) for term in per_term)
+
+    def test_nested_quantifiers_share_the_inner_values(self):
+        fm = example_e1(2).fmodel
+        res = evaluate(NESTED_FORMULA, fm)
+        cache = fm.candidate_valuations
+        inner = [key for key in cache if key[1] == "c"]
+        outer = [key for key in cache if key[1] == "d"]
+        assert len(inner) <= len(fm.candidates) and len(outer) <= len(fm.candidates)
+        assert res.to_json() == evaluate(NESTED_FORMULA, fm).to_json()
+
+    def test_no_entry_for_a_name_the_caller_binds(self):
+        fm = abhyankar(2).fmodel
+        b = fm.model.one()
+        evaluate(SQUARE_FORMULAS[0], fm, bindings={"theta": b, "b": b})
+        assert fm.candidate_valuations == {}
+        evaluate("exists x in L\\K : forall c in K : v(x - c*c) < v(b)", fm,
+                 bindings={"b": b})
+        assert fm.candidate_valuations == {}   # x is bound to an element of L\K
+
+
+class TestForcedBoundedAgreesWithOracle:
+    """Bounded enumeration, forced by an oracle that declines every quantifier,
+    gives the oracle's answer wherever both decide.
+
+    The five definitions on their scenarios (as in the definability benchmark)
+    on 20 seeded samples each make 140 pairs.  Bounded enumeration decides 64
+    of them (46%); the oracle decides all 140.  On kummer-mixed, with value-only
+    samples and approximants without carriers, bounded enumeration decides 11
+    of 40, all of them ram-ideal-kummer.
+    """
+
+    TARGETS = (
+        (abhyankar, 2, ("ram-ideal-as", "max-ideal", "coarse-ring-as")),
+        (example_e1, 2, ("ram-ideal-as", "max-ideal")),
+        (kummer_mixed, 3, ("ram-ideal-kummer", "coarse-ring-kummer")),
+    )
+
+    def test_forced_bounded_matches_the_oracle(self, monkeypatch):
+        pairs = decided = 0
+        for build, p, names in self.TARGETS:
+            sc = build(p)
+            fm = sc.fmodel
+            samples = (series_samples(sc.model, 20, 29) if sc.model.series_capable
+                       else declared_samples(sc.model.value_group, 20, 29))
+            oracle = {(name, label): evaluate(DEFINITIONS[name], fm, bindings={"b": b})
+                      for name in names for label, b, _ in samples}
+            with monkeypatch.context() as patch:
+                patch.setattr(_Evaluator, "_oracle", lambda self, q: None)
+                for name in names:
+                    for label, b, _ in samples:
+                        cold = evaluate(DEFINITIONS[name], replace(fm), bindings={"b": b})
+                        warm = evaluate(DEFINITIONS[name], fm, bindings={"b": b})
+                        assert cold == warm, (name, label)
+                        want = oracle[name, label]
+                        assert want.mode == "oracle"
+                        pairs += 1
+                        if cold.value is not Truth.UNKNOWN:
+                            decided += 1
+                            assert cold.value is want.value, (name, label)
+        assert (pairs, decided) == (140, 64)
 
 
 class TestSamples:
