@@ -27,8 +27,9 @@ c-free factors.  Everything else falls back to bounded witness enumeration
 
 from __future__ import annotations
 
+import operator
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
@@ -43,6 +44,7 @@ from .errors import (
 from .gpsfield import INF, FieldModel, PatternSeries, SeriesElement, val_diff
 from .ogroup import ConvexSubgroup, GroupElement, Position, position
 from .segment import (
+    CutKind,
     Direction,
     IdealDescriptor,
     Segment,
@@ -51,6 +53,7 @@ from .segment import (
     is_subset,
     negate,
     scale_int,
+    shift,
 )
 
 # --------------------------------------------------------------------------
@@ -883,21 +886,37 @@ class _Evaluator:
             return self.eval(body)  # constant body over a nonempty domain
         if self._declared(q.var) or q.var in _BUILTINS:
             return None  # the shapes read names, and q.var hides an outer one
-        if isinstance(body, BinOp) and body.op == "and":
-            for guard, rest in ((body.left, body.right), (body.right, body.left)):
-                if q.var not in free_variables(guard):
-                    inner = self._oracle(Quant(q.kind, q.var, q.domain, rest))
-                    if inner is None:
-                        return None
-                    return _kleene_and(self.eval(guard), inner)
+        if isinstance(body, BinOp):
+            split = _split_guard(q)
+            if split is None:
+                return None
+            guard, rest = split
+            inner = self._oracle(rest)
+            if inner is None:
+                return None
+            if body.op == "and":
+                return _kleene_and(self.eval(guard), inner)
+            return _kleene_or(self.eval(guard).negated(), inner)
+        shape = self._shape(q)
+        if shape is None:
             return None
-        if isinstance(body, BinOp) and body.op == "->":
-            if q.var not in free_variables(body.left):
-                inner = self._oracle(Quant(q.kind, q.var, q.domain, body.right))
-                if inner is None:
-                    return None
-                return _kleene_or(self.eval(body.left).negated(), inner)
+        cside, rel, other, decomposed = shape
+        try:
+            w = self.vexpr_value(other)
+        except EvaluationUnsupported:
             return None
+        if w is INF:
+            return Truth.of(rel in ("<", "<="))  # the c side is always finite
+        values = _values_cut(decomposed, cside.negated, q.kind, rel)
+        if values is None:
+            return None
+        return Truth.of(_holds(values, w))
+
+    def _shape(self, q: Quant):
+        """(c side, relation, other side, decomposition) when the body of the K
+        quantifier q is an atom `±v(term) REL other` with term of a recognized
+        shape in q.var and other free of it; the relation reads c side first."""
+        body = q.body
         if not isinstance(body, ValAtom):
             return None
         mentions_left = q.var in free_variables(body.left)
@@ -909,34 +928,60 @@ class _Evaluator:
         decomposed = self._decompose(cside.term, q.var)
         if decomposed is None:
             return None
-        seg, mult, off, exp, w_extra = decomposed
-        try:
-            w = self.vexpr_value(other)
-        except EvaluationUnsupported:
+        return cside, rel, other, decomposed
+
+    # -- value sets: the values of v(var) at which a formula holds ----------
+
+    def values(self, f, var: str):
+        """The finite w at which f holds when v(var) = w: a Segment, or
+        True/False for every w or none.  None when var occurs other than as
+        v(var)/-v(var) against a K quantifier's shape, or a quantifier is
+        outside the shapes; var is unbound here."""
+        if var not in free_variables(f):
+            truth = self.eval(f)   # evaluated once for every value of var
+            return None if truth is Truth.UNKNOWN else truth is Truth.TRUE
+        if not isinstance(f, Quant) or f.domain is Domain.L:
             return None
-        # atom: sign * (w_extra + exp * (mult * s + off)) REL w over s in seg
-        if w is INF:
-            return Truth.of(rel in ("<", "<="))  # the c side is always finite
-        sign = -1 if cside.negated else 1
-        if sign < 0:
-            rel = _flip_rel(rel)
-        rhs = (w * sign) - w_extra - (off * exp)
-        k = exp * mult
-        if k < 0:
-            rel = _flip_rel(rel)
-            rhs = -rhs
-            k = -k
-        try:
-            scaled = scale_int(seg, k)
-        except UnsupportedDensityError:
+        if f.domain is Domain.L_MINUS_K:
+            if not self.fm.immediates:
+                return None
+            found = [_Evaluator(self.fm, {**self.bindings, f.var: im}).values(f.body, var)
+                     for im in self.fm.immediates]
+            return reduce(lambda a, b: _merge(a, b, union=f.kind == "exists"), found)
+        body = f.body
+        if f.var not in free_variables(body):
+            return self.values(body, var)
+        if self._declared(f.var) or f.var in _BUILTINS:
             return None
-        return _decide(scaled, q.kind, rel, rhs)
+        if isinstance(body, BinOp):
+            split = _split_guard(f)
+            if split is None:
+                return None
+            guard, rest = split
+            inner = self.values(rest, var)
+            guard_holds = self.values(guard, var)
+            if inner is None or not isinstance(guard_holds, bool):
+                return None
+            if guard_holds:
+                return inner
+            return body.op == "->"   # a false guard: `and` fails, `->` holds
+        shape = self._shape(f)
+        if shape is None:
+            return None
+        cside, rel, other, decomposed = shape
+        if (not isinstance(other, VOf) or other.term != Var(var)
+                or var in free_variables(cside)):
+            return None
+        values = _values_cut(decomposed, cside.negated, f.kind, rel)
+        if values is None or isinstance(values, bool) or not other.negated:
+            return values
+        return negate(values)   # the set of -w for w = v(var)
 
     def _decompose(self, term, var):
-        """Split v(term) into (segment, mult, offset, factor exponent, cofactor value).
+        """Split v(term) into (segment, mult, factor exponent, cofactor value).
 
-        v(term) = cofactors + e * (mult * s + offset) with s ranging over the
-        segment; e is the integer exponent the c-bearing factor carries."""
+        v(term) = cofactors + e * mult * s with s ranging over the segment; e
+        is the integer exponent the c-bearing factor carries."""
         factors = _flatten_factors(term)
         with_var = [(f, e) for f, e in factors if var in free_variables(f)]
         if len(with_var) != 1:
@@ -945,7 +990,7 @@ class _Evaluator:
         shape = self._match_shape(fvar, var)
         if shape is None:
             return None
-        seg, mult, off = shape
+        seg, mult = shape
         w_extra = self.fm.group.zero()
         try:
             for f, ee in factors:
@@ -957,7 +1002,7 @@ class _Evaluator:
                 w_extra = w_extra + v * ee
         except EvaluationUnsupported:
             return None
-        return seg, mult, off, e, w_extra
+        return seg, mult, e, w_extra
 
     def _canon(self, t):
         """Exponent tokens equal to the prime are normalized to the symbol p."""
@@ -977,7 +1022,7 @@ class _Evaluator:
             for x_t, c_t in ((pos_t, neg_t), (neg_t, pos_t)):
                 im = self._immediate_of(x_t)
                 if im is not None and c_t == Var(var):
-                    return im.segment, 1, self.fm.group.zero()
+                    return im.segment, 1
             for x_t, c_t in ((pos_t, neg_t), (neg_t, pos_t)):
                 im = self._immediate_of_pow(x_t)
                 if im is not None and c_t == Pow(Var(var), "p"):
@@ -992,7 +1037,7 @@ class _Evaluator:
                     # v(x^p - c^p) = p * v(x - c)
                     if not _initial_below(im.segment, vzeta):
                         return None
-                    return im.segment, self.fm.prime, self.fm.group.zero()
+                    return im.segment, self.fm.prime
             return None
         if len(terms) == 4:
             sgn: dict = {}
@@ -1011,7 +1056,7 @@ class _Evaluator:
                     # v(y^p - y) = p * v(y) needs every v(x - c) negative
                     if not _initial_below(xv.segment, self.fm.group.zero()):
                         return None
-                    return xv.segment, self.fm.prime, self.fm.group.zero()
+                    return xv.segment, self.fm.prime
         return None
 
     def _immediate_of(self, t):
@@ -1079,6 +1124,10 @@ def _initial_below(seg: Segment, bound: GroupElement) -> bool:
                                                      direction=Direction.INITIAL)))
 
 
+_RELATIONS = {"<": operator.lt, "<=": operator.le, "=": operator.eq,
+              ">=": operator.ge, ">": operator.gt}
+
+
 def _compare_values(a, b, rel: str) -> bool:
     if a is INF or b is INF:
         if rel == "=":
@@ -1086,26 +1135,104 @@ def _compare_values(a, b, rel: str) -> bool:
         if rel in ("<", "<="):
             return (b is INF) and (a is not INF or rel == "<=")
         return (a is INF) and (b is not INF or rel == ">=")
-    return {"<": a < b, "<=": a <= b, "=": a == b, ">=": a >= b, ">": a > b}[rel]
+    return _RELATIONS[rel](a, b)
 
 
-def _decide(seg: Segment, quant: str, rel: str, w) -> Truth:
-    """Exact answer to (exists|forall) s in seg: s REL w, for an initial segment."""
-    member = contains(seg, w)
-    at_max = seg == element_cut(w, direction=seg.direction)
-    if quant == "exists":
-        if rel == ">=":
-            return Truth.of(member)
-        if rel == ">":
-            return Truth.of(member and not at_max)
+def _split_guard(q: Quant):
+    """(guard, q') for a body `guard and rest`, `rest and guard` or
+    `guard -> rest` whose guard does not name q.var; q' quantifies rest."""
+    body = q.body
+    if body.op == "and":
+        pairs = ((body.left, body.right), (body.right, body.left))
+    elif body.op == "->":
+        pairs = ((body.left, body.right),)
+    else:
+        return None
+    for guard, rest in pairs:
+        if q.var not in free_variables(guard):
+            return guard, Quant(q.kind, q.var, q.domain, rest)
+    return None
+
+
+def _values_cut(decomposed, negated: bool, quant: str, rel: str):
+    """The finite w for which `quant c in K : cside REL w` holds, where cside is
+    v(term), or -v(term) when negated, and `decomposed` is _decompose(term):
+    a Segment, True/False for every w or none, or None when no cut is it."""
+    seg, mult, exp, w_extra = decomposed
+    # cside = sign * (w_extra + k * s) over s in seg, so the atom reads
+    # k * s REL r with r = sign * w - w_extra once the sign is moved over
+    sign = -1 if negated else 1
+    if sign < 0:
+        rel = _flip_rel(rel)
+    k = exp * mult
+    if k == 0:
+        # a zeroth power: the c side is w_extra for every c; the atom reads 0 REL r
         if rel == "=":
-            return Truth.of(member)
-        return Truth.TRUE  # <= and <: initial segments are unbounded below
+            return None   # the single point r = 0 is no cut
+        cut = element_cut(w_extra.group.zero(), closed=rel in ("<=", ">="),
+                          direction=Direction.FINAL if rel in ("<", "<=")
+                          else Direction.INITIAL)
+    else:
+        if k < 0:
+            rel = _flip_rel(rel)
+        try:
+            cut = _decide(scale_int(seg, abs(k)), quant, rel)
+        except UnsupportedDensityError:
+            return None
+        if isinstance(cut, bool):
+            return cut
+        if k < 0:
+            cut = negate(cut)   # the set was of -r
+    if not w_extra.is_zero:
+        cut = shift(cut, w_extra)   # the set of sign * w
+    return negate(cut) if sign < 0 else cut
+
+
+def _decide(seg: Segment, quant: str, rel: str):
+    """The r with (quant s in seg : s REL r), for an initial segment seg: a
+    Segment, or True/False for every r or none."""
+    if quant == "exists":
+        if rel in (">=", "="):
+            return seg
+        if rel == ">":
+            return _without_max(seg)
+        return True    # <= and <: initial segments are unbounded below
     if rel == "<":
-        return Truth.of(not member)
+        return _complement(seg)
     if rel == "<=":
-        return Truth.of(not member or at_max)
-    return Truth.FALSE  # >=, >, =: fail far down the segment
+        return _complement(_without_max(seg))   # the complement and the maximum
+    return False       # >=, >, =: fail far down the segment
+
+
+def _without_max(seg: Segment) -> Segment:
+    """An initial segment less its maximum; only an element cut has one."""
+    if seg.kind is CutKind.ELEMENT:
+        return replace(seg, closed=False)
+    return seg
+
+
+def _complement(seg: Segment) -> Segment:
+    return Segment(seg.direction.flipped(), seg.level, seg.shift, not seg.closed)
+
+
+def _holds(values, w) -> bool:
+    """Whether a finite value w lies in a value set."""
+    return values if isinstance(values, bool) else contains(values, w)
+
+
+def _merge(a, b, union: bool):
+    """a | b (or a & b) for two value sets; None unless both are cuts of one
+    direction, which are nested, or one is True/False."""
+    if a is None or b is None:
+        return None
+    for x, y in ((a, b), (b, a)):
+        if isinstance(x, bool):
+            return x if x is union else y
+    if a.direction is not b.direction:
+        return None
+    b_within_a = (is_subset(b, a) if a.is_final
+                  else is_subset(negate(b), negate(a)))
+    return a if b_within_a is union else b
 
 
 def free_variables(node, bound=frozenset()) -> frozenset:
@@ -1134,14 +1261,36 @@ def evaluate(phi, fmodel: FormulaModel, bindings: dict | None = None) -> EvalRes
     """Three-valued evaluation; exact where the segment oracle applies."""
     ast = parse(phi) if isinstance(phi, str) else phi
     bindings = bindings or {}
-    known = set(bindings) | set(fmodel.constants) | {im.name for im in fmodel.immediates}
-    unbound = free_variables(ast) - known - _BUILTINS
-    if unbound:
-        raise StructuralError(f"unbound variables: {sorted(unbound)}")
+    _check_bound(ast, fmodel, bindings)
     ev = _Evaluator(fmodel, bindings)
     value = ev.eval(ast)
     mode = "bounded" if ev.bounded_used else "oracle"
     return EvalResult(value, mode, ev.witness, ev.candidates_used)
+
+
+def value_set(phi, fmodel: FormulaModel, var: str = "b"):
+    """The values of v(var) at which phi holds, compiled once.
+
+    Returns (values, at_zero): values is a Segment, or True/False for every
+    finite value or none, and at_zero the Truth of phi at var = 0.  A sample
+    bound to var then gets the answer evaluate gives, by membership of its
+    valuation.  Returns None when var occurs other than as v(var)/-v(var)
+    against a recognized shape, or a K quantifier falls outside the shapes.
+    """
+    ast = parse(phi) if isinstance(phi, str) else phi
+    _check_bound(ast, fmodel, {var})
+    values = _Evaluator(fmodel, {}).values(ast, var)
+    if values is None:
+        return None
+    zero = fmodel.model.zero() if fmodel.model.series_capable else DeclaredValue(INF)
+    return values, evaluate(ast, fmodel, bindings={var: zero}).value
+
+
+def _check_bound(ast, fmodel: FormulaModel, bound) -> None:
+    known = set(bound) | set(fmodel.constants) | {im.name for im in fmodel.immediates}
+    unbound = free_variables(ast) - known - _BUILTINS
+    if unbound:
+        raise StructuralError(f"unbound variables: {sorted(unbound)}")
 
 
 # --------------------------------------------------------------------------
@@ -1192,27 +1341,45 @@ def check_definition(phi, direct, fmodel: FormulaModel, samples,
 
     Samples are (label, carrier, valuation) triples, each bound to the free
     variable b; TRUE/FALSE disagreements are reported as hard failures,
-    UNKNOWNs are counted.
+    UNKNOWNs are counted.  The formula is compiled once (value_set) and each
+    sample answered by the membership of the carrier's own valuation; where
+    it does not compile, or a carrier has no valuation, the sample is
+    evaluated.
     """
     ast = parse(phi) if isinstance(phi, str) else phi
+    compiled = value_set(ast, fmodel)
     agreements = 0
     unknowns = 0
     bad = []
     total = 0
     for label, carrier, value in samples:
         total += 1
-        res = evaluate(ast, fmodel, bindings={"b": carrier})
+        got = _compiled_truth(compiled, fmodel, carrier)
+        if got is None:
+            got = evaluate(ast, fmodel, bindings={"b": carrier}).value
         want = membership(direct, value)
-        if res.value is Truth.UNKNOWN:
+        if got is Truth.UNKNOWN:
             unknowns += 1
             continue
-        if (res.value is Truth.TRUE) == want:
+        if (got is Truth.TRUE) == want:
             agreements += 1
         else:
-            bad.append({"sample": label, "formula": res.value.value,
-                        "direct": want})
+            bad.append({"sample": label, "formula": got.value, "direct": want})
     return AgreementReport(name or (phi if isinstance(phi, str) else print_formula(ast)),
                            total, agreements, tuple(bad), unknowns)
+
+
+def _compiled_truth(compiled, fmodel: FormulaModel, carrier) -> Truth | None:
+    """The truth of a compiled formula at b = carrier, or None when it needs
+    evaluating: nothing compiled, or no valuation of the carrier."""
+    if compiled is None:
+        return None
+    values, at_zero = compiled
+    try:
+        w = _Evaluator(fmodel, {"b": carrier}).term_valuation(Var("b"))
+    except EvaluationUnsupported:
+        return None
+    return at_zero if w is INF else Truth.of(_holds(values, w))
 
 
 # Named definition texts used by the command-line reports.

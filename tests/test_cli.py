@@ -598,6 +598,7 @@ class TestDeterminismAndGoldens:
         (["abhyankar", "--p", "3", "--depth", "15"], "abhyankar_p3_d15.json"),
         (["example-e1", "--p", "2", "--depth", "12"], "example_e1_p2_d12.json"),
         (["example-e2", "--p", "2", "--depth", "12"], "example_e2_p2_d12.json"),
+        (["kummer-mixed", "--p", "3", "--depth", "12"], "kummer_mixed_p3_d12.json"),
     ])
     def test_golden_semantic_match(self, tmp_path, args, golden):
         code, report = run(args, tmp_path)

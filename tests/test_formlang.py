@@ -35,12 +35,14 @@ from valcuts.formlang import (
     Var,
     VOf,
     _Evaluator,
+    _holds,
     check_definition,
     evaluate,
     free_variables,
     membership,
     parse,
     print_formula,
+    value_set,
 )
 from valcuts.gpsfield import INF, PatternSeries, Tail, approach_segment, val_diff
 from valcuts.ogroup import ConvexSubgroup
@@ -50,9 +52,16 @@ from valcuts.scenarios import (
     example_e1,
     kummer_mixed,
     perfect_series_model,
+    samples_for,
     series_samples,
 )
-from valcuts.segment import Direction, seq_cut
+from valcuts.segment import (
+    Direction,
+    coarsening_value_set,
+    contains,
+    element_cut,
+    seq_cut,
+)
 
 
 NAMES = st.sampled_from(["b", "c", "x", "t", "theta", "eta", "p", "zeta_p"])
@@ -329,6 +338,26 @@ SQUARE_FORMULAS = (
 NESTED_FORMULA = "forall d in K : exists c in K : v(theta - c*c) >= v(d)"
 
 
+def _counts(report):
+    return (report.total, report.agreements, report.unknowns,
+            [d["sample"] for d in report.disagreements])
+
+
+def _evaluated_counts(text, direct, fmodel, samples):
+    """check_definition's counts, computed by one evaluate per sample."""
+    agreements = unknowns = 0
+    bad = []
+    for label, b, value in samples:
+        got = evaluate(text, fmodel, bindings={"b": b}).value
+        if got is Truth.UNKNOWN:
+            unknowns += 1
+        elif (got is Truth.TRUE) == membership(direct, value):
+            agreements += 1
+        else:
+            bad.append(label)
+    return len(samples), agreements, unknowns, bad
+
+
 class TestCandidatePool:
     """Each formula model builds one bounded candidate pool."""
 
@@ -360,17 +389,8 @@ class TestCandidatePool:
         samples = series_samples(sc.model, 8, 5)
         direct = ConvexSubgroup(sc.model.value_group, 1)
         rep = check_definition(SQUARE_FORMULAS[1], direct, sc.fmodel, samples)
-        verdicts = [evaluate(SQUARE_FORMULAS[1], example_e1(2).fmodel,
-                             bindings={"b": b}).value for _, b, _ in samples]
-        wants = [membership(direct, v) for _, _, v in samples]
-        assert rep.total == len(samples)
-        assert rep.unknowns == verdicts.count(Truth.UNKNOWN)
-        assert rep.agreements == sum(
-            got is not Truth.UNKNOWN and (got is Truth.TRUE) == want
-            for got, want in zip(verdicts, wants))
-        assert [d["sample"] for d in rep.disagreements] == [
-            label for (label, _, _), got, want in zip(samples, verdicts, wants)
-            if got is not Truth.UNKNOWN and (got is Truth.TRUE) != want]
+        assert _counts(rep) == _evaluated_counts(SQUARE_FORMULAS[1], direct,
+                                                 example_e1(2).fmodel, samples)
 
 
 class TestCandidateValuations:
@@ -466,6 +486,156 @@ class TestForcedBoundedAgreesWithOracle:
                             decided += 1
                             assert cold.value is want.value, (name, label)
         assert (pairs, decided) == (140, 64)
+
+
+class TestValueSet:
+    """Each definition compiles to its value set, and the compiled answer is
+    the one evaluate gives sample by sample."""
+
+    TARGETS = (
+        (abhyankar, "theta", ("ram-ideal-as", "max-ideal", "coarse-ring-as")),
+        (example_e1, "theta_x", ("ram-ideal-as", "max-ideal")),
+        (kummer_mixed, "eta", ("ram-ideal-kummer", "coarse-ring-kummer")),
+    )
+
+    @staticmethod
+    def direct(res, name):
+        if name.startswith("coarse-ring"):
+            return res.H_E
+        return res.max_ideal if name == "max-ideal" else res.ram_ideal
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_definitions_compile_to_the_direct_object(self, p):
+        for build, result, names in self.TARGETS:
+            sc = build(p)
+            res = sc.result(result)
+            for name in names:
+                direct = self.direct(res, name)
+                want = (coarsening_value_set(direct) if name.startswith("coarse-ring")
+                        else direct.values)
+                values, at_zero = value_set(DEFINITIONS[name], sc.fmodel)
+                assert values == want, (build.__name__, name)
+                assert at_zero is Truth.TRUE   # 0 lies in every ideal and ring
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_compiled_answer_is_the_evaluated_one(self, p):
+        for build, result, names in self.TARGETS:
+            sc = build(p)
+            res = sc.result(result)
+            for seed in (0, 1, 2):
+                samples = samples_for(sc, 50, seed)
+                for name in names:
+                    values, _ = value_set(DEFINITIONS[name], sc.fmodel)
+                    for label, b, v in samples:
+                        got = evaluate(DEFINITIONS[name], sc.fmodel, bindings={"b": b})
+                        assert got.value is Truth.of(contains(values, v)), (name, label)
+                    direct = self.direct(res, name)
+                    rep = check_definition(DEFINITIONS[name], direct, sc.fmodel, samples)
+                    assert _counts(rep) == _evaluated_counts(
+                        DEFINITIONS[name], direct, sc.fmodel, samples)
+
+    OUTSIDE = (
+        "forall c in K : v(theta^p - theta - c^p + c) < v(b*t)",
+        "inK(b)",
+    ) + SQUARE_FORMULAS
+
+    @pytest.mark.parametrize("text", OUTSIDE)
+    def test_outside_the_shapes_falls_back_to_evaluation(self, text):
+        sc = example_e1(2)
+        assert value_set(text, sc.fmodel) is None
+        samples = series_samples(sc.model, 6, 23)
+        direct = sc.result("theta_x").max_ideal
+        rep = check_definition(text, direct, sc.fmodel, samples)
+        assert _counts(rep) == _evaluated_counts(text, direct, sc.fmodel, samples)
+
+    def test_elements_of_L_minus_K_merge_nested_cuts(self):
+        # both wild witnesses of example-e1 as elements of L\K: H_1 and H_2
+        sc = example_e1(2)
+        fm = replace(sc.fmodel, immediates=tuple(
+            ImmediateElement(r.datum.name, r.approach.segment, r.approach.schedule,
+                             carrier=r.datum.generator, facts=frozenset({"as_generator"}))
+            for r in sc.results))
+        ideals = [r.ram_ideal.values for r in sc.results]
+        assert ideals[0] != ideals[1]
+        some = DEFINITIONS["ram-ideal-as"]
+        every = some.replace("exists x", "forall x", 1)
+        for text, want in ((some, ideals[1]), (every, ideals[0])):
+            values, _ = value_set(text, fm)
+            assert values == want
+            for label, b, v in series_samples(sc.model, 30, 4):
+                got = evaluate(text, fm, bindings={"b": b}).value
+                assert got is Truth.of(contains(values, v)), (text, label)
+
+    def test_a_guard_is_evaluated_once(self):
+        sc = abhyankar(3)
+        atom = "v(theta^p - theta - c^p + c) < v(b)"
+        samples = series_samples(sc.model, 20, 8)
+        for guard, op, want in (("inK(theta)", "and", False),
+                                ("inK(theta)", "->", True),
+                                ("inK(theta^p - theta)", "and", None),
+                                ("inK(theta^p - theta)", "->", None)):
+            text = f"forall c in K : {guard} {op} {atom}"
+            values, _ = value_set(text, sc.fmodel)
+            assert values == (want if want is not None
+                              else value_set(f"forall c in K : {atom}", sc.fmodel)[0])
+            for label, b, v in samples:
+                got = evaluate(text, sc.fmodel, bindings={"b": b}).value
+                assert got is Truth.of(_holds(values, v)), (text, label)
+        # an UNKNOWN guard leaves the formula to evaluation
+        assert evaluate("inK(theta * theta)", sc.fmodel).value is Truth.UNKNOWN
+        assert value_set(f"forall c in K : inK(theta * theta) and {atom}",
+                         sc.fmodel) is None
+
+    @pytest.mark.parametrize("closed", [True, False])
+    def test_every_quantifier_and_relation_against_brute_force(self, closed):
+        # x with v(x - K) = {s <= -1} or {s < -1}, and value-only samples b
+        fm = kummer_mixed(3).fmodel
+        g = fm.group
+        top = Fraction(-1)
+        seg = element_cut(g.element(top), closed=closed, direction=Direction.INITIAL)
+        fm = replace(fm, immediates=(ImmediateElement("x", seg, ()),))
+        # a monotone relation over s in the segment is decided at its two ends
+        ends = (top if closed else top - Fraction(1, 10**6), top - 10**6)
+        ops = {"<": Fraction.__lt__, "<=": Fraction.__le__, ">": Fraction.__gt__,
+               ">=": Fraction.__ge__}
+        grid = [top + Fraction(k, 2) for k in range(-6, 7)]
+        for kind in ("exists", "forall"):
+            for rel in ("<", "<=", "=", ">=", ">"):
+                for c_sign, b_sign in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+                    text = (f"{kind} c in K : {'-' * (c_sign < 0)}v(x - c) {rel} "
+                            f"{'-' * (b_sign < 0)}v(b)")
+                    values, _ = value_set(text, fm)
+                    for w in grid:
+                        r = b_sign * w
+                        if rel == "=":   # r is a value of the c side, never all of them
+                            hit = c_sign * r < top or (closed and c_sign * r == top)
+                            want = kind == "exists" and hit
+                        else:
+                            tests = [ops[rel](c_sign * s, r) for s in ends]
+                            want = any(tests) if kind == "exists" else all(tests)
+                        got = evaluate(text, fm, bindings={"b": DeclaredValue(g.element(w))})
+                        assert (got.value, got.mode) == (Truth.of(want), "oracle"), (text, w)
+                        assert _holds(values, g.element(w)) is want, (text, w)
+
+    def test_zeroth_power_is_the_constant_zero(self):
+        fm = abhyankar(3).fmodel
+        g = fm.group
+        for text, want in (("forall c in K : v((theta - c)^0) < v(t)", Truth.TRUE),
+                           ("exists c in K : v((theta - c)^0) >= v(t)", Truth.FALSE),
+                           ("forall c in K : v((theta - c)^0 * t) <= v(t)", Truth.TRUE)):
+            res = evaluate(text, fm)
+            assert (res.value, res.mode) == (want, "oracle"), text
+        # the compiled path: {w : 0 < w} and {w : 0 >= w}, shifted by a cofactor
+        for text, want in (
+                ("forall c in K : v((theta - c)^0) < v(b)",
+                 element_cut(g.zero(), closed=False)),
+                ("exists c in K : v((theta - c)^0) >= v(b)",
+                 element_cut(g.zero(), direction=Direction.INITIAL)),
+                ("exists c in K : -v(t * (theta - c)^0) > v(b)",
+                 element_cut(g.element(-1), closed=False, direction=Direction.INITIAL))):
+            assert value_set(text, fm)[0] == want, text
+        # {w : w = 0} is no cut
+        assert value_set("exists c in K : v((theta - c)^0) = v(b)", fm) is None
 
 
 class TestSamples:

@@ -7,9 +7,12 @@ import itertools
 import pytest
 
 from valcuts.errors import InvalidSelectionError, VerificationError
-from valcuts.ogroup import Component, convex_subgroups
+from valcuts.extension import classify
+from valcuts.formlang import DEFINITIONS, value_set
+from valcuts.ogroup import Component, ConvexSubgroup, convex_subgroups
 from valcuts.prescribe import CharCase, build, verify
-from valcuts.segment import contains
+from valcuts.scenarios import _generator_fmodel
+from valcuts.segment import coarsening_value_set, contains
 
 
 class TestBuild:
@@ -115,3 +118,32 @@ class TestFailureSurface:
             verify(plan, depth=6)
         assert err.value.report is not None
         assert not err.value.report.passed
+
+
+class TestPrescribedSubgroupsAreDefinable:
+    """In equal characteristic every witness's coarsening O(H_j), its maximal
+    ideal and its ramification ideal compile to their value sets.
+
+    A witness depends only on (n, j, p), so the full selections 1..n cover
+    every witness for n <= 6; all 84 compile.  Mixed-characteristic plans
+    (value-only carriers) are not covered here.
+    """
+
+    def test_every_witness_compiles_to_its_objects(self):
+        checked = 0
+        for p in (2, 3, 5, 7):
+            for n in range(1, 7):
+                plan = build(n, range(1, n + 1), p)
+                for w in plan.witnesses:
+                    res = classify(w.datum)
+                    fm = _generator_fmodel(plan.model, res, {})
+                    H_j = ConvexSubgroup(plan.group, w.level)
+                    for name, want in (
+                            ("coarse-ring-as", coarsening_value_set(H_j)),
+                            ("ram-ideal-as", res.ram_ideal.values),
+                            ("max-ideal", res.max_ideal.values)):
+                        compiled = value_set(DEFINITIONS[name], fm)
+                        assert compiled is not None, (p, n, w.level, name)
+                        assert compiled[0] == want, (p, n, w.level, name)
+                    checked += 1
+        assert checked == 84
