@@ -21,7 +21,6 @@ from .errors import (
     ParseError,
     StructuralError,
     ValcutsError,
-    VerificationError,
 )
 from .extension import (
     DeclaredSchedule,
@@ -370,11 +369,7 @@ def prescribe_report(rank: int, select, p: int, char_case: str, depth: int) -> d
         plan = build(rank, select, p, CharCase(char_case))
     except InvalidSelectionError as err:
         raise ConfigError(f"--select: {err}", fields=["--select"]) from None
-    try:
-        result = verify(plan, depth=depth)
-        data = result.to_json()
-    except VerificationError as err:
-        data = err.report.to_json()
+    data = verify(plan, depth=depth).to_json()
     data["schema_version"] = SCHEMA_VERSION
     data["command"] = "prescribe"
     data["depth"] = depth

@@ -33,14 +33,6 @@ class InvalidSelectionError(ValcutsError):
     """Selected level is not a subprincipal convex subgroup of the built group."""
 
 
-class VerificationError(ValcutsError):
-    """A positive witness check failed; carries the offending report."""
-
-    def __init__(self, message, report=None):
-        super().__init__(message)
-        self.report = report
-
-
 class ParseError(ValcutsError):
     """Formula syntax error with input position."""
 

@@ -881,42 +881,45 @@ class _Evaluator:
 
     # oracle: the quantified atom compares a recognized shape against a value
     def _oracle(self, q: Quant) -> Truth | None:
-        body = q.body
-        if q.var not in free_variables(body):
-            return self.eval(body)  # constant body over a nonempty domain
-        if self._declared(q.var) or q.var in _BUILTINS:
-            return None  # the shapes read names, and q.var hides an outer one
-        if isinstance(body, BinOp):
-            split = _split_guard(q)
-            if split is None:
-                return None
-            guard, rest = split
-            inner = self._oracle(rest)
-            if inner is None:
-                return None
-            if body.op == "and":
-                return _kleene_and(self.eval(guard), inner)
-            return _kleene_or(self.eval(guard).negated(), inner)
-        shape = self._shape(q)
-        if shape is None:
+        if q.var not in free_variables(q.body):
+            return self.eval(q.body)  # constant body over a nonempty domain
+        walk = self._guarded_shape(q)
+        if walk is None:
             return None
-        cside, rel, other, decomposed = shape
+        guards, (cside, rel, other, decomposed) = walk
         try:
             w = self.vexpr_value(other)
         except EvaluationUnsupported:
             return None
         if w is INF:
-            return Truth.of(rel in ("<", "<="))  # the c side is always finite
-        values = _values_cut(decomposed, cside.negated, q.kind, rel)
-        if values is None:
-            return None
-        return Truth.of(_holds(values, w))
+            truth = Truth.of(rel in ("<", "<="))  # the c side is always finite
+        else:
+            values = _values_cut(decomposed, cside.negated, q.kind, rel)
+            if values is None:
+                return None
+            truth = Truth.of(_holds(values, w))
+        for op, guard in reversed(guards):   # `guard -> rest` is `not guard or rest`
+            held = self.eval(guard)
+            truth = (_kleene_and(held, truth) if op == "and"
+                     else _kleene_or(held.negated(), truth))
+        return truth
 
-    def _shape(self, q: Quant):
-        """(c side, relation, other side, decomposition) when the body of the K
-        quantifier q is an atom `±v(term) REL other` with term of a recognized
-        shape in q.var and other free of it; the relation reads c side first."""
+    def _guarded_shape(self, q: Quant):
+        """(guards, atom) when the body of the K quantifier q is an atom
+        `±v(term) REL other`, term of a recognized shape in q.var and other free
+        of it, behind guards that do not name q.var: the (op, guard) pairs,
+        outermost first.  atom is (c side, relation read c side first, other
+        side, decomposition).  None when q.var hides a name the shapes read."""
+        if self._declared(q.var) or q.var in _BUILTINS:
+            return None
+        guards = []
         body = q.body
+        while isinstance(body, BinOp):
+            split = _split_guard(q.var, body)
+            if split is None:
+                return None
+            guards.append((body.op, split[0]))
+            body = split[1]
         if not isinstance(body, ValAtom):
             return None
         mentions_left = q.var in free_variables(body.left)
@@ -928,7 +931,7 @@ class _Evaluator:
         decomposed = self._decompose(cside.term, q.var)
         if decomposed is None:
             return None
-        return cside, rel, other, decomposed
+        return guards, (cside, rel, other, decomposed)
 
     # -- value sets: the values of v(var) at which a formula holds ----------
 
@@ -948,34 +951,25 @@ class _Evaluator:
             found = [_Evaluator(self.fm, {**self.bindings, f.var: im}).values(f.body, var)
                      for im in self.fm.immediates]
             return reduce(lambda a, b: _merge(a, b, union=f.kind == "exists"), found)
-        body = f.body
-        if f.var not in free_variables(body):
-            return self.values(body, var)
-        if self._declared(f.var) or f.var in _BUILTINS:
+        if f.var not in free_variables(f.body):
+            return self.values(f.body, var)
+        walk = self._guarded_shape(f)
+        if walk is None:
             return None
-        if isinstance(body, BinOp):
-            split = _split_guard(f)
-            if split is None:
-                return None
-            guard, rest = split
-            inner = self.values(rest, var)
-            guard_holds = self.values(guard, var)
-            if inner is None or not isinstance(guard_holds, bool):
-                return None
-            if guard_holds:
-                return inner
-            return body.op == "->"   # a false guard: `and` fails, `->` holds
-        shape = self._shape(f)
-        if shape is None:
-            return None
-        cside, rel, other, decomposed = shape
+        guards, (cside, rel, other, decomposed) = walk
         if (not isinstance(other, VOf) or other.term != Var(var)
                 or var in free_variables(cside)):
             return None
         values = _values_cut(decomposed, cside.negated, f.kind, rel)
-        if values is None or isinstance(values, bool) or not other.negated:
-            return values
-        return negate(values)   # the set of -w for w = v(var)
+        if other.negated and isinstance(values, Segment):
+            values = negate(values)   # the set of -w for w = v(var)
+        for op, guard in reversed(guards):
+            held = self.values(guard, var)
+            if values is None or not isinstance(held, bool):
+                return None
+            if not held:
+                values = op == "->"   # a false guard: `and` fails, `->` holds
+        return values
 
     def _decompose(self, term, var):
         """Split v(term) into (segment, mult, factor exponent, cofactor value).
@@ -1035,7 +1029,7 @@ class _Evaluator:
                     # x^p - c^p is the product of the x - zeta^i c, and each has
                     # value v(x - c) when v(x - c) < v(zeta - 1): then
                     # v(x^p - c^p) = p * v(x - c)
-                    if not _initial_below(im.segment, vzeta):
+                    if contains(im.segment, vzeta):
                         return None
                     return im.segment, self.fm.prime
             return None
@@ -1054,7 +1048,7 @@ class _Evaluator:
                     if "as_generator" not in xv.facts:
                         return None
                     # v(y^p - y) = p * v(y) needs every v(x - c) negative
-                    if not _initial_below(xv.segment, self.fm.group.zero()):
+                    if contains(xv.segment, self.fm.group.zero()):
                         return None
                     return xv.segment, self.fm.prime
         return None
@@ -1118,12 +1112,6 @@ def _flip_rel(rel: str) -> str:
     return {"<": ">", "<=": ">=", "=": "=", ">=": "<=", ">": "<"}[rel]
 
 
-def _initial_below(seg: Segment, bound: GroupElement) -> bool:
-    """Every member of the initial segment lies strictly below `bound`."""
-    return is_subset(negate(seg), negate(element_cut(bound, closed=False,
-                                                     direction=Direction.INITIAL)))
-
-
 _RELATIONS = {"<": operator.lt, "<=": operator.le, "=": operator.eq,
               ">=": operator.ge, ">": operator.gt}
 
@@ -1138,10 +1126,9 @@ def _compare_values(a, b, rel: str) -> bool:
     return _RELATIONS[rel](a, b)
 
 
-def _split_guard(q: Quant):
-    """(guard, q') for a body `guard and rest`, `rest and guard` or
-    `guard -> rest` whose guard does not name q.var; q' quantifies rest."""
-    body = q.body
+def _split_guard(var: str, body: BinOp):
+    """(guard, rest) for a body `guard and rest`, `rest and guard` or
+    `guard -> rest` whose guard does not name var."""
     if body.op == "and":
         pairs = ((body.left, body.right), (body.right, body.left))
     elif body.op == "->":
@@ -1149,8 +1136,8 @@ def _split_guard(q: Quant):
     else:
         return None
     for guard, rest in pairs:
-        if q.var not in free_variables(guard):
-            return guard, Quant(q.kind, q.var, q.domain, rest)
+        if var not in free_variables(guard):
+            return guard, rest
     return None
 
 
@@ -1268,22 +1255,16 @@ def evaluate(phi, fmodel: FormulaModel, bindings: dict | None = None) -> EvalRes
     return EvalResult(value, mode, ev.witness, ev.candidates_used)
 
 
-def value_set(phi, fmodel: FormulaModel, var: str = "b"):
-    """The values of v(var) at which phi holds, compiled once.
-
-    Returns (values, at_zero): values is a Segment, or True/False for every
-    finite value or none, and at_zero the Truth of phi at var = 0.  A sample
-    bound to var then gets the answer evaluate gives, by membership of its
-    valuation.  Returns None when var occurs other than as v(var)/-v(var)
-    against a recognized shape, or a K quantifier falls outside the shapes.
+def value_set(phi, fmodel: FormulaModel):
+    """The finite values of v(b) at which phi holds, compiled once: a Segment,
+    or True/False for every value or none.  A nonzero sample bound to b then
+    gets the answer evaluate gives, by membership of its valuation.  Returns
+    None when b occurs other than as v(b)/-v(b) against a recognized shape, or
+    a K quantifier falls outside the shapes.
     """
     ast = parse(phi) if isinstance(phi, str) else phi
-    _check_bound(ast, fmodel, {var})
-    values = _Evaluator(fmodel, {}).values(ast, var)
-    if values is None:
-        return None
-    zero = fmodel.model.zero() if fmodel.model.series_capable else DeclaredValue(INF)
-    return values, evaluate(ast, fmodel, bindings={var: zero}).value
+    _check_bound(ast, fmodel, {"b"})
+    return _Evaluator(fmodel, {}).values(ast, "b")
 
 
 def _check_bound(ast, fmodel: FormulaModel, bound) -> None:
@@ -1343,8 +1324,8 @@ def check_definition(phi, direct, fmodel: FormulaModel, samples,
     variable b; TRUE/FALSE disagreements are reported as hard failures,
     UNKNOWNs are counted.  The formula is compiled once (value_set) and each
     sample answered by the membership of the carrier's own valuation; where
-    it does not compile, or a carrier has no valuation, the sample is
-    evaluated.
+    it does not compile, or a carrier is zero or has no valuation, the sample
+    is evaluated.
     """
     ast = parse(phi) if isinstance(phi, str) else phi
     compiled = value_set(ast, fmodel)
@@ -1369,17 +1350,16 @@ def check_definition(phi, direct, fmodel: FormulaModel, samples,
                            total, agreements, tuple(bad), unknowns)
 
 
-def _compiled_truth(compiled, fmodel: FormulaModel, carrier) -> Truth | None:
+def _compiled_truth(values, fmodel: FormulaModel, carrier) -> Truth | None:
     """The truth of a compiled formula at b = carrier, or None when it needs
-    evaluating: nothing compiled, or no valuation of the carrier."""
-    if compiled is None:
+    evaluating: nothing compiled, or the carrier is zero or has no valuation."""
+    if values is None:
         return None
-    values, at_zero = compiled
     try:
         w = _Evaluator(fmodel, {"b": carrier}).term_valuation(Var("b"))
     except EvaluationUnsupported:
         return None
-    return at_zero if w is INF else Truth.of(_holds(values, w))
+    return None if w is INF else Truth.of(_holds(values, w))
 
 
 # Named definition texts used by the command-line reports.

@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 from dataclasses import replace
 from fractions import Fraction
+from functools import lru_cache
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -343,6 +345,11 @@ def _counts(report):
             [d["sample"] for d in report.disagreements])
 
 
+def _zero(sc):
+    """The zero of a scenario: the series 0, or the value-only v = INF."""
+    return sc.model.zero() if sc.model.series_capable else DeclaredValue(INF)
+
+
 def _evaluated_counts(text, direct, fmodel, samples):
     """check_definition's counts, computed by one evaluate per sample."""
     agreements = unknowns = 0
@@ -513,9 +520,11 @@ class TestValueSet:
                 direct = self.direct(res, name)
                 want = (coarsening_value_set(direct) if name.startswith("coarse-ring")
                         else direct.values)
-                values, at_zero = value_set(DEFINITIONS[name], sc.fmodel)
-                assert values == want, (build.__name__, name)
-                assert at_zero is Truth.TRUE   # 0 lies in every ideal and ring
+                assert value_set(DEFINITIONS[name], sc.fmodel) == want, (
+                    build.__name__, name)
+                # 0 lies in every ideal and ring
+                assert evaluate(DEFINITIONS[name], sc.fmodel,
+                                bindings={"b": _zero(sc)}).value is Truth.TRUE
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7])
     def test_compiled_answer_is_the_evaluated_one(self, p):
@@ -525,7 +534,7 @@ class TestValueSet:
             for seed in (0, 1, 2):
                 samples = samples_for(sc, 50, seed)
                 for name in names:
-                    values, _ = value_set(DEFINITIONS[name], sc.fmodel)
+                    values = value_set(DEFINITIONS[name], sc.fmodel)
                     for label, b, v in samples:
                         got = evaluate(DEFINITIONS[name], sc.fmodel, bindings={"b": b})
                         assert got.value is Truth.of(contains(values, v)), (name, label)
@@ -533,6 +542,29 @@ class TestValueSet:
                     rep = check_definition(DEFINITIONS[name], direct, sc.fmodel, samples)
                     assert _counts(rep) == _evaluated_counts(
                         DEFINITIONS[name], direct, sc.fmodel, samples)
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_a_zero_sample_is_evaluated(self, p):
+        # a compiled set holds finite values only; b = 0 takes evaluate's answer
+        for build, result, names in self.TARGETS:
+            sc = build(p)
+            res = sc.result(result)
+            samples = [("0", _zero(sc), INF)] + samples_for(sc, 8, 5)
+            for name in names:
+                direct = self.direct(res, name)
+                rep = check_definition(DEFINITIONS[name], direct, sc.fmodel, samples)
+                assert _counts(rep) == _evaluated_counts(
+                    DEFINITIONS[name], direct, sc.fmodel, samples)
+                assert rep.passed and rep.unknowns == 0, name
+        # FALSE at b = 0 although the value set is compiled
+        sc = abhyankar(p)
+        text = "exists c in K : v(theta - c) >= v(b)"
+        assert value_set(text, sc.fmodel) is not None
+        assert evaluate(text, sc.fmodel, bindings={"b": _zero(sc)}).value is Truth.FALSE
+        samples = [("0", _zero(sc), INF)] + samples_for(sc, 8, 5)
+        direct = sc.result("theta").ram_ideal
+        rep = check_definition(text, direct, sc.fmodel, samples)
+        assert _counts(rep) == _evaluated_counts(text, direct, sc.fmodel, samples)
 
     OUTSIDE = (
         "forall c in K : v(theta^p - theta - c^p + c) < v(b*t)",
@@ -560,7 +592,7 @@ class TestValueSet:
         some = DEFINITIONS["ram-ideal-as"]
         every = some.replace("exists x", "forall x", 1)
         for text, want in ((some, ideals[1]), (every, ideals[0])):
-            values, _ = value_set(text, fm)
+            values = value_set(text, fm)
             assert values == want
             for label, b, v in series_samples(sc.model, 30, 4):
                 got = evaluate(text, fm, bindings={"b": b}).value
@@ -569,22 +601,47 @@ class TestValueSet:
     def test_a_guard_is_evaluated_once(self):
         sc = abhyankar(3)
         atom = "v(theta^p - theta - c^p + c) < v(b)"
+        inner = value_set(f"forall c in K : {atom}", sc.fmodel)
         samples = series_samples(sc.model, 20, 8)
-        for guard, op, want in (("inK(theta)", "and", False),
-                                ("inK(theta)", "->", True),
-                                ("inK(theta^p - theta)", "and", None),
-                                ("inK(theta^p - theta)", "->", None)):
-            text = f"forall c in K : {guard} {op} {atom}"
-            values, _ = value_set(text, sc.fmodel)
-            assert values == (want if want is not None
-                              else value_set(f"forall c in K : {atom}", sc.fmodel)[0])
+        # inK(theta) is FALSE, inK(theta^p - theta) and inK(t) are TRUE; nested
+        # guards fold from the inside out
+        for body, want in ((f"inK(theta) and {atom}", False),
+                           (f"inK(theta) -> {atom}", True),
+                           (f"inK(theta^p - theta) and {atom}", inner),
+                           (f"inK(theta^p - theta) -> {atom}", inner),
+                           (f"inK(t) and (inK(theta) and {atom})", False),
+                           (f"inK(theta) -> (inK(t) and {atom})", True),
+                           (f"inK(t) and (inK(theta) -> {atom})", True),
+                           (f"inK(t) -> (inK(t) and {atom})", inner)):
+            text = f"forall c in K : {body}"
+            assert value_set(text, sc.fmodel) == want, text
             for label, b, v in samples:
-                got = evaluate(text, sc.fmodel, bindings={"b": b}).value
-                assert got is Truth.of(_holds(values, v)), (text, label)
+                got = evaluate(text, sc.fmodel, bindings={"b": b})
+                assert (got.value, got.mode) == (Truth.of(_holds(want, v)), "oracle"), (
+                    text, label)
         # an UNKNOWN guard leaves the formula to evaluation
         assert evaluate("inK(theta * theta)", sc.fmodel).value is Truth.UNKNOWN
         assert value_set(f"forall c in K : inK(theta * theta) and {atom}",
                          sc.fmodel) is None
+
+    def test_a_shape_needs_its_segment_below_the_bound(self):
+        # v(y^p - y) = p * v(y) needs every v(x - c) below 0, and
+        # v(x^p - c^p) = p * v(x - c) every v(x - c) below v(zeta_p - 1) = 1
+        for build, fact, text, bound in (
+                (abhyankar, "as_generator",
+                 "forall c in K : v(x^p - x - c^p + c) < v(b)", 0),
+                (kummer_mixed, "kummer_generator",
+                 "forall c in K : v(x^p - c^p) < v(b)", 1)):
+            fm = build(3).fmodel
+            g = fm.group
+            facts = frozenset({fact, "one_unit"})
+            for end, closed, compiles in ((bound, False, True), (bound, True, False),
+                                          (bound - 1, True, True), (bound + 1, False, False)):
+                seg = element_cut(g.element(end), closed=closed, direction=Direction.INITIAL)
+                x = replace(fm, immediates=(ImmediateElement("x", seg, (), facts=facts),))
+                assert (value_set(text, x) is not None) is compiles, (text, seg)
+                got = evaluate(text, x, bindings={"b": DeclaredValue(g.element(5))})
+                assert (got.mode == "oracle") is compiles, (text, seg)
 
     @pytest.mark.parametrize("closed", [True, False])
     def test_every_quantifier_and_relation_against_brute_force(self, closed):
@@ -604,7 +661,7 @@ class TestValueSet:
                 for c_sign, b_sign in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
                     text = (f"{kind} c in K : {'-' * (c_sign < 0)}v(x - c) {rel} "
                             f"{'-' * (b_sign < 0)}v(b)")
-                    values, _ = value_set(text, fm)
+                    values = value_set(text, fm)
                     for w in grid:
                         r = b_sign * w
                         if rel == "=":   # r is a value of the c side, never all of them
@@ -633,9 +690,87 @@ class TestValueSet:
                  element_cut(g.zero(), direction=Direction.INITIAL)),
                 ("exists c in K : -v(t * (theta - c)^0) > v(b)",
                  element_cut(g.element(-1), closed=False, direction=Direction.INITIAL))):
-            assert value_set(text, fm)[0] == want, text
+            assert value_set(text, fm) == want, text
         # {w : w = 0} is no cut
         assert value_set("exists c in K : v((theta - c)^0) = v(b)", fm) is None
+
+
+@lru_cache(maxsize=None)
+def _shape_model(name: str, p: int) -> FormulaModel:
+    return {"abhyankar": abhyankar, "kummer-mixed": kummer_mixed}[name](p).fmodel
+
+
+class TestGeneratedShapesAgree:
+    """On generated K-quantified formulas of every recognized shape, the
+    compiled value set, the oracle and forced bounded enumeration agree
+    wherever each decides."""
+
+    # c-free factors: v(t) = 1 and v(theta) = -1/p; v(p) = p - 1,
+    # v(zeta_p - 1) = 1, and eta is schedule-only, so it has no valuation
+    FACTORS = {"abhyankar": ("t", "1/t", "theta", "t^2"),
+               "kummer-mixed": ("p", "(zeta_p - 1)", "1/(zeta_p - 1)", "eta")}
+    GUARDS = {Truth.TRUE: "v(1) = 0", Truth.FALSE: "v(1) > 0",
+              Truth.UNKNOWN: "inK({x} * {x})"}
+
+    @staticmethod
+    def shapes(x: str, e: str):   # e is "p" or the prime itself
+        return (f"{x} - c", f"c - {x}",
+                f"{x}^{e} - {x} - c^{e} + c", f"c^{e} - c - {x}^{e} + {x}",
+                f"{x}^{e} - c^{e} + c - {x}",
+                f"{x}^{e} - c^{e}", f"c^{e} - {x}^{e}")
+
+    @staticmethod
+    def draw_formula(data, name: str, p: int, x: str):
+        """(text, points): a formula and the values of v(b) that probe it."""
+        draw = data.draw
+        term = draw(st.sampled_from(TestGeneratedShapesAgree.shapes(
+            x, draw(st.sampled_from(["p", str(p)])))))
+        if draw(st.booleans()):   # (term)^e times a c-free factor, e in -2..3
+            e = draw(st.integers(-2, 3))
+            power = f"{'1/' if e < 0 else ''}({term})^{abs(e)}"
+            pair = [power, draw(st.sampled_from(TestGeneratedShapesAgree.FACTORS[name]))]
+            term = " * ".join(pair[::draw(st.sampled_from([1, -1]))])
+        cside = f"{'-' if draw(st.booleans()) else ''}v({term})"
+        kind = draw(st.sampled_from(["forall", "exists"]))
+        rel = draw(st.sampled_from(["<", "<=", "=", ">=", ">"]))
+        # the answer can change only at the end of the cut the atom defines
+        points = {Fraction(0), Fraction(1)}
+        core = value_set(f"{kind} c in K : {cside} {rel} v(b)", _shape_model(name, p))
+        if core is not None and not isinstance(core, bool):
+            end = core.shift.coords[0]
+            points |= {end, end - Fraction(1, p**3), end + Fraction(1, p**3)}
+        points |= {-w for w in points}
+        other = draw(st.sampled_from(["v(b)", "-v(b)", "threshold"]))
+        if other == "threshold":
+            other = draw(st.sampled_from(sorted(points)))
+        body = (f"{cside} {rel} {other}" if draw(st.booleans())
+                else f"{other} {rel} {cside}")
+        for _ in range(draw(st.integers(0, 2))):
+            guard = TestGeneratedShapesAgree.GUARDS[draw(st.sampled_from(list(Truth)))]
+            form = draw(st.sampled_from(["{g} and ({r})", "({r}) and {g}", "{g} -> ({r})"]))
+            body = form.format(g=guard.format(x=x), r=body)
+        return f"{kind} c in K : {body}", sorted(points)
+
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    @given(st.data())
+    def test_compiled_oracle_and_bounded_agree(self, data):
+        name = data.draw(st.sampled_from(["abhyankar", "kummer-mixed"]))
+        p = data.draw(st.sampled_from([2, 3]))
+        fm = _shape_model(name, p)
+        g = fm.group
+        text, points = self.draw_formula(data, name, p, fm.immediates[0].name)
+        compiled = value_set(text, fm)
+        names_b = "b" in free_variables(parse(text))
+        for w in points:
+            b = DeclaredValue(g.element(w))
+            got = evaluate(text, fm, bindings={"b": b})
+            if compiled is not None:
+                assert got.value is Truth.of(_holds(compiled, g.element(w))), (text, w)
+                assert got.mode == "oracle" or not names_b, (text, w)
+            with patch.object(_Evaluator, "_oracle", lambda self, q: None):
+                forced = evaluate(text, fm, bindings={"b": b})
+            if Truth.UNKNOWN not in (got.value, forced.value):
+                assert forced.value is got.value, (text, w)
 
 
 class TestSamples:
