@@ -31,7 +31,7 @@ from .extension import (
     classify,
     defectless_analyze,
 )
-from .formlang import DEFINITIONS, check_definition, evaluate, parse
+from .formlang import DEFINITIONS, DeclaredValue, check_definition, evaluate, parse
 from .gpsfield import FieldModel, PatternSeries, Tail, parse_element
 from .kaehler import annihilate, containment_holds, present
 from .ogroup import Component, GroupDescriptor, is_prime
@@ -195,10 +195,10 @@ def _element(group: GroupDescriptor, coords, field: str):
         raise ConfigError(f"{field}: {err}", fields=[field]) from None
 
 
-def _checked(field: str, build, *args):
-    """build(*args); a StructuralError it raises is an error in `field`."""
+def _checked(field: str, build, *args, **kwargs):
+    """build(*args, **kwargs); a StructuralError it raises is an error in `field`."""
     try:
-        return build(*args)
+        return build(*args, **kwargs)
     except StructuralError as err:
         raise ConfigError(f"{field}: {err}", fields=[field]) from None
 
@@ -221,8 +221,9 @@ def datum_from_config(config: dict):
         raise ConfigError(f"extension/degree: {ext['degree']} is not prime",
                           fields=["extension/degree"])
     if kind == "defectless_value":
-        return DefectlessDatum(
-            name=label, group=group, q=ext["degree"],
+        # the degree is prime and the elements are the group's: only star_index is left
+        return _checked(
+            "extension/star_index", DefectlessDatum, name=label, group=group, q=ext["degree"],
             star_index=ext["star_index"],
             x0_value=_element(group, ext["x0_value"], "extension/x0_value"),
             subkind=DefectlessKind(ext.get("subkind", "value_only")),
@@ -383,8 +384,6 @@ def eval_report(formula: str, scenario_name: str, p: int, depth: int,
     if binding:
         name, _, text = binding.partition("=")
         if text.startswith("v:"):
-            from .formlang import DeclaredValue
-
             bindings[name] = DeclaredValue(
                 _element(scenario.model.value_group, [text[2:]], "--bind"))
         else:

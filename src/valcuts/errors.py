@@ -13,10 +13,6 @@ class DegenerateInputError(ValcutsError):
     """Input that the operation rejects by convention (zero element, empty cut)."""
 
 
-class UnsupportedDensityError(ValcutsError):
-    """Cut arithmetic that would need a dense archimedean class over a discrete one."""
-
-
 class NotImmediateError(ValcutsError):
     """Approximation values do not increase strictly, so the element is not immediate."""
 

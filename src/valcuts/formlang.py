@@ -29,18 +29,13 @@ from __future__ import annotations
 
 import operator
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, is_dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
 from itertools import islice
 
-from .errors import (
-    EvaluationUnsupported,
-    ParseError,
-    StructuralError,
-    UnsupportedDensityError,
-)
+from .errors import EvaluationUnsupported, ParseError, StructuralError
 from .gpsfield import INF, FieldModel, PatternSeries, SeriesElement, val_diff
 from .ogroup import ConvexSubgroup, GroupElement, Position, position
 from .segment import (
@@ -167,6 +162,8 @@ _TOKEN_RE = re.compile(
 
 _KEYWORDS = {"forall", "exists", "in", "and", "or", "not", "inK", "v", "L", "K"}
 
+_MAX_DEPTH = 50   # tree levels; each walk over a tree recurses once a level
+
 
 def _tokenize(text: str):
     tokens = []
@@ -190,9 +187,9 @@ def _tokenize(text: str):
 
 class _Parser:
     def __init__(self, text: str):
-        self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0   # levels the parse is nested in
 
     def peek(self, offset=0):
         return self.tokens[min(self.i + offset, len(self.tokens) - 1)]
@@ -211,6 +208,17 @@ class _Parser:
     def at(self, value):
         return self.tokens[self.i][1] == value
 
+    def nested(self, parse):
+        """parse() one step deeper; a tree level prints as two steps at most, so past
+        2 * _MAX_DEPTH steps a RecursionError ends the parse, past every alternative."""
+        if self.depth == 2 * _MAX_DEPTH:
+            raise RecursionError(self.peek()[2])
+        self.depth += 1
+        try:
+            return parse()
+        finally:
+            self.depth -= 1
+
     def formula(self):
         return self.implies()
 
@@ -218,7 +226,7 @@ class _Parser:
         left = self.disjunct()
         if self.at("->"):
             self.next()
-            return BinOp("->", left, self.implies())
+            return BinOp("->", left, self.nested(self.implies))
         return left
 
     def disjunct(self):
@@ -238,14 +246,14 @@ class _Parser:
     def unary(self):
         if self.at("not"):
             self.next()
-            return Not(self.unary())
+            return Not(self.nested(self.unary))
         if self.peek()[1] in ("forall", "exists"):
             return self.quant()
         if self.at("("):
             save = self.i
             self.next()
             try:
-                inner = self.formula()
+                inner = self.nested(self.formula)
                 self.expect(")")
                 return inner
             except ParseError:
@@ -268,7 +276,7 @@ class _Parser:
         else:
             raise ParseError("expected a domain L, K, or L\\K", dom_tok[2])
         self.expect(":")
-        return Quant(kind, name_tok[1], domain, self.formula())
+        return Quant(kind, name_tok[1], domain, self.nested(self.formula))
 
     def atom(self):
         if self.at("inK"):
@@ -354,14 +362,14 @@ class _Parser:
         kind, text, pos = self.peek()
         if text == "(":
             self.next()
-            t = self.term()
+            t = self.nested(self.term)
             self.expect(")")
             return t
         if kind == "int":
             self.next()
             if text == "1" and self.at("/"):
                 self.next()
-                return Recip(self.term_power())
+                return Recip(self.nested(self.term_power))
             return IntLit(int(text))
         if kind == "name":
             if text in ("forall", "exists", "and", "or", "not", "in", "inK") or (
@@ -380,11 +388,23 @@ def parse(text: str):
 def _parse_text(text: str):
     # the AST is immutable, so one parse of a text serves every evaluation
     p = _Parser(text)
-    out = p.formula()
+    try:
+        out = p.formula()
+        if _deeper(out, _MAX_DEPTH):   # chains of and, or, +, - and * deepen only the tree
+            raise RecursionError(0)
+    except RecursionError as err:   # carries the position past the bound
+        raise ParseError(f"formula nested deeper than {_MAX_DEPTH} levels",
+                         err.args[0]) from None
     tok = p.next()
     if tok[0] != "end":
         raise ParseError(f"trailing input {tok[1]!r}", tok[2])
     return out
+
+
+def _deeper(node, levels: int) -> bool:
+    """Whether a syntax tree has more than `levels` levels; the walk stops there."""
+    return levels == 0 or any(_deeper(child, levels - 1) for child in vars(node).values()
+                              if is_dataclass(child))
 
 
 def print_formula(f) -> str:
@@ -1162,10 +1182,10 @@ def _values_cut(decomposed, negated: bool, quant: str, rel: str):
     else:
         if k < 0:
             rel = _flip_rel(rel)
-        try:
-            cut = _decide(scale_int(seg, abs(k)), quant, rel)
-        except UnsupportedDensityError:
-            return None
+        if quant == "exists" and rel == "=" and not all(   # the image k * S is a cut
+                seg.group.coordinate_allowed(i, Fraction(1, k)) for i in range(seg.group.rank)):
+            return None   # only when every class is |k|-divisible
+        cut = _decide(scale_int(seg, abs(k)), quant, rel)
         if isinstance(cut, bool):
             return cut
         if k < 0:
@@ -1177,7 +1197,8 @@ def _values_cut(decomposed, negated: bool, quant: str, rel: str):
 
 def _decide(seg: Segment, quant: str, rel: str):
     """The r with (quant s in seg : s REL r), for an initial segment seg: a
-    Segment, or True/False for every r or none."""
+    Segment, or True/False for every r or none.  For `exists ... =` it is seg
+    itself."""
     if quant == "exists":
         if rel in (">=", "="):
             return seg

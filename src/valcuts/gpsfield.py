@@ -200,11 +200,6 @@ class SeriesElement:
         p = self.model.char
         return SeriesElement(self.model, tuple((e * p, c) for e, c in self.terms))
 
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        return " + ".join(f"{c}*t^{e}" for e, c in self.terms)
-
 
 @dataclass(frozen=True)
 class Tail:
@@ -318,9 +313,6 @@ class PatternSeries:
     def __sub__(self, other):
         return self + (-other)
 
-    def __radd__(self, other):
-        return self + other
-
     def frobenius(self) -> "PatternSeries":
         return PatternSeries(
             self.model, self.finite_part.frobenius(),
@@ -342,17 +334,6 @@ class PatternSeries:
         terms = tuple((t.exponent(i), t.coeff)
                       for t in self.tails for i in range(t.start, k + 1))
         return self.finite_part + SeriesElement(self.model, terms)
-
-    def min_tail_gamma(self) -> GroupElement:
-        if not self.tails:
-            raise StructuralError("pattern has no tails")
-        return min((t.gamma for t in self.tails), key=lambda g: g.coords)
-
-    def __str__(self):
-        parts = [str(self.finite_part)] if not self.finite_part.is_zero else []
-        for t in self.tails:
-            parts.append(f"sum_{{i>={t.start}}} {t.coeff}*t^({t.gamma}/p^i)")
-        return " + ".join(parts) if parts else "0"
 
 
 def val_diff(theta: PatternSeries, c: SeriesElement) -> GroupElement:
@@ -402,7 +383,7 @@ def approach_segment(theta: PatternSeries, K: FieldModel, depth: int = 12) -> Ap
         raise StructuralError("base field has a different value group")
     if not theta.has_tails:
         raise NotImmediateError("element has finite support over the base field")
-    gamma_min = theta.min_tail_gamma()
+    gamma_min = min((t.gamma for t in theta.tails), key=lambda g: g.coords)
     if gamma_min.sign() > 0:
         raise NotImmediateError("tail exponents decrease; v(theta - K) has a maximum")
     negative = [t for t in theta.tails if t.gamma.sign() < 0]

@@ -74,27 +74,21 @@ def present(result: DefectClassification | DefectlessAnalysis) -> OmegaPresentat
     if not isinstance(result, DefectlessAnalysis):
         raise StructuralError("present expects a classified or analyzed extension")
     datum = result.datum
-    wild = datum.residue_char == datum.q
-    if datum.subkind is DefectlessKind.ARTIN_SCHREIER:
-        num = result.ram_ideal.multiply(result.max_ideal)
-        return OmegaPresentation(num, datum.q, PresentationForm.RAM_MAX_QUOTIENT,
-                                 is_zero=False, provenance="defectless:artin_schreier")
-    if not wild:
+    if datum.residue_char != datum.q:
         # tame value extension: q is a unit, so the zero test reduces to
         # whether M_E is principal over the coarse ring
         zero = not result.max_ideal.is_principal_over(result.H_E)
         return OmegaPresentation(result.max_ideal, datum.q, PresentationForm.MAX_QUOTIENT,
                                  is_zero=zero, provenance="defectless:tame_value")
-    if datum.subkind is DefectlessKind.KUMMER_2B:
-        num = result.ram_ideal.multiply(result.max_ideal)
-        return OmegaPresentation(num, datum.q, PresentationForm.RAM_MAX_QUOTIENT,
-                                 is_zero=False, provenance="defectless:kummer_one_unit")
-    # wild Kummer with a positive-value generator
-    q_in_max = result.max_ideal.contains_value(datum.vp)
-    zero = (not q_in_max) and not result.max_ideal.is_principal_over(result.H_E)
-    num = result.ram_ideal.multiply(result.max_ideal)
-    return OmegaPresentation(num, datum.q, PresentationForm.RAM_MAX_QUOTIENT,
-                             is_zero=zero, provenance="defectless:kummer_value")
+    # wildly ramified: the Artin-Schreier and one-unit Kummer modules are
+    # never zero; a positive-value Kummer generator gives zero exactly when q
+    # is a unit of the coarse ring and M_E is not principal over it
+    zero = (datum.subkind is DefectlessKind.KUMMER_2A
+            and not result.max_ideal.contains_value(datum.vp)
+            and not result.max_ideal.is_principal_over(result.H_E))
+    return OmegaPresentation(result.ram_ideal.multiply(result.max_ideal), datum.q,
+                             PresentationForm.RAM_MAX_QUOTIENT, is_zero=zero,
+                             provenance=f"defectless:{datum.subkind.value}")
 
 
 def annihilate(pres: OmegaPresentation,
@@ -116,7 +110,8 @@ def annihilate(pres: OmegaPresentation,
         is_max = n == 2 and result.H_E.is_trivial
         return replace(pres, annihilator=ann, annihilator_is_max_ideal=is_max)
 
-    a_value = _principal_generator_value(result.ram_ideal)
+    # every wild ramification ideal is principal, generated at its shift
+    a_value = result.ram_ideal.values.shift
     if result.max_ideal.is_principal_over(result.H_E):
         ann = pres.numerator.power(n - 1)
     else:
@@ -129,24 +124,15 @@ def annihilate(pres: OmegaPresentation,
     return replace(pres, annihilator=ann, annihilator_is_max_ideal=is_max)
 
 
-def _principal_generator_value(ideal: IdealDescriptor):
-    if not ideal.is_principal:
-        raise StructuralError("expected a principal ramification ideal")
-    return ideal.values.shift
-
-
 def _dependent_defect_annihilator(pres: OmegaPresentation,
                                   result: DefectClassification) -> IdealDescriptor:
     """I_E^(p-1), improved to a*O(I_E) when the quotient value set of
     I_E^(p-1) has an unattained infimum realized by a base-field value."""
-    p = result.datum.degree
-    power = result.ram_ideal.power(p - 1)
-    v = power.values
-    if v.closed:
-        return power
     # a canonical open cut sits over a dense cut class, so the infimum is not
-    # attained; the extension is immediate, so vK = vL realizes the shift
-    return IdealDescriptor(replace(v, closed=True))
+    # attained; the extension is immediate, so vK = vL realizes the shift.
+    # Closing a closed cut leaves it as it is
+    power = result.ram_ideal.power(result.datum.degree - 1)
+    return IdealDescriptor(replace(power.values, closed=True))
 
 
 def containment_holds(pres: OmegaPresentation) -> bool:

@@ -23,10 +23,6 @@ class Component(str, Enum):
     PDIV = "pdiv"  # denominators are powers of the descriptor prime
     RAT = "rat"    # all rationals
 
-    @property
-    def is_dense(self) -> bool:
-        return self is not Component.INT
-
 
 _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 # the least strong pseudoprime to all 13 witnesses; below it the test is exact
@@ -77,7 +73,7 @@ class GroupDescriptor:
         return len(self.components)
 
     def is_dense_at(self, index: int) -> bool:
-        return self.components[index].is_dense
+        return self.components[index] is not Component.INT
 
     def coordinate_allowed(self, index: int, value: Fraction) -> bool:
         kind = self.components[index]
@@ -217,15 +213,6 @@ class ConvexSubgroup:
         if x.group != self.group:
             raise StructuralError("element belongs to a different group descriptor")
         return all(c == 0 for c in x.coords[: self.level])
-
-    __contains__ = contains
-
-    def __str__(self) -> str:
-        if self.is_whole_group:
-            return "H_0 (whole group)"
-        if self.is_trivial:
-            return f"H_{self.level} (trivial)"
-        return f"H_{self.level}"
 
 
 class Position(Enum):

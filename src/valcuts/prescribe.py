@@ -90,29 +90,22 @@ def build(n: int, selected, p: int, char_case: CharCase = CharCase.EQUAL) -> Con
     witnesses = []
     exclusions = []
     for j in sorted(levels):
-        if char_case is CharCase.MIXED and j == 1:
-            sched = DeclaredSchedule(group, limit=group.zero(), scale=model.vp)
-            datum = DefectDatum(name=f"level{j}_root_of_X^p-X-1/p",
-                                kind=ExtensionKind.KUMMER_DEFECT, base=model,
+        if char_case is CharCase.MIXED:
+            # level 1 is the p-adic step: its scale model.vp is group.unit(0)
+            name = (f"level{j}_root_of_X^p-X-1/p" if j == 1
+                    else f"level{j}_residue_root_of_X^p-X-1/t_{j - 1}")
+            sched = DeclaredSchedule(group, limit=group.zero(), scale=group.unit(j - 1))
+            datum = DefectDatum(name=name, kind=ExtensionKind.KUMMER_DEFECT, base=model,
                                 degree=p, generator=sched)
             witnesses.append(Witness(j, "declared", datum))
         else:
-            if char_case is CharCase.MIXED:
-                kind = ExtensionKind.KUMMER_DEFECT
-                name = f"level{j}_residue_root_of_X^p-X-1/t_{j - 1}"
-                sched = DeclaredSchedule(group, limit=group.zero(),
-                                         scale=group.unit(j - 1))
-                datum = DefectDatum(name=name, kind=kind, base=model, degree=p,
-                                    generator=sched)
-                witnesses.append(Witness(j, "declared", datum))
-            else:
-                theta = PatternSeries(
-                    model, model.zero(),
-                    (Tail(model.residue.one(), group.unit(j - 1, -1), 1),))
-                datum = DefectDatum(name=f"level{j}_root_of_X^p-X-1/t_{j - 1}",
-                                    kind=ExtensionKind.AS_DEFECT, base=model,
-                                    degree=p, generator=theta)
-                witnesses.append(Witness(j, "pattern", datum))
+            theta = PatternSeries(
+                model, model.zero(),
+                (Tail(model.residue.one(), group.unit(j - 1, -1), 1),))
+            datum = DefectDatum(name=f"level{j}_root_of_X^p-X-1/t_{j - 1}",
+                                kind=ExtensionKind.AS_DEFECT, base=model,
+                                degree=p, generator=theta)
+            witnesses.append(Witness(j, "pattern", datum))
     for j in range(1, n + 1):
         if j not in levels:
             note = ("maximal purely wild closure at the p-adic step"

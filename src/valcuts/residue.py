@@ -41,9 +41,6 @@ class FqElement:
     def is_zero(self) -> bool:
         return self.value == 0
 
-    def __bool__(self) -> bool:
-        return not self.is_zero
-
     def __add__(self, other):
         self._check(other)
         return FqElement(self.field, (self.value + other.value) % self.field.p)
@@ -68,6 +65,3 @@ class FqElement:
         if self.is_zero:
             raise ZeroDivisionError("inverse of zero in a finite field")
         return FqElement(self.field, pow(self.value, -1, self.field.p))
-
-    def __str__(self) -> str:
-        return str(self.value)

@@ -7,9 +7,11 @@ definability checks all draw from one construction.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .errors import StructuralError
 from .extension import (
     DeclaredSchedule,
     DefectClassification,
@@ -17,7 +19,7 @@ from .extension import (
     ExtensionKind,
     classify,
 )
-from .formlang import FormulaModel, ImmediateElement
+from .formlang import DeclaredValue, FormulaModel, ImmediateElement
 from .gpsfield import FieldModel, PatternSeries, Tail
 from .ogroup import Component, GroupDescriptor
 from .residue import GF
@@ -148,10 +150,6 @@ SCENARIOS = {
 
 def series_samples(model: FieldModel, count: int, seed: int):
     """Deterministic monomial samples (label, carrier, valuation) over a model."""
-    import random
-
-    from .errors import StructuralError
-
     rng = random.Random(seed)
     g = model.value_group
     p = g.prime
@@ -169,10 +167,6 @@ def series_samples(model: FieldModel, count: int, seed: int):
 
 def declared_samples(group: GroupDescriptor, count: int, seed: int):
     """Value-only samples for models without series arithmetic."""
-    import random
-
-    from .formlang import DeclaredValue
-
     rng = random.Random(seed)
     out = [("v=0", DeclaredValue(group.zero()), group.zero())]
     while len(out) < count:

@@ -26,12 +26,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 
-from .errors import (
-    ConfigError,
-    DegenerateInputError,
-    StructuralError,
-    UnsupportedDensityError,
-)
+from .errors import ConfigError, DegenerateInputError, StructuralError
 from .ogroup import (
     ConvexSubgroup,
     GroupDescriptor,
@@ -93,13 +88,6 @@ class Segment:
         if self.closed and self.level == self.group.rank:
             return CutKind.ELEMENT
         return CutKind.SUBGROUP
-
-    def __str__(self) -> str:
-        rel = ("<", "<=", ">", ">=")[2 * self.is_final + self.closed]
-        if self.kind is CutKind.ELEMENT:
-            return f"{{a {rel} {self.shift}}}"
-        off = "" if self.shift.is_zero else f"{self.shift} + "
-        return f"{{a {rel} {off}H_{self.level}}}"
 
 
 def element_cut(gamma: GroupElement, closed: bool = True,
@@ -178,42 +166,32 @@ def shift(s: Segment, gamma: GroupElement) -> Segment:
     return replace(s, shift=s.shift + gamma)
 
 
-def _require_dense_at_cut(s: Segment) -> None:
-    # contract restriction: a discrete class at or below the cut class of a
-    # cut at a nontrivial subgroup makes sums leave the descriptor algebra
-    if s.level == s.group.rank:
-        return
-    for i in range(s.level - 1, s.group.rank):
-        if not s.group.is_dense_at(i):
-            raise UnsupportedDensityError(
-                f"component {i} is discrete; subgroup-cut arithmetic needs a dense class"
-            )
-
-
 def sum(s1: Segment, s2: Segment) -> Segment:
     """Pointwise sumset of two final segments."""
     if s1.group != s2.group:
         raise StructuralError("segments live over different group descriptors")
     if not (s1.is_final and s2.is_final):
         raise StructuralError("sum is defined for final segments only")
-    _require_dense_at_cut(s1)
-    _require_dense_at_cut(s2)
     # the coarser boundary wins; the result is closed only when every operand
-    # sitting at that boundary is closed
+    # sitting at that boundary is closed.  This is exact for every kind of
+    # component: a canonical cut is open only over a dense cut class, where a
+    # point beyond the sum's boundary splits into two points beyond the
+    # operands' boundaries
     level = min(s1.level, s2.level)
     closed = all(s.closed for s in (s1, s2) if s.level == level)
     return Segment(Direction.FINAL, level, s1.shift + s2.shift, closed)
 
 
 def scale_int(s: Segment, m: int) -> Segment:
-    """The m-fold sumset of s with itself (m >= 1).
+    """The m-fold sumset S + ... + S (m >= 1), for cuts of either direction.
 
-    Over groups that are m-divisible at the relevant classes this equals the
-    pointwise scaling {m*a : a in S}, which is what the callers rely on.
+    It is the value set of the m-th power of an ideal with value set S, and
+    the closure of the pointwise image {m*a : a in S} in the cut's direction
+    (upwards for a final cut, downwards for an initial one).  It equals that
+    image itself only when the group is m-divisible in every class.
     """
     if m < 1:
         raise DegenerateInputError("scale factor must be a positive integer")
-    _require_dense_at_cut(s)
     return replace(s, shift=s.shift * m)
 
 

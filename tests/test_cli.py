@@ -7,6 +7,7 @@ import io
 import json
 import os
 import pathlib
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -30,7 +31,8 @@ from valcuts.cli import (
 from valcuts.errors import ConfigError
 
 GOLDENS = pathlib.Path(__file__).parent / "goldens"
-CONFIGS = pathlib.Path(__file__).parent.parent / "configs"
+ROOT = pathlib.Path(__file__).parent.parent
+CONFIGS = ROOT / "configs"
 
 
 def run(args, tmp_path, name="out.json"):
@@ -100,6 +102,30 @@ class TestScenarios:
         assert report["report"]["passed"] is True
 
 
+def readme_commands():
+    """The argument lists of the `valcuts ...` lines in the README's
+    "Command line" block."""
+    text = (ROOT / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [shlex.split(line, comments=True)[1:] for line in block.splitlines()
+            if line.startswith("valcuts ")]
+
+
+class TestReadme:
+    @pytest.mark.parametrize("args", readme_commands(), ids=lambda a: a[0])
+    def test_documented_command_runs(self, tmp_path, monkeypatch, args):
+        monkeypatch.chdir(ROOT)   # the commands name configs/ relative to the root
+        if "--out" in args:
+            args = args[:args.index("--out")] + args[args.index("--out") + 2:]
+        assert main(args + ["--out", str(tmp_path / "report.json")]) == 0
+        json.loads((tmp_path / "report.json").read_text())
+
+    def test_every_documented_command_is_collected(self):
+        assert [a[0] for a in readme_commands()] == [
+            "abhyankar", "example-e1", "example-e2", "kummer-mixed", "prescribe",
+            "classify", "kaehler", "eval", "check-def"]
+
+
 class TestConfigs:
     def test_synthetic_dependent(self, tmp_path):
         code, report = run(["classify", "--config",
@@ -126,6 +152,21 @@ class TestConfigs:
         assert code == 0
         assert report["case"] == "dense_archimedean_step"
         assert report["omega"]["form"] == "M/M^q"
+
+    @pytest.mark.parametrize("components,star,case", [
+        (("int", "pdiv"), 0, "discrete_archimedean_step"),
+        (("pdiv", "int"), 0, "dense_archimedean_step"),   # a discrete class inside H_E
+    ])
+    def test_defectless_config_with_a_discrete_class(self, tmp_path, components, star, case):
+        x0 = ["0", "0"]
+        x0[star] = "1"
+        config = write_extension(tmp_path, {"kind": "defectless_value", "degree": 2,
+                                            "star_index": star, "x0_value": x0},
+                                 components=components, p=3)
+        code, report = run(["kaehler", "--config", config], tmp_path)
+        assert code == 0
+        assert report["case"] == case
+        assert report["omega"]["containment_holds"] is True
 
     def test_bad_config_lists_fields(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -388,6 +429,10 @@ class TestInputContract:
         (["classify", "--config", lambda tmp: write_config(tmp, {
             "direction": "final", "kind": "subgroup", "level": 0}, ("pdiv", "pdiv"))],
          "level"),
+        (["kaehler", "--config", {"kind": "defectless_value", "degree": 2, "star_index": 1,
+                                  "x0_value": ["1"]}],
+         "extension/star_index: star_index outside the value group"),
+        (["eval", "--formula", "not " * 1200 + "v(t) > 0"], "nested deeper than"),
     ])
     def test_bad_value_exits_2_naming_it(self, tmp_path, capsys, args, named):
         args = [write_extension(tmp_path, a) if isinstance(a, dict)

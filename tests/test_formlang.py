@@ -46,8 +46,8 @@ from valcuts.formlang import (
     print_formula,
     value_set,
 )
-from valcuts.gpsfield import INF, PatternSeries, Tail, approach_segment, val_diff
-from valcuts.ogroup import ConvexSubgroup
+from valcuts.gpsfield import INF, FieldModel, PatternSeries, Tail, approach_segment, val_diff
+from valcuts.ogroup import Component, ConvexSubgroup, GroupDescriptor, GroupElement
 from valcuts.scenarios import (
     abhyankar,
     declared_samples,
@@ -63,6 +63,7 @@ from valcuts.segment import (
     contains,
     element_cut,
     seq_cut,
+    subgroup_cut,
 )
 
 
@@ -168,12 +169,45 @@ class TestParser:
         with pytest.raises(ParseError):
             parse("v(b) < 1/0")
 
+    @pytest.mark.parametrize("text", [
+        "(" * 200 + "v(b) >= 0" + ")" * 200,
+        "not " * 1200 + "v(t) > 0",
+        "v(" + " + ".join(["t"] * 3000) + ") > 0",
+    ], ids=["parentheses", "negations", "sum"])
+    def test_too_deep_a_tree_is_a_parse_error(self, text):
+        with pytest.raises(ParseError, match="nested deeper than 50 levels"):
+            parse(text)
+
+    def test_the_deepest_accepted_tree_evaluates_and_prints(self):
+        # 47 negations, the atom, v( ) and t: 50 levels
+        fm = abhyankar(2).fmodel
+        deepest = parse("not " * 47 + "v(t) > 0")
+        assert evaluate(deepest, fm).value is Truth.FALSE
+        assert parse(print_formula(deepest)) == deepest   # `not (` twice a level
+        assert evaluate("(" * 100 + "v(t) > 0" + ")" * 100, fm).value is Truth.TRUE
+        for text in ("not " * 48 + "v(t) > 0", "(" * 101 + "v(t) > 0" + ")" * 101):
+            with pytest.raises(ParseError):
+                parse(text)
+
 
 class TestEvaluation:
     def test_reflexivity_of_infinite_valuations(self):
         sc = abhyankar(3)
         res = evaluate("v(0) = v(0)", sc.fmodel)
         assert res.value is Truth.TRUE
+
+    @pytest.mark.parametrize("text,value", [
+        ("theta^p - theta = 1/t", Truth.TRUE),   # theta is the root of X^p - X - 1/t
+        ("1/t = theta^p - theta", Truth.TRUE),
+        ("1/t = t", Truth.FALSE),
+        ("t * (1/t) = 1", Truth.TRUE),
+        ("2 = 0", Truth.FALSE),
+        ("forall c in K : v(t) > 0", Truth.TRUE),   # a body without c
+        ("exists c in K : v(t) < 0", Truth.FALSE),
+    ])
+    def test_equations_of_carriers_and_constant_bodies(self, text, value):
+        res = evaluate(text, abhyankar(3).fmodel)
+        assert (res.value, res.mode, res.candidates_used) == (value, "oracle", 0)
 
     def test_ram_ideal_member_by_oracle(self):
         sc = abhyankar(2)
@@ -693,6 +727,68 @@ class TestValueSet:
             assert value_set(text, fm) == want, text
         # {w : w = 0} is no cut
         assert value_set("exists c in K : v((theta - c)^0) = v(b)", fm) is None
+
+
+class TestPointwiseImage:
+    """`exists c in K : v((x - c)^k) = w` holds on the image k * v(x - K),
+    which is a cut only when the group is |k|-divisible in every class."""
+
+    @pytest.mark.parametrize("p", [2, 3])
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_equality_against_brute_force(self, p, k):
+        fm = abhyankar(p).fmodel
+        g = fm.group
+        text = f"exists c in K : v((theta - c)^{k}) = v(b)"
+        # v(theta - c) ranges over the negative elements of Z[1/p]
+        reach = [Fraction(n, p**4) for n in range(-3 * p**4, 0)]
+        compiled = value_set(text, fm)
+        assert (compiled is not None) is (k == p)
+        for n in range(-2 * p**2, 2 * p**2 + 1):
+            w = Fraction(n, p**2)
+            want = Truth.of(any(k * s == w for s in reach))
+            got = evaluate(text, fm, bindings={"b": DeclaredValue(g.element(w))})
+            if k == p:
+                assert (got.value, got.mode) == (want, "oracle"), w
+                assert _holds(compiled, g.element(w)) is (want is Truth.TRUE), w
+            else:
+                assert got.value in (want, Truth.UNKNOWN), w
+
+    def test_no_cube_root_of_minus_one_in_the_dyadics(self):
+        text = "exists c in K : v((theta - c)^3) = -1"
+        assert evaluate(text, abhyankar(2).fmodel).value is not Truth.TRUE
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_a_discrete_class_against_brute_force(self, k):
+        # v(x - K) = {s : s_0 <= -1} over Z x Z[1/2]: the open cut below H_1,
+        # closed one unit further in over the discrete class 0
+        G = GroupDescriptor((Component.INT, Component.PDIV), 2)
+        model = FieldModel(name="int x dyadic", char=0, residue_char=2, value_group=G)
+        seg = subgroup_cut(ConvexSubgroup(G, 1), direction=Direction.INITIAL)
+        fm = FormulaModel(model, (ImmediateElement("x", seg, ()),))
+        # a monotone relation over the segment is decided at its ends
+        ends = [G.element(a, y) for a in (-1, -2, -10**6) for y in (-10**6, 0, 10**6)]
+        grid = [G.element(a, Fraction(n, 4)) for a in range(-4, 0) for n in range(-8, 9)]
+        ops = {"<": GroupElement.__lt__, "<=": GroupElement.__le__,
+               ">=": GroupElement.__ge__, ">": GroupElement.__gt__}
+        for kind in ("exists", "forall"):
+            for rel in ("<", "<=", "=", ">=", ">"):
+                text = f"{kind} c in K : v((x - c)^{k}) {rel} v(b)"
+                compiled = value_set(text, fm)
+                exact = rel != "=" or k == 1 or kind == "forall"
+                assert (compiled is not None) is exact, text
+                for w in (G.element(a, Fraction(n, 2)) for a in range(-4, 2)
+                          for n in range(-2, 3)):
+                    if rel == "=":
+                        want = kind == "exists" and any(s * k == w for s in grid)
+                    else:
+                        tests = [ops[rel](s * k, w) for s in ends]
+                        want = any(tests) if kind == "exists" else all(tests)
+                    got = evaluate(text, fm, bindings={"b": DeclaredValue(w)})
+                    if exact:
+                        assert (got.value, got.mode) == (Truth.of(want), "oracle"), (text, w)
+                        assert _holds(compiled, w) is want, (text, w)
+                    else:
+                        assert got.value in (Truth.of(want), Truth.UNKNOWN), (text, w)
 
 
 @lru_cache(maxsize=None)

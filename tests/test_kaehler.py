@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 from valcuts.extension import (
     DefectDatum,
     DefectKind,
+    DefectlessCase,
     DefectlessDatum,
     DefectlessKind,
     ExtensionKind,
@@ -191,3 +193,52 @@ class TestDefectlessPresentations:
         for pres in cases:
             assert not pres.annihilator_is_max_ideal
             assert not pres.annihilator.same_values(m_l)
+
+
+class TestDiscreteClasses:
+    """Rank-2 defectless data with a discrete class at or below the cut class
+    of H_E: the annihilator of every nonzero module contains the module's
+    relations and is maximal among the candidates around its boundary."""
+
+    @staticmethod
+    def data():
+        for kinds in ((Component.INT, Component.INT), (Component.INT, Component.PDIV),
+                      (Component.PDIV, Component.INT)):
+            G = GroupDescriptor(kinds, 5)
+            for star, q in itertools.product((0, 1), (2, 3)):
+                x0 = G.unit(star)
+                yield DefectlessDatum(name="tame", group=G, q=q, star_index=star,
+                                      x0_value=x0)
+                yield DefectlessDatum(name="as", group=G, q=q, star_index=star,
+                                      x0_value=-x0, subkind=DefectlessKind.ARTIN_SCHREIER,
+                                      residue_char=q)
+                for vp in (G.unit(0, 2), G.unit(1, 2)):   # v(zeta - 1) = vp/(q - 1)
+                    yield DefectlessDatum(name="kummer", group=G, q=q, star_index=star,
+                                          x0_value=x0, subkind=DefectlessKind.KUMMER_2A,
+                                          residue_char=q, vp=vp)
+
+    @staticmethod
+    def candidates(boundary):
+        G = boundary.group
+        axes = [range(-2, 3) if k is Component.INT else
+                [Fraction(n, G.prime) for n in range(-2 * G.prime, 2 * G.prime + 1)]
+                for k in G.components]
+        return [boundary + G.element(*offset) for offset in itertools.product(*axes)]
+
+    def test_nonzero_modules_have_maximal_annihilators(self):
+        cases = set()
+        for datum in self.data():
+            res = defectless_analyze(datum)
+            pres = annihilate(present(res), res)
+            cases.add((datum.name, res.case, pres.is_zero))
+            if pres.is_zero:
+                assert pres.annihilator.values == element_cut(datum.group.zero())
+                continue
+            assert containment_holds(pres), datum
+            outside = [g for g in self.candidates(pres.annihilator.values.shift)
+                       if not pres.annihilator.contains_value(g)]
+            assert outside and maximality_witness(pres, outside), datum
+        # both cases of every kind, and a zero Kummer module, were reached
+        assert {(name, case) for name, case, _ in cases} == set(itertools.product(
+            ("tame", "as", "kummer"), (DefectlessCase.DL2B, DefectlessCase.DL2C)))
+        assert ("kummer", DefectlessCase.DL2B, True) in cases

@@ -10,12 +10,7 @@ from fractions import Fraction
 import pytest
 
 from valcuts import segment as sg
-from valcuts.errors import (
-    ConfigError,
-    DegenerateInputError,
-    StructuralError,
-    UnsupportedDensityError,
-)
+from valcuts.errors import ConfigError, DegenerateInputError, StructuralError
 from valcuts.ogroup import (
     Component,
     ConvexSubgroup,
@@ -79,11 +74,8 @@ def built_cuts(rng: random.Random, group: GroupDescriptor, count: int) -> list:
         cuts += [a, negate(b), shift(a, g), replace(b, closed=not b.closed),
                  replace(a, shift=a.shift + g),
                  seq_cut(g, scale, start=rng.randint(1, 2),
-                         direction=rng.choice(list(Direction)))]
-        try:
-            cuts += [sg.sum(a, b), sg.scale_int(a, rng.randint(2, 3))]
-        except UnsupportedDensityError:
-            pass
+                         direction=rng.choice(list(Direction))),
+                 sg.sum(a, b), sg.scale_int(a, rng.randint(2, 3))]
     return cuts
 
 
@@ -318,10 +310,11 @@ class TestArithmetic:
             assert sg.sum(s1, s2) == sg.sum(s2, s1)
             assert sg.sum(sg.sum(s1, s2), s3) == sg.sum(s1, sg.sum(s2, s3))
 
-    def test_density_restriction(self):
+    def test_sum_over_a_discrete_class(self):
+        # {a > H_1} over the discrete class 0 is {a >= (1, 0) + H_1}
         h1 = ConvexSubgroup(ZMIX, 1)
-        with pytest.raises(UnsupportedDensityError):
-            sg.sum(subgroup_cut(h1), element_cut(ZMIX.element(1, 0)))
+        assert sg.sum(subgroup_cut(h1), element_cut(ZMIX.element(1, 0))) == subgroup_cut(
+            h1, shift=ZMIX.element(2, 0), closed=True)
 
     def test_initial_segments_rejected(self):
         a = element_cut(ZP1.element(0), direction=Direction.INITIAL)
@@ -331,6 +324,75 @@ class TestArithmetic:
     def test_mismatched_groups_rejected(self):
         with pytest.raises(StructuralError):
             sg.sum(element_cut(ZP1.element(0)), element_cut(ZP1_3.element(0)))
+
+
+class TestDiscreteClasses:
+    """sum and scale_int against a brute-force sumset on rank-2 groups with a
+    discrete class at or below the cut class of their level-1 cuts.  Every
+    pair with a level-1 cut is one the arithmetic refused while it required a
+    dense class there.
+
+    A point is keyed by its coordinates in 8ths.  A probe x (|x| <= 2, pdiv
+    coordinates in halves) counts as a sum of m members of cuts when some sum
+    of m - 1 of them, each in the box |a| <= 2, leaves a remainder in the
+    last cut; the remainder lies in the box |r| <= 2m.
+    """
+
+    GROUPS = [GroupDescriptor(kinds, 2) for kinds in (
+        (Component.INT, Component.INT), (Component.INT, Component.PDIV),
+        (Component.PDIV, Component.INT))]
+    IDS = ["x".join(c.value for c in g.components) for g in GROUPS]
+
+    @staticmethod
+    def cuts(group):
+        step = [Fraction(1) if k is Component.INT else Fraction(1, 2)
+                for k in group.components]
+        cuts = set()
+        for d in (group.zero(), group.element(step[0], -step[1])):
+            for closed in (True, False):
+                cuts |= {element_cut(d, closed=closed),
+                         subgroup_cut(ConvexSubgroup(group, 1), shift=d, closed=closed)}
+        return sorted(cuts, key=repr)
+
+    @staticmethod
+    def box(group, bound, den=8):
+        """{key: element} for |coords| <= bound, pdiv denominators den."""
+        axes = [range(-bound, bound + 1) if k is Component.INT else
+                [Fraction(n, den) for n in range(-bound * den, bound * den + 1)]
+                for k in group.components]
+        return {tuple(int(c * 8) for c in coords): group.element(*coords)
+                for coords in itertools.product(*axes)}
+
+    def members(self, cut, bound):
+        return {key for key, x in self.box(cut.group, bound).items() if contains(cut, x)}
+
+    def sumset(self, partials, last):
+        """The probe keys in {s + r : s in partials, r in last}."""
+        inside = self.members(last, 2 + max(max(map(abs, s)) for s in partials) // 8)
+        return {key for key in self.box(last.group, 2, den=2)
+                if any((key[0] - s[0], key[1] - s[1]) in inside for s in partials)}
+
+    def assert_agrees(self, got, want):
+        for key, x in self.box(got.group, 2, den=2).items():
+            assert contains(got, x) == (key in want), (got, x)
+
+    @pytest.mark.parametrize("group", GROUPS, ids=IDS)
+    def test_sum_matches_grid_sumset(self, group):
+        cuts = self.cuts(group)
+        first = {c: self.members(c, 2) for c in cuts}
+        for a, b in itertools.combinations_with_replacement(cuts, 2):
+            # either summand may be the one far outside the box
+            want = self.sumset(first[a], b) | self.sumset(first[b], a)
+            self.assert_agrees(sg.sum(a, b), want)
+
+    @pytest.mark.parametrize("group", GROUPS, ids=IDS)
+    def test_scale_int_matches_grid_sumset(self, group):
+        for cut in self.cuts(group):
+            first = self.members(cut, 2)
+            partials = {(0, 0)}
+            for m in range(1, 5):
+                self.assert_agrees(sg.scale_int(cut, m), self.sumset(partials, cut))
+                partials = {(a + c, b + d) for a, b in partials for c, d in first}
 
 
 class TestSubset:
