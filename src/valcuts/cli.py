@@ -12,7 +12,6 @@ import functools
 import hashlib
 import json
 import sys
-from fractions import Fraction
 
 from . import __version__
 from .errors import (
@@ -187,7 +186,7 @@ def load_config(path: str) -> dict:
 def _element(group: GroupDescriptor, coords, field: str):
     """The element at `coords`; one outside the group is an error in `field`."""
     try:
-        return group.element(*[Fraction(c) for c in coords])
+        return group.element(*coords)
     except (TypeError, ValueError, ZeroDivisionError, OverflowError):
         raise ConfigError(f"{field}: {coords!r} is not a list of exact rationals",
                           fields=[field]) from None

@@ -177,12 +177,12 @@ def classify(datum: DefectDatum, depth: int = 12) -> DefectClassification:
         "criteria": {"ideal_route": independent, "segment_route": independent},
         "truncation_depth": depth,
         "synthetic": datum.synthetic,
-        "sigma_shift": [str(c) for c in datum.sigma_shift.coords],
+        "sigma_shift": datum.sigma_shift.coord_strings(),
         "ostrowski": {"degree": datum.degree, "defect": datum.degree,
                       "ramification_index": 1, "residue_degree": 1},
     }
     if approach is not None:
-        certificate["schedule"] = [[str(c) for c in v.coords] for v in approach.schedule]
+        certificate["schedule"] = [v.coord_strings() for v in approach.schedule]
         certificate["approach_segment"] = to_json(approach.segment)
     return DefectClassification(datum, kind, H, sigma, ram, max_ideal, certificate,
                                 approach)
@@ -239,8 +239,8 @@ class DefectlessDatum:
             raise WrongCaseError("vx0 lies in vK; the extension is not value-driven")
 
     def in_vK(self, x: GroupElement) -> bool:
-        c = x.coords[self.star_index] / self.q
-        return self.group.coordinate_allowed(self.star_index, c)
+        i = self.star_index
+        return self.group.coordinate_allowed(i, Fraction(x.nums[i], x.den * self.q))
 
 
 @dataclass(frozen=True)
@@ -271,7 +271,7 @@ def defectless_analyze(datum: DefectlessDatum) -> DefectlessAnalysis:
         "degree": datum.q,
         "H_E_level": H.level,
         "case": case.value,
-        "x0_value": [str(c) for c in datum.x0_value.coords],
+        "x0_value": datum.x0_value.coord_strings(),
         # vK is vL with its star coordinates scaled by q, so q*vx0 lies in it
         "q_times_x0_in_vK": True,
         "max_ideal": to_json(max_ideal.values),

@@ -915,9 +915,16 @@ class _Evaluator:
             truth = Truth.of(rel in ("<", "<="))  # the c side is always finite
         else:
             values = _values_cut(decomposed, cside.negated, q.kind, rel)
-            if values is None:
-                return None
-            truth = Truth.of(_holds(values, w))
+            if values is not None:
+                truth = Truth.of(_holds(values, w))
+            else:
+                seg, mult, exp, w_extra = decomposed
+                if exp * mult == 0:
+                    return None
+                # `exists ... = w` where some class is not |k|-divisible: the
+                # one candidate is s = r/k, r = sign * w - w_extra, if in G
+                s = ((-w if cside.negated else w) - w_extra).over(exp * mult)
+                truth = Truth.of(s is not None and contains(seg, s))
         for op, guard in reversed(guards):   # `guard -> rest` is `not guard or rest`
             held = self.eval(guard)
             truth = (_kleene_and(held, truth) if op == "and"

@@ -19,7 +19,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .errors import NotImmediateError, StructuralError
 from .ogroup import GroupDescriptor, GroupElement
@@ -111,8 +111,7 @@ class SeriesElement:
     terms: tuple[tuple[GroupElement, FqElement], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "terms",
-                           tuple(sorted(self.terms, key=lambda t: t[0].coords)))
+        object.__setattr__(self, "terms", tuple(sorted(self.terms, key=lambda t: t[0])))
 
     def _check(self, other):
         if not isinstance(other, SeriesElement) or other.model != self.model:
@@ -153,17 +152,14 @@ class SeriesElement:
         return self + (-other)
 
     def __mul__(self, other):
-        """The product, on integers: each coordinate is scaled by one common
+        """The product, on integers: every exponent is written over one common
         denominator, coefficients are summed mod p, and group elements are
         built only for the terms that survive."""
         self._check(other)
-        terms = self.terms + other.terms
-        dens = [lcm(*[e.coords[i].denominator for e, _ in terms])
-                for i in range(self.model.value_group.rank)]
+        den = lcm(*[e.den for e, _ in self.terms + other.terms])
 
         def scaled(factor):
-            return [([c.numerator * (d // c.denominator) for c, d in zip(e.coords, dens)],
-                     a.value) for e, a in factor.terms]
+            return [([n * (den // e.den) for n in e.nums], a.value) for e, a in factor.terms]
 
         acc: dict = {}
         right = scaled(other)
@@ -173,7 +169,7 @@ class SeriesElement:
                 acc[k] = acc.get(k, 0) + a1 * a2
         group, field = self.model.value_group, self.model.residue
         return SeriesElement(self.model, [
-            (GroupElement(group, tuple([Fraction(n, d) for n, d in zip(k, dens)])),
+            (GroupElement(group, k, den),
              FqElement(field, a % field.p))
             for k, a in acc.items() if a % field.p])
 
@@ -225,10 +221,13 @@ class Tail:
 def _family_shift(base: GroupElement, gamma: GroupElement, p: int) -> int | None:
     """m with gamma = base * p^m, or None when the two tails share no exponent."""
     i = base.leading_index()
-    r = gamma.coords[i] / base.coords[i]
-    if r <= 0 or any(b != a * r for a, b in zip(base.coords, gamma.coords)):
+    b, g = base.nums[i], gamma.nums[i]
+    # gamma = r * base with r = g/b times base.den/gamma.den, r > 0
+    if b * g <= 0 or any(y * b != x * g for x, y in zip(base.nums, gamma.nums)):
         return None
-    num, den, m = r.numerator, r.denominator, 0
+    num, den = abs(g * base.den), abs(b * gamma.den)
+    common = gcd(num, den)
+    num, den, m = num // common, den // common, 0
     while num % p == 0:
         num //= p
         m += 1
@@ -249,8 +248,8 @@ def _merge_tails(model: FieldModel, tails, extra_finite):
     for t in tails:
         if t.gamma.group != model.value_group:
             raise StructuralError("tail exponent lives in a different value group")
-        for i in range(len(t.gamma.coords)):
-            if t.gamma.coords[i] != 0 and not model.value_group.is_dense_at(i):
+        for i, n in enumerate(t.gamma.nums):
+            if n and not model.value_group.is_dense_at(i):
                 raise StructuralError("tail exponents need a divisible component")
         prev = by_gamma.get(t.gamma)
         if prev is None:
@@ -270,7 +269,7 @@ def _merge_tails(model: FieldModel, tails, extra_finite):
                 by_gamma[t.gamma] = Tail(c, t.gamma, hi.start)
         else:
             by_gamma[t.gamma] = t
-    ordered = tuple(sorted(by_gamma.values(), key=lambda t: t.gamma.coords))
+    ordered = tuple(sorted(by_gamma.values(), key=lambda t: t.gamma))
     return ordered, finite
 
 
@@ -354,7 +353,7 @@ def val_diff(theta: PatternSeries, c: SeriesElement) -> GroupElement:
     if not heads:
         raise StructuralError("val_diff needs a tail with negative base exponent")
     for e, coeff in (theta.finite_part - c).terms:
-        t, (i, head) = min(heads.items(), key=lambda item: item[1][1].coords)
+        t, (i, head) = min(heads.items(), key=lambda item: item[1][1])
         if head != e or not (coeff + t.coeff).is_zero:
             return min(head, e)
         heads[t] = (i + 1, t.exponent(i + 1))
@@ -383,15 +382,14 @@ def approach_segment(theta: PatternSeries, K: FieldModel, depth: int = 12) -> Ap
         raise StructuralError("base field has a different value group")
     if not theta.has_tails:
         raise NotImmediateError("element has finite support over the base field")
-    gamma_min = min((t.gamma for t in theta.tails), key=lambda g: g.coords)
+    gamma_min = min(t.gamma for t in theta.tails)
     if gamma_min.sign() > 0:
         raise NotImmediateError("tail exponents decrease; v(theta - K) has a maximum")
     negative = [t for t in theta.tails if t.gamma.sign() < 0]
     schedule = []
     k = max(0, min(t.start for t in theta.tails) - 1)
     while len(schedule) < depth:
-        value = min((t.exponent(max(k + 1, t.start)) for t in negative),
-                    key=lambda e: e.coords)
+        value = min(t.exponent(max(k + 1, t.start)) for t in negative)
         if not schedule or schedule[-1] != value:
             schedule.append(value)
         k += 1

@@ -1,10 +1,18 @@
 """Exact arithmetic and order structure for finite-rank Hahn sums.
 
-Elements are tuples of rationals compared lexicographically with index 0
-dominant: index 0 carries the coarsest archimedean class.  As a consequence
-the level-k convex subgroup H_k = {x : x_j = 0 for all j < k} shrinks as k
-grows, so index order and subgroup inclusion run in opposite directions.
-H_0 is the whole group and H_n is the trivial subgroup.
+An element is a tuple of rational coordinates, stored as integer numerators
+over one positive denominator in lowest terms.  Elements are compared
+lexicographically with index 0 dominant: index 0 carries the coarsest
+archimedean class.  As a consequence the level-k convex subgroup
+H_k = {x : x_j = 0 for all j < k} shrinks as k grows, so index order and
+subgroup inclusion run in opposite directions.  H_0 is the whole group and
+H_n is the trivial subgroup.
+
+Whether each coordinate lies in its class (an integer, a p-power
+denominator, any rational) is checked at the boundary only: where elements
+are built from outside coordinates, and where one is multiplied by a
+non-integer rational.  Sums, differences, negatives and integer multiples
+stay in the group and are built without the check.
 """
 
 from __future__ import annotations
@@ -12,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import DegenerateInputError, StructuralError
 
@@ -76,102 +85,207 @@ class GroupDescriptor:
         return self.components[index] is not Component.INT
 
     def coordinate_allowed(self, index: int, value: Fraction) -> bool:
+        return self._denominator_allowed(index, value.denominator)
+
+    def _denominator_allowed(self, index: int, den: int) -> bool:
+        """Whether the class at `index` holds the rationals with reduced denominator den."""
         kind = self.components[index]
         if kind is Component.RAT:
             return True
         if kind is Component.INT:
-            return value.denominator == 1
+            return den == 1
         # den is a power of p iff it divides p^e for an e >= its exponent;
         # den.bit_length() is such an e, since p^k >= 2^k
-        den = value.denominator
         return pow(self.prime, den.bit_length(), den) == 0
 
+    def _outside(self, nums: tuple[int, ...], den: int) -> int | None:
+        """Index of the first coordinate nums[i]/den outside its class, or None."""
+        if den != 1:
+            for i, n in enumerate(nums):
+                if not self._denominator_allowed(i, den // gcd(n, den)):
+                    return i
+        return None
+
+    def _require(self, nums: tuple[int, ...], den: int) -> None:
+        """The boundary check: StructuralError unless every nums[i]/den lies in
+        its class."""
+        i = self._outside(nums, den)
+        if i is not None:
+            raise StructuralError(f"coordinate {Fraction(nums[i], den)} not allowed in "
+                                  f"component {i} ({self.components[i].value})")
+
     def element(self, *coords) -> GroupElement:
-        return GroupElement(self, tuple(Fraction(c) for c in coords))
+        """The element with these coordinates: ints, Fractions or anything
+        Fraction reads.  StructuralError when one lies outside its class."""
+        coords = [c if type(c) is int or type(c) is Fraction else Fraction(c) for c in coords]
+        if len(coords) != self.rank:
+            raise StructuralError("coordinate count does not match the rank")
+        den = lcm(*[c.denominator for c in coords])
+        nums = tuple([c.numerator * (den // c.denominator) for c in coords])
+        self._require(nums, den)
+        return GroupElement(self, nums, den)
 
     def zero(self) -> GroupElement:
-        return GroupElement(self, (Fraction(0),) * self.rank)
+        return GroupElement(self, (0,) * self.rank)
 
     def unit(self, index: int, scale=1) -> GroupElement:
-        coords = [Fraction(0)] * self.rank
-        coords[index] = Fraction(scale)
-        return GroupElement(self, tuple(coords))
+        coords = [0] * self.rank
+        coords[index] = scale
+        return self.element(*coords)
 
 
-@dataclass(frozen=True)
+_set = object.__setattr__
+
+
 class GroupElement:
-    group: GroupDescriptor
-    coords: tuple[Fraction, ...]
+    """Integer numerators `nums` over one positive denominator `den`, in
+    lowest terms: gcd(den, *nums) == 1.
+
+    The constructor does not check that each coordinate lies in its class:
+    sums, differences, negatives and integer multiples of elements stay in
+    the group.  Elements from outside enter through the checked
+    `GroupDescriptor.element` and `unit`, and a product with a non-integer
+    rational is checked where it is made.  Equality is structural on
+    (group, nums, den), which the lowest-terms form makes equality of values.
+    """
+
+    __slots__ = ("group", "nums", "den", "_coords")
+
+    def __init__(self, group: GroupDescriptor, nums: tuple[int, ...], den: int = 1):
+        _set(self, "group", group)
+        _set(self, "nums", nums)
+        _set(self, "den", den)
+        self.__post_init__()
 
     def __post_init__(self):
-        if len(self.coords) != self.group.rank:
-            raise StructuralError("coordinate count does not match the rank")
-        for i, c in enumerate(self.coords):
-            if not isinstance(c, Fraction):
-                raise StructuralError("coordinates must be exact rationals")
-            if not self.group.coordinate_allowed(i, c):
-                raise StructuralError(
-                    f"coordinate {c} not allowed in component {i} ({self.group.components[i].value})"
-                )
+        # every construction passes through here: reduce to lowest terms
+        den = self.den
+        if den != 1:
+            g = gcd(den, *self.nums)
+            if g != 1:
+                _set(self, "nums", tuple([n // g for n in self.nums]))
+                _set(self, "den", den // g)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    @property
+    def coords(self) -> tuple[Fraction, ...]:
+        """The coordinates as Fractions, made once."""
+        try:
+            return self._coords
+        except AttributeError:
+            coords = tuple([Fraction(n, self.den) for n in self.nums])
+            _set(self, "_coords", coords)
+            return coords
+
+    def coord_strings(self) -> list[str]:
+        """Each coordinate written as Fraction writes it: n, or n/d in lowest terms."""
+        den = self.den
+        if den == 1:
+            return [str(n) for n in self.nums]
+        out = []
+        for n in self.nums:
+            g = gcd(n, den)
+            out.append(str(n // g) if g == den else f"{n // g}/{den // g}")
+        return out
+
+    def __repr__(self) -> str:
+        return f"GroupElement(group={self.group!r}, nums={self.nums!r}, den={self.den!r})"
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not GroupElement:
+            return NotImplemented
+        return (self.nums == other.nums and self.den == other.den
+                and (self.group is other.group or self.group == other.group))
+
+    def __hash__(self) -> int:
+        return hash((self.nums, self.den))
 
     def _check_same(self, other: GroupElement) -> None:
-        if not isinstance(other, GroupElement) or other.group != self.group:
+        if other.__class__ is not GroupElement or (
+                other.group is not self.group and other.group != self.group):
             raise StructuralError("elements belong to different group descriptors")
 
     @property
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
+        return not any(self.nums)
 
     def leading_index(self) -> int | None:
         """Index of the coarsest nonzero coordinate; None for zero."""
-        for i, c in enumerate(self.coords):
-            if c != 0:
+        for i, n in enumerate(self.nums):
+            if n:
                 return i
         return None
 
     def sign(self) -> int:
-        i = self.leading_index()
-        if i is None:
-            return 0
-        return 1 if self.coords[i] > 0 else -1
+        for n in self.nums:
+            if n:
+                return 1 if n > 0 else -1
+        return 0
 
     def __add__(self, other: GroupElement) -> GroupElement:
-        self._check_same(other)
-        return GroupElement(self.group, tuple(a + b for a, b in zip(self.coords, other.coords)))
+        a, b, den = self._pair(other)
+        return GroupElement(self.group, tuple([x + y for x, y in zip(a, b)]), den)
 
     def __sub__(self, other: GroupElement) -> GroupElement:
-        self._check_same(other)
-        return GroupElement(self.group, tuple(a - b for a, b in zip(self.coords, other.coords)))
+        a, b, den = self._pair(other)
+        return GroupElement(self.group, tuple([x - y for x, y in zip(a, b)]), den)
 
     def __neg__(self) -> GroupElement:
-        return GroupElement(self.group, tuple(-a for a in self.coords))
+        return GroupElement(self.group, tuple([-a for a in self.nums]), self.den)
 
     def __mul__(self, scalar) -> GroupElement:
-        s = Fraction(scalar)
-        return GroupElement(self.group, tuple(a * s for a in self.coords))
+        if type(scalar) is int:
+            return GroupElement(self.group, tuple([a * scalar for a in self.nums]), self.den)
+        if type(scalar) is not Fraction:
+            scalar = Fraction(scalar)
+        n = scalar.numerator
+        out = GroupElement(self.group, tuple([a * n for a in self.nums]),
+                           self.den * scalar.denominator)
+        self.group._require(out.nums, out.den)
+        return out
 
     __rmul__ = __mul__
 
-    def __lt__(self, other: GroupElement) -> bool:
+    def over(self, k: int) -> GroupElement | None:
+        """self / k for a nonzero integer k, or None when it lies outside the group."""
+        out = GroupElement(self.group, tuple([a if k > 0 else -a for a in self.nums]),
+                           self.den * abs(k))
+        return None if self.group._outside(out.nums, out.den) is not None else out
+
+    def _pair(self, other: GroupElement):
+        """The numerators of self and other over one denominator, and that
+        denominator."""
         self._check_same(other)
-        return self.coords < other.coords
+        sd, od = self.den, other.den
+        if sd == od:
+            return self.nums, other.nums, sd
+        return [x * od for x in self.nums], [y * sd for y in other.nums], sd * od
+
+    def __lt__(self, other: GroupElement) -> bool:
+        a, b, _ = self._pair(other)
+        return a < b
 
     def __le__(self, other: GroupElement) -> bool:
-        self._check_same(other)
-        return self.coords <= other.coords
+        a, b, _ = self._pair(other)
+        return a <= b
 
     def __gt__(self, other: GroupElement) -> bool:
-        self._check_same(other)
-        return self.coords > other.coords
+        a, b, _ = self._pair(other)
+        return a > b
 
     def __ge__(self, other: GroupElement) -> bool:
-        self._check_same(other)
-        return self.coords >= other.coords
+        a, b, _ = self._pair(other)
+        return a >= b
 
     def __str__(self) -> str:
         if self.group.rank == 1:
-            return str(self.coords[0])
-        return "(" + ", ".join(str(c) for c in self.coords) + ")"
+            return self.coord_strings()[0]
+        return "(" + ", ".join(self.coord_strings()) + ")"
 
 
 def compare(a: GroupElement, b: GroupElement) -> int:
@@ -212,7 +326,7 @@ class ConvexSubgroup:
     def contains(self, x: GroupElement) -> bool:
         if x.group != self.group:
             raise StructuralError("element belongs to a different group descriptor")
-        return all(c == 0 for c in x.coords[: self.level])
+        return not any(x.nums[: self.level])
 
 
 class Position(Enum):
@@ -230,7 +344,7 @@ def position(x: GroupElement, H: ConvexSubgroup) -> Position:
     lead = x.leading_index()
     if lead is None or lead >= H.level:
         return Position.INSIDE
-    return Position.ABOVE if x.coords[lead] > 0 else Position.BELOW
+    return Position.ABOVE if x.nums[lead] > 0 else Position.BELOW
 
 
 def convex_subgroups(G: GroupDescriptor) -> tuple[ConvexSubgroup, ...]:

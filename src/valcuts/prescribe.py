@@ -147,7 +147,7 @@ class VerificationReport:
             "witnesses": [
                 {"level": w.level, "passed": w.passed, "found_level": w.found_level,
                  "defect": w.defect_kind, "identity_checked": w.identity_checked,
-                 "schedule": [[str(c) for c in v.coords] for v in w.schedule],
+                 "schedule": [v.coord_strings() for v in w.schedule],
                  "status": "VERIFIED"}
                 for w in self.witnesses
             ],

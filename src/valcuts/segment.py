@@ -22,7 +22,7 @@ H_0, the whole group, describes the empty set and is rejected when built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
@@ -69,9 +69,9 @@ class Segment:
             # {a < d + H} = {a <= d - 1 + H}
             object.__setattr__(self, "closed", True)
             delta = delta + group.unit(level - 1, self.direction.sign)
-        if any(delta.coords[level:]):
-            delta = GroupElement(group, delta.coords[:level]
-                                 + (Fraction(0),) * (group.rank - level))
+        if any(delta.nums[level:]):
+            delta = GroupElement(group, delta.nums[:level] + (0,) * (group.rank - level),
+                                 delta.den)
         object.__setattr__(self, "shift", delta)
 
     @property
@@ -140,7 +140,9 @@ def normalize(s: Segment) -> Segment:
 
 def _side(x: GroupElement, d: GroupElement, level: int) -> int:
     """Position of x - d against H_level: 1 above, 0 inside, -1 below."""
-    for a, b in zip(x.coords[:level], d.coords):
+    xd, dd = x.den, d.den
+    for a, b in zip(x.nums[:level], d.nums):
+        a, b = a * dd, b * xd
         if a != b:
             return 1 if a > b else -1
     return 0
@@ -163,7 +165,7 @@ def shift(s: Segment, gamma: GroupElement) -> Segment:
     """The translate gamma + S."""
     if gamma.group != s.group:
         raise StructuralError("shift element belongs to a different group descriptor")
-    return replace(s, shift=s.shift + gamma)
+    return Segment(s.direction, s.level, s.shift + gamma, s.closed)
 
 
 def sum(s1: Segment, s2: Segment) -> Segment:
@@ -192,7 +194,7 @@ def scale_int(s: Segment, m: int) -> Segment:
     """
     if m < 1:
         raise DegenerateInputError("scale factor must be a positive integer")
-    return replace(s, shift=s.shift * m)
+    return Segment(s.direction, s.level, s.shift * m, s.closed)
 
 
 def is_subset(inner: Segment, outer: Segment) -> bool:
@@ -213,7 +215,7 @@ def is_subset(inner: Segment, outer: Segment) -> bool:
 
 
 def to_json(s: Segment) -> dict:
-    coords = [str(c) for c in s.shift.coords]
+    coords = s.shift.coord_strings()
     if s.kind is CutKind.ELEMENT:
         return {"direction": s.direction.value, "kind": "element", "gamma": coords,
                 "closed": True}

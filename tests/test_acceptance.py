@@ -195,19 +195,24 @@ def test_criterion_6_segment_property_suite():
         # brute-force oracle on the stated grid (1/p^3)Z^2 within [-4, 4]^2;
         # probe points stay within [-1, 1]^2 so sum witnesses fit inside the
         # lattice, and the witness lattice is one denominator step finer so
-        # every same-level split of a probe point has an on-lattice witness
+        # every same-level split of a probe point has an on-lattice witness.
+        # The sumset is searched on coordinates scaled by p^4 to integers
         grid = list(grid_points(group, 4, 3))
         window = [x for x in grid if all(abs(c) <= 1 for c in x.coords)]
         fine = list(grid_points(group, 4, 4))
-        fine_wide = frozenset(grid_points(group, 5, 4))
+        fine_wide = list(grid_points(group, 5, 4))
+
+        def scaled(x):
+            return tuple(n * (2**4 // x.den) for n in x.nums)
+
         for _ in range(8):
             s1 = normalize(_random_final(rng, group))
             s2 = normalize(_random_final(rng, group))
-            set1 = [x.coords for x in fine if contains(s1, x)]
-            set2 = frozenset(x.coords for x in fine_wide if contains(s2, x))
+            set1 = [scaled(x) for x in fine if contains(s1, x)]
+            set2 = frozenset(scaled(x) for x in fine_wide if contains(s2, x))
             total = sg.sum(s1, s2)
             for u in rng.sample(window, 30):
-                u0, u1 = u.coords
+                u0, u1 = scaled(u)
                 witnessed = any((u0 - a0, u1 - a1) in set2 for a0, a1 in set1)
                 assert contains(total, u) == witnessed
                 checks += 1

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import importlib
 import pathlib
+from fractions import Fraction
 
 PERFBENCH = pathlib.Path(__file__).parent.parent / "perfbench"
 
@@ -66,3 +67,23 @@ def test_each_workload_op_class_runs_against_the_library(monkeypatch):
                 assert err is None, (name, op["kind"], op["cls"], err)
                 ran += 1
     assert ran == 18
+
+
+def test_tracer_counts_closed_and_checked_element_builds(monkeypatch):
+    """Every GroupElement passes __post_init__, so the per-layer counters see
+    the sums that skip the class check as well as the checked builds."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracer = importlib.import_module("layers").Tracer()
+    g = tracer.mods["ogroup"].GroupDescriptor(("pdiv", "pdiv"), 3)
+    a, b = g.element(Fraction(1, 3), 2), g.element(-1, Fraction(4, 9))
+    try:
+        tracer.install()
+        tracer.recording = True
+        a + b
+        a * Fraction(1, g.prime)
+        g.element(Fraction(2, 9), 0)
+        tracer.recording = False
+    finally:
+        tracer.uninstall()
+    assert tracer.counts["ogroup.elements_built"] == 3
+    assert tracer.counts["ogroup.arith"] == 2

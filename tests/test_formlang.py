@@ -46,7 +46,8 @@ from valcuts.formlang import (
     print_formula,
     value_set,
 )
-from valcuts.gpsfield import INF, FieldModel, PatternSeries, Tail, approach_segment, val_diff
+from valcuts.gpsfield import (INF, FieldModel, PatternSeries, Tail, approach_segment,
+                              parse_element, val_diff)
 from valcuts.ogroup import Component, ConvexSubgroup, GroupDescriptor, GroupElement
 from valcuts.scenarios import (
     abhyankar,
@@ -731,7 +732,8 @@ class TestValueSet:
 
 class TestPointwiseImage:
     """`exists c in K : v((x - c)^k) = w` holds on the image k * v(x - K),
-    which is a cut only when the group is |k|-divisible in every class."""
+    which is a cut only when the group is |k|-divisible in every class.
+    Elsewhere the oracle decides it at w: the one candidate is w/k."""
 
     @pytest.mark.parametrize("p", [2, 3])
     @pytest.mark.parametrize("k", [2, 3])
@@ -747,15 +749,45 @@ class TestPointwiseImage:
             w = Fraction(n, p**2)
             want = Truth.of(any(k * s == w for s in reach))
             got = evaluate(text, fm, bindings={"b": DeclaredValue(g.element(w))})
+            assert (got.value, got.mode) == (want, "oracle"), w
             if k == p:
-                assert (got.value, got.mode) == (want, "oracle"), w
                 assert _holds(compiled, g.element(w)) is (want is Truth.TRUE), w
-            else:
-                assert got.value in (want, Truth.UNKNOWN), w
 
     def test_no_cube_root_of_minus_one_in_the_dyadics(self):
         text = "exists c in K : v((theta - c)^3) = -1"
-        assert evaluate(text, abhyankar(2).fmodel).value is not Truth.TRUE
+        got = evaluate(text, abhyankar(2).fmodel)
+        assert (got.value, got.mode) == (Truth.FALSE, "oracle")
+
+    @pytest.mark.parametrize("w,want", [("v(t)", Truth.FALSE), ("-1", Truth.FALSE),
+                                        ("-2", Truth.TRUE)])
+    def test_squares_in_the_triadics(self, w, want):
+        # 2s = w with s < 0 in Z[1/3]: no s for w = 1 or -1, s = -1 for w = -2
+        text = f"exists c in K : v((theta - c)^2) = {w}"
+        got = evaluate(text, abhyankar(3).fmodel)
+        assert (got.value, got.mode) == (want, "oracle")
+
+    def test_forced_bounded_agrees_where_it_decides(self, monkeypatch):
+        shapes = ["v((theta - c)^2)", "v((theta - c)^3)", "-v((theta - c)^2)",
+                  "v(1/((theta - c)^2))", "v(t * (theta - c)^2)", "v((theta - c)^2 * (1/t))"]
+        pairs = decided = 0
+        for p in (2, 3, 5):
+            fm = abhyankar(p).fmodel
+            b = parse_element(fm.model, "t^-2")
+            values = ["v(t)", "-v(t)", "v(b)", "0", "-1", "-2", "-3", "2", f"-2/{p}",
+                      f"-4/{p * p}"]
+            texts = [f"exists c in K : {shape} = {w}" for shape in shapes for w in values]
+            oracle = {text: evaluate(text, fm, bindings={"b": b}) for text in texts}
+            with monkeypatch.context() as patch:
+                patch.setattr(_Evaluator, "_oracle", lambda self, q: None)
+                for text in texts:
+                    want = oracle[text]
+                    assert want.mode == "oracle", text
+                    got = evaluate(text, replace(fm), bindings={"b": b})
+                    pairs += 1
+                    if got.value is not Truth.UNKNOWN:
+                        decided += 1
+                        assert got.value is want.value, (p, text)
+        assert (pairs, decided) == (180, 47)
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_a_discrete_class_against_brute_force(self, k):
@@ -784,11 +816,9 @@ class TestPointwiseImage:
                         tests = [ops[rel](s * k, w) for s in ends]
                         want = any(tests) if kind == "exists" else all(tests)
                     got = evaluate(text, fm, bindings={"b": DeclaredValue(w)})
+                    assert (got.value, got.mode) == (Truth.of(want), "oracle"), (text, w)
                     if exact:
-                        assert (got.value, got.mode) == (Truth.of(want), "oracle"), (text, w)
                         assert _holds(compiled, w) is want, (text, w)
-                    else:
-                        assert got.value in (Truth.of(want), Truth.UNKNOWN), (text, w)
 
 
 @lru_cache(maxsize=None)

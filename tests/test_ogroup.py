@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -111,6 +112,108 @@ class TestPPowerDenominators:
         g = GroupDescriptor((Component.PDIV, Component.PDIV), 2)
         with pytest.raises((StructuralError, ConfigError), match="1/6|5/12"):
             make(g)
+
+
+def _in_class(kind: Component, p: int, value: Fraction) -> bool:
+    """Reference membership of one coordinate, on the Fraction itself."""
+    if kind is Component.RAT:
+        return True
+    if kind is Component.INT:
+        return value.denominator == 1
+    return divides_out(value.denominator, p)
+
+
+@st.composite
+def group_and_coords(draw):
+    """A group of rank 1-4 over int/pdiv/rat at p in {2, 3, 5, 7}, and a
+    strategy for Fraction tuples that lie in it."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    kinds = draw(st.lists(st.sampled_from(list(Component)), min_size=1, max_size=4))
+    g = GroupDescriptor(tuple(kinds), p)
+
+    def coord(kind):
+        if kind is Component.INT:
+            dens = [1]
+        elif kind is Component.PDIV:
+            dens = [p**k for k in range(4)]
+        else:
+            dens = list(range(1, 13))
+        return st.builds(Fraction, st.integers(-40, 40), st.sampled_from(dens))
+
+    return g, st.tuples(*[coord(k) for k in kinds])
+
+
+class TestRepresentation:
+    """Numerators over one denominator agree with plain Fraction tuples."""
+
+    @settings(max_examples=300, derandomize=True)
+    @given(st.data())
+    def test_agrees_with_fraction_tuples(self, data):
+        g, coords = data.draw(group_and_coords())
+        ra, rb = data.draw(coords), data.draw(coords)
+        a, b = g.element(*ra), g.element(*rb)
+        for x, ref in ((a, ra), (b, rb)):
+            assert x.den > 0 and gcd(x.den, *x.nums) == 1
+            assert x.coords == ref and all(type(c) is Fraction for c in x.coords)
+            assert x.coord_strings() == [str(c) for c in ref]
+            assert str(x) == (str(ref[0]) if g.rank == 1
+                              else "(" + ", ".join(str(c) for c in ref) + ")")
+            lead = next((i for i, c in enumerate(ref) if c), None)
+            assert x.leading_index() == lead
+            assert x.sign() == (0 if lead is None else (1 if ref[lead] > 0 else -1))
+            assert x.is_zero is (lead is None)
+        assert (a + b).coords == tuple(x + y for x, y in zip(ra, rb))
+        assert (a - b).coords == tuple(x - y for x, y in zip(ra, rb))
+        assert (-a).coords == tuple(-x for x in ra)
+        m = data.draw(st.integers(-6, 6))
+        assert (a * m).coords == (m * a).coords == tuple(x * m for x in ra)
+        assert ((a < b), (a <= b), (a > b), (a >= b)) == ((ra < rb), (ra <= rb),
+                                                          (ra > rb), (ra >= rb))
+        assert (a == b) is (ra == rb)
+        assert a == g.element(*ra) and hash(a) == hash(g.element(*ra))
+        assert a + b - b == a and hash(a + b - b) == hash(a)
+
+        s = Fraction(data.draw(st.integers(-9, 9)), data.draw(st.integers(1, 30)))
+        want = tuple(x * s for x in ra)
+        if all(_in_class(k, g.prime, c) for k, c in zip(g.components, want)):
+            assert (a * s).coords == (s * a).coords == want
+            assert a * s == g.element(*want)
+        else:
+            with pytest.raises(StructuralError, match="not allowed"):
+                a * s
+
+    def test_half_outside_an_int_class(self):
+        with pytest.raises(StructuralError, match="coordinate 1/2 not allowed in component 0"):
+            GroupDescriptor((Component.INT,), 3).element(Fraction(1, 2))
+
+    def test_third_outside_a_pdiv_class_at_two(self):
+        g = GroupDescriptor((Component.RAT, Component.PDIV), 2)
+        with pytest.raises(StructuralError, match="coordinate 1/3 not allowed in component 1"):
+            g.element(0, Fraction(1, 3))
+        with pytest.raises(StructuralError, match="1/3"):
+            g.unit(1, Fraction(1, 3))
+
+    def test_halving_an_odd_int_coordinate(self):
+        g = GroupDescriptor((Component.PDIV, Component.INT), 2)
+        assert g.element(Fraction(1, 4), 6) * Fraction(1, 2) == g.element(Fraction(1, 8), 3)
+        with pytest.raises(StructuralError, match="coordinate 3/2 not allowed in component 1"):
+            g.element(Fraction(1, 4), 3) * Fraction(1, 2)
+
+    def test_elements_of_two_descriptors(self):
+        a = GroupDescriptor((Component.PDIV,), 2).element(1)
+        b = GroupDescriptor((Component.PDIV,), 3).element(1)
+        assert a != b
+        for op in (lambda: a + b, lambda: a - b, lambda: a < b, lambda: a <= b,
+                   lambda: a > b, lambda: a >= b, lambda: compare(a, b)):
+            with pytest.raises(StructuralError, match="different group descriptors"):
+                op()
+
+    def test_over_is_the_checked_quotient(self):
+        g = GroupDescriptor((Component.PDIV, Component.INT), 3)
+        x = g.element(-2, 6)
+        assert x.over(-2) == g.element(1, -3)
+        assert x.over(3) == g.element(Fraction(-2, 3), 2)
+        assert x.over(4) is None and x.over(9) is None
 
 
 class TestCompare:
