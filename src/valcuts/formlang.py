@@ -608,6 +608,22 @@ class EvalResult:
                 "witness": self.witness, "candidates_used": self.candidates_used}
 
 
+# The K-quantifier shapes the oracle answers exactly, in a distinguished
+# element x and the quantified c.  A row gives the signed summands, keyed by
+# (x or c, exponent 1 or p) and matched up to one overall sign, the fact x
+# must carry, and the value v(x - K) must stay below.  v(shape) is then its
+# degree in c times v(x - c).
+_SHAPES = (
+    ({("x", 1): 1, ("c", 1): -1}, None, None),
+    # v(y^p - y) = p * v(y) needs every v(x - c) negative
+    ({("x", "p"): 1, ("x", 1): -1, ("c", "p"): -1, ("c", 1): 1}, "as_generator",
+     lambda fm: fm.group.zero()),
+    # x^p - c^p is the product of the x - zeta^i c, and each has value v(x - c)
+    # when v(x - c) < v(zeta_p - 1)
+    ({("x", "p"): 1, ("c", "p"): -1}, "one_unit", FormulaModel.zeta_value),
+)
+
+
 class _Evaluator:
     def __init__(self, fmodel: FormulaModel, bindings: dict):
         self.fm = fmodel
@@ -665,7 +681,12 @@ class _Evaluator:
             base = self.term_carrier(t.base)
             e = self._exponent(t.exponent)
             if isinstance(base, PatternSeries):
-                return base.pow_char_power(e)
+                if e == 0:
+                    return self.fm.model.one()
+                try:
+                    return base.pow_char_power(e)
+                except StructuralError as err:   # e is not a power of p
+                    raise EvaluationUnsupported(str(err)) from None
             return base**e
         if isinstance(t, Recip):
             base = self.term_carrier(t.term)
@@ -918,12 +939,12 @@ class _Evaluator:
             if values is not None:
                 truth = Truth.of(_holds(values, w))
             else:
-                seg, mult, exp, w_extra = decomposed
-                if exp * mult == 0:
+                seg, k, w_extra = decomposed
+                if k == 0:
                     return None
                 # `exists ... = w` where some class is not |k|-divisible: the
                 # one candidate is s = r/k, r = sign * w - w_extra, if in G
-                s = ((-w if cside.negated else w) - w_extra).over(exp * mult)
+                s = ((-w if cside.negated else w) - w_extra).over(k)
                 truth = Truth.of(s is not None and contains(seg, s))
         for op, guard in reversed(guards):   # `guard -> rest` is `not guard or rest`
             held = self.eval(guard)
@@ -999,10 +1020,11 @@ class _Evaluator:
         return values
 
     def _decompose(self, term, var):
-        """Split v(term) into (segment, mult, factor exponent, cofactor value).
+        """Split v(term) into (segment, k, cofactor value).
 
-        v(term) = cofactors + e * mult * s with s ranging over the segment; e
-        is the integer exponent the c-bearing factor carries."""
+        v(term) = cofactors + k * s with s ranging over the segment; k is the
+        integer exponent the c-bearing factor carries times the multiplier of
+        its shape."""
         factors = _flatten_factors(term)
         with_var = [(f, e) for f, e in factors if var in free_variables(f)]
         if len(with_var) != 1:
@@ -1023,73 +1045,41 @@ class _Evaluator:
                 w_extra = w_extra + v * ee
         except EvaluationUnsupported:
             return None
-        return seg, mult, e, w_extra
-
-    def _canon(self, t):
-        """Exponent tokens equal to the prime are normalized to the symbol p."""
-        if isinstance(t, Pow) and self._exponent(t.exponent) == self.fm.prime:
-            return Pow(t.base, "p")
-        return t
+        return seg, e * mult, w_extra
 
     def _match_shape(self, t, var):
-        """Recognized shapes in the quantified variable c:
-        x - c, x^p - x - c^p + c, x^p - c^p (x a distinguished element)."""
-        terms = [(self._canon(tt), s) for tt, s in _flatten_sum(t)]
-        if len(terms) == 2:
-            (t1, s1), (t2, s2) = terms
-            if s1 != -s2:
+        """(v(x - K), multiplier) when t is a _SHAPES row in a distinguished
+        element x and c = var, so that v(t) = multiplier * v(x - c) over c in K."""
+        terms = _flatten_sum(t)
+        signed, names = {}, {var}
+        for term, sign in terms:
+            power = 1
+            if isinstance(term, Pow) and self._exponent(term.exponent) == self.fm.prime:
+                term, power = term.base, "p"
+            if not isinstance(term, Var):
                 return None
-            pos_t, neg_t = (t1, t2) if s1 == 1 else (t2, t1)
-            for x_t, c_t in ((pos_t, neg_t), (neg_t, pos_t)):
-                im = self._immediate_of(x_t)
-                if im is not None and c_t == Var(var):
-                    return im.segment, 1
-            for x_t, c_t in ((pos_t, neg_t), (neg_t, pos_t)):
-                im = self._immediate_of_pow(x_t)
-                if im is not None and c_t == Pow(Var(var), "p"):
-                    if "one_unit" not in im.facts:
-                        return None
-                    try:
-                        vzeta = self.fm.zeta_value()
-                    except EvaluationUnsupported:
-                        return None
-                    # x^p - c^p is the product of the x - zeta^i c, and each has
-                    # value v(x - c) when v(x - c) < v(zeta - 1): then
-                    # v(x^p - c^p) = p * v(x - c)
-                    if contains(im.segment, vzeta):
-                        return None
-                    return im.segment, self.fm.prime
+            names.add(term.name)
+            key = ("c" if term.name == var else "x", power)
+            signed[key] = signed.get(key, 0) + sign
+        names.remove(var)
+        if len(names) != 1:
             return None
-        if len(terms) == 4:
-            sgn: dict = {}
-            for tt, s in terms:
-                sgn[tt] = sgn.get(tt, 0) + s
-            candidates = [im.name for im in self.fm.immediates] + list(self.bindings)
-            for x_name in candidates:
-                xv = self._try_resolve(x_name)
-                if not isinstance(xv, ImmediateElement):
-                    continue
-                x, c = Var(x_name), Var(var)
-                pat = {Pow(x, "p"): 1, x: -1, Pow(c, "p"): -1, c: 1}
-                if sgn == pat or sgn == {k: -v for k, v in pat.items()}:
-                    if "as_generator" not in xv.facts:
-                        return None
-                    # v(y^p - y) = p * v(y) needs every v(x - c) negative
-                    if contains(xv.segment, self.fm.group.zero()):
-                        return None
-                    return xv.segment, self.fm.prime
+        im = self._try_resolve(names.pop())
+        if not isinstance(im, ImmediateElement):
+            return None
+        negated = {key: -sign for key, sign in signed.items()}
+        for summands, fact, bound in _SHAPES:
+            if len(summands) != len(terms) or summands not in (signed, negated):
+                continue
+            if fact is not None and fact not in im.facts:
+                return None
+            try:
+                if bound is not None and contains(im.segment, bound(self.fm)):
+                    return None
+            except EvaluationUnsupported:   # no value for p: no v(zeta_p - 1)
+                return None
+            return im.segment, self.fm.prime if ("c", "p") in summands else 1
         return None
-
-    def _immediate_of(self, t):
-        if isinstance(t, Var):
-            v = self._try_resolve(t.name)
-            if isinstance(v, ImmediateElement):
-                return v
-        return None
-
-    def _immediate_of_pow(self, t):
-        """x for a canonical x^p, x a distinguished element."""
-        return self._immediate_of(t.base) if isinstance(t, Pow) and t.exponent == "p" else None
 
     # bounded fallback: enumerate candidate witnesses
     def _bounded(self, q: Quant) -> Truth:
@@ -1172,13 +1162,12 @@ def _values_cut(decomposed, negated: bool, quant: str, rel: str):
     """The finite w for which `quant c in K : cside REL w` holds, where cside is
     v(term), or -v(term) when negated, and `decomposed` is _decompose(term):
     a Segment, True/False for every w or none, or None when no cut is it."""
-    seg, mult, exp, w_extra = decomposed
+    seg, k, w_extra = decomposed
     # cside = sign * (w_extra + k * s) over s in seg, so the atom reads
     # k * s REL r with r = sign * w - w_extra once the sign is moved over
     sign = -1 if negated else 1
     if sign < 0:
         rel = _flip_rel(rel)
-    k = exp * mult
     if k == 0:
         # a zeroth power: the c side is w_extra for every c; the atom reads 0 REL r
         if rel == "=":

@@ -321,8 +321,8 @@ class PatternSeries:
         """n-th power for n a power of the characteristic (via Frobenius)."""
         p = self.model.char
         out = self
-        while n > 1:
-            if n % p:
+        while n != 1:
+            if n < 1 or n % p:
                 raise StructuralError("pattern powers are supported for p-power exponents")
             out = out.frobenius()
             n //= p

@@ -235,29 +235,37 @@ def from_json(group: GroupDescriptor, data: dict) -> Segment:
             return default
         try:
             return convert(data[name])
-        except (TypeError, ValueError, OverflowError, StructuralError) as err:
+        except (TypeError, ValueError, ZeroDivisionError, OverflowError,
+                StructuralError) as err:
             raise ConfigError(f"segment field {name!r}: {err}", fields=[name]) from None
 
+    def exact(kind):   # the JSON type itself: true is no integer, nor are 1.9 and "2"
+        def check(value):
+            if type(value) is not kind:
+                raise TypeError(f"{value!r} is not a JSON {kind.__name__}")
+            return value
+        return check
+
     def element(values):
-        return group.element(*[Fraction(v) for v in values])
+        return group.element(*[Fraction(v) for v in exact(list)(values)])
 
     def subgroup(value):
-        if int(value) == 0:
+        if exact(int)(value) == 0:
             raise ValueError("a cut at the whole group describes the empty set")
-        return ConvexSubgroup(group, int(value))
+        return ConvexSubgroup(group, value)
 
     direction = read("direction", Direction)
     kind = read("kind", str)
     if kind == CutKind.ELEMENT:
-        return element_cut(read("gamma", element), closed=read("closed", bool, True),
+        return element_cut(read("gamma", element), closed=read("closed", exact(bool), True),
                            direction=direction)
     if kind == CutKind.SUBGROUP:
         return subgroup_cut(read("level", subgroup),
                             shift=read("shift", element, group.zero()),
-                            closed=read("closed", bool, False), direction=direction)
+                            closed=read("closed", exact(bool), False), direction=direction)
     if kind == "seq":
         return seq_cut(read("limit", element), read("scale", element),
-                       start=read("start", int, 1), direction=direction)
+                       start=read("start", exact(int), 1), direction=direction)
     raise ConfigError(f"segment field 'kind': {kind!r} is not one of "
                       "'element', 'subgroup', 'seq'", fields=["kind"])
 

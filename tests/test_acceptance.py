@@ -211,7 +211,15 @@ def test_criterion_6_segment_property_suite():
             set1 = [scaled(x) for x in fine if contains(s1, x)]
             set2 = frozenset(scaled(x) for x in fine_wide if contains(s2, x))
             total = sg.sum(s1, s2)
-            for u in rng.sample(window, 30):
+            # closedness shows only on the sum's boundary coset, which seldom
+            # meets the window: probe its grid points whose other coordinates
+            # stay within [-1, 1].  A witness pair sits on the operands'
+            # boundary cosets, whose coordinates lie within [-2, 2], so it is
+            # on the witness lattices too
+            level = total.level
+            boundary = [x for x in grid if x.coords[:level] == total.shift.coords[:level]
+                        and all(abs(c) <= 1 for c in x.coords[level:])]
+            for u in rng.sample(window, 30) + boundary:
                 u0, u1 = scaled(u)
                 witnessed = any((u0 - a0, u1 - a1) in set2 for a0, a1 in set1)
                 assert contains(total, u) == witnessed

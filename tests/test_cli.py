@@ -433,6 +433,10 @@ class TestInputContract:
                                   "x0_value": ["1"]}],
          "extension/star_index: star_index outside the value group"),
         (["eval", "--formula", "not " * 1200 + "v(t) > 0"], "nested deeper than"),
+        (["classify", "--config", lambda tmp: write_config(tmp, {
+            "direction": "final", "kind": "element", "gamma": ["1", "0"],
+            "closed": "false"}, ("pdiv", "pdiv"))],
+         "segment field 'closed'"),
     ])
     def test_bad_value_exits_2_naming_it(self, tmp_path, capsys, args, named):
         args = [write_extension(tmp_path, a) if isinstance(a, dict)

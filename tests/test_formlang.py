@@ -344,6 +344,42 @@ class TestEvaluation:
             res = evaluate(text, fm)
             assert (res.value, res.mode) == (want, "oracle"), text
 
+    @pytest.mark.parametrize("text,value,mode", [
+        ("theta^0 = 1", Truth.TRUE, "oracle"),
+        ("v(theta^0 - t) = 0", Truth.TRUE, "oracle"),
+        ("inK(theta^0)", Truth.TRUE, "oracle"),
+        ("v(theta^3 - t) < 0", Truth.TRUE, "oracle"),   # the min rule, as for theta*theta
+        ("theta^3 = t", Truth.FALSE, "oracle"),   # distinct valuations
+        ("inK(theta^3)", Truth.UNKNOWN, "bounded"),   # theta^3 has no pattern form
+        ("inK(theta^4)", Truth.FALSE, "oracle"),   # a Frobenius image keeps its tails
+    ])
+    def test_powers_of_a_pattern_series(self, text, value, mode):
+        # x^0 is 1, a p-power is a Frobenius image, any other power has only a value
+        res = evaluate(text, abhyankar(2).fmodel)
+        assert (res.value, res.mode) == (value, mode)
+
+    @pytest.mark.parametrize("build,text,value,mode", [
+        # each shape in both summand orders
+        (abhyankar, "forall c in K : v(theta - c) < 0", Truth.TRUE, "oracle"),
+        (abhyankar, "forall c in K : v(c - theta) < 0", Truth.TRUE, "oracle"),
+        (abhyankar, "forall c in K : v(theta^p - theta - c^p + c) < 0", Truth.TRUE, "oracle"),
+        (abhyankar, "forall c in K : v(c - c^p - theta + theta^p) < 0", Truth.TRUE, "oracle"),
+        (abhyankar, "exists c in K : v(c^p - c - theta^3 + theta) >= -1", Truth.TRUE,
+         "oracle"),
+        (kummer_mixed, "forall c in K : v(eta^p - c^p) < 3", Truth.TRUE, "oracle"),
+        (kummer_mixed, "forall c in K : v(c^3 - eta^p) < 3", Truth.TRUE, "oracle"),
+        # an extra summand that cancels leaves the shapes: the counts differ
+        (abhyankar, "forall c in K : v(theta - c + c - c) < 0", Truth.UNKNOWN, "bounded"),
+        (abhyankar, "exists c in K : v(theta^p - theta - c^p + c + c - c) < -1",
+         Truth.TRUE, "bounded"),
+        (kummer_mixed, "forall c in K : v(eta^p - c^p + c - c) < 3", Truth.UNKNOWN,
+         "bounded"),
+    ])
+    def test_each_shape_in_both_orders_and_with_an_extra_summand(self, build, text,
+                                                                 value, mode):
+        res = evaluate(text, build(3).fmodel)
+        assert (res.value, res.mode) == (value, mode)
+
     def test_approximants_of_a_late_tail(self):
         # theta = sum_{i>=3} t^(-1/2^i): the schedule starts at -1/8 and the
         # approximant b_k = partial_sum(k) is 0 for k < 3, so v(theta - b_k)

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import itertools
+import time
+from fractions import Fraction
 
 import pytest
 
 from valcuts.errors import InvalidSelectionError
 from valcuts.extension import classify
-from valcuts.formlang import DEFINITIONS, value_set
+from valcuts.formlang import DEFINITIONS, Truth, evaluate, membership, value_set
 from valcuts.ogroup import Component, ConvexSubgroup, convex_subgroups
 from valcuts.prescribe import CharCase, build, verify
 from valcuts.scenarios import _generator_fmodel
@@ -147,3 +149,32 @@ class TestPrescribedSubgroupsAreDefinable:
                         assert compiled == want, (p, n, w.level, name)
                     checked += 1
         assert checked == 84
+
+    def test_boundary_samples_evaluate_to_membership(self):
+        # b = t^e with the leading nonzero coordinate of e at index j - 1, just
+        # outside H_j, or at index j, inside H_j \ H_{j+1}, at +-1/p^d: each
+        # sample is evaluated pointwise and compared with direct membership
+        start = time.perf_counter()
+        samples = decided = 0
+        for p in (2, 3, 5, 7):
+            for n in range(1, 7):
+                plan = build(n, range(1, n + 1), p)
+                for w in plan.witnesses:
+                    res = classify(w.datum)
+                    fm = _generator_fmodel(plan.model, res, {})
+                    direct = {"coarse-ring-as": ConvexSubgroup(plan.group, w.level),
+                              "ram-ideal-as": res.ram_ideal, "max-ideal": res.max_ideal}
+                    for i in range(w.level - 1, min(w.level, n - 1) + 1):
+                        for d, sign in itertools.product(range(3), (1, -1)):
+                            e = plan.group.unit(i, sign) * Fraction(1, p**d)
+                            b = plan.model.monomial(1, e)
+                            for name, want in direct.items():
+                                got = evaluate(DEFINITIONS[name], fm, bindings={"b": b})
+                                samples += 1
+                                if got.value is Truth.UNKNOWN:
+                                    continue
+                                assert (got.value is Truth.TRUE) == membership(want, e), (
+                                    p, n, w.level, name, e)
+                                decided += got.mode == "oracle"
+        assert time.perf_counter() - start < 10
+        assert (samples, decided) == (2592, 2592)

@@ -495,6 +495,18 @@ class TestIdeals:
         ({"direction": "final", "kind": "element", "gamma": ["1/3"]}, "gamma"),
         ({"direction": "final", "kind": "element", "gamma": [float("inf")]}, "gamma"),
         ({"direction": "final", "kind": "subgroup", "level": 0}, "level"),
+        ({"direction": "final", "kind": "element", "gamma": ["1/0"]}, "gamma"),
+        ({"direction": "final", "kind": "element", "gamma": "1"}, "gamma"),
+        ({"direction": "final", "kind": "element", "gamma": ["1"], "closed": "false"},
+         "closed"),
+        ({"direction": "final", "kind": "subgroup", "level": 1, "closed": 0}, "closed"),
+        ({"direction": "final", "kind": "subgroup", "level": 1.0}, "level"),
+        ({"direction": "final", "kind": "subgroup", "level": True}, "level"),
+        ({"direction": "final", "kind": "subgroup", "level": 1, "shift": "1"}, "shift"),
+        ({"direction": "initial", "kind": "seq", "limit": ["0"], "scale": ["1"],
+          "start": 2.5}, "start"),
+        ({"direction": "initial", "kind": "seq", "limit": ["0"], "scale": ["1"],
+          "start": False}, "start"),
     ])
     def test_json_malformed_field_named(self, data, field):
         with pytest.raises(ConfigError) as err:
