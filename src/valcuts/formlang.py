@@ -61,87 +61,107 @@ class Domain(str, Enum):
     L_MINUS_K = "L\\K"
 
 
-@dataclass(frozen=True)
+def _node(cls):
+    """A syntax node: a frozen dataclass, equal to a node of its class with equal
+    fields.  Its hash and its free names are computed once and kept on it, but
+    not in its pickled state, since a str hashes differently in each process."""
+    cls = dataclass(frozen=True)(cls)
+    cls.__hash__, cls.__getstate__ = _node_hash, _node_state
+    return cls
+
+
+def _node_hash(node) -> int:
+    cache = node.__dict__
+    if "_hash" not in cache:   # the generated hash, but the fields' hashes are kept
+        cache["_hash"] = hash(tuple(cache[name] for name in node.__match_args__))
+    return cache["_hash"]
+
+
+def _node_state(node) -> dict:
+    return {name: node.__dict__[name] for name in node.__match_args__}   # the fields
+
+
+@_node
 class Var:
     name: str
 
 
-@dataclass(frozen=True)
+@_node
 class IntLit:
     value: int
 
 
-@dataclass(frozen=True)
+@_node
 class Add:
     left: object
     right: object
 
 
-@dataclass(frozen=True)
+@_node
 class Sub:
     left: object
     right: object
 
 
-@dataclass(frozen=True)
+@_node
 class Mul:
     left: object
     right: object
 
 
-@dataclass(frozen=True)
+@_node
 class Pow:
     base: object
     exponent: int | str   # an integer or the symbolic prime "p"
 
 
-@dataclass(frozen=True)
+@_node
 class Recip:
     term: object
 
 
-@dataclass(frozen=True)
+@_node
 class VOf:
     term: object
     negated: bool = False
 
 
-@dataclass(frozen=True)
+@_node
 class RatConst:
     value: Fraction
 
 
-@dataclass(frozen=True)
+@_node
 class ValAtom:
     left: object   # VOf | RatConst
     rel: str
     right: object
 
 
-@dataclass(frozen=True)
+@_node
 class EqAtom:
     left: object
     right: object
 
 
-@dataclass(frozen=True)
+@_node
 class InK:
     term: object
 
 
-@dataclass(frozen=True)
+@_node
 class Not:
     body: object
 
 
-@dataclass(frozen=True)
+@_node
 class BinOp:
     op: str   # "and" | "or" | "->"
     left: object
     right: object
 
 
-@dataclass(frozen=True)
+@_node
 class Quant:
     kind: str  # "forall" | "exists"
     var: str
@@ -552,9 +572,13 @@ class FormulaModel:
         return None
 
     def zeta_value(self) -> GroupElement:
+        """v(zeta_p - 1) = v(p) / (p - 1)."""
         if self.model.vp is None:
             raise EvaluationUnsupported("model declares no value for p")
-        return self.model.vp * Fraction(1, self.prime - 1)
+        value = self.model.vp.over(self.prime - 1)
+        if value is None:
+            raise EvaluationUnsupported("v(zeta_p - 1) lies outside the value group")
+        return value
 
     @cached_property
     def candidates(self) -> tuple:
@@ -632,6 +656,7 @@ class _Evaluator:
         self.candidates_used = 0
         self.witness: str | None = None
         self.pooled: dict[str, int] = {}   # quantified variable -> pool index it holds
+        self.valued: dict = {}   # v(term) of a term naming no pool candidate
 
     # -- term carriers ------------------------------------------------
 
@@ -796,15 +821,18 @@ class _Evaluator:
         return val
 
     def _valuation_of(self, t):
-        """term_valuation(t), read from the model's cache when t names one pool
-        candidate and, apart from it, only the model's own names."""
-        names = _term_names(t) if self.pooled else frozenset()
+        """term_valuation(t), computed once per evaluation when t names no pool
+        candidate, and once per model and candidate when t names one candidate
+        and, apart from it, only the model's own names."""
+        names = free_variables(t)
         held = self.pooled.keys() & names
-        if len(held) != 1 or any(name in self.bindings for name in names - held):
+        if not held:
+            cache, key = self.valued, t
+        elif len(held) == 1 and not any(name in self.bindings for name in names - held):
+            (var,) = held
+            cache, key = self.fm.candidate_valuations, (t, var, self.pooled[var])
+        else:
             return self.term_valuation(t)
-        (var,) = held
-        cache = self.fm.candidate_valuations
-        key = (t, var, self.pooled[var])
         val = cache.get(key)
         if val is None:
             try:
@@ -822,7 +850,6 @@ class _Evaluator:
                 a = self.vexpr_value(atom.left)
                 b = self.vexpr_value(atom.right)
             except EvaluationUnsupported:
-                self.bounded_used = True
                 return Truth.UNKNOWN
             return Truth.of(_compare_values(a, b, atom.rel))
         if isinstance(atom, EqAtom):
@@ -837,7 +864,6 @@ class _Evaluator:
                         return Truth.FALSE  # distinct valuations refute equality
                 except EvaluationUnsupported:
                     pass
-                self.bounded_used = True
                 return Truth.UNKNOWN
             diff = a - b
             if isinstance(diff, PatternSeries):
@@ -866,7 +892,6 @@ class _Evaluator:
         try:
             carrier = self.term_carrier(t)
         except EvaluationUnsupported:
-            self.bounded_used = True
             return Truth.UNKNOWN
         if isinstance(carrier, PatternSeries):
             return Truth.of(not carrier.has_tails)
@@ -895,16 +920,28 @@ class _Evaluator:
 
     def _eval_with(self, var: str, value, body, index: int | None = None) -> Truth:
         """body with var bound to value, pool candidate `index` if given; an
-        outer binding of var comes back after."""
+        outer binding of var, and the kept valuations that read it, come back
+        after.  A term naming a pooled var never reads the kept valuations, so
+        only a binding outside the pool sets them aside."""
         outer, self.bindings = self.bindings, {**self.bindings, var: value}
         pooled = self.pooled
         if index is not None:
             self.pooled = {**pooled, var: index}
-        elif var in pooled:
-            self.pooled = {name: i for name, i in pooled.items() if name != var}
-        result = self.eval(body)
+            result = self.eval(body)
+        else:
+            if var in pooled:
+                self.pooled = {name: i for name, i in pooled.items() if name != var}
+            outer_valued = self._drop_valued(var)
+            result = self.eval(body)
+            self._drop_valued(var)
+            self.valued.update(outer_valued)
         self.bindings, self.pooled = outer, pooled
         return result
+
+    def _drop_valued(self, var: str) -> dict:
+        """Remove and return the kept valuations of terms that name var."""
+        return {t: self.valued.pop(t) for t in [t for t in self.valued
+                                                if var in free_variables(t)]}
 
     def eval_quant(self, q: Quant) -> Truth:
         if q.domain is Domain.L_MINUS_K:
@@ -1076,7 +1113,7 @@ class _Evaluator:
             try:
                 if bound is not None and contains(im.segment, bound(self.fm)):
                     return None
-            except EvaluationUnsupported:   # no value for p: no v(zeta_p - 1)
+            except EvaluationUnsupported:   # no v(zeta_p - 1) in the group
                 return None
             return im.segment, self.fm.prime if ("c", "p") in summands else 1
         return None
@@ -1239,26 +1276,28 @@ def _merge(a, b, union: bool):
     return a if b_within_a is union else b
 
 
-def free_variables(node, bound=frozenset()) -> frozenset:
-    """The names a formula, valuation expression or term uses unbound."""
+def free_variables(node) -> frozenset:
+    """The names a formula, valuation expression or term uses unbound, found
+    once per node and kept on it."""
+    cache = node.__dict__
+    if "_free" in cache:
+        return cache["_free"]
     if isinstance(node, Var):
-        return frozenset() if node.name in bound else frozenset({node.name})
-    if isinstance(node, _BINARY):
-        return free_variables(node.left, bound) | free_variables(node.right, bound)
-    if isinstance(node, Pow):
-        return free_variables(node.base, bound)
-    if isinstance(node, (Recip, VOf, InK)):
-        return free_variables(node.term, bound)
-    if isinstance(node, Not):
-        return free_variables(node.body, bound)
-    if isinstance(node, Quant):
-        return free_variables(node.body, bound | {node.var})
-    return frozenset()
-
-
-@lru_cache(maxsize=1024)
-def _term_names(t) -> frozenset:
-    return free_variables(t)
+        found = frozenset({node.name})
+    elif isinstance(node, _BINARY):
+        found = free_variables(node.left) | free_variables(node.right)
+    elif isinstance(node, Pow):
+        found = free_variables(node.base)
+    elif isinstance(node, (Recip, VOf, InK)):
+        found = free_variables(node.term)
+    elif isinstance(node, Not):
+        found = free_variables(node.body)
+    elif isinstance(node, Quant):
+        found = free_variables(node.body) - {node.var}
+    else:
+        found = frozenset()
+    cache["_free"] = found
+    return found
 
 
 def evaluate(phi, fmodel: FormulaModel, bindings: dict | None = None) -> EvalResult:

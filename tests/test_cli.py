@@ -88,6 +88,14 @@ class TestScenarios:
         assert report["result"]["value"] == "TRUE"
         assert report["result"]["mode"] == "oracle"
 
+    def test_eval_unknown_atom_is_not_bounded_mode(self, tmp_path):
+        # no quantifier enumerated candidates, so the oracle answered
+        code, report = run(["eval", "--scenario", "abhyankar", "--p", "2",
+                            "--formula", "inK(theta^3)"], tmp_path)
+        assert code == 0
+        assert report["result"] == {"value": "UNKNOWN", "mode": "oracle",
+                                    "witness": None, "candidates_used": 0}
+
     def test_eval_unbound_name_exits_1_naming_it(self, capsys):
         code = main(["eval", "--scenario", "kummer-mixed", "--p", "3",
                      "--formula", "v(t) > 0"])

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import pickle
 import random
+import subprocess
+import sys
 from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
@@ -12,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from valcuts import formlang
 from valcuts.errors import ParseError, StructuralError
 from valcuts.formlang import (
     DEFINITIONS,
@@ -38,6 +43,7 @@ from valcuts.formlang import (
     VOf,
     _Evaluator,
     _holds,
+    _Parser,
     check_definition,
     evaluate,
     free_variables,
@@ -49,6 +55,7 @@ from valcuts.formlang import (
 from valcuts.gpsfield import (INF, FieldModel, PatternSeries, Tail, approach_segment,
                               parse_element, val_diff)
 from valcuts.ogroup import Component, ConvexSubgroup, GroupDescriptor, GroupElement
+from valcuts.prescribe import CharCase, build
 from valcuts.scenarios import (
     abhyankar,
     declared_samples,
@@ -191,6 +198,62 @@ class TestParser:
                 parse(text)
 
 
+class TestSyntaxNodes:
+    """Syntax nodes compare field by field and keep their hash and free names."""
+
+    TEXT = DEFINITIONS["coarse-ring-kummer"]
+
+    def test_separate_parses_are_equal_and_hash_equal(self):
+        a, b = _Parser(self.TEXT).formula(), _Parser(self.TEXT).formula()
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert {a: "kept"}[b] == "kept"
+
+    def test_the_node_class_is_part_of_equality(self):
+        x, y = Var("x"), Var("y")
+        assert Add(x, y) != Sub(x, y)
+        assert {Add(x, y): "sum"}.get(Sub(x, y)) is None
+
+    def test_a_quantifier_frees_only_its_own_use(self):
+        f = parse("v(c) > 0 and exists c in K : v(c - b) > 0")
+        assert free_variables(f.right) == {"b"}
+        assert free_variables(f) == {"b", "c"}
+        assert free_variables(parse("forall c in K : exists c in L : v(c) > 0")) == set()
+
+    def test_hash_and_free_names_are_found_once(self, monkeypatch):
+        f = _Parser(self.TEXT).formula()
+        hashed, free = hash(f), free_variables(f)
+        walked = []
+        original = formlang.free_variables
+
+        def counting(node):
+            walked.append(node)
+            return original(node)
+
+        def refuse(node):
+            raise AssertionError("a kept hash was computed again")
+
+        monkeypatch.setattr(formlang, "free_variables", counting)
+        monkeypatch.setattr(Var, "__hash__", refuse)
+        assert hash(f) == hashed and formlang.free_variables(f) == free
+        assert walked == [f]
+
+    def test_a_pickled_node_hashes_in_the_process_that_loads_it(self):
+        # a str hashes differently in each process, so a kept hash must not travel
+        script = ("import pickle, sys\n"
+                  "from valcuts.formlang import parse\n"
+                  "f = parse(sys.argv[1])\n"
+                  "hash(f)\n"
+                  "sys.stdout.buffer.write(pickle.dumps(f))\n")
+        src = os.path.dirname(os.path.dirname(formlang.__file__))
+        env = {**os.environ, "PYTHONHASHSEED": "12345", "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        dumped = subprocess.run([sys.executable, "-c", script, self.TEXT],
+                                capture_output=True, env=env, check=True).stdout
+        loaded = pickle.loads(dumped)
+        assert loaded == parse(self.TEXT) and hash(loaded) == hash(parse(self.TEXT))
+        assert {parse(self.TEXT): "kept"}[loaded] == "kept"
+
+
 class TestEvaluation:
     def test_reflexivity_of_infinite_valuations(self):
         sc = abhyankar(3)
@@ -330,6 +393,25 @@ class TestEvaluation:
         res = evaluate("forall theta in K : v(theta - theta) >= 0", abhyankar(2).fmodel)
         assert res.value is not Truth.FALSE and res.mode == "bounded"
 
+    def test_zeta_outside_the_group_is_unknown(self):
+        # a mixed plan's pdiv group at p = 3 holds v(p) but not v(p)/2 = v(zeta_p - 1)
+        fm = FormulaModel(build(2, (1, 2), 3, CharCase.MIXED).model, ())
+        res = evaluate("v(b) < v(zeta_p - 1)", fm,
+                       bindings={"b": DeclaredValue(fm.group.zero())})
+        assert (res.value, res.mode) == (Truth.UNKNOWN, "oracle")
+
+    @pytest.mark.parametrize("p,mode", [(2, "oracle"), (3, "bounded"), (5, "bounded")])
+    def test_kummer_shape_needs_zeta_in_the_group(self, p, mode):
+        model = build(2, (1, 2), p, CharCase.MIXED).model
+        g = model.value_group
+        seg = element_cut(g.element(-1, 0), closed=True, direction=Direction.INITIAL)
+        x = ImmediateElement("x", seg, (g.element(-2, 0), g.element(-1, 0)),
+                             facts=frozenset({"one_unit"}))
+        res = evaluate("forall c in K : v(x^p - c^p) < v(b)", FormulaModel(model, (x,)),
+                       bindings={"b": DeclaredValue(g.zero())})
+        assert res.mode == mode
+        assert res.value is (Truth.TRUE if mode == "oracle" else Truth.UNKNOWN)
+
     def test_kummer_power_difference_below_zeta(self):
         # with every v(eta - c) < v(zeta_p - 1), each factor eta - zeta^i c of
         # eta^p - c^p has value v(eta - c), so v(eta^p - c^p) = p * v(eta - c)
@@ -350,7 +432,7 @@ class TestEvaluation:
         ("inK(theta^0)", Truth.TRUE, "oracle"),
         ("v(theta^3 - t) < 0", Truth.TRUE, "oracle"),   # the min rule, as for theta*theta
         ("theta^3 = t", Truth.FALSE, "oracle"),   # distinct valuations
-        ("inK(theta^3)", Truth.UNKNOWN, "bounded"),   # theta^3 has no pattern form
+        ("inK(theta^3)", Truth.UNKNOWN, "oracle"),   # theta^3 has no pattern form
         ("inK(theta^4)", Truth.FALSE, "oracle"),   # a Frobenius image keeps its tails
     ])
     def test_powers_of_a_pattern_series(self, text, value, mode):
@@ -522,6 +604,64 @@ class TestCandidateValuations:
         evaluate("exists x in L\\K : forall c in K : v(x - c*c) < v(b)", fm,
                  bindings={"b": b})
         assert fm.candidate_valuations == {}   # x is bound to an element of L\K
+
+
+# formulas in which a quantifier rebinds b or c after v(b) or v(b*t) was
+# valued, with their answers on example_e1(2) at b = t^(7,0) and t^(-1/2,0),
+# as (value, mode, witness, candidates_used); taken from the code that valued
+# v(b) afresh for every candidate
+SHADOWING = {
+    "exists c in K : v(theta - c*c) >= v(b) and forall b in K : v(theta - c*c) < v(b)": (
+        ("UNKNOWN", "bounded", "theta~1", 594), ("UNKNOWN", "bounded", "theta~1", 594)),
+    "v(b) >= 0 and (exists b in L\\K : v(b) < 0)": (
+        ("TRUE", "oracle", None, 0), ("FALSE", "oracle", None, 0)),
+    "(exists b in L\\K : v(b) < 0) and v(b) >= 0": (
+        ("TRUE", "oracle", None, 0), ("FALSE", "oracle", None, 0)),
+    "v(b*t) > 0 and (forall b in L\\K : v(b*t) < 0) and v(b*t) > v(theta)": (
+        ("TRUE", "oracle", None, 0), ("FALSE", "oracle", None, 0)),
+    "forall c in K : v(theta - c*c) < v(b*t) or (exists c in L\\K : v(c) < v(b))": (
+        ("UNKNOWN", "bounded", None, 44), ("UNKNOWN", "bounded", None, 44)),
+    "exists c in K : (exists b in L\\K : v(b - c) >= v(b)) and v(theta - c*c) >= v(b)": (
+        ("UNKNOWN", "bounded", None, 44), ("TRUE", "bounded", "theta~0", 1)),
+    "forall c in K : v(theta - c*c) < v(b) or (forall b in L\\K : v(b) > v(c)) or v(b) > 0": (
+        ("UNKNOWN", "bounded", None, 44), ("FALSE", "bounded", "theta~0", 1)),
+}
+
+
+class TestCallerValuations:
+    """A valuation that names no pool candidate is computed once per evaluate."""
+
+    def test_once_per_evaluate(self, monkeypatch):
+        fm = example_e1(2).fmodel
+        b = parse_element(fm.model, "t^(1/2,0)")
+        original = _Evaluator.term_valuation
+        b_, t_ = Var("b"), Var("t")
+        for text, want in (
+                (SQUARE_FORMULAS[0], [b_]),
+                (SQUARE_FORMULAS[2], [Mul(b_, t_), b_, t_]),
+                # the caller's v(b) comes back after the inner b, and v(t) stays
+                ("v(b) >= 0 and (exists b in L\\K : v(b) < 0) and v(b) >= 0", [b_, b_]),
+                ("(exists b in L\\K : v(b) < v(t)) and v(b) >= v(t)", [b_, t_, b_])):
+            evaluate(text, fm, bindings={"b": b})   # the candidate valuations are warm
+            valued = []
+
+            def counting(self, t):
+                valued.append(t)
+                return original(self, t)
+
+            monkeypatch.setattr(_Evaluator, "term_valuation", counting)
+            res = evaluate(text, fm, bindings={"b": b})
+            monkeypatch.undo()
+            assert res.candidates_used == (44 if "in K :" in text else 0)
+            assert res.value is not Truth.FALSE and valued == want, text
+
+    @pytest.mark.parametrize("text", list(SHADOWING))
+    def test_a_rebound_name_is_valued_again(self, text):
+        fm = example_e1(2).fmodel
+        for b, want in zip(("t^(7,0)", "t^(-1/2,0)"), SHADOWING[text]):
+            for _ in range(2):   # cold, then with the candidate valuations warm
+                res = evaluate(text, fm, bindings={"b": parse_element(fm.model, b)})
+                assert (res.value.value, res.mode, res.witness, res.candidates_used) == want
 
 
 class TestForcedBoundedAgreesWithOracle:
