@@ -300,10 +300,12 @@ def scenario_report(command: str, p: int, depth: int, seed: int) -> dict:
             "omega": _omega_json(res),
         }
         extensions.append(entry)
-    samples = samples_for(scenario, 50, seed)
+    targets = _definability_targets(command, scenario)
+    # samples are drawn only where a definition reads them
+    samples = samples_for(scenario, 50, seed) if targets else ()
     checks = [check_definition(DEFINITIONS[name], direct, scenario.fmodel, samples,
                                name=name).to_json()
-              for name, direct in _definability_targets(command, scenario)]
+              for name, direct in targets]
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": command,
@@ -458,7 +460,9 @@ def _level_list(text: str) -> list:
             f"expected comma-separated integers, got {text!r}") from None
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    # built on the first call and reused: parse_args keeps no state on the parser
     parser = argparse.ArgumentParser(
         prog="valcuts",
         description="Exact cut arithmetic for valued fields: coarsenings, "

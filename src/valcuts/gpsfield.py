@@ -19,10 +19,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 
 from .errors import NotImmediateError, StructuralError
-from .ogroup import GroupDescriptor, GroupElement
+from .ogroup import Component, GroupDescriptor, GroupElement
 from .residue import FqElement, FqField
 from .segment import Direction, Segment, seq_cut
 
@@ -211,11 +212,24 @@ class Tail:
         if self.coeff.is_zero:
             raise StructuralError("tail coefficient must be nonzero")
 
+    @cached_property
+    def _closed(self) -> bool:
+        """Whether gamma / p^i lies in the group for every i >= 0: each nonzero
+        coordinate sits in a rat class, or in a pdiv class of this prime p.
+        Decided on the first `exponent` call, so a tail built in bulk by
+        negation, Frobenius or merging and never expanded pays nothing."""
+        group, p = self.gamma.group, self.coeff.field.p
+        return all(kind is Component.RAT or (kind is Component.PDIV and group.prime == p)
+                   for n, kind in zip(self.gamma.nums, group.components) if n)
+
     def exponent(self, i: int) -> GroupElement:
-        p = self.coeff.field.p
-        if i >= 0:
-            return self.gamma * Fraction(1, p**i)
-        return self.gamma * (p ** (-i))
+        gamma, p = self.gamma, self.coeff.field.p
+        if i < 0:
+            return gamma * p**-i
+        if self._closed:
+            return GroupElement(gamma.group, gamma.nums, gamma.den * p**i)
+        # Tail does not check its classes (_merge_tails does): keep the check
+        return gamma * Fraction(1, p**i)
 
 
 def _family_shift(base: GroupElement, gamma: GroupElement, p: int) -> int | None:

@@ -19,7 +19,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import valcuts
-from valcuts import gpsfield
+from valcuts import cli, gpsfield
 from valcuts.cli import (
     CONFIG_SCHEMA,
     REPORT_SCHEMA,
@@ -33,6 +33,13 @@ from valcuts.errors import ConfigError
 GOLDENS = pathlib.Path(__file__).parent / "goldens"
 ROOT = pathlib.Path(__file__).parent.parent
 CONFIGS = ROOT / "configs"
+
+
+def src_env() -> dict:
+    """The environment with this checkout's package first on PYTHONPATH."""
+    src = str(pathlib.Path(valcuts.__file__).parent.parent)
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
 def run(args, tmp_path, name="out.json"):
@@ -280,11 +287,8 @@ class TestImportCost:
                   "from valcuts.cli import main\n"
                   "code = main(sys.argv[1:])\n"
                   "print(code, 'jsonschema' in sys.modules)\n")
-        src = str(pathlib.Path(valcuts.__file__).parent.parent)
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")]))}
         proc = subprocess.run([sys.executable, "-c", script, *args, "--out", str(out)],
-                              capture_output=True, text=True, env=env, check=True)
+                              capture_output=True, text=True, env=src_env(), check=True)
         assert proc.stdout.split() == ["0", str(loads)]
         report_validator.validate(json.loads(out.read_text()))
 
@@ -650,13 +654,74 @@ class TestApproachComputedOnce:
         assert len(count) == calls
 
 
+GOLDEN_RUNS = [
+    (["abhyankar", "--p", "3", "--depth", "15"], "abhyankar_p3_d15.json"),
+    (["example-e1", "--p", "2", "--depth", "12"], "example_e1_p2_d12.json"),
+    (["example-e2", "--p", "2", "--depth", "12"], "example_e2_p2_d12.json"),
+    (["kummer-mixed", "--p", "3", "--depth", "12"], "kummer_mixed_p3_d12.json"),
+]
+
+
+class TestSamplesDrawnOnlyWhenRead:
+    @pytest.mark.parametrize("args,golden", GOLDEN_RUNS, ids=[a[0] for a, _ in GOLDEN_RUNS])
+    def test_samples_for_calls(self, tmp_path, monkeypatch, args, golden):
+        # example-e2 has no definability target, so its samples would go unread
+        calls = []
+        original = cli.samples_for
+
+        def counting(*a, **kw):
+            calls.append(a)
+            return original(*a, **kw)
+
+        monkeypatch.setattr(cli, "samples_for", counting)
+        out = tmp_path / "out.json"
+        assert main(args + ["--out", str(out)]) == 0
+        assert len(calls) == (0 if args[0] == "example-e2" else 1)
+        assert out.read_bytes() == (GOLDENS / golden).read_bytes()
+
+
+class TestRepeatedMain:
+    """main may be called many times in one process; it builds its parser once."""
+
+    def test_parser_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_one_process_matches_fresh_processes(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage lines to it
+        out = tmp_path / "out.json"
+        golden = ["abhyankar", "--p", "3", "--depth", "15"]
+        sequence = [
+            golden,
+            ["prescribe", "--rank", "4", "--select", "1,3", "--p", "5"],
+            ["abhyankar", "--p", "4"],                 # argparse error: SystemExit 2
+            ["prescribe", "--rank", "4", "--p", "5"],  # the --select default
+            ["example-e1", "--out", str(out)],
+            golden,                                    # --out must not carry over
+        ]
+        fresh = []
+        for args in sequence:
+            proc = subprocess.run([sys.executable, "-m", "valcuts.cli", *args],
+                                  capture_output=True, text=True, env=src_env())
+            written = out.read_text() if out.exists() else None
+            out.unlink(missing_ok=True)
+            fresh.append((proc.returncode, proc.stdout, proc.stderr, written))
+        for args, want in zip(sequence, fresh):
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                try:
+                    code = main(args)
+                except SystemExit as exc:
+                    code = exc.code
+            written = out.read_text() if out.exists() else None
+            out.unlink(missing_ok=True)
+            assert (code, stdout.getvalue(), stderr.getvalue(), written) == want, args
+        assert [w[0] for w in fresh] == [0, 0, 2, 0, 0, 0]
+        assert fresh[0][1] == fresh[-1][1] == (GOLDENS / "abhyankar_p3_d15.json").read_text()
+        assert fresh[4][1] == "" and fresh[4][3]
+
+
 class TestDeterminismAndGoldens:
-    @pytest.mark.parametrize("args,golden", [
-        (["abhyankar", "--p", "3", "--depth", "15"], "abhyankar_p3_d15.json"),
-        (["example-e1", "--p", "2", "--depth", "12"], "example_e1_p2_d12.json"),
-        (["example-e2", "--p", "2", "--depth", "12"], "example_e2_p2_d12.json"),
-        (["kummer-mixed", "--p", "3", "--depth", "12"], "kummer_mixed_p3_d12.json"),
-    ])
+    @pytest.mark.parametrize("args,golden", GOLDEN_RUNS)
     def test_golden_semantic_match(self, tmp_path, args, golden):
         code, report = run(args, tmp_path)
         assert code == 0

@@ -268,6 +268,64 @@ class TestPatternSeries:
                 theta.pow_char_power(n)
 
 
+def _coordinate(rng: random.Random, kind: Component, prime: int) -> Fraction:
+    if kind is Component.INT:
+        return Fraction(rng.randint(-4, 4))
+    if kind is Component.PDIV:
+        return Fraction(rng.randint(-30, 30), prime ** rng.randint(0, 3))
+    return Fraction(rng.randint(-30, 30), rng.randint(1, 12))
+
+
+def _checked_power(gamma: GroupElement, p: int, i: int):
+    """gamma / p^i by the checked product, or the error it raises."""
+    try:
+        return gamma * Fraction(1, p**i) if i >= 0 else gamma * p**-i
+    except StructuralError as err:
+        return str(err)
+
+
+def _exponent(tail: Tail, i: int):
+    try:
+        return tail.exponent(i)
+    except StructuralError as err:
+        return str(err)
+
+
+class TestTailExponent:
+    """Tail.exponent skips the class check only where gamma / p^i cannot leave
+    the group: every nonzero class is rat, or pdiv of the tail's own prime."""
+
+    def test_agrees_with_the_checked_product(self):
+        rng = random.Random(1717)
+        outcomes = {"closed": 0, "raised": 0}
+        for _ in range(600):
+            p = rng.choice((2, 3, 5, 7))
+            # half the groups are of another prime than the tail's residue field
+            prime = p if rng.random() < 0.5 else rng.choice([q for q in (2, 3, 5, 7) if q != p])
+            group = GroupDescriptor(tuple(rng.choice(list(Component))
+                                          for _ in range(rng.randint(1, 3))), prime)
+            gamma = group.element(*[_coordinate(rng, k, prime) for k in group.components])
+            if gamma.is_zero:
+                continue
+            tail = Tail(GF(p).element(rng.randint(1, p - 1)), gamma, rng.randint(-2, 2))
+            for i in range(-3, 13):
+                want = _checked_power(gamma, p, i)
+                assert _exponent(tail, i) == want, (group, gamma, p, i)
+                outcomes["raised"] += isinstance(want, str)
+            outcomes["closed"] += tail._closed
+        assert outcomes["closed"] > 100 and outcomes["raised"] > 100
+
+    def test_a_tail_built_directly_keeps_the_check(self):
+        # no PatternSeries, so _merge_tails never sees the int class
+        group = GroupDescriptor((Component.INT, Component.PDIV), 3)
+        tail = Tail(GF(3).one(), group.element(1, Fraction(1, 3)), 1)
+        assert "_closed" not in tail.__dict__   # decided on the first exponent call
+        assert tail.exponent(0) == tail.gamma
+        with pytest.raises(StructuralError, match=r"coordinate 1/3 not allowed in component 0"):
+            tail.exponent(1)
+        assert tail.exponent(-1) == group.element(3, 1)
+
+
 class TestValDiff:
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_partial_sum_schedule(self, p):
