@@ -30,7 +30,14 @@ from .extension import (
     classify,
     defectless_analyze,
 )
-from .formlang import DEFINITIONS, DeclaredValue, check_definition, evaluate, parse
+from .formlang import (
+    DEFINITIONS,
+    DeclaredValue,
+    check_definition,
+    evaluate,
+    free_variables,
+    parse,
+)
 from .gpsfield import FieldModel, PatternSeries, Tail, parse_element
 from .kaehler import annihilate, containment_holds, present
 from .ogroup import Component, GroupDescriptor, is_prime
@@ -355,7 +362,8 @@ def config_report(command: str, config: dict, depth: int) -> dict:
         "depth": depth,
     }
     if isinstance(datum, DefectlessDatum):
-        res = defectless_analyze(datum)
+        # the one value the analysis derives from a field is v(p)/(q - 1)
+        res = _checked("extension/vp", defectless_analyze, datum)
         report["case"] = res.case.value
     else:
         res = classify(datum, depth=depth)
@@ -381,15 +389,18 @@ def prescribe_report(rank: int, select, p: int, char_case: str, depth: int) -> d
 def eval_report(formula: str, scenario_name: str, p: int, depth: int,
                 binding: str | None) -> dict:
     scenario = SCENARIOS[scenario_name](p, depth=depth)
+    ast = parse(formula)
     bindings = {}
     if binding:
         name, _, text = binding.partition("=")
+        if name not in free_variables(ast):
+            raise ConfigError(f"--bind: the formula reads no free {name!r}", fields=["--bind"])
         if text.startswith("v:"):
             bindings[name] = DeclaredValue(
                 _element(scenario.model.value_group, [text[2:]], "--bind"))
         else:
             bindings[name] = _checked("--bind", parse_element, scenario.model, text)
-    res = evaluate(parse(formula), scenario.fmodel, bindings=bindings)
+    res = evaluate(ast, scenario.fmodel, bindings=bindings)
     return {
         "schema_version": SCHEMA_VERSION,
         "command": "eval",

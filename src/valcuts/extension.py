@@ -302,7 +302,9 @@ def _defectless_ram_ideal(datum: DefectlessDatum) -> IdealDescriptor | None:
         return None  # tame q-th root of unity has value 0: no wild ramification ideal
     if datum.vp is None:
         raise InconsistentDatumError("wild Kummer data must declare the value of p")
-    zeta_value = datum.vp * Fraction(1, datum.q - 1)
+    zeta_value = datum.vp.over(datum.q - 1)
+    if zeta_value is None:
+        raise StructuralError("v(zeta_q - 1) = v(p)/(q - 1) lies outside the value group")
     if datum.subkind is DefectlessKind.KUMMER_2A:
         if datum.x0_value.sign() <= 0:
             raise WrongCaseError("the generator must have positive value")

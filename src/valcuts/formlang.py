@@ -593,10 +593,10 @@ class FormulaModel:
 
     @cached_property
     def candidate_valuations(self) -> dict:
-        """v(term), or the EvaluationUnsupported it raised, keyed by (term,
-        quantified variable, pool index) for a term whose only other names are
-        the model's own, so that value is computed once per model and candidate.
-        """
+        """Quantified variable -> one table per pool candidate: v(term), or the
+        EvaluationUnsupported it raised, keyed by a term that names the variable
+        and otherwise only names of the model, so its value is computed once
+        per model, variable and candidate."""
         return {}
 
     def _witnesses(self):
@@ -655,8 +655,8 @@ class _Evaluator:
         self.bounded_used = False
         self.candidates_used = 0
         self.witness: str | None = None
-        self.pooled: dict[str, int] = {}   # quantified variable -> pool index it holds
-        self.valued: dict = {}   # v(term) of a term naming no pool candidate
+        self.scope: dict = {}   # quantified variable -> the table of its binding
+        self.valued: dict = {}   # v(term) of a term naming no variable in scope
 
     # -- term carriers ------------------------------------------------
 
@@ -821,25 +821,25 @@ class _Evaluator:
         return val
 
     def _valuation_of(self, t):
-        """term_valuation(t), computed once per evaluation when t names no pool
-        candidate, and once per model and candidate when t names one candidate
-        and, apart from it, only the model's own names."""
+        """term_valuation(t), kept where no later binding can change it: once
+        per evaluation when t names no quantified variable in scope, in the
+        table of the one variable in scope it names when its other names are
+        the model's own, and computed afresh otherwise."""
         names = free_variables(t)
-        held = self.pooled.keys() & names
-        if not held:
-            cache, key = self.valued, t
-        elif len(held) == 1 and not any(name in self.bindings for name in names - held):
-            (var,) = held
-            cache, key = self.fm.candidate_valuations, (t, var, self.pooled[var])
-        else:
+        held = self.scope.keys() & names
+        if len(held) == 1 and not any(name in self.bindings for name in names - held):
+            cache = self.scope[next(iter(held))]
+        elif held:
             return self.term_valuation(t)
-        val = cache.get(key)
+        else:
+            cache = self.valued
+        val = cache.get(t)
         if val is None:
             try:
                 val = self.term_valuation(t)
             except EvaluationUnsupported as exc:
                 val = exc
-            cache[key] = val
+            cache[t] = val
         if isinstance(val, EvaluationUnsupported):
             raise val.with_traceback(None)   # drop the frames of an earlier raise
         return val
@@ -918,30 +918,14 @@ class _Evaluator:
             return _kleene_or(self.eval(f.left).negated(), self.eval(f.right))
         return self.eval_atom(f)
 
-    def _eval_with(self, var: str, value, body, index: int | None = None) -> Truth:
-        """body with var bound to value, pool candidate `index` if given; an
-        outer binding of var, and the kept valuations that read it, come back
-        after.  A term naming a pooled var never reads the kept valuations, so
-        only a binding outside the pool sets them aside."""
-        outer, self.bindings = self.bindings, {**self.bindings, var: value}
-        pooled = self.pooled
-        if index is not None:
-            self.pooled = {**pooled, var: index}
-            result = self.eval(body)
-        else:
-            if var in pooled:
-                self.pooled = {name: i for name, i in pooled.items() if name != var}
-            outer_valued = self._drop_valued(var)
-            result = self.eval(body)
-            self._drop_valued(var)
-            self.valued.update(outer_valued)
-        self.bindings, self.pooled = outer, pooled
+    def _eval_with(self, var: str, value, body, table: dict) -> Truth:
+        """body with var bound to value, where table keeps the valuations of
+        the terms naming var; the outer binding and scope come back after."""
+        outer, outer_scope = self.bindings, self.scope
+        self.bindings, self.scope = {**outer, var: value}, {**outer_scope, var: table}
+        result = self.eval(body)
+        self.bindings, self.scope = outer, outer_scope
         return result
-
-    def _drop_valued(self, var: str) -> dict:
-        """Remove and return the kept valuations of terms that name var."""
-        return {t: self.valued.pop(t) for t in [t for t in self.valued
-                                                if var in free_variables(t)]}
 
     def eval_quant(self, q: Quant) -> Truth:
         if q.domain is Domain.L_MINUS_K:
@@ -950,7 +934,7 @@ class _Evaluator:
                     "domain L\\K needs a model with a distinguished immediate element")
             # the distinguished elements are exhaustive for this model
             return reduce(_kleene_and if q.kind == "forall" else _kleene_or,
-                          [self._eval_with(q.var, im, q.body) for im in self.fm.immediates])
+                          [self._eval_with(q.var, im, q.body, {}) for im in self.fm.immediates])
         if q.domain is Domain.K:
             exact = self._oracle(q)
             if exact is not None:
@@ -1121,9 +1105,12 @@ class _Evaluator:
     # bounded fallback: enumerate candidate witnesses
     def _bounded(self, q: Quant) -> Truth:
         self.bounded_used = True
-        for index, (label, cand) in enumerate(self.fm.candidates):
+        kept = self.fm.candidate_valuations
+        if q.var not in kept:   # per variable: v(theta - t) differs for t and for theta
+            kept[q.var] = tuple({} for _ in self.fm.candidates)
+        for (label, cand), table in zip(self.fm.candidates, kept[q.var]):
             self.candidates_used += 1
-            r = self._eval_with(q.var, cand, q.body, index)
+            r = self._eval_with(q.var, cand, q.body, table)
             if q.kind == "exists" and r is Truth.TRUE:
                 self.witness = label
                 return Truth.TRUE

@@ -255,6 +255,10 @@ def write_config(tmp_path, segment, components=("pdiv",), p=2):
                            components, p)
 
 
+WILD_KUMMER = {"kind": "defectless_value", "degree": 3, "residue_char": 3,
+               "star_index": 0, "x0_value": ["1", "0"], "vp": ["0", "1"]}
+
+
 def pattern(p, *tails):
     return {"kind": "as_defect", "degree": p, "char": p,
             "generator": {"type": "pattern", "tails": list(tails)}}
@@ -449,6 +453,17 @@ class TestInputContract:
             "direction": "final", "kind": "element", "gamma": ["1", "0"],
             "closed": "false"}, ("pdiv", "pdiv"))],
          "segment field 'closed'"),
+        # v(p)/(q - 1) = 1/2 in the pdiv class of p = 3
+        (["classify", "--config", lambda tmp: write_extension(tmp, dict(
+            WILD_KUMMER, subkind="kummer_value"), ("int", "pdiv"), 3)],
+         "extension/vp: v(zeta_q - 1)"),
+        (["kaehler", "--config", lambda tmp: write_extension(tmp, dict(
+            WILD_KUMMER, subkind="kummer_one_unit", v_eta_minus_1=["1", "0"]),
+            ("int", "pdiv"), 3)],
+         "extension/vp: v(zeta_q - 1)"),
+        (["eval", "--formula", "v(b) >= 0", "--bind", "=t"], "--bind: the formula reads no"),
+        (["eval", "--formula", "v(b) >= 0", "--bind", "1b=t"], "--bind: the formula reads no"),
+        (["eval", "--formula", "v(t) > 0", "--bind", "c=t"], "--bind: the formula reads no"),
     ])
     def test_bad_value_exits_2_naming_it(self, tmp_path, capsys, args, named):
         args = [write_extension(tmp_path, a) if isinstance(a, dict)

@@ -567,7 +567,21 @@ class TestCandidateValuations:
         # theta bound by the caller hides the model's theta
         calls += [(text, {"theta": samples[1][1], "b": samples[2][1]})
                   for text in SQUARE_FORMULAS[:2]]
+        # a term that names only an element of L\K, read under a K loop
+        calls += [("exists x in L\\K : forall c in K : v(x - c*c) < v(x)", {}),
+                  ("v(b) >= 0 and (exists b in L\\K : forall c in K : v(b - c*c) < v(b))",
+                   {"b": samples[1][1]})]
+        # each quantified variable hides a name the other formula reads from
+        # the model, so v(theta - t) means two things on one candidate
+        calls += [("forall t in K : v(theta - t) < 0", {}),
+                  ("forall theta in K : v(theta - t) < 0", {})]
         return calls
+
+    @staticmethod
+    def kept(fmodel):
+        """(variable, candidate index, term) of every kept valuation."""
+        return [(var, i, term) for var, tables in fmodel.candidate_valuations.items()
+                for i, table in enumerate(tables) for term in table]
 
     @pytest.mark.parametrize("build", [abhyankar, example_e1])
     def test_cache_never_changes_an_answer(self, build):
@@ -579,31 +593,33 @@ class TestCandidateValuations:
                 cold = evaluate(text, replace(shared), bindings=bindings).to_json()
                 for key, value in cold.items():
                     assert warm[key] == value, (text, sorted(bindings), key)
-        cache = shared.candidate_valuations
-        assert cache and replace(shared).candidate_valuations == {}
-        per_term: dict = {}
-        for term, _var, _index in cache:
-            per_term[term] = per_term.get(term, 0) + 1
-        assert max(per_term.values()) <= len(shared.candidates)
-        assert all("b" not in free_variables(term) for term in per_term)
+        # one table per variable and candidate, so a term is kept at most once
+        # per candidate for each variable
+        assert all(len(tables) == len(shared.candidates)
+                   for tables in shared.candidate_valuations.values())
+        assert self.kept(shared) and replace(shared).candidate_valuations == {}
+        own = {*shared.constants, *(im.name for im in shared.immediates), "p", "zeta_p"}
+        for var, _index, term in self.kept(shared):
+            names = free_variables(term)
+            # the quantified variable, otherwise only names of the model
+            assert var in names and names - {var} <= own and "b" not in names, term
 
     def test_nested_quantifiers_share_the_inner_values(self):
         fm = example_e1(2).fmodel
         res = evaluate(NESTED_FORMULA, fm)
-        cache = fm.candidate_valuations
-        inner = [key for key in cache if key[1] == "c"]
-        outer = [key for key in cache if key[1] == "d"]
-        assert len(inner) <= len(fm.candidates) and len(outer) <= len(fm.candidates)
+        assert sorted(fm.candidate_valuations) == ["c", "d"]
+        for tables in fm.candidate_valuations.values():
+            assert max(len(table) for table in tables) == 1   # theta - c*c, and d
         assert res.to_json() == evaluate(NESTED_FORMULA, fm).to_json()
 
     def test_no_entry_for_a_name_the_caller_binds(self):
         fm = abhyankar(2).fmodel
         b = fm.model.one()
         evaluate(SQUARE_FORMULAS[0], fm, bindings={"theta": b, "b": b})
-        assert fm.candidate_valuations == {}
+        assert not self.kept(fm)
         evaluate("exists x in L\\K : forall c in K : v(x - c*c) < v(b)", fm,
                  bindings={"b": b})
-        assert fm.candidate_valuations == {}   # x is bound to an element of L\K
+        assert not self.kept(fm)   # x is bound to an element of L\K
 
 
 # formulas in which a quantifier rebinds b or c after v(b) or v(b*t) was
@@ -631,10 +647,25 @@ SHADOWING = {
 class TestCallerValuations:
     """A valuation that names no pool candidate is computed once per evaluate."""
 
+    @staticmethod
+    def warm_valuations(monkeypatch, text, fm, bindings):
+        """The result of a second evaluate, and the terms it valued."""
+        evaluate(text, fm, bindings=bindings)   # the candidate valuations are warm
+        original = _Evaluator.term_valuation
+        valued = []
+
+        def counting(self, t):
+            valued.append(t)
+            return original(self, t)
+
+        monkeypatch.setattr(_Evaluator, "term_valuation", counting)
+        res = evaluate(text, fm, bindings=bindings)
+        monkeypatch.undo()
+        return res, valued
+
     def test_once_per_evaluate(self, monkeypatch):
         fm = example_e1(2).fmodel
         b = parse_element(fm.model, "t^(1/2,0)")
-        original = _Evaluator.term_valuation
         b_, t_ = Var("b"), Var("t")
         for text, want in (
                 (SQUARE_FORMULAS[0], [b_]),
@@ -642,18 +673,18 @@ class TestCallerValuations:
                 # the caller's v(b) comes back after the inner b, and v(t) stays
                 ("v(b) >= 0 and (exists b in L\\K : v(b) < 0) and v(b) >= 0", [b_, b_]),
                 ("(exists b in L\\K : v(b) < v(t)) and v(b) >= v(t)", [b_, t_, b_])):
-            evaluate(text, fm, bindings={"b": b})   # the candidate valuations are warm
-            valued = []
-
-            def counting(self, t):
-                valued.append(t)
-                return original(self, t)
-
-            monkeypatch.setattr(_Evaluator, "term_valuation", counting)
-            res = evaluate(text, fm, bindings={"b": b})
-            monkeypatch.undo()
+            res, valued = self.warm_valuations(monkeypatch, text, fm, {"b": b})
             assert res.candidates_used == (44 if "in K :" in text else 0)
             assert res.value is not Truth.FALSE and valued == want, text
+
+    def test_once_per_binding_of_an_element_of_l_minus_k(self, monkeypatch):
+        fm = example_e1(2).fmodel
+        text = "exists x in L\\K : exists c in K : v(x - c*c) < v(x) and v(c) > 100"
+        res, valued = self.warm_valuations(monkeypatch, text, fm, {})
+        assert res.value is Truth.UNKNOWN and res.candidates_used == 44
+        # v(x) once for theta, v(x - c*c) afresh for every candidate
+        assert valued.count(Var("x")) == 1
+        assert valued.count(Sub(Var("x"), Mul(Var("c"), Var("c")))) == 44
 
     @pytest.mark.parametrize("text", list(SHADOWING))
     def test_a_rebound_name_is_valued_again(self, text):
