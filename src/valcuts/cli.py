@@ -238,9 +238,9 @@ def datum_from_config(config: dict):
             v_eta_minus_1=(_element(group, ext["v_eta_minus_1"], "extension/v_eta_minus_1")
                            if "v_eta_minus_1" in ext else None))
     char = ext.get("char", group.prime if kind == "as_defect" else 0)
-    model = FieldModel(
-        name=label, char=char,
-        residue_char=ext.get("residue_char", group.prime),
+    model = _checked(
+        "extension/residue_char", FieldModel, name=label, char=char,
+        residue_char=ext.get("residue_char", char or group.prime),
         value_group=group,
         residue=_checked("extension/char", GF, char) if char else None,
         vp=_element(group, ext["vp"], "extension/vp") if "vp" in ext else None)
@@ -256,13 +256,15 @@ def datum_from_config(config: dict):
             finite = (_checked("extension/generator/finite", parse_element, model,
                                gen["finite"]) if gen.get("finite") else model.zero())
             tails = tuple(
-                Tail(model.residue.element(t.get("coeff", 1)),
-                     _element(group, t["gamma"], f"extension/generator/tails/{n}/gamma"),
-                     int(t.get("start", 1)))
+                _checked(f"extension/generator/tails/{n}", Tail,
+                         model.residue.element(t.get("coeff", 1)),
+                         _element(group, t["gamma"], f"extension/generator/tails/{n}/gamma"),
+                         int(t.get("start", 1)))
                 for n, t in enumerate(gen["tails"]))
             generator = PatternSeries(model, finite, tails)
         elif gen["type"] == "schedule":
-            generator = DeclaredSchedule(
+            generator = _checked(
+                "extension/generator/scale", DeclaredSchedule,
                 group, _element(group, gen["limit"], "extension/generator/limit"),
                 _element(group, gen["scale"], "extension/generator/scale"),
                 start=int(gen.get("start", 0)))

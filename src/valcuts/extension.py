@@ -60,7 +60,8 @@ class DefectKind(str, Enum):
 
 @dataclass(frozen=True)
 class DeclaredSchedule:
-    """Approximation values limit - scale/p^(k+1), declared in closed form."""
+    """Approximation values limit - scale/p^(k+1), declared in closed form;
+    every scale/p^(k+1) lies in the group."""
 
     group: GroupDescriptor
     limit: GroupElement
@@ -70,9 +71,10 @@ class DeclaredSchedule:
     def __post_init__(self):
         if self.limit.group != self.group or self.scale.group != self.group:
             raise StructuralError("schedule data live in a different value group")
+        self.scale.require_p_divisible(self.group.prime, "schedule scale")
 
     def value_at(self, k: int) -> GroupElement:
-        return self.limit - self.scale * Fraction(1, self.group.prime ** (k + 1))
+        return self.limit - self.scale.over_p_power(self.group.prime, k + 1)
 
     def approach(self, depth: int) -> ApproachResult:
         # limit - scale/p^(k+1) increases strictly in k exactly when scale > 0

@@ -190,9 +190,10 @@ def _tokenize(text: str):
     pos = 0
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
-        if not m or m.end() == pos:
-            if text[pos:].strip():
-                raise ParseError(f"unexpected character {text[pos]!r}", pos)
+        if not m:
+            rest = text[pos:].lstrip()
+            if rest:
+                raise ParseError(f"unexpected character {rest[0]!r}", len(text) - len(rest))
             break
         if m.group("name"):
             tokens.append(("name", m.group("name"), m.start("name")))
@@ -655,7 +656,7 @@ class _Evaluator:
         self.bounded_used = False
         self.candidates_used = 0
         self.witness: str | None = None
-        self.scope: dict = {}   # quantified variable -> the table of its binding
+        self.scope: dict = {}   # quantified variable -> (table of its binding, pooled)
         self.valued: dict = {}   # v(term) of a term naming no variable in scope
 
     # -- term carriers ------------------------------------------------
@@ -822,17 +823,15 @@ class _Evaluator:
 
     def _valuation_of(self, t):
         """term_valuation(t), kept where no later binding can change it: once
-        per evaluation when t names no quantified variable in scope, in the
-        table of the one variable in scope it names when its other names are
-        the model's own, and computed afresh otherwise."""
+        per evaluation when t names no quantified variable in scope, else in
+        the table of the one it names.  A pool candidate's table outlives the
+        evaluation, so it keeps t only when t names no caller binding.
+        Computed afresh otherwise."""
         names = free_variables(t)
         held = self.scope.keys() & names
-        if len(held) == 1 and not any(name in self.bindings for name in names - held):
-            cache = self.scope[next(iter(held))]
-        elif held:
+        cache, pooled = self.scope[next(iter(held))] if held else (self.valued, False)
+        if len(held) > 1 or pooled and any(name in self.bindings for name in names - held):
             return self.term_valuation(t)
-        else:
-            cache = self.valued
         val = cache.get(t)
         if val is None:
             try:
@@ -918,11 +917,11 @@ class _Evaluator:
             return _kleene_or(self.eval(f.left).negated(), self.eval(f.right))
         return self.eval_atom(f)
 
-    def _eval_with(self, var: str, value, body, table: dict) -> Truth:
-        """body with var bound to value, where table keeps the valuations of
-        the terms naming var; the outer binding and scope come back after."""
+    def _eval_with(self, var: str, value, body, table: dict, pooled=False) -> Truth:
+        """body with var bound to value, where table (a pool candidate's when pooled)
+        keeps v(term) for the terms naming var; the outer binding and scope come back after."""
         outer, outer_scope = self.bindings, self.scope
-        self.bindings, self.scope = {**outer, var: value}, {**outer_scope, var: table}
+        self.bindings, self.scope = {**outer, var: value}, {**outer_scope, var: (table, pooled)}
         result = self.eval(body)
         self.bindings, self.scope = outer, outer_scope
         return result
@@ -1110,7 +1109,7 @@ class _Evaluator:
             kept[q.var] = tuple({} for _ in self.fm.candidates)
         for (label, cand), table in zip(self.fm.candidates, kept[q.var]):
             self.candidates_used += 1
-            r = self._eval_with(q.var, cand, q.body, table)
+            r = self._eval_with(q.var, cand, q.body, table, True)
             if q.kind == "exists" and r is Truth.TRUE:
                 self.witness = label
                 return Truth.TRUE

@@ -19,11 +19,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import gcd, lcm
 
 from .errors import NotImmediateError, StructuralError
-from .ogroup import Component, GroupDescriptor, GroupElement
+from .ogroup import GroupDescriptor, GroupElement
 from .residue import FqElement, FqField
 from .segment import Direction, Segment, seq_cut
 
@@ -200,7 +199,8 @@ class SeriesElement:
 
 @dataclass(frozen=True)
 class Tail:
-    """The geometric tail sum_{i >= start} coeff * t^(gamma / p^i)."""
+    """The geometric tail sum_{i >= start} coeff * t^(gamma / p^i), p the
+    characteristic of coeff; every gamma / p^i lies in the group."""
 
     coeff: FqElement
     gamma: GroupElement
@@ -211,25 +211,10 @@ class Tail:
             raise StructuralError("tail base exponent must be nonzero")
         if self.coeff.is_zero:
             raise StructuralError("tail coefficient must be nonzero")
-
-    @cached_property
-    def _closed(self) -> bool:
-        """Whether gamma / p^i lies in the group for every i >= 0: each nonzero
-        coordinate sits in a rat class, or in a pdiv class of this prime p.
-        Decided on the first `exponent` call, so a tail built in bulk by
-        negation, Frobenius or merging and never expanded pays nothing."""
-        group, p = self.gamma.group, self.coeff.field.p
-        return all(kind is Component.RAT or (kind is Component.PDIV and group.prime == p)
-                   for n, kind in zip(self.gamma.nums, group.components) if n)
+        self.gamma.require_p_divisible(self.coeff.field.p, "tail base exponent")
 
     def exponent(self, i: int) -> GroupElement:
-        gamma, p = self.gamma, self.coeff.field.p
-        if i < 0:
-            return gamma * p**-i
-        if self._closed:
-            return GroupElement(gamma.group, gamma.nums, gamma.den * p**i)
-        # Tail does not check its classes (_merge_tails does): keep the check
-        return gamma * Fraction(1, p**i)
+        return self.gamma.over_p_power(self.coeff.field.p, i)
 
 
 def _family_shift(base: GroupElement, gamma: GroupElement, p: int) -> int | None:
@@ -262,9 +247,6 @@ def _merge_tails(model: FieldModel, tails, extra_finite):
     for t in tails:
         if t.gamma.group != model.value_group:
             raise StructuralError("tail exponent lives in a different value group")
-        for i, n in enumerate(t.gamma.nums):
-            if n and not model.value_group.is_dense_at(i):
-                raise StructuralError("tail exponents need a divisible component")
         prev = by_gamma.get(t.gamma)
         if prev is None:
             for base, tail in by_gamma.items():

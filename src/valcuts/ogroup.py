@@ -12,7 +12,9 @@ Whether each coordinate lies in its class (an integer, a p-power
 denominator, any rational) is checked at the boundary only: where elements
 are built from outside coordinates, and where one is multiplied by a
 non-integer rational.  Sums, differences, negatives and integer multiples
-stay in the group and are built without the check.
+stay in the group and are built without the check.  A series tail and a
+declared schedule divide one element by every power of p: each is checked
+once, when built (`require_p_divisible`), and divides it unchecked after.
 """
 
 from __future__ import annotations
@@ -256,6 +258,18 @@ class GroupElement:
         out = GroupElement(self.group, tuple([a if k > 0 else -a for a in self.nums]),
                            self.den * abs(k))
         return None if self.group._outside(out.nums, out.den) is not None else out
+
+    def require_p_divisible(self, p: int, name: str) -> None:
+        """StructuralError unless self / p^i lies in the group for every i >= 0:
+        each nonzero coordinate must sit in a class that holds 1/p."""
+        for i, n in enumerate(self.nums):
+            if n and not self.group._denominator_allowed(i, p):
+                raise StructuralError(f"{name} {self} over {p}^i leaves component {i} "
+                                      f"({self.group.components[i].value}), which lacks 1/{p}")
+
+    def over_p_power(self, p: int, i: int) -> GroupElement:
+        """self / p^i for any integer i, unchecked: self passed require_p_divisible(p)."""
+        return self * p**-i if i < 0 else GroupElement(self.group, self.nums, self.den * p**i)
 
     def _pair(self, other: GroupElement):
         """The numerators of self and other over one denominator, and that

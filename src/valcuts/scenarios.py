@@ -118,7 +118,7 @@ def kummer_mixed(p: int, depth: int = 12) -> Scenario:
     vp = group.element(p - 1)  # scaled so v(zeta_p - 1) = 1 is exact
     model = FieldModel(name=f"mixed deeply ramified, p={p}", char=0,
                        residue_char=p, value_group=group, vp=vp)
-    zeta_value = vp * Fraction(1, p - 1)
+    zeta_value = vp.over(p - 1)
     root_sched = DeclaredSchedule(group, limit=group.zero(), scale=vp)
     eta_sched = DeclaredSchedule(group, limit=zeta_value, scale=vp)
     data = (

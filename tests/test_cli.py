@@ -329,6 +329,18 @@ class TestOverlappingTails:
         assert schedule[9] == Fraction(-1, 2048)
 
 
+class TestDeclaredSchedule:
+    def test_start_below_minus_one(self, tmp_path):
+        # limit - scale * p^-(k+1) for k + 1 < 0
+        config = write_extension(tmp_path, {
+            "kind": "kummer_defect", "degree": 5,
+            "generator": {"type": "schedule", "limit": ["0"], "scale": ["1"], "start": -3}},
+            p=5)
+        code, report = run(["classify", "--config", config], tmp_path)
+        assert code == 0
+        assert report["certificate"]["schedule"][:4] == [["-25"], ["-5"], ["-1"], ["-1/5"]]
+
+
 class TestDeclaredSigma:
     def test_closed_subgroup_cut_is_positive(self, tmp_path):
         # {a : a_0 >= 1} lies entirely above 0
@@ -464,6 +476,26 @@ class TestInputContract:
         (["eval", "--formula", "v(b) >= 0", "--bind", "=t"], "--bind: the formula reads no"),
         (["eval", "--formula", "v(b) >= 0", "--bind", "1b=t"], "--bind: the formula reads no"),
         (["eval", "--formula", "v(t) > 0", "--bind", "c=t"], "--bind: the formula reads no"),
+        # a tail or a schedule is checked when it is built
+        (["classify", "--config", lambda tmp: write_extension(tmp, pattern(
+            3, {"gamma": ["-1", "1"]}), ("pdiv", "int"), 3)],
+         "extension/generator/tails/0: tail base exponent (-1, 1) over 3^i leaves component 1"),
+        (["classify", "--config", lambda tmp: write_extension(tmp, pattern(
+            3, {"gamma": ["-1"], "coeff": 3}), p=3)],
+         "extension/generator/tails/0: tail coefficient must be nonzero"),
+        (["classify", "--config", pattern(2, {"gamma": ["0"]})],
+         "extension/generator/tails/0: tail base exponent must be nonzero"),
+        (["classify", "--config", lambda tmp: write_extension(tmp, {
+            "kind": "kummer_defect", "degree": 3,
+            "generator": {"type": "schedule", "limit": ["0"], "scale": ["1"]}}, ("int",), 3)],
+         "extension/generator/scale: schedule scale 1 over 3^i leaves component 0 (int)"),
+        (["classify", "--config", lambda tmp: write_extension(tmp, dict(
+            pattern(3, {"gamma": ["-1"]}), residue_char=5), p=3)],
+         "extension/residue_char: equal characteristic requires residue_char == char"),
+        # residue_char defaults to char, so the tail's 1/2 meets a pdiv class of 3
+        (["classify", "--config", lambda tmp: write_extension(tmp, pattern(
+            2, {"gamma": ["-1"]}), p=3)],
+         "extension/generator/tails/0: tail base exponent -1 over 2^i leaves component 0"),
     ])
     def test_bad_value_exits_2_naming_it(self, tmp_path, capsys, args, named):
         args = [write_extension(tmp_path, a) if isinstance(a, dict)

@@ -37,7 +37,7 @@ from valcuts.segment import (
     subgroup_cut,
 )
 
-from test_gpsfield import abhyankar_root, perfect_model
+from test_gpsfield import _coordinate, abhyankar_root, perfect_model
 
 
 def abhyankar_datum(p: int) -> DefectDatum:
@@ -208,6 +208,35 @@ class TestClassify:
                 res = classify(DefectDatum(name="w", kind=ExtensionKind.AS_DEFECT,
                                            base=m, degree=p, generator=theta))
                 assert res.kind is DefectKind.INDEPENDENT
+
+
+class TestDeclaredSchedule:
+    """A schedule is checked once, when built: it is accepted exactly when
+    every value limit - scale/p^(k+1) lies in the group, and value_at then
+    builds them without a check."""
+
+    def test_agrees_with_the_checked_product(self):
+        rng = random.Random(1919)
+        outcomes = {"accepted": 0, "rejected": 0}
+        for _ in range(300):
+            p = rng.choice((2, 3, 5))
+            G = GroupDescriptor(tuple(rng.choice(list(Component))
+                                      for _ in range(rng.randint(1, 3))), p)
+            limit, scale = (G.element(*[_coordinate(rng, k, p) for k in G.components])
+                            for _ in range(2))
+            try:
+                sched = DeclaredSchedule(G, limit, scale)
+            except StructuralError:
+                with pytest.raises(StructuralError):
+                    for e in range(1, 13):
+                        scale * Fraction(1, p**e)
+                outcomes["rejected"] += 1
+                continue
+            outcomes["accepted"] += 1
+            for k in range(-4, 12):
+                step = scale * Fraction(1, p ** (k + 1)) if k >= -1 else scale * p ** -(k + 1)
+                assert sched.value_at(k) == limit - step, (G, scale, k)
+        assert outcomes["accepted"] > 50 and outcomes["rejected"] > 50
 
 
 class TestDefectless:

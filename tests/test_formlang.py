@@ -5,6 +5,7 @@ from __future__ import annotations
 import os
 import pickle
 import random
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -144,6 +145,21 @@ class TestParser:
             parse("v(x >")
         with pytest.raises(ParseError):
             parse("exists in K : v(b) > 0")
+
+    @pytest.mark.parametrize("text,message,position", [
+        ("v(b) > 0 )", "trailing input ')'", 9),
+        ("v(b^q) > 0", "expected an integer or p as exponent", 4),
+        ("forall c in M : v(c) > 0", "expected a domain L, K, or L\\K", 12),
+        # the bad character itself, not the blank before it
+        ("v(b) > 0 $", "unexpected character '$'", 9),
+    ])
+    def test_error_names_its_position(self, text, message, position):
+        with pytest.raises(ParseError, match=re.escape(message)) as err:
+            parse(text)
+        assert err.value.position == position
+
+    def test_trailing_blanks_parse(self):
+        assert parse("v(b) > 0   ") == parse("v(b) > 0")
 
     def test_roundtrip_on_catalog(self):
         for text in DEFINITIONS.values():
@@ -378,6 +394,16 @@ class TestEvaluation:
         res = evaluate("v(zeta_p - 1) = 1", sc.fmodel, bindings=shadow)
         assert res.value is Truth.FALSE  # the bound zeta_p has value 5
         assert evaluate("v(p) = v(0)", abhyankar(2).fmodel).value is Truth.TRUE
+
+    @pytest.mark.parametrize("vb,want", [
+        (None, Truth.TRUE),       # v(b) = INF: v(b + p) = v(p)
+        (2, Truth.UNKNOWN),       # v(b) = v(p): the sum may cancel
+        (5, Truth.TRUE),          # v(b) > v(p): the smaller value wins
+    ])
+    def test_min_rule_on_a_value_only_sum(self, vb, want):
+        fm = kummer_mixed(3).fmodel   # v(p) = 2
+        b = DeclaredValue(INF if vb is None else fm.group.element(vb))
+        assert evaluate("v(b + p) = v(p)", fm, bindings={"b": b}).value is want
 
     def test_inner_quantifier_restores_the_outer_binding(self):
         sc = abhyankar(2)
@@ -672,7 +698,10 @@ class TestCallerValuations:
                 (SQUARE_FORMULAS[2], [Mul(b_, t_), b_, t_]),
                 # the caller's v(b) comes back after the inner b, and v(t) stays
                 ("v(b) >= 0 and (exists b in L\\K : v(b) < 0) and v(b) >= 0", [b_, b_]),
-                ("(exists b in L\\K : v(b) < v(t)) and v(b) >= v(t)", [b_, t_, b_])):
+                ("(exists b in L\\K : v(b) < v(t)) and v(b) >= v(t)", [b_, t_, b_]),
+                # v(x*b) once in the binding of x, not afresh for every candidate c
+                ("exists x in L\\K : exists c in K : v(x*b) < v(c) and v(c) > 100",
+                 [Mul(Var("x"), b_), Var("x"), b_])):
             res, valued = self.warm_valuations(monkeypatch, text, fm, {"b": b})
             assert res.candidates_used == (44 if "in K :" in text else 0)
             assert res.value is not Truth.FALSE and valued == want, text
@@ -821,6 +850,19 @@ class TestValueSet:
         direct = sc.result("theta_x").max_ideal
         rep = check_definition(text, direct, sc.fmodel, samples)
         assert _counts(rep) == _evaluated_counts(text, direct, sc.fmodel, samples)
+
+    def test_merge_declines_what_is_no_nested_pair(self):
+        g = GroupDescriptor((Component.PDIV,), 2)
+        final = element_cut(g.element(1))
+        initial = element_cut(g.element(1), direction=Direction.INITIAL)
+        for union in (True, False):
+            assert formlang._merge(None, final, union) is None
+            assert formlang._merge(final, None, union) is None
+            # cuts of opposite directions are not nested
+            assert formlang._merge(initial, final, union) is None
+            # True absorbs a union and False an intersection; the other is neutral
+            assert formlang._merge(union, final, union) is union
+            assert formlang._merge(final, not union, union) is final
 
     def test_elements_of_L_minus_K_merge_nested_cuts(self):
         # both wild witnesses of example-e1 as elements of L\K: H_1 and H_2

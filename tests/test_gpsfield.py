@@ -284,20 +284,14 @@ def _checked_power(gamma: GroupElement, p: int, i: int):
         return str(err)
 
 
-def _exponent(tail: Tail, i: int):
-    try:
-        return tail.exponent(i)
-    except StructuralError as err:
-        return str(err)
-
-
 class TestTailExponent:
-    """Tail.exponent skips the class check only where gamma / p^i cannot leave
-    the group: every nonzero class is rat, or pdiv of the tail's own prime."""
+    """A tail is checked once, when built: it is accepted exactly when every
+    exponent gamma / p^i lies in the group, and exponent() then builds them
+    without a check."""
 
     def test_agrees_with_the_checked_product(self):
         rng = random.Random(1717)
-        outcomes = {"closed": 0, "raised": 0}
+        outcomes = {"accepted": 0, "rejected": 0}
         for _ in range(600):
             p = rng.choice((2, 3, 5, 7))
             # half the groups are of another prime than the tail's residue field
@@ -307,23 +301,27 @@ class TestTailExponent:
             gamma = group.element(*[_coordinate(rng, k, prime) for k in group.components])
             if gamma.is_zero:
                 continue
-            tail = Tail(GF(p).element(rng.randint(1, p - 1)), gamma, rng.randint(-2, 2))
-            for i in range(-3, 13):
-                want = _checked_power(gamma, p, i)
-                assert _exponent(tail, i) == want, (group, gamma, p, i)
-                outcomes["raised"] += isinstance(want, str)
-            outcomes["closed"] += tail._closed
-        assert outcomes["closed"] > 100 and outcomes["raised"] > 100
+            want = {i: _checked_power(gamma, p, i) for i in range(-3, 13)}
+            closed = not any(isinstance(want[i], str) for i in range(13))
+            try:
+                tail = Tail(GF(p).element(rng.randint(1, p - 1)), gamma, rng.randint(-2, 2))
+            except StructuralError:
+                assert not closed, (group, gamma, p)
+                outcomes["rejected"] += 1
+                continue
+            assert closed, (group, gamma, p)
+            outcomes["accepted"] += 1
+            for i, value in want.items():
+                assert tail.exponent(i) == value, (group, gamma, p, i)
+        assert outcomes["accepted"] > 100 and outcomes["rejected"] > 100
 
-    def test_a_tail_built_directly_keeps_the_check(self):
-        # no PatternSeries, so _merge_tails never sees the int class
+    def test_a_class_without_1_over_p_is_rejected_when_built(self):
         group = GroupDescriptor((Component.INT, Component.PDIV), 3)
-        tail = Tail(GF(3).one(), group.element(1, Fraction(1, 3)), 1)
-        assert "_closed" not in tail.__dict__   # decided on the first exponent call
-        assert tail.exponent(0) == tail.gamma
-        with pytest.raises(StructuralError, match=r"coordinate 1/3 not allowed in component 0"):
-            tail.exponent(1)
-        assert tail.exponent(-1) == group.element(3, 1)
+        with pytest.raises(StructuralError, match=r"leaves component 0 \(int\)"):
+            Tail(GF(3).one(), group.element(1, Fraction(1, 3)), 1)
+        tail = Tail(GF(3).one(), group.element(0, Fraction(1, 3)), 1)
+        assert tail.exponent(1) == group.element(0, Fraction(1, 9))
+        assert tail.exponent(-1) == group.element(0, 1)
 
 
 class TestValDiff:
