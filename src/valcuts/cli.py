@@ -253,6 +253,10 @@ def datum_from_config(config: dict):
     gen = ext.get("generator")
     if gen is not None:
         if gen["type"] == "pattern":
+            if not model.series_capable:
+                raise ConfigError("extension/generator/type: a pattern generator needs series "
+                                  "arithmetic, which a model of extension/char 0 has none of",
+                                  fields=["extension/generator/type"])
             finite = (_checked("extension/generator/finite", parse_element, model,
                                gen["finite"]) if gen.get("finite") else model.zero())
             tails = tuple(

@@ -22,7 +22,8 @@ exactly (ORACLE mode) when its body compares a valuation of a recognized
 shape in the bound variable c against a computable value: v(x - c),
 v(x^p - x - c^p + c), or v(x^p - c^p), possibly inside a product with
 c-free factors.  Everything else falls back to bounded witness enumeration
-(BOUNDED mode), where UNKNOWN is a first-class outcome.
+(BOUNDED mode), where UNKNOWN is a first-class outcome.  A formula in one
+binding b is compiled once per model to the values of v(b) at which it holds.
 """
 
 from __future__ import annotations
@@ -600,6 +601,16 @@ class FormulaModel:
         per model, variable and candidate."""
         return {}
 
+    @cached_property
+    def names(self) -> frozenset:
+        """The names the model binds: constants, distinguished elements, built-ins."""
+        return frozenset(self.constants).union((im.name for im in self.immediates), _BUILTINS)
+
+    @cached_property
+    def value_sets(self) -> dict:
+        """(formula, variable) -> its value set in v(variable) (_compiled)."""
+        return {}
+
     def _witnesses(self):
         for im in self.immediates:
             for k in range(min(_SCHEDULE_DEPTH, len(im.schedule))):
@@ -917,12 +928,12 @@ class _Evaluator:
             return _kleene_or(self.eval(f.left).negated(), self.eval(f.right))
         return self.eval_atom(f)
 
-    def _eval_with(self, var: str, value, body, table: dict, pooled=False) -> Truth:
-        """body with var bound to value, where table (a pool candidate's when pooled)
-        keeps v(term) for the terms naming var; the outer binding and scope come back after."""
+    def _eval_with(self, var: str, value, body, table: dict, pooled=False, walk=None):
+        """walk(body), by default self.eval, with var bound to value, where table (a pool
+        candidate's when pooled) keeps v(term) for the terms naming var."""
         outer, outer_scope = self.bindings, self.scope
         self.bindings, self.scope = {**outer, var: value}, {**outer_scope, var: (table, pooled)}
-        result = self.eval(body)
+        result = (walk or self.eval)(body)
         self.bindings, self.scope = outer, outer_scope
         return result
 
@@ -1016,7 +1027,7 @@ class _Evaluator:
         if f.domain is Domain.L_MINUS_K:
             if not self.fm.immediates:
                 return None
-            found = [_Evaluator(self.fm, {**self.bindings, f.var: im}).values(f.body, var)
+            found = [self._eval_with(f.var, im, f.body, {}, walk=lambda g: self.values(g, var))
                      for im in self.fm.immediates]
             return reduce(lambda a, b: _merge(a, b, union=f.kind == "exists"), found)
         if f.var not in free_variables(f.body):
@@ -1287,31 +1298,71 @@ def free_variables(node) -> frozenset:
 
 
 def evaluate(phi, fmodel: FormulaModel, bindings: dict | None = None) -> EvalResult:
-    """Three-valued evaluation; exact where the segment oracle applies."""
+    """Three-valued evaluation; exact where the segment oracle applies.  With one
+    binding it may be read off a value set compiled once per model."""
     ast = parse(phi) if isinstance(phi, str) else phi
     bindings = bindings or {}
-    _check_bound(ast, fmodel, bindings)
     ev = _Evaluator(fmodel, bindings)
+    if len(bindings) == 1:
+        answer = _compiled_answer(ast, ev)   # the names are checked when compiled
+        if answer is not None:
+            return answer
+    _check_bound(ast, fmodel, bindings)
     value = ev.eval(ast)
     mode = "bounded" if ev.bounded_used else "oracle"
     return EvalResult(value, mode, ev.witness, ev.candidates_used)
 
 
+def _compiled_answer(ast, ev: _Evaluator) -> EvalResult | None:
+    """evaluate's result by whether the finite valuation of ev's one binding lies
+    in the value set of ast; None, for a walk, when either is missing."""
+    (name, _carrier), = ev.bindings.items()
+    values, answers, var = _compiled(ast, ev.fm, name)
+    if not answers:
+        return None
+    try:
+        w = ev.term_valuation(var)
+    except EvaluationUnsupported:
+        return None
+    return None if w is INF else answers[_holds(values, w)]
+
+
+def _compiled(ast, fmodel: FormulaModel, var: str):
+    """(values, answers, Var(var)), kept per model: the value set of v(var) in
+    ast, and evaluate's results outside and inside it, or False where they are
+    not its results: it did not compile, compiling enumerated candidates (the
+    walk reports them), or var names what a quantifier or the model binds."""
+    entry = fmodel.value_sets.get((ast, var))
+    if entry is None:
+        _check_bound(ast, fmodel, {var})
+        ev = _Evaluator(fmodel, {})
+        values = ev.values(ast, var)
+        exact = values is not None and not (ev.bounded_used or var in fmodel.names
+                                            or _binds(ast, var))
+        answers = exact and (EvalResult(Truth.FALSE, "oracle"), EvalResult(Truth.TRUE, "oracle"))
+        entry = fmodel.value_sets[ast, var] = values, answers, Var(var)
+    return entry
+
+
+def _binds(f, name: str) -> bool:
+    """Whether a quantifier in the formula f binds name."""
+    if isinstance(f, (Quant, Not)):
+        return getattr(f, "var", None) == name or _binds(f.body, name)
+    return isinstance(f, BinOp) and (_binds(f.left, name) or _binds(f.right, name))
+
+
 def value_set(phi, fmodel: FormulaModel):
-    """The finite values of v(b) at which phi holds, compiled once: a Segment,
-    or True/False for every value or none.  A nonzero sample bound to b then
-    gets the answer evaluate gives, by membership of its valuation.  Returns
-    None when b occurs other than as v(b)/-v(b) against a recognized shape, or
-    a K quantifier falls outside the shapes.
+    """The finite values of v(b) at which phi holds, compiled once per model: a
+    Segment, or True/False for every value or none.  Returns None when b
+    occurs other than as v(b)/-v(b) against a recognized shape, or a K
+    quantifier falls outside the shapes.
     """
     ast = parse(phi) if isinstance(phi, str) else phi
-    _check_bound(ast, fmodel, {"b"})
-    return _Evaluator(fmodel, {}).values(ast, "b")
+    return _compiled(ast, fmodel, "b")[0]
 
 
 def _check_bound(ast, fmodel: FormulaModel, bound) -> None:
-    known = set(bound) | set(fmodel.constants) | {im.name for im in fmodel.immediates}
-    unbound = free_variables(ast) - known - _BUILTINS
+    unbound = free_variables(ast).difference(fmodel.names, bound)
     if unbound:
         raise StructuralError(f"unbound variables: {sorted(unbound)}")
 
@@ -1363,23 +1414,17 @@ def check_definition(phi, direct, fmodel: FormulaModel, samples,
     """Compare formula truth against descriptor membership on each sample.
 
     Samples are (label, carrier, valuation) triples, each bound to the free
-    variable b; TRUE/FALSE disagreements are reported as hard failures,
-    UNKNOWNs are counted.  The formula is compiled once (value_set) and each
-    sample answered by the membership of the carrier's own valuation; where
-    it does not compile, or a carrier is zero or has no valuation, the sample
-    is evaluated.
+    variable b and evaluated; TRUE/FALSE disagreements are reported as hard
+    failures, UNKNOWNs are counted.
     """
     ast = parse(phi) if isinstance(phi, str) else phi
-    compiled = value_set(ast, fmodel)
     agreements = 0
     unknowns = 0
     bad = []
     total = 0
     for label, carrier, value in samples:
         total += 1
-        got = _compiled_truth(compiled, fmodel, carrier)
-        if got is None:
-            got = evaluate(ast, fmodel, bindings={"b": carrier}).value
+        got = evaluate(ast, fmodel, bindings={"b": carrier}).value
         want = membership(direct, value)
         if got is Truth.UNKNOWN:
             unknowns += 1
@@ -1390,18 +1435,6 @@ def check_definition(phi, direct, fmodel: FormulaModel, samples,
             bad.append({"sample": label, "formula": got.value, "direct": want})
     return AgreementReport(name or (phi if isinstance(phi, str) else print_formula(ast)),
                            total, agreements, tuple(bad), unknowns)
-
-
-def _compiled_truth(values, fmodel: FormulaModel, carrier) -> Truth | None:
-    """The truth of a compiled formula at b = carrier, or None when it needs
-    evaluating: nothing compiled, or the carrier is zero or has no valuation."""
-    if values is None:
-        return None
-    try:
-        w = _Evaluator(fmodel, {"b": carrier}).term_valuation(Var("b"))
-    except EvaluationUnsupported:
-        return None
-    return None if w is INF else Truth.of(_holds(values, w))
 
 
 # Named definition texts used by the command-line reports.

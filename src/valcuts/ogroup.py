@@ -191,8 +191,11 @@ class GroupElement:
             return [str(n) for n in self.nums]
         out = []
         for n in self.nums:
-            g = gcd(n, den)
-            out.append(str(n // g) if g == den else f"{n // g}/{den // g}")
+            if n:
+                g = gcd(n, den)
+                out.append(str(n // g) if g == den else f"{n // g}/{den // g}")
+            else:
+                out.append("0")
         return out
 
     def __repr__(self) -> str:

@@ -496,6 +496,13 @@ class TestInputContract:
         (["classify", "--config", lambda tmp: write_extension(tmp, pattern(
             2, {"gamma": ["-1"]}), p=3)],
          "extension/generator/tails/0: tail base exponent -1 over 2^i leaves component 0"),
+        # a characteristic-0 model has no series for a pattern generator
+        (["classify", "--config", lambda tmp: write_extension(tmp, {
+            "kind": "kummer_defect", "degree": 3,
+            "generator": {"type": "pattern", "tails": [{"gamma": ["-1"]}]}}, p=3)],
+         "extension/generator/type: a pattern generator needs series arithmetic"),
+        (["classify", "--config", dict(pattern(2, {"gamma": ["-1"]}), char=0)],
+         "extension/generator/type: a pattern generator needs series arithmetic"),
     ])
     def test_bad_value_exits_2_naming_it(self, tmp_path, capsys, args, named):
         args = [write_extension(tmp_path, a) if isinstance(a, dict)

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from valcuts import formlang
-from valcuts.errors import ParseError, StructuralError
+from valcuts.errors import ParseError, StructuralError, ValcutsError
 from valcuts.formlang import (
     DEFINITIONS,
     Add,
@@ -61,6 +61,7 @@ from valcuts.scenarios import (
     abhyankar,
     declared_samples,
     example_e1,
+    example_e2,
     kummer_mixed,
     perfect_series_model,
     samples_for,
@@ -751,7 +752,9 @@ class TestForcedBoundedAgreesWithOracle:
             oracle = {(name, label): evaluate(DEFINITIONS[name], fm, bindings={"b": b})
                       for name in names for label, b, _ in samples}
             with monkeypatch.context() as patch:
+                # neither the oracle nor a compiled value set answers
                 patch.setattr(_Evaluator, "_oracle", lambda self, q: None)
+                patch.setattr(formlang, "_compiled_answer", lambda ast, ev: None)
                 for name in names:
                     for label, b, _ in samples:
                         cold = evaluate(DEFINITIONS[name], replace(fm), bindings={"b": b})
@@ -1028,6 +1031,7 @@ class TestPointwiseImage:
             oracle = {text: evaluate(text, fm, bindings={"b": b}) for text in texts}
             with monkeypatch.context() as patch:
                 patch.setattr(_Evaluator, "_oracle", lambda self, q: None)
+                patch.setattr(formlang, "_compiled_answer", lambda ast, ev: None)
                 for text in texts:
                     want = oracle[text]
                     assert want.mode == "oracle", text
@@ -1146,6 +1150,89 @@ class TestGeneratedShapesAgree:
                 forced = evaluate(text, fm, bindings={"b": b})
             if Truth.UNKNOWN not in (got.value, forced.value):
                 assert forced.value is got.value, (text, w)
+
+
+def _outcome(text, fm, bindings):
+    """evaluate's result as JSON, or the text of the error it raised."""
+    try:
+        return evaluate(text, fm, bindings=bindings).to_json()
+    except ValcutsError as err:
+        return f"{type(err).__name__}: {err}"
+
+
+class TestCompiledAgreesWithTheWalk:
+    """evaluate answers one binding from the value set compiled once per model
+    exactly where the walk gives the same result: value, mode, witness and
+    candidates, on a cold model, a warm one and a copy of a warm one."""
+
+    FORMULAS = tuple(DEFINITIONS.values()) + SQUARE_FORMULAS + (
+        # the caller's name is also quantified
+        "v(b) > 0 and exists b in K : v(theta - b) < 0",
+        "forall c in K : (exists b in K : v(theta - b) < 0) -> "
+        "v(theta^p - theta - c^p + c) < v(b)",
+        # a guard without b that only bounded enumeration decides
+        "forall c in K : (exists d in K : v(d*d) > 0) -> v(theta^p - theta - c^p + c) < v(b)",
+        "exists x in L\\K : forall c in K : (exists d in K : v(d*d) > 0) -> "
+        "v(x^p - x - c^p + c) < v(b)",
+        "exists c in K : -v(theta - c) <= -v(b)",
+        "forall c in K : v(theta - c) < -v(b)",
+    )
+    # the caller binds a distinguished element, a model constant or a built-in
+    NAMED = "exists x in L\\K : exists c in K : inK(x^p - x) and v({}) >= -v(x - c)"
+
+    @staticmethod
+    def calls(sc):
+        g = sc.model.value_group
+        samples = samples_for(sc, 6, 41)
+        carriers = [b for _, b, _ in samples]
+        # a zero carrier, one without a valuation on kummer-mixed, and
+        # value-only carriers beside the series ones
+        carriers += [_zero(sc), sc.fmodel.immediates[0], DeclaredValue(g.zero())]
+        carriers += [DeclaredValue(v) for _, _, v in samples[1:4]]
+        calls = [(text, {"b": b}) for text in TestCompiledAgreesWithTheWalk.FORMULAS
+                 for b in carriers]
+        calls += [(TestCompiledAgreesWithTheWalk.NAMED.format(name), {name: b})
+                  for name in ("theta", "t", "p", "zeta_p", "b") for b in carriers[:3]]
+        return calls
+
+    @pytest.mark.parametrize("build,p", [(abhyankar, 2), (abhyankar, 3), (example_e1, 2),
+                                         (example_e2, 2), (kummer_mixed, 3)])
+    def test_named_formulas_and_edge_bindings(self, build, p):
+        fm = build(p).fmodel
+        calls = self.calls(build(p))
+        with patch.object(formlang, "_compiled_answer", lambda ast, ev: None):
+            off = replace(fm)
+            walked = [_outcome(text, off, bindings) for text, bindings in calls]
+        assert not fm.value_sets
+        for model in (fm, fm, replace(fm)):   # cold, warm, and a copy that starts empty
+            assert [_outcome(text, model, bindings) for text, bindings in calls] == walked
+        assert fm.value_sets and not replace(fm).value_sets
+        # read from a compiled set: the definitions of the model's element and
+        # the two formulas in -v(b), never a name a quantifier or the model binds
+        exact = [var for (_ast, var), (_values, answers, _v) in fm.value_sets.items() if answers]
+        assert exact == ["b"] * (2 if build is kummer_mixed else 5)
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(st.data())
+    def test_generated_shapes(self, data):
+        name = data.draw(st.sampled_from(["abhyankar", "kummer-mixed"]))
+        p = data.draw(st.sampled_from([2, 3]))
+        fm = _shape_model(name, p)
+        g = fm.group
+        text, points = TestGeneratedShapesAgree.draw_formula(
+            data, name, p, fm.immediates[0].name)
+        carriers = [DeclaredValue(g.element(w)) for w in points] + [DeclaredValue(INF)]
+        cold = replace(fm)
+        for b in carriers:
+            got = [_outcome(text, model, {"b": b}) for model in (cold, fm)]
+            with patch.object(formlang, "_compiled_answer", lambda ast, ev: None):
+                walked = _outcome(text, fm, {"b": b})
+                with patch.object(_Evaluator, "_oracle", lambda self, q: None):
+                    forced = evaluate(text, fm, bindings={"b": b}).value
+            assert got == [walked, walked], (text, b)
+            # forced bounded enumeration agrees wherever it decides
+            if forced is not Truth.UNKNOWN and walked["value"] != "UNKNOWN":
+                assert forced.value == walked["value"], (text, b)
 
 
 class TestSamples:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from math import gcd
 
@@ -145,6 +146,18 @@ def group_and_coords(draw):
 
 class TestRepresentation:
     """Numerators over one denominator agree with plain Fraction tuples."""
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_coord_strings_write_each_coordinate_as_fraction_does(self, p):
+        # deep schedules write p^k denominators with mostly zero coordinates
+        rng = random.Random(p)
+        for rank in range(1, 9):
+            g = GroupDescriptor((Component.PDIV,) * rank, p)
+            for _ in range(40):
+                k = rng.randint(0, 40)
+                coords = [Fraction(rng.choice((0, 0, rng.randint(-p**(k + 1), p**(k + 1)))),
+                                   p**rng.randint(0, k)) for _ in range(rank)]
+                assert g.element(*coords).coord_strings() == [str(c) for c in coords]
 
     @settings(max_examples=300, derandomize=True)
     @given(st.data())
