@@ -6,6 +6,10 @@ characteristic, where exact p-adic arithmetic is out of reach but the
 schedule values are known in closed form).  Synthetic instances may declare
 the positive value segment directly; their certificates say so.
 
+Classification only computes.  A result's certificate, the record a report
+writes, is derived from the result's own fields each time it is read, so a
+caller that writes no report formats nothing.
+
 An extension is independent when its ramification ideal is the maximal
 ideal of its invariance ring and that ideal is nonprincipal over the coarse
 ring.  On canonical cuts this one test is also the segment criterion (the
@@ -155,12 +159,34 @@ class DefectClassification:
     sigma: Segment
     ram_ideal: IdealDescriptor
     max_ideal: IdealDescriptor
-    certificate: dict
     approach: ApproachResult | None  # None for a declared sigma segment
+    depth: int
 
     @property
     def group(self) -> GroupDescriptor:
         return self.datum.group
+
+    @property
+    def certificate(self) -> dict:
+        datum = self.datum
+        independent = self.kind is DefectKind.INDEPENDENT
+        certificate = {
+            "extension": datum.name,
+            "kind": datum.kind.value,
+            "degree": datum.degree,
+            "sigma_segment": to_json(self.sigma),
+            "H_E_level": self.H_E.level,
+            "criteria": {"ideal_route": independent, "segment_route": independent},
+            "truncation_depth": self.depth,
+            "synthetic": datum.synthetic,
+            "sigma_shift": datum.sigma_shift.coord_strings(),
+            "ostrowski": {"degree": datum.degree, "defect": datum.degree,
+                          "ramification_index": 1, "residue_degree": 1},
+        }
+        if self.approach is not None:
+            certificate["schedule"] = [v.coord_strings() for v in self.approach.schedule]
+            certificate["approach_segment"] = to_json(self.approach.segment)
+        return certificate
 
 
 def classify(datum: DefectDatum, depth: int = 12) -> DefectClassification:
@@ -170,24 +196,7 @@ def classify(datum: DefectDatum, depth: int = 12) -> DefectClassification:
     H, max_ideal = invariance_ring(ram)
     independent = ram.same_values(max_ideal) and not max_ideal.is_principal_over(H)
     kind = DefectKind.INDEPENDENT if independent else DefectKind.DEPENDENT
-    certificate = {
-        "extension": datum.name,
-        "kind": datum.kind.value,
-        "degree": datum.degree,
-        "sigma_segment": to_json(sigma),
-        "H_E_level": H.level,
-        "criteria": {"ideal_route": independent, "segment_route": independent},
-        "truncation_depth": depth,
-        "synthetic": datum.synthetic,
-        "sigma_shift": datum.sigma_shift.coord_strings(),
-        "ostrowski": {"degree": datum.degree, "defect": datum.degree,
-                      "ramification_index": 1, "residue_degree": 1},
-    }
-    if approach is not None:
-        certificate["schedule"] = [v.coord_strings() for v in approach.schedule]
-        certificate["approach_segment"] = to_json(approach.segment)
-    return DefectClassification(datum, kind, H, sigma, ram, max_ideal, certificate,
-                                approach)
+    return DefectClassification(datum, kind, H, sigma, ram, max_ideal, approach, depth)
 
 
 # --------------------------------------------------------------------------
@@ -252,7 +261,27 @@ class DefectlessAnalysis:
     case: DefectlessCase
     max_ideal: IdealDescriptor
     ram_ideal: IdealDescriptor | None
-    certificate: dict
+
+    @property
+    def certificate(self) -> dict:
+        datum = self.datum
+        certificate = {
+            "extension": datum.name,
+            "kind": ExtensionKind.DEFECTLESS_VALUE.value,
+            "subkind": datum.subkind.value,
+            "degree": datum.q,
+            "H_E_level": self.H_E.level,
+            "case": self.case.value,
+            "x0_value": datum.x0_value.coord_strings(),
+            # vK is vL with its star coordinates scaled by q, so q*vx0 lies in it
+            "q_times_x0_in_vK": True,
+            "max_ideal": to_json(self.max_ideal.values),
+            "ostrowski": {"degree": datum.q, "defect": 1,
+                          "ramification_index": datum.q, "residue_degree": 1},
+        }
+        if self.ram_ideal is not None:
+            certificate["ram_ideal"] = to_json(self.ram_ideal.values)
+        return certificate
 
 
 def defectless_analyze(datum: DefectlessDatum) -> DefectlessAnalysis:
@@ -264,25 +293,7 @@ def defectless_analyze(datum: DefectlessDatum) -> DefectlessAnalysis:
     case = (DefectlessCase.DL2B if group.is_dense_at(datum.star_index)
             else DefectlessCase.DL2C)
     max_ideal = IdealDescriptor(subgroup_cut(H, closed=False))
-
-    ram = _defectless_ram_ideal(datum)
-    certificate = {
-        "extension": datum.name,
-        "kind": ExtensionKind.DEFECTLESS_VALUE.value,
-        "subkind": datum.subkind.value,
-        "degree": datum.q,
-        "H_E_level": H.level,
-        "case": case.value,
-        "x0_value": datum.x0_value.coord_strings(),
-        # vK is vL with its star coordinates scaled by q, so q*vx0 lies in it
-        "q_times_x0_in_vK": True,
-        "max_ideal": to_json(max_ideal.values),
-        "ostrowski": {"degree": datum.q, "defect": 1,
-                      "ramification_index": datum.q, "residue_degree": 1},
-    }
-    if ram is not None:
-        certificate["ram_ideal"] = to_json(ram.values)
-    return DefectlessAnalysis(datum, H, case, max_ideal, ram, certificate)
+    return DefectlessAnalysis(datum, H, case, max_ideal, _defectless_ram_ideal(datum))
 
 
 def _defectless_ram_ideal(datum: DefectlessDatum) -> IdealDescriptor | None:

@@ -127,9 +127,6 @@ class SeriesElement:
             return INF
         return self.terms[0][0]
 
-    def support(self) -> tuple[GroupElement, ...]:
-        return tuple(e for e, _ in self.terms)
-
     def __add__(self, other):
         if isinstance(other, PatternSeries):
             return other + self

@@ -333,10 +333,6 @@ class ConvexSubgroup:
         return self.level >= 1
 
     @property
-    def is_whole_group(self) -> bool:
-        return self.level == 0
-
-    @property
     def is_trivial(self) -> bool:
         return self.level == self.group.rank
 

@@ -24,7 +24,7 @@ from valcuts.extension import (
 )
 from valcuts.formlang import DEFINITIONS, check_definition
 from valcuts.gpsfield import FieldModel, approach_segment, val_diff
-from valcuts.kaehler import annihilate, containment_holds, maximality_witness, present
+from valcuts.kaehler import annihilate, containment_holds, present
 from valcuts.ogroup import Component, ConvexSubgroup, GroupDescriptor
 from valcuts.prescribe import CharCase, build, verify
 from valcuts.residue import GF
@@ -48,6 +48,7 @@ from valcuts.segment import (
 )
 
 from conftest import grid_points
+from kaehler_oracles import maximality_witness
 
 
 class _Clock:

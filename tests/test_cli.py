@@ -715,6 +715,20 @@ GOLDEN_RUNS = [
     (["kummer-mixed", "--p", "3", "--depth", "12"], "kummer_mixed_p3_d12.json"),
 ]
 
+# the classify, kaehler and prescribe reports, which write certificates and schedules
+REPORT_GOLDEN_RUNS = [
+    ([command, "--config", str(CONFIGS / f"{config}.json")],
+     f"{command}_{config.replace('-', '_')}.json")
+    for config in ("abhyankar-p3", "defectless-dense", "mixed-schedule-p5",
+                   "synthetic-dependent")
+    for command in ("classify", "kaehler")
+] + [
+    (["prescribe", "--rank", "8", "--select", "1,2,3,4,5,6,7,8", "--p", "7",
+      "--depth", "12"], "prescribe_r8_p7_d12.json"),
+    (["prescribe", "--rank", "4", "--select", "1,2,3,4", "--char", "mixed", "--p", "3",
+      "--depth", "10"], "prescribe_r4_mixed_p3_d10.json"),
+]
+
 
 class TestSamplesDrawnOnlyWhenRead:
     @pytest.mark.parametrize("args,golden", GOLDEN_RUNS, ids=[a[0] for a, _ in GOLDEN_RUNS])
@@ -781,6 +795,13 @@ class TestDeterminismAndGoldens:
         assert code == 0
         want = json.loads((GOLDENS / golden).read_text())
         assert report == want
+
+    @pytest.mark.parametrize("args,golden", REPORT_GOLDEN_RUNS,
+                             ids=[golden for _, golden in REPORT_GOLDEN_RUNS])
+    def test_report_golden_bytes(self, tmp_path, args, golden):
+        out = tmp_path / "out.json"
+        assert main(args + ["--out", str(out)]) == 0
+        assert out.read_bytes() == (GOLDENS / golden).read_bytes()
 
     def test_byte_stability(self, tmp_path):
         blobs = set()

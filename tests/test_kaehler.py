@@ -19,13 +19,13 @@ from valcuts.kaehler import (
     PresentationForm,
     annihilate,
     containment_holds,
-    maximality_witness,
     present,
 )
 from valcuts.ogroup import Component, ConvexSubgroup, GroupDescriptor
 from valcuts.residue import GF
 from valcuts.segment import IdealDescriptor, element_cut, subgroup_cut
 
+from kaehler_oracles import maximality_witness
 from test_extension import abhyankar_datum
 
 

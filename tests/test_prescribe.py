@@ -11,9 +11,9 @@ import pytest
 from valcuts.errors import InvalidSelectionError
 from valcuts.extension import classify
 from valcuts.formlang import DEFINITIONS, Truth, evaluate, membership, value_set
-from valcuts.ogroup import Component, ConvexSubgroup, convex_subgroups
+from valcuts.ogroup import Component, ConvexSubgroup, GroupElement, convex_subgroups
 from valcuts.prescribe import CharCase, build, verify
-from valcuts.scenarios import _generator_fmodel
+from valcuts.scenarios import SCENARIOS, _generator_fmodel
 from valcuts.segment import coarsening_value_set, contains
 
 
@@ -108,6 +108,39 @@ class TestVerify:
         chain = convex_subgroups(plan.group)
         assert all(chain[level].is_subprincipal for _, level in pairs)
         assert Component.INT not in plan.group.components
+
+
+class TestOnlyWrittenCertificatesAreFormatted:
+    """Classification formats no certificate: a report formats what it writes."""
+
+    @pytest.fixture
+    def formatted(self, monkeypatch):
+        calls = []
+        original = GroupElement.coord_strings
+
+        def counting(self):
+            calls.append(self)
+            return original(self)
+
+        monkeypatch.setattr(GroupElement, "coord_strings", counting)
+        return calls
+
+    def test_verify_formats_nothing_until_written(self, formatted):
+        report = verify(build(3, [1, 2, 3], 3), depth=8)
+        assert not formatted
+        data = report.to_json()
+        assert len(formatted) == 24   # three witnesses, eight schedule values each
+
+        def unit(j, value):   # value at coordinate j of the rank-3 group
+            return ["0"] * j + [value] + ["0"] * (2 - j)
+
+        assert [(w["level"], w["schedule"]) for w in data["witnesses"]] == [
+            (j + 1, [unit(j, f"-1/{3 ** (k + 1)}") for k in range(8)]) for j in range(3)]
+
+    def test_scenario_builds_format_nothing(self, formatted):
+        for name, scenario in SCENARIOS.items():
+            scenario(3 if name in ("abhyankar", "kummer-mixed") else 2, depth=20)
+        assert not formatted
 
 
 class TestFailureSurface:
