@@ -397,8 +397,11 @@ def eval_report(formula: str, scenario_name: str, p: int, depth: int,
     scenario = SCENARIOS[scenario_name](p, depth=depth)
     ast = parse(formula)
     bindings = {}
-    if binding:
-        name, _, text = binding.partition("=")
+    if binding is not None:
+        name, eq, text = binding.partition("=")
+        if not (name and eq):
+            raise ConfigError(f"--bind: {binding!r} is not of the form NAME=TERM",
+                              fields=["--bind"])
         if name not in free_variables(ast):
             raise ConfigError(f"--bind: the formula reads no free {name!r}", fields=["--bind"])
         if text.startswith("v:"):

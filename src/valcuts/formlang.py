@@ -23,7 +23,9 @@ shape in the bound variable c against a computable value: v(x - c),
 v(x^p - x - c^p + c), or v(x^p - c^p), possibly inside a product with
 c-free factors.  Everything else falls back to bounded witness enumeration
 (BOUNDED mode), where UNKNOWN is a first-class outcome.  A formula in one
-binding b is compiled once per model to the values of v(b) at which it holds.
+binding b is compiled once per model to the values of v(b) at which it holds,
+or, when it is one K quantifier left to enumeration over one atom in b, to
+its candidates' values, which give where the enumeration would stop.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ import re
 from dataclasses import dataclass, field, is_dataclass, replace
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, lru_cache, partial, reduce
 from itertools import islice
 
 from .errors import EvaluationUnsupported, ParseError, StructuralError
@@ -608,7 +610,8 @@ class FormulaModel:
 
     @cached_property
     def value_sets(self) -> dict:
-        """(formula, variable) -> its value set in v(variable) (_compiled)."""
+        """(formula, variable) -> its value set in v(variable), and how evaluate
+        answers from what was compiled (_compiled)."""
         return {}
 
     def _witnesses(self):
@@ -1115,10 +1118,7 @@ class _Evaluator:
     # bounded fallback: enumerate candidate witnesses
     def _bounded(self, q: Quant) -> Truth:
         self.bounded_used = True
-        kept = self.fm.candidate_valuations
-        if q.var not in kept:   # per variable: v(theta - t) differs for t and for theta
-            kept[q.var] = tuple({} for _ in self.fm.candidates)
-        for (label, cand), table in zip(self.fm.candidates, kept[q.var]):
+        for (label, cand), table in self._pooled(q.var):
             self.candidates_used += 1
             r = self._eval_with(q.var, cand, q.body, table, True)
             if q.kind == "exists" and r is Truth.TRUE:
@@ -1128,6 +1128,14 @@ class _Evaluator:
                 self.witness = label
                 return Truth.FALSE
         return Truth.UNKNOWN  # the domain is infinite; the pool cannot settle it
+
+    def _pooled(self, var: str):
+        """Each (label, candidate) of the pool with the table that keeps its
+        valuations when var holds it (FormulaModel.candidate_valuations)."""
+        kept = self.fm.candidate_valuations
+        if var not in kept:   # per variable: v(theta - t) differs for t and for theta
+            kept[var] = tuple({} for _ in self.fm.candidates)
+        return zip(self.fm.candidates, kept[var])
 
 
 _ZETA_MINUS_ONE = Sub(Var("zeta_p"), IntLit(1))
@@ -1314,34 +1322,107 @@ def evaluate(phi, fmodel: FormulaModel, bindings: dict | None = None) -> EvalRes
 
 
 def _compiled_answer(ast, ev: _Evaluator) -> EvalResult | None:
-    """evaluate's result by whether the finite valuation of ev's one binding lies
-    in the value set of ast; None, for a walk, when either is missing."""
+    """evaluate's result, read from what was compiled of ast for ev's one binding
+    at the finite valuation of the term it reads; None, for a walk, when either
+    is missing."""
     (name, _carrier), = ev.bindings.items()
-    values, answers, var = _compiled(ast, ev.fm, name)
-    if not answers:
+    _values, answer, term = _compiled(ast, ev.fm, name)
+    if not answer:
         return None
     try:
-        w = ev.term_valuation(var)
+        w = ev.term_valuation(term)
     except EvaluationUnsupported:
         return None
-    return None if w is INF else answers[_holds(values, w)]
+    return None if w is INF else answer(w)
 
 
 def _compiled(ast, fmodel: FormulaModel, var: str):
-    """(values, answers, Var(var)), kept per model: the value set of v(var) in
-    ast, and evaluate's results outside and inside it, or False where they are
-    not its results: it did not compile, compiling enumerated candidates (the
-    walk reports them), or var names what a quantifier or the model binds."""
+    """(values, answer, term), kept per model: the value set of v(var) in ast,
+    and answer(v(term)), evaluate's result, or False where it has none: var
+    names what a quantifier or the model binds, or ast neither compiled without
+    enumerating candidates (the walk reports them), with term var, nor is a K
+    quantifier answered from its candidates (_first_stops)."""
     entry = fmodel.value_sets.get((ast, var))
     if entry is None:
         _check_bound(ast, fmodel, {var})
         ev = _Evaluator(fmodel, {})
         values = ev.values(ast, var)
-        exact = values is not None and not (ev.bounded_used or var in fmodel.names
-                                            or _binds(ast, var))
-        answers = exact and (EvalResult(Truth.FALSE, "oracle"), EvalResult(Truth.TRUE, "oracle"))
-        entry = fmodel.value_sets[ast, var] = values, answers, Var(var)
+        answer, term = False, Var(var)
+        if var in fmodel.names or _binds(ast, var):
+            pass   # the walk reads var as the model or a quantifier binds it
+        elif values is not None and not ev.bounded_used:
+            answers = (EvalResult(Truth.FALSE, "oracle"), EvalResult(Truth.TRUE, "oracle"))
+            answer = lambda w: answers[_holds(values, w)]
+        else:
+            answer, term = _first_stops(ast, ev, var) or (answer, term)
+        entry = fmodel.value_sets[ast, var] = values, answer, term
     return entry
+
+
+_NEGATED_REL = {"<": ">=", "<=": ">", ">=": "<", ">": "<="}
+
+
+def _first_stops(q, ev: _Evaluator, var: str):
+    """(answer, term) for a K quantifier q that the oracle leaves to bounded
+    enumeration, whose body is one atom `side REL ±v(term)` or its mirror, with
+    REL an order, side naming q.var and otherwise names of the model, and term
+    naming var but not q.var: answer(v(term)) is the walk's result.  side is
+    valued once per candidate, in the tables the walk keeps; a candidate where
+    it is unsupported is UNKNOWN and never ends the walk.  None for any other
+    formula, and where no candidate values side."""
+    if not (isinstance(q, Quant) and q.domain is Domain.K and isinstance(q.body, ValAtom)
+            and q.body.rel != "=" and ev._guarded_shape(q) is None):
+        return None
+    atom, names = q.body, ev.fm.names | {q.var}
+    for side, other, rel in ((atom.left, atom.right, atom.rel),
+                             (atom.right, atom.left, _flip_rel(atom.rel))):
+        if (isinstance(side, VOf) and isinstance(other, VOf)
+                and q.var in free_variables(side) and free_variables(side) <= names
+                and var in free_variables(other) and q.var not in free_variables(other)):
+            break
+    else:
+        return None
+
+    def value(vexpr):
+        try:
+            return ev.vexpr_value(vexpr)
+        except EvaluationUnsupported:
+            return None
+
+    # the walk ends at the first candidate whose value a has `a stop w`; it has
+    # one exactly where the prefix maximum (for > and >=) or minimum has one
+    stop = rel if q.kind == "exists" else _NEGATED_REL[rel]
+    wider = ">" if stop in (">", ">=") else "<"
+    ends = Truth.TRUE if q.kind == "exists" else Truth.FALSE
+    extremes, results = [], []
+    for used, ((label, cand), table) in enumerate(ev._pooled(q.var), 1):
+        a = ev._eval_with(q.var, cand, side, table, True, walk=value)
+        if a is None:
+            continue
+        if extremes and not _compare_values(a, extremes[-1], wider):
+            a = extremes[-1]
+        extremes.append(a)
+        results.append(EvalResult(ends, "bounded", label, used))
+    if not extremes:
+        return None
+    results.append(EvalResult(Truth.UNKNOWN, "bounded", None, len(ev.fm.candidates)))
+    return partial(_first_stop, stop, other.negated, extremes, results), other.term
+
+
+def _first_stop(rel: str, negated: bool, extremes: list, results: list, w) -> EvalResult:
+    """results[i] for the first i with `extremes[i] REL w`, where w is negated
+    first when negated, found by bisection: REL holds from some i on, since the
+    extremes are prefix maxima or minima.  The last result when there is none."""
+    if negated:
+        w = -w
+    lo, hi = 0, len(extremes)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if _compare_values(extremes[mid], w, rel):
+            hi = mid
+        else:
+            lo = mid + 1
+    return results[lo]
 
 
 def _binds(f, name: str) -> bool:

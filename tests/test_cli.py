@@ -126,8 +126,16 @@ def readme_commands():
             if line.startswith("valcuts ")]
 
 
+def readme_ids(commands):
+    """Each command's name, with a count from the second line of a name on:
+    eval, eval-2."""
+    names = [args[0] for args in commands]
+    return [name if names.index(name) == i else f"{name}-{names[:i + 1].count(name)}"
+            for i, name in enumerate(names)]
+
+
 class TestReadme:
-    @pytest.mark.parametrize("args", readme_commands(), ids=lambda a: a[0])
+    @pytest.mark.parametrize("args", readme_commands(), ids=readme_ids(readme_commands()))
     def test_documented_command_runs(self, tmp_path, monkeypatch, args):
         monkeypatch.chdir(ROOT)   # the commands name configs/ relative to the root
         if "--out" in args:
@@ -138,7 +146,7 @@ class TestReadme:
     def test_every_documented_command_is_collected(self):
         assert [a[0] for a in readme_commands()] == [
             "abhyankar", "example-e1", "example-e2", "kummer-mixed", "prescribe",
-            "classify", "kaehler", "eval", "check-def"]
+            "classify", "kaehler", "eval", "eval", "check-def"]
 
 
 class TestConfigs:
@@ -473,7 +481,13 @@ class TestInputContract:
             WILD_KUMMER, subkind="kummer_one_unit", v_eta_minus_1=["1", "0"]),
             ("int", "pdiv"), 3)],
          "extension/vp: v(zeta_q - 1)"),
-        (["eval", "--formula", "v(b) >= 0", "--bind", "=t"], "--bind: the formula reads no"),
+        # a binding without a name or without "=" names the form it needs
+        (["eval", "--formula", "v(b) >= 0", "--bind", "=t"], "--bind: '=t' is not of the form"),
+        (["eval", "--formula", "v(b) >= 0", "--bind", "=3"], "--bind: '=3' is not of the form"),
+        (["eval", "--formula", "v(b) >= 0", "--bind", "b"], "--bind: 'b' is not of the form"),
+        (["eval", "--formula", "v(b) >= 0", "--bind", ""], "--bind: '' is not of the form"),
+        (["eval", "--formula", "v(b) >= 0", "--bind", "b"], "NAME=TERM"),
+        (["eval", "--formula", "v(b) >= 0", "--bind", "b="], "--bind: empty term"),
         (["eval", "--formula", "v(b) >= 0", "--bind", "1b=t"], "--bind: the formula reads no"),
         (["eval", "--formula", "v(t) > 0", "--bind", "c=t"], "--bind: the formula reads no"),
         # a tail or a schedule is checked when it is built

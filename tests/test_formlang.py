@@ -518,6 +518,26 @@ SQUARE_FORMULAS = (
     "exists c in K : v(theta - c*c) >= v(b*t)",
 )
 NESTED_FORMULA = "forall d in K : exists c in K : v(theta - c*c) >= v(d)"
+# bounded quantifiers over one atom that evaluate answers from the candidates'
+# values: every order relation, the candidate side on the right, -v on either
+# side, candidate 0 with v(c) = INF, a side candidate 0 does not value
+# (-v(0)), and a product kummer-mixed values from its schedule
+BOUNDED_ATOMS = (
+    "forall c in K : v(theta - c*c) <= v(b)",
+    "forall c in K : v(theta - c*c) > v(b)",
+    "forall c in K : v(theta - c*c) >= v(b)",
+    "exists c in K : v(theta - c*c) < v(b)",
+    "exists c in K : v(theta - c*c) <= v(b)",
+    "exists c in K : v(theta - c*c) > v(b)",
+    "exists c in K : v(b) > v(theta - c*c)",
+    "forall c in K : v(b) <= v(theta - c*c)",
+    "exists c in K : v(theta - c*c) >= -v(b)",
+    "forall c in K : -v(theta - c*c) < -v(b)",
+    "forall c in K : v(c) < v(b)",
+    "exists c in K : v(c) >= v(b*t)",
+    "exists c in K : -v(c) > v(b)",
+    "exists c in K : v((eta - c)*(eta - c)) >= v(b)",
+)
 
 
 def _counts(report):
@@ -1164,9 +1184,10 @@ def _outcome(text, fm, bindings):
 
 
 class TestCompiledAgreesWithTheWalk:
-    """evaluate answers one binding from the value set compiled once per model
-    exactly where the walk gives the same result: value, mode, witness and
-    candidates, on a cold model, a warm one and a copy of a warm one."""
+    """evaluate answers one binding from what it compiled once per model, a value
+    set or the candidates' values of a bounded quantifier, exactly where the
+    walk gives the same result: value, mode, witness and candidates, on a cold
+    model, a warm one and a copy of a warm one."""
 
     FORMULAS = tuple(DEFINITIONS.values()) + SQUARE_FORMULAS + (
         # the caller's name is also quantified
@@ -1179,6 +1200,10 @@ class TestCompiledAgreesWithTheWalk:
         "v(x^p - x - c^p + c) < v(b)",
         "exists c in K : -v(theta - c) <= -v(b)",
         "forall c in K : v(theta - c) < -v(b)",
+    ) + BOUNDED_ATOMS + (
+        # these walk: an equation, and a negated quantifier
+        "exists c in K : v(theta - c*c) = v(b)",
+        "not exists c in K : v(theta - c*c) >= v(b)",
     )
     # the caller binds a distinguished element, a model constant or a built-in
     NAMED = "exists x in L\\K : exists c in K : inK(x^p - x) and v({}) >= -v(x - c)"
@@ -1210,10 +1235,34 @@ class TestCompiledAgreesWithTheWalk:
         for model in (fm, fm, replace(fm)):   # cold, warm, and a copy that starts empty
             assert [_outcome(text, model, bindings) for text, bindings in calls] == walked
         assert fm.value_sets and not replace(fm).value_sets
-        # read from a compiled set: the definitions of the model's element and
-        # the two formulas in -v(b), never a name a quantifier or the model binds
-        exact = [var for (_ast, var), (_values, answers, _v) in fm.value_sets.items() if answers]
-        assert exact == ["b"] * (2 if build is kummer_mixed else 5)
+        # read from a compiled set (False): the definitions of the model's
+        # element and the two formulas in -v(b); from the candidates' values
+        # (True): SQUARE_FORMULAS and each of BOUNDED_ATOMS whose names the model
+        # binds; never a name a quantifier or the model binds
+        exact = [(var, values is None) for (_ast, var), (values, answer, _term)
+                 in fm.value_sets.items() if answer]
+        if build is kummer_mixed:
+            assert exact == [("b", False)] * 2 + [("b", True)]
+        else:
+            assert exact == [("b", False)] * 3 + [("b", True)] * 4 + [("b", False)] * 2 + [
+                ("b", True)] * (len(BOUNDED_ATOMS) - 1)
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_every_stop_of_a_bounded_atom(self, p):
+        # v(b) on a grid through the candidates' values, so that the walk
+        # stops at many places in the pool, and at none
+        fm = abhyankar(p).fmodel
+        g = fm.group
+        formulas = BOUNDED_ATOMS[:-1] + ("exists c in K : -v(c) < v(b)",
+                                         "forall c in K : v(c) > v(b)")
+        calls = [(text, {"b": DeclaredValue(g.element(Fraction(k, p * p)))})
+                 for text in formulas for k in range(-5 * p * p, 5 * p * p + 1)]
+        with patch.object(formlang, "_compiled_answer", lambda ast, ev: None):
+            off = replace(fm)
+            walked = [_outcome(text, off, bindings) for text, bindings in calls]
+        assert [_outcome(text, fm, bindings) for text, bindings in calls] == walked
+        assert all(fm.value_sets[parse(text), "b"][1] for text in formulas)
+        assert len({r["candidates_used"] for r in walked}) >= 6
 
     @settings(max_examples=60, derandomize=True, deadline=None)
     @given(st.data())
