@@ -12,6 +12,7 @@ import functools
 import hashlib
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 
 from . import __version__
 from .errors import (
@@ -406,7 +407,7 @@ def eval_report(formula: str, scenario_name: str, p: int, depth: int,
             raise ConfigError(f"--bind: the formula reads no free {name!r}", fields=["--bind"])
         if text.startswith("v:"):
             bindings[name] = DeclaredValue(
-                _element(scenario.model.value_group, [text[2:]], "--bind"))
+                _element(scenario.model.value_group, text[2:].split(","), "--bind"))
         else:
             bindings[name] = _checked("--bind", parse_element, scenario.model, text)
     res = evaluate(ast, scenario.fmodel, bindings=bindings)
@@ -445,8 +446,64 @@ def check_def_report(name: str, scenario_name: str, p: int, depth: int,
 
 # --------------------------------------------------------------------------
 
+def _write(x, out: list, pad: str) -> None:
+    """Append the pieces of json.dumps(x, sort_keys=True, indent=2) to out,
+    where pad is a newline and the indentation of x's line.  With indent set,
+    json encodes in pure Python through generators; this appends to one list
+    and tests the types in json's order."""
+    if isinstance(x, str):
+        out.append(encode_basestring_ascii(x))
+    elif x is None:
+        out.append("null")
+    elif x is True:
+        out.append("true")
+    elif x is False:
+        out.append("false")
+    elif isinstance(x, int):
+        out.append(int.__repr__(x))
+    elif isinstance(x, float):
+        out.append(json.dumps(x))   # one per definability check: its unknown_rate
+    elif isinstance(x, (list, tuple)):
+        if not x:
+            out.append("[]")
+            return
+        inner = pad + "  "
+        sep, comma = "[" + inner, "," + inner
+        for item in x:
+            if isinstance(item, str):   # most items: the coordinates of values
+                out.append(sep + encode_basestring_ascii(item))
+            else:
+                out.append(sep)
+                _write(item, out, inner)
+            sep = comma
+        out.append(pad + "]")
+    elif isinstance(x, dict):
+        if not x:
+            out.append("{}")
+            return
+        inner = pad + "  "
+        sep, comma = "{" + inner, "," + inner
+        for key, item in sorted(x.items()):
+            if isinstance(key, str):
+                key = encode_basestring_ascii(key)
+            elif key is None or isinstance(key, (int, float)):
+                key = '"' + json.dumps(key) + '"'
+            else:
+                raise TypeError(f"keys must be str, int, float, bool or None, "
+                                f"not {key.__class__.__name__}")
+            out.append(sep + key + ": ")
+            _write(item, out, inner)
+            sep = comma
+        out.append(pad + "}")
+    else:
+        raise TypeError(f"Object of type {x.__class__.__name__} is not JSON serializable")
+
+
 def _emit(report: dict, out: str | None) -> None:
-    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    pieces: list = []
+    _write(report, pieces, "\n")
+    pieces.append("\n")
+    text = "".join(pieces)
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -519,7 +576,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("eval", help="evaluate a formula against a scenario")
     sp.add_argument("--formula", required=True)
     sp.add_argument("--scenario", choices=sorted(SCENARIOS), default="abhyankar")
-    sp.add_argument("--bind", help="free-variable binding, e.g. b=t^-1 or b=v:3/4")
+    sp.add_argument("--bind", help="free-variable binding, e.g. b=t^-1, or b=v:3/4 "
+                                   "with one coordinate per rank")
     common(sp)
 
     sp = sub.add_parser("check-def", help="agreement of a definition with its set")

@@ -46,6 +46,7 @@ from .segment import (
     Direction,
     IdealDescriptor,
     Segment,
+    coarsening_value_set,
     contains,
     element_cut,
     is_subset,
@@ -696,14 +697,7 @@ class _Evaluator:
     def term_carrier(self, t):
         """Exact carrier (series or pattern) of a term, when computable."""
         if isinstance(t, Var):
-            v = self._resolve(t.name)
-            if isinstance(v, (ImmediateElement, Approximant)):
-                if v.carrier is None:
-                    raise EvaluationUnsupported(f"{t.name} has no series form")
-                return v.carrier
-            if isinstance(v, (SeriesElement, PatternSeries)):
-                return v
-            raise EvaluationUnsupported(f"{t.name} is value-only")
+            return _bound_carrier(t.name, self._resolve(t.name))
         if isinstance(t, IntLit):
             if not self.fm.model.series_capable:
                 raise EvaluationUnsupported("no series arithmetic on this model")
@@ -754,11 +748,7 @@ class _Evaluator:
             e = self._exponent(t.exponent)
             return INF if v is INF else v * e
         if isinstance(t, Var):
-            v = self._resolve(t.name)
-            if isinstance(v, DeclaredValue):
-                return v.valuation
-            if isinstance(v, ImmediateElement) and v.carrier is None:
-                raise EvaluationUnsupported(f"{t.name} is schedule-only")
+            return _bound_valuation(t.name, self._resolve(t.name))
         if isinstance(t, (Add, Sub)):
             if t == _ZETA_MINUS_ONE and not self._declared("zeta_p"):
                 return self.fm.zeta_value()
@@ -1141,6 +1131,25 @@ class _Evaluator:
 _ZETA_MINUS_ONE = Sub(Var("zeta_p"), IntLit(1))
 
 
+def _bound_carrier(name: str, value):
+    """The exact carrier (series or pattern) of what name is bound to."""
+    if isinstance(value, (ImmediateElement, Approximant)):
+        if value.carrier is None:
+            raise EvaluationUnsupported(f"{name} has no series form")
+        return value.carrier
+    if isinstance(value, (SeriesElement, PatternSeries)):
+        return value
+    raise EvaluationUnsupported(f"{name} is value-only")
+
+
+def _bound_valuation(name: str, value):
+    """v(name) where name is bound to value: its declared valuation, else its
+    carrier's."""
+    if isinstance(value, DeclaredValue):
+        return value.valuation
+    return _carrier_valuation(_bound_carrier(name, value))
+
+
 def _carrier_valuation(carrier):
     if not isinstance(carrier, PatternSeries):
         return carrier.valuation()
@@ -1490,21 +1499,44 @@ def membership(direct, value) -> bool:
     raise StructuralError("direct object must be an ideal or a convex subgroup")
 
 
+def _direct_values(direct):
+    """The finite values membership accepts, as a value set: an ideal's, or
+    the coarsening ring's (True for the whole group)."""
+    if isinstance(direct, IdealDescriptor):
+        return direct.values
+    if isinstance(direct, ConvexSubgroup):
+        return coarsening_value_set(direct) if direct.level else True
+    return None
+
+
 def check_definition(phi, direct, fmodel: FormulaModel, samples,
                      name: str = "") -> AgreementReport:
     """Compare formula truth against descriptor membership on each sample.
 
     Samples are (label, carrier, valuation) triples, each bound to the free
     variable b and evaluated; TRUE/FALSE disagreements are reported as hard
-    failures, UNKNOWNs are counted.
+    failures, UNKNOWNs are counted.  When evaluate answers b by membership in
+    a value set compiled once per model and that set is the direct object's,
+    a sample whose carrier has its declared finite valuation agrees without
+    being evaluated: evaluate would test that valuation for membership in the
+    same set.
     """
     ast = parse(phi) if isinstance(phi, str) else phi
+    values, answer, _term = _compiled(ast, fmodel, "b")
+    exact = bool(answer) and values is not None and values == _direct_values(direct)
     agreements = 0
     unknowns = 0
     bad = []
     total = 0
     for label, carrier, value in samples:
         total += 1
+        if exact and value is not INF:
+            try:
+                if _bound_valuation("b", carrier) == value:
+                    agreements += 1
+                    continue
+            except EvaluationUnsupported:
+                pass
         got = evaluate(ast, fmodel, bindings={"b": carrier}).value
         want = membership(direct, value)
         if got is Truth.UNKNOWN:

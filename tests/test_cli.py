@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import gc
 import io
 import json
 import os
@@ -11,6 +12,7 @@ import shlex
 import subprocess
 import sys
 import tempfile
+from enum import Enum
 from fractions import Fraction
 
 import jsonschema
@@ -29,6 +31,8 @@ from valcuts.cli import (
     main,
 )
 from valcuts.errors import ConfigError
+from valcuts.formlang import DEFINITIONS, DeclaredValue, evaluate
+from valcuts.scenarios import SCENARIOS
 
 GOLDENS = pathlib.Path(__file__).parent / "goldens"
 ROOT = pathlib.Path(__file__).parent.parent
@@ -94,6 +98,19 @@ class TestScenarios:
         assert code == 0
         assert report["result"]["value"] == "TRUE"
         assert report["result"]["mode"] == "oracle"
+
+    @pytest.mark.parametrize("scenario", ["example-e1", "example-e2"])
+    @pytest.mark.parametrize("coords", [("1/2", "0"), ("-1/2", "3"), ("0", "-1")])
+    def test_eval_value_binding_on_rank_2(self, tmp_path, scenario, coords):
+        # one comma-separated coordinate per rank, as the value group writes them
+        formula = DEFINITIONS["max-ideal"]
+        code, report = run(["eval", "--scenario", scenario, "--p", "2", "--formula", formula,
+                            "--bind", "b=v:" + ",".join(coords)], tmp_path)
+        assert code == 0
+        fm = SCENARIOS[scenario](2, depth=12).fmodel
+        value = DeclaredValue(fm.group.element(*map(Fraction, coords)))
+        assert report["result"] == evaluate(formula, fm, bindings={"b": value}).to_json()
+        assert report["result"]["value"] == ("TRUE" if coords[0] == "1/2" else "FALSE")
 
     def test_eval_unknown_atom_is_not_bounded_mode(self, tmp_path):
         # no quantifier enumerated candidates, so the oracle answered
@@ -430,6 +447,14 @@ class TestInputContract:
         (["eval", "--formula", "v(b) >= 0", "--bind", "b=v:abc"], "--bind"),
         (["eval", "--formula", "v(b) >= 0", "--bind", "b=v:1/0"], "--bind"),
         (["eval", "--formula", "v(b) >= 0", "--bind", "b=t^(1/0)"], "--bind"),
+        # a value-only binding has one coordinate per rank
+        (["eval", "--scenario", "example-e1", "--formula", "v(b) >= 0", "--bind", "b=v:1"],
+         "--bind: coordinate count does not match the rank"),
+        (["eval", "--scenario", "example-e2", "--formula", "v(b) >= 0",
+          "--bind", "b=v:1,0,0"], "--bind: coordinate count does not match the rank"),
+        (["eval", "--scenario", "example-e1", "--formula", "v(b) >= 0",
+          "--bind", "b=v:1/2,x"], "--bind: ['1/2', 'x'] is not a list of exact rationals"),
+        (["eval", "--formula", "v(b) >= 0", "--bind", "b=v:1,"], "--bind"),
         (["prescribe", "--rank", "3", "--select", "1,x"], "--select"),
         (["classify", "--config", dict(pattern(2, {"gamma": ["-1"]}), declared_sigma={
             "direction": "final", "kind": "element", "gamma": ["5"], "closed": True})],
@@ -800,6 +825,76 @@ class TestRepeatedMain:
         assert [w[0] for w in fresh] == [0, 0, 2, 0, 0, 0]
         assert fresh[0][1] == fresh[-1][1] == (GOLDENS / "abhyankar_p3_d15.json").read_text()
         assert fresh[4][1] == "" and fresh[4][3]
+
+
+# cli._emit as defined, before the autouse fixture wraps it in a schema check
+EMIT = cli._emit
+
+
+def written(x) -> str:
+    pieces = []
+    cli._write(x, pieces, "\n")
+    return "".join(pieces)
+
+
+class Kind(str, Enum):
+    # names equal to values, so that a member and its value are one dict key
+    alpha = "alpha"
+    é = "é"
+
+
+JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(min_value=10**40),
+    st.integers(max_value=-10**40), st.floats(allow_nan=False, allow_infinity=False),
+    st.text(), st.text(st.characters(max_codepoint=0x3f)),   # controls, quotes, digits
+    st.sampled_from(Kind))
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda sub: st.one_of(
+        st.lists(sub, max_size=4), st.lists(sub, max_size=4).map(tuple),
+        st.dictionaries(st.one_of(st.text(), st.sampled_from(Kind)), sub, max_size=4)),
+    max_leaves=24)
+
+
+class TestWriter:
+    """cli._write gives the bytes of json.dumps(x, sort_keys=True, indent=2)."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(JSON_VALUES)
+    def test_same_text_as_json(self, x):
+        assert written(x) == json.dumps(x, sort_keys=True, indent=2)
+
+    @pytest.mark.parametrize("x", [
+        [], {}, [[], {}, ()], {"": {"": []}}, "\u2028\x00\"\\/\ud800", -0.0, 1e300, 5e-324,
+        10**400, {2: "b", 10: "a"}, {1.5: 0, -2.0: 1}, {None: 0}, {True: 0, False: 1},
+        {Kind.alpha: Kind.é, "b": [Kind.alpha]}, float("nan"), [float("inf"), -float("inf")]])
+    def test_same_text_at_the_edges(self, x):
+        assert written(x) == json.dumps(x, sort_keys=True, indent=2)
+
+    @pytest.mark.parametrize("x", [{(1,): 0}, {1: 0, "a": 1}, [object()], {"a": {1, 2}}])
+    def test_same_error(self, x):
+        with pytest.raises(TypeError) as want:
+            json.dumps(x, sort_keys=True, indent=2)
+        with pytest.raises(TypeError) as got:
+            written(x)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("golden", sorted(p.name for p in GOLDENS.glob("*.json")))
+    def test_goldens(self, golden):
+        data = json.loads((GOLDENS / golden).read_text())
+        assert written(data) == json.dumps(data, sort_keys=True, indent=2)
+
+    def test_emit_makes_no_reference_cycle(self):
+        report = cli.prescribe_report(8, list(range(1, 9)), 7, "equal", 12)
+        gc.collect()
+        gc.disable()
+        try:
+            with contextlib.redirect_stdout(io.StringIO()) as out:
+                EMIT(report, None)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+        assert out.getvalue() == (GOLDENS / "prescribe_r8_p7_d12.json").read_text()
 
 
 class TestDeterminismAndGoldens:

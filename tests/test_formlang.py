@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from valcuts import formlang
+from valcuts import cli, formlang
 from valcuts.errors import ParseError, StructuralError, ValcutsError
 from valcuts.formlang import (
     DEFINITIONS,
@@ -69,12 +69,16 @@ from valcuts.scenarios import (
 )
 from valcuts.segment import (
     Direction,
+    IdealDescriptor,
     coarsening_value_set,
     contains,
     element_cut,
     seq_cut,
+    shift,
     subgroup_cut,
 )
+
+from conftest import grid_points
 
 
 NAMES = st.sampled_from(["b", "c", "x", "t", "theta", "eta", "p", "zeta_p"])
@@ -1000,6 +1004,153 @@ class TestValueSet:
             assert value_set(text, fm) == want, text
         # {w : w = 0} is no cut
         assert value_set("exists c in K : v((theta - c)^0) = v(b)", fm) is None
+
+
+def _cli_targets():
+    """Each (scenario, p, definition name, direct object) a scenario report checks."""
+    for command, build in (("abhyankar", abhyankar), ("example-e1", example_e1),
+                           ("kummer-mixed", kummer_mixed)):
+        for p in (2, 3, 5, 7):
+            sc = build(p)
+            for name, direct in cli._definability_targets(command, sc):
+                yield sc, p, name, direct
+
+
+def _edge_samples(sc, seg):
+    """Samples at the shift of the cut seg and one unit to either side, in its
+    cut class and, below it, in the last class."""
+    g = sc.model.value_group
+    units = [g.unit(seg.level - 1, k) for k in (-1, 1)]
+    if seg.level < g.rank:
+        units += [g.unit(g.rank - 1, k) for k in (-1, 1)]
+    points = [seg.shift] + [seg.shift + u for u in units]
+    carrier = sc.model.monomial if sc.model.series_capable else None
+    return [(f"edge {v}", carrier(1, v) if carrier else DeclaredValue(v), v) for v in points]
+
+
+class TestExactComparison:
+    """check_definition compares a definition's compiled value set with the
+    direct object's once; while they are equal, a sample whose carrier has its
+    declared finite valuation agrees without an evaluate call."""
+
+    @staticmethod
+    def counted(monkeypatch):
+        calls = []
+
+        def counting(phi, fmodel, bindings=None):
+            calls.append(bindings)
+            return evaluate(phi, fmodel, bindings)
+
+        monkeypatch.setattr(formlang, "evaluate", counting)
+        return calls
+
+    def test_every_cli_target_is_settled_without_evaluate(self, monkeypatch):
+        calls = self.counted(monkeypatch)
+        checked = 0
+        for sc, p, name, direct in _cli_targets():
+            samples = samples_for(sc, 50, p) + _edge_samples(sc, formlang._direct_values(direct))
+            rep = check_definition(DEFINITIONS[name], direct, sc.fmodel, samples)
+            assert not calls, (name, p)
+            want = _evaluated_counts(DEFINITIONS[name], direct, sc.fmodel, samples)
+            calls.clear()
+            assert _counts(rep) == want and rep.passed and not rep.unknowns, (name, p)
+            checked += 1
+        assert checked == 28
+
+    @pytest.mark.parametrize("command,build", [("abhyankar", abhyankar),
+                                               ("example-e1", example_e1),
+                                               ("kummer-mixed", kummer_mixed)])
+    def test_a_wrong_direct_object_is_evaluated_sample_by_sample(self, monkeypatch,
+                                                                  command, build):
+        calls = self.counted(monkeypatch)
+        sc = build(3)
+        g = sc.model.value_group
+        targets = cli._definability_targets(command, sc)
+        disagreeing = 0
+        for name, direct in targets:
+            seg = formlang._direct_values(direct)
+            samples = samples_for(sc, 20, 4) + _edge_samples(sc, seg)
+            # shifted by one coset of its cut class, and flipped open/closed
+            for wrong in (shift(seg, g.unit(seg.level - 1)), replace(seg, closed=not seg.closed)):
+                assert wrong != seg
+                wrong = IdealDescriptor(wrong)
+                rep = check_definition(DEFINITIONS[name], wrong, sc.fmodel, samples)
+                assert len(calls) == len(samples), name
+                calls.clear()
+                assert _counts(rep) == _evaluated_counts(DEFINITIONS[name], wrong,
+                                                         sc.fmodel, samples), name
+                disagreeing += bool(rep.disagreements)
+        assert disagreeing == 2 * len(targets)
+
+    def test_infinite_and_mislabelled_samples_are_evaluated(self, monkeypatch):
+        calls = self.counted(monkeypatch)
+        for p in (2, 3):
+            sc = abhyankar(p)
+            res = sc.result("theta")
+            g = sc.model.value_group
+            # 0 has no finite valuation; t^1 is declared to have value 0
+            odd = [("0", sc.model.zero(), INF),
+                   ("t labelled 1", sc.model.monomial(1, g.element(1)), g.zero())]
+            samples = samples_for(sc, 10, 1) + odd
+            for name, direct in (("ram-ideal-as", res.ram_ideal),
+                                 ("max-ideal", res.max_ideal),
+                                 ("coarse-ring-as", res.H_E)):
+                rep = check_definition(DEFINITIONS[name], direct, sc.fmodel, samples)
+                assert [b["b"] for b in calls] == [b for _, b, _ in odd], name
+                want = _evaluated_counts(DEFINITIONS[name], direct, sc.fmodel, samples)
+                calls.clear()
+                assert _counts(rep) == want, name
+            # v(t) = 1 lies in the maximal ideal and its declared 0 does not
+            rep = check_definition(DEFINITIONS["max-ideal"], res.max_ideal, sc.fmodel, odd)
+            assert [d["sample"] for d in rep.disagreements] == ["t labelled 1"]
+            calls.clear()
+        # kummer-mixed's eta has a schedule and no series, so no valuation
+        sc = kummer_mixed(3)
+        res = sc.result("eta")
+        eta = sc.fmodel.immediate("eta")
+        samples = samples_for(sc, 10, 1) + [("eta", eta, sc.model.value_group.zero())]
+        rep = check_definition(DEFINITIONS["coarse-ring-kummer"], res.H_E, sc.fmodel, samples)
+        assert [b["b"] for b in calls] == [eta]
+        calls.clear()
+        assert _counts(rep) == _evaluated_counts(DEFINITIONS["coarse-ring-kummer"], res.H_E,
+                                                 sc.fmodel, samples)
+
+    def test_a_b_the_model_names_is_evaluated(self, monkeypatch):
+        # the compiled set equals the direct one, but evaluate walks: b is a
+        # constant of the model, which no compiled answer reads
+        calls = self.counted(monkeypatch)
+        sc = abhyankar(3)
+        res = sc.result("theta")
+        b = sc.model.monomial(1, sc.model.value_group.element(5))
+        fm = replace(sc.fmodel, constants={**sc.fmodel.constants, "b": b})
+        samples = samples_for(sc, 10, 2)
+        for name, direct in (("ram-ideal-as", res.ram_ideal), ("coarse-ring-as", res.H_E)):
+            assert value_set(DEFINITIONS[name], fm) == formlang._direct_values(direct)
+            rep = check_definition(DEFINITIONS[name], direct, fm, samples)
+            assert len(calls) == len(samples), name
+            calls.clear()
+            assert _counts(rep) == _evaluated_counts(DEFINITIONS[name], direct, fm, samples)
+
+    def test_a_direct_object_of_no_kind_is_rejected(self):
+        # a formula answered from its candidates has no value set either
+        sc = example_e1(2)
+        seg = sc.result("theta_x").max_ideal.values
+        for text in (DEFINITIONS["max-ideal"], SQUARE_FORMULAS[0]):
+            with pytest.raises(StructuralError, match="must be an ideal or a convex"):
+                check_definition(text, seg, sc.fmodel, samples_for(sc, 5, 0))
+
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4])
+    def test_coarsening_cut_is_membership(self, rank):
+        for components in ([Component.INT] * rank, [Component.PDIV] * rank,
+                           [Component.INT, Component.RAT, Component.PDIV, Component.INT][:rank]):
+            g = GroupDescriptor(tuple(components), 2)
+            points = list(grid_points(g, 2, 1 if rank < 4 else 0))
+            for level in range(1, rank + 1):
+                H = ConvexSubgroup(g, level)
+                cut = subgroup_cut(H, closed=True)
+                assert all(contains(cut, v) == membership(H, v) for v in points), level
+            # H_0 is the whole group: every value, which a cut cannot describe
+            assert all(membership(ConvexSubgroup(g, 0), v) for v in points)
 
 
 class TestPointwiseImage:
