@@ -5,11 +5,15 @@ valuation rings is presented by a numerator ideal and an exponent: the
 defect case uses I/I^p, wildly ramified defectless extensions use
 (I*M)/(I*M)^p, and tamely ramified value extensions use M/M^q.  Zero tests
 and annihilators are decided exactly on the value-set descriptors.
+
+A presentation keeps the value set of its denominator power, built once by
+`present` (the defect zero test compares against it), and `annihilate`
+builds its result in one constructor call.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 from .errors import StructuralError
@@ -20,6 +24,7 @@ from .extension import (
 )
 from .segment import (
     IdealDescriptor,
+    Segment,
     coarsening_value_set,
     is_subset,
     to_json,
@@ -36,14 +41,12 @@ class PresentationForm(str, Enum):
 class OmegaPresentation:
     numerator: IdealDescriptor
     denominator_exponent: int
+    power: IdealDescriptor   # numerator ** denominator_exponent
     form: PresentationForm
     is_zero: bool
     provenance: str
     annihilator: IdealDescriptor | None = None
     annihilator_is_max_ideal: bool = False
-
-    def power_values(self) -> IdealDescriptor:
-        return self.numerator.power(self.denominator_exponent)
 
     def to_json(self) -> dict:
         out = {
@@ -62,15 +65,11 @@ class OmegaPresentation:
 def present(result: DefectClassification | DefectlessAnalysis) -> OmegaPresentation:
     """Select the presentation form and decide the zero test for the instance."""
     if isinstance(result, DefectClassification):
-        num = result.ram_ideal
-        power = num.power(result.datum.degree)
-        return OmegaPresentation(
-            numerator=num,
-            denominator_exponent=result.datum.degree,
-            form=PresentationForm.RAM_QUOTIENT,
-            is_zero=num.same_values(power),
-            provenance=f"defect:{result.kind.value}",
-        )
+        num, p = result.ram_ideal, result.datum.degree
+        power = num.power(p)
+        return OmegaPresentation(num, p, power, PresentationForm.RAM_QUOTIENT,
+                                 is_zero=num.same_values(power),
+                                 provenance=f"defect:{result.kind.value}")
     if not isinstance(result, DefectlessAnalysis):
         raise StructuralError("present expects a classified or analyzed extension")
     datum = result.datum
@@ -78,61 +77,60 @@ def present(result: DefectClassification | DefectlessAnalysis) -> OmegaPresentat
         # tame value extension: q is a unit, so the zero test reduces to
         # whether M_E is principal over the coarse ring
         zero = not result.max_ideal.is_principal_over(result.H_E)
-        return OmegaPresentation(result.max_ideal, datum.q, PresentationForm.MAX_QUOTIENT,
-                                 is_zero=zero, provenance="defectless:tame_value")
-    # wildly ramified: the Artin-Schreier and one-unit Kummer modules are
-    # never zero; a positive-value Kummer generator gives zero exactly when q
-    # is a unit of the coarse ring and M_E is not principal over it
-    zero = (datum.subkind is DefectlessKind.KUMMER_2A
-            and not result.max_ideal.contains_value(datum.vp)
-            and not result.max_ideal.is_principal_over(result.H_E))
-    return OmegaPresentation(result.ram_ideal.multiply(result.max_ideal), datum.q,
-                             PresentationForm.RAM_MAX_QUOTIENT, is_zero=zero,
-                             provenance=f"defectless:{datum.subkind.value}")
+        num, form, provenance = (result.max_ideal, PresentationForm.MAX_QUOTIENT,
+                                 "defectless:tame_value")
+    else:
+        # wildly ramified: the Artin-Schreier and one-unit Kummer modules are
+        # never zero; a positive-value Kummer generator gives zero exactly when
+        # q is a unit of the coarse ring and M_E is not principal over it
+        zero = (datum.subkind is DefectlessKind.KUMMER_2A
+                and not result.max_ideal.contains_value(datum.vp)
+                and not result.max_ideal.is_principal_over(result.H_E))
+        num, form, provenance = (result.ram_ideal.multiply(result.max_ideal),
+                                 PresentationForm.RAM_MAX_QUOTIENT,
+                                 f"defectless:{datum.subkind.value}")
+    return OmegaPresentation(num, datum.q, num.power(datum.q), form, is_zero=zero,
+                             provenance=provenance)
 
 
 def annihilate(pres: OmegaPresentation,
                result: DefectClassification | DefectlessAnalysis) -> OmegaPresentation:
     """Attach the annihilator ideal; the full ring exactly when the module is zero."""
-    group = pres.numerator.group
+    group, n = pres.numerator.group, pres.denominator_exponent
+    is_max = False
     if pres.is_zero:
         ann = IdealDescriptor.ring(group)
-        return replace(pres, annihilator=ann)
-    if isinstance(result, DefectClassification):
-        ann = _dependent_defect_annihilator(pres, result)
-        return replace(pres, annihilator=ann)
-
-    datum = result.datum
-    n = datum.q
-    if pres.form is PresentationForm.MAX_QUOTIENT:
+    elif isinstance(result, DefectClassification):
+        ann = _dependent_defect_annihilator(result)
+    elif pres.form is PresentationForm.MAX_QUOTIENT:
         # nonzero forces M_E principal over the coarse ring; a = 1
         ann = result.max_ideal.power(n - 1)
         is_max = n == 2 and result.H_E.is_trivial
-        return replace(pres, annihilator=ann, annihilator_is_max_ideal=is_max)
-
-    # every wild ramification ideal is principal, generated at its shift
-    a_value = result.ram_ideal.values.shift
-    if result.max_ideal.is_principal_over(result.H_E):
-        ann = pres.numerator.power(n - 1)
     else:
-        base = IdealDescriptor(coarsening_value_set(result.H_E))
-        ann = base.shifted(a_value * (n - 1))
-    is_max = (n == 2
-              and not result.max_ideal.contains_value(a_value)
-              and result.H_E.is_trivial
-              and IdealDescriptor.maximal_ideal(group).is_principal)
-    return replace(pres, annihilator=ann, annihilator_is_max_ideal=is_max)
+        # every wild ramification ideal is principal, generated at its shift
+        a_value = result.ram_ideal.values.shift
+        if result.max_ideal.is_principal_over(result.H_E):
+            ann = pres.numerator.power(n - 1)
+        else:
+            base = IdealDescriptor(coarsening_value_set(result.H_E))
+            ann = base.shifted(a_value * (n - 1))
+        is_max = (n == 2
+                  and not result.max_ideal.contains_value(a_value)
+                  and result.H_E.is_trivial
+                  and IdealDescriptor.maximal_ideal(group).is_principal)
+    return OmegaPresentation(pres.numerator, pres.denominator_exponent, pres.power, pres.form,
+                             pres.is_zero, pres.provenance, ann, is_max)
 
 
-def _dependent_defect_annihilator(pres: OmegaPresentation,
-                                  result: DefectClassification) -> IdealDescriptor:
+def _dependent_defect_annihilator(result: DefectClassification) -> IdealDescriptor:
     """I_E^(p-1), improved to a*O(I_E) when the quotient value set of
     I_E^(p-1) has an unattained infimum realized by a base-field value."""
     # a canonical open cut sits over a dense cut class, so the infimum is not
     # attained; the extension is immediate, so vK = vL realizes the shift.
-    # Closing a closed cut leaves it as it is
-    power = result.ram_ideal.power(result.datum.degree - 1)
-    return IdealDescriptor(replace(power.values, closed=True))
+    # (p-1) times the cut, closed: closing a closed cut leaves it as it is
+    values = result.ram_ideal.values
+    return IdealDescriptor(Segment(values.direction, values.level,
+                                   values.shift * (result.datum.degree - 1), closed=True))
 
 
 def containment_holds(pres: OmegaPresentation) -> bool:
@@ -140,4 +138,4 @@ def containment_holds(pres: OmegaPresentation) -> bool:
     if pres.annihilator is None:
         raise StructuralError("annihilator not attached")
     prod = pres.annihilator.multiply(pres.numerator)
-    return is_subset(prod.values, pres.power_values().values)
+    return is_subset(prod.values, pres.power.values)

@@ -112,7 +112,9 @@ def seq_cut(limit: GroupElement, scale: GroupElement, start: int = 1,
     The threshold moves towards the limit (minus for initial cuts, plus for
     final ones).  A positive scale gives the open cut at the limit's coset of
     the subprincipal subgroup of the scale's class; a negative one moves the
-    thresholds away from the limit, so the union is its first member.
+    thresholds away from the limit, so the union is its first member, at
+    limit -/+ scale/p^start for any integer start.  A first member outside
+    the group raises StructuralError.
     """
     if scale.group != limit.group:
         raise StructuralError("scale belongs to a different group descriptor")
@@ -121,7 +123,7 @@ def seq_cut(limit: GroupElement, scale: GroupElement, start: int = 1,
     if scale.sign() > 0:
         _, sub = archimedean_class_subgroups(scale)
         return subgroup_cut(sub, shift=limit, direction=direction)
-    step = scale * Fraction(direction.sign, limit.group.prime ** start)
+    step = scale * (direction.sign / Fraction(limit.group.prime) ** start)
     return element_cut(limit + step, closed=True, direction=direction)
 
 
@@ -264,8 +266,12 @@ def from_json(group: GroupDescriptor, data: dict) -> Segment:
                             shift=read("shift", element, group.zero()),
                             closed=read("closed", exact(bool), False), direction=direction)
     if kind == "seq":
-        return seq_cut(read("limit", element), read("scale", element),
-                       start=read("start", exact(int), 1), direction=direction)
+        limit, scale = read("limit", element), read("scale", element)
+        start = read("start", exact(int), 1)
+        try:
+            return seq_cut(limit, scale, start=start, direction=direction)
+        except StructuralError as err:   # the first member leaves the group
+            raise ConfigError(f"segment field 'scale': {err}", fields=["scale"]) from None
     raise ConfigError(f"segment field 'kind': {kind!r} is not one of "
                       "'element', 'subgroup', 'seq'", fields=["kind"])
 

@@ -16,7 +16,7 @@ def maximality_witness(pres: OmegaPresentation, candidates) -> bool:
     """
     if pres.annihilator is None:
         raise StructuralError("annihilator not attached")
-    power = pres.power_values()
+    power = pres.power
     for g in candidates:
         if pres.annihilator.contains_value(g):
             continue

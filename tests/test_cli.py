@@ -542,6 +542,15 @@ class TestInputContract:
          "extension/generator/type: a pattern generator needs series arithmetic"),
         (["classify", "--config", dict(pattern(2, {"gamma": ["-1"]}), char=0)],
          "extension/generator/type: a pattern generator needs series arithmetic"),
+        # a seq segment whose first member leaves the group is an error in its scale
+        (["classify", "--config", lambda tmp: write_config(tmp, {
+            "direction": "final", "kind": "seq", "limit": ["1"], "scale": ["-1"],
+            "start": 1}, ("int",))],
+         "segment field 'scale': coordinate -1/2 not allowed in component 0 (int)"),
+        (["kaehler", "--config", lambda tmp: write_config(tmp, {
+            "direction": "final", "kind": "seq", "limit": ["1", "0"], "scale": ["0", "-1"],
+            "start": 1}, ("pdiv", "int"))],
+         "segment field 'scale': coordinate -1/2 not allowed in component 1 (int)"),
     ])
     def test_bad_value_exits_2_naming_it(self, tmp_path, capsys, args, named):
         args = [write_extension(tmp_path, a) if isinstance(a, dict)
@@ -553,6 +562,21 @@ class TestInputContract:
         assert code == 2
         err = capsys.readouterr().err
         assert "error:" in err and named in err
+
+    @pytest.mark.parametrize("command", ["classify", "kaehler"])
+    def test_seq_segment_with_a_negative_start(self, tmp_path, capsys, command):
+        # a negative scale makes the union its first member, 5 - 1 * 2^1 here
+        segment = {"direction": "final", "kind": "seq", "limit": ["5"], "scale": ["-1"],
+                   "start": -1}
+        code, report = run([command, "--config", write_config(tmp_path, segment)], tmp_path)
+        assert code == 0
+        assert report["certificate"]["sigma_segment"] == {
+            "direction": "final", "kind": "element", "gamma": ["3"], "closed": True}
+        # a first member at 1 - 2 is no positive value: the documented failure
+        segment["limit"] = ["1"]
+        assert main([command, "--config", write_config(tmp_path, segment)]) == 1
+        assert capsys.readouterr().err == (
+            "error: the value segment must consist of positive values\n")
 
     @staticmethod
     def residue_char_4(tmp_path, capsys, config_name):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
+from valcuts import segment
 from valcuts.extension import (
     DefectDatum,
     DefectKind,
@@ -15,6 +16,7 @@ from valcuts.extension import (
     classify,
     defectless_analyze,
 )
+from valcuts.gpsfield import FieldModel
 from valcuts.kaehler import (
     PresentationForm,
     annihilate,
@@ -242,3 +244,44 @@ class TestDiscreteClasses:
         assert {(name, case) for name, case, _ in cases} == set(itertools.product(
             ("tame", "as", "kummer"), (DefectlessCase.DL2B, DefectlessCase.DL2C)))
         assert ("kummer", DefectlessCase.DL2B, True) in cases
+
+
+class TestPowerBuiltOnce:
+    """A presentation keeps its denominator power, so a defect op calls
+    scale_int once: the zero test and the containment check share it."""
+
+    @staticmethod
+    def defect_data():
+        G = GroupDescriptor((Component.PDIV,), 2)
+        base = FieldModel(name="declared", char=2, value_group=G, residue=GF(2))
+        yield abhyankar_datum(2)   # independent: the module is zero
+        yield abhyankar_datum(3)
+        for gamma in (1, Fraction(3, 4)):   # dependent: a principal declared segment
+            yield DefectDatum(name="dependent", kind=ExtensionKind.AS_DEFECT, base=base,
+                              degree=2, declared_sigma=element_cut(G.element(gamma)),
+                              synthetic=True)
+
+    def test_a_defect_op_scales_once(self, monkeypatch):
+        calls = []
+        original = segment.scale_int
+        monkeypatch.setattr(segment, "scale_int",
+                            lambda s, m: calls.append(m) or original(s, m))
+        kinds = set()
+        for datum in self.defect_data():
+            calls.clear()
+            res = classify(datum)
+            pres = annihilate(present(res), res)
+            assert containment_holds(pres)
+            assert calls == [datum.degree]
+            kinds.add(res.kind)
+        assert kinds == set(DefectKind)
+
+    def test_stored_power_on_every_form(self):
+        results = [classify(datum) for datum in self.defect_data()]
+        results += [defectless_analyze(datum) for datum in TestDiscreteClasses.data()]
+        forms = set()
+        for res in results:
+            pres = annihilate(present(res), res)
+            assert pres.power == pres.numerator.power(pres.denominator_exponent)
+            forms.add(pres.form)
+        assert forms == set(PresentationForm)

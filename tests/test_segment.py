@@ -137,6 +137,18 @@ class TestNormalize:
         s = normalize(seq_cut(ZP1.zero(), ZP1.element(-1), start=2, direction=Direction.FINAL))
         assert s == element_cut(ZP1.element(Fraction(-1, 4)), closed=True)
 
+    @pytest.mark.parametrize("direction", list(Direction))
+    @pytest.mark.parametrize("group", [ZP1, ZINT, ZP1_3])
+    def test_negative_scale_first_member_at_every_start(self, group, direction):
+        # the first member limit -/+ scale/p^start, exact for negative starts too
+        p = group.prime
+        for start in range(-3, 4):
+            if group is ZINT and start > 0:
+                continue   # scale/p^start leaves the int class
+            s = seq_cut(group.element(5), group.element(-3), start=start, direction=direction)
+            step = Fraction(-3 * direction.sign) * Fraction(p) ** -start
+            assert s == element_cut(group.element(5 + step), direction=direction), start
+
     def test_idempotent_and_membership_preserving(self):
         rng = random.Random(7)
         pts = list(grid_points(ZP2, 2, 2))
@@ -507,11 +519,24 @@ class TestIdeals:
           "start": 2.5}, "start"),
         ({"direction": "initial", "kind": "seq", "limit": ["0"], "scale": ["1"],
           "start": False}, "start"),
+        # (group, data): the first member's step -1/2 leaves the int class
+        ((ZINT, {"direction": "final", "kind": "seq", "limit": ["1"], "scale": ["-1"],
+                 "start": 1}), "scale"),
+        ((ZINT, {"direction": "initial", "kind": "seq", "limit": ["1"], "scale": ["-3"],
+                 "start": 2}), "scale"),
     ])
     def test_json_malformed_field_named(self, data, field):
+        group, data = data if isinstance(data, tuple) else (ZP1, data)
         with pytest.raises(ConfigError) as err:
-            sg.from_json(ZP1, data)
+            sg.from_json(group, data)
         assert err.value.fields == (field,)
+
+    def test_json_seq_negative_start(self):
+        # a negative start with a negative scale: the union is its first member
+        data = {"direction": "final", "kind": "seq", "limit": ["5"], "scale": ["-1"],
+                "start": -1}
+        for group, first in ((ZINT, 3), (ZP1, 3), (ZP1_3, 2)):
+            assert sg.from_json(group, data) == element_cut(group.element(first))
 
     def test_json_roundtrip(self):
         rng = random.Random(31)
