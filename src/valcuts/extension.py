@@ -8,10 +8,7 @@ the positive value segment directly; their certificates say so.
 
 Classification only computes.  A result's certificate, the record a report
 writes, is derived from the result's own fields each time it is read, so a
-caller that writes no report formats nothing.  Likewise the approach's
-schedule values are made on their first read (by a certificate, a prescribed
-witness or a formula model), so classifying a declared schedule costs the
-same at every depth.
+caller that writes no report formats nothing.
 
 An extension is independent when its ramification ideal is the maximal
 ideal of its invariance ring and that ideal is nonprincipal over the coarse
@@ -88,9 +85,9 @@ class DeclaredSchedule:
         if self.scale.sign() <= 0:
             raise NotImmediateError(
                 f"declared values do not increase strictly: scale {self.scale} <= 0")
+        schedule = tuple(self.value_at(k) for k in range(self.start, self.start + depth))
         seg = seq_cut(self.limit, self.scale, start=1, direction=Direction.INITIAL)
-        return ApproachResult(seg, lambda: tuple(
-            self.value_at(k) for k in range(self.start, self.start + depth)))
+        return ApproachResult(seg, schedule)
 
 
 @dataclass(frozen=True)

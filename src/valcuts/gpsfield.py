@@ -17,10 +17,8 @@ schedules only.
 from __future__ import annotations
 
 import re
-from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import gcd, lcm
 
 from .errors import NotImmediateError, StructuralError
@@ -355,29 +353,12 @@ def val_diff(theta: PatternSeries, c: SeriesElement) -> GroupElement:
     return min(head for _, head in heads.values())
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class ApproachResult:
-    """v(theta - K) as a cut plus the schedule certificate.
-
-    The schedule is made by `make_schedule` on first read and kept, so a
-    caller that reads only the segment makes none; making it cannot fail.
-    Two results are equal when their segments and schedule values are.
-    """
+    """v(theta - K) as a cut plus the schedule certificate."""
 
     segment: Segment
-    make_schedule: Callable[[], tuple[GroupElement, ...]] = field(repr=False)
-
-    @cached_property
-    def schedule(self) -> tuple[GroupElement, ...]:
-        return self.make_schedule()
-
-    def __eq__(self, other):
-        if not isinstance(other, ApproachResult):
-            return NotImplemented
-        return self.segment == other.segment and self.schedule == other.schedule
-
-    def __hash__(self):
-        return hash(self.segment)
+    schedule: tuple[GroupElement, ...]
 
 
 def approach_segment(theta: PatternSeries, K: FieldModel, depth: int = 12) -> ApproachResult:
@@ -388,8 +369,7 @@ def approach_segment(theta: PatternSeries, K: FieldModel, depth: int = 12) -> Ap
     terms past index k, and merged tails share no exponent, so v(theta - b_k)
     is the least t.exponent(max(k + 1, t.start)) over the tails t with
     negative base exponent.  These values never decrease and reach every
-    negative-tail exponent, so the distinct ones increase strictly.  The
-    checks run and the segment is built at once; the schedule when read.
+    negative-tail exponent, so the distinct ones increase strictly.
     """
     if K.value_group != theta.model.value_group:
         raise StructuralError("base field has a different value group")
@@ -398,21 +378,17 @@ def approach_segment(theta: PatternSeries, K: FieldModel, depth: int = 12) -> Ap
     gamma_min = min(t.gamma for t in theta.tails)
     if gamma_min.sign() > 0:
         raise NotImmediateError("tail exponents decrease; v(theta - K) has a maximum")
-
-    def schedule():
-        negative = [t for t in theta.tails if t.gamma.sign() < 0]
-        values = []
-        k = max(0, min(t.start for t in theta.tails) - 1)
-        while len(values) < depth:
-            value = min(t.exponent(max(k + 1, t.start)) for t in negative)
-            if not values or values[-1] != value:
-                values.append(value)
-            k += 1
-        return tuple(values)
-
+    negative = [t for t in theta.tails if t.gamma.sign() < 0]
+    schedule = []
+    k = max(0, min(t.start for t in theta.tails) - 1)
+    while len(schedule) < depth:
+        value = min(t.exponent(max(k + 1, t.start)) for t in negative)
+        if not schedule or schedule[-1] != value:
+            schedule.append(value)
+        k += 1
     seg = seq_cut(theta.model.value_group.zero(), -gamma_min, start=1,
                   direction=Direction.INITIAL)
-    return ApproachResult(seg, schedule)
+    return ApproachResult(seg, tuple(schedule))
 
 
 # --------------------------------------------------------------------------

@@ -7,13 +7,12 @@ defect case uses I/I^p, wildly ramified defectless extensions use
 and annihilators are decided exactly on the value-set descriptors.
 
 A presentation keeps the value set of its denominator power, built once by
-`present` (the defect zero test compares against it), and `annihilate`
-builds its result in one constructor call.
+`present` (the defect zero test compares against it).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 from .errors import StructuralError
@@ -65,11 +64,16 @@ class OmegaPresentation:
 def present(result: DefectClassification | DefectlessAnalysis) -> OmegaPresentation:
     """Select the presentation form and decide the zero test for the instance."""
     if isinstance(result, DefectClassification):
-        num, p = result.ram_ideal, result.datum.degree
-        power = num.power(p)
-        return OmegaPresentation(num, p, power, PresentationForm.RAM_QUOTIENT,
-                                 is_zero=num.same_values(power),
-                                 provenance=f"defect:{result.kind.value}")
+        num = result.ram_ideal
+        power = num.power(result.datum.degree)
+        return OmegaPresentation(
+            numerator=num,
+            denominator_exponent=result.datum.degree,
+            power=power,
+            form=PresentationForm.RAM_QUOTIENT,
+            is_zero=num.same_values(power),
+            provenance=f"defect:{result.kind.value}",
+        )
     if not isinstance(result, DefectlessAnalysis):
         raise StructuralError("present expects a classified or analyzed extension")
     datum = result.datum
@@ -77,49 +81,53 @@ def present(result: DefectClassification | DefectlessAnalysis) -> OmegaPresentat
         # tame value extension: q is a unit, so the zero test reduces to
         # whether M_E is principal over the coarse ring
         zero = not result.max_ideal.is_principal_over(result.H_E)
-        num, form, provenance = (result.max_ideal, PresentationForm.MAX_QUOTIENT,
-                                 "defectless:tame_value")
-    else:
-        # wildly ramified: the Artin-Schreier and one-unit Kummer modules are
-        # never zero; a positive-value Kummer generator gives zero exactly when
-        # q is a unit of the coarse ring and M_E is not principal over it
-        zero = (datum.subkind is DefectlessKind.KUMMER_2A
-                and not result.max_ideal.contains_value(datum.vp)
-                and not result.max_ideal.is_principal_over(result.H_E))
-        num, form, provenance = (result.ram_ideal.multiply(result.max_ideal),
-                                 PresentationForm.RAM_MAX_QUOTIENT,
-                                 f"defectless:{datum.subkind.value}")
-    return OmegaPresentation(num, datum.q, num.power(datum.q), form, is_zero=zero,
-                             provenance=provenance)
+        return OmegaPresentation(result.max_ideal, datum.q,
+                                 power=result.max_ideal.power(datum.q),
+                                 form=PresentationForm.MAX_QUOTIENT,
+                                 is_zero=zero, provenance="defectless:tame_value")
+    # wildly ramified: the Artin-Schreier and one-unit Kummer modules are
+    # never zero; a positive-value Kummer generator gives zero exactly when q
+    # is a unit of the coarse ring and M_E is not principal over it
+    zero = (datum.subkind is DefectlessKind.KUMMER_2A
+            and not result.max_ideal.contains_value(datum.vp)
+            and not result.max_ideal.is_principal_over(result.H_E))
+    num = result.ram_ideal.multiply(result.max_ideal)
+    return OmegaPresentation(num, datum.q, power=num.power(datum.q),
+                             form=PresentationForm.RAM_MAX_QUOTIENT, is_zero=zero,
+                             provenance=f"defectless:{datum.subkind.value}")
 
 
 def annihilate(pres: OmegaPresentation,
                result: DefectClassification | DefectlessAnalysis) -> OmegaPresentation:
     """Attach the annihilator ideal; the full ring exactly when the module is zero."""
-    group, n = pres.numerator.group, pres.denominator_exponent
-    is_max = False
+    group = pres.numerator.group
     if pres.is_zero:
         ann = IdealDescriptor.ring(group)
-    elif isinstance(result, DefectClassification):
+        return replace(pres, annihilator=ann)
+    if isinstance(result, DefectClassification):
         ann = _dependent_defect_annihilator(result)
-    elif pres.form is PresentationForm.MAX_QUOTIENT:
+        return replace(pres, annihilator=ann)
+
+    datum = result.datum
+    n = datum.q
+    if pres.form is PresentationForm.MAX_QUOTIENT:
         # nonzero forces M_E principal over the coarse ring; a = 1
         ann = result.max_ideal.power(n - 1)
         is_max = n == 2 and result.H_E.is_trivial
+        return replace(pres, annihilator=ann, annihilator_is_max_ideal=is_max)
+
+    # every wild ramification ideal is principal, generated at its shift
+    a_value = result.ram_ideal.values.shift
+    if result.max_ideal.is_principal_over(result.H_E):
+        ann = pres.numerator.power(n - 1)
     else:
-        # every wild ramification ideal is principal, generated at its shift
-        a_value = result.ram_ideal.values.shift
-        if result.max_ideal.is_principal_over(result.H_E):
-            ann = pres.numerator.power(n - 1)
-        else:
-            base = IdealDescriptor(coarsening_value_set(result.H_E))
-            ann = base.shifted(a_value * (n - 1))
-        is_max = (n == 2
-                  and not result.max_ideal.contains_value(a_value)
-                  and result.H_E.is_trivial
-                  and IdealDescriptor.maximal_ideal(group).is_principal)
-    return OmegaPresentation(pres.numerator, pres.denominator_exponent, pres.power, pres.form,
-                             pres.is_zero, pres.provenance, ann, is_max)
+        base = IdealDescriptor(coarsening_value_set(result.H_E))
+        ann = base.shifted(a_value * (n - 1))
+    is_max = (n == 2
+              and not result.max_ideal.contains_value(a_value)
+              and result.H_E.is_trivial
+              and IdealDescriptor.maximal_ideal(group).is_principal)
+    return replace(pres, annihilator=ann, annihilator_is_max_ideal=is_max)
 
 
 def _dependent_defect_annihilator(result: DefectClassification) -> IdealDescriptor:

@@ -27,7 +27,6 @@ from valcuts.extension import (
     sigma_segment,
 )
 from valcuts.gpsfield import FieldModel, PatternSeries, Tail
-from valcuts.kaehler import annihilate, containment_holds, present
 from valcuts.ogroup import Component, ConvexSubgroup, GroupDescriptor
 from valcuts.residue import GF
 from valcuts.segment import (
@@ -322,63 +321,3 @@ class TestDefectless:
         with pytest.raises(InconsistentDatumError):
             defectless_analyze(DefectlessDatum(name="bad", group=G, q=2, star_index=0,
                                                x0_value=G.element(1), residue_char=2))
-
-
-class TestSchedulesAreMadeWhenRead:
-    """Classification and the Kaehler steps make no schedule value; the
-    first read of a schedule makes its values, once."""
-
-    DEPTHS = (1, 12, 200)
-
-    @pytest.fixture
-    def made(self, monkeypatch):
-        calls = []
-        for cls, name in ((DeclaredSchedule, "value_at"), (Tail, "exponent")):
-            def counting(self, k, original=getattr(cls, name)):
-                calls.append(k)
-                return original(self, k)
-
-            monkeypatch.setattr(cls, name, counting)
-        return calls
-
-    @staticmethod
-    def data(p: int):
-        """(datum, its k-th schedule value): a declared schedule with a limit
-        and a start, and the pattern root of X^p - X - 1/t."""
-        G = GroupDescriptor((Component.PDIV,), p)
-        base = FieldModel(name="declared", char=0, residue_char=p, value_group=G,
-                          vp=G.element(1))
-        sched = DeclaredSchedule(G, limit=G.element(2), scale=G.element(3), start=2)
-        declared = DefectDatum(name="declared", kind=ExtensionKind.KUMMER_DEFECT, base=base,
-                               degree=p, generator=sched, sigma_shift=G.element(3))
-        return ((declared, lambda k: G.element(2 - Fraction(3, p ** (k + 3)))),
-                (abhyankar_datum(p), lambda k: G.element(Fraction(-1, p ** (k + 1)))))
-
-    @pytest.mark.parametrize("p", [2, 3])
-    def test_classify_and_kaehler_make_none(self, made, p):
-        for (datum, _), depth in itertools.product(self.data(p), self.DEPTHS):
-            res = classify(datum, depth=depth)
-            pres = annihilate(present(res), res)
-            assert containment_holds(pres)
-        assert not made
-
-    @pytest.mark.parametrize("p", [2, 3])
-    def test_first_read_makes_them_once(self, made, p):
-        for (datum, value), depth in itertools.product(self.data(p), self.DEPTHS):
-            approach = classify(datum, depth=depth).approach
-            made.clear()
-            schedule = approach.schedule
-            assert len(made) == depth
-            assert approach.schedule is schedule and len(made) == depth
-            assert schedule == tuple(value(k) for k in range(depth))
-
-    def test_equal_data_classify_equal(self):
-        for datum, _ in self.data(3):
-            a, b = classify(datum, depth=12), classify(datum, depth=12)
-            assert a == b and hash(a.approach) == hash(b.approach)
-            assert a.approach.schedule == b.approach.schedule
-        # the same segment with other schedule values is another approach
-        G = GroupDescriptor((Component.PDIV,), 3)
-        early, late = (DeclaredSchedule(G, G.zero(), G.element(1), start=s).approach(4)
-                       for s in (0, 1))
-        assert early.segment == late.segment and early != late
