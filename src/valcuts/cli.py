@@ -278,12 +278,16 @@ def datum_from_config(config: dict):
         else:
             raise ConfigError(f"unknown generator type {gen['type']!r}",
                               fields=["extension/generator/type"])
-    return DefectDatum(
-        name=label, kind=ExtensionKind(kind), base=model, degree=ext["degree"],
+    datum = functools.partial(
+        DefectDatum, name=label, kind=ExtensionKind(kind), base=model, degree=ext["degree"],
         generator=generator, declared_sigma=declared_sigma,
         sigma_shift=(_element(group, ext["sigma_shift"], "extension/sigma_shift")
                      if "sigma_shift" in ext else None),
         synthetic=bool(ext.get("synthetic", declared_sigma is not None)))
+    # a declared segment is checked final and positive when the datum is built
+    if declared_sigma is None:
+        return datum()
+    return _checked("extension/generator/segment", datum)
 
 
 # --------------------------------------------------------------------------

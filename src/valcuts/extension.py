@@ -114,6 +114,8 @@ class DefectDatum:
                 "the residue characteristic")
         if self.generator is None and self.declared_sigma is None:
             raise StructuralError("datum needs a generator or a declared segment")
+        if self.declared_sigma is not None:
+            _require_positive_final(self.declared_sigma)
         if self.sigma_shift is None:
             object.__setattr__(self, "sigma_shift", self.group.zero())
 
@@ -142,10 +144,10 @@ def sigma_segment(datum: DefectDatum, depth: int = 12) -> tuple[Segment, Approac
     """The final segment of values v((sigma b - b)/b), b ranging over units.
 
     Computed as sigma_shift - v(a - K) from the generator's approach segment;
-    synthetic data may declare it directly.
+    synthetic data may declare it directly, checked when the datum is built.
     """
     if datum.declared_sigma is not None:
-        return _require_positive_final(datum.declared_sigma), None
+        return datum.declared_sigma, None
     approach = datum.approach(depth)
     seg = shift(negate(approach.segment), datum.sigma_shift)
     return _require_positive_final(seg), approach

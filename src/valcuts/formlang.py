@@ -591,17 +591,14 @@ class FormulaModel:
 
         The pool depends only on the model, so it is built once and shared by
         every evaluation; a copy made with dataclasses.replace builds its own.
-        Each candidate-only valuation is likewise computed once per model
-        (candidate_valuations).
         """
         return tuple(islice(self._witnesses(), _MAX_CANDIDATES))
 
     @cached_property
-    def candidate_valuations(self) -> dict:
-        """Quantified variable -> one table per pool candidate: v(term), or the
-        EvaluationUnsupported it raised, keyed by a term that names the variable
-        and otherwise only names of the model, so its value is computed once
-        per model, variable and candidate."""
+    def side_values(self) -> dict:
+        """(side, quantified variable) -> the side's value on each pool
+        candidate, None where it is unsupported: the one valuation kept per
+        model, shared by every formula _first_stops compiles with that side."""
         return {}
 
     @cached_property
@@ -671,8 +668,6 @@ class _Evaluator:
         self.bounded_used = False
         self.candidates_used = 0
         self.witness: str | None = None
-        self.scope: dict = {}   # quantified variable -> (table of its binding, pooled)
-        self.valued: dict = {}   # v(term) of a term naming no variable in scope
 
     # -- term carriers ------------------------------------------------
 
@@ -818,33 +813,11 @@ class _Evaluator:
                 raise EvaluationUnsupported(
                     "nonzero rational constants need a rank-1 value group")
             return self.fm.group.element(v.value)
-        val = self._valuation_of(v.term)
+        val = self.term_valuation(v.term)
         if v.negated:
             if val is INF:
                 raise EvaluationUnsupported("-v(0) has no value")
             return -val
-        return val
-
-    def _valuation_of(self, t):
-        """term_valuation(t), kept where no later binding can change it: once
-        per evaluation when t names no quantified variable in scope, else in
-        the table of the one it names.  A pool candidate's table outlives the
-        evaluation, so it keeps t only when t names no caller binding.
-        Computed afresh otherwise."""
-        names = free_variables(t)
-        held = self.scope.keys() & names
-        cache, pooled = self.scope[next(iter(held))] if held else (self.valued, False)
-        if len(held) > 1 or pooled and any(name in self.bindings for name in names - held):
-            return self.term_valuation(t)
-        val = cache.get(t)
-        if val is None:
-            try:
-                val = self.term_valuation(t)
-            except EvaluationUnsupported as exc:
-                val = exc
-            cache[t] = val
-        if isinstance(val, EvaluationUnsupported):
-            raise val.with_traceback(None)   # drop the frames of an earlier raise
         return val
 
     def eval_atom(self, atom) -> Truth:
@@ -921,13 +894,13 @@ class _Evaluator:
             return _kleene_or(self.eval(f.left).negated(), self.eval(f.right))
         return self.eval_atom(f)
 
-    def _eval_with(self, var: str, value, body, table: dict, pooled=False, walk=None):
-        """walk(body), by default self.eval, with var bound to value, where table (a pool
-        candidate's when pooled) keeps v(term) for the terms naming var."""
-        outer, outer_scope = self.bindings, self.scope
-        self.bindings, self.scope = {**outer, var: value}, {**outer_scope, var: (table, pooled)}
+    def _eval_with(self, var: str, value, body, walk=None):
+        """walk(body), by default self.eval, with var bound to value; each term
+        is valued when the walk reads it."""
+        outer = self.bindings
+        self.bindings = {**outer, var: value}
         result = (walk or self.eval)(body)
-        self.bindings, self.scope = outer, outer_scope
+        self.bindings = outer
         return result
 
     def eval_quant(self, q: Quant) -> Truth:
@@ -937,7 +910,7 @@ class _Evaluator:
                     "domain L\\K needs a model with a distinguished immediate element")
             # the distinguished elements are exhaustive for this model
             return reduce(_kleene_and if q.kind == "forall" else _kleene_or,
-                          [self._eval_with(q.var, im, q.body, {}) for im in self.fm.immediates])
+                          [self._eval_with(q.var, im, q.body) for im in self.fm.immediates])
         if q.domain is Domain.K:
             exact = self._oracle(q)
             if exact is not None:
@@ -1020,7 +993,7 @@ class _Evaluator:
         if f.domain is Domain.L_MINUS_K:
             if not self.fm.immediates:
                 return None
-            found = [self._eval_with(f.var, im, f.body, {}, walk=lambda g: self.values(g, var))
+            found = [self._eval_with(f.var, im, f.body, walk=lambda g: self.values(g, var))
                      for im in self.fm.immediates]
             return reduce(lambda a, b: _merge(a, b, union=f.kind == "exists"), found)
         if f.var not in free_variables(f.body):
@@ -1108,9 +1081,9 @@ class _Evaluator:
     # bounded fallback: enumerate candidate witnesses
     def _bounded(self, q: Quant) -> Truth:
         self.bounded_used = True
-        for (label, cand), table in self._pooled(q.var):
+        for label, cand in self.fm.candidates:
             self.candidates_used += 1
-            r = self._eval_with(q.var, cand, q.body, table, True)
+            r = self._eval_with(q.var, cand, q.body)
             if q.kind == "exists" and r is Truth.TRUE:
                 self.witness = label
                 return Truth.TRUE
@@ -1118,14 +1091,6 @@ class _Evaluator:
                 self.witness = label
                 return Truth.FALSE
         return Truth.UNKNOWN  # the domain is infinite; the pool cannot settle it
-
-    def _pooled(self, var: str):
-        """Each (label, candidate) of the pool with the table that keeps its
-        valuations when var holds it (FormulaModel.candidate_valuations)."""
-        kept = self.fm.candidate_valuations
-        if var not in kept:   # per variable: v(theta - t) differs for t and for theta
-            kept[var] = tuple({} for _ in self.fm.candidates)
-        return zip(self.fm.candidates, kept[var])
 
 
 _ZETA_MINUS_ONE = Sub(Var("zeta_p"), IntLit(1))
@@ -1361,11 +1326,16 @@ def _compiled(ast, fmodel: FormulaModel, var: str):
             pass   # the walk reads var as the model or a quantifier binds it
         elif values is not None and not ev.bounded_used:
             answers = (EvalResult(Truth.FALSE, "oracle"), EvalResult(Truth.TRUE, "oracle"))
-            answer = lambda w: answers[_holds(values, w)]
+            answer = partial(_member_answer, values, answers)   # a partial pickles
         else:
             answer, term = _first_stops(ast, ev, var) or (answer, term)
         entry = fmodel.value_sets[ast, var] = values, answer, term
     return entry
+
+
+def _member_answer(values, answers: tuple, w) -> EvalResult:
+    """answers[1] when w lies in the value set, else answers[0]."""
+    return answers[_holds(values, w)]
 
 
 _NEGATED_REL = {"<": ">=", "<=": ">", ">=": "<", ">": "<="}
@@ -1376,9 +1346,9 @@ def _first_stops(q, ev: _Evaluator, var: str):
     enumeration, whose body is one atom `side REL ±v(term)` or its mirror, with
     REL an order, side naming q.var and otherwise names of the model, and term
     naming var but not q.var: answer(v(term)) is the walk's result.  side is
-    valued once per candidate, in the tables the walk keeps; a candidate where
-    it is unsupported is UNKNOWN and never ends the walk.  None for any other
-    formula, and where no candidate values side."""
+    valued on each candidate once per model (FormulaModel.side_values); a
+    candidate where it is unsupported is UNKNOWN and never ends the walk.  None
+    for any other formula, and where no candidate values side."""
     if not (isinstance(q, Quant) and q.domain is Domain.K and isinstance(q.body, ValAtom)
             and q.body.rel != "=" and ev._guarded_shape(q) is None):
         return None
@@ -1403,9 +1373,13 @@ def _first_stops(q, ev: _Evaluator, var: str):
     stop = rel if q.kind == "exists" else _NEGATED_REL[rel]
     wider = ">" if stop in (">", ">=") else "<"
     ends = Truth.TRUE if q.kind == "exists" else Truth.FALSE
+    pool = ev.fm.candidates
+    sides = ev.fm.side_values.get((side, q.var))
+    if sides is None:   # side names q.var and the model alone, so it is the model's
+        sides = ev.fm.side_values[side, q.var] = tuple(
+            ev._eval_with(q.var, cand, side, walk=value) for _label, cand in pool)
     extremes, results = [], []
-    for used, ((label, cand), table) in enumerate(ev._pooled(q.var), 1):
-        a = ev._eval_with(q.var, cand, side, table, True, walk=value)
+    for used, ((label, _cand), a) in enumerate(zip(pool, sides), 1):
         if a is None:
             continue
         if extremes and not _compare_values(a, extremes[-1], wider):
@@ -1414,7 +1388,7 @@ def _first_stops(q, ev: _Evaluator, var: str):
         results.append(EvalResult(ends, "bounded", label, used))
     if not extremes:
         return None
-    results.append(EvalResult(Truth.UNKNOWN, "bounded", None, len(ev.fm.candidates)))
+    results.append(EvalResult(Truth.UNKNOWN, "bounded", None, len(pool)))
     return partial(_first_stop, stop, other.negated, extremes, results), other.term
 
 

@@ -174,6 +174,10 @@ class GroupElement:
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
 
+    def __reduce__(self):
+        # rebuilt through __init__, since the default restore assigns the slots
+        return GroupElement, (self.group, self.nums, self.den)
+
     @property
     def coords(self) -> tuple[Fraction, ...]:
         """The coordinates as Fractions, made once."""

@@ -382,8 +382,9 @@ class TestDeclaredSigma:
         config = write_config(tmp_path, {
             "direction": "final", "kind": "subgroup", "level": 1,
             "shift": ["0", "0"], "closed": True}, components=("pdiv", "pdiv"))
-        assert main(["classify", "--config", config]) == 1
-        assert "positive values" in capsys.readouterr().err
+        assert main(["classify", "--config", config]) == 2
+        assert ("extension/generator/segment: the value segment must consist of positive "
+                "values") in capsys.readouterr().err
 
     @pytest.mark.parametrize("segment,field", [
         ({"direction": "final", "kind": "ray", "gamma": ["1"]}, "'kind'"),
@@ -551,6 +552,13 @@ class TestInputContract:
             "direction": "final", "kind": "seq", "limit": ["1", "0"], "scale": ["0", "-1"],
             "start": 1}, ("pdiv", "int"))],
          "segment field 'scale': coordinate -1/2 not allowed in component 1 (int)"),
+        # a declared segment is final and its values are positive
+        (["classify", "--config", lambda tmp: write_config(tmp, {
+            "direction": "final", "kind": "element", "gamma": ["-1"]})],
+         "extension/generator/segment: the value segment must consist of positive values"),
+        (["kaehler", "--config", lambda tmp: write_config(tmp, {
+            "direction": "initial", "kind": "element", "gamma": ["1"], "closed": True})],
+         "extension/generator/segment: the value segment of the extension must be final"),
     ])
     def test_bad_value_exits_2_naming_it(self, tmp_path, capsys, args, named):
         args = [write_extension(tmp_path, a) if isinstance(a, dict)
@@ -572,11 +580,12 @@ class TestInputContract:
         assert code == 0
         assert report["certificate"]["sigma_segment"] == {
             "direction": "final", "kind": "element", "gamma": ["3"], "closed": True}
-        # a first member at 1 - 2 is no positive value: the documented failure
+        # a first member at 1 - 2 is no positive value: a config error naming the segment
         segment["limit"] = ["1"]
-        assert main([command, "--config", write_config(tmp_path, segment)]) == 1
+        assert main([command, "--config", write_config(tmp_path, segment)]) == 2
         assert capsys.readouterr().err == (
-            "error: the value segment must consist of positive values\n")
+            "error: extension/generator/segment: the value segment must consist of "
+            "positive values\n")
 
     @staticmethod
     def residue_char_4(tmp_path, capsys, config_name):

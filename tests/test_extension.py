@@ -105,11 +105,10 @@ class TestSigmaSegment:
             subgroup_cut(ConvexSubgroup(G, 1), closed=True),     # closed coset
             subgroup_cut(ConvexSubgroup(G, 2), shift=G.element(-1, 0)),
         ]
-        for seg in bad:
-            datum = DefectDatum(name="bad", kind=ExtensionKind.AS_DEFECT, base=base,
-                                degree=2, declared_sigma=seg, synthetic=True)
+        for seg in bad:   # rejected when the datum is built
             with pytest.raises(StructuralError):
-                sigma_segment(datum)
+                DefectDatum(name="bad", kind=ExtensionKind.AS_DEFECT, base=base,
+                            degree=2, declared_sigma=seg, synthetic=True)
 
 
 class TestClassify:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import os
 import pickle
 import random
@@ -273,6 +274,35 @@ class TestSyntaxNodes:
         loaded = pickle.loads(dumped)
         assert loaded == parse(self.TEXT) and hash(loaded) == hash(parse(self.TEXT))
         assert {parse(self.TEXT): "kept"}[loaded] == "kept"
+
+
+ROUND_TRIPS = (lambda x: pickle.loads(pickle.dumps(x)), copy.copy, copy.deepcopy)
+
+
+class TestRoundTrips:
+    """A scenario, its results and its formula model pickle and copy to equal
+    ones, and a copy of a warm formula model answers as the original."""
+
+    @pytest.mark.parametrize("build,p", [(abhyankar, 2), (example_e1, 2), (example_e2, 2),
+                                         (kummer_mixed, 3)])
+    def test_scenario(self, build, p):
+        sc = build(p)
+        for trip in ROUND_TRIPS:
+            for x in (sc, sc.results, sc.fmodel):
+                assert trip(x) == x
+
+    def test_a_warm_formula_model(self):
+        fm = example_e1(2).fmodel
+        samples = series_samples(fm.model, 4, 7)
+        calls = [(text, {"b": b}) for text in (DEFINITIONS["ram-ideal-as"],) + SQUARE_FORMULAS
+                 for _, b, _ in samples]
+        want = [evaluate(text, fm, bindings=bindings).to_json() for text, bindings in calls]
+        assert fm.value_sets and fm.side_values
+        for trip in ROUND_TRIPS:
+            warm = trip(fm)
+            assert warm == fm and warm.value_sets.keys() == fm.value_sets.keys()
+            assert [evaluate(text, warm, bindings=bindings).to_json()
+                    for text, bindings in calls] == want
 
 
 class TestEvaluation:
@@ -605,7 +635,8 @@ class TestCandidatePool:
 
 
 class TestCandidateValuations:
-    """Bounded enumeration computes each candidate-only valuation once per model."""
+    """The one valuation a model keeps, a compiled bounded side's value on each
+    candidate, is shared by every formula with that side and changes no answer."""
 
     @staticmethod
     def calls(fmodel):
@@ -628,12 +659,6 @@ class TestCandidateValuations:
                   ("forall theta in K : v(theta - t) < 0", {})]
         return calls
 
-    @staticmethod
-    def kept(fmodel):
-        """(variable, candidate index, term) of every kept valuation."""
-        return [(var, i, term) for var, tables in fmodel.candidate_valuations.items()
-                for i, table in enumerate(tables) for term in table]
-
     @pytest.mark.parametrize("build", [abhyankar, example_e1])
     def test_cache_never_changes_an_answer(self, build):
         shared = build(2).fmodel
@@ -644,39 +669,40 @@ class TestCandidateValuations:
                 cold = evaluate(text, replace(shared), bindings=bindings).to_json()
                 for key, value in cold.items():
                     assert warm[key] == value, (text, sorted(bindings), key)
-        # one table per variable and candidate, so a term is kept at most once
-        # per candidate for each variable
-        assert all(len(tables) == len(shared.candidates)
-                   for tables in shared.candidate_valuations.values())
-        assert self.kept(shared) and replace(shared).candidate_valuations == {}
+        # one value per candidate for each side the compiler kept
+        assert shared.side_values and replace(shared).side_values == {}
         own = {*shared.constants, *(im.name for im in shared.immediates), "p", "zeta_p"}
-        for var, _index, term in self.kept(shared):
-            names = free_variables(term)
+        for (side, var), values in shared.side_values.items():
+            assert len(values) == len(shared.candidates)
+            names = free_variables(side)
             # the quantified variable, otherwise only names of the model
-            assert var in names and names - {var} <= own and "b" not in names, term
+            assert var in names and names - {var} <= own and "b" not in names, side
 
-    def test_nested_quantifiers_share_the_inner_values(self):
-        fm = example_e1(2).fmodel
-        res = evaluate(NESTED_FORMULA, fm)
-        assert sorted(fm.candidate_valuations) == ["c", "d"]
-        for tables in fm.candidate_valuations.values():
-            assert max(len(table) for table in tables) == 1   # theta - c*c, and d
-        assert res.to_json() == evaluate(NESTED_FORMULA, fm).to_json()
+    @pytest.mark.parametrize("build", [abhyankar, example_e1])
+    def test_the_sq_formulas_share_one_side_computation(self, build, monkeypatch):
+        theta_minus_square = Sub(Var("theta"), Mul(Var("c"), Var("c")))
+        original = _Evaluator.term_valuation
+        valued = []
 
-    def test_no_entry_for_a_name_the_caller_binds(self):
-        fm = abhyankar(2).fmodel
-        b = fm.model.one()
-        evaluate(SQUARE_FORMULAS[0], fm, bindings={"theta": b, "b": b})
-        assert not self.kept(fm)
-        evaluate("exists x in L\\K : forall c in K : v(x - c*c) < v(b)", fm,
-                 bindings={"b": b})
-        assert not self.kept(fm)   # x is bound to an element of L\K
+        def counting(self, t):
+            valued.append(t)
+            return original(self, t)
+
+        monkeypatch.setattr(_Evaluator, "term_valuation", counting)
+        fm = build(2).fmodel
+        for model in (fm, replace(fm)):   # a copy starts with an empty table
+            assert model.side_values == {}
+            valued.clear()
+            for text in SQUARE_FORMULAS:
+                assert formlang._compiled(parse(text), model, "b")[1]
+            assert valued.count(theta_minus_square) == len(model.candidates)
 
 
 # formulas in which a quantifier rebinds b or c after v(b) or v(b*t) was
-# valued, with their answers on example_e1(2) at b = t^(7,0) and t^(-1/2,0),
-# as (value, mode, witness, candidates_used); taken from the code that valued
-# v(b) afresh for every candidate
+# valued, or that value one term under many bindings, with their answers on
+# example_e1(2) at b = t^(7,0) and t^(-1/2,0), as (value, mode, witness,
+# candidates_used); each answer is the same whether a walk values every term
+# afresh or keeps v(term) per candidate and per evaluate
 SHADOWING = {
     "exists c in K : v(theta - c*c) >= v(b) and forall b in K : v(theta - c*c) < v(b)": (
         ("UNKNOWN", "bounded", "theta~1", 594), ("UNKNOWN", "bounded", "theta~1", 594)),
@@ -692,53 +718,27 @@ SHADOWING = {
         ("UNKNOWN", "bounded", None, 44), ("TRUE", "bounded", "theta~0", 1)),
     "forall c in K : v(theta - c*c) < v(b) or (forall b in L\\K : v(b) > v(c)) or v(b) > 0": (
         ("UNKNOWN", "bounded", None, 44), ("FALSE", "bounded", "theta~0", 1)),
+    SQUARE_FORMULAS[0]: (
+        ("UNKNOWN", "bounded", None, 44), ("FALSE", "bounded", "theta~0", 1)),
+    SQUARE_FORMULAS[2]: (
+        ("UNKNOWN", "bounded", None, 44), ("UNKNOWN", "bounded", None, 44)),
+    NESTED_FORMULA: (
+        ("UNKNOWN", "bounded", "theta~0", 1507), ("UNKNOWN", "bounded", "theta~0", 1507)),
+    "exists x in L\\K : forall c in K : v(x - c*c) < v(b)": (
+        ("UNKNOWN", "bounded", None, 44), ("FALSE", "bounded", "theta~0", 1)),
+    "v(b) >= 0 and (exists b in L\\K : v(b) < 0) and v(b) >= 0": (
+        ("TRUE", "oracle", None, 0), ("FALSE", "oracle", None, 0)),
+    "(exists b in L\\K : v(b) < v(t)) and v(b) >= v(t)": (
+        ("TRUE", "oracle", None, 0), ("FALSE", "oracle", None, 0)),
+    "exists x in L\\K : exists c in K : v(x*b) < v(c) and v(c) > 100": (
+        ("UNKNOWN", "bounded", None, 44), ("UNKNOWN", "bounded", None, 44)),
+    "exists x in L\\K : exists c in K : v(x - c*c) < v(x) and v(c) > 100": (
+        ("UNKNOWN", "bounded", None, 44), ("UNKNOWN", "bounded", None, 44)),
 }
 
 
 class TestCallerValuations:
-    """A valuation that names no pool candidate is computed once per evaluate."""
-
-    @staticmethod
-    def warm_valuations(monkeypatch, text, fm, bindings):
-        """The result of a second evaluate, and the terms it valued."""
-        evaluate(text, fm, bindings=bindings)   # the candidate valuations are warm
-        original = _Evaluator.term_valuation
-        valued = []
-
-        def counting(self, t):
-            valued.append(t)
-            return original(self, t)
-
-        monkeypatch.setattr(_Evaluator, "term_valuation", counting)
-        res = evaluate(text, fm, bindings=bindings)
-        monkeypatch.undo()
-        return res, valued
-
-    def test_once_per_evaluate(self, monkeypatch):
-        fm = example_e1(2).fmodel
-        b = parse_element(fm.model, "t^(1/2,0)")
-        b_, t_ = Var("b"), Var("t")
-        for text, want in (
-                (SQUARE_FORMULAS[0], [b_]),
-                (SQUARE_FORMULAS[2], [Mul(b_, t_), b_, t_]),
-                # the caller's v(b) comes back after the inner b, and v(t) stays
-                ("v(b) >= 0 and (exists b in L\\K : v(b) < 0) and v(b) >= 0", [b_, b_]),
-                ("(exists b in L\\K : v(b) < v(t)) and v(b) >= v(t)", [b_, t_, b_]),
-                # v(x*b) once in the binding of x, not afresh for every candidate c
-                ("exists x in L\\K : exists c in K : v(x*b) < v(c) and v(c) > 100",
-                 [Mul(Var("x"), b_), Var("x"), b_])):
-            res, valued = self.warm_valuations(monkeypatch, text, fm, {"b": b})
-            assert res.candidates_used == (44 if "in K :" in text else 0)
-            assert res.value is not Truth.FALSE and valued == want, text
-
-    def test_once_per_binding_of_an_element_of_l_minus_k(self, monkeypatch):
-        fm = example_e1(2).fmodel
-        text = "exists x in L\\K : exists c in K : v(x - c*c) < v(x) and v(c) > 100"
-        res, valued = self.warm_valuations(monkeypatch, text, fm, {})
-        assert res.value is Truth.UNKNOWN and res.candidates_used == 44
-        # v(x) once for theta, v(x - c*c) afresh for every candidate
-        assert valued.count(Var("x")) == 1
-        assert valued.count(Sub(Var("x"), Mul(Var("c"), Var("c")))) == 44
+    """A name a quantifier rebinds is read under its new binding."""
 
     @pytest.mark.parametrize("text", list(SHADOWING))
     def test_a_rebound_name_is_valued_again(self, text):

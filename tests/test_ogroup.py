@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 from math import gcd
@@ -93,7 +95,29 @@ def divides_out(den: int, p: int) -> bool:
     return den == 1
 
 
-class TestPPowerDenominators:
+ROUND_TRIPS = {"pickle": lambda x: pickle.loads(pickle.dumps(x)), "copy": copy.copy,
+               "deepcopy": copy.deepcopy}
+
+
+class TestRoundTrips:
+    """An element, and a cut made of elements, pickle and copy to an equal one."""
+
+    @pytest.mark.parametrize("trip", list(ROUND_TRIPS))
+    def test_element_and_segments(self, trip):
+        g = zp2()
+        e = g.element(Fraction(3, 4), Fraction(-1, 2))
+        assert e.den == 4
+        for x in (e, segment.element_cut(e),
+                  segment.subgroup_cut(ConvexSubgroup(g, 1), shift=e, closed=True)):
+            y = ROUND_TRIPS[trip](x)
+            assert y == x and hash(y) == hash(x)
+        y = ROUND_TRIPS[trip](e)
+        assert (y.group, y.nums, y.den, y.coords) == (g, e.nums, 4, e.coords)
+        with pytest.raises(AttributeError):
+            y.den = 1   # the copy is as frozen as the original
+
+
+
     @pytest.mark.parametrize("p", [2, 3, 5, 7])
     def test_one_step_test_matches_division_loop(self, p):
         g = GroupDescriptor((Component.PDIV,), p)
