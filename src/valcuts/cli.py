@@ -249,35 +249,37 @@ def datum_from_config(config: dict):
         raise ConfigError(f"extension/degree: a defect extension has degree "
                           f"{model.residue_char}, the residue characteristic",
                           fields=["extension/degree"])
+    gen = ext.get("generator")
+    if gen is None:
+        raise ConfigError("extension/generator: a defect extension needs a generator",
+                          fields=["extension/generator"])
     generator = None
     declared_sigma = None
-    gen = ext.get("generator")
-    if gen is not None:
-        if gen["type"] == "pattern":
-            if not model.series_capable:
-                raise ConfigError("extension/generator/type: a pattern generator needs series "
-                                  "arithmetic, which a model of extension/char 0 has none of",
-                                  fields=["extension/generator/type"])
-            finite = (_checked("extension/generator/finite", parse_element, model,
-                               gen["finite"]) if gen.get("finite") else model.zero())
-            tails = tuple(
-                _checked(f"extension/generator/tails/{n}", Tail,
-                         model.residue.element(t.get("coeff", 1)),
-                         _element(group, t["gamma"], f"extension/generator/tails/{n}/gamma"),
-                         int(t.get("start", 1)))
-                for n, t in enumerate(gen["tails"]))
-            generator = PatternSeries(model, finite, tails)
-        elif gen["type"] == "schedule":
-            generator = _checked(
-                "extension/generator/scale", DeclaredSchedule,
-                group, _element(group, gen["limit"], "extension/generator/limit"),
-                _element(group, gen["scale"], "extension/generator/scale"),
-                start=int(gen.get("start", 0)))
-        elif gen["type"] == "sigma":
-            declared_sigma = segment_from_json(group, gen["segment"])
-        else:
-            raise ConfigError(f"unknown generator type {gen['type']!r}",
+    if gen["type"] == "pattern":
+        if not model.series_capable:
+            raise ConfigError("extension/generator/type: a pattern generator needs series "
+                              "arithmetic, which a model of extension/char 0 has none of",
                               fields=["extension/generator/type"])
+        finite = (_checked("extension/generator/finite", parse_element, model,
+                           gen["finite"]) if gen.get("finite") else model.zero())
+        tails = tuple(
+            _checked(f"extension/generator/tails/{n}", Tail,
+                     model.residue.element(t.get("coeff", 1)),
+                     _element(group, t["gamma"], f"extension/generator/tails/{n}/gamma"),
+                     int(t.get("start", 1)))
+            for n, t in enumerate(gen["tails"]))
+        generator = PatternSeries(model, finite, tails)
+    elif gen["type"] == "schedule":
+        generator = _checked(
+            "extension/generator/scale", DeclaredSchedule,
+            group, _element(group, gen["limit"], "extension/generator/limit"),
+            _element(group, gen["scale"], "extension/generator/scale"),
+            start=int(gen.get("start", 0)))
+    elif gen["type"] == "sigma":
+        declared_sigma = segment_from_json(group, gen["segment"])
+    else:
+        raise ConfigError(f"unknown generator type {gen['type']!r}",
+                          fields=["extension/generator/type"])
     datum = functools.partial(
         DefectDatum, name=label, kind=ExtensionKind(kind), base=model, degree=ext["degree"],
         generator=generator, declared_sigma=declared_sigma,

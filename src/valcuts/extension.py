@@ -78,7 +78,15 @@ class DeclaredSchedule:
         self.scale.require_p_divisible(self.group.prime, "schedule scale")
 
     def value_at(self, k: int) -> GroupElement:
-        return self.limit - self.scale.over_p_power(self.group.prime, k + 1)
+        # limit - scale*m/d with p^(k+1) = d/m, over the one denominator
+        # limit.den * scale.den * d; for k + 1 < 0 the power multiplies (d = 1)
+        q = self.group.prime ** abs(k + 1)
+        d, m = (q, 1) if k >= -1 else (1, q)
+        limit, scale = self.limit, self.scale
+        a, b = scale.den * d, limit.den * m
+        return GroupElement(self.group,
+                            tuple([x * a - y * b for x, y in zip(limit.nums, scale.nums)]),
+                            limit.den * a)
 
     def approach(self, depth: int) -> ApproachResult:
         # limit - scale/p^(k+1) increases strictly in k exactly when scale > 0

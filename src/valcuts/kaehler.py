@@ -12,7 +12,7 @@ A presentation keeps the value set of its denominator power, built once by
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 from .errors import StructuralError
@@ -101,33 +101,31 @@ def annihilate(pres: OmegaPresentation,
                result: DefectClassification | DefectlessAnalysis) -> OmegaPresentation:
     """Attach the annihilator ideal; the full ring exactly when the module is zero."""
     group = pres.numerator.group
+    is_max = False
     if pres.is_zero:
         ann = IdealDescriptor.ring(group)
-        return replace(pres, annihilator=ann)
-    if isinstance(result, DefectClassification):
+    elif isinstance(result, DefectClassification):
         ann = _dependent_defect_annihilator(result)
-        return replace(pres, annihilator=ann)
-
-    datum = result.datum
-    n = datum.q
-    if pres.form is PresentationForm.MAX_QUOTIENT:
+    elif pres.form is PresentationForm.MAX_QUOTIENT:
         # nonzero forces M_E principal over the coarse ring; a = 1
+        n = result.datum.q
         ann = result.max_ideal.power(n - 1)
         is_max = n == 2 and result.H_E.is_trivial
-        return replace(pres, annihilator=ann, annihilator_is_max_ideal=is_max)
-
-    # every wild ramification ideal is principal, generated at its shift
-    a_value = result.ram_ideal.values.shift
-    if result.max_ideal.is_principal_over(result.H_E):
-        ann = pres.numerator.power(n - 1)
     else:
-        base = IdealDescriptor(coarsening_value_set(result.H_E))
-        ann = base.shifted(a_value * (n - 1))
-    is_max = (n == 2
-              and not result.max_ideal.contains_value(a_value)
-              and result.H_E.is_trivial
-              and IdealDescriptor.maximal_ideal(group).is_principal)
-    return replace(pres, annihilator=ann, annihilator_is_max_ideal=is_max)
+        # every wild ramification ideal is principal, generated at its shift
+        n = result.datum.q
+        a_value = result.ram_ideal.values.shift
+        if result.max_ideal.is_principal_over(result.H_E):
+            ann = pres.numerator.power(n - 1)
+        else:
+            base = IdealDescriptor(coarsening_value_set(result.H_E))
+            ann = base.shifted(a_value * (n - 1))
+        is_max = (n == 2
+                  and not result.max_ideal.contains_value(a_value)
+                  and result.H_E.is_trivial
+                  and IdealDescriptor.maximal_ideal(group).is_principal)
+    return OmegaPresentation(pres.numerator, pres.denominator_exponent, pres.power,
+                             pres.form, pres.is_zero, pres.provenance, ann, is_max)
 
 
 def _dependent_defect_annihilator(result: DefectClassification) -> IdealDescriptor:

@@ -12,7 +12,8 @@ Whether each coordinate lies in its class (an integer, a p-power
 denominator, any rational) is checked at the boundary only: where elements
 are built from outside coordinates, and where one is multiplied by a
 non-integer rational.  Sums, differences, negatives and integer multiples
-stay in the group and are built without the check.  A series tail and a
+stay in the group and are built without the check, and so are the zero
+element and an integer multiple of a unit.  A series tail and a
 declared schedule divide one element by every power of p: each is checked
 once, when built (`require_p_divisible`), and divides it unchecked after.
 """
@@ -128,11 +129,21 @@ class GroupDescriptor:
         return GroupElement(self, nums, den)
 
     def zero(self) -> GroupElement:
-        return GroupElement(self, (0,) * self.rank)
+        """The zero element, built once per group."""
+        try:
+            return self._zero
+        except AttributeError:
+            zero = GroupElement(self, (0,) * self.rank)
+            object.__setattr__(self, "_zero", zero)
+            return zero
 
     def unit(self, index: int, scale=1) -> GroupElement:
+        """scale times the unit at `index`.  An integer lies in every class, so
+        an int scale is built without the check; any other goes through it."""
         coords = [0] * self.rank
         coords[index] = scale
+        if type(scale) is int:
+            return GroupElement(self, tuple(coords))
         return self.element(*coords)
 
 
@@ -146,9 +157,10 @@ class GroupElement:
     The constructor does not check that each coordinate lies in its class:
     sums, differences, negatives and integer multiples of elements stay in
     the group.  Elements from outside enter through the checked
-    `GroupDescriptor.element` and `unit`, and a product with a non-integer
-    rational is checked where it is made.  Equality is structural on
-    (group, nums, den), which the lowest-terms form makes equality of values.
+    `GroupDescriptor.element` (and `unit` with a non-integer scale), and a
+    product with a non-integer rational is checked where it is made.
+    Equality is structural on (group, nums, den), which the lowest-terms form
+    makes equality of values.
     """
 
     __slots__ = ("group", "nums", "den", "_coords")

@@ -559,6 +559,11 @@ class TestInputContract:
         (["kaehler", "--config", lambda tmp: write_config(tmp, {
             "direction": "initial", "kind": "element", "gamma": ["1"], "closed": True})],
          "extension/generator/segment: the value segment of the extension must be final"),
+        # a defect extension without a generator names the missing field
+        (["classify", "--config", {"kind": "as_defect", "degree": 2, "char": 2}],
+         "extension/generator: a defect extension needs a generator"),
+        (["classify", "--config", {"kind": "kummer_defect", "degree": 2}],
+         "extension/generator: a defect extension needs a generator"),
     ])
     def test_bad_value_exits_2_naming_it(self, tmp_path, capsys, args, named):
         args = [write_extension(tmp_path, a) if isinstance(a, dict)
@@ -792,7 +797,7 @@ REPORT_GOLDEN_RUNS = [
     ([command, "--config", str(CONFIGS / f"{config}.json")],
      f"{command}_{config.replace('-', '_')}.json")
     for config in ("abhyankar-p3", "defectless-dense", "mixed-schedule-p5",
-                   "synthetic-dependent")
+                   "mixed-schedule-start-p3", "synthetic-dependent")
     for command in ("classify", "kaehler")
 ] + [
     (["prescribe", "--rank", "8", "--select", "1,2,3,4,5,6,7,8", "--p", "7",

@@ -216,7 +216,7 @@ class TestDeclaredSchedule:
 
     def test_agrees_with_the_checked_product(self):
         rng = random.Random(1919)
-        outcomes = {"accepted": 0, "rejected": 0}
+        outcomes = {"accepted": 0, "rejected": 0, "approached": 0}
         for _ in range(300):
             p = rng.choice((2, 3, 5))
             G = GroupDescriptor(tuple(rng.choice(list(Component))
@@ -232,10 +232,26 @@ class TestDeclaredSchedule:
                 outcomes["rejected"] += 1
                 continue
             outcomes["accepted"] += 1
+            reference = {
+                k: limit - (scale * Fraction(1, p ** (k + 1)) if k >= -1
+                            else scale * p ** -(k + 1))
+                for k in range(-4, 12)}
             for k in range(-4, 12):
-                step = scale * Fraction(1, p ** (k + 1)) if k >= -1 else scale * p ** -(k + 1)
-                assert sched.value_at(k) == limit - step, (G, scale, k)
+                value = sched.value_at(k)
+                assert value == reference[k], (G, scale, k)
+                assert type(value.den) is int and all(type(n) is int for n in value.nums)
+            # approach reads the same values from every start; below -1 the power multiplies
+            for start in range(-4, 4):
+                rebuilt = DeclaredSchedule(G, limit, scale, start=start)
+                if scale.sign() <= 0:
+                    with pytest.raises(NotImmediateError):
+                        rebuilt.approach(6)
+                    continue
+                outcomes["approached"] += 1
+                assert rebuilt.approach(6).schedule == tuple(
+                    reference[k] for k in range(start, start + 6)), (G, scale, start)
         assert outcomes["accepted"] > 50 and outcomes["rejected"] > 50
+        assert outcomes["approached"] > 100
 
 
 class TestDefectless:

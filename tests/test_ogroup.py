@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import itertools
 import pickle
 import random
 from fractions import Fraction
@@ -105,12 +106,15 @@ class TestRoundTrips:
     @pytest.mark.parametrize("trip", list(ROUND_TRIPS))
     def test_element_and_segments(self, trip):
         g = zp2()
+        zero = g.zero()   # the group now carries its zero
         e = g.element(Fraction(3, 4), Fraction(-1, 2))
         assert e.den == 4
         for x in (e, segment.element_cut(e),
-                  segment.subgroup_cut(ConvexSubgroup(g, 1), shift=e, closed=True)):
+                  segment.subgroup_cut(ConvexSubgroup(g, 1), shift=e, closed=True), g):
             y = ROUND_TRIPS[trip](x)
             assert y == x and hash(y) == hash(x)
+        h = ROUND_TRIPS[trip](g)
+        assert h.zero() == zero and h.zero() is h.zero() and h.zero().group == h
         y = ROUND_TRIPS[trip](e)
         assert (y.group, y.nums, y.den, y.coords) == (g, e.nums, 4, e.coords)
         with pytest.raises(AttributeError):
@@ -137,6 +141,36 @@ class TestRoundTrips:
         g = GroupDescriptor((Component.PDIV, Component.PDIV), 2)
         with pytest.raises((StructuralError, ConfigError), match="1/6|5/12"):
             make(g)
+
+
+class TestUnitsAndZero:
+    """An integer lies in every class, so `unit` with an int scale and
+    `zero()` build their element without the check; each equals the checked
+    `element`, and the zero is built once per group."""
+
+    @staticmethod
+    def groups(p):
+        for rank in range(1, 5):
+            for kinds in itertools.product(list(Component), repeat=rank):
+                yield GroupDescriptor(kinds, p)
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_integer_unit_equals_the_checked_element(self, p):
+        for g in self.groups(p):
+            for i in range(g.rank):
+                assert g.unit(i) == g.unit(i, 1)
+                for n in (-3, -1, 1, 3):
+                    coords = [0] * g.rank
+                    coords[i] = n
+                    u = g.unit(i, n)
+                    assert u == g.element(*coords), (g, i, n)
+                    assert (u.nums, u.den) == (tuple(coords), 1)
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_zero_is_built_once(self, p):
+        for g in self.groups(p):
+            assert g.zero() == g.element(*[0] * g.rank)
+            assert g.zero() is g.zero()
 
 
 def _in_class(kind: Component, p: int, value: Fraction) -> bool:
