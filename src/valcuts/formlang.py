@@ -1110,6 +1110,8 @@ def _bound_carrier(name: str, value):
 def _bound_valuation(name: str, value):
     """v(name) where name is bound to value: its declared valuation, else its
     carrier's."""
+    if value.__class__ is SeriesElement:
+        return value.valuation()
     if isinstance(value, DeclaredValue):
         return value.valuation
     return _carrier_valuation(_bound_carrier(name, value))

@@ -105,13 +105,30 @@ class FieldModel:
         return self.monomial(1, self.value_group.zero())
 
 
+def _ordered(terms) -> tuple:
+    """terms sorted by exponent.  Each exponent is keyed by its numerators over
+    one common denominator, so the sort compares integer lists; exponents
+    from different groups raise as their comparison would."""
+    first = terms[0][0]
+    for e, _ in terms:
+        if e.__class__ is not GroupElement or (
+                e.group is not first.group and e.group != first.group):
+            raise StructuralError("elements belong to different group descriptors")
+    den = lcm(*[e.den for e, _ in terms])
+    return tuple(sorted(terms, key=lambda t: [n * (den // t[0].den) for n in t[0].nums]))
+
+
 @dataclass(frozen=True)
 class SeriesElement:
     model: FieldModel
     terms: tuple[tuple[GroupElement, FqElement], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "terms", tuple(sorted(self.terms, key=lambda t: t[0])))
+        terms = self.terms
+        if len(terms) > 1:
+            object.__setattr__(self, "terms", _ordered(terms))
+        elif type(terms) is not tuple:
+            object.__setattr__(self, "terms", tuple(terms))
 
     def _check(self, other):
         if not isinstance(other, SeriesElement) or other.model != self.model:
@@ -131,13 +148,20 @@ class SeriesElement:
         if isinstance(other, PatternSeries):
             return other + self
         self._check(other)
+        field = self.model.residue
         acc = dict(self.terms)
         for e, c in other.terms:
-            s = acc.get(e, self.model.residue.zero()) + c
-            if s.is_zero:
-                acc.pop(e, None)
-            else:
-                acc[e] = s
+            a = acc.get(e)
+            if a is not None:
+                s = a + c
+                if s.is_zero:
+                    del acc[e]
+                else:
+                    acc[e] = s
+            elif c.__class__ is not FqElement or (c.field is not field and c.field != field):
+                raise StructuralError("coefficients from different residue fields")
+            elif c.value:
+                acc[e] = c
         return SeriesElement(self.model, tuple(acc.items()))
 
     def __neg__(self):

@@ -11,7 +11,6 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import StructuralError
 from .extension import (
     DeclaredSchedule,
     DefectClassification,
@@ -20,8 +19,8 @@ from .extension import (
     classify,
 )
 from .formlang import DeclaredValue, FormulaModel, ImmediateElement
-from .gpsfield import FieldModel, PatternSeries, Tail
-from .ogroup import Component, GroupDescriptor
+from .gpsfield import FieldModel, PatternSeries, SeriesElement, Tail
+from .ogroup import Component, GroupDescriptor, GroupElement
 from .residue import GF
 
 
@@ -149,19 +148,28 @@ SCENARIOS = {
 
 
 def series_samples(model: FieldModel, count: int, seed: int):
-    """Deterministic monomial samples (label, carrier, valuation) over a model."""
+    """Deterministic monomial samples (label, carrier, valuation) over a model.
+
+    Coordinate i of a draw is randint(-12, 12) / p^randint(0, 3).  Each draw
+    is built in one integer step: its numerators go over the largest p^k
+    drawn, a draw with a coordinate outside its class is skipped, and the
+    carrier t^e shares the coefficient 1 of model.one().
+    """
     rng = random.Random(seed)
     g = model.value_group
     p = g.prime
-    out = [("1", model.one(), g.zero())]
+    one = model.one()
+    coeff = one.terms[0][1]
+    out = [("1", one, g.zero())]
     while len(out) < count:
-        coords = [Fraction(rng.randint(-12, 12), p ** rng.randint(0, 3))
-                  for _ in range(g.rank)]
-        try:
-            e = g.element(*coords)
-        except StructuralError:
+        draws = [(rng.randint(-12, 12), rng.randint(0, 3)) for _ in range(g.rank)]
+        top = max([k for _, k in draws])
+        nums = tuple([n * p ** (top - k) for n, k in draws])
+        den = p**top
+        if g._outside(nums, den) is not None:
             continue
-        out.append((f"t^{e}", model.monomial(1, e), e))
+        e = GroupElement(g, nums, den)
+        out.append((f"t^{e}", SeriesElement(model, ((e, coeff),)), e))
     return out
 
 

@@ -790,7 +790,19 @@ GOLDEN_RUNS = [
     (["example-e1", "--p", "2", "--depth", "12"], "example_e1_p2_d12.json"),
     (["example-e2", "--p", "2", "--depth", "12"], "example_e2_p2_d12.json"),
     (["kummer-mixed", "--p", "3", "--depth", "12"], "kummer_mixed_p3_d12.json"),
+    # sampled checks and the rank-2 series order at primes the runs above miss
+    (["abhyankar", "--p", "5", "--depth", "14", "--seed", "7"], "abhyankar_p5_d14_s7.json"),
+    (["example-e1", "--p", "3", "--depth", "10", "--seed", "5"],
+     "example_e1_p3_d10_s5.json"),
 ]
+
+
+def _run_id(args):
+    """The command, and its sample seed where one is given."""
+    if "--seed" not in args:
+        return args[0]
+    return f"{args[0]}-seed{args[args.index('--seed') + 1]}"
+
 
 # the classify, kaehler and prescribe reports, which write certificates and schedules
 REPORT_GOLDEN_RUNS = [
@@ -808,7 +820,7 @@ REPORT_GOLDEN_RUNS = [
 
 
 class TestSamplesDrawnOnlyWhenRead:
-    @pytest.mark.parametrize("args,golden", GOLDEN_RUNS, ids=[a[0] for a, _ in GOLDEN_RUNS])
+    @pytest.mark.parametrize("args,golden", GOLDEN_RUNS, ids=[_run_id(a) for a, _ in GOLDEN_RUNS])
     def test_samples_for_calls(self, tmp_path, monkeypatch, args, golden):
         # example-e2 has no definability target, so its samples would go unread
         calls = []

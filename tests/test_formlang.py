@@ -58,6 +58,7 @@ from valcuts.gpsfield import (INF, FieldModel, PatternSeries, Tail, approach_seg
                               parse_element, val_diff)
 from valcuts.ogroup import Component, ConvexSubgroup, GroupDescriptor, GroupElement
 from valcuts.prescribe import CharCase, build
+from valcuts.residue import GF
 from valcuts.scenarios import (
     abhyankar,
     declared_samples,
@@ -1438,26 +1439,74 @@ class TestCompiledAgreesWithTheWalk:
                 assert forced.value == walked["value"], (text, b)
 
 
+def reference_series_samples(model, count, seed, include_boundary=True):
+    """Monomial samples drawn through Fraction, the checked element and
+    monomial, and the number of draws outside their class."""
+    rng = random.Random(seed)
+    g = model.value_group
+    p = g.prime
+    out = []
+    rejected = 0
+    if include_boundary:
+        out.append(("1", model.one(), g.zero()))
+    while len(out) < count:
+        coords = []
+        for i in range(g.rank):
+            coords.append(Fraction(rng.randint(-12, 12), p ** rng.randint(0, 3)))
+        try:
+            e = g.element(*coords)
+        except StructuralError:
+            rejected += 1
+            continue
+        s = model.monomial(1, e)
+        out.append((f"t^{e}", s, e))
+    return out, rejected
+
+
+class TestSeriesSamplesOneStep:
+    """series_samples builds each draw in one integer step and yields what the
+    Fraction/element/monomial loop yields, in the same order."""
+
+    @staticmethod
+    def assert_same(model, count, seed):
+        got = series_samples(model, count, seed)
+        want, rejected = reference_series_samples(model, count, seed)
+        assert [label for label, _, _ in got] == [label for label, _, _ in want]
+        assert [c for _, c, _ in got] == [c for _, c, _ in want]
+        assert [v for _, _, v in got] == [v for _, _, v in want]
+        return rejected
+
+    @pytest.mark.parametrize("build,p", [(abhyankar, 2), (abhyankar, 3), (abhyankar, 5),
+                                         (abhyankar, 7), (example_e1, 2), (example_e1, 3)])
+    def test_matches_reference_loop(self, build, p):
+        model = build(p).model
+        for seed in range(200):
+            self.assert_same(model, 50, seed)
+
+    def test_draws_outside_their_class_are_skipped(self):
+        for components in ((Component.INT,), (Component.PDIV, Component.INT),
+                           (Component.INT, Component.RAT)):
+            model = FieldModel(name="K", char=3, residue=GF(3),
+                               value_group=GroupDescriptor(components, 3))
+            rejected = sum(self.assert_same(model, 50, seed) for seed in range(20))
+            assert rejected >= 1
+            g = model.value_group
+            assert all(g._outside(e.nums, e.den) is None
+                       for _, _, e in series_samples(model, 50, 3))
+
+    def test_carriers_share_the_coefficient_of_one(self):
+        model = abhyankar(3).model
+        samples = series_samples(model, 50, 4)
+        one = samples[0][1]
+        assert one == model.one()
+        assert all(len(c.terms) == 1 and c.terms[0][1] is one.terms[0][1]
+                   and c.valuation() is v for _, c, v in samples[1:])
+
+
 class TestSamples:
     @staticmethod
     def series_samples(model, count, seed, include_boundary=True):
-        rng = random.Random(seed)
-        g = model.value_group
-        p = g.prime
-        out = []
-        if include_boundary:
-            out.append(("1", model.one(), g.zero()))
-        while len(out) < count:
-            coords = []
-            for i in range(g.rank):
-                coords.append(Fraction(rng.randint(-12, 12), p ** rng.randint(0, 3)))
-            try:
-                e = g.element(*coords)
-            except StructuralError:
-                continue
-            s = model.monomial(1, e)
-            out.append((f"t^{e}", s, e))
-        return out
+        return reference_series_samples(model, count, seed, include_boundary)[0]
 
     @staticmethod
     def declared_samples(group, count, seed):

@@ -232,6 +232,83 @@ class TestProductKernel:
         assert len(built) == len(square.terms)
 
 
+def naive_sum(x: SeriesElement, y: SeriesElement) -> tuple:
+    """The terms of x + y, with one FqElement sum per term of y and a sort by
+    GroupElement order."""
+    acc = dict(x.terms)
+    for e, c in y.terms:
+        s = acc.get(e, x.model.residue.zero()) + c
+        if s.is_zero:
+            acc.pop(e, None)
+        else:
+            acc[e] = s
+    return tuple(sorted(acc.items(), key=lambda t: t[0]))
+
+
+class TestSumAndTermOrder:
+    """Series terms are ordered on integer keys and summed without an FqElement
+    for an exponent only one operand has; both agree with the GroupElement
+    order and FqElement arithmetic, and keep their checks."""
+
+    def test_term_order_matches_group_element_sort(self):
+        rng = random.Random(11)
+        models = list(TestProductKernel.models(rng))
+        lists = mixed = 0
+        while lists < 500:
+            m = rng.choice(models)
+            g = m.value_group
+            terms = [(g.element(*[_coordinate(rng, k, g.prime) for k in g.components]),
+                      m.residue.element(rng.randint(1, m.char - 1)))
+                     for _ in range(rng.randint(0, 8))]
+            want = tuple(sorted(terms, key=lambda t: t[0]))
+            assert SeriesElement(m, terms).terms == want
+            assert SeriesElement(m, tuple(reversed(terms))).terms == tuple(
+                sorted(reversed(terms), key=lambda t: t[0]))
+            lists += 1
+            mixed += len({e.den for e, _ in terms}) > 1
+        assert mixed >= 150  # exponents over different denominators are exercised
+
+    def test_sum_matches_naive_reference(self):
+        rng = random.Random(12)
+        sums = cancelled = 0
+        for m in TestProductKernel.models(rng):
+            for _ in range(15):
+                a = random_series(rng, m, rng.choice((0, 1, 2, 3, 5)))
+                b = random_series(rng, m, rng.choice((0, 1, 2, 4, 6)))
+                for x, y in ((a, b), (a, -b), (a, -a), (b, a)):
+                    assert (x + y).terms == naive_sum(x, y)
+                    assert (x - y).terms == naive_sum(x, -y)
+                    shared = dict(x.terms).keys() & dict(y.terms).keys()
+                    cancelled += len(shared) - len(shared & dict((x + y).terms).keys())
+                    sums += 1
+        assert sums >= 2000
+        assert cancelled >= 300  # coefficient sums that vanish mod p are exercised
+
+    def test_exponents_from_two_groups_raise(self):
+        m = perfect_model(3, rank=2)
+        other = GroupDescriptor((Component.PDIV, Component.RAT), 3)
+        one = m.residue.one()
+        ours, theirs = m.value_group.element(1, 0), other.element(0, 1)
+        for terms in (((ours, one), (theirs, one)), ((theirs, one), (ours, one)),
+                      ((ours, one), (ours + ours, one), (theirs, one))):
+            with pytest.raises(StructuralError, match="different group descriptors"):
+                SeriesElement(m, terms)
+        foreign = SeriesElement(m, ((theirs, one),))  # one term is never compared
+        with pytest.raises(StructuralError, match="different group descriptors"):
+            m.monomial(1, ours) + foreign
+
+    def test_coefficient_from_another_field_raises_on_a_disjoint_exponent(self):
+        m = perfect_model(3)
+        g = m.value_group
+        foreign = SeriesElement(m, ((g.element(2), GF(5).one()),))
+        with pytest.raises(StructuralError, match="different residue fields"):
+            m.monomial(1, g.element(1)) + foreign
+        with pytest.raises(StructuralError, match="different residue fields"):
+            m.zero() + foreign
+        with pytest.raises(StructuralError, match="different residue fields"):
+            m.monomial(1, g.element(2)) + foreign  # the exponents meet
+
+
 class TestPatternSeries:
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_artin_schreier_identity(self, p):

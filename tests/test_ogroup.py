@@ -96,6 +96,31 @@ def divides_out(den: int, p: int) -> bool:
     return den == 1
 
 
+class TestClassMembership:
+    """Whether a coordinate lies in its class: the one-step p-power test, and
+    the boundaries that refuse a denominator outside it."""
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_one_step_test_matches_division_loop(self, p):
+        g = GroupDescriptor((Component.PDIV,), p)
+        dens = list(range(1, 5001)) + [p**3000, 3 * p**3000]
+        for den in dens:
+            assert g.coordinate_allowed(0, Fraction(1, den)) is divides_out(den, p), den
+
+    @pytest.mark.parametrize("make", [
+        lambda g: g.element(0, Fraction(1, 6)),
+        lambda g: g.unit(1, Fraction(5, 12)),
+        lambda g: segment.from_json(g, {"direction": "final", "kind": "element",
+                                        "gamma": ["0", "1/6"]}),
+        lambda g: parse_element(FieldModel(name="F", char=2, value_group=g, residue=GF(2)),
+                                "t^(1, 1/6)"),
+    ], ids=["element", "unit", "segment.from_json", "parse_element"])
+    def test_boundaries_reject_non_p_power_denominator(self, make):
+        g = GroupDescriptor((Component.PDIV, Component.PDIV), 2)
+        with pytest.raises((StructuralError, ConfigError), match="1/6|5/12"):
+            make(g)
+
+
 ROUND_TRIPS = {"pickle": lambda x: pickle.loads(pickle.dumps(x)), "copy": copy.copy,
                "deepcopy": copy.deepcopy}
 
@@ -119,28 +144,6 @@ class TestRoundTrips:
         assert (y.group, y.nums, y.den, y.coords) == (g, e.nums, 4, e.coords)
         with pytest.raises(AttributeError):
             y.den = 1   # the copy is as frozen as the original
-
-
-
-    @pytest.mark.parametrize("p", [2, 3, 5, 7])
-    def test_one_step_test_matches_division_loop(self, p):
-        g = GroupDescriptor((Component.PDIV,), p)
-        dens = list(range(1, 5001)) + [p**3000, 3 * p**3000]
-        for den in dens:
-            assert g.coordinate_allowed(0, Fraction(1, den)) is divides_out(den, p), den
-
-    @pytest.mark.parametrize("make", [
-        lambda g: g.element(0, Fraction(1, 6)),
-        lambda g: g.unit(1, Fraction(5, 12)),
-        lambda g: segment.from_json(g, {"direction": "final", "kind": "element",
-                                        "gamma": ["0", "1/6"]}),
-        lambda g: parse_element(FieldModel(name="F", char=2, value_group=g, residue=GF(2)),
-                                "t^(1, 1/6)"),
-    ], ids=["element", "unit", "segment.from_json", "parse_element"])
-    def test_boundaries_reject_non_p_power_denominator(self, make):
-        g = GroupDescriptor((Component.PDIV, Component.PDIV), 2)
-        with pytest.raises((StructuralError, ConfigError), match="1/6|5/12"):
-            make(g)
 
 
 class TestUnitsAndZero:
