@@ -9,6 +9,16 @@ then meets each tail only at its head, one term at a time, so v(theta - c)
 for finite-support c is read off in one ordered pass over the finite
 support of theta - c.
 
+Terms are kept in exponent order and tails merged and ordered by base
+exponent, and an operation builds only what it changes.  Negation and the
+Frobenius (p > 0) keep the term order, and 0 + x is x; negation, the
+Frobenius and adding a finite series keep every base exponent and every
+relative start, so only the sum of two patterns merges tails again.  The
+least term of theta - c lies on a leading tail: a negative one at the
+coarsest leading index.  Once every leading tail has passed its start, all
+divide their base exponents by the same p-power, so the approach schedule
+is gamma_min / p^(k+1) from there on.
+
 Fields of residue characteristic p with char 0 carry no series arithmetic
 here; they enter the extension layer through declared approximation
 schedules only.
@@ -20,6 +30,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import itemgetter
 
 from .errors import NotImmediateError, StructuralError
 from .ogroup import GroupDescriptor, GroupElement
@@ -130,6 +141,14 @@ class SeriesElement:
         elif type(terms) is not tuple:
             object.__setattr__(self, "terms", tuple(terms))
 
+    @classmethod
+    def _from_ordered(cls, model: FieldModel, terms: tuple) -> "SeriesElement":
+        """The series of a terms tuple already in exponent order, built without the sort."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "model", model)
+        object.__setattr__(out, "terms", terms)
+        return out
+
     def _check(self, other):
         if not isinstance(other, SeriesElement) or other.model != self.model:
             raise StructuralError("series from different field models")
@@ -148,9 +167,28 @@ class SeriesElement:
         if isinstance(other, PatternSeries):
             return other + self
         self._check(other)
+        if not other.terms:
+            return self
+        if self.terms:
+            return self._plus(other.terms)
+        # 0 + x is x itself, after the field check and the dropping of zero
+        # coefficients that the sum makes term by term
+        field = self.model.residue
+        for _, c in other.terms:
+            if c.__class__ is not FqElement or (c.field is not field and c.field != field):
+                raise StructuralError("coefficients from different residue fields")
+        if all(c.value for _, c in other.terms):
+            return other
+        return SeriesElement._from_ordered(
+            self.model, tuple([(e, c) for e, c in other.terms if c.value]))
+
+    def _plus(self, terms) -> "SeriesElement":
+        """self plus terms given in any order, sorted once: a term whose exponent
+        self lacks is kept as it is, and FqElements are added only where two
+        exponents meet."""
         field = self.model.residue
         acc = dict(self.terms)
-        for e, c in other.terms:
+        for e, c in terms:
             a = acc.get(e)
             if a is not None:
                 s = a + c
@@ -165,7 +203,7 @@ class SeriesElement:
         return SeriesElement(self.model, tuple(acc.items()))
 
     def __neg__(self):
-        return SeriesElement(self.model, tuple((e, -c) for e, c in self.terms))
+        return SeriesElement._from_ordered(self.model, tuple([(e, -c) for e, c in self.terms]))
 
     def __sub__(self, other):
         if isinstance(other, PatternSeries):
@@ -214,8 +252,8 @@ class SeriesElement:
 
     def frobenius(self) -> "SeriesElement":
         """x -> x^p; it fixes the prime-field coefficients."""
-        p = self.model.char
-        return SeriesElement(self.model, tuple((e * p, c) for e, c in self.terms))
+        p = self.model.char  # p > 0 keeps the term order
+        return SeriesElement._from_ordered(self.model, tuple([(e * p, c) for e, c in self.terms]))
 
 
 @dataclass(frozen=True)
@@ -268,6 +306,8 @@ def _merge_tails(model: FieldModel, tails, extra_finite):
     for t in tails:
         if t.gamma.group != model.value_group:
             raise StructuralError("tail exponent lives in a different value group")
+        if t.coeff.field != model.residue:
+            raise StructuralError("tail coefficient lives in a different residue field")
         prev = by_gamma.get(t.gamma)
         if prev is None:
             for base, tail in by_gamma.items():
@@ -304,6 +344,17 @@ class PatternSeries:
         object.__setattr__(self, "tails", tails)
         object.__setattr__(self, "finite_part", finite)
 
+    @classmethod
+    def _from_merged(cls, model: FieldModel, finite: SeriesElement,
+                     tails: tuple) -> "PatternSeries":
+        """The pattern of tails already merged and ordered by base exponent,
+        built without _merge_tails."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "model", model)
+        object.__setattr__(out, "finite_part", finite)
+        object.__setattr__(out, "tails", tails)
+        return out
+
     @property
     def has_tails(self) -> bool:
         return bool(self.tails)
@@ -319,20 +370,23 @@ class PatternSeries:
                 raise StructuralError("patterns from different field models")
             return PatternSeries(self.model, self.finite_part + other.finite_part,
                                  self.tails + other.tails)
-        return PatternSeries(self.model, self.finite_part + other, self.tails)
+        return PatternSeries._from_merged(self.model, self.finite_part + other, self.tails)
+
+    # negation, the Frobenius and adding a finite series keep every base
+    # exponent and every relative start, so the tails stay merged and ordered
 
     def __neg__(self):
-        return PatternSeries(
+        return PatternSeries._from_merged(
             self.model, -self.finite_part,
-            tuple(Tail(-t.coeff, t.gamma, t.start) for t in self.tails))
+            tuple([Tail(-t.coeff, t.gamma, t.start) for t in self.tails]))
 
     def __sub__(self, other):
         return self + (-other)
 
     def frobenius(self) -> "PatternSeries":
-        return PatternSeries(
+        return PatternSeries._from_merged(
             self.model, self.finite_part.frobenius(),
-            tuple(Tail(t.coeff, t.gamma, t.start - 1) for t in self.tails))
+            tuple([Tail(t.coeff, t.gamma, t.start - 1) for t in self.tails]))
 
     def pow_char_power(self, n: int) -> "PatternSeries":
         """n-th power for n a power of the characteristic (via Frobenius)."""
@@ -346,35 +400,54 @@ class PatternSeries:
         return out
 
     def partial_sum(self, k: int) -> SeriesElement:
-        """finite_part plus every tail term with index <= k."""
-        terms = tuple((t.exponent(i), t.coeff)
-                      for t in self.tails for i in range(t.start, k + 1))
-        return self.finite_part + SeriesElement(self.model, terms)
+        """finite_part plus every tail term with index <= k, sorted once."""
+        terms = [(t.exponent(i), t.coeff) for t in self.tails for i in range(t.start, k + 1)]
+        if self.finite_part.terms:
+            return self.finite_part._plus(terms)
+        return SeriesElement(self.model, terms)
+
+
+def _leading_tails(theta: PatternSeries) -> list[Tail]:
+    """The leading tails: those whose base exponent is negative with the
+    coarsest leading index i of any negative one, least base exponent first.
+
+    Each exponent of such a tail is zero before index i and negative at i.
+    Every other tail's exponents are positive, or zero up to index i, so they
+    lie above all of these: only the leading tails can hold the least term of
+    theta - b for a finite-support b.
+    """
+    tails = theta.tails  # ordered by base exponent
+    if not tails or tails[0].gamma.sign() >= 0:
+        return []
+    lead = tails[0].gamma.leading_index()
+    return [t for t in tails if t.gamma.leading_index() == lead and t.gamma.nums[lead] < 0]
 
 
 def val_diff(theta: PatternSeries, c: SeriesElement) -> GroupElement:
     """v(theta - c), exact, for finite-support c.
 
     One ordered pass: the support of finite_part - c is walked upwards
-    against the heads of the tails with negative base exponent (the others
-    lie above 0, so above every such head).  A term that cancels a head moves
-    that tail on by one; the first term or head that nothing cancels is the
-    valuation.  Merged tails share no exponent, so a term meets one head at
-    most, and each term is visited once.  theta needs a tail with negative
+    against the heads of the leading tails (`_leading_tails`; every other
+    tail term lies above all of theirs).  A term that cancels the least head
+    moves that tail on by one; the first term or head that nothing cancels is
+    the valuation.  Merged tails share no exponent, so a term meets one head
+    at most, and each term is visited once.  theta needs a tail with negative
     base exponent.
     """
     if c.model != theta.model:
         raise StructuralError("operands from different field models")
-    heads = {t: (t.start, t.exponent(t.start))
-             for t in theta.tails if t.gamma.sign() < 0}
+    heads = [[t.exponent(t.start), t.coeff.value] for t in _leading_tails(theta)]
     if not heads:
         raise StructuralError("val_diff needs a tail with negative base exponent")
+    p = theta.model.char
     for e, coeff in (theta.finite_part - c).terms:
-        t, (i, head) = min(heads.items(), key=lambda item: item[1][1])
-        if head != e or not (coeff + t.coeff).is_zero:
-            return min(head, e)
-        heads[t] = (i + 1, t.exponent(i + 1))
-    return min(head for _, head in heads.values())
+        head = min(heads, key=itemgetter(0))
+        value = head[0]
+        if value != e or (coeff.value + head[1]) % p:
+            return min(value, e)
+        # the tail's next term: its exponent is this one over p
+        head[0] = GroupElement(value.group, value.nums, value.den * p)
+    return min(head[0] for head in heads)
 
 
 @dataclass(frozen=True)
@@ -391,25 +464,34 @@ def approach_segment(theta: PatternSeries, K: FieldModel, depth: int = 12) -> Ap
     The schedule lists the distinct values of v(theta - b_k), b_k the partial
     sum through index k, for k = k_lo, k_lo + 1, ...  theta - b_k is the tail
     terms past index k, and merged tails share no exponent, so v(theta - b_k)
-    is the least t.exponent(max(k + 1, t.start)) over the tails t with
-    negative base exponent.  These values never decrease and reach every
-    negative-tail exponent, so the distinct ones increase strictly.
+    is the least t.exponent(max(k + 1, t.start)) over the leading tails t
+    (`_leading_tails`).  These values never decrease and reach every
+    leading-tail exponent, so the distinct ones increase strictly.  Once
+    k + 1 has passed every leading start, each leading tail divides its base
+    exponent by the same p^(k+1), so the least base exponent stays least: the
+    value is gamma_min / p^(k+1), new at every k, and no minimum is taken.
     """
     if K.value_group != theta.model.value_group:
         raise StructuralError("base field has a different value group")
     if not theta.has_tails:
         raise NotImmediateError("element has finite support over the base field")
-    gamma_min = min(t.gamma for t in theta.tails)
-    if gamma_min.sign() > 0:
+    leading = _leading_tails(theta)
+    if not leading:
         raise NotImmediateError("tail exponents decrease; v(theta - K) has a maximum")
-    negative = [t for t in theta.tails if t.gamma.sign() < 0]
+    gamma_min = leading[0].gamma
     schedule = []
-    k = max(0, min(t.start for t in theta.tails) - 1)
-    while len(schedule) < depth:
-        value = min(t.exponent(max(k + 1, t.start)) for t in negative)
+    k = max(0, min(t.start for t in leading) - 1)
+    # the minimum is taken while a leading tail waits at its start, and at the
+    # first k past every start, whose value may repeat the last waiting one
+    last_start = max(t.start for t in leading)
+    while k < last_start and len(schedule) < depth:
+        value = min(t.exponent(max(k + 1, t.start)) for t in leading)
         if not schedule or schedule[-1] != value:
             schedule.append(value)
         k += 1
+    group, nums, den, p = gamma_min.group, gamma_min.nums, gamma_min.den, theta.model.char
+    schedule += [GroupElement(group, nums, den * p**i)
+                 for i in range(k + 1, k + 1 + depth - len(schedule))]
     seg = seq_cut(theta.model.value_group.zero(), -gamma_min, start=1,
                   direction=Direction.INITIAL)
     return ApproachResult(seg, tuple(schedule))

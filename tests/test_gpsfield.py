@@ -21,7 +21,7 @@ from valcuts.gpsfield import (
 from valcuts.ogroup import Component, GroupDescriptor, GroupElement
 from valcuts.residue import GF
 from valcuts.scenarios import example_e1
-from valcuts.segment import CutKind, Direction, contains
+from valcuts.segment import CutKind, Direction, contains, seq_cut
 
 
 def perfect_model(p: int, rank: int = 1, name: str | None = None) -> FieldModel:
@@ -137,6 +137,19 @@ class TestSeriesArithmetic:
             (t + m.one()).inverse()
 
 
+def counting_elements(monkeypatch) -> list:
+    """The list that every GroupElement built from now on is appended to."""
+    built = []
+    check = GroupElement.__post_init__
+
+    def counting(self):
+        built.append(self)
+        check(self)
+
+    monkeypatch.setattr(GroupElement, "__post_init__", counting)
+    return built
+
+
 def naive_product(x: dict, y: dict, p: int) -> tuple[dict, int]:
     """{exponent coords: coefficient} of a product, on Fractions; also the
     number of exponents hit more than once whose coefficients cancelled."""
@@ -219,14 +232,7 @@ class TestProductKernel:
         # square of an n-term approximant has n terms from n^2 term products;
         # one group element per product would mean per-product rational work
         b = example_e1(2).fmodel.immediates[0].carrier.partial_sum(11)
-        built = []
-        check = GroupElement.__post_init__
-
-        def counting(self):
-            built.append(self)
-            check(self)
-
-        monkeypatch.setattr(GroupElement, "__post_init__", counting)
+        built = counting_elements(monkeypatch)
         square = b * b
         assert len(b.terms) == len(square.terms) == 11
         assert len(built) == len(square.terms)
@@ -307,6 +313,10 @@ class TestSumAndTermOrder:
             m.zero() + foreign
         with pytest.raises(StructuralError, match="different residue fields"):
             m.monomial(1, g.element(2)) + foreign  # the exponents meet
+        for coeff in (GF(5).one(), GF(5).zero(), 1):  # 0 + x checks every term
+            x = SeriesElement(m, ((g.element(1), m.residue.one()), (g.element(2), coeff)))
+            with pytest.raises(StructuralError, match="different residue fields"):
+                m.zero() + x
 
 
 class TestPatternSeries:
@@ -343,6 +353,82 @@ class TestPatternSeries:
         for n in (6, 0, -3):   # x^0 = 1 is no Frobenius image
             with pytest.raises(StructuralError):
                 theta.pow_char_power(n)
+
+
+def rebuilt_series(model: FieldModel, terms) -> SeriesElement:
+    """The series of these terms through the sorting constructor, zero
+    coefficients dropped."""
+    return SeriesElement(model, tuple((e, c) for e, c in terms if c.value))
+
+
+class TestCanonicalFormKept:
+    """Negation, the Frobenius and adding a finite series keep the ordered
+    terms and merged tails they are given; each result equals the one rebuilt
+    through the sorting or merging constructor."""
+
+    def test_series_operations_match_the_rebuilt_series(self):
+        rng = random.Random(2801)
+        cases = zero_dropped = 0
+        for m in TestProductKernel.models(rng):
+            p = m.char
+            for _ in range(12):
+                x = random_series(rng, m, rng.choice((0, 1, 2, 3, 5, 8)))
+                assert -x == rebuilt_series(m, [(e, -c) for e, c in x.terms])
+                assert x.frobenius() == rebuilt_series(m, [(e * p, c) for e, c in x.terms])
+                assert m.zero() + x == x == x + m.zero()
+                assert not x.terms or (m.zero() + x) is x and (x + m.zero()) is x
+                assert (m.zero() - x) == -x
+                if x.terms:
+                    e = x.terms[0][0] - m.value_group.unit(0)
+                    with_zero = SeriesElement(m, x.terms + ((e, m.residue.zero()),))
+                    assert len(with_zero.terms) == len(x.terms) + 1
+                    assert (m.zero() + with_zero).terms == x.terms
+                    assert (m.zero() + with_zero).terms == naive_sum(m.zero(), with_zero)
+                    zero_dropped += 1
+                cases += 1
+        assert cases >= 400 and zero_dropped >= 300
+
+    def test_pattern_operations_match_the_merging_constructor(self):
+        rng = random.Random(2802)
+        cases = merged = 0
+        for m, finite, tails in seeded_patterns(rng):
+            theta = PatternSeries(m, finite, tails)
+            merged += len(theta.tails) < len(tails)
+            p, terms = m.char, theta.finite_part.terms
+            neg = PatternSeries(m, rebuilt_series(m, [(e, -c) for e, c in terms]),
+                                tuple(Tail(-t.coeff, t.gamma, t.start) for t in theta.tails))
+            frob = PatternSeries(m, rebuilt_series(m, [(e * p, c) for e, c in terms]),
+                                 tuple(Tail(t.coeff, t.gamma, t.start - 1) for t in theta.tails))
+            assert -theta == neg and theta.frobenius() == frob
+            assert [t.gamma for t in theta.tails] == sorted(t.gamma for t in theta.tails)
+            s = random_series(rng, m, rng.randint(0, 4))
+            assert theta + s == PatternSeries(m, theta.finite_part + s, theta.tails)
+            assert theta - s == PatternSeries(m, theta.finite_part - s, theta.tails)
+            assert s + theta == theta + s and s - theta == -(theta - s)
+            cases += 1
+        assert cases == 480 and merged >= 60  # tails of one family are merged
+
+    def test_partial_sum_matches_the_sum_of_its_terms(self):
+        rng = random.Random(2804)
+        checked = 0
+        for m, finite, tails in seeded_patterns(rng)[::4]:
+            theta = PatternSeries(m, finite, tails)
+            for k in range(-2, 13):
+                terms = tuple((t.exponent(i), t.coeff)
+                              for t in theta.tails for i in range(t.start, k + 1))
+                want = theta.finite_part + SeriesElement(m, terms)
+                got = theta.partial_sum(k)
+                assert got == want
+                assert got.terms == naive_sum(theta.finite_part, SeriesElement(m, terms))
+                checked += 1
+        assert checked == 120 * 15
+
+    def test_a_tail_coefficient_from_another_field_raises(self):
+        # val_diff compares coefficient values as integers mod the model's p
+        g = GroupDescriptor((Component.RAT,), 3)  # holds 1/5^i too
+        m = FieldModel(name="K", char=3, value_group=g, residue=GF(3))
+        with pytest.raises(StructuralError, match="different residue field"):
+            PatternSeries(m, m.zero(), (Tail(GF(5).one(), g.element(-1), 1),))
 
 
 def _coordinate(rng: random.Random, kind: Component, prime: int) -> Fraction:
@@ -410,6 +496,18 @@ class TestValDiff:
             b_k = theta.partial_sum(k)
             assert val_diff(theta, b_k) == m.value_group.element(Fraction(-1, p ** (k + 1)))
 
+    def test_a_probe_builds_one_element_per_head_position(self, monkeypatch):
+        # the first head and one element per head it moves on, as before
+        built = counting_elements(monkeypatch)
+        for p in (2, 3, 5):
+            m = perfect_model(p)
+            theta = abhyankar_root(m)
+            for k in (0, 12, 32, 64):
+                b = theta.partial_sum(k)
+                built.clear()
+                val_diff(theta, b)
+                assert len(built) == k + 1
+
     def test_leading_tail_term(self):
         m = perfect_model(3)
         theta = abhyankar_root(m)
@@ -466,7 +564,86 @@ class TestValDiff:
         assert decided >= 510   # 530 of the 580 cases, p in {2, 3, 5, 7} and rank 1-3
 
 
+def reference_schedule(theta: PatternSeries, depth: int) -> tuple[tuple, list]:
+    """The schedule by the per-k loop: at each k the least head over every
+    negative tail, kept when it is new; and the tail that holds each value."""
+    negative = [t for t in theta.tails if t.gamma.sign() < 0]
+    schedule, holders = [], []
+    k = max(0, min(t.start for t in theta.tails) - 1)
+    while len(schedule) < depth:
+        value, holder = min(((t.exponent(max(k + 1, t.start)), t) for t in negative),
+                            key=lambda pair: pair[0])
+        if not schedule or schedule[-1] != value:
+            schedule.append(value)
+            holders.append(holder)
+        k += 1
+    return tuple(schedule), holders
+
+
+def leading_patterns(rng: random.Random):
+    """(model, finite, tails) for 25 patterns per p in {2, 3, 5, 7} and rank
+    1-3 with two or three negative tails at one leading index, each with its
+    own start; some also have a negative tail of a finer index, a positive
+    tail or finite terms."""
+    cases = []
+    for p in (2, 3, 5, 7):
+        for rank in (1, 2, 3):
+            m = perfect_model(p, rank)
+            g = m.value_group
+            for _ in range(25):
+                lead = rng.randrange(rank)
+                tails = []
+                for _ in range(rng.randint(2, 3)):
+                    coords = [Fraction(0)] * rank
+                    coords[lead] = Fraction(-rng.randint(1, 3 * p), p ** rng.randint(0, 1))
+                    for j in range(lead + 1, rank):
+                        coords[j] = Fraction(rng.randint(-3, 3), p ** rng.randint(0, 1))
+                    tails.append(Tail(m.residue.element(rng.randint(1, p - 1)),
+                                      g.element(*coords), rng.randint(-1, 5)))
+                if lead + 1 < rank and rng.random() < 0.5:
+                    tails.append(Tail(m.residue.one(), g.unit(lead + 1, -1), rng.randint(-1, 3)))
+                if rng.random() < 0.5:
+                    tails.append(Tail(m.residue.one(), g.unit(rng.randrange(rank)),
+                                      rng.randint(-1, 3)))
+                finite = m.zero()
+                for _ in range(rng.randint(0, 2)):
+                    finite = finite + m.monomial(1, tails[0].exponent(rng.randint(-1, 4)))
+                cases.append((m, finite, tuple(tails)))
+    return cases
+
+
 class TestApproachSegment:
+    def test_matches_the_per_k_reference(self):
+        # only the leading tails are read, and past their last start the least
+        # base exponent gives every value; the reference takes the minimum over
+        # every negative tail at every k
+        rng = random.Random(2805)
+        checked = traded = 0
+        for m, finite, tails in seeded_patterns(rng) + leading_patterns(rng):
+            theta = PatternSeries(m, finite, tails)
+            if not any(t.gamma.sign() < 0 for t in theta.tails):
+                continue
+            for depth in (0, 1, 2, 5, 12):
+                want, holders = reference_schedule(theta, depth)
+                assert approach_segment(theta, m, depth).schedule == want
+            traded += len({t.start for t in holders}) > 1
+            checked += 1
+        assert checked >= 600
+        assert traded >= 20  # two leading tails with different starts trade the minimum
+
+    def test_a_one_tail_schedule_builds_one_element_per_value(self, monkeypatch):
+        built = counting_elements(monkeypatch)
+        for p in (2, 3, 5):
+            m = perfect_model(p)
+            theta = abhyankar_root(m)
+            zero = m.value_group.zero()
+            built.clear()
+            seq_cut(zero, -theta.tails[0].gamma, start=1, direction=Direction.INITIAL)
+            segment = len(built)
+            built.clear()
+            assert len(approach_segment(theta, m, 12).schedule) == 12
+            assert len(built) == 12 + segment
+
     def test_abhyankar_negative_cone(self):
         m = perfect_model(3)
         theta = abhyankar_root(m)
