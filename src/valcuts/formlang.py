@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import operator
 import re
-from dataclasses import dataclass, field, is_dataclass, replace
+from dataclasses import dataclass, field, is_dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial, reduce
@@ -1229,7 +1229,7 @@ def _decide(seg: Segment, quant: str, rel: str):
 def _without_max(seg: Segment) -> Segment:
     """An initial segment less its maximum; only an element cut has one."""
     if seg.kind is CutKind.ELEMENT:
-        return replace(seg, closed=False)
+        return Segment(seg.direction, seg.level, seg.shift, False)
     return seg
 
 

@@ -135,19 +135,37 @@ class SeriesElement:
     terms: tuple[tuple[GroupElement, FqElement], ...]
 
     def __post_init__(self):
-        terms = self.terms
+        # terms from outside, in any order: each coefficient must lie in the
+        # residue field, the coefficients of a repeated exponent are added and
+        # zero coefficients dropped
+        terms, field = self.terms, self.model.residue
+        for _, c in terms:
+            if c.__class__ is not FqElement or (c.field is not field and c.field != field):
+                raise StructuralError("coefficients from different residue fields")
         if len(terms) > 1:
-            object.__setattr__(self, "terms", _ordered(terms))
-        elif type(terms) is not tuple:
-            object.__setattr__(self, "terms", tuple(terms))
+            acc: dict = {}
+            for e, c in terms:
+                acc[e] = acc[e] + c if e in acc else c
+            terms = [t for t in acc.items() if t[1].value]
+            terms = _ordered(terms) if terms else ()
+        elif terms and not terms[0][1].value:
+            terms = ()
+        object.__setattr__(self, "terms", tuple(terms))
 
     @classmethod
     def _from_ordered(cls, model: FieldModel, terms: tuple) -> "SeriesElement":
-        """The series of a terms tuple already in exponent order, built without the sort."""
+        """The series of a terms tuple already canonical (nonzero coefficients of
+        the residue field, in exponent order), built without the checks."""
         out = object.__new__(cls)
         object.__setattr__(out, "model", model)
         object.__setattr__(out, "terms", terms)
         return out
+
+    @classmethod
+    def _from_distinct(cls, model: FieldModel, terms) -> "SeriesElement":
+        """The series of nonzero coefficients of the residue field at distinct
+        exponents, in any order: sorted once, with nothing added or dropped."""
+        return cls._from_ordered(model, _ordered(terms) if len(terms) > 1 else tuple(terms))
 
     def _check(self, other):
         if not isinstance(other, SeriesElement) or other.model != self.model:
@@ -171,36 +189,24 @@ class SeriesElement:
             return self
         if self.terms:
             return self._plus(other.terms)
-        # 0 + x is x itself, after the field check and the dropping of zero
-        # coefficients that the sum makes term by term
-        field = self.model.residue
-        for _, c in other.terms:
-            if c.__class__ is not FqElement or (c.field is not field and c.field != field):
-                raise StructuralError("coefficients from different residue fields")
-        if all(c.value for _, c in other.terms):
-            return other
-        return SeriesElement._from_ordered(
-            self.model, tuple([(e, c) for e, c in other.terms if c.value]))
+        return other   # 0 + x
 
     def _plus(self, terms) -> "SeriesElement":
-        """self plus terms given in any order, sorted once: a term whose exponent
-        self lacks is kept as it is, and FqElements are added only where two
-        exponents meet."""
-        field = self.model.residue
+        """self plus nonzero terms of the residue field at distinct exponents,
+        given in any order and sorted once: a term whose exponent self lacks is
+        kept as it is, and FqElements are added only where two exponents meet."""
         acc = dict(self.terms)
         for e, c in terms:
             a = acc.get(e)
-            if a is not None:
+            if a is None:
+                acc[e] = c
+            else:
                 s = a + c
                 if s.is_zero:
                     del acc[e]
                 else:
                     acc[e] = s
-            elif c.__class__ is not FqElement or (c.field is not field and c.field != field):
-                raise StructuralError("coefficients from different residue fields")
-            elif c.value:
-                acc[e] = c
-        return SeriesElement(self.model, tuple(acc.items()))
+        return SeriesElement._from_distinct(self.model, list(acc.items()))
 
     def __neg__(self):
         return SeriesElement._from_ordered(self.model, tuple([(e, -c) for e, c in self.terms]))
@@ -227,7 +233,7 @@ class SeriesElement:
                 k = tuple([x + y for x, y in zip(k1, k2)])
                 acc[k] = acc.get(k, 0) + a1 * a2
         group, field = self.model.value_group, self.model.residue
-        return SeriesElement(self.model, [
+        return SeriesElement._from_distinct(self.model, [
             (GroupElement(group, k, den),
              FqElement(field, a % field.p))
             for k, a in acc.items() if a % field.p])
@@ -248,7 +254,7 @@ class SeriesElement:
         if len(self.terms) != 1:
             raise StructuralError("only monomials can be inverted exactly")
         e, c = self.terms[0]
-        return SeriesElement(self.model, ((-e, c.inverse()),))
+        return SeriesElement._from_ordered(self.model, ((-e, c.inverse()),))
 
     def frobenius(self) -> "SeriesElement":
         """x -> x^p; it fixes the prime-field coefficients."""
@@ -404,7 +410,7 @@ class PatternSeries:
         terms = [(t.exponent(i), t.coeff) for t in self.tails for i in range(t.start, k + 1)]
         if self.finite_part.terms:
             return self.finite_part._plus(terms)
-        return SeriesElement(self.model, terms)
+        return SeriesElement._from_distinct(self.model, terms)
 
 
 def _leading_tails(theta: PatternSeries) -> list[Tail]:

@@ -80,6 +80,14 @@ class GroupDescriptor:
             raise StructuralError(f"{self.prime} is not prime")
         object.__setattr__(self, "components", tuple(Component(c) for c in self.components))
 
+    def __eq__(self, other) -> bool:
+        # the generated comparison of the fields, after the identity test
+        if self is other:
+            return True
+        if other.__class__ is not GroupDescriptor:
+            return NotImplemented
+        return self.components == other.components and self.prime == other.prime
+
     @property
     def rank(self) -> int:
         return len(self.components)
@@ -150,7 +158,30 @@ class GroupDescriptor:
 _set = object.__setattr__
 
 
-class GroupElement:
+class _Frozen:
+    """Base of the slotted value classes: the constructor sets each field in
+    `_fields` once, with `_set`.  An instance refuses assignment and pickles
+    and copies through its constructor, since the default restore assigns
+    the slots.  `__repr__` is the one a dataclass of these fields has."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, tuple([getattr(self, name) for name in self._fields])
+
+    def __repr__(self) -> str:
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
+        return f"{self.__class__.__qualname__}({fields})"
+
+
+class GroupElement(_Frozen):
     """Integer numerators `nums` over one positive denominator `den`, in
     lowest terms: gcd(den, *nums) == 1.
 
@@ -164,6 +195,7 @@ class GroupElement:
     """
 
     __slots__ = ("group", "nums", "den", "_coords")
+    _fields = ("group", "nums", "den")
 
     def __init__(self, group: GroupDescriptor, nums: tuple[int, ...], den: int = 1):
         _set(self, "group", group)
@@ -179,16 +211,6 @@ class GroupElement:
             if g != 1:
                 _set(self, "nums", tuple([n // g for n in self.nums]))
                 _set(self, "den", den // g)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        # rebuilt through __init__, since the default restore assigns the slots
-        return GroupElement, (self.group, self.nums, self.den)
 
     @property
     def coords(self) -> tuple[Fraction, ...]:
@@ -213,9 +235,6 @@ class GroupElement:
             else:
                 out.append("0")
         return out
-
-    def __repr__(self) -> str:
-        return f"GroupElement(group={self.group!r}, nums={self.nums!r}, den={self.den!r})"
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not GroupElement:
@@ -327,16 +346,24 @@ def compare(a: GroupElement, b: GroupElement) -> int:
     return (a - b).sign()
 
 
-@dataclass(frozen=True)
-class ConvexSubgroup:
+class ConvexSubgroup(_Frozen):
     """Level k in the chain H_0 = whole group > H_1 > ... > H_n = {0}."""
 
-    group: GroupDescriptor
-    level: int
+    __slots__ = _fields = ("group", "level")
 
-    def __post_init__(self):
-        if not 0 <= self.level <= self.group.rank:
-            raise StructuralError(f"level must lie in 0..{self.group.rank}")
+    def __init__(self, group: GroupDescriptor, level: int):
+        if not 0 <= level <= group.rank:
+            raise StructuralError(f"level must lie in 0..{group.rank}")
+        _set(self, "group", group)
+        _set(self, "level", level)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not ConvexSubgroup:
+            return NotImplemented
+        return self.level == other.level and self.group == other.group
+
+    def __hash__(self) -> int:
+        return hash((self.group, self.level))
 
     @property
     def is_principal(self) -> bool:

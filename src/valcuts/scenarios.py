@@ -169,7 +169,7 @@ def series_samples(model: FieldModel, count: int, seed: int):
         if g._outside(nums, den) is not None:
             continue
         e = GroupElement(g, nums, den)
-        out.append((f"t^{e}", SeriesElement(model, ((e, coeff),)), e))
+        out.append((f"t^{e}", SeriesElement._from_ordered(model, ((e, coeff),)), e))
     return out
 
 

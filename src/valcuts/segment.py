@@ -17,20 +17,23 @@ equality: the constructor turns an open cut over a discrete cut class into
 the closed cut one unit further in, and zeroes every coordinate of the
 shift inside H.  Both rules are mirror symmetric, so initial and final cuts
 share one code path, with the direction entering only as a sign.  A cut at
-H_0, the whole group, describes the empty set and is rejected when built.
+H_0, the whole group, describes the empty set and is rejected when built, as
+is a level outside 0..rank.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
 from .errors import ConfigError, DegenerateInputError, StructuralError
 from .ogroup import (
+    Component,
     ConvexSubgroup,
     GroupDescriptor,
     GroupElement,
+    _Frozen,
+    _set,
     archimedean_class_subgroups,
 )
 
@@ -53,26 +56,58 @@ class CutKind(str, Enum):
     SUBGROUP = "subgroup"
 
 
-@dataclass(frozen=True)
-class Segment:
-    direction: Direction
-    level: int
-    shift: GroupElement
-    closed: bool
+class Segment(_Frozen):
+    """The cut (direction, level, shift, closed), canonical when built.
 
-    def __post_init__(self):
-        group, level, delta = self.shift.group, self.level, self.shift
-        if level == 0:
-            raise DegenerateInputError("cut at the whole group describes the empty set")
-        if not self.closed and not group.is_dense_at(level - 1):
+    The constructor applies both rules in one frame, setting each field once.
+    negate and scale_int map canonical cuts to canonical cuts and build their
+    result through `_from_canonical`, which skips the rules.  Equality and
+    hashing are structural on the four fields.
+    """
+
+    __slots__ = _fields = ("direction", "level", "shift", "closed")
+
+    def __init__(self, direction: Direction, level: int, shift: GroupElement, closed: bool):
+        group, nums = shift.group, shift.nums
+        rank = len(nums)
+        if not 0 < level <= rank:
+            if level == 0:
+                raise DegenerateInputError("cut at the whole group describes the empty set")
+            raise StructuralError(f"cut level {level} lies outside 1..{rank}")
+        if not closed and group.components[level - 1] is Component.INT:
             # over a discrete cut class {a > d + H} = {a >= d + 1 + H}, and
-            # {a < d + H} = {a <= d - 1 + H}
-            object.__setattr__(self, "closed", True)
-            delta = delta + group.unit(level - 1, self.direction.sign)
-        if any(delta.nums[level:]):
-            delta = GroupElement(group, delta.nums[:level] + (0,) * (group.rank - level),
-                                 delta.den)
-        object.__setattr__(self, "shift", delta)
+            # {a < d + H} = {a <= d - 1 + H}; the shift moves and loses its
+            # coordinates inside H in one step
+            closed = True
+            head = list(nums[:level])
+            head[-1] += direction.sign * shift.den
+            shift = GroupElement(group, tuple(head) + (0,) * (rank - level), shift.den)
+        elif any(nums[level:]):
+            shift = GroupElement(group, nums[:level] + (0,) * (rank - level), shift.den)
+        _set(self, "direction", direction)
+        _set(self, "level", level)
+        _set(self, "shift", shift)
+        _set(self, "closed", closed)
+
+    @classmethod
+    def _from_canonical(cls, direction: Direction, level: int, shift: GroupElement,
+                        closed: bool) -> "Segment":
+        """The cut of fields already in canonical form, built without the rules."""
+        out = object.__new__(cls)
+        _set(out, "direction", direction)
+        _set(out, "level", level)
+        _set(out, "shift", shift)
+        _set(out, "closed", closed)
+        return out
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not Segment:
+            return NotImplemented
+        return (self.level == other.level and self.closed == other.closed
+                and self.direction == other.direction and self.shift == other.shift)
+
+    def __hash__(self) -> int:
+        return hash((self.direction, self.level, self.shift, self.closed))
 
     @property
     def group(self) -> GroupDescriptor:
@@ -129,7 +164,7 @@ def seq_cut(limit: GroupElement, scale: GroupElement, start: int = 1,
 
 def negate(s: Segment) -> Segment:
     """Pointwise negation -S; flips the direction."""
-    return Segment(s.direction.flipped(), s.level, -s.shift, s.closed)
+    return Segment._from_canonical(s.direction.flipped(), s.level, -s.shift, s.closed)
 
 
 def normalize(s: Segment) -> Segment:
@@ -181,8 +216,13 @@ def sum(s1: Segment, s2: Segment) -> Segment:
     # component: a canonical cut is open only over a dense cut class, where a
     # point beyond the sum's boundary splits into two points beyond the
     # operands' boundaries
-    level = min(s1.level, s2.level)
-    closed = all(s.closed for s in (s1, s2) if s.level == level)
+    l1, l2 = s1.level, s2.level
+    if l1 < l2:
+        level, closed = l1, s1.closed
+    elif l2 < l1:
+        level, closed = l2, s2.closed
+    else:
+        level, closed = l1, s1.closed and s2.closed
     return Segment(Direction.FINAL, level, s1.shift + s2.shift, closed)
 
 
@@ -196,7 +236,7 @@ def scale_int(s: Segment, m: int) -> Segment:
     """
     if m < 1:
         raise DegenerateInputError("scale factor must be a positive integer")
-    return Segment(s.direction, s.level, s.shift * m, s.closed)
+    return Segment._from_canonical(s.direction, s.level, s.shift * m, s.closed)
 
 
 def is_subset(inner: Segment, outer: Segment) -> bool:
@@ -280,13 +320,21 @@ def from_json(group: GroupDescriptor, data: dict) -> Segment:
 # Ideal descriptors: a fractional ideal is represented by its value set,
 # which is a final segment of the value group.
 
-@dataclass(frozen=True)
-class IdealDescriptor:
-    values: Segment
+class IdealDescriptor(_Frozen):
+    __slots__ = _fields = ("values",)
 
-    def __post_init__(self):
-        if not self.values.is_final:
+    def __init__(self, values: Segment):
+        if values.direction is not Direction.FINAL:
             raise StructuralError("an ideal's value set is a final segment")
+        _set(self, "values", values)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not IdealDescriptor:
+            return NotImplemented
+        return self.values == other.values
+
+    def __hash__(self) -> int:
+        return hash((self.values,))
 
     @property
     def group(self) -> GroupDescriptor:

@@ -58,6 +58,37 @@ def grid_points(group: GroupDescriptor, bound: int, depth: int):
         yield group.element(*coords)
 
 
+def random_group(rng) -> GroupDescriptor:
+    """Rank 1-4, each class int, pdiv or rat, over p in {2, 3, 5}."""
+    return GroupDescriptor(tuple(rng.choice(list(Component)) for _ in range(rng.randint(1, 4))),
+                           rng.choice((2, 3, 5)))
+
+
+def random_group_element(rng, group: GroupDescriptor, bound: int = 3):
+    coords = []
+    for kind in group.components:
+        den = {Component.INT: 1, Component.PDIV: group.prime ** rng.randint(0, 2),
+               Component.RAT: rng.randint(1, 6)}[kind]
+        coords.append(Fraction(rng.randint(-bound * den, bound * den), den))
+    return group.element(*coords)
+
+
+def random_cut(rng, group: GroupDescriptor):
+    """A cut through the constructor: an element or subgroup cut, open or
+    closed, initial or final, its shift often nonzero inside H."""
+    from valcuts.segment import Direction, Segment
+
+    level = group.rank if rng.random() < 0.4 else rng.randint(1, group.rank)
+    return Segment(rng.choice(list(Direction)), level, random_group_element(rng, group),
+                   rng.random() < 0.5)
+
+
+def is_canonical(seg) -> bool:
+    """Closed or over a dense cut class, and no shift coordinate inside H."""
+    return ((seg.closed or seg.group.is_dense_at(seg.level - 1))
+            and not any(seg.shift.nums[seg.level:]))
+
+
 def segment_set(seg, points):
     from valcuts.segment import contains
 

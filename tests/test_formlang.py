@@ -70,8 +70,10 @@ from valcuts.scenarios import (
     series_samples,
 )
 from valcuts.segment import (
+    CutKind,
     Direction,
     IdealDescriptor,
+    Segment,
     coarsening_value_set,
     contains,
     element_cut,
@@ -80,7 +82,7 @@ from valcuts.segment import (
     subgroup_cut,
 )
 
-from conftest import grid_points
+from conftest import grid_points, is_canonical, random_cut, random_group, random_group_element
 
 
 NAMES = st.sampled_from(["b", "c", "x", "t", "theta", "eta", "p", "zeta_p"])
@@ -1029,6 +1031,30 @@ def _edge_samples(sc, seg):
     return [(f"edge {v}", carrier(1, v) if carrier else DeclaredValue(v), v) for v in points]
 
 
+class TestCutComplement:
+    def test_complement_and_maximum_removal_are_canonical(self):
+        # the complement flips closedness, so over a discrete class it must be
+        # closed again one unit over: both go through the full constructor
+        rng = random.Random(2903)
+        reclosed = 0
+        for _ in range(400):
+            G = random_group(rng)
+            seg = random_cut(rng, G)
+            out = formlang._complement(seg)
+            assert out == Segment(seg.direction.flipped(), seg.level, seg.shift, not seg.closed)
+            assert is_canonical(out), out
+            reclosed += out.closed == seg.closed
+            for x in (random_group_element(rng, G) for _ in range(6)):
+                assert contains(out, x) != contains(seg, x)
+            if not seg.is_final:
+                less = formlang._without_max(seg)
+                assert is_canonical(less), less
+                assert less == (Segment(seg.direction, seg.level, seg.shift, False)
+                                if seg.kind is CutKind.ELEMENT else seg)
+                assert not contains(less, seg.shift) or seg.kind is not CutKind.ELEMENT
+        assert reclosed >= 50
+
+
 class TestExactComparison:
     """check_definition compares a definition's compiled value set with the
     direct object's once; while they are equal, a sample whose carrier has its
@@ -1072,7 +1098,8 @@ class TestExactComparison:
             seg = formlang._direct_values(direct)
             samples = samples_for(sc, 20, 4) + _edge_samples(sc, seg)
             # shifted by one coset of its cut class, and flipped open/closed
-            for wrong in (shift(seg, g.unit(seg.level - 1)), replace(seg, closed=not seg.closed)):
+            for wrong in (shift(seg, g.unit(seg.level - 1)),
+                          Segment(seg.direction, seg.level, seg.shift, not seg.closed)):
                 assert wrong != seg
                 wrong = IdealDescriptor(wrong)
                 rep = check_definition(DEFINITIONS[name], wrong, sc.fmodel, samples)

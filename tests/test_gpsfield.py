@@ -163,6 +163,19 @@ def naive_product(x: dict, y: dict, p: int) -> tuple[dict, int]:
     return {e: c for e, c in acc.items() if c}, cancelled
 
 
+def merged_in_group_order(model: FieldModel, terms) -> tuple:
+    """terms sorted by the GroupElement order, the coefficients of equal
+    exponents summed as integers mod p, zero sums dropped."""
+    out: list = []
+    for e, c in sorted(terms, key=lambda t: t[0]):
+        if out and out[-1][0] == e:
+            out[-1][1] += c.value
+        else:
+            out.append([e, c.value])
+    p = model.char
+    return tuple((e, model.residue.element(v % p)) for e, v in out if v % p)
+
+
 def as_dict(a: SeriesElement) -> dict:
     return {e.coords: c.value for e, c in a.terms}
 
@@ -259,20 +272,35 @@ class TestSumAndTermOrder:
     def test_term_order_matches_group_element_sort(self):
         rng = random.Random(11)
         models = list(TestProductKernel.models(rng))
-        lists = mixed = 0
+        lists = mixed = repeated = 0
         while lists < 500:
             m = rng.choice(models)
             g = m.value_group
             terms = [(g.element(*[_coordinate(rng, k, g.prime) for k in g.components]),
                       m.residue.element(rng.randint(1, m.char - 1)))
                      for _ in range(rng.randint(0, 8))]
-            want = tuple(sorted(terms, key=lambda t: t[0]))
+            want = merged_in_group_order(m, terms)
             assert SeriesElement(m, terms).terms == want
-            assert SeriesElement(m, tuple(reversed(terms))).terms == tuple(
-                sorted(reversed(terms), key=lambda t: t[0]))
+            assert SeriesElement(m, tuple(reversed(terms))).terms == want
             lists += 1
             mixed += len({e.den for e, _ in terms}) > 1
+            repeated += len({e for e, _ in terms}) < len(terms)
         assert mixed >= 150  # exponents over different denominators are exercised
+        assert repeated >= 20  # and repeated exponents, whose coefficients are added
+
+    def test_the_constructor_adds_repeated_exponents_and_drops_zeros(self):
+        m = perfect_model(3)
+        g, f = m.value_group, m.residue
+        t = g.element(1)
+        assert SeriesElement(m, ((g.element(-5), f.zero()),)) == m.zero()
+        assert SeriesElement(m, ((g.element(-5), f.zero()),)).valuation() is INF
+        x = m.monomial(1, t)
+        total = x + m.monomial(2, t)   # t + 2t at p = 3
+        assert total == m.zero() and total.valuation() is INF
+        assert SeriesElement(m, ((t, f.one()), (t, f.element(2)))) == m.zero()
+        two = SeriesElement(m, ((t, f.one()), (g.element(0), f.one()), (t, f.one())))
+        assert two.terms == ((g.element(0), f.one()), (t, f.element(2)))
+        assert SeriesElement(m, [(t, f.one())]).terms == x.terms   # any sequence
 
     def test_sum_matches_naive_reference(self):
         rng = random.Random(12)
@@ -304,19 +332,17 @@ class TestSumAndTermOrder:
             m.monomial(1, ours) + foreign
 
     def test_coefficient_from_another_field_raises_on_a_disjoint_exponent(self):
+        # the constructor checks every coefficient, so no sum meets a foreign one
         m = perfect_model(3)
         g = m.value_group
-        foreign = SeriesElement(m, ((g.element(2), GF(5).one()),))
         with pytest.raises(StructuralError, match="different residue fields"):
-            m.monomial(1, g.element(1)) + foreign
+            SeriesElement(m, ((g.element(2), GF(5).one()),))
+        for coeff in (GF(5).one(), GF(5).zero(), 1):
+            for other in (g.element(1), g.element(2)):  # the exponents meet, or not
+                with pytest.raises(StructuralError, match="different residue fields"):
+                    SeriesElement(m, ((other, m.residue.one()), (g.element(2), coeff)))
         with pytest.raises(StructuralError, match="different residue fields"):
-            m.zero() + foreign
-        with pytest.raises(StructuralError, match="different residue fields"):
-            m.monomial(1, g.element(2)) + foreign  # the exponents meet
-        for coeff in (GF(5).one(), GF(5).zero(), 1):  # 0 + x checks every term
-            x = SeriesElement(m, ((g.element(1), m.residue.one()), (g.element(2), coeff)))
-            with pytest.raises(StructuralError, match="different residue fields"):
-                m.zero() + x
+            m.monomial(GF(5).one(), g.element(1))
 
 
 class TestPatternSeries:
@@ -381,7 +407,7 @@ class TestCanonicalFormKept:
                 if x.terms:
                     e = x.terms[0][0] - m.value_group.unit(0)
                     with_zero = SeriesElement(m, x.terms + ((e, m.residue.zero()),))
-                    assert len(with_zero.terms) == len(x.terms) + 1
+                    assert with_zero.terms == x.terms   # the constructor drops it
                     assert (m.zero() + with_zero).terms == x.terms
                     assert (m.zero() + with_zero).terms == naive_sum(m.zero(), with_zero)
                     zero_dropped += 1

@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+import copy
 import itertools
+import pickle
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -23,6 +24,7 @@ from valcuts.segment import (
     CutKind,
     Direction,
     IdealDescriptor,
+    Segment,
     coarsening_value_set,
     contains,
     element_cut,
@@ -36,7 +38,14 @@ from valcuts.segment import (
     subgroup_cut,
 )
 
-from conftest import grid_points, segment_set
+from conftest import (
+    grid_points,
+    is_canonical,
+    random_cut,
+    random_group,
+    random_group_element,
+    segment_set,
+)
 
 ZP1 = GroupDescriptor((Component.PDIV,), 2)
 ZP1_3 = GroupDescriptor((Component.PDIV,), 3)
@@ -71,8 +80,8 @@ def built_cuts(rng: random.Random, group: GroupDescriptor, count: int) -> list:
         g = random_element(rng, group, depth=1, bound=1)
         # p^2/p^start is integral, so a negative scale keeps the cut inside the group
         scale = group.unit(rng.randrange(group.rank), rng.choice((-1, 1)) * group.prime ** 2)
-        cuts += [a, negate(b), shift(a, g), replace(b, closed=not b.closed),
-                 replace(a, shift=a.shift + g),
+        cuts += [a, negate(b), shift(a, g), Segment(b.direction, b.level, b.shift, not b.closed),
+                 Segment(a.direction, a.level, a.shift + g, a.closed),
                  seq_cut(g, scale, start=rng.randint(1, 2),
                          direction=rng.choice(list(Direction))),
                  sg.sum(a, b), sg.scale_int(a, rng.randint(2, 3))]
@@ -123,6 +132,27 @@ class TestNormalize:
     def test_whole_group_cut_rejected(self):
         with pytest.raises(DegenerateInputError):
             normalize(subgroup_cut(ConvexSubgroup(ZP1, 0)))
+
+    @pytest.mark.parametrize("closed", [False, True])
+    def test_level_outside_the_rank_rejected(self, closed):
+        for level in (-2, -1, 3, 4):
+            with pytest.raises(StructuralError, match=r"cut level -?\d lies outside 1\.\.2"):
+                Segment(Direction.FINAL, level, ZMIX.element(1, 1), closed)
+        with pytest.raises(DegenerateInputError):
+            Segment(Direction.INITIAL, 0, ZMIX.zero(), closed)
+
+    def test_subgroup_and_json_levels_keep_their_errors(self):
+        with pytest.raises(StructuralError, match=r"level must lie in 0\.\.2"):
+            ConvexSubgroup(ZMIX, 3)
+        with pytest.raises(DegenerateInputError):
+            subgroup_cut(ConvexSubgroup(ZMIX, 0))
+        for level in (-1, 0, 3):
+            with pytest.raises(ConfigError) as err:
+                sg.from_json(ZMIX, {"direction": "final", "kind": "subgroup", "level": level})
+            assert err.value.fields == ("level",)
+        for level in (1, 2):
+            data = {"direction": "final", "kind": "subgroup", "level": level}
+            assert sg.from_json(ZMIX, data) == subgroup_cut(ConvexSubgroup(ZMIX, level))
 
     def test_open_element_cut_discrete_group(self):
         s = normalize(element_cut(ZINT.element(3), closed=False))
@@ -222,9 +252,116 @@ class TestInitialCuts:
             for x in rng.sample(pts, 10):
                 if h.contains(x):
                     assert shift(s, x) == canon
-                    assert replace(s, shift=s.shift + x) == s
+                    assert Segment(s.direction, s.level, s.shift + x, s.closed) == s
             built += [s, negate(mirror), shift(moved, -g)]
         assert_equal_exactly_when_same_set(built, bound=4, depth=3)
+
+
+class TestFastPaths:
+    """negate and scale_int build their result without the canonical rules; it
+    equals the constructor's on the same fields, as do sum and shift."""
+
+    def test_operations_match_the_constructor(self):
+        rng = random.Random(2901)
+        seen = dict.fromkeys(("closed on a discrete class", "shift zeroed",
+                              "initial", "element", "subgroup", "sum"), 0)
+        ranks, primes, kinds = set(), set(), set()
+        for _ in range(250):
+            G = random_group(rng)
+            ranks.add(G.rank)
+            primes.add(G.prime)
+            kinds.update(G.components)
+            cuts = []
+            for _ in range(8):
+                level = rng.randint(1, G.rank)
+                fields = (rng.choice(list(Direction)), level, random_group_element(rng, G),
+                          rng.random() < 0.5)
+                s = Segment(*fields)
+                seen["closed on a discrete class"] += s.closed != fields[3]
+                seen["shift zeroed"] += s.shift != fields[2]
+                cuts.append(s)
+            cuts.append(random_cut(rng, G))
+            for s in cuts:
+                seen["initial"] += not s.is_final
+                seen[s.kind.value] += 1
+                g = random_group_element(rng, G)
+                got = [(negate(s), Segment(s.direction.flipped(), s.level, -s.shift, s.closed)),
+                       (shift(s, g), Segment(s.direction, s.level, s.shift + g, s.closed))]
+                got += [(sg.scale_int(s, m), Segment(s.direction, s.level, s.shift * m, s.closed))
+                        for m in range(1, 5)]
+                for out, want in got:
+                    assert out == want and hash(out) == hash(want)
+                    assert is_canonical(out), out
+            finals = [s for s in cuts if s.is_final]
+            for a, b in itertools.product(finals, repeat=2):
+                level = min(a.level, b.level)
+                closed = all(s.closed for s in (a, b) if s.level == level)
+                out = sg.sum(a, b)
+                assert out == Segment(Direction.FINAL, level, a.shift + b.shift, closed)
+                assert is_canonical(out), out
+                seen["sum"] += 1
+        assert min(seen.values()) >= 300, seen
+        assert (ranks, primes, kinds) == ({1, 2, 3, 4}, {2, 3, 5}, set(Component))
+
+    def test_built_cuts_are_canonical(self):
+        rng = random.Random(2902)
+        for _ in range(200):
+            G = random_group(rng)
+            for s in built_cuts(rng, G, 2):
+                assert is_canonical(s), s
+
+
+def _values(G: GroupDescriptor) -> list:
+    """One of each slotted value class over G."""
+    s = Segment(Direction.FINAL, 2, G.element(1, Fraction(1, 3), 5), False)
+    return [ConvexSubgroup(G, 1), s, IdealDescriptor(s)]
+
+
+class TestValueSemantics:
+    G = GroupDescriptor((Component.INT, Component.RAT, Component.PDIV), 3)
+
+    def test_pickle_copy_and_deepcopy_give_equal_values(self):
+        twin = GroupDescriptor(self.G.components, self.G.prime)
+        assert twin == self.G and twin is not self.G
+        for value, same in zip(_values(self.G), _values(twin)):
+            assert value.__reduce__()[0] is type(value)   # rebuilt by the constructor
+            for other in (pickle.loads(pickle.dumps(value)), copy.copy(value),
+                          copy.deepcopy(value), same):
+                assert type(other) is type(value)
+                assert other == value and value == other and not other != value
+                assert hash(other) == hash(value) and repr(other) == repr(value)
+        assert copy.deepcopy(_values(self.G)[2]).group is not self.G
+
+    def test_eq_hash_and_repr_as_generated_for_the_fields(self):
+        H, s, ideal = _values(self.G)
+        assert repr(H) == f"ConvexSubgroup(group={self.G!r}, level=1)"
+        assert repr(s) == (f"Segment(direction={Direction.FINAL!r}, level=2, "
+                           f"shift={s.shift!r}, closed=False)")
+        assert repr(ideal) == f"IdealDescriptor(values={s!r})"
+        assert hash(H) == hash((self.G, 1))
+        assert hash(s) == hash((s.direction, s.level, s.shift, s.closed))
+        assert hash(ideal) == hash((s,))
+        for value in (H, s, ideal):
+            assert value.__eq__(1) is NotImplemented and value != 1
+        assert H != ConvexSubgroup(self.G, 2) and H != ConvexSubgroup(ZMIX, 1)
+        assert s != negate(s) and s != Segment(s.direction, 1, s.shift, s.closed)
+        assert ideal != IdealDescriptor(Segment(s.direction, 1, s.shift, s.closed))
+        assert self.G.__eq__(self.G) is True and self.G.__eq__(1) is NotImplemented
+        assert self.G != GroupDescriptor(self.G.components, 5)
+
+    def test_fields_refuse_assignment(self):
+        for value in _values(self.G):
+            for name in value.__slots__:
+                with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+                    setattr(value, name, None)
+                with pytest.raises(AttributeError, match=f"cannot delete field '{name}'"):
+                    delattr(value, name)
+            with pytest.raises(AttributeError):
+                value.extra = 1
+
+    def test_an_ideal_is_a_final_segment(self):
+        with pytest.raises(StructuralError, match="final segment"):
+            IdealDescriptor(Segment(Direction.INITIAL, 1, self.G.zero(), True))
 
 
 class TestInvariance:
