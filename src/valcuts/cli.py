@@ -17,10 +17,12 @@ from json.encoder import encode_basestring_ascii
 from . import __version__
 from .errors import (
     ConfigError,
+    ConfigReader,
     InvalidSelectionError,
     ParseError,
     StructuralError,
     ValcutsError,
+    built,
 )
 from .extension import (
     DeclaredSchedule,
@@ -50,77 +52,6 @@ from .segment import to_json as segment_to_json
 
 SCHEMA_VERSION = 1
 DEFAULT_DEPTH = 12
-
-
-def _requires(key: str, value: str, fields: list) -> dict:
-    """Schema clause: an object whose `key` is `value` needs `fields` too."""
-    return {"if": {"required": [key], "properties": {key: {"const": value}}},
-            "then": {"required": fields}}
-
-
-CONFIG_SCHEMA = {
-    "type": "object",
-    "required": ["schema", "group", "extension"],
-    "additionalProperties": False,
-    "properties": {
-        "schema": {"const": SCHEMA_VERSION},
-        "label": {"type": "string"},
-        "depth": {"type": "integer", "minimum": 1},
-        "group": {
-            "type": "object",
-            "required": ["components", "p"],
-            "additionalProperties": False,
-            "properties": {
-                "rank": {"type": "integer", "minimum": 1},
-                "components": {
-                    "type": "array",
-                    "minItems": 1,
-                    "items": {"enum": ["int", "pdiv", "rat"]},
-                },
-                "p": {"type": "integer", "minimum": 2},
-            },
-        },
-        "extension": {
-            "type": "object",
-            "required": ["kind", "degree"],
-            "additionalProperties": False,
-            "allOf": [_requires("kind", "defectless_value", ["star_index", "x0_value"])],
-            "properties": {
-                "kind": {"enum": ["as_defect", "kummer_defect", "defectless_value"]},
-                "degree": {"type": "integer", "minimum": 2},
-                "char": {"type": "integer", "minimum": 0},
-                "residue_char": {"type": "integer", "minimum": 0},
-                "vp": {"type": "array", "items": {"type": "string"}},
-                "sigma_shift": {"type": "array", "items": {"type": "string"}},
-                "generator": {
-                    "type": "object",
-                    "required": ["type"],
-                    "allOf": [_requires("type", "pattern", ["tails"]),
-                              _requires("type", "schedule", ["limit", "scale"]),
-                              _requires("type", "sigma", ["segment"])],
-                    "properties": {
-                        "finite": {"type": "string"},
-                        "tails": {"type": "array",
-                                  "items": {"type": "object", "required": ["gamma"],
-                                            "additionalProperties": False,
-                                            "properties": {"coeff": {"type": "integer"},
-                                                           "gamma": {"type": "array"},
-                                                           "start": {"type": "integer"}}}},
-                        "limit": {"type": "array"},
-                        "scale": {"type": "array"},
-                        "start": {"type": "integer"},
-                        "segment": {"type": "object"},
-                    },
-                },
-                "synthetic": {"type": "boolean"},
-                "star_index": {"type": "integer", "minimum": 0},
-                "x0_value": {"type": "array", "items": {"type": "string"}},
-                "subkind": {"enum": [k.value for k in DefectlessKind]},
-                "v_eta_minus_1": {"type": "array", "items": {"type": "string"}},
-            },
-        },
-    },
-}
 
 
 # The shape of every report.  The code builds reports, so they are not
@@ -166,130 +97,105 @@ def _config_hash(config: dict) -> str:
     return hashlib.sha256(_canonical_json(config).encode()).hexdigest()
 
 
-@functools.cache
-def _config_validator():
-    # imported here so that only the config commands pay for jsonschema
-    import jsonschema
-
-    return jsonschema.Draft202012Validator(CONFIG_SCHEMA)
-
-
-def load_config(path: str) -> dict:
+def load_config(path: str) -> tuple:
+    """The config document at `path`, with the datum and the depth it states."""
     try:
         with open(path, encoding="utf-8") as fh:
             config = json.load(fh)
-    except (OSError, ValueError) as err:  # unreadable, not UTF-8, or not JSON
+    # unreadable, not UTF-8, not JSON, or nested deeper than the decoder recurses
+    except (OSError, ValueError, RecursionError) as err:
         raise ConfigError(f"--config {path}: {err}", fields=["--config"]) from None
-    errors = sorted(_config_validator().iter_errors(config),
-                    key=lambda e: list(e.absolute_path))
-    if errors:
-        fields = ["/".join(str(p) for p in e.absolute_path) or "(root)" for e in errors]
-        raise ConfigError(
-            "config rejected: " + "; ".join(
-                f"{f}: {e.message}" for f, e in zip(fields, errors)),
-            fields=fields)
-    return config
+    return (config, *datum_from_config(config))
 
 
-def _element(group: GroupDescriptor, coords, field: str):
-    """The element at `coords`; one outside the group is an error in `field`."""
-    try:
-        return group.element(*coords)
-    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
-        raise ConfigError(f"{field}: {coords!r} is not a list of exact rationals",
-                          fields=[field]) from None
-    except StructuralError as err:
-        raise ConfigError(f"{field}: {err}", fields=[field]) from None
+def datum_from_config(config: dict) -> tuple:
+    """The datum a config document states and its depth, read in one walk.
 
-
-def _checked(field: str, build, *args, **kwargs):
-    """build(*args, **kwargs); a StructuralError it raises is an error in `field`."""
-    try:
-        return build(*args, **kwargs)
-    except StructuralError as err:
-        raise ConfigError(f"{field}: {err}", fields=[field]) from None
-
-
-def datum_from_config(config: dict):
-    gspec = config["group"]
-    if "rank" in gspec and gspec["rank"] != len(gspec["components"]):
-        raise ConfigError("group rank does not match the component list",
-                          fields=["group/rank"])
-    group = _checked("group/p", GroupDescriptor,
-                     tuple(Component(c) for c in gspec["components"]), gspec["p"])
-    ext = config["extension"]
-    kind = ext["kind"]
-    label = config.get("label", "configured")
-    residue_char = ext.get("residue_char", 0)
-    if residue_char and not _checked("extension/residue_char", is_prime, residue_char):
-        raise ConfigError(f"extension/residue_char: {residue_char} is neither 0 nor prime",
-                          fields=["extension/residue_char"])
-    if not _checked("extension/degree", is_prime, ext["degree"]):
-        raise ConfigError(f"extension/degree: {ext['degree']} is not prime",
-                          fields=["extension/degree"])
+    Each object is read by a `ConfigReader`, which reads only the fields of
+    the extension's `kind` and of the generator's `type`.  The values are
+    checked against each other once the walk has found no error.
+    """
+    doc = ConfigReader(config)
+    doc.get("schema", int, among=(SCHEMA_VERSION,))
+    label = doc.get("label", str, "configured")
+    depth = doc.get("depth", int, DEFAULT_DEPTH, low=1)
+    gspec = doc.object("group")
+    components = gspec.get("components", list)
+    for n, component in enumerate(components or ()):
+        gspec.check(f"components/{n}", component, str, among=tuple(c.value for c in Component))
+    if components == []:
+        gspec.fail("components", "expected at least one component")
+    p = gspec.get("p", int, low=2)
+    rank = gspec.get("rank", int, None, low=1)
+    if rank is not None and components is not None and rank != len(components):
+        gspec.fail("rank", f"{rank} does not match the {len(components)} components")
+    group = gspec.build("p", GroupDescriptor, components, p)
+    ext = doc.object("extension")
+    kind = ext.kind("kind", tuple(k.value for k in ExtensionKind))
+    degree = ext.get("degree", int, low=2)
+    residue_char = ext.get("residue_char", int, None, low=0)
+    vp = ext.element("vp", group, None)
+    if kind == "defectless_value":
+        star_index = ext.get("star_index", int, low=0)
+        x0_value = ext.element("x0_value", group)
+        subkind = ext.get("subkind", str, "value_only",
+                          among=tuple(k.value for k in DefectlessKind))
+        v_eta_minus_1 = ext.element("v_eta_minus_1", group, None)
+    elif kind is not None:
+        char = ext.get("char", int, None, low=0)
+        sigma_shift = ext.element("sigma_shift", group, None)
+        gen = ext.object("generator", missing="a defect extension needs a generator")
+        gtype = gen.kind("type", ("pattern", "schedule", "sigma"))
+        synthetic = ext.get("synthetic", bool, gtype == "sigma")
+        if gtype == "pattern":
+            finite = gen.get("finite", str, "")
+            tails = [(tail.get("coeff", int, 1), tail.element("gamma", group),
+                      tail.get("start", int, 1)) for tail in gen.objects("tails")]
+        elif gtype == "schedule":
+            limit, scale = gen.element("limit", group), gen.element("scale", group)
+            start = gen.get("start", int, 0)
+        elif gtype == "sigma":
+            segment = gen.get("segment", dict)
+    doc.close()
+    if residue_char and not ext.build("residue_char", is_prime, residue_char):
+        raise ConfigError.at("extension/residue_char", f"{residue_char} is neither 0 nor prime")
+    if not ext.build("degree", is_prime, degree):
+        raise ConfigError.at("extension/degree", f"{degree} is not prime")
     if kind == "defectless_value":
         # the degree is prime and the elements are the group's: only star_index is left
-        return _checked(
-            "extension/star_index", DefectlessDatum, name=label, group=group, q=ext["degree"],
-            star_index=ext["star_index"],
-            x0_value=_element(group, ext["x0_value"], "extension/x0_value"),
-            subkind=DefectlessKind(ext.get("subkind", "value_only")),
-            residue_char=ext.get("residue_char", 0),
-            vp=_element(group, ext["vp"], "extension/vp") if "vp" in ext else None,
-            v_eta_minus_1=(_element(group, ext["v_eta_minus_1"], "extension/v_eta_minus_1")
-                           if "v_eta_minus_1" in ext else None))
-    char = ext.get("char", group.prime if kind == "as_defect" else 0)
-    model = _checked(
-        "extension/residue_char", FieldModel, name=label, char=char,
-        residue_char=ext.get("residue_char", char or group.prime),
-        value_group=group,
-        residue=_checked("extension/char", GF, char) if char else None,
-        vp=_element(group, ext["vp"], "extension/vp") if "vp" in ext else None)
-    if ext["degree"] != model.residue_char:
-        raise ConfigError(f"extension/degree: a defect extension has degree "
-                          f"{model.residue_char}, the residue characteristic",
-                          fields=["extension/degree"])
-    gen = ext.get("generator")
-    if gen is None:
-        raise ConfigError("extension/generator: a defect extension needs a generator",
-                          fields=["extension/generator"])
-    generator = None
-    declared_sigma = None
-    if gen["type"] == "pattern":
+        return ext.build(
+            "star_index", DefectlessDatum, name=label, group=group, q=degree,
+            star_index=star_index, x0_value=x0_value, subkind=DefectlessKind(subkind),
+            residue_char=residue_char or 0, vp=vp, v_eta_minus_1=v_eta_minus_1), depth
+    if char is None:
+        char = group.prime if kind == "as_defect" else 0
+    model = ext.build(
+        "residue_char", FieldModel, name=label, char=char,
+        residue_char=char or group.prime if residue_char is None else residue_char,
+        value_group=group, residue=ext.build("char", GF, char) if char else None, vp=vp)
+    if degree != model.residue_char:
+        raise ConfigError.at("extension/degree", f"a defect extension has degree "
+                             f"{model.residue_char}, the residue characteristic")
+    generator = declared_sigma = None
+    if gtype == "pattern":
         if not model.series_capable:
-            raise ConfigError("extension/generator/type: a pattern generator needs series "
-                              "arithmetic, which a model of extension/char 0 has none of",
-                              fields=["extension/generator/type"])
-        finite = (_checked("extension/generator/finite", parse_element, model,
-                           gen["finite"]) if gen.get("finite") else model.zero())
-        tails = tuple(
-            _checked(f"extension/generator/tails/{n}", Tail,
-                     model.residue.element(t.get("coeff", 1)),
-                     _element(group, t["gamma"], f"extension/generator/tails/{n}/gamma"),
-                     int(t.get("start", 1)))
-            for n, t in enumerate(gen["tails"]))
-        generator = PatternSeries(model, finite, tails)
-    elif gen["type"] == "schedule":
-        generator = _checked(
-            "extension/generator/scale", DeclaredSchedule,
-            group, _element(group, gen["limit"], "extension/generator/limit"),
-            _element(group, gen["scale"], "extension/generator/scale"),
-            start=int(gen.get("start", 0)))
-    elif gen["type"] == "sigma":
-        declared_sigma = segment_from_json(group, gen["segment"])
+            raise ConfigError.at("extension/generator/type", "a pattern generator needs "
+                                 "series arithmetic, which a model of extension/char 0 "
+                                 "has none of")
+        generator = PatternSeries(
+            model, gen.build("finite", parse_element, model, finite) if finite else model.zero(),
+            tuple(gen.build(f"tails/{n}", Tail, model.residue.element(coeff), gamma, start)
+                  for n, (coeff, gamma, start) in enumerate(tails)))
+    elif gtype == "schedule":
+        generator = gen.build("scale", DeclaredSchedule, group, limit, scale, start=start)
     else:
-        raise ConfigError(f"unknown generator type {gen['type']!r}",
-                          fields=["extension/generator/type"])
+        declared_sigma = segment_from_json(group, segment, gen.at("segment"))
     datum = functools.partial(
-        DefectDatum, name=label, kind=ExtensionKind(kind), base=model, degree=ext["degree"],
-        generator=generator, declared_sigma=declared_sigma,
-        sigma_shift=(_element(group, ext["sigma_shift"], "extension/sigma_shift")
-                     if "sigma_shift" in ext else None),
-        synthetic=bool(ext.get("synthetic", declared_sigma is not None)))
+        DefectDatum, name=label, kind=ExtensionKind(kind), base=model, degree=degree,
+        generator=generator, declared_sigma=declared_sigma, sigma_shift=sigma_shift,
+        synthetic=synthetic)
     # a declared segment is checked final and positive when the datum is built
-    if declared_sigma is None:
-        return datum()
-    return _checked("extension/generator/segment", datum)
+    return (datum() if declared_sigma is None else gen.build("segment", datum)), depth
 
 
 # --------------------------------------------------------------------------
@@ -365,9 +271,11 @@ def _definability_targets(command: str, scenario):
     return []
 
 
-def config_report(command: str, config: dict, depth: int) -> dict:
-    """The classify report of a config; kaehler adds the differential module."""
-    datum = datum_from_config(config)
+def config_report(command: str, path: str, depth: int | None) -> dict:
+    """The classify report of the config at `path`; kaehler adds the differential
+    module.  The depth defaults to the config's."""
+    config, datum, config_depth = load_config(path)
+    depth = depth or config_depth
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": command,
@@ -376,7 +284,7 @@ def config_report(command: str, config: dict, depth: int) -> dict:
     }
     if isinstance(datum, DefectlessDatum):
         # the one value the analysis derives from a field is v(p)/(q - 1)
-        res = _checked("extension/vp", defectless_analyze, datum)
+        res = built("extension/vp", defectless_analyze, datum)
         report["case"] = res.case.value
     else:
         res = classify(datum, depth=depth)
@@ -391,7 +299,7 @@ def prescribe_report(rank: int, select, p: int, char_case: str, depth: int) -> d
     try:
         plan = build(rank, select, p, CharCase(char_case))
     except InvalidSelectionError as err:
-        raise ConfigError(f"--select: {err}", fields=["--select"]) from None
+        raise ConfigError.at("--select", err) from None
     data = verify(plan, depth=depth).to_json()
     data["schema_version"] = SCHEMA_VERSION
     data["command"] = "prescribe"
@@ -407,15 +315,14 @@ def eval_report(formula: str, scenario_name: str, p: int, depth: int,
     if binding is not None:
         name, eq, text = binding.partition("=")
         if not (name and eq):
-            raise ConfigError(f"--bind: {binding!r} is not of the form NAME=TERM",
-                              fields=["--bind"])
+            raise ConfigError.at("--bind", f"{binding!r} is not of the form NAME=TERM")
         if name not in free_variables(ast):
-            raise ConfigError(f"--bind: the formula reads no free {name!r}", fields=["--bind"])
+            raise ConfigError.at("--bind", f"the formula reads no free {name!r}")
         if text.startswith("v:"):
             bindings[name] = DeclaredValue(
-                _element(scenario.model.value_group, text[2:].split(","), "--bind"))
+                built("--bind", scenario.model.value_group.element, *text[2:].split(",")))
         else:
-            bindings[name] = _checked("--bind", parse_element, scenario.model, text)
+            bindings[name] = built("--bind", parse_element, scenario.model, text)
     res = evaluate(ast, scenario.fmodel, bindings=bindings)
     return {
         "schema_version": SCHEMA_VERSION,
@@ -605,9 +512,7 @@ def main(argv=None) -> int:
             report = prescribe_report(args.rank, args.select, args.p, args.char,
                                       args.depth)
         elif args.command in ("classify", "kaehler"):
-            config = load_config(args.config)
-            depth = args.depth or config.get("depth", DEFAULT_DEPTH)
-            report = config_report(args.command, config, depth)
+            report = config_report(args.command, args.config, args.depth)
         elif args.command == "eval":
             report = eval_report(args.formula, args.scenario, args.p, args.depth,
                                  args.bind)

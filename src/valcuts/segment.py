@@ -26,7 +26,7 @@ from __future__ import annotations
 from enum import Enum
 from fractions import Fraction
 
-from .errors import ConfigError, DegenerateInputError, StructuralError
+from .errors import ConfigReader, DegenerateInputError, StructuralError
 from .ogroup import (
     Component,
     ConvexSubgroup,
@@ -265,55 +265,33 @@ def to_json(s: Segment) -> dict:
             "shift": coords, "closed": s.closed}
 
 
-def from_json(group: GroupDescriptor, data: dict) -> Segment:
+def from_json(group: GroupDescriptor, data: dict, path: str = "") -> Segment:
     """Inverse of to_json; also accepts {"kind": "seq", limit, scale, start}.
 
-    A missing or malformed field raises ConfigError naming the field.
+    The object is read as a config document is (`ConfigReader`): a missing,
+    mistyped, out-of-range or unknown field raises ConfigError naming its
+    path, below `path` when one is given.
     """
-    def read(name, convert, default=None):
-        if name not in data:
-            if default is None:
-                raise ConfigError(f"segment field {name!r} is missing", fields=[name])
-            return default
-        try:
-            return convert(data[name])
-        except (TypeError, ValueError, ZeroDivisionError, OverflowError,
-                StructuralError) as err:
-            raise ConfigError(f"segment field {name!r}: {err}", fields=[name]) from None
-
-    def exact(kind):   # the JSON type itself: true is no integer, nor are 1.9 and "2"
-        def check(value):
-            if type(value) is not kind:
-                raise TypeError(f"{value!r} is not a JSON {kind.__name__}")
-            return value
-        return check
-
-    def element(values):
-        return group.element(*[Fraction(v) for v in exact(list)(values)])
-
-    def subgroup(value):
-        if exact(int)(value) == 0:
-            raise ValueError("a cut at the whole group describes the empty set")
-        return ConvexSubgroup(group, value)
-
-    direction = read("direction", Direction)
-    kind = read("kind", str)
-    if kind == CutKind.ELEMENT:
-        return element_cut(read("gamma", element), closed=read("closed", exact(bool), True),
-                           direction=direction)
-    if kind == CutKind.SUBGROUP:
-        return subgroup_cut(read("level", subgroup),
-                            shift=read("shift", element, group.zero()),
-                            closed=read("closed", exact(bool), False), direction=direction)
-    if kind == "seq":
-        limit, scale = read("limit", element), read("scale", element)
-        start = read("start", exact(int), 1)
-        try:
-            return seq_cut(limit, scale, start=start, direction=direction)
-        except StructuralError as err:   # the first member leaves the group
-            raise ConfigError(f"segment field 'scale': {err}", fields=["scale"]) from None
-    raise ConfigError(f"segment field 'kind': {kind!r} is not one of "
-                      "'element', 'subgroup', 'seq'", fields=["kind"])
+    r = ConfigReader(data, path)
+    direction = r.get("direction", str, among=("initial", "final"))
+    kind = r.kind("kind", ("element", "subgroup", "seq"))
+    if kind == "element":
+        gamma, closed = r.element("gamma", group), r.get("closed", bool, True)
+    elif kind == "subgroup":
+        H = r.build("level", ConvexSubgroup, group, r.get("level", int, low=1))
+        offset = r.element("shift", group, group.zero())
+        closed = r.get("closed", bool, False)
+    elif kind == "seq":
+        limit, scale = r.element("limit", group), r.element("scale", group)
+        start = r.get("start", int, 1)
+    r.close()
+    direction = Direction(direction)
+    if kind == "element":
+        return element_cut(gamma, closed=closed, direction=direction)
+    if kind == "subgroup":
+        return subgroup_cut(H, shift=offset, closed=closed, direction=direction)
+    # a negative scale's union is its first member, which may leave the group
+    return r.build("scale", seq_cut, limit, scale, start=start, direction=direction)
 
 
 # --------------------------------------------------------------------------

@@ -652,6 +652,8 @@ class TestIdeals:
         ({"direction": "final", "kind": "subgroup", "level": 1.0}, "level"),
         ({"direction": "final", "kind": "subgroup", "level": True}, "level"),
         ({"direction": "final", "kind": "subgroup", "level": 1, "shift": "1"}, "shift"),
+        ({"direction": "final", "kind": "element", "gamma": [0.5]}, "gamma"),
+        ({"direction": "final", "kind": "element", "gamma": ["1"], "closd": False}, "closd"),
         ({"direction": "initial", "kind": "seq", "limit": ["0"], "scale": ["1"],
           "start": 2.5}, "start"),
         ({"direction": "initial", "kind": "seq", "limit": ["0"], "scale": ["1"],
