@@ -14,9 +14,7 @@ from .ogroup import (  # noqa: F401
     GroupDescriptor,
     GroupElement,
     archimedean_class_subgroups,
-    compare,
     convex_subgroups,
-    quotient_has_smallest_positive,
 )
 from .segment import (  # noqa: F401
     CutKind,

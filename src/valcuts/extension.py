@@ -19,7 +19,6 @@ smallest positive element), so the certificate reports it under both names.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
@@ -35,6 +34,8 @@ from .ogroup import (
     ConvexSubgroup,
     GroupDescriptor,
     GroupElement,
+    _Frozen,
+    _set,
     is_prime,
 )
 from .segment import (
@@ -62,20 +63,21 @@ class DefectKind(str, Enum):
     DEPENDENT = "dependent"
 
 
-@dataclass(frozen=True)
-class DeclaredSchedule:
+class DeclaredSchedule(_Frozen):
     """Approximation values limit - scale/p^(k+1), declared in closed form;
     every scale/p^(k+1) lies in the group."""
 
-    group: GroupDescriptor
-    limit: GroupElement
-    scale: GroupElement
-    start: int = 0
+    __slots__ = _fields = ("group", "limit", "scale", "start")
 
-    def __post_init__(self):
-        if self.limit.group != self.group or self.scale.group != self.group:
+    def __init__(self, group: GroupDescriptor, limit: GroupElement, scale: GroupElement,
+                 start: int = 0):
+        if limit.group != group or scale.group != group:
             raise StructuralError("schedule data live in a different value group")
-        self.scale.require_p_divisible(self.group.prime, "schedule scale")
+        scale.require_p_divisible(group.prime, "schedule scale")
+        _set(self, "group", group)
+        _set(self, "limit", limit)
+        _set(self, "scale", scale)
+        _set(self, "start", start)
 
     def value_at(self, k: int) -> GroupElement:
         # limit - scale*m/d with p^(k+1) = d/m, over the one denominator
@@ -98,34 +100,37 @@ class DeclaredSchedule:
         return ApproachResult(seg, schedule)
 
 
-@dataclass(frozen=True)
-class DefectDatum:
+class DefectDatum(_Frozen):
     """A Galois defect extension of prime degree over its base model."""
 
-    name: str
-    kind: ExtensionKind
-    base: FieldModel
-    degree: int
-    generator: PatternSeries | DeclaredSchedule | None = None
-    sigma_shift: GroupElement | None = None   # v(sigma a - a)
-    declared_sigma: Segment | None = None     # synthetic instances only
-    synthetic: bool = False
+    __slots__ = _fields = ("name", "kind", "base", "degree", "generator", "sigma_shift",
+                           "declared_sigma", "synthetic")
 
-    def __post_init__(self):
-        if self.kind is ExtensionKind.DEFECTLESS_VALUE:
+    def __init__(self, name: str, kind: ExtensionKind, base: FieldModel, degree: int,
+                 generator: PatternSeries | DeclaredSchedule | None = None,
+                 sigma_shift: GroupElement | None = None,
+                 declared_sigma: Segment | None = None, synthetic: bool = False):
+        if kind is ExtensionKind.DEFECTLESS_VALUE:
             raise StructuralError("defectless data use DefectlessDatum")
-        if not is_prime(self.degree):
+        if not is_prime(degree):
             raise StructuralError("extension degree must be prime")
-        if self.degree != self.base.residue_char:
+        if degree != base.residue_char:
             raise StructuralError(
-                f"a defect extension has degree {self.base.residue_char}, "
+                f"a defect extension has degree {base.residue_char}, "
                 "the residue characteristic")
-        if self.generator is None and self.declared_sigma is None:
+        if generator is None and declared_sigma is None:
             raise StructuralError("datum needs a generator or a declared segment")
-        if self.declared_sigma is not None:
-            _require_positive_final(self.declared_sigma)
-        if self.sigma_shift is None:
-            object.__setattr__(self, "sigma_shift", self.group.zero())
+        if declared_sigma is not None:
+            _require_positive_final(declared_sigma)
+        _set(self, "name", name)
+        _set(self, "kind", kind)
+        _set(self, "base", base)
+        _set(self, "degree", degree)
+        _set(self, "generator", generator)
+        _set(self, "sigma_shift",   # v(sigma a - a)
+             base.value_group.zero() if sigma_shift is None else sigma_shift)
+        _set(self, "declared_sigma", declared_sigma)   # synthetic instances only
+        _set(self, "synthetic", synthetic)
 
     @property
     def group(self) -> GroupDescriptor:
@@ -161,16 +166,21 @@ def sigma_segment(datum: DefectDatum, depth: int = 12) -> tuple[Segment, Approac
     return _require_positive_final(seg), approach
 
 
-@dataclass(frozen=True)
-class DefectClassification:
-    datum: DefectDatum
-    kind: DefectKind
-    H_E: ConvexSubgroup
-    sigma: Segment
-    ram_ideal: IdealDescriptor
-    max_ideal: IdealDescriptor
-    approach: ApproachResult | None  # None for a declared sigma segment
-    depth: int
+class DefectClassification(_Frozen):
+    __slots__ = _fields = ("datum", "kind", "H_E", "sigma", "ram_ideal", "max_ideal",
+                           "approach", "depth")
+
+    def __init__(self, datum: DefectDatum, kind: DefectKind, H_E: ConvexSubgroup,
+                 sigma: Segment, ram_ideal: IdealDescriptor, max_ideal: IdealDescriptor,
+                 approach: ApproachResult | None, depth: int):
+        _set(self, "datum", datum)
+        _set(self, "kind", kind)
+        _set(self, "H_E", H_E)
+        _set(self, "sigma", sigma)
+        _set(self, "ram_ideal", ram_ideal)
+        _set(self, "max_ideal", max_ideal)
+        _set(self, "approach", approach)   # None for a declared sigma segment
+        _set(self, "depth", depth)
 
     @property
     def group(self) -> GroupDescriptor:
@@ -230,33 +240,37 @@ class DefectlessKind(str, Enum):
     VALUE_ONLY = "value_only"          # no generator data; ideals except I_E
 
 
-@dataclass(frozen=True)
-class DefectlessDatum:
-    name: str
-    group: GroupDescriptor           # vL after scaling
-    q: int                           # prime degree = (vL : vK)
-    star_index: int                  # class where vK has index q
-    x0_value: GroupElement           # vx0, not in vK
-    subkind: DefectlessKind = DefectlessKind.VALUE_ONLY
-    residue_char: int = 0
-    vp: GroupElement | None = None            # value of p when residue char divides it
-    v_eta_minus_1: GroupElement | None = None  # one-unit case
+class DefectlessDatum(_Frozen):
+    __slots__ = _fields = ("name", "group", "q", "star_index", "x0_value", "subkind",
+                           "residue_char", "vp", "v_eta_minus_1")
 
-    def __post_init__(self):
-        if not is_prime(self.q):
+    def __init__(self, name: str, group: GroupDescriptor, q: int, star_index: int,
+                 x0_value: GroupElement, subkind: DefectlessKind = DefectlessKind.VALUE_ONLY,
+                 residue_char: int = 0, vp: GroupElement | None = None,
+                 v_eta_minus_1: GroupElement | None = None):
+        _set(self, "name", name)
+        _set(self, "group", group)                # vL after scaling
+        _set(self, "q", q)                        # prime degree = (vL : vK)
+        _set(self, "star_index", star_index)      # class where vK has index q
+        _set(self, "x0_value", x0_value)          # vx0, not in vK
+        _set(self, "subkind", subkind)
+        _set(self, "residue_char", residue_char)
+        _set(self, "vp", vp)                      # value of p when residue char divides it
+        _set(self, "v_eta_minus_1", v_eta_minus_1)   # one-unit case
+        if not is_prime(q):
             raise InconsistentDatumError("degree q must be prime")
-        if not 0 <= self.star_index < self.group.rank:
+        if not 0 <= star_index < group.rank:
             raise StructuralError("star_index outside the value group")
-        kind = self.group.components[self.star_index]
+        kind = group.components[star_index]
         if kind is Component.RAT:
             raise InconsistentDatumError(
                 "a divisible class cannot carry an index-q value extension")
-        if kind is Component.PDIV and self.group.prime == self.q:
+        if kind is Component.PDIV and group.prime == q:
             raise InconsistentDatumError(
                 "the class is q-divisible, so q*vx0 in vK forces vx0 in vK")
-        if self.x0_value.group != self.group:
+        if x0_value.group != group:
             raise StructuralError("vx0 lives in a different value group")
-        if self.in_vK(self.x0_value):
+        if self.in_vK(x0_value):
             raise WrongCaseError("vx0 lies in vK; the extension is not value-driven")
 
     def in_vK(self, x: GroupElement) -> bool:
@@ -264,13 +278,16 @@ class DefectlessDatum:
         return self.group.coordinate_allowed(i, Fraction(x.nums[i], x.den * self.q))
 
 
-@dataclass(frozen=True)
-class DefectlessAnalysis:
-    datum: DefectlessDatum
-    H_E: ConvexSubgroup
-    case: DefectlessCase
-    max_ideal: IdealDescriptor
-    ram_ideal: IdealDescriptor | None
+class DefectlessAnalysis(_Frozen):
+    __slots__ = _fields = ("datum", "H_E", "case", "max_ideal", "ram_ideal")
+
+    def __init__(self, datum: DefectlessDatum, H_E: ConvexSubgroup, case: DefectlessCase,
+                 max_ideal: IdealDescriptor, ram_ideal: IdealDescriptor | None):
+        _set(self, "datum", datum)
+        _set(self, "H_E", H_E)
+        _set(self, "case", case)
+        _set(self, "max_ideal", max_ideal)
+        _set(self, "ram_ideal", ram_ideal)
 
     @property
     def certificate(self) -> dict:

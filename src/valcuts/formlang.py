@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import operator
 import re
-from dataclasses import dataclass, field, is_dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial, reduce
@@ -40,7 +39,7 @@ from itertools import islice
 
 from .errors import EvaluationUnsupported, ParseError, StructuralError
 from .gpsfield import INF, FieldModel, PatternSeries, SeriesElement, val_diff
-from .ogroup import ConvexSubgroup, GroupElement, Position, position
+from .ogroup import ConvexSubgroup, GroupElement, Position, _Frozen, _set, position
 from .segment import (
     CutKind,
     Direction,
@@ -65,112 +64,136 @@ class Domain(str, Enum):
     L_MINUS_K = "L\\K"
 
 
-def _node(cls):
-    """A syntax node: a frozen dataclass, equal to a node of its class with equal
-    fields.  Its hash and its free names are computed once and kept on it, but
-    not in its pickled state, since a str hashes differently in each process."""
-    cls = dataclass(frozen=True)(cls)
-    cls.__hash__, cls.__getstate__ = _node_hash, _node_state
-    return cls
+class _Node(_Frozen):
+    """A syntax node, equal to a node of its class with equal fields.  Its hash
+    and its free names are computed once and kept on it, but not in its
+    pickled state, which holds the fields only: a str hashes differently in
+    each process."""
+
+    __slots__ = ("_hash", "_free")
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            h = _Frozen.__hash__(self)
+            _set(self, "_hash", h)
+            return h
 
 
-def _node_hash(node) -> int:
-    cache = node.__dict__
-    if "_hash" not in cache:   # the generated hash, but the fields' hashes are kept
-        cache["_hash"] = hash(tuple(cache[name] for name in node.__match_args__))
-    return cache["_hash"]
+class _Pair(_Node):
+    """The nodes of two operands: Add, Sub, Mul and EqAtom."""
+
+    __slots__ = _fields = ("left", "right")
+
+    def __init__(self, left, right):
+        _set(self, "left", left)
+        _set(self, "right", right)
 
 
-def _node_state(node) -> dict:
-    return {name: node.__dict__[name] for name in node.__match_args__}   # the fields
+class _OfTerm(_Node):
+    """The nodes of one term: Recip and InK."""
+
+    __slots__ = _fields = ("term",)
+
+    def __init__(self, term):
+        _set(self, "term", term)
 
 
-@_node
-class Var:
-    name: str
+class Var(_Node):
+    __slots__ = _fields = ("name",)
+
+    def __init__(self, name: str):
+        _set(self, "name", name)
 
 
-@_node
-class IntLit:
-    value: int
+class IntLit(_Node):
+    __slots__ = _fields = ("value",)
+
+    def __init__(self, value: int):
+        _set(self, "value", value)
 
 
-@_node
-class Add:
-    left: object
-    right: object
+class Add(_Pair):
+    __slots__ = ()
 
 
-@_node
-class Sub:
-    left: object
-    right: object
+class Sub(_Pair):
+    __slots__ = ()
 
 
-@_node
-class Mul:
-    left: object
-    right: object
+class Mul(_Pair):
+    __slots__ = ()
 
 
-@_node
-class Pow:
-    base: object
-    exponent: int | str   # an integer or the symbolic prime "p"
+class Pow(_Node):
+    __slots__ = _fields = ("base", "exponent")
+
+    def __init__(self, base, exponent: int | str):
+        _set(self, "base", base)
+        _set(self, "exponent", exponent)   # an integer or the symbolic prime "p"
 
 
-@_node
-class Recip:
-    term: object
+class Recip(_OfTerm):
+    __slots__ = ()
 
 
-@_node
-class VOf:
-    term: object
-    negated: bool = False
+class VOf(_Node):
+    __slots__ = _fields = ("term", "negated")
+
+    def __init__(self, term, negated: bool = False):
+        _set(self, "term", term)
+        _set(self, "negated", negated)
 
 
-@_node
-class RatConst:
-    value: Fraction
+class RatConst(_Node):
+    __slots__ = _fields = ("value",)
+
+    def __init__(self, value: Fraction):
+        _set(self, "value", value)
 
 
-@_node
-class ValAtom:
-    left: object   # VOf | RatConst
-    rel: str
-    right: object
+class ValAtom(_Node):
+    __slots__ = _fields = ("left", "rel", "right")
+
+    def __init__(self, left, rel: str, right):
+        _set(self, "left", left)   # VOf | RatConst
+        _set(self, "rel", rel)
+        _set(self, "right", right)
 
 
-@_node
-class EqAtom:
-    left: object
-    right: object
+class EqAtom(_Pair):
+    __slots__ = ()
 
 
-@_node
-class InK:
-    term: object
+class InK(_OfTerm):
+    __slots__ = ()
 
 
-@_node
-class Not:
-    body: object
+class Not(_Node):
+    __slots__ = _fields = ("body",)
+
+    def __init__(self, body):
+        _set(self, "body", body)
 
 
-@_node
-class BinOp:
-    op: str   # "and" | "or" | "->"
-    left: object
-    right: object
+class BinOp(_Node):
+    __slots__ = _fields = ("op", "left", "right")
+
+    def __init__(self, op: str, left, right):
+        _set(self, "op", op)   # "and" | "or" | "->"
+        _set(self, "left", left)
+        _set(self, "right", right)
 
 
-@_node
-class Quant:
-    kind: str  # "forall" | "exists"
-    var: str
-    domain: Domain
-    body: object
+class Quant(_Node):
+    __slots__ = _fields = ("kind", "var", "domain", "body")
+
+    def __init__(self, kind: str, var: str, domain: Domain, body):
+        _set(self, "kind", kind)   # "forall" | "exists"
+        _set(self, "var", var)
+        _set(self, "domain", domain)
+        _set(self, "body", body)
 
 
 _BINARY = (Add, Sub, Mul, ValAtom, EqAtom, BinOp)   # nodes with .left and .right
@@ -428,8 +451,9 @@ def _parse_text(text: str):
 
 def _deeper(node, levels: int) -> bool:
     """Whether a syntax tree has more than `levels` levels; the walk stops there."""
-    return levels == 0 or any(_deeper(child, levels - 1) for child in vars(node).values()
-                              if is_dataclass(child))
+    return levels == 0 or any(_deeper(child, levels - 1)
+                              for child in [getattr(node, name) for name in node._fields]
+                              if isinstance(child, _Node))
 
 
 def print_formula(f) -> str:
@@ -520,32 +544,38 @@ def _kleene_or(a: Truth, b: Truth) -> Truth:
 # --------------------------------------------------------------------------
 # Models and values
 
-@dataclass(frozen=True)
-class ImmediateElement:
+class ImmediateElement(_Frozen):
     """A distinguished element of L outside K with its approach data."""
 
-    name: str
-    segment: Segment                      # v(x - K), initial
-    schedule: tuple[GroupElement, ...]    # v(x - b_k) along the approximants
-    carrier: PatternSeries | None = None  # exact series form when available
-    facts: frozenset = frozenset()        # e.g. "as_generator", "kummer_generator",
-                                          # "one_unit"
+    __slots__ = _fields = ("name", "segment", "schedule", "carrier", "facts")
+
+    def __init__(self, name: str, segment: Segment, schedule: tuple[GroupElement, ...],
+                 carrier: PatternSeries | None = None, facts: frozenset = frozenset()):
+        _set(self, "name", name)
+        _set(self, "segment", segment)     # v(x - K), initial
+        _set(self, "schedule", schedule)   # v(x - b_k) along the approximants
+        _set(self, "carrier", carrier)     # exact series form when available
+        _set(self, "facts", facts)         # e.g. "as_generator", "kummer_generator", "one_unit"
 
 
-@dataclass(frozen=True)
-class DeclaredValue:
+class DeclaredValue(_Frozen):
     """A value-only carrier of K: nothing but its valuation is known."""
 
-    valuation: object                     # GroupElement | INF
+    __slots__ = _fields = ("valuation",)
+
+    def __init__(self, valuation):
+        _set(self, "valuation", valuation)   # GroupElement | INF
 
 
-@dataclass(frozen=True)
-class Approximant:
+class Approximant(_Frozen):
     """The k-th schedule approximant b_k of an immediate element."""
 
-    owner: str
-    index: int
-    carrier: SeriesElement | None = None
+    __slots__ = _fields = ("owner", "index", "carrier")
+
+    def __init__(self, owner: str, index: int, carrier: SeriesElement | None = None):
+        _set(self, "owner", owner)
+        _set(self, "index", index)
+        _set(self, "carrier", carrier)
 
 
 _SCHEDULE_DEPTH = 12      # bounded witnesses: the first 12 approximants of each
@@ -554,13 +584,19 @@ _EXPONENT_BOUND = 2       # monomial witnesses t^(n / p^d) with |n / p^d| <= 2
 _DENOMINATOR_DEPTH = 2    # and d <= 2
 
 
-@dataclass(frozen=True)
-class FormulaModel:
-    """The pair (L, K) with bindings for the formula constants."""
+class FormulaModel(_Frozen):
+    """The pair (L, K) with bindings for the formula constants.  Its pools are
+    kept in its `__dict__`, so it pickles and copies with them filled; a
+    model built anew from its fields starts them empty."""
 
-    model: FieldModel
-    immediates: tuple[ImmediateElement, ...]
-    constants: dict = field(default_factory=dict)   # symbol -> carrier
+    _fields = ("model", "immediates", "constants")
+    __reduce__ = object.__reduce__
+
+    def __init__(self, model: FieldModel, immediates: tuple[ImmediateElement, ...],
+                 constants: dict | None = None):
+        _set(self, "model", model)
+        _set(self, "immediates", immediates)
+        _set(self, "constants", {} if constants is None else constants)   # symbol -> carrier
 
     @property
     def group(self):
@@ -590,7 +626,7 @@ class FormulaModel:
         """(label, value) witnesses bounded enumeration tries, in order.
 
         The pool depends only on the model, so it is built once and shared by
-        every evaluation; a copy made with dataclasses.replace builds its own.
+        every evaluation; a model built anew from its fields builds its own.
         """
         return tuple(islice(self._witnesses(), _MAX_CANDIDATES))
 
@@ -633,12 +669,15 @@ class FormulaModel:
                     yield f"t^{Fraction(num, den)}", self.model.monomial(1, e)
 
 
-@dataclass(frozen=True)
-class EvalResult:
-    value: Truth
-    mode: str                  # "oracle" | "bounded"
-    witness: str | None = None
-    candidates_used: int = 0
+class EvalResult(_Frozen):
+    __slots__ = _fields = ("value", "mode", "witness", "candidates_used")
+
+    def __init__(self, value: Truth, mode: str, witness: str | None = None,
+                 candidates_used: int = 0):
+        _set(self, "value", value)
+        _set(self, "mode", mode)   # "oracle" | "bounded"
+        _set(self, "witness", witness)
+        _set(self, "candidates_used", candidates_used)
 
     def to_json(self) -> dict:
         return {"value": self.value.value, "mode": self.mode,
@@ -1260,9 +1299,10 @@ def _merge(a, b, union: bool):
 def free_variables(node) -> frozenset:
     """The names a formula, valuation expression or term uses unbound, found
     once per node and kept on it."""
-    cache = node.__dict__
-    if "_free" in cache:
-        return cache["_free"]
+    try:
+        return node._free
+    except AttributeError:
+        pass
     if isinstance(node, Var):
         found = frozenset({node.name})
     elif isinstance(node, _BINARY):
@@ -1277,7 +1317,7 @@ def free_variables(node) -> frozenset:
         found = free_variables(node.body) - {node.var}
     else:
         found = frozenset()
-    cache["_free"] = found
+    _set(node, "_free", found)
     return found
 
 
@@ -1436,13 +1476,16 @@ def _check_bound(ast, fmodel: FormulaModel, bound) -> None:
 # --------------------------------------------------------------------------
 # Agreement checking of a definition against a directly computed set
 
-@dataclass(frozen=True)
-class AgreementReport:
-    definition: str
-    total: int
-    agreements: int
-    disagreements: tuple
-    unknowns: int
+class AgreementReport(_Frozen):
+    __slots__ = _fields = ("definition", "total", "agreements", "disagreements", "unknowns")
+
+    def __init__(self, definition: str, total: int, agreements: int, disagreements: tuple,
+                 unknowns: int):
+        _set(self, "definition", definition)
+        _set(self, "total", total)
+        _set(self, "agreements", agreements)
+        _set(self, "disagreements", disagreements)
+        _set(self, "unknowns", unknowns)
 
     @property
     def unknown_rate(self) -> float:

@@ -27,13 +27,12 @@ schedules only.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import itemgetter
 
 from .errors import NotImmediateError, StructuralError
-from .ogroup import GroupDescriptor, GroupElement
+from .ogroup import GroupDescriptor, GroupElement, _Frozen, _set
 from .residue import FqElement, FqField
 from .segment import Direction, Segment, seq_cut
 
@@ -67,28 +66,42 @@ class _Infinity:
 INF = _Infinity()
 
 
-@dataclass(frozen=True)
-class FieldModel:
+class FieldModel(_Frozen):
     """A valued field of generalized power series, or a declared shell."""
 
-    name: str
-    char: int
-    value_group: GroupDescriptor
-    residue: FqField | None = None
-    residue_char: int | None = None
-    vp: GroupElement | None = None
+    __slots__ = _fields = ("name", "char", "value_group", "residue", "residue_char", "vp")
 
-    def __post_init__(self):
-        if self.char > 0:
-            if self.residue_char not in (None, self.char):
+    def __init__(self, name: str, char: int, value_group: GroupDescriptor,
+                 residue: FqField | None = None, residue_char: int | None = None,
+                 vp: GroupElement | None = None):
+        if char > 0:
+            if residue_char not in (None, char):
                 raise StructuralError("equal characteristic requires residue_char == char")
-            object.__setattr__(self, "residue_char", self.char)
-            if self.residue is not None and self.residue.p != self.char:
+            residue_char = char
+            if residue is not None and residue.p != char:
                 raise StructuralError("residue field characteristic mismatch")
-        elif self.residue_char is None:
+        elif residue_char is None:
             raise StructuralError("characteristic 0 models must declare residue_char")
-        if self.vp is not None and self.vp.group != self.value_group:
+        if vp is not None and vp.group != value_group:
             raise StructuralError("vp must live in the value group")
+        _set(self, "name", name)
+        _set(self, "char", char)
+        _set(self, "value_group", value_group)
+        _set(self, "residue", residue)
+        _set(self, "residue_char", residue_char)
+        _set(self, "vp", vp)
+
+    def __eq__(self, other) -> bool:
+        # the base's comparison of the fields, after the identity test
+        if self is other:
+            return True
+        if other.__class__ is not FieldModel:
+            return NotImplemented
+        return ((self.name, self.char, self.value_group, self.residue, self.residue_char, self.vp)
+                == (other.name, other.char, other.value_group, other.residue,
+                    other.residue_char, other.vp))
+
+    __hash__ = _Frozen.__hash__
 
     @property
     def series_capable(self) -> bool:
@@ -129,16 +142,14 @@ def _ordered(terms) -> tuple:
     return tuple(sorted(terms, key=lambda t: [n * (den // t[0].den) for n in t[0].nums]))
 
 
-@dataclass(frozen=True)
-class SeriesElement:
-    model: FieldModel
-    terms: tuple[tuple[GroupElement, FqElement], ...]
+class SeriesElement(_Frozen):
+    __slots__ = _fields = ("model", "terms")
 
-    def __post_init__(self):
+    def __init__(self, model: FieldModel, terms: tuple[tuple[GroupElement, FqElement], ...]):
         # terms from outside, in any order: each coefficient must lie in the
         # residue field, the coefficients of a repeated exponent are added and
         # zero coefficients dropped
-        terms, field = self.terms, self.model.residue
+        field = model.residue
         for _, c in terms:
             if c.__class__ is not FqElement or (c.field is not field and c.field != field):
                 raise StructuralError("coefficients from different residue fields")
@@ -150,15 +161,24 @@ class SeriesElement:
             terms = _ordered(terms) if terms else ()
         elif terms and not terms[0][1].value:
             terms = ()
-        object.__setattr__(self, "terms", tuple(terms))
+        _set(self, "model", model)
+        _set(self, "terms", tuple(terms))
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not SeriesElement:
+            return NotImplemented
+        return self.terms == other.terms and (self.model is other.model
+                                              or self.model == other.model)
+
+    __hash__ = _Frozen.__hash__
 
     @classmethod
     def _from_ordered(cls, model: FieldModel, terms: tuple) -> "SeriesElement":
         """The series of a terms tuple already canonical (nonzero coefficients of
         the residue field, in exponent order), built without the checks."""
         out = object.__new__(cls)
-        object.__setattr__(out, "model", model)
-        object.__setattr__(out, "terms", terms)
+        _set(out, "model", model)
+        _set(out, "terms", terms)
         return out
 
     @classmethod
@@ -262,21 +282,29 @@ class SeriesElement:
         return SeriesElement._from_ordered(self.model, tuple([(e * p, c) for e, c in self.terms]))
 
 
-@dataclass(frozen=True)
-class Tail:
+class Tail(_Frozen):
     """The geometric tail sum_{i >= start} coeff * t^(gamma / p^i), p the
     characteristic of coeff; every gamma / p^i lies in the group."""
 
-    coeff: FqElement
-    gamma: GroupElement
-    start: int
+    __slots__ = _fields = ("coeff", "gamma", "start")
 
-    def __post_init__(self):
-        if self.gamma.is_zero:
+    def __init__(self, coeff: FqElement, gamma: GroupElement, start: int):
+        if gamma.is_zero:
             raise StructuralError("tail base exponent must be nonzero")
-        if self.coeff.is_zero:
+        if coeff.is_zero:
             raise StructuralError("tail coefficient must be nonzero")
-        self.gamma.require_p_divisible(self.coeff.field.p, "tail base exponent")
+        gamma.require_p_divisible(coeff.field.p, "tail base exponent")
+        _set(self, "coeff", coeff)
+        _set(self, "gamma", gamma)
+        _set(self, "start", start)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not Tail:
+            return NotImplemented
+        return (self.start == other.start and self.gamma == other.gamma
+                and (self.coeff is other.coeff or self.coeff == other.coeff))
+
+    __hash__ = _Frozen.__hash__
 
     def exponent(self, i: int) -> GroupElement:
         return self.gamma.over_p_power(self.coeff.field.p, i)
@@ -336,19 +364,25 @@ def _merge_tails(model: FieldModel, tails, extra_finite):
     return ordered, finite
 
 
-@dataclass(frozen=True)
-class PatternSeries:
+class PatternSeries(_Frozen):
     """finite_part plus geometric tails; an intentionally immediate element."""
 
-    model: FieldModel
-    finite_part: SeriesElement
-    tails: tuple[Tail, ...]
+    __slots__ = _fields = ("model", "finite_part", "tails")
 
-    def __post_init__(self):
-        self.model._require_series()
-        tails, finite = _merge_tails(self.model, self.tails, self.finite_part)
-        object.__setattr__(self, "tails", tails)
-        object.__setattr__(self, "finite_part", finite)
+    def __init__(self, model: FieldModel, finite_part: SeriesElement, tails: tuple[Tail, ...]):
+        model._require_series()
+        tails, finite = _merge_tails(model, tails, finite_part)
+        _set(self, "model", model)
+        _set(self, "finite_part", finite)
+        _set(self, "tails", tails)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not PatternSeries:
+            return NotImplemented
+        return (self.tails == other.tails and self.finite_part == other.finite_part
+                and (self.model is other.model or self.model == other.model))
+
+    __hash__ = _Frozen.__hash__
 
     @classmethod
     def _from_merged(cls, model: FieldModel, finite: SeriesElement,
@@ -356,9 +390,9 @@ class PatternSeries:
         """The pattern of tails already merged and ordered by base exponent,
         built without _merge_tails."""
         out = object.__new__(cls)
-        object.__setattr__(out, "model", model)
-        object.__setattr__(out, "finite_part", finite)
-        object.__setattr__(out, "tails", tails)
+        _set(out, "model", model)
+        _set(out, "finite_part", finite)
+        _set(out, "tails", tails)
         return out
 
     @property
@@ -456,12 +490,14 @@ def val_diff(theta: PatternSeries, c: SeriesElement) -> GroupElement:
     return min(head[0] for head in heads)
 
 
-@dataclass(frozen=True)
-class ApproachResult:
+class ApproachResult(_Frozen):
     """v(theta - K) as a cut plus the schedule certificate."""
 
-    segment: Segment
-    schedule: tuple[GroupElement, ...]
+    __slots__ = _fields = ("segment", "schedule")
+
+    def __init__(self, segment: Segment, schedule: tuple[GroupElement, ...]):
+        _set(self, "segment", segment)
+        _set(self, "schedule", schedule)
 
 
 def approach_segment(theta: PatternSeries, K: FieldModel, depth: int = 12) -> ApproachResult:

@@ -12,7 +12,6 @@ A presentation keeps the value set of its denominator power, built once by
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 from .errors import StructuralError
@@ -21,6 +20,7 @@ from .extension import (
     DefectlessAnalysis,
     DefectlessKind,
 )
+from .ogroup import _Frozen, _set
 from .segment import (
     IdealDescriptor,
     Segment,
@@ -36,16 +36,22 @@ class PresentationForm(str, Enum):
     MAX_QUOTIENT = "M/M^q"
 
 
-@dataclass(frozen=True)
-class OmegaPresentation:
-    numerator: IdealDescriptor
-    denominator_exponent: int
-    power: IdealDescriptor   # numerator ** denominator_exponent
-    form: PresentationForm
-    is_zero: bool
-    provenance: str
-    annihilator: IdealDescriptor | None = None
-    annihilator_is_max_ideal: bool = False
+class OmegaPresentation(_Frozen):
+    __slots__ = _fields = ("numerator", "denominator_exponent", "power", "form", "is_zero",
+                           "provenance", "annihilator", "annihilator_is_max_ideal")
+
+    def __init__(self, numerator: IdealDescriptor, denominator_exponent: int,
+                 power: IdealDescriptor, form: PresentationForm, is_zero: bool,
+                 provenance: str, annihilator: IdealDescriptor | None = None,
+                 annihilator_is_max_ideal: bool = False):
+        _set(self, "numerator", numerator)
+        _set(self, "denominator_exponent", denominator_exponent)
+        _set(self, "power", power)   # numerator ** denominator_exponent
+        _set(self, "form", form)
+        _set(self, "is_zero", is_zero)
+        _set(self, "provenance", provenance)
+        _set(self, "annihilator", annihilator)
+        _set(self, "annihilator_is_max_ideal", annihilator_is_max_ideal)
 
     def to_json(self) -> dict:
         out = {
@@ -106,6 +112,7 @@ def annihilate(pres: OmegaPresentation,
         ann = IdealDescriptor.ring(group)
     elif isinstance(result, DefectClassification):
         ann = _dependent_defect_annihilator(result)
+        is_max = ann.same_values(IdealDescriptor.maximal_ideal(group))
     elif pres.form is PresentationForm.MAX_QUOTIENT:
         # nonzero forces M_E principal over the coarse ring; a = 1
         n = result.datum.q

@@ -20,7 +20,6 @@ once, when built (`require_p_divisible`), and divides it unchecked after.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import gcd, lcm
@@ -66,27 +65,71 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class GroupDescriptor:
-    """Finite-rank Hahn sum: one component kind per archimedean class."""
+_set = object.__setattr__
 
-    components: tuple[Component, ...]
-    prime: int
 
-    def __post_init__(self):
-        if len(self.components) < 1:
-            raise StructuralError("rank must be at least 1")
-        if not is_prime(self.prime):
-            raise StructuralError(f"{self.prime} is not prime")
-        object.__setattr__(self, "components", tuple(Component(c) for c in self.components))
+class _Frozen:
+    """Base of the immutable value classes: the constructor sets each field in
+    `_fields` once, with `_set`.  An instance refuses assignment and pickles
+    and copies through its constructor, since the default restore assigns
+    the slots.  It writes itself as `Name(field=value, ...)`, equals an
+    instance of its own class with equal fields, and hashes as the tuple of
+    its fields.  A subclass may write its `__eq__` out, about twice as fast
+    as the loop here; it then keeps `__hash__ = _Frozen.__hash__`, since
+    defining `__eq__` alone drops the inherited hash."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, tuple([getattr(self, name) for name in self._fields])
+
+    def __repr__(self) -> str:
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
+        return f"{self.__class__.__qualname__}({fields})"
 
     def __eq__(self, other) -> bool:
-        # the generated comparison of the fields, after the identity test
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        for name in self._fields:
+            a, b = getattr(self, name), getattr(other, name)
+            if a is not b and not a == b:
+                return False
+        return True
+
+    def __hash__(self) -> int:
+        return hash(tuple([getattr(self, name) for name in self._fields]))
+
+
+class GroupDescriptor(_Frozen):
+    """Finite-rank Hahn sum: one component kind per archimedean class."""
+
+    __slots__ = ("components", "prime", "_zero")
+    _fields = ("components", "prime")
+
+    def __init__(self, components: tuple[Component, ...], prime: int):
+        if len(components) < 1:
+            raise StructuralError("rank must be at least 1")
+        if not is_prime(prime):
+            raise StructuralError(f"{prime} is not prime")
+        _set(self, "components", tuple([Component(c) for c in components]))
+        _set(self, "prime", prime)
+
+    def __eq__(self, other) -> bool:
+        # the base's comparison of the fields, after the identity test
         if self is other:
             return True
         if other.__class__ is not GroupDescriptor:
             return NotImplemented
         return self.components == other.components and self.prime == other.prime
+
+    __hash__ = _Frozen.__hash__
 
     @property
     def rank(self) -> int:
@@ -142,7 +185,7 @@ class GroupDescriptor:
             return self._zero
         except AttributeError:
             zero = GroupElement(self, (0,) * self.rank)
-            object.__setattr__(self, "_zero", zero)
+            _set(self, "_zero", zero)
             return zero
 
     def unit(self, index: int, scale=1) -> GroupElement:
@@ -153,32 +196,6 @@ class GroupDescriptor:
         if type(scale) is int:
             return GroupElement(self, tuple(coords))
         return self.element(*coords)
-
-
-_set = object.__setattr__
-
-
-class _Frozen:
-    """Base of the slotted value classes: the constructor sets each field in
-    `_fields` once, with `_set`.  An instance refuses assignment and pickles
-    and copies through its constructor, since the default restore assigns
-    the slots.  `__repr__` is the one a dataclass of these fields has."""
-
-    __slots__ = ()
-    _fields: tuple[str, ...] = ()
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return self.__class__, tuple([getattr(self, name) for name in self._fields])
-
-    def __repr__(self) -> str:
-        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
-        return f"{self.__class__.__qualname__}({fields})"
 
 
 class GroupElement(_Frozen):
@@ -340,12 +357,6 @@ class GroupElement(_Frozen):
         return "(" + ", ".join(self.coord_strings()) + ")"
 
 
-def compare(a: GroupElement, b: GroupElement) -> int:
-    """Total lexicographic order: sign of the leading nonzero coordinate of a - b."""
-    a._check_same(b)
-    return (a - b).sign()
-
-
 class ConvexSubgroup(_Frozen):
     """Level k in the chain H_0 = whole group > H_1 > ... > H_n = {0}."""
 
@@ -356,14 +367,6 @@ class ConvexSubgroup(_Frozen):
             raise StructuralError(f"level must lie in 0..{group.rank}")
         _set(self, "group", group)
         _set(self, "level", level)
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not ConvexSubgroup:
-            return NotImplemented
-        return self.level == other.level and self.group == other.group
-
-    def __hash__(self) -> int:
-        return hash((self.group, self.level))
 
     @property
     def is_principal(self) -> bool:
@@ -378,11 +381,6 @@ class ConvexSubgroup(_Frozen):
     @property
     def is_trivial(self) -> bool:
         return self.level == self.group.rank
-
-    def contains(self, x: GroupElement) -> bool:
-        if x.group != self.group:
-            raise StructuralError("element belongs to a different group descriptor")
-        return not any(x.nums[: self.level])
 
 
 class Position(Enum):
@@ -406,20 +404,6 @@ def position(x: GroupElement, H: ConvexSubgroup) -> Position:
 def convex_subgroups(G: GroupDescriptor) -> tuple[ConvexSubgroup, ...]:
     """The full chain H_0 > H_1 > ... > H_n with principal/subprincipal tags."""
     return tuple(ConvexSubgroup(G, k) for k in range(G.rank + 1))
-
-
-def quotient_has_smallest_positive(G: GroupDescriptor, H: ConvexSubgroup) -> bool:
-    """True iff G/H has a smallest positive element.
-
-    The quotient is the Hahn sum of components 0..level-1, so a smallest
-    positive element exists exactly when its finest class is discrete.
-    The trivial quotient (H = G) returns False by convention.
-    """
-    if H.group != G:
-        raise StructuralError("subgroup belongs to a different group descriptor")
-    if H.level == 0:
-        return False
-    return G.components[H.level - 1] is Component.INT
 
 
 def archimedean_class_subgroups(gamma: GroupElement) -> tuple[ConvexSubgroup, ConvexSubgroup]:

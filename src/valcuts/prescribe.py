@@ -14,7 +14,6 @@ VERIFIED positive checks from DECLARED negative ones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 from .errors import InvalidSelectionError
@@ -26,7 +25,7 @@ from .extension import (
     classify,
 )
 from .gpsfield import FieldModel, PatternSeries, Tail
-from .ogroup import Component, GroupDescriptor, convex_subgroups
+from .ogroup import Component, GroupDescriptor, _Frozen, _set, convex_subgroups
 from .residue import GF
 
 
@@ -35,29 +34,38 @@ class CharCase(str, Enum):
     MIXED = "mixed"
 
 
-@dataclass(frozen=True)
-class Witness:
-    level: int
-    kind: str                      # "pattern" or "declared"
-    datum: DefectDatum
+class Witness(_Frozen):
+    __slots__ = _fields = ("level", "kind", "datum")
+
+    def __init__(self, level: int, kind: str, datum: DefectDatum):
+        _set(self, "level", level)
+        _set(self, "kind", kind)   # "pattern" or "declared"
+        _set(self, "datum", datum)
 
 
-@dataclass(frozen=True)
-class Exclusion:
-    level: int
-    note: str
+class Exclusion(_Frozen):
+    __slots__ = _fields = ("level", "note")
+
+    def __init__(self, level: int, note: str):
+        _set(self, "level", level)
+        _set(self, "note", note)
 
 
-@dataclass(frozen=True)
-class ConstructionPlan:
-    index_size: int
-    selected: frozenset[int]
-    prime: int
-    char_case: CharCase
-    group: GroupDescriptor
-    model: FieldModel
-    witnesses: tuple[Witness, ...]
-    exclusions: tuple[Exclusion, ...]
+class ConstructionPlan(_Frozen):
+    __slots__ = _fields = ("index_size", "selected", "prime", "char_case", "group", "model",
+                           "witnesses", "exclusions")
+
+    def __init__(self, index_size: int, selected: frozenset[int], prime: int,
+                 char_case: CharCase, group: GroupDescriptor, model: FieldModel,
+                 witnesses: tuple[Witness, ...], exclusions: tuple[Exclusion, ...]):
+        _set(self, "index_size", index_size)
+        _set(self, "selected", selected)
+        _set(self, "prime", prime)
+        _set(self, "char_case", char_case)
+        _set(self, "group", group)
+        _set(self, "model", model)
+        _set(self, "witnesses", witnesses)
+        _set(self, "exclusions", exclusions)
 
     def chain_bijection(self) -> tuple[tuple[int, int], ...]:
         """Input index i maps to subgroup level i + 1; note the order reversal:
@@ -118,21 +126,28 @@ def build(n: int, selected, p: int, char_case: CharCase = CharCase.EQUAL) -> Con
                             tuple(witnesses), tuple(exclusions))
 
 
-@dataclass(frozen=True)
-class WitnessReport:
-    level: int
-    passed: bool
-    found_level: int
-    defect_kind: str
-    schedule: tuple
-    identity_checked: bool
+class WitnessReport(_Frozen):
+    __slots__ = _fields = ("level", "passed", "found_level", "defect_kind", "schedule",
+                           "identity_checked")
+
+    def __init__(self, level: int, passed: bool, found_level: int, defect_kind: str,
+                 schedule: tuple, identity_checked: bool):
+        _set(self, "level", level)
+        _set(self, "passed", passed)
+        _set(self, "found_level", found_level)
+        _set(self, "defect_kind", defect_kind)
+        _set(self, "schedule", schedule)
+        _set(self, "identity_checked", identity_checked)
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    plan: ConstructionPlan
-    witnesses: tuple[WitnessReport, ...]
-    exclusions: tuple[Exclusion, ...]
+class VerificationReport(_Frozen):
+    __slots__ = _fields = ("plan", "witnesses", "exclusions")
+
+    def __init__(self, plan: ConstructionPlan, witnesses: tuple[WitnessReport, ...],
+                 exclusions: tuple[Exclusion, ...]):
+        _set(self, "plan", plan)
+        _set(self, "witnesses", witnesses)
+        _set(self, "exclusions", exclusions)
 
     @property
     def passed(self) -> bool:

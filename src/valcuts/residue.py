@@ -2,15 +2,24 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import StructuralError
-from .ogroup import is_prime
+from .ogroup import _Frozen, _set, is_prime
 
 
-@dataclass(frozen=True)
-class FqField:
-    p: int
+class FqField(_Frozen):
+    __slots__ = _fields = ("p",)
+
+    def __init__(self, p: int):
+        _set(self, "p", p)
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not FqField:
+            return NotImplemented
+        return self.p == other.p
+
+    __hash__ = _Frozen.__hash__
 
     def element(self, value: int) -> "FqElement":
         return FqElement(self, value % self.p)
@@ -28,10 +37,20 @@ def GF(p: int) -> FqField:
     return FqField(p)
 
 
-@dataclass(frozen=True)
-class FqElement:
-    field: FqField
-    value: int
+class FqElement(_Frozen):
+    __slots__ = _fields = ("field", "value")
+
+    def __init__(self, field: FqField, value: int):
+        _set(self, "field", field)
+        _set(self, "value", value)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not FqElement:
+            return NotImplemented
+        return self.value == other.value and (self.field is other.field
+                                              or self.field == other.field)
+
+    __hash__ = _Frozen.__hash__
 
     def _check(self, other):
         if not isinstance(other, FqElement) or other.field != self.field:

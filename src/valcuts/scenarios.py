@@ -8,7 +8,6 @@ definability checks all draw from one construction.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .extension import (
@@ -20,15 +19,18 @@ from .extension import (
 )
 from .formlang import DeclaredValue, FormulaModel, ImmediateElement
 from .gpsfield import FieldModel, PatternSeries, SeriesElement, Tail
-from .ogroup import Component, GroupDescriptor, GroupElement
+from .ogroup import Component, GroupDescriptor, GroupElement, _Frozen, _set
 from .residue import GF
 
 
-@dataclass(frozen=True)
-class Scenario:
-    model: FieldModel
-    results: tuple[DefectClassification, ...]
-    fmodel: FormulaModel
+class Scenario(_Frozen):
+    __slots__ = _fields = ("model", "results", "fmodel")
+
+    def __init__(self, model: FieldModel, results: tuple[DefectClassification, ...],
+                 fmodel: FormulaModel):
+        _set(self, "model", model)
+        _set(self, "results", results)
+        _set(self, "fmodel", fmodel)
 
     def result(self, name: str) -> DefectClassification:
         for r in self.results:

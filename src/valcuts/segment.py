@@ -306,14 +306,6 @@ class IdealDescriptor(_Frozen):
             raise StructuralError("an ideal's value set is a final segment")
         _set(self, "values", values)
 
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not IdealDescriptor:
-            return NotImplemented
-        return self.values == other.values
-
-    def __hash__(self) -> int:
-        return hash((self.values,))
-
     @property
     def group(self) -> GroupDescriptor:
         return self.values.group

@@ -9,6 +9,7 @@ import jsonschema
 import pytest
 
 from valcuts import cli
+from valcuts.errors import StructuralError
 from valcuts.ogroup import Component, GroupDescriptor
 
 # Built once: jsonschema.validate would re-check the schema itself on every call.
@@ -93,3 +94,36 @@ def segment_set(seg, points):
     from valcuts.segment import contains
 
     return frozenset(x for x in points if contains(seg, x))
+
+
+# Order and subgroup predicates the tests read and the library does not use.
+
+def compare(a, b) -> int:
+    """The total lexicographic order: the sign of the leading nonzero
+    coordinate of a - b.  Elements of different groups raise, as a - b does."""
+    return (a - b).sign()
+
+
+def in_subgroup(H, x) -> bool:
+    """Whether x lies in the convex subgroup H: its coordinates before H's
+    level are zero."""
+    if x.group != H.group:
+        raise StructuralError("element belongs to a different group descriptor")
+    return not any(x.nums[:H.level])
+
+
+def quotient_has_smallest_positive(G, H) -> bool:
+    """Whether G/H has a smallest positive element.  The quotient is the Hahn
+    sum of the classes before H's level, so one exists exactly when its
+    finest class is discrete; the trivial quotient (H = G) has none."""
+    if H.group != G:
+        raise StructuralError("subgroup belongs to a different group descriptor")
+    return H.level > 0 and G.components[H.level - 1] is Component.INT
+
+
+def rebuilt(value, **changes):
+    """value built anew through its constructor from its fields, with
+    `changes` in place of some: equal to value when nothing changes, and
+    starting with none of its kept caches."""
+    fields = {name: getattr(value, name) for name in value._fields}
+    return type(value)(**{**fields, **changes})

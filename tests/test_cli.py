@@ -173,6 +173,17 @@ class TestConfigs:
         assert report["classification"] == "dependent"
         assert report["certificate"]["synthetic"] is True
 
+    def test_dependent_annihilator_over_a_discrete_class_is_the_maximal_ideal(self, tmp_path):
+        # over Z, I = {v >= 1} is M itself, so I/I^2 has annihilator M = {v >= 1}
+        config = json.loads((CONFIGS / "synthetic-dependent.json").read_text())
+        config["group"]["components"] = ["int"]
+        code, report = run(["kaehler", "--config", write_text(tmp_path, json.dumps(config))],
+                           tmp_path)
+        assert code == 0
+        assert report["omega"]["annihilator"] == {"closed": True, "direction": "final",
+                                                  "gamma": ["1"], "kind": "element"}
+        assert report["omega"]["annihilator_is_max_ideal"] is True
+
     def test_pattern_config_matches_scenario(self, tmp_path):
         code, report = run(["classify", "--config",
                             str(CONFIGS / "abhyankar-p3.json")], tmp_path)
@@ -311,19 +322,30 @@ class TestLongNumbers:
 
 
 class TestImportCost:
+    """No command loads `dataclasses` or `inspect` (the library declares no
+    dataclass) or `jsonschema` (config documents are read by ConfigReader)."""
+
     @pytest.mark.parametrize("args", [
         ["abhyankar", "--p", "3", "--depth", "15"],
         ["classify", "--config", str(CONFIGS / "abhyankar-p3.json")],
-    ])
-    def test_no_command_imports_jsonschema(self, tmp_path, report_validator, args):
+        ["kaehler", "--config", str(CONFIGS / "defectless-dense.json")],
+        ["prescribe", "--rank", "3", "--select", "1,3", "--p", "5", "--depth", "6"],
+        ["eval", "--formula", "exists c in K : v(b) >= -v(theta - c)", "--bind", "b=t^(1/2)"],
+        ["check-def", "--name", "max-ideal", "--scenario", "example-e1", "--samples", "20"],
+    ], ids=lambda args: args[0])
+    def test_no_command_imports_dataclasses_inspect_or_jsonschema(self, tmp_path,
+                                                                  report_validator, args):
         out = tmp_path / "out.json"
+        # a module the interpreter loaded at start-up does not count
         script = ("import sys\n"
+                  "before = set(sys.modules)\n"
                   "from valcuts.cli import main\n"
                   "code = main(sys.argv[1:])\n"
-                  "print(code, 'jsonschema' in sys.modules)\n")
+                  "print(code, *[name in sys.modules and name not in before\n"
+                  "              for name in ('dataclasses', 'inspect', 'jsonschema')])\n")
         proc = subprocess.run([sys.executable, "-c", script, *args, "--out", str(out)],
                               capture_output=True, text=True, env=src_env(), check=True)
-        assert proc.stdout.split() == ["0", "False"]
+        assert proc.stdout.split() == ["0", "False", "False", "False"]
         report_validator.validate(json.loads(out.read_text()))
 
 

@@ -9,7 +9,6 @@ import random
 import re
 import subprocess
 import sys
-from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 from unittest.mock import patch
@@ -82,7 +81,14 @@ from valcuts.segment import (
     subgroup_cut,
 )
 
-from conftest import grid_points, is_canonical, random_cut, random_group, random_group_element
+from conftest import (
+    grid_points,
+    is_canonical,
+    random_cut,
+    random_group,
+    random_group_element,
+    rebuilt,
+)
 
 
 NAMES = st.sampled_from(["b", "c", "x", "t", "theta", "eta", "p", "zeta_p"])
@@ -484,7 +490,7 @@ class TestEvaluation:
         eta = sc.fmodel.immediates[0]
         below_half = seq_cut(g.element(Fraction(1, 2)), g.element(2), start=1,
                              direction=Direction.INITIAL)   # {a < 1/2}
-        fm = replace(sc.fmodel, immediates=(replace(eta, segment=below_half),))
+        fm = rebuilt(sc.fmodel, immediates=(rebuilt(eta, segment=below_half),))
         for text, want in (("exists c in K : v(eta^p - c^p) >= 2", Truth.FALSE),
                            ("forall c in K : v(eta^p - c^p) < 3/2", Truth.TRUE)):
             res = evaluate(text, fm)
@@ -622,7 +628,7 @@ class TestCandidatePool:
     def test_models_do_not_share_a_pool(self):
         a = example_e1(2).fmodel
         pool = a.candidates
-        for other in (example_e1(2).fmodel, replace(a), abhyankar(2).fmodel):
+        for other in (example_e1(2).fmodel, rebuilt(a), abhyankar(2).fmodel):
             own = other.candidates
             assert own is not pool
             assert dict(own)["0"].model == other.model
@@ -669,11 +675,11 @@ class TestCandidateValuations:
         for _ in range(2):   # the second pass reads a warm cache throughout
             for text, bindings in calls:
                 warm = evaluate(text, shared, bindings=bindings).to_json()
-                cold = evaluate(text, replace(shared), bindings=bindings).to_json()
+                cold = evaluate(text, rebuilt(shared), bindings=bindings).to_json()
                 for key, value in cold.items():
                     assert warm[key] == value, (text, sorted(bindings), key)
         # one value per candidate for each side the compiler kept
-        assert shared.side_values and replace(shared).side_values == {}
+        assert shared.side_values and rebuilt(shared).side_values == {}
         own = {*shared.constants, *(im.name for im in shared.immediates), "p", "zeta_p"}
         for (side, var), values in shared.side_values.items():
             assert len(values) == len(shared.candidates)
@@ -693,7 +699,7 @@ class TestCandidateValuations:
 
         monkeypatch.setattr(_Evaluator, "term_valuation", counting)
         fm = build(2).fmodel
-        for model in (fm, replace(fm)):   # a copy starts with an empty table
+        for model in (fm, rebuilt(fm)):   # a copy starts with an empty table
             assert model.side_values == {}
             valued.clear()
             for text in SQUARE_FORMULAS:
@@ -784,7 +790,7 @@ class TestForcedBoundedAgreesWithOracle:
                 patch.setattr(formlang, "_compiled_answer", lambda ast, ev: None)
                 for name in names:
                     for label, b, _ in samples:
-                        cold = evaluate(DEFINITIONS[name], replace(fm), bindings={"b": b})
+                        cold = evaluate(DEFINITIONS[name], rebuilt(fm), bindings={"b": b})
                         warm = evaluate(DEFINITIONS[name], fm, bindings={"b": b})
                         assert cold == warm, (name, label)
                         want = oracle[name, label]
@@ -897,7 +903,7 @@ class TestValueSet:
     def test_elements_of_L_minus_K_merge_nested_cuts(self):
         # both wild witnesses of example-e1 as elements of L\K: H_1 and H_2
         sc = example_e1(2)
-        fm = replace(sc.fmodel, immediates=tuple(
+        fm = rebuilt(sc.fmodel, immediates=tuple(
             ImmediateElement(r.datum.name, r.approach.segment, r.approach.schedule,
                              carrier=r.datum.generator, facts=frozenset({"as_generator"}))
             for r in sc.results))
@@ -952,7 +958,7 @@ class TestValueSet:
             for end, closed, compiles in ((bound, False, True), (bound, True, False),
                                           (bound - 1, True, True), (bound + 1, False, False)):
                 seg = element_cut(g.element(end), closed=closed, direction=Direction.INITIAL)
-                x = replace(fm, immediates=(ImmediateElement("x", seg, (), facts=facts),))
+                x = rebuilt(fm, immediates=(ImmediateElement("x", seg, (), facts=facts),))
                 assert (value_set(text, x) is not None) is compiles, (text, seg)
                 got = evaluate(text, x, bindings={"b": DeclaredValue(g.element(5))})
                 assert (got.mode == "oracle") is compiles, (text, seg)
@@ -964,7 +970,7 @@ class TestValueSet:
         g = fm.group
         top = Fraction(-1)
         seg = element_cut(g.element(top), closed=closed, direction=Direction.INITIAL)
-        fm = replace(fm, immediates=(ImmediateElement("x", seg, ()),))
+        fm = rebuilt(fm, immediates=(ImmediateElement("x", seg, ()),))
         # a monotone relation over s in the segment is decided at its two ends
         ends = (top if closed else top - Fraction(1, 10**6), top - 10**6)
         ops = {"<": Fraction.__lt__, "<=": Fraction.__le__, ">": Fraction.__gt__,
@@ -1150,7 +1156,7 @@ class TestExactComparison:
         sc = abhyankar(3)
         res = sc.result("theta")
         b = sc.model.monomial(1, sc.model.value_group.element(5))
-        fm = replace(sc.fmodel, constants={**sc.fmodel.constants, "b": b})
+        fm = rebuilt(sc.fmodel, constants={**sc.fmodel.constants, "b": b})
         samples = samples_for(sc, 10, 2)
         for name, direct in (("ram-ideal-as", res.ram_ideal), ("coarse-ring-as", res.H_E)):
             assert value_set(DEFINITIONS[name], fm) == formlang._direct_values(direct)
@@ -1234,7 +1240,7 @@ class TestPointwiseImage:
                 for text in texts:
                     want = oracle[text]
                     assert want.mode == "oracle", text
-                    got = evaluate(text, replace(fm), bindings={"b": b})
+                    got = evaluate(text, rebuilt(fm), bindings={"b": b})
                     pairs += 1
                     if got.value is not Truth.UNKNOWN:
                         decided += 1
@@ -1408,12 +1414,12 @@ class TestCompiledAgreesWithTheWalk:
         fm = build(p).fmodel
         calls = self.calls(build(p))
         with patch.object(formlang, "_compiled_answer", lambda ast, ev: None):
-            off = replace(fm)
+            off = rebuilt(fm)
             walked = [_outcome(text, off, bindings) for text, bindings in calls]
         assert not fm.value_sets
-        for model in (fm, fm, replace(fm)):   # cold, warm, and a copy that starts empty
+        for model in (fm, fm, rebuilt(fm)):   # cold, warm, and a copy that starts empty
             assert [_outcome(text, model, bindings) for text, bindings in calls] == walked
-        assert fm.value_sets and not replace(fm).value_sets
+        assert fm.value_sets and not rebuilt(fm).value_sets
         # read from a compiled set (False): the definitions of the model's
         # element and the two formulas in -v(b); from the candidates' values
         # (True): SQUARE_FORMULAS and each of BOUNDED_ATOMS whose names the model
@@ -1437,7 +1443,7 @@ class TestCompiledAgreesWithTheWalk:
         calls = [(text, {"b": DeclaredValue(g.element(Fraction(k, p * p)))})
                  for text in formulas for k in range(-5 * p * p, 5 * p * p + 1)]
         with patch.object(formlang, "_compiled_answer", lambda ast, ev: None):
-            off = replace(fm)
+            off = rebuilt(fm)
             walked = [_outcome(text, off, bindings) for text, bindings in calls]
         assert [_outcome(text, fm, bindings) for text, bindings in calls] == walked
         assert all(fm.value_sets[parse(text), "b"][1] for text in formulas)
@@ -1453,7 +1459,7 @@ class TestCompiledAgreesWithTheWalk:
         text, points = TestGeneratedShapesAgree.draw_formula(
             data, name, p, fm.immediates[0].name)
         carriers = [DeclaredValue(g.element(w)) for w in points] + [DeclaredValue(INF)]
-        cold = replace(fm)
+        cold = rebuilt(fm)
         for b in carriers:
             got = [_outcome(text, model, {"b": b}) for model in (cold, fm)]
             with patch.object(formlang, "_compiled_answer", lambda ast, ev: None):

@@ -27,6 +27,7 @@ from valcuts.ogroup import Component, ConvexSubgroup, GroupDescriptor
 from valcuts.residue import GF
 from valcuts.segment import IdealDescriptor, element_cut, subgroup_cut
 
+from conftest import grid_points, segment_set
 from kaehler_oracles import maximality_witness
 from test_extension import abhyankar_datum
 
@@ -84,6 +85,30 @@ class TestDefectPresentations:
         assert pres.annihilator.values != pres.numerator.power(2).values
         assert containment_holds(pres)
         assert maximality_witness(pres, below_boundary_candidates(G, G.element(2)))
+
+    def test_dependent_flag_reads_the_annihilator_against_the_maximal_ideal(self):
+        # the flag is true exactly when the annihilator's values on a grid are
+        # the positive ones: over an int finest class a closed cut at the unit
+        # is M; over a dense one M is open, so no closed annihilator is M
+        seen = set()
+        for kinds in ((Component.INT,), (Component.PDIV,), (Component.RAT,),
+                      (Component.PDIV, Component.INT), (Component.INT, Component.PDIV)):
+            G = GroupDescriptor(kinds, 2)
+            base = FieldModel(name="grid", char=2, value_group=G, residue=GF(2))
+            pts = list(grid_points(G, 2, 2))
+            positive = {x for x in pts if x.sign() > 0}
+            for gamma in (G.unit(G.rank - 1), G.unit(G.rank - 1, 2), G.unit(0)):
+                for sigma in (element_cut(gamma), element_cut(gamma, closed=False)):
+                    datum = DefectDatum(name="dep", kind=ExtensionKind.AS_DEFECT, base=base,
+                                        degree=2, declared_sigma=sigma, synthetic=True)
+                    res = classify(datum)
+                    pres = annihilate(present(res), res)
+                    if pres.is_zero:
+                        continue
+                    want = segment_set(pres.annihilator.values, pts) == positive
+                    assert pres.annihilator_is_max_ideal is want, (kinds, sigma)
+                    seen.add(want)
+        assert seen == {True, False}
 
     def test_is_zero_iff_independent(self):
         from valcuts.gpsfield import FieldModel

@@ -1,0 +1,241 @@
+"""Value semantics of the immutable classes built on `ogroup._Frozen`.
+
+Every class below keeps the constructor it had as a frozen record: the same
+parameter names, order and defaults, equality with an instance of its own
+class and equal fields, the hash of its field tuple, `Name(field=value, ...)`
+as its repr, pickle and copy round trips to an equal value, and refusal of
+assignment.  The field lists are written out here, so a renamed, dropped or
+reordered field fails even where the class and its `_fields` change together.
+"""
+
+from __future__ import annotations
+
+import copy
+import inspect
+import pickle
+from fractions import Fraction
+
+import pytest
+
+from valcuts import extension, formlang, gpsfield, kaehler, ogroup, prescribe, residue, scenarios
+from valcuts.extension import DefectlessKind
+
+NEW_DICT = object()   # the default is a new empty dict for each instance
+
+CONSTRUCTORS = {
+    ogroup.GroupDescriptor: ["components", "prime"],
+    residue.FqField: ["p"],
+    residue.FqElement: ["field", "value"],
+    gpsfield.FieldModel: ["name", "char", "value_group", ("residue", None),
+                          ("residue_char", None), ("vp", None)],
+    gpsfield.SeriesElement: ["model", "terms"],
+    gpsfield.Tail: ["coeff", "gamma", "start"],
+    gpsfield.PatternSeries: ["model", "finite_part", "tails"],
+    gpsfield.ApproachResult: ["segment", "schedule"],
+    extension.DeclaredSchedule: ["group", "limit", "scale", ("start", 0)],
+    extension.DefectDatum: ["name", "kind", "base", "degree", ("generator", None),
+                            ("sigma_shift", None), ("declared_sigma", None),
+                            ("synthetic", False)],
+    extension.DefectClassification: ["datum", "kind", "H_E", "sigma", "ram_ideal",
+                                     "max_ideal", "approach", "depth"],
+    extension.DefectlessDatum: ["name", "group", "q", "star_index", "x0_value",
+                                ("subkind", DefectlessKind.VALUE_ONLY), ("residue_char", 0),
+                                ("vp", None), ("v_eta_minus_1", None)],
+    extension.DefectlessAnalysis: ["datum", "H_E", "case", "max_ideal", "ram_ideal"],
+    kaehler.OmegaPresentation: ["numerator", "denominator_exponent", "power", "form",
+                                "is_zero", "provenance", ("annihilator", None),
+                                ("annihilator_is_max_ideal", False)],
+    prescribe.Witness: ["level", "kind", "datum"],
+    prescribe.Exclusion: ["level", "note"],
+    prescribe.ConstructionPlan: ["index_size", "selected", "prime", "char_case", "group",
+                                 "model", "witnesses", "exclusions"],
+    prescribe.WitnessReport: ["level", "passed", "found_level", "defect_kind", "schedule",
+                              "identity_checked"],
+    prescribe.VerificationReport: ["plan", "witnesses", "exclusions"],
+    scenarios.Scenario: ["model", "results", "fmodel"],
+    formlang.Var: ["name"],
+    formlang.IntLit: ["value"],
+    formlang.Add: ["left", "right"],
+    formlang.Sub: ["left", "right"],
+    formlang.Mul: ["left", "right"],
+    formlang.Pow: ["base", "exponent"],
+    formlang.Recip: ["term"],
+    formlang.VOf: ["term", ("negated", False)],
+    formlang.RatConst: ["value"],
+    formlang.ValAtom: ["left", "rel", "right"],
+    formlang.EqAtom: ["left", "right"],
+    formlang.InK: ["term"],
+    formlang.Not: ["body"],
+    formlang.BinOp: ["op", "left", "right"],
+    formlang.Quant: ["kind", "var", "domain", "body"],
+    formlang.ImmediateElement: ["name", "segment", "schedule", ("carrier", None),
+                                ("facts", frozenset())],
+    formlang.DeclaredValue: ["valuation"],
+    formlang.Approximant: ["owner", "index", ("carrier", None)],
+    formlang.FormulaModel: ["model", "immediates", ("constants", NEW_DICT)],
+    formlang.EvalResult: ["value", "mode", ("witness", None), ("candidates_used", 0)],
+    formlang.AgreementReport: ["definition", "total", "agreements", "disagreements",
+                               "unknowns"],
+}
+
+# one formula with a node of every syntax class
+EVERY_NODE = ("forall c in K : (not (v(1/(theta - c*c)^p + 2) < -v(c)) and inK(c)) "
+              "or c = theta -> v(c) >= 1/2")
+
+
+def _fields(cls) -> list[str]:
+    return [f if isinstance(f, str) else f[0] for f in CONSTRUCTORS[cls]]
+
+
+def _nodes(node):
+    yield node
+    for name in node._fields:
+        child = getattr(node, name)
+        if isinstance(child, formlang._Node):
+            yield from _nodes(child)
+
+
+def _values() -> dict:
+    """One instance of each class, built the way the library builds it."""
+    sc = scenarios.abhyankar(3)
+    res = sc.results[0]
+    theta = res.datum.generator
+    mixed = scenarios.kummer_mixed(3).results[0]
+    G = sc.model.value_group
+    defectless = extension.DefectlessDatum(
+        name="kummer", group=ogroup.GroupDescriptor(("int", "pdiv"), 3), q=2, star_index=0,
+        x0_value=ogroup.GroupDescriptor(("int", "pdiv"), 3).unit(0),
+        subkind=DefectlessKind.KUMMER_2A, residue_char=2,
+        vp=ogroup.GroupDescriptor(("int", "pdiv"), 3).unit(1, 2))
+    analysis = extension.defectless_analyze(defectless)
+    plan = prescribe.build(3, [1, 3], 2)
+    report = prescribe.verify(plan, depth=4)
+    fm = sc.fmodel
+    found = {
+        G.__class__: G,
+        residue.FqField: sc.model.residue,
+        residue.FqElement: theta.tails[0].coeff,
+        gpsfield.FieldModel: sc.model,
+        gpsfield.SeriesElement: sc.model.monomial(2, G.element(Fraction(1, 3))),
+        gpsfield.Tail: theta.tails[0],
+        gpsfield.PatternSeries: theta,
+        gpsfield.ApproachResult: res.approach,
+        extension.DeclaredSchedule: mixed.datum.generator,
+        extension.DefectDatum: res.datum,
+        extension.DefectClassification: res,
+        extension.DefectlessDatum: defectless,
+        extension.DefectlessAnalysis: analysis,
+        kaehler.OmegaPresentation: kaehler.annihilate(kaehler.present(res), res),
+        prescribe.Witness: plan.witnesses[0],
+        prescribe.Exclusion: plan.exclusions[0],
+        prescribe.ConstructionPlan: plan,
+        prescribe.WitnessReport: report.witnesses[0],
+        prescribe.VerificationReport: report,
+        scenarios.Scenario: sc,
+        formlang.ImmediateElement: fm.immediates[0],
+        formlang.DeclaredValue: formlang.DeclaredValue(G.element(1)),
+        formlang.Approximant: fm.candidates[1][1],
+        formlang.FormulaModel: fm,
+        formlang.EvalResult: formlang.evaluate("exists c in K : v(theta - c) > 0", fm),
+        formlang.AgreementReport: formlang.check_definition(
+            formlang.DEFINITIONS["ram-ideal-as"], res.ram_ideal, fm,
+            scenarios.series_samples(sc.model, 3, 1)),
+    }
+    for node in _nodes(formlang.parse(EVERY_NODE)):
+        found.setdefault(type(node), node)
+    return found
+
+
+VALUES = _values()
+
+
+def test_every_class_has_a_value_and_no_dataclass_is_left():
+    assert VALUES.keys() == CONSTRUCTORS.keys()
+    assert all(issubclass(cls, ogroup._Frozen) for cls in CONSTRUCTORS)
+    assert not any(hasattr(cls, "__dataclass_fields__") for cls in CONSTRUCTORS)
+
+
+@pytest.mark.parametrize("cls", list(CONSTRUCTORS), ids=lambda cls: cls.__name__)
+class TestValueClass:
+    def test_constructor_keeps_its_parameters(self, cls):
+        got = []
+        for p in inspect.signature(cls).parameters.values():
+            assert p.kind is inspect.Parameter.POSITIONAL_OR_KEYWORD, p
+            got.append(p.name if p.default is inspect.Parameter.empty else (p.name, p.default))
+        if cls is formlang.FormulaModel:   # None stands for the new dict
+            assert got[-1] == ("constants", None)
+            got[-1] = ("constants", NEW_DICT)
+        assert got == CONSTRUCTORS[cls]
+        assert list(cls._fields) == _fields(cls)
+
+    def test_rebuilt_by_position_and_by_keyword_equal(self, cls):
+        value = VALUES[cls]
+        values = [getattr(value, name) for name in _fields(cls)]
+        for other in (cls(*values), cls(**dict(zip(_fields(cls), values)))):
+            assert type(other) is cls and other == value and not other != value
+            if cls not in (formlang.FormulaModel, scenarios.Scenario):   # unhashable
+                assert hash(other) == hash(value)
+
+    def test_eq_hash_and_repr_over_the_fields(self, cls):
+        value = VALUES[cls]
+        fields = tuple(getattr(value, name) for name in _fields(cls))
+        assert repr(value) == "{}({})".format(cls.__qualname__, ", ".join(
+            f"{name}={field!r}" for name, field in zip(_fields(cls), fields)))
+        try:
+            want = hash(fields)
+        except TypeError:   # a FormulaModel's dict, held directly or in a field
+            with pytest.raises(TypeError):
+                hash(value)
+        else:
+            assert hash(value) == want
+        assert value.__eq__(1) is NotImplemented and value != 1 and value == value
+
+    def test_pickle_copy_and_deepcopy_give_equal_values(self, cls):
+        value = VALUES[cls]
+        for trip in (lambda x: pickle.loads(pickle.dumps(x)), copy.copy, copy.deepcopy):
+            other = trip(value)
+            assert type(other) is cls and other == value and value == other
+            assert repr(other) == repr(value)
+
+    def test_fields_refuse_assignment(self, cls):
+        value = VALUES[cls]
+        for name in _fields(cls):
+            with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+                setattr(value, name, None)
+            with pytest.raises(AttributeError, match=f"cannot delete field '{name}'"):
+                delattr(value, name)
+        with pytest.raises(AttributeError):
+            value.extra = 1
+
+
+def test_a_field_that_differs_makes_values_unequal():
+    G = ogroup.GroupDescriptor(("pdiv",), 3)
+    F = residue.GF(3)
+    model = gpsfield.FieldModel("m", 3, G, F)
+    assert model != gpsfield.FieldModel("m", 3, G)
+    assert model != gpsfield.FieldModel("n", 3, G, F)
+    assert F.one() != F.zero() and F.one() != residue.GF(5).one()
+    one = gpsfield.Tail(F.one(), G.unit(0, -1), 1)
+    assert one != gpsfield.Tail(F.one(), G.unit(0, -1), 2)
+    assert one != gpsfield.Tail(F.element(2), G.unit(0, -1), 1)
+    assert one != gpsfield.Tail(F.one(), G.unit(0, -3), 1)
+    x, y = formlang.Var("x"), formlang.Var("y")
+    assert formlang.Add(x, y) != formlang.Sub(x, y) and formlang.Add(x, y) != formlang.Add(y, x)
+    assert formlang.EvalResult(formlang.Truth.TRUE, "oracle") != formlang.EvalResult(
+        formlang.Truth.TRUE, "oracle", candidates_used=1)
+
+
+def test_a_pickled_node_holds_only_its_fields():
+    f = formlang.parse(EVERY_NODE)
+    hash(f), formlang.free_variables(f)
+    assert f.__reduce__() == (formlang.Quant, (f.kind, f.var, f.domain, f.body))
+    loaded = pickle.loads(pickle.dumps(f))
+    for name in ("_hash", "_free"):
+        assert not hasattr(loaded, name) and hasattr(f, name)
+
+
+def test_models_built_without_constants_get_their_own_dict():
+    sc = scenarios.abhyankar(2)
+    a = formlang.FormulaModel(sc.model, sc.fmodel.immediates)
+    b = formlang.FormulaModel(sc.model, sc.fmodel.immediates)
+    assert a.constants == {} and a.constants is not b.constants
