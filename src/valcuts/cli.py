@@ -418,8 +418,12 @@ def _emit(report: dict, out: str | None) -> None:
     pieces.append("\n")
     text = "".join(pieces)
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as err:   # a missing directory, a directory, no permission
+            raise ConfigError.at("--out", f"cannot write {out!r}: "
+                                          f"{err.strerror or err}") from None
     else:
         sys.stdout.write(text)
 
@@ -519,13 +523,13 @@ def main(argv=None) -> int:
         else:
             report = check_def_report(args.name, args.scenario, args.p, args.depth,
                                       args.samples, args.seed)
+        _emit(report, args.out)
     except (ConfigError, ParseError) as err:
         sys.stderr.write(f"error: {err}\n")
         return 2
     except ValcutsError as err:
         sys.stderr.write(f"error: {err}\n")
         return 1
-    _emit(report, args.out)
     if args.command == "prescribe" and not report.get("passed", False):
         return 1
     failed_checks = [c for c in report.get("definability", []) if not c["passed"]]

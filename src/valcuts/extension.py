@@ -44,10 +44,7 @@ from .segment import (
     Segment,
     contains,
     invariance_ring,
-    negate,
     seq_cut,
-    shift,
-    subgroup_cut,
     to_json,
 )
 
@@ -79,25 +76,35 @@ class DeclaredSchedule(_Frozen):
         _set(self, "scale", scale)
         _set(self, "start", start)
 
-    def value_at(self, k: int) -> GroupElement:
-        # limit - scale*m/d with p^(k+1) = d/m, over the one denominator
-        # limit.den * scale.den * d; for k + 1 < 0 the power multiplies (d = 1)
-        q = self.group.prime ** abs(k + 1)
-        d, m = (q, 1) if k >= -1 else (1, q)
-        limit, scale = self.limit, self.scale
-        a, b = scale.den * d, limit.den * m
-        return GroupElement(self.group,
-                            tuple([x * a - y * b for x, y in zip(limit.nums, scale.nums)]),
-                            limit.den * a)
-
     def approach(self, depth: int) -> ApproachResult:
         # limit - scale/p^(k+1) increases strictly in k exactly when scale > 0
-        if self.scale.sign() <= 0:
+        limit, scale = self.limit, self.scale
+        if scale.sign() <= 0:
             raise NotImmediateError(
-                f"declared values do not increase strictly: scale {self.scale} <= 0")
-        schedule = tuple(self.value_at(k) for k in range(self.start, self.start + depth))
-        seg = seq_cut(self.limit, self.scale, start=1, direction=Direction.INITIAL)
-        return ApproachResult(seg, schedule)
+                f"declared values do not increase strictly: scale {scale} <= 0")
+        # the value at k is limit - scale/p^e, e = k + 1.  With limit = L/den
+        # and scale = S/den over one denominator it is (L*q - S)/(den*q) for
+        # e >= 0 and (L - S*q)/den below, where q = p^|e| is a running power
+        group, p = self.group, self.group.prime
+        ld, sd = limit.den, scale.den
+        lnums = [x * sd for x in limit.nums]
+        snums = [y * ld for y in scale.nums]
+        den = ld * sd
+        e = self.start + 1
+        q = p ** abs(e)
+        schedule = []
+        for _ in range(depth):
+            if e >= 0:
+                schedule.append(GroupElement(
+                    group, tuple([x * q - y for x, y in zip(lnums, snums)]), den * q))
+                q *= p
+            else:
+                schedule.append(GroupElement(
+                    group, tuple([x - y * q for x, y in zip(lnums, snums)]), den))
+                q //= p
+            e += 1
+        seg = seq_cut(limit, scale, start=1, direction=Direction.INITIAL)
+        return ApproachResult(seg, tuple(schedule))
 
 
 class DefectDatum(_Frozen):
@@ -162,7 +169,10 @@ def sigma_segment(datum: DefectDatum, depth: int = 12) -> tuple[Segment, Approac
     if datum.declared_sigma is not None:
         return datum.declared_sigma, None
     approach = datum.approach(depth)
-    seg = shift(negate(approach.segment), datum.sigma_shift)
+    # sigma_shift + (-S) for S = approach.segment, built in one step; the
+    # constructor zeroes the shift's coordinates inside H
+    a = approach.segment
+    seg = Segment(a.direction.flipped(), a.level, datum.sigma_shift - a.shift, a.closed)
     return _require_positive_final(seg), approach
 
 
@@ -319,7 +329,7 @@ def defectless_analyze(datum: DefectlessDatum) -> DefectlessAnalysis:
     H = ConvexSubgroup(group, datum.star_index + 1)
     case = (DefectlessCase.DL2B if group.is_dense_at(datum.star_index)
             else DefectlessCase.DL2C)
-    max_ideal = IdealDescriptor(subgroup_cut(H, closed=False))
+    max_ideal = IdealDescriptor(Segment(Direction.FINAL, H.level, group.zero(), False))
     return DefectlessAnalysis(datum, H, case, max_ideal, _defectless_ram_ideal(datum))
 
 

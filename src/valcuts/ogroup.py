@@ -108,9 +108,14 @@ class _Frozen:
 
 
 class GroupDescriptor(_Frozen):
-    """Finite-rank Hahn sum: one component kind per archimedean class."""
+    """Finite-rank Hahn sum: one component kind per archimedean class.
 
-    __slots__ = ("components", "prime", "_zero")
+    The slots outside `_fields` keep values built once per group: `zero()`
+    here, and the valuation ring and its maximal ideal, which
+    `segment.IdealDescriptor` builds.  Equality, hashing, pickling and
+    copying read only the fields."""
+
+    __slots__ = ("components", "prime", "_zero", "_ring", "_maximal_ideal")
     _fields = ("components", "prime")
 
     def __init__(self, components: tuple[Component, ...], prime: int):
@@ -367,11 +372,6 @@ class ConvexSubgroup(_Frozen):
             raise StructuralError(f"level must lie in 0..{group.rank}")
         _set(self, "group", group)
         _set(self, "level", level)
-
-    @property
-    def is_principal(self) -> bool:
-        # smallest convex subgroup containing the unit at index `level`
-        return self.level <= self.group.rank - 1
 
     @property
     def is_subprincipal(self) -> bool:

@@ -24,9 +24,6 @@ class FqField(_Frozen):
     def element(self, value: int) -> "FqElement":
         return FqElement(self, value % self.p)
 
-    def zero(self) -> "FqElement":
-        return FqElement(self, 0)
-
     def one(self) -> "FqElement":
         return FqElement(self, 1)
 

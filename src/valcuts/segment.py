@@ -34,7 +34,6 @@ from .ogroup import (
     GroupElement,
     _Frozen,
     _set,
-    archimedean_class_subgroups,
 )
 
 
@@ -156,8 +155,8 @@ def seq_cut(limit: GroupElement, scale: GroupElement, start: int = 1,
     if scale.is_zero:
         raise DegenerateInputError("sequence cut with zero scale")
     if scale.sign() > 0:
-        _, sub = archimedean_class_subgroups(scale)
-        return subgroup_cut(sub, shift=limit, direction=direction)
+        # the subprincipal subgroup of the scale's class is H_(lead + 1)
+        return Segment(direction, scale.leading_index() + 1, limit, False)
     step = scale * (direction.sign / Fraction(limit.group.prime) ** start)
     return element_cut(limit + step, closed=True, direction=direction)
 
@@ -187,9 +186,12 @@ def _side(x: GroupElement, d: GroupElement, level: int) -> int:
 
 def contains(s: Segment, x: GroupElement) -> bool:
     """Exact membership."""
-    if x.group != s.group:
+    group = s.shift.group
+    if x.group is not group and x.group != group:
         raise StructuralError("element belongs to a different group descriptor")
-    side = _side(x, s.shift, s.level) * s.direction.sign
+    side = _side(x, s.shift, s.level)
+    if s.direction is not Direction.FINAL:
+        side = -side
     return side > 0 or (side == 0 and s.closed)
 
 
@@ -200,16 +202,18 @@ def invariance_group(s: Segment) -> ConvexSubgroup:
 
 def shift(s: Segment, gamma: GroupElement) -> Segment:
     """The translate gamma + S."""
-    if gamma.group != s.group:
+    group = s.shift.group
+    if gamma.group is not group and gamma.group != group:
         raise StructuralError("shift element belongs to a different group descriptor")
     return Segment(s.direction, s.level, s.shift + gamma, s.closed)
 
 
 def sum(s1: Segment, s2: Segment) -> Segment:
     """Pointwise sumset of two final segments."""
-    if s1.group != s2.group:
+    g1, g2 = s1.shift.group, s2.shift.group
+    if g1 is not g2 and g1 != g2:
         raise StructuralError("segments live over different group descriptors")
-    if not (s1.is_final and s2.is_final):
+    if s1.direction is not Direction.FINAL or s2.direction is not Direction.FINAL:
         raise StructuralError("sum is defined for final segments only")
     # the coarser boundary wins; the result is closed only when every operand
     # sitting at that boundary is closed.  This is exact for every kind of
@@ -241,9 +245,10 @@ def scale_int(s: Segment, m: int) -> Segment:
 
 def is_subset(inner: Segment, outer: Segment) -> bool:
     """Decide inner <= outer for two final segments, exactly."""
-    if inner.group != outer.group:
+    g1, g2 = inner.shift.group, outer.shift.group
+    if g1 is not g2 and g1 != g2:
         raise StructuralError("segments live over different group descriptors")
-    if not (inner.is_final and outer.is_final):
+    if inner.direction is not Direction.FINAL or outer.direction is not Direction.FINAL:
         raise StructuralError("containment is implemented for final segments")
     # compare the shifts against the coarser of the two subgroups H
     level = min(inner.level, outer.level)
@@ -344,11 +349,23 @@ class IdealDescriptor(_Frozen):
 
     @classmethod
     def ring(cls, G: GroupDescriptor) -> "IdealDescriptor":
-        return cls(element_cut(G.zero(), closed=True))
+        """The valuation ring, {a >= 0}, built once per group."""
+        try:
+            return G._ring
+        except AttributeError:
+            ring = cls(element_cut(G.zero(), closed=True))
+            _set(G, "_ring", ring)
+            return ring
 
     @classmethod
     def maximal_ideal(cls, G: GroupDescriptor) -> "IdealDescriptor":
-        return cls(element_cut(G.zero(), closed=False))
+        """The maximal ideal, {a > 0}, built once per group."""
+        try:
+            return G._maximal_ideal
+        except AttributeError:
+            ideal = cls(element_cut(G.zero(), closed=False))
+            _set(G, "_maximal_ideal", ideal)
+            return ideal
 
     @classmethod
     def principal(cls, gamma: GroupElement) -> "IdealDescriptor":
@@ -367,5 +384,10 @@ def invariance_ring(I: IdealDescriptor) -> tuple[ConvexSubgroup, IdealDescriptor
     descriptor of its maximal ideal, whose values are {a > H}.  Shifting I
     by any group element does not change the result.
     """
-    H = invariance_group(I.values)
-    return H, IdealDescriptor(subgroup_cut(H, closed=False))
+    values = I.values
+    group, level = values.shift.group, values.level
+    if level == group.rank:   # H trivial: the valuation ring's own, kept per group
+        M = IdealDescriptor.maximal_ideal(group)
+    else:
+        M = IdealDescriptor(Segment(Direction.FINAL, level, group.zero(), False))
+    return ConvexSubgroup(group, level), M

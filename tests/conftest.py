@@ -104,6 +104,29 @@ def compare(a, b) -> int:
     return (a - b).sign()
 
 
+def is_principal_subgroup(H) -> bool:
+    """Whether H is the smallest convex subgroup containing some element:
+    the one of the unit at index H.level, so every H but the trivial one."""
+    return H.level <= H.group.rank - 1
+
+
+def schedule_value_at(sched, k: int):
+    """The declared schedule's value limit - scale/p^(k+1) for one k, built
+    on its own: limit - scale*m/d with p^(k+1) = d/m over the one
+    denominator limit.den * scale.den * d (d = 1 below k = -1, where the
+    power multiplies).  The reference `DeclaredSchedule.approach` is
+    checked against."""
+    from valcuts.ogroup import GroupElement
+
+    q = sched.group.prime ** abs(k + 1)
+    d, m = (q, 1) if k >= -1 else (1, q)
+    limit, scale = sched.limit, sched.scale
+    a, b = scale.den * d, limit.den * m
+    return GroupElement(sched.group,
+                        tuple([x * a - y * b for x, y in zip(limit.nums, scale.nums)]),
+                        limit.den * a)
+
+
 def in_subgroup(H, x) -> bool:
     """Whether x lies in the convex subgroup H: its coordinates before H's
     level are zero."""

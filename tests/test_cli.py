@@ -436,6 +436,16 @@ class TestInputContract:
         assert err.value.code == 2
         assert "must be at least 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("target", ["missing/x.json", "."],
+                             ids=["missing-directory", "directory"])
+    def test_unwritable_out_exits_2_naming_it(self, tmp_path, capsys, target):
+        out = str(tmp_path / target)
+        assert main(["abhyankar", "--depth", "4", "--out", out]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: --out: cannot write {out!r}: ")
+        assert captured.err.count("\n") == 1 and captured.out == ""
+        assert sorted(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("command", ["classify", "kaehler"])
     def test_config_depth_used_by_default(self, tmp_path, command):
         config = str(CONFIGS / "synthetic-dependent.json")  # declares depth 10

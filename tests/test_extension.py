@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -26,17 +27,20 @@ from valcuts.extension import (
     defectless_analyze,
     sigma_segment,
 )
-from valcuts.gpsfield import FieldModel, PatternSeries, Tail
+from valcuts.gpsfield import ApproachResult, FieldModel, PatternSeries, Tail
 from valcuts.ogroup import Component, ConvexSubgroup, GroupDescriptor
 from valcuts.residue import GF
 from valcuts.segment import (
     CutKind,
     contains,
     element_cut,
+    negate,
     normalize,
+    shift,
     subgroup_cut,
 )
 
+from conftest import random_cut, random_group, random_group_element, schedule_value_at
 from test_gpsfield import _coordinate, abhyankar_root, perfect_model
 
 
@@ -152,8 +156,8 @@ class TestClassify:
         sched = DeclaredSchedule(G, limit=G.zero(), scale=G.element(1))
         datum = DefectDatum(name="mixed", kind=ExtensionKind.KUMMER_DEFECT,
                             base=base, degree=p, generator=sched)
-        for i in range(20):
-            assert sched.value_at(i) == G.element(Fraction(-1, p ** (i + 1)))
+        for i, value in enumerate(sched.approach(20).schedule):
+            assert value == G.element(Fraction(-1, p ** (i + 1)))
         res = classify(datum)
         assert res.kind is DefectKind.INDEPENDENT and res.H_E.is_trivial
 
@@ -211,8 +215,8 @@ class TestClassify:
 
 class TestDeclaredSchedule:
     """A schedule is checked once, when built: it is accepted exactly when
-    every value limit - scale/p^(k+1) lies in the group, and value_at then
-    builds them without a check."""
+    every value limit - scale/p^(k+1) lies in the group, and approach then
+    builds them without a check, in one loop over a running power of p."""
 
     def test_agrees_with_the_checked_product(self):
         rng = random.Random(1919)
@@ -237,9 +241,7 @@ class TestDeclaredSchedule:
                             else scale * p ** -(k + 1))
                 for k in range(-4, 12)}
             for k in range(-4, 12):
-                value = sched.value_at(k)
-                assert value == reference[k], (G, scale, k)
-                assert type(value.den) is int and all(type(n) is int for n in value.nums)
+                assert schedule_value_at(sched, k) == reference[k], (G, scale, k)
             # approach reads the same values from every start; below -1 the power multiplies
             for start in range(-4, 4):
                 rebuilt = DeclaredSchedule(G, limit, scale, start=start)
@@ -248,10 +250,93 @@ class TestDeclaredSchedule:
                         rebuilt.approach(6)
                     continue
                 outcomes["approached"] += 1
-                assert rebuilt.approach(6).schedule == tuple(
+                values = rebuilt.approach(6).schedule
+                assert values == tuple(
                     reference[k] for k in range(start, start + 6)), (G, scale, start)
+                for value in values:
+                    assert type(value.den) is int and all(type(n) is int for n in value.nums)
         assert outcomes["accepted"] > 50 and outcomes["rejected"] > 50
         assert outcomes["approached"] > 100
+
+    def test_one_loop_matches_the_value_by_value_reference(self):
+        # every rank 1-4 and component mix, p in {2, 3, 5}, starts -4..3 (the
+        # power multiplies below k = -1) and depths 0..12, against each value
+        # built on its own
+        rng = random.Random(3232)
+        seen = {"negative_start": 0, "depth0": 0, "ranks": set()}
+        for _ in range(120):
+            G = random_group(rng)
+            limit = random_group_element(rng, G)
+            # a discrete class holds no 1/p, so the scale is zero there
+            scale = G.element(*[0 if k is Component.INT else _coordinate(rng, k, G.prime)
+                                for k in G.components])
+            if scale.is_zero:
+                continue
+            if scale.sign() < 0:
+                scale = -scale
+            seen["ranks"].add(G.rank)
+            for start in range(-4, 4):
+                sched = DeclaredSchedule(G, limit, scale, start=start)
+                for depth in range(13):
+                    values = sched.approach(depth).schedule
+                    assert values == tuple(schedule_value_at(sched, k)
+                                           for k in range(start, start + depth)), (
+                        G, limit, scale, start, depth)
+                    seen["negative_start"] += start < -1 and depth > 0
+                    seen["depth0"] += depth == 0
+        assert seen["ranks"] == {1, 2, 3, 4}
+        assert seen["negative_start"] > 100 and seen["depth0"] > 100
+
+
+class TestOneStepSigma:
+    """sigma_segment builds sigma_shift - v(a - K) in one constructor call; it
+    equals negating the approach segment and shifting it, checks included."""
+
+    def test_matches_negate_then_shift(self):
+        rng = random.Random(3304)
+        seen = {"built": 0, "rejected": 0, "zeroed": 0}
+        for _ in range(600):
+            G = random_group(rng)
+            cut, d = random_cut(rng, G), random_group_element(rng, G)
+            if cut.is_final and rng.random() < 0.6:   # an approach segment is initial
+                cut = negate(cut)
+            want = shift(negate(cut), d)
+            datum = SimpleNamespace(declared_sigma=None, sigma_shift=d,
+                                    approach=lambda depth, cut=cut: ApproachResult(cut, ()))
+            if want.is_final and not contains(want, G.zero()):
+                seg, approach = sigma_segment(datum)
+                assert seg == want and approach.segment is cut, (cut, d)
+                seen["built"] += 1
+                seen["zeroed"] += any(d.nums[cut.level:])
+            else:
+                with pytest.raises(StructuralError):
+                    sigma_segment(datum)
+                seen["rejected"] += 1
+        assert seen["built"] > 200 and seen["rejected"] > 100 and seen["zeroed"] > 50, seen
+
+    def test_declared_schedules_classify_through_the_same_cut(self):
+        rng = random.Random(3305)
+        built = 0
+        for _ in range(200):
+            G = random_group(rng)
+            scale = G.element(*[0 if k is Component.INT else _coordinate(rng, k, G.prime)
+                                for k in G.components])
+            if scale.sign() <= 0:
+                continue
+            base = FieldModel(name="declared", char=0, residue_char=G.prime, value_group=G)
+            sched = DeclaredSchedule(G, random_group_element(rng, G), scale,
+                                     start=rng.randint(-2, 2))
+            datum = DefectDatum(name="d", kind=ExtensionKind.KUMMER_DEFECT, base=base,
+                                degree=G.prime, generator=sched,
+                                sigma_shift=random_group_element(rng, G))
+            want = shift(negate(sched.approach(4).segment), datum.sigma_shift)
+            if not want.is_final or contains(want, G.zero()):
+                with pytest.raises(StructuralError):
+                    classify(datum, depth=4)
+                continue
+            assert classify(datum, depth=4).sigma == want
+            built += 1
+        assert built > 30
 
 
 class TestDefectless:

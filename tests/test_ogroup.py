@@ -26,7 +26,13 @@ from valcuts.ogroup import (
 )
 from valcuts.residue import GF
 
-from conftest import compare, grid_points, in_subgroup, quotient_has_smallest_positive
+from conftest import (
+    compare,
+    grid_points,
+    in_subgroup,
+    is_principal_subgroup,
+    quotient_has_smallest_positive,
+)
 
 
 def zp2() -> GroupDescriptor:
@@ -334,8 +340,8 @@ class TestConvexSubgroups:
         chain = convex_subgroups(g)
         assert [h.level for h in chain] == [0, 1]
         whole, trivial = chain
-        assert whole.is_principal and not whole.is_subprincipal
-        assert trivial.is_subprincipal and not trivial.is_principal
+        assert is_principal_subgroup(whole) and not whole.is_subprincipal
+        assert trivial.is_subprincipal and not is_principal_subgroup(trivial)
 
     def test_rank_two_proper_subgroups(self):
         g = zp2()

@@ -17,6 +17,7 @@ from valcuts.ogroup import (
     ConvexSubgroup,
     GroupDescriptor,
     Position,
+    archimedean_class_subgroups,
     position,
 )
 from valcuts.segment import (
@@ -310,6 +311,70 @@ class TestFastPaths:
             G = random_group(rng)
             for s in built_cuts(rng, G, 2):
                 assert is_canonical(s), s
+
+
+class TestOneStepBuilders:
+    """seq_cut, invariance_ring and the kept ring and maximal ideal build each
+    cut at its level in one step; each equals the cut the route through
+    ConvexSubgroup and subgroup_cut builds."""
+
+    def test_seq_cut_matches_the_subgroup_route(self):
+        rng = random.Random(3301)
+        levels = set()
+        for _ in range(300):
+            G = random_group(rng)
+            limit, scale = random_group_element(rng, G), random_group_element(rng, G)
+            if rng.random() < 0.5:   # reach the finest classes too
+                scale = G.unit(rng.randrange(G.rank), rng.choice((-2, -1, 1, 3)))
+            if scale.is_zero:
+                continue
+            for direction in Direction:
+                for start in (-2, 1, 3):
+                    if scale.sign() > 0:
+                        _, sub = archimedean_class_subgroups(scale)
+                        want = subgroup_cut(sub, shift=limit, direction=direction)
+                        levels.add((G.rank, sub.level))
+                    else:
+                        try:
+                            step = scale * (direction.sign / Fraction(G.prime) ** start)
+                            want = element_cut(limit + step, direction=direction)
+                        except StructuralError:
+                            with pytest.raises(StructuralError):
+                                seq_cut(limit, scale, start=start, direction=direction)
+                            continue
+                    got = seq_cut(limit, scale, start=start, direction=direction)
+                    assert got == want and is_canonical(got), (G, limit, scale, start)
+        assert {level for _, level in levels} == {1, 2, 3, 4}
+        assert any(level < rank for rank, level in levels)
+
+    def test_invariance_ring_matches_the_subgroup_route(self):
+        rng = random.Random(3302)
+        seen = set()
+        for _ in range(300):
+            G = random_group(rng)
+            cut = random_cut(rng, G)
+            if not cut.is_final:
+                cut = negate(cut)
+            H, M = invariance_ring(IdealDescriptor(cut))
+            want_H = invariance_group(cut)
+            assert H == want_H
+            assert M == IdealDescriptor(subgroup_cut(want_H, closed=False))
+            seen.add((G.components[H.level - 1], M.values.closed))
+        assert seen == {(Component.INT, True), (Component.PDIV, False),
+                        (Component.RAT, False)}
+
+    def test_ring_and_maximal_ideal_are_built_once_per_group(self):
+        rng = random.Random(3303)
+        for _ in range(60):
+            G = random_group(rng)
+            twin = GroupDescriptor(G.components, G.prime)
+            ring, m = IdealDescriptor.ring(G), IdealDescriptor.maximal_ideal(G)
+            assert ring == IdealDescriptor(element_cut(G.zero(), closed=True))
+            assert m == IdealDescriptor(element_cut(G.zero(), closed=False))
+            assert IdealDescriptor.ring(G) is ring and IdealDescriptor.maximal_ideal(G) is m
+            # an equal group keeps its own, equal values
+            assert IdealDescriptor.ring(twin) == ring and IdealDescriptor.ring(twin) is not ring
+            assert IdealDescriptor.maximal_ideal(twin) == m
 
 
 def _values(G: GroupDescriptor) -> list:

@@ -17,7 +17,17 @@ from fractions import Fraction
 
 import pytest
 
-from valcuts import extension, formlang, gpsfield, kaehler, ogroup, prescribe, residue, scenarios
+from valcuts import (
+    extension,
+    formlang,
+    gpsfield,
+    kaehler,
+    ogroup,
+    prescribe,
+    residue,
+    scenarios,
+    segment,
+)
 from valcuts.extension import DefectlessKind
 
 NEW_DICT = object()   # the default is a new empty dict for each instance
@@ -214,7 +224,7 @@ def test_a_field_that_differs_makes_values_unequal():
     model = gpsfield.FieldModel("m", 3, G, F)
     assert model != gpsfield.FieldModel("m", 3, G)
     assert model != gpsfield.FieldModel("n", 3, G, F)
-    assert F.one() != F.zero() and F.one() != residue.GF(5).one()
+    assert F.one() != F.element(0) and F.one() != residue.GF(5).one()
     one = gpsfield.Tail(F.one(), G.unit(0, -1), 1)
     assert one != gpsfield.Tail(F.one(), G.unit(0, -1), 2)
     assert one != gpsfield.Tail(F.element(2), G.unit(0, -1), 1)
@@ -223,6 +233,29 @@ def test_a_field_that_differs_makes_values_unequal():
     assert formlang.Add(x, y) != formlang.Sub(x, y) and formlang.Add(x, y) != formlang.Add(y, x)
     assert formlang.EvalResult(formlang.Truth.TRUE, "oracle") != formlang.EvalResult(
         formlang.Truth.TRUE, "oracle", candidates_used=1)
+
+
+def test_a_group_keeping_its_values_behaves_as_an_empty_one():
+    # zero(), the ring and the maximal ideal are kept in slots outside the
+    # fields: equality, hashing, repr, pickling and copying ignore them
+    kept = ("_zero", "_ring", "_maximal_ideal")
+    full = ogroup.GroupDescriptor(("int", "pdiv"), 3)
+    empty = ogroup.GroupDescriptor(("int", "pdiv"), 3)
+    values = (full.zero(), segment.IdealDescriptor.ring(full),
+              segment.IdealDescriptor.maximal_ideal(full))
+    assert all(hasattr(full, name) for name in kept)
+    assert not any(hasattr(empty, name) for name in kept)
+    assert full == empty and empty == full and hash(full) == hash(empty)
+    assert repr(full) == repr(empty) and full.__reduce__() == empty.__reduce__()
+    for trip in (lambda x: pickle.loads(pickle.dumps(x)), copy.copy, copy.deepcopy):
+        other = trip(full)
+        assert other == empty and hash(other) == hash(empty) and repr(other) == repr(empty)
+        assert not any(hasattr(other, name) for name in kept)
+    # a value holding the group round-trips too, and equals its rebuilt self
+    ring = pickle.loads(pickle.dumps(values[1]))
+    assert ring == values[1] and ring.group == full
+    assert segment.IdealDescriptor.ring(full) is values[1]
+    assert segment.IdealDescriptor.maximal_ideal(full) is values[2]
 
 
 def test_a_pickled_node_holds_only_its_fields():
