@@ -127,6 +127,10 @@ class DefectDatum(_Frozen):
                 "the residue characteristic")
         if generator is None and declared_sigma is None:
             raise StructuralError("datum needs a generator or a declared segment")
+        for field, value in (("generator", generator), ("sigma_shift", sigma_shift),
+                             ("declared_sigma", declared_sigma)):
+            if value is not None and _group_of(value) != base.value_group:
+                raise StructuralError(f"{field} lives outside the base's value group")
         if declared_sigma is not None:
             _require_positive_final(declared_sigma)
         _set(self, "name", name)
@@ -149,6 +153,13 @@ class DefectDatum(_Frozen):
         if isinstance(self.generator, DeclaredSchedule):
             return self.generator.approach(depth)
         return None
+
+
+def _group_of(value: PatternSeries | DeclaredSchedule | GroupElement | Segment
+              ) -> GroupDescriptor:
+    if isinstance(value, PatternSeries):
+        return value.model.value_group
+    return value.group
 
 
 def _require_positive_final(seg: Segment) -> Segment:

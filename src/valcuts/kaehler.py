@@ -4,10 +4,12 @@ The module of relative differentials of a prime-degree extension of
 valuation rings is presented by a numerator ideal and an exponent: the
 defect case uses I/I^p, wildly ramified defectless extensions use
 (I*M)/(I*M)^p, and tamely ramified value extensions use M/M^q.  Zero tests
-and annihilators are decided exactly on the value-set descriptors.
+and annihilators are decided exactly on the value-set descriptors, the same
+way for every form: the module N/N^q is zero iff N = N^q, and its
+annihilator is the colon (N^q : N) = {a : a*N <= N^q}, met with the ring.
 
 A presentation keeps the value set of its denominator power, built once by
-`present` (the defect zero test compares against it).
+`present`: the zero test, the colon and the containment check all read it.
 """
 
 from __future__ import annotations
@@ -15,19 +17,9 @@ from __future__ import annotations
 from enum import Enum
 
 from .errors import StructuralError
-from .extension import (
-    DefectClassification,
-    DefectlessAnalysis,
-    DefectlessKind,
-)
+from .extension import DefectClassification, DefectlessAnalysis
 from .ogroup import _Frozen, _set
-from .segment import (
-    IdealDescriptor,
-    Segment,
-    coarsening_value_set,
-    is_subset,
-    to_json,
-)
+from .segment import IdealDescriptor, colon, is_subset, to_json
 
 
 class PresentationForm(str, Enum):
@@ -70,80 +62,40 @@ class OmegaPresentation(_Frozen):
 def present(result: DefectClassification | DefectlessAnalysis) -> OmegaPresentation:
     """Select the presentation form and decide the zero test for the instance."""
     if isinstance(result, DefectClassification):
-        num = result.ram_ideal
-        power = num.power(result.datum.degree)
-        return OmegaPresentation(
-            numerator=num,
-            denominator_exponent=result.datum.degree,
-            power=power,
-            form=PresentationForm.RAM_QUOTIENT,
-            is_zero=num.same_values(power),
-            provenance=f"defect:{result.kind.value}",
-        )
-    if not isinstance(result, DefectlessAnalysis):
+        num, exponent = result.ram_ideal, result.datum.degree
+        form, provenance = PresentationForm.RAM_QUOTIENT, f"defect:{result.kind.value}"
+    elif not isinstance(result, DefectlessAnalysis):
         raise StructuralError("present expects a classified or analyzed extension")
-    datum = result.datum
-    if datum.residue_char != datum.q:
-        # tame value extension: q is a unit, so the zero test reduces to
-        # whether M_E is principal over the coarse ring
-        zero = not result.max_ideal.is_principal_over(result.H_E)
-        return OmegaPresentation(result.max_ideal, datum.q,
-                                 power=result.max_ideal.power(datum.q),
-                                 form=PresentationForm.MAX_QUOTIENT,
-                                 is_zero=zero, provenance="defectless:tame_value")
-    # wildly ramified: the Artin-Schreier and one-unit Kummer modules are
-    # never zero; a positive-value Kummer generator gives zero exactly when q
-    # is a unit of the coarse ring and M_E is not principal over it
-    zero = (datum.subkind is DefectlessKind.KUMMER_2A
-            and not result.max_ideal.contains_value(datum.vp)
-            and not result.max_ideal.is_principal_over(result.H_E))
-    num = result.ram_ideal.multiply(result.max_ideal)
-    return OmegaPresentation(num, datum.q, power=num.power(datum.q),
-                             form=PresentationForm.RAM_MAX_QUOTIENT, is_zero=zero,
-                             provenance=f"defectless:{datum.subkind.value}")
+    elif result.datum.residue_char != result.datum.q:
+        num, exponent = result.max_ideal, result.datum.q
+        form, provenance = PresentationForm.MAX_QUOTIENT, "defectless:tame_value"
+    else:
+        num, exponent = result.ram_ideal.multiply(result.max_ideal), result.datum.q
+        form = PresentationForm.RAM_MAX_QUOTIENT
+        provenance = f"defectless:{result.datum.subkind.value}"
+    power = num.power(exponent)
+    return OmegaPresentation(num, exponent, power, form, num.same_values(power), provenance)
 
 
 def annihilate(pres: OmegaPresentation,
                result: DefectClassification | DefectlessAnalysis) -> OmegaPresentation:
-    """Attach the annihilator ideal; the full ring exactly when the module is zero."""
+    """Attach the annihilator ideal (power : numerator) met with the ring.
+
+    It is the full ring exactly when the module is zero.  `result`, the
+    classification the presentation came from, is no longer read; it stays
+    in the signature for the callers that pass it.
+    """
     group = pres.numerator.group
-    is_max = False
+    ring = IdealDescriptor.ring(group)
     if pres.is_zero:
-        ann = IdealDescriptor.ring(group)
-    elif isinstance(result, DefectClassification):
-        ann = _dependent_defect_annihilator(result)
-        is_max = ann.same_values(IdealDescriptor.maximal_ideal(group))
-    elif pres.form is PresentationForm.MAX_QUOTIENT:
-        # nonzero forces M_E principal over the coarse ring; a = 1
-        n = result.datum.q
-        ann = result.max_ideal.power(n - 1)
-        is_max = n == 2 and result.H_E.is_trivial
+        ann = ring
     else:
-        # every wild ramification ideal is principal, generated at its shift
-        n = result.datum.q
-        a_value = result.ram_ideal.values.shift
-        if result.max_ideal.is_principal_over(result.H_E):
-            ann = pres.numerator.power(n - 1)
-        else:
-            base = IdealDescriptor(coarsening_value_set(result.H_E))
-            ann = base.shifted(a_value * (n - 1))
-        is_max = (n == 2
-                  and not result.max_ideal.contains_value(a_value)
-                  and result.H_E.is_trivial
-                  and IdealDescriptor.maximal_ideal(group).is_principal)
+        # two final cuts are nested, so their meet is the smaller one
+        values = colon(pres.power.values, pres.numerator.values)
+        ann = IdealDescriptor(values) if is_subset(values, ring.values) else ring
     return OmegaPresentation(pres.numerator, pres.denominator_exponent, pres.power,
-                             pres.form, pres.is_zero, pres.provenance, ann, is_max)
-
-
-def _dependent_defect_annihilator(result: DefectClassification) -> IdealDescriptor:
-    """I_E^(p-1), improved to a*O(I_E) when the quotient value set of
-    I_E^(p-1) has an unattained infimum realized by a base-field value."""
-    # a canonical open cut sits over a dense cut class, so the infimum is not
-    # attained; the extension is immediate, so vK = vL realizes the shift.
-    # (p-1) times the cut, closed: closing a closed cut leaves it as it is
-    values = result.ram_ideal.values
-    return IdealDescriptor(Segment(values.direction, values.level,
-                                   values.shift * (result.datum.degree - 1), closed=True))
+                             pres.form, pres.is_zero, pres.provenance, ann,
+                             ann.same_values(IdealDescriptor.maximal_ideal(group)))
 
 
 def containment_holds(pres: OmegaPresentation) -> bool:

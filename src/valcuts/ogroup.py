@@ -378,10 +378,6 @@ class ConvexSubgroup(_Frozen):
         # largest convex subgroup avoiding the unit at index `level - 1`
         return self.level >= 1
 
-    @property
-    def is_trivial(self) -> bool:
-        return self.level == self.group.rank
-
 
 class Position(Enum):
     """Position of an element relative to a convex subgroup."""

@@ -110,6 +110,25 @@ def is_principal_subgroup(H) -> bool:
     return H.level <= H.group.rank - 1
 
 
+def is_trivial_subgroup(H) -> bool:
+    """Whether H is the trivial subgroup H_n, n the rank."""
+    return H.level == H.group.rank
+
+
+def is_principal_ideal(I) -> bool:
+    """Whether the ideal's value set attains its minimum: an element cut."""
+    from valcuts.segment import CutKind
+
+    return I.values.kind is CutKind.ELEMENT
+
+
+def shifted_ideal(I, gamma):
+    """The ideal whose value set is gamma + vI."""
+    from valcuts.segment import IdealDescriptor, shift
+
+    return IdealDescriptor(shift(I.values, gamma))
+
+
 def schedule_value_at(sched, k: int):
     """The declared schedule's value limit - scale/p^(k+1) for one k, built
     on its own: limit - scale*m/d with p^(k+1) = d/m over the one

@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 from valcuts.errors import StructuralError
+from valcuts.extension import DefectClassification, DefectlessKind
 from valcuts.kaehler import OmegaPresentation
-from valcuts.segment import is_subset
+from valcuts.segment import IdealDescriptor, Segment, coarsening_value_set, is_subset
+
+from conftest import is_principal_ideal, is_trivial_subgroup, shifted_ideal
 
 
 def maximality_witness(pres: OmegaPresentation, candidates) -> bool:
@@ -20,7 +23,52 @@ def maximality_witness(pres: OmegaPresentation, candidates) -> bool:
     for g in candidates:
         if pres.annihilator.contains_value(g):
             continue
-        shifted = pres.numerator.shifted(g)
+        shifted = shifted_ideal(pres.numerator, g)
         if is_subset(shifted.values, power.values):
             return False
     return True
+
+
+def closed_form(result) -> tuple[bool, IdealDescriptor, bool]:
+    """(is_zero, annihilator, annihilator_is_max_ideal) from the paper's
+    closed forms, one case per presentation form.
+
+    - I/I^p (defect): zero exactly when I = I^p; otherwise the annihilator
+      is I^(p-1), improved to a*O(I) when that power's value set has an
+      unattained infimum, which the immediate extension realizes by a base
+      value a: the same cut, closed.
+    - M/M^q (tame value extension): zero exactly when M is not principal
+      over the coarse ring O(H); otherwise M is principal and the
+      annihilator is M^(q-1).
+    - IM/(IM)^q (wild value extension): zero only for a positive-value
+      Kummer generator with v(p) outside M and M not principal over O(H).
+      With I = aO the annihilator is (IM)^(q-1) when M is principal over
+      O(H), and a^(q-1)*O(H) when it is not.
+    The flag is set where the annihilator is the maximal ideal of the ring.
+    """
+    group = result.max_ideal.group
+    max_ideal = IdealDescriptor.maximal_ideal(group)
+    if isinstance(result, DefectClassification):
+        num = result.ram_ideal
+        if num.same_values(num.power(result.datum.degree)):
+            return True, IdealDescriptor.ring(group), False
+        v = num.values
+        ann = IdealDescriptor(Segment(v.direction, v.level,
+                                      v.shift * (result.datum.degree - 1), closed=True))
+        return False, ann, ann.same_values(max_ideal)
+    datum, M, H = result.datum, result.max_ideal, result.H_E
+    n = datum.q
+    if datum.residue_char != n:
+        if not M.is_principal_over(H):
+            return True, IdealDescriptor.ring(group), False
+        return False, M.power(n - 1), n == 2 and is_trivial_subgroup(H)
+    if (datum.subkind is DefectlessKind.KUMMER_2A and not M.contains_value(datum.vp)
+            and not M.is_principal_over(H)):
+        return True, IdealDescriptor.ring(group), False
+    a_value = result.ram_ideal.values.shift
+    if M.is_principal_over(H):
+        ann = result.ram_ideal.multiply(M).power(n - 1)
+    else:
+        ann = shifted_ideal(IdealDescriptor(coarsening_value_set(H)), a_value * (n - 1))
+    return False, ann, (n == 2 and not M.contains_value(a_value) and is_trivial_subgroup(H)
+                        and is_principal_ideal(max_ideal))

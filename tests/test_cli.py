@@ -917,7 +917,10 @@ REPORT_GOLDEN_RUNS = [
     ([command, "--config", str(CONFIGS / f"{config}.json")],
      f"{command}_{config.replace('-', '_')}.json")
     for config in ("abhyankar-p3", "defectless-dense", "mixed-schedule-p5",
-                   "mixed-schedule-start-p3", "pattern-tails-p3", "synthetic-dependent")
+                   "mixed-schedule-start-p3", "pattern-tails-p3", "synthetic-dependent",
+                   # the Kaehler forms and flags the configs above never reach
+                   "defectless-as-wild-p3", "defectless-kummer-zero-p5",
+                   "defectless-tame-discrete-p5", "synthetic-dependent-int")
     for command in ("classify", "kaehler")
 ] + [
     (["prescribe", "--rank", "8", "--select", "1,2,3,4,5,6,7,8", "--p", "7",

@@ -40,7 +40,14 @@ from valcuts.segment import (
     subgroup_cut,
 )
 
-from conftest import random_cut, random_group, random_group_element, schedule_value_at
+from conftest import (
+    is_principal_ideal,
+    is_trivial_subgroup,
+    random_cut,
+    random_group,
+    random_group_element,
+    schedule_value_at,
+)
 from test_gpsfield import _coordinate, abhyankar_root, perfect_model
 
 
@@ -120,7 +127,7 @@ class TestClassify:
     def test_abhyankar_independent(self, p):
         res = classify(abhyankar_datum(p))
         assert res.kind is DefectKind.INDEPENDENT
-        assert res.H_E.is_trivial
+        assert is_trivial_subgroup(res.H_E)
         assert res.certificate["criteria"] == {"ideal_route": True, "segment_route": True}
 
     def test_degree_is_the_residue_characteristic(self):
@@ -145,7 +152,7 @@ class TestClassify:
         res = classify(DefectDatum(name="theta_t", kind=ExtensionKind.AS_DEFECT,
                                    base=L, degree=3, generator=theta_t))
         assert res.kind is DefectKind.INDEPENDENT
-        assert res.H_E.is_trivial
+        assert is_trivial_subgroup(res.H_E)
 
     def test_mixed_characteristic_schedule(self):
         # values -vp/p^(i+1) classify to the trivial subgroup, independent
@@ -159,7 +166,7 @@ class TestClassify:
         for i, value in enumerate(sched.approach(20).schedule):
             assert value == G.element(Fraction(-1, p ** (i + 1)))
         res = classify(datum)
-        assert res.kind is DefectKind.INDEPENDENT and res.H_E.is_trivial
+        assert res.kind is DefectKind.INDEPENDENT and is_trivial_subgroup(res.H_E)
 
     def test_synthetic_principal_sigma_dependent(self):
         G = GroupDescriptor((Component.PDIV,), 2)
@@ -180,7 +187,7 @@ class TestClassify:
                             degree=2, declared_sigma=sigma, synthetic=True)
         res = classify(datum)
         assert res.kind is DefectKind.DEPENDENT
-        assert res.H_E.is_trivial  # invariance of a shifted point cut
+        assert is_trivial_subgroup(res.H_E)  # invariance of a shifted point cut
 
     def test_sigma_independent_of_generator_translate(self):
         # theta and theta + c generate the same extension and the same segment
@@ -339,6 +346,40 @@ class TestOneStepSigma:
         assert built > 30
 
 
+class TestDatumGroups:
+    """A defect datum's generator, sigma_shift and declared segment live in
+    its base's value group; one from another group is refused when built."""
+
+    @staticmethod
+    def base():
+        G = GroupDescriptor((Component.PDIV,), 3)
+        return FieldModel(name="syn", char=3, value_group=G, residue=GF(3))
+
+    def test_declared_sigma_from_another_group(self):
+        other = GroupDescriptor((Component.RAT, Component.INT), 3)
+        with pytest.raises(StructuralError, match="declared_sigma"):
+            DefectDatum(name="dep", kind=ExtensionKind.AS_DEFECT, base=self.base(), degree=3,
+                        declared_sigma=element_cut(other.element(1, 0)), synthetic=True)
+
+    def test_sigma_shift_and_generators_from_another_group(self):
+        base = self.base()
+        other = GroupDescriptor((Component.PDIV,), 3)
+        wider = GroupDescriptor((Component.PDIV, Component.PDIV), 3)
+        schedule = DeclaredSchedule(wider, wider.zero(), wider.element(1, 0))
+        L = rank2_composite(3)
+        pattern = PatternSeries(L, L.zero(),
+                                (Tail(L.residue.one(), L.value_group.element(-1, 0), 1),))
+        for field, value in (("sigma_shift", wider.element(1, 0)),
+                             ("generator", schedule), ("generator", pattern)):
+            with pytest.raises(StructuralError, match=field):
+                DefectDatum(name="d", kind=ExtensionKind.AS_DEFECT, base=base, degree=3,
+                            **({"generator": abhyankar_root(base)} if field != "generator"
+                               else {}), **{field: value})
+        # an equal group built apart is the same group
+        DefectDatum(name="d", kind=ExtensionKind.AS_DEFECT, base=base, degree=3,
+                    declared_sigma=element_cut(other.element(1)), synthetic=True)
+
+
 class TestDefectless:
     def test_dense_step_case(self):
         # vK = q * Z[1/p] inside vL = Z[1/p]: dense class, trivial H_E
@@ -347,9 +388,9 @@ class TestDefectless:
                                 x0_value=G.element(1))
         res = defectless_analyze(datum)
         assert res.case is DefectlessCase.DL2B
-        assert res.H_E.is_trivial
+        assert is_trivial_subgroup(res.H_E)
         assert res.max_ideal.values == normalize(element_cut(G.zero(), closed=False))
-        assert not res.max_ideal.is_principal
+        assert not is_principal_ideal(res.max_ideal)
         assert res.certificate["q_times_x0_in_vK"] is True
 
     def test_discrete_step_case(self):
@@ -358,7 +399,7 @@ class TestDefectless:
                                 x0_value=G.element(1))
         res = defectless_analyze(datum)
         assert res.case is DefectlessCase.DL2C
-        assert res.max_ideal.is_principal  # discrete quotient attains its minimum
+        assert is_principal_ideal(res.max_ideal)  # discrete quotient attains its minimum
 
     def test_largest_common_subgroup_rank2(self):
         # brute-force level enumeration puts H_E right below the star class
@@ -369,7 +410,7 @@ class TestDefectless:
         assert res.H_E.level == 1
         datum2 = DefectlessDatum(name="rank2b", group=G, q=2, star_index=1,
                                  x0_value=G.element(0, 1))
-        assert defectless_analyze(datum2).H_E.is_trivial
+        assert is_trivial_subgroup(defectless_analyze(datum2).H_E)
 
     def test_as_generator_ram_ideal(self):
         # I_E = (1/theta) at value -v(theta), principal
@@ -379,7 +420,7 @@ class TestDefectless:
                                 subkind=DefectlessKind.ARTIN_SCHREIER, residue_char=2)
         res = defectless_analyze(datum)
         assert res.ram_ideal.values == element_cut(G.element(1))
-        assert res.ram_ideal.is_principal
+        assert is_principal_ideal(res.ram_ideal)
 
     def test_kummer_positive_value_ram_ideal(self):
         # I_E = (zeta_q - 1) at value vp/(q-1)

@@ -3,9 +3,13 @@
 from __future__ import annotations
 
 import itertools
+import pathlib
+import random
 from fractions import Fraction
 
 from valcuts import segment
+from valcuts.cli import load_config
+from valcuts.errors import ValcutsError
 from valcuts.extension import (
     DefectDatum,
     DefectKind,
@@ -27,8 +31,8 @@ from valcuts.ogroup import Component, ConvexSubgroup, GroupDescriptor
 from valcuts.residue import GF
 from valcuts.segment import IdealDescriptor, element_cut, subgroup_cut
 
-from conftest import grid_points, segment_set
-from kaehler_oracles import maximality_witness
+from conftest import grid_points, random_cut, random_group, random_group_element, segment_set
+from kaehler_oracles import closed_form, maximality_witness
 from test_extension import abhyankar_datum
 
 
@@ -310,3 +314,104 @@ class TestPowerBuiltOnce:
             assert pres.power == pres.numerator.power(pres.denominator_exponent)
             forms.add(pres.form)
         assert forms == set(PresentationForm)
+
+
+CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
+# the configs whose goldens hold a nonzero IM/(IM)^p, a zero IM/(IM)^p and a
+# true annihilator_is_max_ideal flag on M/M^q and on I/I^p
+CONFIG_NAMES = ("defectless-as-wild-p3", "defectless-kummer-zero-p5",
+                "defectless-tame-discrete-p5", "synthetic-dependent-int")
+
+
+def random_results(rng, count):
+    """Classified and analyzed extensions over random groups of rank 1-4:
+    declared sigma segments, and defectless data of every subkind, tame
+    and wild, with v(p) and v(eta - 1) positive and v(p) and v(zeta - 1) =
+    v(p)/(q - 1) in vK, as p and zeta lie in K.  Data the constructors
+    refuse are skipped."""
+    def positive():
+        x = random_group_element(rng, G)
+        return x if x.sign() > 0 else G.unit(0) - x
+
+    out = []
+    while len(out) < count:
+        G = random_group(rng)
+        try:
+            if rng.random() < 0.35:
+                sigma = random_cut(rng, G)
+                base = FieldModel(name="r", char=G.prime, value_group=G, residue=GF(G.prime))
+                out.append(classify(DefectDatum(
+                    name="r", kind=ExtensionKind.AS_DEFECT, base=base, degree=G.prime,
+                    declared_sigma=sigma, synthetic=True)))
+                continue
+            q = rng.choice((2, 3, 5))
+            subkind = rng.choice(list(DefectlessKind))
+            wild = subkind is not DefectlessKind.VALUE_ONLY and rng.random() < 0.8
+            out.append(defectless_analyze(DefectlessDatum(
+                name="r", group=G, q=q, star_index=rng.randrange(G.rank),
+                x0_value=random_group_element(rng, G), subkind=subkind,
+                residue_char=q if wild else rng.choice((0, 7)),
+                vp=positive() * (q * (q - 1)), v_eta_minus_1=positive())))
+        except ValcutsError:
+            continue
+    return out
+
+
+def config_results():
+    for name in CONFIG_NAMES:
+        _, datum, depth = load_config(str(CONFIGS / f"{name}.json"))
+        if isinstance(datum, DefectlessDatum):
+            yield name, defectless_analyze(datum)
+        else:
+            yield name, classify(datum, depth=depth)
+
+
+class TestColonMeetsTheClosedForms:
+    """The annihilator is the colon (power : numerator) met with the ring,
+    and the module is zero iff numerator = power, on every form.  The
+    paper's closed forms (kaehler_oracles.closed_form) must agree wherever
+    they apply: I^(p-1) or a*O(I) for defects, M^(q-1) for tame value
+    extensions, (IM)^(q-1) or a^(q-1)*O(H) for wild ones."""
+
+    def test_random_results(self):
+        seen = set()
+        for res in random_results(random.Random(3301), 1500) + [r for _, r in config_results()]:
+            pres = annihilate(present(res), res)
+            is_zero, ann, is_max = closed_form(res)
+            assert pres.is_zero is is_zero, res
+            assert pres.annihilator == ann, res
+            assert pres.annihilator_is_max_ideal is is_max, res
+            assert containment_holds(pres), res
+            seen.add((pres.form, pres.is_zero, pres.annihilator_is_max_ideal))
+        assert seen >= {(form, False, False) for form in PresentationForm}
+        assert seen >= {(form, True, False) for form in PresentationForm}
+        assert seen >= {(PresentationForm.RAM_QUOTIENT, False, True),
+                        (PresentationForm.MAX_QUOTIENT, False, True)}
+
+    def test_the_annihilator_is_the_colon_met_with_the_ring(self):
+        for res in random_results(random.Random(3302), 300):
+            pres = annihilate(present(res), res)
+            ring = IdealDescriptor.ring(pres.numerator.group).values
+            col = segment.colon(pres.power.values, pres.numerator.values)
+            assert pres.is_zero is (pres.numerator == pres.power)
+            want = col if segment.is_subset(col, ring) else ring
+            assert pres.annihilator.values == want
+            # the colon of equal ideals holds the ring, so the shortcut agrees
+            assert pres.is_zero <= segment.is_subset(ring, col)
+
+    def test_configs_reach_the_forms_no_other_golden_holds(self):
+        got = {name: annihilate(present(res), res) for name, res in config_results()}
+        assert {name: (p.form, p.is_zero, p.annihilator_is_max_ideal)
+                for name, p in got.items()} == {
+            "defectless-as-wild-p3": (PresentationForm.RAM_MAX_QUOTIENT, False, False),
+            "defectless-kummer-zero-p5": (PresentationForm.RAM_MAX_QUOTIENT, True, False),
+            "defectless-tame-discrete-p5": (PresentationForm.MAX_QUOTIENT, False, True),
+            "synthetic-dependent-int": (PresentationForm.RAM_QUOTIENT, False, True),
+        }
+        for name, pres in got.items():
+            if pres.is_zero:
+                continue
+            outside = [g for g in TestDiscreteClasses.candidates(pres.annihilator.values.shift)
+                       if not pres.annihilator.contains_value(g)]
+            assert containment_holds(pres) and outside, name
+            assert maximality_witness(pres, outside), name

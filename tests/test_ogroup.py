@@ -31,6 +31,7 @@ from conftest import (
     grid_points,
     in_subgroup,
     is_principal_subgroup,
+    is_trivial_subgroup,
     quotient_has_smallest_positive,
 )
 
@@ -440,7 +441,7 @@ class TestArchimedeanClass:
         g = zp2()
         pr, sub = archimedean_class_subgroups(g.unit(1))
         assert (pr.level, sub.level) == (1, 2)
-        assert sub.is_trivial
+        assert is_trivial_subgroup(sub)
 
     def test_sign_and_scale_irrelevant(self):
         g = zp2()
