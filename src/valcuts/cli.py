@@ -32,12 +32,14 @@ from .extension import (
     ExtensionKind,
     classify,
     defectless_analyze,
+    positive_vp,
 )
 from .formlang import (
     DEFINITIONS,
     DeclaredValue,
     check_definition,
     evaluate,
+    exact_verdict,
     free_variables,
     parse,
 )
@@ -84,7 +86,8 @@ REPORT_SCHEMA = {
         {"if": {"properties": {"command": {"const": "eval"}}},
          "then": {"required": ["formula", "result", "scenario"]}},
         {"if": {"properties": {"command": {"const": "check-def"}}},
-         "then": {"required": ["report", "scenario", "seed"]}},
+         "then": {"required": ["exact", "report", "scenario", "seed"],
+                  "properties": {"exact": {"type": ["boolean", "null"]}}}},
     ],
 }
 
@@ -162,7 +165,8 @@ def datum_from_config(config: dict) -> tuple:
     if not ext.build("degree", is_prime, degree):
         raise ConfigError.at("extension/degree", f"{degree} is not prime")
     if kind == "defectless_value":
-        # the degree is prime and the elements are the group's: only star_index is left
+        # the degree is prime and the elements are the group's: vp and star_index are left
+        ext.build("vp", positive_vp, vp)
         return ext.build(
             "star_index", DefectlessDatum, name=label, group=group, q=degree,
             star_index=star_index, x0_value=x0_value, subkind=DefectlessKind(subkind),
@@ -226,12 +230,11 @@ def scenario_report(command: str, p: int, depth: int, seed: int) -> dict:
             "omega": _omega_json(res),
         }
         extensions.append(entry)
-    targets = _definability_targets(command, scenario)
-    # samples are drawn only where a definition reads them
-    samples = samples_for(scenario, 50, seed) if targets else ()
+    # the samples are drawn only if some check walks them
+    samples = samples_for(scenario, 50, seed)
     checks = [check_definition(DEFINITIONS[name], direct, scenario.fmodel, samples,
                                name=name).to_json()
-              for name, direct in targets]
+              for name, direct in _definability_targets(command, scenario)]
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": command,
@@ -353,6 +356,7 @@ def check_def_report(name: str, scenario_name: str, p: int, depth: int,
         "scenario": scenario_name,
         "prime": p,
         "seed": seed,
+        "exact": exact_verdict(DEFINITIONS[name], targets[name], scenario.fmodel),
         "report": rep.to_json(),
     }
 

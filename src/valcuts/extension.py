@@ -261,6 +261,15 @@ class DefectlessKind(str, Enum):
     VALUE_ONLY = "value_only"          # no generator data; ideals except I_E
 
 
+def positive_vp(vp: GroupElement | None) -> GroupElement | None:
+    """vp itself, where v(p) is declared: a StructuralError unless it is
+    positive, as p lies in the maximal ideal once the residue field has
+    characteristic p."""
+    if vp is not None and vp.sign() <= 0:
+        raise StructuralError(f"v(p) = {vp} is not positive")
+    return vp
+
+
 class DefectlessDatum(_Frozen):
     __slots__ = _fields = ("name", "group", "q", "star_index", "x0_value", "subkind",
                            "residue_char", "vp", "v_eta_minus_1")
@@ -276,7 +285,7 @@ class DefectlessDatum(_Frozen):
         _set(self, "x0_value", x0_value)          # vx0, not in vK
         _set(self, "subkind", subkind)
         _set(self, "residue_char", residue_char)
-        _set(self, "vp", vp)                      # value of p when residue char divides it
+        _set(self, "vp", positive_vp(vp))         # value of p when residue char divides it
         _set(self, "v_eta_minus_1", v_eta_minus_1)   # one-unit case
         if not is_prime(q):
             raise InconsistentDatumError("degree q must be prime")

@@ -567,6 +567,28 @@ class DeclaredValue(_Frozen):
         _set(self, "valuation", valuation)   # GroupElement | INF
 
 
+class SampleDraw:
+    """`count` samples (label, carrier, valuation), drawn by draw() when first
+    iterated and kept for later iterations.  Every carrier has the finite
+    valuation it is listed with, so a check that reads samples only through
+    their valuations is settled by their number, without drawing."""
+
+    __slots__ = ("_count", "_draw", "_drawn")
+
+    def __init__(self, count: int, draw):
+        self._count = count
+        self._draw = draw
+        self._drawn = None
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __iter__(self):
+        if self._drawn is None:
+            self._drawn = self._draw()
+        return iter(self._drawn)
+
+
 class Approximant(_Frozen):
     """The k-th schedule approximant b_k of an immediate element."""
 
@@ -1528,21 +1550,34 @@ def _direct_values(direct):
     return None
 
 
+def exact_verdict(phi, direct, fmodel: FormulaModel) -> bool | None:
+    """Whether phi defines the direct object: True or False when evaluate
+    answers b by membership in a value set compiled once per model, as that
+    set is or is not the direct object's; None when phi does not compile."""
+    ast = parse(phi) if isinstance(phi, str) else phi
+    values, answer, _term = _compiled(ast, fmodel, "b")
+    if not answer or values is None:
+        return None
+    return values == _direct_values(direct)
+
+
 def check_definition(phi, direct, fmodel: FormulaModel, samples,
                      name: str = "") -> AgreementReport:
     """Compare formula truth against descriptor membership on each sample.
 
     Samples are (label, carrier, valuation) triples, each bound to the free
     variable b and evaluated; TRUE/FALSE disagreements are reported as hard
-    failures, UNKNOWNs are counted.  When evaluate answers b by membership in
-    a value set compiled once per model and that set is the direct object's,
-    a sample whose carrier has its declared finite valuation agrees without
-    being evaluated: evaluate would test that valuation for membership in the
-    same set.
+    failures, UNKNOWNs are counted.  When the exact verdict is True, a sample
+    whose carrier has its declared finite valuation agrees without being
+    evaluated: evaluate would test that valuation for membership in the
+    direct object's set.  Every sample of a SampleDraw is such a sample, so
+    one agrees in full without being drawn.
     """
     ast = parse(phi) if isinstance(phi, str) else phi
-    values, answer, _term = _compiled(ast, fmodel, "b")
-    exact = bool(answer) and values is not None and values == _direct_values(direct)
+    name = name or (phi if isinstance(phi, str) else print_formula(ast))
+    exact = exact_verdict(ast, direct, fmodel) is True
+    if exact and samples.__class__ is SampleDraw:
+        return AgreementReport(name, len(samples), len(samples), (), 0)
     agreements = 0
     unknowns = 0
     bad = []
@@ -1565,8 +1600,7 @@ def check_definition(phi, direct, fmodel: FormulaModel, samples,
             agreements += 1
         else:
             bad.append({"sample": label, "formula": got.value, "direct": want})
-    return AgreementReport(name or (phi if isinstance(phi, str) else print_formula(ast)),
-                           total, agreements, tuple(bad), unknowns)
+    return AgreementReport(name, total, agreements, tuple(bad), unknowns)
 
 
 # Named definition texts used by the command-line reports.

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import partial
 
 from .extension import (
     DeclaredSchedule,
@@ -17,7 +18,7 @@ from .extension import (
     ExtensionKind,
     classify,
 )
-from .formlang import DeclaredValue, FormulaModel, ImmediateElement
+from .formlang import DeclaredValue, FormulaModel, ImmediateElement, SampleDraw
 from .gpsfield import FieldModel, PatternSeries, SeriesElement, Tail
 from .ogroup import Component, GroupDescriptor, GroupElement, _Frozen, _set
 from .residue import GF
@@ -185,7 +186,12 @@ def declared_samples(group: GroupDescriptor, count: int, seed: int):
     return out
 
 
-def samples_for(scenario: Scenario, count: int, seed: int):
+def samples_for(scenario: Scenario, count: int, seed: int) -> SampleDraw:
+    """The scenario's samples, drawn when first read: series_samples where the
+    model has series arithmetic, else declared_samples.  Either lists its
+    first sample whatever the count."""
     if scenario.model.series_capable:
-        return series_samples(scenario.model, count, seed)
-    return declared_samples(scenario.model.value_group, count, seed)
+        draw = partial(series_samples, scenario.model, count, seed)
+    else:
+        draw = partial(declared_samples, scenario.model.value_group, count, seed)
+    return SampleDraw(max(count, 1), draw)

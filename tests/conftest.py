@@ -8,7 +8,7 @@ from fractions import Fraction
 import jsonschema
 import pytest
 
-from valcuts import cli
+from valcuts import cli, scenarios
 from valcuts.errors import StructuralError
 from valcuts.ogroup import Component, GroupDescriptor
 
@@ -169,3 +169,18 @@ def rebuilt(value, **changes):
     starting with none of its kept caches."""
     fields = {name: getattr(value, name) for name in value._fields}
     return type(value)(**{**fields, **changes})
+
+
+def counted_draws(monkeypatch) -> list:
+    """The (generator, args) of every sample draw made from here on: each call
+    of scenarios.series_samples or scenarios.declared_samples."""
+    draws = []
+    for name in ("series_samples", "declared_samples"):
+        original = getattr(scenarios, name)
+
+        def counting(*args, _name=name, _original=original):
+            draws.append((_name, args))
+            return _original(*args)
+
+        monkeypatch.setattr(scenarios, name, counting)
+    return draws

@@ -33,6 +33,8 @@ from valcuts.errors import ConfigError
 from valcuts.formlang import DEFINITIONS, DeclaredValue, evaluate
 from valcuts.scenarios import SCENARIOS
 
+from conftest import counted_draws
+
 GOLDENS = pathlib.Path(__file__).parent / "goldens"
 ROOT = pathlib.Path(__file__).parent.parent
 CONFIGS = ROOT / "configs"
@@ -636,6 +638,17 @@ class TestInputContract:
          "extension/generator/segment/level: level must lie in 0..2"),
         # nested deeper than the JSON decoder recurses
         (["classify", "--config", lambda tmp: write_text(tmp, "[" * 100_000)], "--config"),
+        # p lies in the maximal ideal: v(p) = 0 and v(p) < 0 put I_E outside the ring
+        (["kaehler", "--config", lambda tmp: write_extension(tmp, dict(
+            WILD_KUMMER, subkind="kummer_value", vp=["0", "0"]), ("int", "pdiv"), 3)],
+         "extension/vp: v(p) = (0, 0) is not positive"),
+        (["classify", "--config", lambda tmp: write_extension(tmp, dict(
+            WILD_KUMMER, subkind="kummer_one_unit", vp=["0", "-2"],
+            v_eta_minus_1=["1", "0"]), ("int", "pdiv"), 3)],
+         "extension/vp: v(p) = (0, -2) is not positive"),
+        (["kaehler", "--config", {"kind": "defectless_value", "degree": 3, "star_index": 0,
+                                  "x0_value": ["1"], "vp": ["-2"]}],
+         "extension/vp: v(p) = -2 is not positive"),
     ])
     def test_bad_value_exits_2_naming_it(self, tmp_path, capsys, args, named):
         args = [write_extension(tmp_path, a) if isinstance(a, dict)
@@ -930,22 +943,49 @@ REPORT_GOLDEN_RUNS = [
 ]
 
 
+# each (definition, scenario) pair a scenario report checks
+CHECKED_PAIRS = [("ram-ideal-as", "abhyankar"), ("max-ideal", "abhyankar"),
+                 ("coarse-ring-as", "abhyankar"), ("ram-ideal-as", "example-e1"),
+                 ("max-ideal", "example-e1"), ("ram-ideal-kummer", "kummer-mixed"),
+                 ("coarse-ring-kummer", "kummer-mixed")]
+
+
 class TestSamplesDrawnOnlyWhenRead:
+    """Every check of the reports is settled exactly, so no sample is drawn."""
+
     @pytest.mark.parametrize("args,golden", GOLDEN_RUNS, ids=[_run_id(a) for a, _ in GOLDEN_RUNS])
     def test_samples_for_calls(self, tmp_path, monkeypatch, args, golden):
-        # example-e2 has no definability target, so its samples would go unread
-        calls = []
-        original = cli.samples_for
-
-        def counting(*a, **kw):
-            calls.append(a)
-            return original(*a, **kw)
-
-        monkeypatch.setattr(cli, "samples_for", counting)
+        # each report asks samples_for once and never reads what it returns
+        draws = counted_draws(monkeypatch)
         out = tmp_path / "out.json"
         assert main(args + ["--out", str(out)]) == 0
-        assert len(calls) == (0 if args[0] == "example-e2" else 1)
+        assert draws == []
         assert out.read_bytes() == (GOLDENS / golden).read_bytes()
+
+    @pytest.mark.parametrize("name,scenario", CHECKED_PAIRS)
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_check_def_draws_nothing_and_is_exact(self, tmp_path, monkeypatch, name,
+                                                  scenario, p):
+        draws = counted_draws(monkeypatch)
+        code, report = run(["check-def", "--name", name, "--scenario", scenario,
+                            "--p", str(p), "--samples", "77", "--seed", "9"], tmp_path)
+        assert (code, draws, report["exact"]) == (0, [], True)
+        assert report["report"] == {"definition": name, "samples": 77, "agreements": 77,
+                                    "disagreements": [], "unknowns": 0,
+                                    "unknown_rate": 0.0, "passed": True}
+
+    @pytest.mark.parametrize("args,golden", GOLDEN_RUNS, ids=[_run_id(a) for a, _ in GOLDEN_RUNS])
+    def test_the_seed_shows_only_in_its_echo(self, tmp_path, args, golden):
+        lines = (GOLDENS / golden).read_text().splitlines()
+        at = next(n for n, line in enumerate(lines) if line.startswith('  "seed": '))
+        if "--seed" in args:
+            args = args[:args.index("--seed")] + args[args.index("--seed") + 2:]
+        out = tmp_path / "out.json"
+        for seed in (0, 7, 12345):
+            assert main(args + ["--seed", str(seed), "--out", str(out)]) == 0
+            got = out.read_text().splitlines()
+            assert got[at] == f'  "seed": {seed}'
+            assert got[:at] + got[at + 1:] == lines[:at] + lines[at + 1:]
 
 
 class TestRepeatedMain:

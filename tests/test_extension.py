@@ -441,6 +441,21 @@ class TestDefectless:
         res = defectless_analyze(datum)
         assert res.ram_ideal.values == element_cut(G.element(2))
 
+    @pytest.mark.parametrize("subkind", [DefectlessKind.VALUE_ONLY, DefectlessKind.KUMMER_2A,
+                                         DefectlessKind.KUMMER_2B])
+    def test_nonpositive_vp_rejected(self, subkind):
+        # p lies in the maximal ideal; v(p) <= 0 would put I_E outside the ring
+        G = GroupDescriptor((Component.INT, Component.PDIV), 2)
+        for vp in (G.zero(), G.element(0, -6), G.element(-1, 6)):
+            with pytest.raises(StructuralError, match="is not positive"):
+                DefectlessDatum(name="bad", group=G, q=3, star_index=0,
+                                x0_value=G.element(1, 0), subkind=subkind, residue_char=3,
+                                vp=vp, v_eta_minus_1=G.element(1, 0))
+        datum = DefectlessDatum(name="ok", group=G, q=3, star_index=0,
+                                x0_value=G.element(1, 0), subkind=subkind, residue_char=3,
+                                vp=G.element(0, 6), v_eta_minus_1=G.element(1, 0))
+        assert datum.vp == G.element(0, 6)
+
     def test_value_in_vK_rejected(self):
         G = GroupDescriptor((Component.PDIV,), 3)
         with pytest.raises(WrongCaseError):

@@ -47,6 +47,7 @@ from valcuts.formlang import (
     _Parser,
     check_definition,
     evaluate,
+    exact_verdict,
     free_variables,
     membership,
     parse,
@@ -82,6 +83,7 @@ from valcuts.segment import (
 )
 
 from conftest import (
+    counted_draws,
     grid_points,
     is_canonical,
     random_cut,
@@ -856,7 +858,7 @@ class TestValueSet:
         for build, result, names in self.TARGETS:
             sc = build(p)
             res = sc.result(result)
-            samples = [("0", _zero(sc), INF)] + samples_for(sc, 8, 5)
+            samples = [("0", _zero(sc), INF), *samples_for(sc, 8, 5)]
             for name in names:
                 direct = self.direct(res, name)
                 rep = check_definition(DEFINITIONS[name], direct, sc.fmodel, samples)
@@ -868,7 +870,7 @@ class TestValueSet:
         text = "exists c in K : v(theta - c) >= v(b)"
         assert value_set(text, sc.fmodel) is not None
         assert evaluate(text, sc.fmodel, bindings={"b": _zero(sc)}).value is Truth.FALSE
-        samples = [("0", _zero(sc), INF)] + samples_for(sc, 8, 5)
+        samples = [("0", _zero(sc), INF), *samples_for(sc, 8, 5)]
         direct = sc.result("theta").ram_ideal
         rep = check_definition(text, direct, sc.fmodel, samples)
         assert _counts(rep) == _evaluated_counts(text, direct, sc.fmodel, samples)
@@ -1081,7 +1083,8 @@ class TestExactComparison:
         calls = self.counted(monkeypatch)
         checked = 0
         for sc, p, name, direct in _cli_targets():
-            samples = samples_for(sc, 50, p) + _edge_samples(sc, formlang._direct_values(direct))
+            edges = _edge_samples(sc, formlang._direct_values(direct))
+            samples = [*samples_for(sc, 50, p), *edges]
             rep = check_definition(DEFINITIONS[name], direct, sc.fmodel, samples)
             assert not calls, (name, p)
             want = _evaluated_counts(DEFINITIONS[name], direct, sc.fmodel, samples)
@@ -1102,7 +1105,7 @@ class TestExactComparison:
         disagreeing = 0
         for name, direct in targets:
             seg = formlang._direct_values(direct)
-            samples = samples_for(sc, 20, 4) + _edge_samples(sc, seg)
+            samples = [*samples_for(sc, 20, 4), *_edge_samples(sc, seg)]
             # shifted by one coset of its cut class, and flipped open/closed
             for wrong in (shift(seg, g.unit(seg.level - 1)),
                           Segment(seg.direction, seg.level, seg.shift, not seg.closed)):
@@ -1125,7 +1128,7 @@ class TestExactComparison:
             # 0 has no finite valuation; t^1 is declared to have value 0
             odd = [("0", sc.model.zero(), INF),
                    ("t labelled 1", sc.model.monomial(1, g.element(1)), g.zero())]
-            samples = samples_for(sc, 10, 1) + odd
+            samples = [*samples_for(sc, 10, 1), *odd]
             for name, direct in (("ram-ideal-as", res.ram_ideal),
                                  ("max-ideal", res.max_ideal),
                                  ("coarse-ring-as", res.H_E)):
@@ -1142,7 +1145,7 @@ class TestExactComparison:
         sc = kummer_mixed(3)
         res = sc.result("eta")
         eta = sc.fmodel.immediate("eta")
-        samples = samples_for(sc, 10, 1) + [("eta", eta, sc.model.value_group.zero())]
+        samples = [*samples_for(sc, 10, 1), ("eta", eta, sc.model.value_group.zero())]
         rep = check_definition(DEFINITIONS["coarse-ring-kummer"], res.H_E, sc.fmodel, samples)
         assert [b["b"] for b in calls] == [eta]
         calls.clear()
@@ -1185,6 +1188,72 @@ class TestExactComparison:
                 assert all(contains(cut, v) == membership(H, v) for v in points), level
             # H_0 is the whole group: every value, which a cut cannot describe
             assert all(membership(ConvexSubgroup(g, 0), v) for v in points)
+
+
+class TestSampleDraw:
+    """samples_for draws when its samples are first iterated, and a check whose
+    exact verdict is True never iterates them."""
+
+    @pytest.mark.parametrize("build,p", [(abhyankar, 2), (abhyankar, 5), (example_e1, 3),
+                                         (example_e2, 2), (kummer_mixed, 3)])
+    def test_a_draw_once_read_is_the_generated_list(self, monkeypatch, build, p):
+        sc = build(p)
+        draws = counted_draws(monkeypatch)
+        for count, seed in ((0, 3), (1, 0), (8, 5), (50, 12345)):
+            draws.clear()
+            samples = samples_for(sc, count, seed)
+            assert len(samples) == max(count, 1) and draws == []
+            first = list(samples)
+            assert len(draws) == 1
+            assert [s is t for s, t in zip(samples, first)] == [True] * len(first)
+            assert len(draws) == 1   # kept, not drawn again
+            want = (series_samples(sc.model, count, seed) if sc.model.series_capable
+                    else declared_samples(sc.model.value_group, count, seed))
+            assert first == want and len(first) == len(samples)
+            # each carrier has the finite valuation it is listed with
+            for label, b, v in first:
+                assert v is not INF and formlang._bound_valuation("b", b) == v, label
+
+    def test_the_exact_verdict(self):
+        checked = 0
+        for sc, p, name, direct in _cli_targets():
+            assert exact_verdict(DEFINITIONS[name], direct, sc.fmodel) is True, (name, p)
+            seg = formlang._direct_values(direct)
+            wrong = IdealDescriptor(shift(seg, sc.model.value_group.unit(seg.level - 1)))
+            assert exact_verdict(DEFINITIONS[name], wrong, sc.fmodel) is False, (name, p)
+            checked += 1
+        assert checked == 28
+        sc = example_e1(2)
+        direct = sc.result("theta_x").max_ideal
+        for text in TestValueSet.OUTSIDE:
+            assert exact_verdict(text, direct, sc.fmodel) is None, text
+
+    @pytest.mark.parametrize("command", ["abhyankar", "example-e1", "kummer-mixed"])
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_a_shifted_direct_object_draws_once(self, monkeypatch, command, seed):
+        # the first direct object, shifted by one coset of its cut class
+        targets = cli._definability_targets
+
+        def shifted(cmd, sc):
+            (name, direct), *rest = targets(cmd, sc)
+            seg = direct.values
+            return [(name, IdealDescriptor(shift(seg, sc.model.value_group.unit(
+                seg.level - 1)))), *rest]
+
+        monkeypatch.setattr(cli, "_definability_targets", shifted)
+        draws = counted_draws(monkeypatch)
+        report = cli.scenario_report(command, 3, 12, seed)
+        assert len(draws) == 1
+        sc = cli.SCENARIOS[command](3, depth=12)
+        samples = list(samples_for(sc, 50, seed))
+        checks = report["definability"]
+        for check, (name, direct) in zip(checks, shifted(command, sc), strict=True):
+            want = _evaluated_counts(DEFINITIONS[name], direct, sc.fmodel, samples)
+            assert (check["samples"], check["agreements"], check["unknowns"],
+                    [d["sample"] for d in check["disagreements"]]) == want, name
+        # the 50 samples notice the shift; the checks left exact draw nothing more
+        assert checks[0]["disagreements"]
+        assert all(c["samples"] == c["agreements"] == 50 for c in checks[1:])
 
 
 class TestPointwiseImage:
@@ -1396,7 +1465,7 @@ class TestCompiledAgreesWithTheWalk:
     @staticmethod
     def calls(sc):
         g = sc.model.value_group
-        samples = samples_for(sc, 6, 41)
+        samples = list(samples_for(sc, 6, 41))
         carriers = [b for _, b, _ in samples]
         # a zero carrier, one without a valuation on kummer-mixed, and
         # value-only carriers beside the series ones
