@@ -44,10 +44,9 @@ from .formlang import (
     parse,
 )
 from .gpsfield import FieldModel, PatternSeries, Tail, parse_element
-from .kaehler import annihilate, containment_holds, present
+from .kaehler import containment_holds, present
 from .ogroup import Component, GroupDescriptor, is_prime
 from .prescribe import CharCase, build, verify
-from .residue import GF
 from .scenarios import SCENARIOS, samples_for
 from .segment import from_json as segment_from_json
 from .segment import to_json as segment_to_json
@@ -173,10 +172,12 @@ def datum_from_config(config: dict) -> tuple:
             residue_char=residue_char or 0, vp=vp, v_eta_minus_1=v_eta_minus_1), depth
     if char is None:
         char = group.prime if kind == "as_defect" else 0
+    elif char and not is_prime(char):
+        raise ConfigError.at("extension/char", f"{char} is not prime")
     model = ext.build(
         "residue_char", FieldModel, name=label, char=char,
         residue_char=char or group.prime if residue_char is None else residue_char,
-        value_group=group, residue=ext.build("char", GF, char) if char else None, vp=vp)
+        value_group=group, vp=vp)
     if degree != model.residue_char:
         raise ConfigError.at("extension/degree", f"a defect extension has degree "
                              f"{model.residue_char}, the residue characteristic")
@@ -210,7 +211,7 @@ def _group_json(group: GroupDescriptor) -> dict:
 
 
 def _omega_json(result) -> dict:
-    pres = annihilate(present(result), result)
+    pres = present(result)
     out = pres.to_json()
     out["containment_holds"] = containment_holds(pres)
     return out
@@ -536,8 +537,8 @@ def main(argv=None) -> int:
         return 1
     if args.command == "prescribe" and not report.get("passed", False):
         return 1
-    failed_checks = [c for c in report.get("definability", []) if not c["passed"]]
-    return 1 if failed_checks else 0
+    checks = [report["report"]] if args.command == "check-def" else report.get("definability", [])
+    return 1 if any(not c["passed"] for c in checks) else 0
 
 
 if __name__ == "__main__":

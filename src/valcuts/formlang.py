@@ -39,7 +39,7 @@ from itertools import islice
 
 from .errors import EvaluationUnsupported, ParseError, StructuralError
 from .gpsfield import INF, FieldModel, PatternSeries, SeriesElement, val_diff
-from .ogroup import ConvexSubgroup, GroupElement, Position, _Frozen, _set, position
+from .ogroup import ConvexSubgroup, GroupElement, _Frozen, _set
 from .segment import (
     CutKind,
     Direction,
@@ -1530,24 +1530,20 @@ class AgreementReport(_Frozen):
 
 
 def membership(direct, value) -> bool:
-    """Membership of a sample by its valuation, for ideals and coarsenings."""
-    if isinstance(direct, IdealDescriptor):
-        return value is INF or direct.contains_value(value)
-    if isinstance(direct, ConvexSubgroup):
-        if value is INF:
-            return True
-        return position(value, direct) is not Position.BELOW
-    raise StructuralError("direct object must be an ideal or a convex subgroup")
+    """Membership of a sample by its valuation, for ideals and coarsenings:
+    INF, or a finite value in the direct object's value set."""
+    values = _direct_values(direct)
+    return value is INF or _holds(values, value)
 
 
 def _direct_values(direct):
-    """The finite values membership accepts, as a value set: an ideal's, or
-    the coarsening ring's (True for the whole group)."""
+    """The finite values of an ideal's or a coarsening ring's members, as a
+    value set (True for the whole group)."""
     if isinstance(direct, IdealDescriptor):
         return direct.values
     if isinstance(direct, ConvexSubgroup):
         return coarsening_value_set(direct) if direct.level else True
-    return None
+    raise StructuralError("direct object must be an ideal or a convex subgroup")
 
 
 def exact_verdict(phi, direct, fmodel: FormulaModel) -> bool | None:

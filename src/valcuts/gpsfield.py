@@ -33,7 +33,7 @@ from operator import itemgetter
 
 from .errors import NotImmediateError, StructuralError
 from .ogroup import GroupDescriptor, GroupElement, _Frozen, _set
-from .residue import FqElement, FqField
+from .residue import GF, FqElement
 from .segment import Direction, Segment, seq_cut
 
 
@@ -67,19 +67,18 @@ INF = _Infinity()
 
 
 class FieldModel(_Frozen):
-    """A valued field of generalized power series, or a declared shell."""
+    """A valued field of generalized power series, or a declared shell.  Its
+    residue field, kept outside the fields, is F_char, or None for char 0."""
 
-    __slots__ = _fields = ("name", "char", "value_group", "residue", "residue_char", "vp")
+    __slots__ = ("name", "char", "value_group", "residue_char", "vp", "residue")
+    _fields = ("name", "char", "value_group", "residue_char", "vp")
 
     def __init__(self, name: str, char: int, value_group: GroupDescriptor,
-                 residue: FqField | None = None, residue_char: int | None = None,
-                 vp: GroupElement | None = None):
+                 residue_char: int | None = None, vp: GroupElement | None = None):
         if char > 0:
             if residue_char not in (None, char):
                 raise StructuralError("equal characteristic requires residue_char == char")
             residue_char = char
-            if residue is not None and residue.p != char:
-                raise StructuralError("residue field characteristic mismatch")
         elif residue_char is None:
             raise StructuralError("characteristic 0 models must declare residue_char")
         if vp is not None and vp.group != value_group:
@@ -87,9 +86,9 @@ class FieldModel(_Frozen):
         _set(self, "name", name)
         _set(self, "char", char)
         _set(self, "value_group", value_group)
-        _set(self, "residue", residue)
         _set(self, "residue_char", residue_char)
         _set(self, "vp", vp)
+        _set(self, "residue", GF(char) if char > 0 else None)
 
     def __eq__(self, other) -> bool:
         # the base's comparison of the fields, after the identity test
@@ -97,15 +96,14 @@ class FieldModel(_Frozen):
             return True
         if other.__class__ is not FieldModel:
             return NotImplemented
-        return ((self.name, self.char, self.value_group, self.residue, self.residue_char, self.vp)
-                == (other.name, other.char, other.value_group, other.residue,
-                    other.residue_char, other.vp))
+        return ((self.name, self.char, self.value_group, self.residue_char, self.vp)
+                == (other.name, other.char, other.value_group, other.residue_char, other.vp))
 
     __hash__ = _Frozen.__hash__
 
     @property
     def series_capable(self) -> bool:
-        return self.char > 0 and self.residue is not None
+        return self.char > 0
 
     def _require_series(self):
         if not self.series_capable:

@@ -8,8 +8,8 @@ and annihilators are decided exactly on the value-set descriptors, the same
 way for every form: the module N/N^q is zero iff N = N^q, and its
 annihilator is the colon (N^q : N) = {a : a*N <= N^q}, met with the ring.
 
-A presentation keeps the value set of its denominator power, built once by
-`present`: the zero test, the colon and the containment check all read it.
+`present` builds a presentation whole, with its annihilator: the value set
+of its denominator power is built once and read by each test and the colon.
 """
 
 from __future__ import annotations
@@ -34,8 +34,8 @@ class OmegaPresentation(_Frozen):
 
     def __init__(self, numerator: IdealDescriptor, denominator_exponent: int,
                  power: IdealDescriptor, form: PresentationForm, is_zero: bool,
-                 provenance: str, annihilator: IdealDescriptor | None = None,
-                 annihilator_is_max_ideal: bool = False):
+                 provenance: str, annihilator: IdealDescriptor,
+                 annihilator_is_max_ideal: bool):
         _set(self, "numerator", numerator)
         _set(self, "denominator_exponent", denominator_exponent)
         _set(self, "power", power)   # numerator ** denominator_exponent
@@ -46,21 +46,21 @@ class OmegaPresentation(_Frozen):
         _set(self, "annihilator_is_max_ideal", annihilator_is_max_ideal)
 
     def to_json(self) -> dict:
-        out = {
+        return {
             "form": self.form.value,
             "numerator": to_json(self.numerator.values),
             "exponent": self.denominator_exponent,
             "is_zero": self.is_zero,
             "provenance": self.provenance,
+            "annihilator": to_json(self.annihilator.values),
+            "annihilator_is_max_ideal": self.annihilator_is_max_ideal,
         }
-        if self.annihilator is not None:
-            out["annihilator"] = to_json(self.annihilator.values)
-            out["annihilator_is_max_ideal"] = self.annihilator_is_max_ideal
-        return out
 
 
 def present(result: DefectClassification | DefectlessAnalysis) -> OmegaPresentation:
-    """Select the presentation form and decide the zero test for the instance."""
+    """Select the presentation form for the instance, decide the zero test and
+    attach the annihilator: (power : numerator) met with the ring, which is
+    the ring itself when the module is zero."""
     if isinstance(result, DefectClassification):
         num, exponent = result.ram_ideal, result.datum.degree
         form, provenance = PresentationForm.RAM_QUOTIENT, f"defect:{result.kind.value}"
@@ -74,33 +74,23 @@ def present(result: DefectClassification | DefectlessAnalysis) -> OmegaPresentat
         form = PresentationForm.RAM_MAX_QUOTIENT
         provenance = f"defectless:{result.datum.subkind.value}"
     power = num.power(exponent)
-    return OmegaPresentation(num, exponent, power, form, num.same_values(power), provenance)
+    is_zero, ann = num.same_values(power), IdealDescriptor.ring(num.group)
+    if not is_zero:   # two final cuts are nested, so their meet is the smaller one
+        values = colon(power.values, num.values)
+        ann = IdealDescriptor(values) if is_subset(values, ann.values) else ann
+    return OmegaPresentation(num, exponent, power, form, is_zero, provenance, ann,
+                             ann.same_values(IdealDescriptor.maximal_ideal(num.group)))
 
 
-def annihilate(pres: OmegaPresentation,
-               result: DefectClassification | DefectlessAnalysis) -> OmegaPresentation:
-    """Attach the annihilator ideal (power : numerator) met with the ring.
+def annihilate(pres: OmegaPresentation, result) -> OmegaPresentation:
+    """The presentation itself, which `present` built with its annihilator.
 
-    It is the full ring exactly when the module is zero.  `result`, the
-    classification the presentation came from, is no longer read; it stays
-    in the signature for the callers that pass it.
+    Kept public because benchmark workloads call it as an operation.
     """
-    group = pres.numerator.group
-    ring = IdealDescriptor.ring(group)
-    if pres.is_zero:
-        ann = ring
-    else:
-        # two final cuts are nested, so their meet is the smaller one
-        values = colon(pres.power.values, pres.numerator.values)
-        ann = IdealDescriptor(values) if is_subset(values, ring.values) else ring
-    return OmegaPresentation(pres.numerator, pres.denominator_exponent, pres.power,
-                             pres.form, pres.is_zero, pres.provenance, ann,
-                             ann.same_values(IdealDescriptor.maximal_ideal(group)))
+    return pres
 
 
 def containment_holds(pres: OmegaPresentation) -> bool:
     """ann * numerator lands inside the denominator power, at value level."""
-    if pres.annihilator is None:
-        raise StructuralError("annihilator not attached")
     prod = pres.annihilator.multiply(pres.numerator)
     return is_subset(prod.values, pres.power.values)

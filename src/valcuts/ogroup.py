@@ -379,24 +379,6 @@ class ConvexSubgroup(_Frozen):
         return self.level >= 1
 
 
-class Position(Enum):
-    """Position of an element relative to a convex subgroup."""
-
-    BELOW = -1
-    INSIDE = 0
-    ABOVE = 1
-
-
-def position(x: GroupElement, H: ConvexSubgroup) -> Position:
-    """Whether x lies below, inside, or above every element of H."""
-    if x.group != H.group:
-        raise StructuralError("element belongs to a different group descriptor")
-    lead = x.leading_index()
-    if lead is None or lead >= H.level:
-        return Position.INSIDE
-    return Position.ABOVE if x.nums[lead] > 0 else Position.BELOW
-
-
 def convex_subgroups(G: GroupDescriptor) -> tuple[ConvexSubgroup, ...]:
     """The full chain H_0 > H_1 > ... > H_n with principal/subprincipal tags."""
     return tuple(ConvexSubgroup(G, k) for k in range(G.rank + 1))

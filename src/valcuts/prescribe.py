@@ -26,7 +26,6 @@ from .extension import (
 )
 from .gpsfield import FieldModel, PatternSeries, Tail
 from .ogroup import Component, GroupDescriptor, _Frozen, _set, convex_subgroups
-from .residue import GF
 
 
 class CharCase(str, Enum):
@@ -87,7 +86,7 @@ def build(n: int, selected, p: int, char_case: CharCase = CharCase.EQUAL) -> Con
     if char_case is CharCase.EQUAL:
         model = FieldModel(
             name=f"k(t_0..t_{n - 1})^h perfect hull, p={p}",
-            char=p, value_group=group, residue=GF(p))
+            char=p, value_group=group)
     else:
         # rank n >= 1 always has the largest proper convex subgroup H_1,
         # below which the equal-characteristic residue construction runs

@@ -21,7 +21,6 @@ from .extension import (
 from .formlang import DeclaredValue, FormulaModel, ImmediateElement, SampleDraw
 from .gpsfield import FieldModel, PatternSeries, SeriesElement, Tail
 from .ogroup import Component, GroupDescriptor, GroupElement, _Frozen, _set
-from .residue import GF
 
 
 class Scenario(_Frozen):
@@ -43,7 +42,7 @@ class Scenario(_Frozen):
 def perfect_series_model(p: int, rank: int = 1, name: str | None = None) -> FieldModel:
     group = GroupDescriptor((Component.PDIV,) * rank, p)
     return FieldModel(name=name or f"F{p}((t))^(1/p^inf)", char=p,
-                      value_group=group, residue=GF(p))
+                      value_group=group)
 
 
 def wild_root(model: FieldModel, class_index: int = 0) -> PatternSeries:

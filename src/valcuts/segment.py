@@ -334,9 +334,6 @@ class IdealDescriptor(_Frozen):
     def group(self) -> GroupDescriptor:
         return self.values.group
 
-    def contains_value(self, v: GroupElement) -> bool:
-        return contains(self.values, v)
-
     def is_principal_over(self, H: ConvexSubgroup) -> bool:
         """Whether the image of the value set in G/H attains a minimum.
 

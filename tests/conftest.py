@@ -154,6 +154,18 @@ def in_subgroup(H, x) -> bool:
     return not any(x.nums[:H.level])
 
 
+def position(x, H) -> int:
+    """Whether x lies below (-1), inside (0) or above (1) every element of
+    the convex subgroup H: the sign of its leading coordinate before H's
+    level, 0 when there is none."""
+    if x.group != H.group:
+        raise StructuralError("element belongs to a different group descriptor")
+    lead = x.leading_index()
+    if lead is None or lead >= H.level:
+        return 0
+    return 1 if x.nums[lead] > 0 else -1
+
+
 def quotient_has_smallest_positive(G, H) -> bool:
     """Whether G/H has a smallest positive element.  The quotient is the Hahn
     sum of the classes before H's level, so one exists exactly when its

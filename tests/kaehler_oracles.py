@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-from valcuts.errors import StructuralError
 from valcuts.extension import DefectClassification, DefectlessKind
 from valcuts.kaehler import OmegaPresentation
-from valcuts.segment import IdealDescriptor, Segment, coarsening_value_set, is_subset
+from valcuts.segment import IdealDescriptor, Segment, coarsening_value_set, contains, is_subset
 
 from conftest import is_principal_ideal, is_trivial_subgroup, shifted_ideal
 
@@ -17,11 +16,9 @@ def maximality_witness(pres: OmegaPresentation, candidates) -> bool:
     value set are skipped.  Returns True when each outside candidate g has
     some witness value x of the numerator with g + x outside the power.
     """
-    if pres.annihilator is None:
-        raise StructuralError("annihilator not attached")
     power = pres.power
     for g in candidates:
-        if pres.annihilator.contains_value(g):
+        if contains(pres.annihilator.values, g):
             continue
         shifted = shifted_ideal(pres.numerator, g)
         if is_subset(shifted.values, power.values):
@@ -62,7 +59,7 @@ def closed_form(result) -> tuple[bool, IdealDescriptor, bool]:
         if not M.is_principal_over(H):
             return True, IdealDescriptor.ring(group), False
         return False, M.power(n - 1), n == 2 and is_trivial_subgroup(H)
-    if (datum.subkind is DefectlessKind.KUMMER_2A and not M.contains_value(datum.vp)
+    if (datum.subkind is DefectlessKind.KUMMER_2A and not contains(M.values, datum.vp)
             and not M.is_principal_over(H)):
         return True, IdealDescriptor.ring(group), False
     a_value = result.ram_ideal.values.shift
@@ -70,5 +67,5 @@ def closed_form(result) -> tuple[bool, IdealDescriptor, bool]:
         ann = result.ram_ideal.multiply(M).power(n - 1)
     else:
         ann = shifted_ideal(IdealDescriptor(coarsening_value_set(H)), a_value * (n - 1))
-    return False, ann, (n == 2 and not M.contains_value(a_value) and is_trivial_subgroup(H)
+    return False, ann, (n == 2 and not contains(M.values, a_value) and is_trivial_subgroup(H)
                         and is_principal_ideal(max_ideal))

@@ -25,10 +25,9 @@ from valcuts.extension import (
 )
 from valcuts.formlang import DEFINITIONS, check_definition
 from valcuts.gpsfield import FieldModel, approach_segment, val_diff
-from valcuts.kaehler import annihilate, containment_holds, present
+from valcuts.kaehler import containment_holds, present
 from valcuts.ogroup import Component, ConvexSubgroup, GroupDescriptor
 from valcuts.prescribe import CharCase, build, verify
-from valcuts.residue import GF
 from valcuts.scenarios import (
     abhyankar,
     example_e1,
@@ -92,7 +91,7 @@ def test_criterion_2_rank1_classification():
             assert approach.segment == negative_cone
             assert is_trivial_subgroup(res.H_E)
             assert res.kind is DefectKind.INDEPENDENT
-            pres = annihilate(present(res), res)
+            pres = present(res)
             assert pres.is_zero
             assert pres.annihilator.values == element_cut(g.zero())
 
@@ -286,7 +285,7 @@ def test_criterion_8_kaehler_annihilator_suite():
         instances.extend([e1.result("theta_x"), e1.result("theta_t")])
         instances.extend(kummer_mixed(3).results)
         for res in instances:
-            pres = annihilate(present(res), res)
+            pres = present(res)
             assert res.kind is DefectKind.INDEPENDENT
             assert pres.is_zero
             assert pres.annihilator.values == element_cut(res.group.zero())
@@ -294,9 +293,9 @@ def test_criterion_8_kaehler_annihilator_suite():
 
         # synthetic dependent instances
         G1 = GroupDescriptor((Component.PDIV,), 2)
-        base1 = FieldModel(name="syn", char=2, value_group=G1, residue=GF(2))
+        base1 = FieldModel(name="syn", char=2, value_group=G1)
         G2 = GroupDescriptor((Component.PDIV, Component.PDIV), 3)
-        base2 = FieldModel(name="syn2", char=3, value_group=G2, residue=GF(3))
+        base2 = FieldModel(name="syn2", char=3, value_group=G2)
         synthetic = [
             DefectDatum(name="dep_principal", kind=ExtensionKind.AS_DEFECT,
                         base=base1, degree=2,
@@ -315,7 +314,7 @@ def test_criterion_8_kaehler_annihilator_suite():
         for datum in synthetic:
             res = classify(datum)
             assert res.kind is DefectKind.DEPENDENT
-            pres = annihilate(present(res), res)
+            pres = present(res)
             assert not pres.is_zero
             assert containment_holds(pres)
             assert maximality_witness(pres, _probe_candidates(pres.annihilator.values))
@@ -348,7 +347,7 @@ def test_criterion_8_kaehler_annihilator_suite():
         ]
         for datum in defectless:
             res = defectless_analyze(datum)
-            pres = annihilate(present(res), res)
+            pres = present(res)
             assert containment_holds(pres)
             if not pres.is_zero:
                 assert maximality_witness(pres,
@@ -360,7 +359,7 @@ def test_criterion_8_kaehler_annihilator_suite():
                                star_index=0,
                                x0_value=GroupDescriptor((Component.PDIV,), 3).element(1))
         res = defectless_analyze(tame)
-        pres = annihilate(present(res), res)
+        pres = present(res)
         assert pres.is_zero
         assert pres.annihilator.values == element_cut(tame.group.zero())
 

@@ -32,6 +32,7 @@ from valcuts.cli import (
 from valcuts.errors import ConfigError
 from valcuts.formlang import DEFINITIONS, DeclaredValue, evaluate
 from valcuts.scenarios import SCENARIOS
+from valcuts.segment import IdealDescriptor, shift
 
 from conftest import counted_draws
 
@@ -973,6 +974,26 @@ class TestSamplesDrawnOnlyWhenRead:
         assert report["report"] == {"definition": name, "samples": 77, "agreements": 77,
                                     "disagreements": [], "unknowns": 0,
                                     "unknown_rate": 0.0, "passed": True}
+
+    def test_a_failed_check_def_exits_1(self, tmp_path, monkeypatch):
+        # the example-e1 max-ideal target, shifted by one coset of its cut class
+        targets = cli._definability_targets
+
+        def shifted(command, sc):
+            return [(name, IdealDescriptor(shift(direct.values, sc.model.value_group.unit(
+                direct.values.level - 1))) if name == "max-ideal" else direct)
+                for name, direct in targets(command, sc)]
+
+        monkeypatch.setattr(cli, "_definability_targets", shifted)
+        code, report = run(["check-def", "--name", "max-ideal", "--scenario", "example-e1",
+                            "--p", "2"], tmp_path)
+        assert (code, report["exact"], report["report"]["passed"]) == (1, False, False)
+        assert report["report"]["disagreements"]
+        code, report = run(["check-def", "--name", "ram-ideal-as", "--scenario", "example-e1",
+                            "--p", "2"], tmp_path)
+        assert (code, report["exact"], report["report"]["passed"]) == (0, True, True)
+        # the scenario command fails on the same target
+        assert run(["example-e1", "--p", "2"], tmp_path)[0] == 1
 
     @pytest.mark.parametrize("args,golden", GOLDEN_RUNS, ids=[_run_id(a) for a, _ in GOLDEN_RUNS])
     def test_the_seed_shows_only_in_its_echo(self, tmp_path, args, golden):

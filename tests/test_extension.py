@@ -29,7 +29,6 @@ from valcuts.extension import (
 )
 from valcuts.gpsfield import ApproachResult, FieldModel, PatternSeries, Tail
 from valcuts.ogroup import Component, ConvexSubgroup, GroupDescriptor
-from valcuts.residue import GF
 from valcuts.segment import (
     CutKind,
     contains,
@@ -107,10 +106,8 @@ class TestSigmaSegment:
                 sigma_segment(datum, depth)
 
     def test_nonpositive_declared_sigma_rejected(self):
-        from valcuts.residue import GF
-
         G = GroupDescriptor((Component.PDIV, Component.PDIV), 2)
-        base = FieldModel(name="syn", char=2, value_group=G, residue=GF(2))
+        base = FieldModel(name="syn", char=2, value_group=G)
         bad = [
             element_cut(G.element(-1, 0)),                       # negative minimum
             subgroup_cut(ConvexSubgroup(G, 1), closed=True),     # closed coset
@@ -170,7 +167,7 @@ class TestClassify:
 
     def test_synthetic_principal_sigma_dependent(self):
         G = GroupDescriptor((Component.PDIV,), 2)
-        base = FieldModel(name="synthetic", char=2, value_group=G, residue=GF(2))
+        base = FieldModel(name="synthetic", char=2, value_group=G)
         datum = DefectDatum(name="dep", kind=ExtensionKind.AS_DEFECT, base=base,
                             degree=2, declared_sigma=element_cut(G.element(1)),
                             synthetic=True)
@@ -181,7 +178,7 @@ class TestClassify:
 
     def test_synthetic_shifted_subgroup_cut_dependent(self):
         G = GroupDescriptor((Component.PDIV, Component.PDIV), 2)
-        base = FieldModel(name="synthetic2", char=2, value_group=G, residue=GF(2))
+        base = FieldModel(name="synthetic2", char=2, value_group=G)
         sigma = subgroup_cut(ConvexSubgroup(G, 2), shift=G.element(1, 0))
         datum = DefectDatum(name="dep2", kind=ExtensionKind.AS_DEFECT, base=base,
                             degree=2, declared_sigma=sigma, synthetic=True)
@@ -211,7 +208,7 @@ class TestClassify:
         # no discrete component: every pattern-built instance is independent
         for p, rank in itertools.product((2, 3), (1, 2, 3)):
             G = GroupDescriptor((Component.PDIV,) * rank, p)
-            m = FieldModel(name=f"drvg_{p}_{rank}", char=p, value_group=G, residue=GF(p))
+            m = FieldModel(name=f"drvg_{p}_{rank}", char=p, value_group=G)
             for cls in range(rank):
                 theta = PatternSeries(m, m.zero(),
                                       (Tail(m.residue.one(), G.unit(cls, -1), 1),))
@@ -353,7 +350,7 @@ class TestDatumGroups:
     @staticmethod
     def base():
         G = GroupDescriptor((Component.PDIV,), 3)
-        return FieldModel(name="syn", char=3, value_group=G, residue=GF(3))
+        return FieldModel(name="syn", char=3, value_group=G)
 
     def test_declared_sigma_from_another_group(self):
         other = GroupDescriptor((Component.RAT, Component.INT), 3)

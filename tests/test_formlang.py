@@ -58,7 +58,6 @@ from valcuts.gpsfield import (INF, FieldModel, PatternSeries, Tail, approach_seg
                               parse_element, val_diff)
 from valcuts.ogroup import Component, ConvexSubgroup, GroupDescriptor, GroupElement
 from valcuts.prescribe import CharCase, build
-from valcuts.residue import GF
 from valcuts.scenarios import (
     abhyankar,
     declared_samples,
@@ -86,6 +85,7 @@ from conftest import (
     counted_draws,
     grid_points,
     is_canonical,
+    position,
     random_cut,
     random_group,
     random_group_element,
@@ -1189,6 +1189,33 @@ class TestExactComparison:
             # H_0 is the whole group: every value, which a cut cannot describe
             assert all(membership(ConvexSubgroup(g, 0), v) for v in points)
 
+    def test_membership_reads_the_direct_value_set(self):
+        # a coarsening by H holds the values not below H, brute force, at
+        # every level; an ideal holds its value set; both hold INF
+        rng = random.Random(35)
+        for _ in range(60):
+            g = random_group(rng)
+            points = [g.zero(), *(random_group_element(rng, g) for _ in range(25))]
+            for level in range(g.rank + 1):
+                H = ConvexSubgroup(g, level)
+                assert membership(H, INF), level
+                for v in points:
+                    assert membership(H, v) == (position(v, H) >= 0), (g, level, v)
+            I = IdealDescriptor(Segment(Direction.FINAL, rng.randint(1, g.rank),
+                                        random_group_element(rng, g), rng.random() < 0.5))
+            assert membership(I, INF)
+            assert all(membership(I, v) == contains(I.values, v) for v in points), I
+
+    def test_a_direct_object_of_no_kind_raises_from_membership_and_the_verdict(self):
+        sc = example_e1(2)
+        g = sc.model.value_group
+        for direct in (sc.result("theta_x").max_ideal.values, g.zero(), None):
+            for value in (g.zero(), INF):
+                with pytest.raises(StructuralError, match="must be an ideal or a convex"):
+                    membership(direct, value)
+            with pytest.raises(StructuralError, match="must be an ideal or a convex"):
+                exact_verdict(DEFINITIONS["max-ideal"], direct, sc.fmodel)
+
 
 class TestSampleDraw:
     """samples_for draws when its samples are first iterated, and a check whose
@@ -1588,8 +1615,7 @@ class TestSeriesSamplesOneStep:
     def test_draws_outside_their_class_are_skipped(self):
         for components in ((Component.INT,), (Component.PDIV, Component.INT),
                            (Component.INT, Component.RAT)):
-            model = FieldModel(name="K", char=3, residue=GF(3),
-                               value_group=GroupDescriptor(components, 3))
+            model = FieldModel(name="K", char=3, value_group=GroupDescriptor(components, 3))
             rejected = sum(self.assert_same(model, 50, seed) for seed in range(20))
             assert rejected >= 1
             g = model.value_group

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -26,8 +28,7 @@ from valcuts.segment import CutKind, Direction, contains, seq_cut
 
 def perfect_model(p: int, rank: int = 1, name: str | None = None) -> FieldModel:
     group = GroupDescriptor((Component.PDIV,) * rank, p)
-    return FieldModel(name=name or f"F{p}((t))^(1/p^inf)", char=p,
-                      value_group=group, residue=GF(p))
+    return FieldModel(name=name or f"F{p}((t))^(1/p^inf)", char=p, value_group=group)
 
 
 def abhyankar_root(model: FieldModel) -> PatternSeries:
@@ -125,7 +126,7 @@ class TestSeriesArithmetic:
 
     def test_exponent_constraint_enforced(self):
         g = GroupDescriptor((Component.INT,), 2)
-        m = FieldModel(name="F2((t))", char=2, value_group=g, residue=GF(2))
+        m = FieldModel(name="F2((t))", char=2, value_group=g)
         with pytest.raises(StructuralError):
             m.monomial(1, g.element(Fraction(1, 2)))
 
@@ -202,8 +203,7 @@ class TestProductKernel:
             for rank in (1, 2, 3):
                 for _ in range(3):
                     components = tuple(rng.choice(list(Component)) for _ in range(rank))
-                    yield FieldModel(name="K", char=p, residue=GF(p),
-                                     value_group=GroupDescriptor(components, p))
+                    yield FieldModel(name="K", char=p, value_group=GroupDescriptor(components, p))
 
     def test_product_matches_naive_reference(self):
         rng = random.Random(7)
@@ -452,7 +452,7 @@ class TestCanonicalFormKept:
     def test_a_tail_coefficient_from_another_field_raises(self):
         # val_diff compares coefficient values as integers mod the model's p
         g = GroupDescriptor((Component.RAT,), 3)  # holds 1/5^i too
-        m = FieldModel(name="K", char=3, value_group=g, residue=GF(3))
+        m = FieldModel(name="K", char=3, value_group=g)
         with pytest.raises(StructuralError, match="different residue field"):
             PatternSeries(m, m.zero(), (Tail(GF(5).one(), g.element(-1), 1),))
 
@@ -722,3 +722,40 @@ class TestApproachSegment:
             approach_segment(bad, m)
         with pytest.raises(StructuralError):  # its support has no least term
             val_diff(bad, m.zero())
+
+
+class TestResidueFromTheCharacteristic:
+    """A model's residue field follows from its characteristic: F_char for
+    char > 0, which is exactly when it carries series arithmetic, else None.
+    It is kept outside the fields and rebuilt with the model."""
+
+    @staticmethod
+    def models():
+        for p in (2, 3, 5):
+            G = GroupDescriptor((Component.PDIV, Component.INT), p)
+            yield FieldModel("K", p, G)
+            yield FieldModel("K", p, G, p, G.unit(0))
+            yield FieldModel("K", 0, G, p)
+            yield FieldModel("K", 0, G, p, G.unit(0))
+
+    def test_residue_and_series_arithmetic_follow_char(self):
+        for model in self.models():
+            want = GF(model.char) if model.char > 0 else None
+            assert model.residue == want and model.series_capable is (model.char > 0)
+            if model.series_capable:
+                assert model.one().terms[0][1].field == want
+            else:
+                with pytest.raises(StructuralError, match="carries no series arithmetic"):
+                    model.zero()
+
+    def test_residue_survives_pickle_and_copy(self):
+        for model in self.models():
+            for trip in (lambda x: pickle.loads(pickle.dumps(x)), copy.copy, copy.deepcopy):
+                other = trip(model)
+                assert other == model and other.residue == model.residue
+                assert other.series_capable is model.series_capable
+
+    def test_a_char_that_is_not_prime_is_rejected(self):
+        G = GroupDescriptor((Component.PDIV,), 2)
+        with pytest.raises(StructuralError, match="4 is not prime"):
+            FieldModel("K", 4, G)

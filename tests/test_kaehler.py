@@ -28,8 +28,7 @@ from valcuts.kaehler import (
     present,
 )
 from valcuts.ogroup import Component, ConvexSubgroup, GroupDescriptor
-from valcuts.residue import GF
-from valcuts.segment import IdealDescriptor, element_cut, subgroup_cut
+from valcuts.segment import IdealDescriptor, contains, element_cut, subgroup_cut
 
 from conftest import grid_points, random_cut, random_group, random_group_element, segment_set
 from kaehler_oracles import closed_form, maximality_witness
@@ -50,7 +49,7 @@ def below_boundary_candidates(group, boundary_gamma, depth=3, spread=4):
 class TestDefectPresentations:
     def test_independent_is_zero_with_full_ring_annihilator(self):
         res = classify(abhyankar_datum(3))
-        pres = annihilate(present(res), res)
+        pres = present(res)
         assert pres.form is PresentationForm.RAM_QUOTIENT
         assert pres.is_zero
         assert pres.annihilator.values == element_cut(res.group.zero())
@@ -60,12 +59,12 @@ class TestDefectPresentations:
         G = GroupDescriptor((Component.PDIV,), 2)
         from valcuts.gpsfield import FieldModel
 
-        base = FieldModel(name="syn", char=2, value_group=G, residue=GF(2))
+        base = FieldModel(name="syn", char=2, value_group=G)
         datum = DefectDatum(name="dep", kind=ExtensionKind.AS_DEFECT, base=base,
                             degree=2, declared_sigma=element_cut(G.element(1)),
                             synthetic=True)
         res = classify(datum)
-        pres = annihilate(present(res), res)
+        pres = present(res)
         assert res.kind is DefectKind.DEPENDENT
         assert not pres.is_zero
         # attained infimum keeps the plain power as annihilator
@@ -77,12 +76,12 @@ class TestDefectPresentations:
         G = GroupDescriptor((Component.PDIV,), 3)
         from valcuts.gpsfield import FieldModel
 
-        base = FieldModel(name="syn2", char=3, value_group=G, residue=GF(3))
+        base = FieldModel(name="syn2", char=3, value_group=G)
         sigma = subgroup_cut(ConvexSubgroup(G, 1), shift=G.element(1))
         datum = DefectDatum(name="dep2", kind=ExtensionKind.AS_DEFECT, base=base,
                             degree=3, declared_sigma=sigma, synthetic=True)
         res = classify(datum)
-        pres = annihilate(present(res), res)
+        pres = present(res)
         assert res.kind is DefectKind.DEPENDENT
         # unattained infimum at 2 * shift is realized by a base-field value
         assert pres.annihilator.values == element_cut(G.element(2))
@@ -98,7 +97,7 @@ class TestDefectPresentations:
         for kinds in ((Component.INT,), (Component.PDIV,), (Component.RAT,),
                       (Component.PDIV, Component.INT), (Component.INT, Component.PDIV)):
             G = GroupDescriptor(kinds, 2)
-            base = FieldModel(name="grid", char=2, value_group=G, residue=GF(2))
+            base = FieldModel(name="grid", char=2, value_group=G)
             pts = list(grid_points(G, 2, 2))
             positive = {x for x in pts if x.sign() > 0}
             for gamma in (G.unit(G.rank - 1), G.unit(G.rank - 1, 2), G.unit(0)):
@@ -106,7 +105,7 @@ class TestDefectPresentations:
                     datum = DefectDatum(name="dep", kind=ExtensionKind.AS_DEFECT, base=base,
                                         degree=2, declared_sigma=sigma, synthetic=True)
                     res = classify(datum)
-                    pres = annihilate(present(res), res)
+                    pres = present(res)
                     if pres.is_zero:
                         continue
                     want = segment_set(pres.annihilator.values, pts) == positive
@@ -118,7 +117,7 @@ class TestDefectPresentations:
         from valcuts.gpsfield import FieldModel
 
         G = GroupDescriptor((Component.PDIV, Component.PDIV), 2)
-        base = FieldModel(name="grid", char=2, value_group=G, residue=GF(2))
+        base = FieldModel(name="grid", char=2, value_group=G)
         segs = [
             subgroup_cut(ConvexSubgroup(G, 1)),
             subgroup_cut(ConvexSubgroup(G, 2)),
@@ -141,7 +140,7 @@ class TestDefectlessPresentations:
                                 x0_value=G.element(-1),
                                 subkind=DefectlessKind.ARTIN_SCHREIER, residue_char=2)
         res = defectless_analyze(datum)
-        pres = annihilate(present(res), res)
+        pres = present(res)
         assert pres.form is PresentationForm.RAM_MAX_QUOTIENT
         assert not pres.is_zero
         # dense class: M_E nonprincipal over the coarse ring, so the
@@ -156,7 +155,7 @@ class TestDefectlessPresentations:
                                 x0_value=G.element(-1),
                                 subkind=DefectlessKind.ARTIN_SCHREIER, residue_char=3)
         res = defectless_analyze(datum)
-        pres = annihilate(present(res), res)
+        pres = present(res)
         # M_E principal: annihilator is the full power (I*M)^(q-1)
         assert pres.annihilator.values == pres.numerator.power(2).values
         assert containment_holds(pres)
@@ -166,7 +165,7 @@ class TestDefectlessPresentations:
         datum = DefectlessDatum(name="tame", group=G, q=2, star_index=0,
                                 x0_value=G.element(1))
         res = defectless_analyze(datum)
-        pres = annihilate(present(res), res)
+        pres = present(res)
         assert pres.form is PresentationForm.MAX_QUOTIENT
         assert pres.is_zero
         assert pres.annihilator.values == element_cut(G.zero())
@@ -176,7 +175,7 @@ class TestDefectlessPresentations:
         datum = DefectlessDatum(name="tame_d", group=G, q=2, star_index=0,
                                 x0_value=G.element(1))
         res = defectless_analyze(datum)
-        pres = annihilate(present(res), res)
+        pres = present(res)
         assert not pres.is_zero
         assert pres.annihilator.values == res.max_ideal.power(1).values
         assert pres.annihilator_is_max_ideal  # q = 2 and M_E = M_L
@@ -189,7 +188,7 @@ class TestDefectlessPresentations:
                                 subkind=DefectlessKind.KUMMER_2A, residue_char=3,
                                 vp=G.element(6))
         res = defectless_analyze(datum)
-        pres = annihilate(present(res), res)
+        pres = present(res)
         # vp lands above H_E, so q sits inside M_E and the module is nonzero
         assert not pres.is_zero
         assert pres.annihilator.values == element_cut(G.element(6))
@@ -203,7 +202,7 @@ class TestDefectlessPresentations:
                                 subkind=DefectlessKind.KUMMER_2B, residue_char=3,
                                 vp=G.element(6), v_eta_minus_1=G.element(1))
         res = defectless_analyze(datum)
-        pres = annihilate(present(res), res)
+        pres = present(res)
         assert pres.form is PresentationForm.RAM_MAX_QUOTIENT
         assert not pres.is_zero
         assert containment_holds(pres)
@@ -218,9 +217,9 @@ class TestDefectlessPresentations:
                                 x0_value=G.element(-1),
                                 subkind=DefectlessKind.ARTIN_SCHREIER, residue_char=3)
         res = defectless_analyze(datum)
-        cases.append(annihilate(present(res), res))
+        cases.append(present(res))
         res2 = classify(abhyankar_datum(2))
-        cases.append(annihilate(present(res2), res2))
+        cases.append(present(res2))
         for pres in cases:
             assert not pres.annihilator_is_max_ideal
             assert not pres.annihilator.same_values(m_l)
@@ -260,14 +259,14 @@ class TestDiscreteClasses:
         cases = set()
         for datum in self.data():
             res = defectless_analyze(datum)
-            pres = annihilate(present(res), res)
+            pres = present(res)
             cases.add((datum.name, res.case, pres.is_zero))
             if pres.is_zero:
                 assert pres.annihilator.values == element_cut(datum.group.zero())
                 continue
             assert containment_holds(pres), datum
             outside = [g for g in self.candidates(pres.annihilator.values.shift)
-                       if not pres.annihilator.contains_value(g)]
+                       if not contains(pres.annihilator.values, g)]
             assert outside and maximality_witness(pres, outside), datum
         # both cases of every kind, and a zero Kummer module, were reached
         assert {(name, case) for name, case, _ in cases} == set(itertools.product(
@@ -282,7 +281,7 @@ class TestPowerBuiltOnce:
     @staticmethod
     def defect_data():
         G = GroupDescriptor((Component.PDIV,), 2)
-        base = FieldModel(name="declared", char=2, value_group=G, residue=GF(2))
+        base = FieldModel(name="declared", char=2, value_group=G)
         yield abhyankar_datum(2)   # independent: the module is zero
         yield abhyankar_datum(3)
         for gamma in (1, Fraction(3, 4)):   # dependent: a principal declared segment
@@ -299,7 +298,7 @@ class TestPowerBuiltOnce:
         for datum in self.defect_data():
             calls.clear()
             res = classify(datum)
-            pres = annihilate(present(res), res)
+            pres = present(res)
             assert containment_holds(pres)
             assert calls == [datum.degree]
             kinds.add(res.kind)
@@ -310,10 +309,23 @@ class TestPowerBuiltOnce:
         results += [defectless_analyze(datum) for datum in TestDiscreteClasses.data()]
         forms = set()
         for res in results:
-            pres = annihilate(present(res), res)
+            pres = present(res)
             assert pres.power == pres.numerator.power(pres.denominator_exponent)
             forms.add(pres.form)
         assert forms == set(PresentationForm)
+
+
+class TestPresentAttachesTheAnnihilator:
+    """`present` builds a presentation whole; `annihilate` returns it."""
+
+    def test_annihilate_returns_the_presentation(self):
+        results = [classify(datum) for datum in TestPowerBuiltOnce.defect_data()]
+        results += [defectless_analyze(datum) for datum in TestDiscreteClasses.data()]
+        for res in results:
+            pres = present(res)
+            assert annihilate(pres, res) is pres
+            assert isinstance(pres.annihilator, IdealDescriptor)
+            assert pres.to_json()["annihilator"] == segment.to_json(pres.annihilator.values)
 
 
 CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
@@ -339,7 +351,7 @@ def random_results(rng, count):
         try:
             if rng.random() < 0.35:
                 sigma = random_cut(rng, G)
-                base = FieldModel(name="r", char=G.prime, value_group=G, residue=GF(G.prime))
+                base = FieldModel(name="r", char=G.prime, value_group=G)
                 out.append(classify(DefectDatum(
                     name="r", kind=ExtensionKind.AS_DEFECT, base=base, degree=G.prime,
                     declared_sigma=sigma, synthetic=True)))
@@ -376,7 +388,7 @@ class TestColonMeetsTheClosedForms:
     def test_random_results(self):
         seen = set()
         for res in random_results(random.Random(3301), 1500) + [r for _, r in config_results()]:
-            pres = annihilate(present(res), res)
+            pres = present(res)
             is_zero, ann, is_max = closed_form(res)
             assert pres.is_zero is is_zero, res
             assert pres.annihilator == ann, res
@@ -390,7 +402,7 @@ class TestColonMeetsTheClosedForms:
 
     def test_the_annihilator_is_the_colon_met_with_the_ring(self):
         for res in random_results(random.Random(3302), 300):
-            pres = annihilate(present(res), res)
+            pres = present(res)
             ring = IdealDescriptor.ring(pres.numerator.group).values
             col = segment.colon(pres.power.values, pres.numerator.values)
             assert pres.is_zero is (pres.numerator == pres.power)
@@ -400,7 +412,7 @@ class TestColonMeetsTheClosedForms:
             assert pres.is_zero <= segment.is_subset(ring, col)
 
     def test_configs_reach_the_forms_no_other_golden_holds(self):
-        got = {name: annihilate(present(res), res) for name, res in config_results()}
+        got = {name: present(res) for name, res in config_results()}
         assert {name: (p.form, p.is_zero, p.annihilator_is_max_ideal)
                 for name, p in got.items()} == {
             "defectless-as-wild-p3": (PresentationForm.RAM_MAX_QUOTIENT, False, False),
@@ -412,6 +424,6 @@ class TestColonMeetsTheClosedForms:
             if pres.is_zero:
                 continue
             outside = [g for g in TestDiscreteClasses.candidates(pres.annihilator.values.shift)
-                       if not pres.annihilator.contains_value(g)]
+                       if not contains(pres.annihilator.values, g)]
             assert containment_holds(pres) and outside, name
             assert maximality_witness(pres, outside), name

@@ -24,7 +24,6 @@ from valcuts.ogroup import (
     convex_subgroups,
     is_prime,
 )
-from valcuts.residue import GF
 
 from conftest import (
     compare,
@@ -117,7 +116,7 @@ class TestClassMembership:
         lambda g: g.unit(1, Fraction(5, 12)),
         lambda g: segment.from_json(g, {"direction": "final", "kind": "element",
                                         "gamma": ["0", "1/6"]}),
-        lambda g: parse_element(FieldModel(name="F", char=2, value_group=g, residue=GF(2)),
+        lambda g: parse_element(FieldModel(name="F", char=2, value_group=g),
                                 "t^(1, 1/6)"),
     ], ids=["element", "unit", "segment.from_json", "parse_element"])
     def test_boundaries_reject_non_p_power_denominator(self, make):

@@ -16,9 +16,7 @@ from valcuts.ogroup import (
     Component,
     ConvexSubgroup,
     GroupDescriptor,
-    Position,
     archimedean_class_subgroups,
-    position,
 )
 from valcuts.segment import (
     CutKind,
@@ -44,6 +42,7 @@ from conftest import (
     is_canonical,
     is_principal_ideal,
     is_trivial_subgroup,
+    position,
     quotient_has_smallest_positive,
     random_cut,
     random_group,
@@ -226,7 +225,7 @@ def random_initial_cut(rng: random.Random, group: GroupDescriptor):
 
     def member(x):
         pos = position(x - d, H)
-        return pos is Position.BELOW or (closed and pos is Position.INSIDE)
+        return pos < 0 or (closed and pos == 0)
 
     return cut, member
 

@@ -36,8 +36,7 @@ CONSTRUCTORS = {
     ogroup.GroupDescriptor: ["components", "prime"],
     residue.FqField: ["p"],
     residue.FqElement: ["field", "value"],
-    gpsfield.FieldModel: ["name", "char", "value_group", ("residue", None),
-                          ("residue_char", None), ("vp", None)],
+    gpsfield.FieldModel: ["name", "char", "value_group", ("residue_char", None), ("vp", None)],
     gpsfield.SeriesElement: ["model", "terms"],
     gpsfield.Tail: ["coeff", "gamma", "start"],
     gpsfield.PatternSeries: ["model", "finite_part", "tails"],
@@ -53,8 +52,8 @@ CONSTRUCTORS = {
                                 ("vp", None), ("v_eta_minus_1", None)],
     extension.DefectlessAnalysis: ["datum", "H_E", "case", "max_ideal", "ram_ideal"],
     kaehler.OmegaPresentation: ["numerator", "denominator_exponent", "power", "form",
-                                "is_zero", "provenance", ("annihilator", None),
-                                ("annihilator_is_max_ideal", False)],
+                                "is_zero", "provenance", "annihilator",
+                                "annihilator_is_max_ideal"],
     prescribe.Witness: ["level", "kind", "datum"],
     prescribe.Exclusion: ["level", "note"],
     prescribe.ConstructionPlan: ["index_size", "selected", "prime", "char_case", "group",
@@ -135,7 +134,7 @@ def _values() -> dict:
         extension.DefectClassification: res,
         extension.DefectlessDatum: defectless,
         extension.DefectlessAnalysis: analysis,
-        kaehler.OmegaPresentation: kaehler.annihilate(kaehler.present(res), res),
+        kaehler.OmegaPresentation: kaehler.present(res),
         prescribe.Witness: plan.witnesses[0],
         prescribe.Exclusion: plan.exclusions[0],
         prescribe.ConstructionPlan: plan,
@@ -221,9 +220,8 @@ class TestValueClass:
 def test_a_field_that_differs_makes_values_unequal():
     G = ogroup.GroupDescriptor(("pdiv",), 3)
     F = residue.GF(3)
-    model = gpsfield.FieldModel("m", 3, G, F)
-    assert model != gpsfield.FieldModel("m", 3, G)
-    assert model != gpsfield.FieldModel("n", 3, G, F)
+    model = gpsfield.FieldModel("m", 3, G)
+    assert model != gpsfield.FieldModel("n", 3, G)
     assert F.one() != F.element(0) and F.one() != residue.GF(5).one()
     one = gpsfield.Tail(F.one(), G.unit(0, -1), 1)
     assert one != gpsfield.Tail(F.one(), G.unit(0, -1), 2)
