@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import operator
 import re
+from bisect import bisect_left, bisect_right
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial, reduce
@@ -656,7 +657,8 @@ class FormulaModel(_Frozen):
     def side_values(self) -> dict:
         """(side, quantified variable) -> the side's value on each pool
         candidate, None where it is unsupported: the one valuation kept per
-        model, shared by every formula _first_stops compiles with that side."""
+        model, shared by every formula _first_stops compiles with that side,
+        each of which folds its own cofactors into keys of its own."""
         return {}
 
     @cached_property
@@ -873,6 +875,8 @@ class _Evaluator:
             if self.fm.group.rank != 1:
                 raise EvaluationUnsupported(
                     "nonzero rational constants need a rank-1 value group")
+            if not self.fm.group.coordinate_allowed(0, v.value):
+                raise EvaluationUnsupported(f"{v.value} lies outside the value group")
             return self.fm.group.element(v.value)
         val = self.term_valuation(v.term)
         if v.negated:
@@ -1083,16 +1087,21 @@ class _Evaluator:
         v(term) = cofactors + k * s with s ranging over the segment; k is the
         integer exponent the c-bearing factor carries times the multiplier of
         its shape."""
+        split = self._cofactors(term, var)
+        shape = split and self._match_shape(split[0], var)
+        return (shape[0], split[1] * shape[1], split[2]) if shape else None
+
+    def _cofactors(self, term, var):
+        """(factor, e, value) with v(term) = e * v(factor) + value: factor is
+        the one factor of term naming var, value the valuation of the others.
+        None when another number of factors names var or the others have no
+        finite value."""
         factors = _flatten_factors(term)
         with_var = [(f, e) for f, e in factors if var in free_variables(f)]
         if len(with_var) != 1:
             return None
         fvar, e = with_var[0]
-        shape = self._match_shape(fvar, var)
-        if shape is None:
-            return None
-        seg, mult = shape
-        w_extra = self.fm.group.zero()
+        value = self.fm.group.zero()
         try:
             for f, ee in factors:
                 if f is fvar:
@@ -1100,10 +1109,10 @@ class _Evaluator:
                 v = self.term_valuation(f)
                 if v is INF:
                     return None
-                w_extra = w_extra + v * ee
+                value = value + v * ee
         except EvaluationUnsupported:
             return None
-        return seg, e * mult, w_extra
+        return fvar, e, value
 
     def _match_shape(self, t, var):
         """(v(x - K), multiplier) when t is a _SHAPES row in a distinguished
@@ -1407,11 +1416,16 @@ _NEGATED_REL = {"<": ">=", "<=": ">", ">=": "<", ">": "<="}
 
 def _first_stops(q, ev: _Evaluator, var: str):
     """(answer, term) for a K quantifier q that the oracle leaves to bounded
-    enumeration, whose body is one atom `side REL ±v(term)` or its mirror, with
-    REL an order, side naming q.var and otherwise names of the model, and term
-    naming var but not q.var: answer(v(term)) is the walk's result.  side is
-    valued on each candidate once per model (FormulaModel.side_values); a
-    candidate where it is unsupported is UNKNOWN and never ends the walk.  None
+    enumeration, whose body is one atom `side REL ±v(other)` or its mirror,
+    with REL an order, side naming q.var and otherwise names of the model, and
+    other naming var but not q.var: answer(v(term)) is the walk's result.  side
+    is valued on each candidate once per model (FormulaModel.side_values); the
+    walk ends at the first candidate whose value has `a stop ±v(other)`, the
+    first place the prefix maximum (for > and >=) or minimum has it, so only
+    the candidates that move that extreme are kept.  When other is term, its
+    one factor in var, of exponent 1, times cofactors of finite value (t in
+    v(b*t)), these are valued once, here, and folded into keys ±extreme -
+    cofactors; else term is other.  answer is one bisect of the keys.  None
     for any other formula, and where no candidate values side."""
     if not (isinstance(q, Quant) and q.domain is Domain.K and isinstance(q.body, ValAtom)
             and q.body.rel != "=" and ev._guarded_shape(q) is None):
@@ -1432,44 +1446,46 @@ def _first_stops(q, ev: _Evaluator, var: str):
         except EvaluationUnsupported:
             return None
 
-    # the walk ends at the first candidate whose value a has `a stop w`; it has
-    # one exactly where the prefix maximum (for > and >=) or minimum has one
-    stop = rel if q.kind == "exists" else _NEGATED_REL[rel]
-    wider = ">" if stop in (">", ">=") else "<"
-    ends = Truth.TRUE if q.kind == "exists" else Truth.FALSE
     pool = ev.fm.candidates
     sides = ev.fm.side_values.get((side, q.var))
     if sides is None:   # side names q.var and the model alone, so it is the model's
         sides = ev.fm.side_values[side, q.var] = tuple(
             ev._eval_with(q.var, cand, side, walk=value) for _label, cand in pool)
-    extremes, results = [], []
-    for used, ((label, _cand), a) in enumerate(zip(pool, sides), 1):
-        if a is None:
-            continue
-        if extremes and not _compare_values(a, extremes[-1], wider):
-            a = extremes[-1]
-        extremes.append(a)
-        results.append(EvalResult(ends, "bounded", label, used))
-    if not extremes:
+    if all(a is None for a in sides):
         return None
-    results.append(EvalResult(Truth.UNKNOWN, "bounded", None, len(pool)))
-    return partial(_first_stop, stop, other.negated, extremes, results), other.term
+    stop = rel if q.kind == "exists" else _NEGATED_REL[rel]
+    rising = stop in (">", ">=")
+    ends = Truth.TRUE if q.kind == "exists" else Truth.FALSE
+    split = ev._cofactors(other.term, var)
+    term, cofactors = ((split[0], split[2]) if split and split[1] == 1
+                       else (other.term, ev.fm.group.zero()))
+    keys, results, extreme = [], [], None
+    last = EvalResult(Truth.UNKNOWN, "bounded", None, len(pool))
+    for used, ((label, _cand), a) in enumerate(zip(pool, sides), 1):
+        if a is INF and rising:   # stops every finite value; INF lowers no minimum
+            last = EvalResult(ends, "bounded", label, used)
+            break
+        if a is None or a is INF or (
+                extreme is not None and not (a > extreme if rising else a < extreme)):
+            continue
+        extreme = a
+        keys.append((-a if other.negated else a) - cofactors)
+        results.append(EvalResult(ends, "bounded", label, used))
+    rel = _flip_rel(stop) if other.negated else stop
+    if rel in ("<", "<="):
+        # falling keys, stored reversed: when c of them have `key REL w`, the
+        # walk stops at the c-th kept candidate from the end, results[c]
+        keys.reverse()
+        results = [last] + results[::-1]
+    else:
+        results.append(last)
+    find = bisect_right if rel in (">", "<=") else bisect_left
+    return partial(_first_stop, find, keys, results), term
 
 
-def _first_stop(rel: str, negated: bool, extremes: list, results: list, w) -> EvalResult:
-    """results[i] for the first i with `extremes[i] REL w`, where w is negated
-    first when negated, found by bisection: REL holds from some i on, since the
-    extremes are prefix maxima or minima.  The last result when there is none."""
-    if negated:
-        w = -w
-    lo, hi = 0, len(extremes)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if _compare_values(extremes[mid], w, rel):
-            hi = mid
-        else:
-            lo = mid + 1
-    return results[lo]
+def _first_stop(find, keys: list, results: list, w) -> EvalResult:
+    """results[find(keys, w)], the walk's result at v(term) = w (_first_stops)."""
+    return results[find(keys, w)]
 
 
 def _binds(f, name: str) -> bool:

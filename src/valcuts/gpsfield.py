@@ -237,7 +237,10 @@ class SeriesElement(_Frozen):
     def __mul__(self, other):
         """The product, on integers: every exponent is written over one common
         denominator, coefficients are summed mod p, and group elements are
-        built only for the terms that survive."""
+        built only for the terms that survive.  At p = 2, x * x is x^2, the
+        Frobenius."""
+        if other is self and self.model.char == 2:
+            return self.frobenius()
         self._check(other)
         den = lcm(*[e.den for e, _ in self.terms + other.terms])
 
@@ -257,15 +260,20 @@ class SeriesElement(_Frozen):
             for k, a in acc.items() if a % field.p])
 
     def __pow__(self, n: int):
+        """x^n; over F_p, x^(p m) = (x^p)^m, with x^p the Frobenius."""
         if n < 0:
             return self.inverse() ** (-n)
+        base, p = self, self.model.char
+        while n and n % p == 0:
+            base = base.frobenius()
+            n //= p
         out = self.model.one()
-        base = self
         while n:
             if n & 1:
                 out = out * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return out
 
     def inverse(self) -> "SeriesElement":

@@ -340,20 +340,34 @@ class GroupElement(_Frozen):
             return self.nums, other.nums, sd
         return [x * od for x in self.nums], [y * sd for y in other.nums], sd * od
 
+    def _ordered_pair(self, other: GroupElement):
+        """Two values ordered as self and other: the numerator tuples over a
+        shared denominator, else the first coordinates that differ, scaled."""
+        if other.__class__ is not GroupElement or (
+                other.group is not self.group and other.group != self.group):
+            raise StructuralError("elements belong to different group descriptors")
+        sd, od = self.den, other.den
+        if sd == od:
+            return self.nums, other.nums
+        # in lowest terms, unequal denominators mean some coordinate differs
+        for x, y in zip(self.nums, other.nums):
+            if x * od != y * sd:
+                return x * od, y * sd
+
     def __lt__(self, other: GroupElement) -> bool:
-        a, b, _ = self._pair(other)
+        a, b = self._ordered_pair(other)
         return a < b
 
     def __le__(self, other: GroupElement) -> bool:
-        a, b, _ = self._pair(other)
+        a, b = self._ordered_pair(other)
         return a <= b
 
     def __gt__(self, other: GroupElement) -> bool:
-        a, b, _ = self._pair(other)
+        a, b = self._ordered_pair(other)
         return a > b
 
     def __ge__(self, other: GroupElement) -> bool:
-        a, b, _ = self._pair(other)
+        a, b = self._ordered_pair(other)
         return a >= b
 
     def __str__(self) -> str:

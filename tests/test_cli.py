@@ -122,6 +122,15 @@ class TestScenarios:
         assert report["result"] == {"value": "UNKNOWN", "mode": "oracle",
                                     "witness": None, "candidates_used": 0}
 
+    @pytest.mark.parametrize("scenario", ["abhyankar", "example-e1"])
+    def test_a_constant_outside_the_value_group_reads_unknown(self, tmp_path, scenario):
+        # 1/3 lies outside Z[1/2] on abhyankar; example-e1 has rank 2
+        code, report = run(["eval", "--scenario", scenario, "--p", "2",
+                            "--formula", "v(b) < 1/3", "--bind", "b=t"], tmp_path)
+        assert code == 0
+        assert report["result"] == {"value": "UNKNOWN", "mode": "oracle",
+                                    "witness": None, "candidates_used": 0}
+
     def test_eval_unbound_name_exits_1_naming_it(self, capsys):
         code = main(["eval", "--scenario", "kummer-mixed", "--p", "3",
                      "--formula", "v(t) > 0"])
@@ -926,7 +935,8 @@ def _run_id(args):
     return f"{args[0]}-seed{args[args.index('--seed') + 1]}"
 
 
-# the classify, kaehler and prescribe reports, which write certificates and schedules
+# the classify, kaehler and prescribe reports, which write certificates and
+# schedules, and two bounded eval answers
 REPORT_GOLDEN_RUNS = [
     ([command, "--config", str(CONFIGS / f"{config}.json")],
      f"{command}_{config.replace('-', '_')}.json")
@@ -941,6 +951,12 @@ REPORT_GOLDEN_RUNS = [
       "--depth", "12"], "prescribe_r8_p7_d12.json"),
     (["prescribe", "--rank", "4", "--select", "1,2,3,4", "--char", "mixed", "--p", "3",
       "--depth", "10"], "prescribe_r4_mixed_p3_d10.json"),
+] + [
+    # two K quantifiers answered from their candidates' values
+    (["eval", "--scenario", "example-e1", "--p", "2", "--bind", "b=t^(-1,0)", "--formula",
+      "forall c in K : v(theta - c*c) < v(b*t)"], "eval_example_e1_p2_sq_lt.json"),
+    (["eval", "--scenario", "example-e1", "--p", "2", "--bind", "b=t^(0,1)", "--formula",
+      "exists c in K : v(theta - c*c) >= -v(t*b)"], "eval_example_e1_p2_sq_ge.json"),
 ]
 
 

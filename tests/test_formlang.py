@@ -581,6 +581,14 @@ BOUNDED_ATOMS = (
     "forall c in K : v(c) < v(b)",
     "exists c in K : v(c) >= v(b*t)",
     "exists c in K : -v(c) > v(b)",
+    # cofactors folded into the keys, then terms that do not fold
+    "forall c in K : v(t - c) < v(b*t)",
+    "exists c in K : v(theta - c*c) >= v(t*b*t)",
+    "forall c in K : v(theta - c*c) < -v(t*b)",
+    "exists c in K : v(theta - c*c) >= v(b*b)",
+    "forall c in K : v(theta - c*c) < v(b^3*t)",
+    # a side that is INF at c = t
+    "exists c in K : v(t - c) > v(b)",
     "exists c in K : v((eta - c)*(eta - c)) >= v(b)",
 )
 

@@ -251,6 +251,47 @@ class TestProductKernel:
         assert len(built) == len(square.terms)
 
 
+class TestFrobeniusPowers:
+    """Over F_p, x^(p^k) is the Frobenius applied k times: x * x at p = 2 and
+    the p-power steps of x ** n equal the term-by-term product, computed from
+    an equal but distinct copy of x so that it takes the generic path."""
+
+    @staticmethod
+    def generic_power(x: SeriesElement, n: int) -> SeriesElement:
+        out = x.model.one()
+        for _ in range(n):
+            out = out * SeriesElement(x.model, x.terms)
+        return out
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_powers_equal_the_generic_product(self, p):
+        rng = random.Random(p)
+        for m in TestProductKernel.models(rng):
+            if m.char != p:
+                continue
+            for _ in range(6):
+                x = random_series(rng, m, rng.randint(0, 6))
+                copy_ = SeriesElement(m, x.terms)
+                assert copy_ is not x and copy_ == x
+                square = x * copy_
+                assert as_dict(square) == naive_product(as_dict(x), as_dict(x), p)[0]
+                if p == 2:
+                    assert x * x == square
+                for n in (p, p * p, 2 * p, 7, 8):
+                    assert x ** n == self.generic_power(x, n)
+
+    def test_a_square_at_two_is_the_frobenius(self, monkeypatch):
+        x = random_series(random.Random(3), perfect_model(2, rank=2), 6)
+        want = x * SeriesElement(x.model, x.terms)
+
+        def refused(*_):
+            raise AssertionError("a term-by-term product")
+
+        # the generic product sorts its terms through _from_distinct
+        monkeypatch.setattr(SeriesElement, "_from_distinct", refused)
+        assert x * x == x.frobenius() == want
+
+
 def naive_sum(x: SeriesElement, y: SeriesElement) -> tuple:
     """The terms of x + y, with one FqElement sum per term of y and a sort by
     GroupElement order."""

@@ -278,13 +278,20 @@ class TestRepresentation:
             g.element(Fraction(1, 4), 3) * Fraction(1, 2)
 
     def test_elements_of_two_descriptors(self):
-        a = GroupDescriptor((Component.PDIV,), 2).element(1)
-        b = GroupDescriptor((Component.PDIV,), 3).element(1)
-        assert a != b
-        for op in (lambda: a + b, lambda: a - b, lambda: a < b, lambda: a <= b,
-                   lambda: a > b, lambda: a >= b, lambda: compare(a, b)):
-            with pytest.raises(StructuralError, match="different group descriptors"):
-                op()
+        # another prime, rank or class, at equal and at different denominators
+        g = GroupDescriptor((Component.RAT,), 2)
+        foreign = (GroupDescriptor((Component.RAT,), 3),
+                   GroupDescriptor((Component.RAT, Component.RAT), 2),
+                   GroupDescriptor((Component.PDIV,), 2))
+        for a, f, c in itertools.product((g.element(1), g.element(Fraction(1, 2))), foreign,
+                                         (1, Fraction(1, 2))):
+            b = f.element(*(c,) * f.rank)
+            assert a != b
+            for op in (lambda: a + b, lambda: a - b, lambda: a < b, lambda: a <= b,
+                       lambda: a > b, lambda: a >= b, lambda: compare(a, b),
+                       lambda: sorted([a, b])):
+                with pytest.raises(StructuralError, match="different group descriptors"):
+                    op()
 
     def test_over_is_the_checked_quotient(self):
         g = GroupDescriptor((Component.PDIV, Component.INT), 3)
@@ -292,6 +299,32 @@ class TestRepresentation:
         assert x.over(-2) == g.element(1, -3)
         assert x.over(3) == g.element(Fraction(-2, 3), 2)
         assert x.over(4) is None and x.over(9) is None
+
+
+class TestOrder:
+    """The four order operators and sorted read the lexicographic order of the
+    Fraction coordinates, whether or not the denominators agree."""
+
+    def test_operators_and_sorted_agree_with_fraction_tuples(self):
+        rng = random.Random(37)
+        same = different = 0
+        for _ in range(150):
+            p = rng.choice((2, 3, 5, 7))
+            kinds = [rng.choice(list(Component)) for _ in range(rng.randint(1, 4))]
+            g = GroupDescriptor(tuple(kinds), p)
+            dens = {Component.INT: (1,), Component.PDIV: (1, p, p * p),
+                    Component.RAT: (1, 2, 3, 6)}
+            refs = [tuple(Fraction(rng.randint(-3, 3), rng.choice(dens[k])) for k in kinds)
+                    for _ in range(8)]
+            elems = [g.element(*ref) for ref in refs]
+            for (a, ra), (b, rb) in itertools.product(zip(elems, refs), repeat=2):
+                assert ((a < b), (a <= b), (a > b), (a >= b)) == (
+                    (ra < rb), (ra <= rb), (ra > rb), (ra >= rb))
+                if ra != rb:
+                    same += a.den == b.den
+                    different += a.den != b.den
+            assert [x.coords for x in sorted(elems)] == sorted(refs)
+        assert same >= 1000 and different >= 1000
 
 
 class TestCompare:
