@@ -673,24 +673,23 @@ class FormulaModel(_Frozen):
         return {}
 
     def _witnesses(self):
+        """The approximants b_k of each distinguished element, then 0 and the
+        monomials t^(n / p^d) in the last coordinate, built on integers as
+        GroupElement(g, (0, ..., n), p^d), those outside the group skipped."""
         for im in self.immediates:
             for k in range(min(_SCHEDULE_DEPTH, len(im.schedule))):
                 carrier = im.carrier.partial_sum(k) if im.carrier is not None else None
                 yield f"{im.name}~{k}", Approximant(im.name, k, carrier)
         if self.model.series_capable:
             g = self.group
-            p = self.prime
+            zeros = (0,) * (g.rank - 1)
             yield "0", self.model.zero()
             for d in range(_DENOMINATOR_DEPTH + 1):
-                den = p**d
+                den = self.prime**d
                 for num in range(-_EXPONENT_BOUND * den, _EXPONENT_BOUND * den + 1):
-                    coords = [Fraction(0)] * g.rank
-                    coords[g.rank - 1] = Fraction(num, den)
-                    try:
-                        e = g.element(*coords)
-                    except StructuralError:
-                        continue
-                    yield f"t^{Fraction(num, den)}", self.model.monomial(1, e)
+                    e = GroupElement(g, zeros + (num,), den)
+                    if g._outside(e.nums, e.den) is None:
+                        yield f"t^{e.coord_strings()[-1]}", self.model.monomial(1, e)
 
 
 class EvalResult(_Frozen):
@@ -814,9 +813,16 @@ class _Evaluator:
             if special is not None:
                 return special
             try:
-                return _carrier_valuation(self.term_carrier(t))
+                a, b = self.term_carrier(t.left), self.term_carrier(t.right)
             except EvaluationUnsupported:
                 return self._min_rule(t)
+            # a pattern x with tails and a finite series s: one val_diff(x, ±s),
+            # without building the pattern x ± s; v(s - x) = v(x - s)
+            for x, s in ((a, b), (b, a)):
+                if (x.__class__ is PatternSeries and x.tails and s.__class__ is SeriesElement
+                        and s.model is x.model):
+                    return val_diff(x, s if isinstance(t, Sub) else -s)
+            return _carrier_valuation(a - b if isinstance(t, Sub) else a + b)
         if isinstance(t, IntLit):
             return self._int_valuation(t.value)
         return _carrier_valuation(self.term_carrier(t))
@@ -1355,29 +1361,31 @@ def free_variables(node) -> frozenset:
 def evaluate(phi, fmodel: FormulaModel, bindings: dict | None = None) -> EvalResult:
     """Three-valued evaluation; exact where the segment oracle applies.  With one
     binding it may be read off a value set compiled once per model."""
-    ast = parse(phi) if isinstance(phi, str) else phi
-    bindings = bindings or {}
-    ev = _Evaluator(fmodel, bindings)
-    if len(bindings) == 1:
-        answer = _compiled_answer(ast, ev)   # the names are checked when compiled
+    ast = _parse_text(phi) if isinstance(phi, str) else phi
+    if bindings and len(bindings) == 1:
+        answer = _compiled_answer(ast, fmodel, bindings)   # the names are checked when compiled
         if answer is not None:
             return answer
+    bindings = bindings or {}
     _check_bound(ast, fmodel, bindings)
+    ev = _Evaluator(fmodel, bindings)
     value = ev.eval(ast)
     mode = "bounded" if ev.bounded_used else "oracle"
     return EvalResult(value, mode, ev.witness, ev.candidates_used)
 
 
-def _compiled_answer(ast, ev: _Evaluator) -> EvalResult | None:
-    """evaluate's result, read from what was compiled of ast for ev's one binding
+def _compiled_answer(ast, fmodel: FormulaModel, bindings: dict) -> EvalResult | None:
+    """evaluate's result, read from what was compiled of ast for the one binding
     at the finite valuation of the term it reads; None, for a walk, when either
-    is missing."""
-    (name, _carrier), = ev.bindings.items()
-    _values, answer, term = _compiled(ast, ev.fm, name)
+    is missing.  When that term is the bound name, its valuation is read from
+    the binding (_bound_valuation); a walker is built only to value another."""
+    (name, carrier), = bindings.items()
+    _values, answer, term = _compiled(ast, fmodel, name)
     if not answer:
         return None
     try:
-        w = ev.term_valuation(term)
+        w = (_bound_valuation(name, carrier) if term.__class__ is Var
+             else _Evaluator(fmodel, bindings).term_valuation(term))
     except EvaluationUnsupported:
         return None
     return None if w is INF else answer(w)
@@ -1407,8 +1415,19 @@ def _compiled(ast, fmodel: FormulaModel, var: str):
 
 
 def _member_answer(values, answers: tuple, w) -> EvalResult:
-    """answers[1] when w lies in the value set, else answers[0]."""
-    return answers[_holds(values, w)]
+    """answers[1] when w lies in the value set, else answers[0]: the test of
+    segment.contains, with its foreign-group error, in this one call."""
+    if values.__class__ is bool:
+        return answers[values]
+    d = values.shift
+    if w.group is not d.group and w.group != d.group:
+        raise StructuralError("element belongs to a different group descriptor")
+    wd, dd = w.den, d.den
+    for a, b in zip(w.nums[:values.level], d.nums):
+        a, b = a * dd, b * wd
+        if a != b:
+            return answers[(a > b) is (values.direction is Direction.FINAL)]
+    return answers[values.closed]
 
 
 _NEGATED_REL = {"<": ">=", "<=": ">", ">=": "<", ">": "<="}

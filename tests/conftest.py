@@ -196,3 +196,30 @@ def counted_draws(monkeypatch) -> list:
 
         monkeypatch.setattr(scenarios, name, counting)
     return draws
+
+
+def reference_witnesses(fmodel):
+    """A formula model's bounded candidates built through Fraction and the
+    checked GroupDescriptor.element: the approximants b_k of each
+    distinguished element, then 0 and the monomials t^(n / p^d) in the last
+    coordinate, |n / p^d| <= 2 and d <= 2, those outside the group skipped."""
+    from valcuts.formlang import Approximant
+
+    for im in fmodel.immediates:
+        for k in range(min(12, len(im.schedule))):
+            carrier = im.carrier.partial_sum(k) if im.carrier is not None else None
+            yield f"{im.name}~{k}", Approximant(im.name, k, carrier)
+    if fmodel.model.series_capable:
+        g = fmodel.group
+        p = fmodel.prime
+        yield "0", fmodel.model.zero()
+        for d in range(3):
+            den = p**d
+            for num in range(-2 * den, 2 * den + 1):
+                coords = [Fraction(0)] * g.rank
+                coords[g.rank - 1] = Fraction(num, den)
+                try:
+                    e = g.element(*coords)
+                except StructuralError:
+                    continue
+                yield f"t^{Fraction(num, den)}", fmodel.model.monomial(1, e)

@@ -957,6 +957,12 @@ REPORT_GOLDEN_RUNS = [
       "forall c in K : v(theta - c*c) < v(b*t)"], "eval_example_e1_p2_sq_lt.json"),
     (["eval", "--scenario", "example-e1", "--p", "2", "--bind", "b=t^(0,1)", "--formula",
       "exists c in K : v(theta - c*c) >= -v(t*b)"], "eval_example_e1_p2_sq_ge.json"),
+] + [
+    # a compiled value set read at a declared value, and b = 0, which the walk answers
+    (["eval", "--scenario", "abhyankar", "--p", "3", "--bind", bind, "--formula",
+      "forall c in K : v(theta^p - theta - c^p + c) < v(b)"], golden)
+    for bind, golden in (("b=v:-1/3", "eval_abhyankar_p3_coarse_declared.json"),
+                         ("b=0", "eval_abhyankar_p3_coarse_zero.json"))
 ]
 
 

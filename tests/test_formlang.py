@@ -11,6 +11,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from functools import lru_cache
+from itertools import islice
 from unittest.mock import patch
 
 import pytest
@@ -18,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from valcuts import cli, formlang
-from valcuts.errors import ParseError, StructuralError, ValcutsError
+from valcuts.errors import EvaluationUnsupported, ParseError, StructuralError, ValcutsError
 from valcuts.formlang import (
     DEFINITIONS,
     Add,
@@ -42,6 +43,7 @@ from valcuts.formlang import (
     ValAtom,
     Var,
     VOf,
+    _SCHEDULE_DEPTH,
     _Evaluator,
     _holds,
     _Parser,
@@ -90,6 +92,7 @@ from conftest import (
     random_group,
     random_group_element,
     rebuilt,
+    reference_witnesses,
 )
 
 
@@ -644,6 +647,24 @@ class TestCandidatePool:
             assert dict(own)["0"].model == other.model
         assert a.candidates is pool
 
+    def test_pool_is_the_fraction_builders(self):
+        # the monomials built on integers are those Fraction and the checked
+        # element build, in labels, values and order
+        pools = [build(p).fmodel for build, primes in ((abhyankar, (2, 3, 5, 7)),
+                                                        (example_e1, (2, 3, 5)),
+                                                        (example_e2, (2, 3)),
+                                                        (kummer_mixed, (3,)))
+                 for p in primes]
+        # the classes of the last coordinate skip what is outside the group
+        pools += [FormulaModel(FieldModel("F", p, GroupDescriptor(classes, p)), ())
+                  for classes in ((Component.INT,), (Component.PDIV, Component.INT),
+                                  (Component.INT, Component.RAT), (Component.RAT,))
+                  for p in (2, 3)]
+        for fm in pools:
+            assert tuple(fm._witnesses()) == tuple(reference_witnesses(fm)), fm.model.name
+            assert fm.candidates == tuple(islice(reference_witnesses(fm), 64))
+        assert sum(len(fm.candidates) for fm in pools[:9]) == 516
+
     def test_check_definition_batch_matches_fresh_evaluation(self):
         sc = example_e1(2)
         samples = series_samples(sc.model, 8, 5)
@@ -696,6 +717,50 @@ class TestCandidateValuations:
             names = free_variables(side)
             # the quantified variable, otherwise only names of the model
             assert var in names and names - {var} <= own and "b" not in names, side
+
+    @pytest.mark.parametrize("build,p", [(abhyankar, 2), (abhyankar, 5), (example_e1, 2),
+                                         (example_e1, 3), (example_e2, 2), (kummer_mixed, 3)])
+    def test_side_values_are_the_carriers(self, build, p):
+        # each side value is v of the carrier built whole, x ± s for a pattern
+        # x, where the walk values x against s by one val_diff
+        fm = build(p).fmodel
+        for text in SQUARE_FORMULAS + BOUNDED_ATOMS + (DEFINITIONS["coarse-ring-as"],):
+            if free_variables(parse(text)) <= fm.names | {"b"}:
+                formlang._compiled(parse(text), fm, "b")
+        patterns = 0
+        for (side, var), values in fm.side_values.items():
+            for (label, cand), got in zip(fm.candidates, values):
+                ev = _Evaluator(fm, {var: cand})
+                try:
+                    carrier = ev.term_carrier(side.term)
+                except EvaluationUnsupported:
+                    continue
+                want = formlang._carrier_valuation(carrier)
+                if side.negated:
+                    want = None if want is INF else -want
+                assert got == want, (print_formula(side), label)
+                patterns += isinstance(carrier, PatternSeries) and carrier.has_tails
+        assert patterns >= (0 if build is kummer_mixed else len(fm.candidates))
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_a_pattern_and_a_series_in_either_order(self, p):
+        # v(x ± s) and v(s ± x) for theta, -theta and a shifted theta against
+        # the approximants, 0, t and -t: one val_diff, as the carrier x ± s
+        fm = abhyankar(p).fmodel
+        model = fm.model
+        theta = fm.immediates[0].carrier
+        t = fm.constants["t"]
+        xs = (theta, -theta, theta + model.monomial(1, model.value_group.element(-3)))
+        ss = [theta.partial_sum(k) for k in range(6)]
+        ss += [model.zero(), t, -t, -theta.partial_sum(2)]
+        for x in xs:
+            for s in ss:
+                ev = _Evaluator(fm, {"x": x, "s": s})
+                for node, carrier in ((Sub(Var("x"), Var("s")), x - s),
+                                      (Sub(Var("s"), Var("x")), s - x),
+                                      (Add(Var("x"), Var("s")), x + s),
+                                      (Add(Var("s"), Var("x")), s + x)):
+                    assert ev.term_valuation(node) == formlang._carrier_valuation(carrier)
 
     @pytest.mark.parametrize("build", [abhyankar, example_e1])
     def test_the_sq_formulas_share_one_side_computation(self, build, monkeypatch):
@@ -797,7 +862,7 @@ class TestForcedBoundedAgreesWithOracle:
             with monkeypatch.context() as patch:
                 # neither the oracle nor a compiled value set answers
                 patch.setattr(_Evaluator, "_oracle", lambda self, q: None)
-                patch.setattr(formlang, "_compiled_answer", lambda ast, ev: None)
+                patch.setattr(formlang, "_compiled_answer", lambda *args: None)
                 for name in names:
                     for label, b, _ in samples:
                         cold = evaluate(DEFINITIONS[name], rebuilt(fm), bindings={"b": b})
@@ -882,6 +947,15 @@ class TestValueSet:
         direct = sc.result("theta").ram_ideal
         rep = check_definition(text, direct, sc.fmodel, samples)
         assert _counts(rep) == _evaluated_counts(text, direct, sc.fmodel, samples)
+
+    def test_a_value_of_another_group_raises(self):
+        # the compiled membership test keeps contains' foreign-group error
+        fm = abhyankar(2).fmodel
+        other = GroupDescriptor((Component.PDIV,), 3)
+        for name in ("ram-ideal-as", "max-ideal", "coarse-ring-as"):
+            with pytest.raises(StructuralError, match="different group descriptor"):
+                evaluate(DEFINITIONS[name], fm,
+                         bindings={"b": DeclaredValue(other.element(Fraction(1, 3)))})
 
     OUTSIDE = (
         "forall c in K : v(theta^p - theta - c^p + c) < v(b*t)",
@@ -1340,7 +1414,7 @@ class TestPointwiseImage:
             oracle = {text: evaluate(text, fm, bindings={"b": b}) for text in texts}
             with monkeypatch.context() as patch:
                 patch.setattr(_Evaluator, "_oracle", lambda self, q: None)
-                patch.setattr(formlang, "_compiled_answer", lambda ast, ev: None)
+                patch.setattr(formlang, "_compiled_answer", lambda *args: None)
                 for text in texts:
                     want = oracle[text]
                     assert want.mode == "oracle", text
@@ -1458,7 +1532,7 @@ class TestGeneratedShapesAgree:
             # without the compiled answer too, or a compiling formula would
             # be compared with its own compiled set
             with patch.object(_Evaluator, "_oracle", lambda self, q: None), \
-                    patch.object(formlang, "_compiled_answer", lambda ast, ev: None):
+                    patch.object(formlang, "_compiled_answer", lambda *args: None):
                 forced = evaluate(text, fm, bindings={"b": b})
             if Truth.UNKNOWN not in (got.value, forced.value):
                 assert forced.value is got.value, (text, w)
@@ -1517,7 +1591,7 @@ class TestCompiledAgreesWithTheWalk:
     def test_named_formulas_and_edge_bindings(self, build, p):
         fm = build(p).fmodel
         calls = self.calls(build(p))
-        with patch.object(formlang, "_compiled_answer", lambda ast, ev: None):
+        with patch.object(formlang, "_compiled_answer", lambda *args: None):
             off = rebuilt(fm)
             walked = [_outcome(text, off, bindings) for text, bindings in calls]
         assert not fm.value_sets
@@ -1546,7 +1620,7 @@ class TestCompiledAgreesWithTheWalk:
                                          "forall c in K : v(c) > v(b)")
         calls = [(text, {"b": DeclaredValue(g.element(Fraction(k, p * p)))})
                  for text in formulas for k in range(-5 * p * p, 5 * p * p + 1)]
-        with patch.object(formlang, "_compiled_answer", lambda ast, ev: None):
+        with patch.object(formlang, "_compiled_answer", lambda *args: None):
             off = rebuilt(fm)
             walked = [_outcome(text, off, bindings) for text, bindings in calls]
         assert [_outcome(text, fm, bindings) for text, bindings in calls] == walked
@@ -1566,7 +1640,7 @@ class TestCompiledAgreesWithTheWalk:
         cold = rebuilt(fm)
         for b in carriers:
             got = [_outcome(text, model, {"b": b}) for model in (cold, fm)]
-            with patch.object(formlang, "_compiled_answer", lambda ast, ev: None):
+            with patch.object(formlang, "_compiled_answer", lambda *args: None):
                 walked = _outcome(text, fm, {"b": b})
                 with patch.object(_Evaluator, "_oracle", lambda self, q: None):
                     forced = evaluate(text, fm, bindings={"b": b}).value
@@ -1574,6 +1648,93 @@ class TestCompiledAgreesWithTheWalk:
             # forced bounded enumeration agrees wherever it decides
             if forced is not Truth.UNKNOWN and walked["value"] != "UNKNOWN":
                 assert forced.value == walked["value"], (text, b)
+
+
+class TestSamplesFromL:
+    """b bound to elements of L \\ K: each distinguished element's carrier theta
+    and theta - b_k for k < 12, patterns with tails whose valuations val_diff
+    gives and nothing declares.  Each named definition, evaluated on each,
+    agrees with its direct object and with the walk."""
+
+    @staticmethod
+    def samples(fm):
+        """(label, carrier, v(carrier)) for the elements of L \\ K above."""
+        zero = fm.model.zero()
+        for im in fm.immediates:
+            theta = im.carrier
+            yield im.name, theta, val_diff(theta, zero)
+            for k in range(_SCHEDULE_DEPTH):
+                b_k = theta.partial_sum(k)
+                yield f"{im.name} - {im.name}~{k}", theta - b_k, val_diff(theta, b_k)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_definitions_agree_with_the_direct_object_and_the_walk(self, p):
+        count = 0
+        for build, result, names in TestValueSet.TARGETS[:2]:
+            sc = build(p)
+            res = sc.result(result)
+            samples = list(self.samples(sc.fmodel))
+            for name in names:
+                direct = TestValueSet.direct(res, name)
+                for label, b, v in samples:
+                    assert isinstance(b, PatternSeries) and b.has_tails, label
+                    got = evaluate(DEFINITIONS[name], sc.fmodel, bindings={"b": b})
+                    with patch.object(formlang, "_compiled_answer", lambda *args: None):
+                        walked = evaluate(DEFINITIONS[name], rebuilt(sc.fmodel),
+                                          bindings={"b": b})
+                    assert got == walked, (build.__name__, name, label)
+                    assert got.value is Truth.of(membership(direct, v)), (name, label)
+                    count += 1
+        assert count == 65   # 3 and 2 definitions, 13 elements each
+
+
+class TestNoWalkerForABoundName:
+    """A compiled one-binding answer whose term is the bound name reads v(b)
+    off the binding and builds no walker; another term, and b = 0, whose
+    valuation is infinite, still build one."""
+
+    @staticmethod
+    def walkers(monkeypatch) -> list:
+        """The bindings of every _Evaluator built from here on."""
+        built = []
+        init = _Evaluator.__init__
+
+        def counting(self, fmodel, bindings):
+            built.append(bindings)
+            init(self, fmodel, bindings)
+
+        monkeypatch.setattr(_Evaluator, "__init__", counting)
+        return built
+
+    @pytest.mark.parametrize("build", [abhyankar, example_e1])
+    def test_a_warm_answer_builds_none(self, build, monkeypatch):
+        fm = build(2).fmodel
+        texts = [DEFINITIONS[name] for name in ("ram-ideal-as", "max-ideal", "coarse-ring-as")]
+        texts += SQUARE_FORMULAS
+        samples = series_samples(fm.model, 8, 13)
+        for text in texts:
+            _values, answer, term = formlang._compiled(parse(text), fm, "b")
+            assert answer and term == Var("b"), text
+        built = self.walkers(monkeypatch)
+        answers = [evaluate(text, fm, bindings={"b": b}) for text in texts
+                   for _, b, _ in samples]
+        assert built == []
+        with patch.object(formlang, "_compiled_answer", lambda *args: None):
+            assert answers == [evaluate(text, fm, bindings={"b": b}) for text in texts
+                               for _, b, _ in samples]
+        assert len(built) == len(answers)
+
+    def test_another_term_and_zero_build_one(self, monkeypatch):
+        fm = abhyankar(2).fmodel
+        b = series_samples(fm.model, 2, 13)[1][1]
+        for text, binding in (("exists c in K : v(theta - c*c) >= v(b*b)", b),
+                              (DEFINITIONS["coarse-ring-as"], fm.model.zero())):
+            assert formlang._compiled(parse(text), fm, "b")[1], text
+            evaluate(text, fm, bindings={"b": binding})   # warm
+            with monkeypatch.context() as patch_:
+                built = self.walkers(patch_)
+                evaluate(text, fm, bindings={"b": binding})
+            assert len(built) >= 1, text
 
 
 def reference_series_samples(model, count, seed, include_boundary=True):
