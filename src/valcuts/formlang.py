@@ -931,10 +931,17 @@ class _Evaluator:
                 return Truth.TRUE
             if isinstance(v, PatternSeries):
                 return Truth.of(not v.has_tails)
-        if isinstance(t, Pow) and isinstance(t.base, Var):
-            v = self._try_resolve(t.base.name)
-            if isinstance(v, ImmediateElement) and "kummer_generator" in v.facts \
-                    and self._exponent(t.exponent) == self.fm.prime:
+        # a generator's fact settles x^p (Kummer) or x^p - x (Artin-Schreier)
+        # without its carrier
+        power = fact = None
+        if isinstance(t, Pow):
+            power, fact = t, "kummer_generator"
+        elif isinstance(t, Sub) and isinstance(t.left, Pow) and t.left.base == t.right:
+            power, fact = t.left, "as_generator"
+        if power is not None and isinstance(power.base, Var):
+            v = self._try_resolve(power.base.name)
+            if isinstance(v, ImmediateElement) and fact in v.facts \
+                    and self._exponent(power.exponent) == self.fm.prime:
                 return Truth.TRUE
         try:
             carrier = self.term_carrier(t)

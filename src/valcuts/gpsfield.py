@@ -13,11 +13,12 @@ Terms are kept in exponent order and tails merged and ordered by base
 exponent, and an operation builds only what it changes.  Negation and the
 Frobenius (p > 0) keep the term order, and 0 + x is x; negation, the
 Frobenius and adding a finite series keep every base exponent and every
-relative start, so only the sum of two patterns merges tails again.  The
-least term of theta - c lies on a leading tail: a negative one at the
-coarsest leading index.  Once every leading tail has passed its start, all
-divide their base exponents by the same p-power, so the approach schedule
-is gamma_min / p^(k+1) from there on.
+relative start, so only the sum of two patterns merges tails again, and
+without checking them: each tail is checked once, when a pattern is built
+from outside.  The least term of theta - c lies on a leading tail: a
+negative one at the coarsest leading index.  Once every leading tail has
+passed its start, all divide their base exponents by the same p-power, so
+the approach schedule is gamma_min / p^(k+1) from there on.
 
 Fields of residue characteristic p with char 0 carry no series arithmetic
 here; they enter the extension layer through declared approximation
@@ -210,9 +211,10 @@ class SeriesElement(_Frozen):
         return other   # 0 + x
 
     def _plus(self, terms) -> "SeriesElement":
-        """self plus nonzero terms of the residue field at distinct exponents,
-        given in any order and sorted once: a term whose exponent self lacks is
-        kept as it is, and FqElements are added only where two exponents meet."""
+        """self plus nonzero terms of the residue field, given in any order
+        (an exponent may repeat) and sorted once: a term whose exponent
+        nothing else has is kept as it is, and FqElements are added only
+        where two exponents meet."""
         acc = dict(self.terms)
         for e, c in terms:
             a = acc.get(e)
@@ -312,6 +314,16 @@ class Tail(_Frozen):
 
     __hash__ = _Frozen.__hash__
 
+    @classmethod
+    def _from_checked(cls, coeff: FqElement, gamma: GroupElement, start: int) -> "Tail":
+        """The tail of a nonzero coeff on a base exponent some tail already
+        checked, built without the checks."""
+        out = object.__new__(cls)
+        _set(out, "coeff", coeff)
+        _set(out, "gamma", gamma)
+        _set(out, "start", start)
+        return out
+
     def exponent(self, i: int) -> GroupElement:
         return self.gamma.over_p_power(self.coeff.field.p, i)
 
@@ -335,39 +347,35 @@ def _family_shift(base: GroupElement, gamma: GroupElement, p: int) -> int | None
     return m if num == den == 1 else None
 
 
-def _merge_tails(model: FieldModel, tails, extra_finite):
-    """Combine tails that share exponents; spilled head terms go finite.
+def _merge_tails(model: FieldModel, tails, finite: SeriesElement):
+    """Combine tails that share exponents; spilled head terms go finite, in
+    one addition.  The tails were checked against the model when built.
 
     A tail whose base exponent is base * p^m for a present base is the tail
     at that base starting m places earlier.
     """
     by_gamma: dict = {}
-    finite = extra_finite
+    spilled = []
     for t in tails:
-        if t.gamma.group != model.value_group:
-            raise StructuralError("tail exponent lives in a different value group")
-        if t.coeff.field != model.residue:
-            raise StructuralError("tail coefficient lives in a different residue field")
         prev = by_gamma.get(t.gamma)
         if prev is None:
             for base, tail in by_gamma.items():
                 m = _family_shift(base, t.gamma, model.char)
                 if m is not None:
-                    prev, t = tail, Tail(t.coeff, base, t.start - m)
+                    prev, t = tail, Tail._from_checked(t.coeff, base, t.start - m)
                     break
         if prev is not None:
-            lo, hi = sorted((prev, t), key=lambda x: x.start)
-            for i in range(lo.start, hi.start):
-                finite = finite + model.monomial(lo.coeff, lo.exponent(i))
+            lo, hi = (prev, t) if prev.start <= t.start else (t, prev)
+            spilled += [(lo.exponent(i), lo.coeff) for i in range(lo.start, hi.start)]
             c = lo.coeff + hi.coeff
             if c.is_zero:
                 del by_gamma[t.gamma]
             else:
-                by_gamma[t.gamma] = Tail(c, t.gamma, hi.start)
+                by_gamma[t.gamma] = Tail._from_checked(c, t.gamma, hi.start)
         else:
             by_gamma[t.gamma] = t
     ordered = tuple(sorted(by_gamma.values(), key=lambda t: t.gamma))
-    return ordered, finite
+    return ordered, (finite._plus(spilled) if spilled else finite)
 
 
 class PatternSeries(_Frozen):
@@ -377,6 +385,13 @@ class PatternSeries(_Frozen):
 
     def __init__(self, model: FieldModel, finite_part: SeriesElement, tails: tuple[Tail, ...]):
         model._require_series()
+        if finite_part.__class__ is not SeriesElement or finite_part.model != model:
+            raise StructuralError("finite part from a different field model")
+        for t in tails:
+            if t.gamma.group != model.value_group:
+                raise StructuralError("tail exponent lives in a different value group")
+            if t.coeff.field != model.residue:
+                raise StructuralError("tail coefficient lives in a different residue field")
         tails, finite = _merge_tails(model, tails, finite_part)
         _set(self, "model", model)
         _set(self, "finite_part", finite)
@@ -414,8 +429,10 @@ class PatternSeries(_Frozen):
         if isinstance(other, PatternSeries):
             if other.model != self.model:
                 raise StructuralError("patterns from different field models")
-            return PatternSeries(self.model, self.finite_part + other.finite_part,
-                                 self.tails + other.tails)
+            # both patterns' tails were checked against this model when built
+            tails, finite = _merge_tails(self.model, self.tails + other.tails,
+                                         self.finite_part + other.finite_part)
+            return PatternSeries._from_merged(self.model, finite, tails)
         return PatternSeries._from_merged(self.model, self.finite_part + other, self.tails)
 
     # negation, the Frobenius and adding a finite series keep every base
@@ -424,7 +441,7 @@ class PatternSeries(_Frozen):
     def __neg__(self):
         return PatternSeries._from_merged(
             self.model, -self.finite_part,
-            tuple([Tail(-t.coeff, t.gamma, t.start) for t in self.tails]))
+            tuple([Tail._from_checked(-t.coeff, t.gamma, t.start) for t in self.tails]))
 
     def __sub__(self, other):
         return self + (-other)
@@ -432,7 +449,7 @@ class PatternSeries(_Frozen):
     def frobenius(self) -> "PatternSeries":
         return PatternSeries._from_merged(
             self.model, self.finite_part.frobenius(),
-            tuple([Tail(t.coeff, t.gamma, t.start - 1) for t in self.tails]))
+            tuple([Tail._from_checked(t.coeff, t.gamma, t.start - 1) for t in self.tails]))
 
     def pow_char_power(self, n: int) -> "PatternSeries":
         """n-th power for n a power of the characteristic (via Frobenius)."""
@@ -537,9 +554,11 @@ def approach_segment(theta: PatternSeries, K: FieldModel, depth: int = 12) -> Ap
         if not schedule or schedule[-1] != value:
             schedule.append(value)
         k += 1
-    group, nums, den, p = gamma_min.group, gamma_min.nums, gamma_min.den, theta.model.char
-    schedule += [GroupElement(group, nums, den * p**i)
-                 for i in range(k + 1, k + 1 + depth - len(schedule))]
+    group, nums, p = gamma_min.group, gamma_min.nums, theta.model.char
+    den = gamma_min.den * p**k
+    for _ in range(depth - len(schedule)):
+        den *= p
+        schedule.append(GroupElement(group, nums, den))
     seg = seq_cut(theta.model.value_group.zero(), -gamma_min, start=1,
                   direction=Direction.INITIAL)
     return ApproachResult(seg, tuple(schedule))

@@ -951,6 +951,9 @@ REPORT_GOLDEN_RUNS = [
       "--depth", "12"], "prescribe_r8_p7_d12.json"),
     (["prescribe", "--rank", "4", "--select", "1,2,3,4", "--char", "mixed", "--p", "3",
       "--depth", "10"], "prescribe_r4_mixed_p3_d10.json"),
+    # at p = 2 the coefficients +1 and -1 of theta^p - theta coincide
+    (["prescribe", "--rank", "3", "--select", "1,2,3", "--p", "2", "--depth", "12"],
+     "prescribe_r3_p2_d12.json"),
 ] + [
     # two K quantifiers answered from their candidates' values
     (["eval", "--scenario", "example-e1", "--p", "2", "--bind", "b=t^(-1,0)", "--formula",

@@ -621,6 +621,75 @@ def _evaluated_counts(text, direct, fmodel, samples):
     return len(samples), agreements, unknowns, bad
 
 
+class TestGeneratorFacts:
+    """inK(x^p) is read from kummer_generator and inK(x^p - x) from
+    as_generator, without a carrier; a carrier answers where no fact does."""
+
+    @staticmethod
+    def _with_x(fm, facts, carrier=None):
+        x = ImmediateElement("x", fm.immediates[0].segment, (), carrier=carrier,
+                             facts=frozenset(facts))
+        return rebuilt(fm, immediates=(x,))
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_the_fact_answers_without_a_carrier(self, p):
+        fm = abhyankar(p).fmodel
+        for facts, text, want in (
+                ({"as_generator"}, "inK(x^p - x)", Truth.TRUE),
+                ({"as_generator"}, f"inK(x^{p} - x)", Truth.TRUE),
+                ({"as_generator"}, f"inK(x^{p * p} - x)", Truth.UNKNOWN),
+                ({"as_generator"}, "inK(x^p - t)", Truth.UNKNOWN),
+                ({"as_generator"}, "inK(x^p)", Truth.UNKNOWN),
+                ({"kummer_generator"}, "inK(x^p - x)", Truth.UNKNOWN),
+                ({"kummer_generator"}, "inK(x^p)", Truth.TRUE),
+                ((), "inK(x^p - x)", Truth.UNKNOWN),
+                ((), "inK(x^p)", Truth.UNKNOWN)):
+            res = evaluate(text, self._with_x(fm, facts))
+            assert (res.value, res.mode) == (want, "oracle"), (facts, text)
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_a_carrier_answers_without_the_fact(self, p):
+        # x^p - x of a pattern is a series: each tail's Frobenius image starts
+        # one place earlier, so the two cancel past its first term; x^p keeps
+        # the tails
+        fm = abhyankar(p).fmodel
+        root = fm.immediates[0].carrier
+        m = root.model
+        late = PatternSeries(m, m.one(), tuple(Tail(t.coeff, t.gamma, t.start + 1)
+                                               for t in root.tails))
+        for carrier in (root, late, -root):
+            for text, want in (("inK(x^p - x)", Truth.TRUE), ("inK(x^p)", Truth.FALSE)):
+                res = evaluate(text, self._with_x(fm, (), carrier))
+                assert (res.value, res.mode) == (want, "oracle"), (carrier, text)
+
+    def test_the_definitions_compile_from_the_fact_alone(self):
+        for build in (abhyankar, example_e1):
+            for p in (2, 3):
+                fm = build(p).fmodel
+                bare = rebuilt(fm, immediates=tuple(rebuilt(im, carrier=None)
+                                                    for im in fm.immediates))
+                for name in ("ram-ideal-as", "max-ideal"):
+                    want = value_set(DEFINITIONS[name], fm)
+                    assert want is not None
+                    assert value_set(DEFINITIONS[name], bare) == want, (build, p, name)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_every_declared_as_generator_has_a_base_field_image(self, p):
+        # the as_generator fact stands for theta^p - theta in K, which the
+        # carrier shows: its Frobenius minus itself has no tails
+        seen = 0
+        for build in (abhyankar, example_e1, example_e2):
+            sc = build(p, depth=6)
+            carriers = [im.carrier for im in sc.fmodel.immediates
+                        if "as_generator" in im.facts]
+            carriers += [r.datum.generator for r in sc.results]
+            for theta in carriers:
+                assert theta is not None and theta.has_tails
+                assert not (theta.frobenius() - theta).has_tails
+                seen += 1
+        assert seen == 2 + 3 + 2   # example-e1 declares theta_x and theta_t
+
+
 class TestCandidatePool:
     """Each formula model builds one bounded candidate pool."""
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import itertools
 import pickle
 import random
 from fractions import Fraction
@@ -16,6 +17,7 @@ from valcuts.gpsfield import (
     PatternSeries,
     SeriesElement,
     Tail,
+    _family_shift,
     approach_segment,
     parse_element,
     val_diff,
@@ -422,6 +424,52 @@ class TestPatternSeries:
                 theta.pow_char_power(n)
 
 
+def _p_depth(e: GroupElement, p: int) -> int:
+    den, k = e.den, 0
+    while den % p == 0:
+        den //= p
+        k += 1
+    return k
+
+
+def terms_to_depth(x: PatternSeries, depth: int) -> dict:
+    """exponent -> coefficient value mod p of every term of x whose exponent
+    has at most p^depth in its denominator: the finite terms and the tail
+    terms read one by one and summed, however x's tails are merged.  A
+    tail's depth never falls as its index grows."""
+    p, acc = x.model.char, {}
+    terms = [(e, c.value) for e, c in x.finite_part.terms if _p_depth(e, p) <= depth]
+    for t in x.tails:
+        i = t.start
+        while _p_depth(t.exponent(i), p) <= depth:
+            terms.append((t.exponent(i), t.coeff.value))
+            i += 1
+    for e, c in terms:
+        acc[e] = (acc.get(e, 0) + c) % p
+    return {e: c for e, c in acc.items() if c}
+
+
+def summed_terms(x: dict, y: dict, p: int) -> dict:
+    acc = dict(x)
+    for e, c in y.items():
+        acc[e] = (acc.get(e, 0) + c) % p
+    return {e: c for e, c in acc.items() if c}
+
+
+def family_partner(rng: random.Random, theta: PatternSeries) -> PatternSeries:
+    """A pattern with one tail in the family of each tail of theta, on its
+    base exponent or p times it, at a random start and with the negated or a
+    random coefficient, and a finite term at each head of theta."""
+    m = theta.model
+    p, field = m.char, m.residue
+    tails, finite = [], []
+    for t in theta.tails:
+        coeff = rng.choice((-t.coeff, field.element(rng.randint(1, p - 1))))
+        tails.append(Tail(coeff, t.gamma * rng.choice((1, p)), rng.randint(-1, 4)))
+        finite.append((t.exponent(t.start), field.element(rng.randint(1, p - 1))))
+    return PatternSeries(m, SeriesElement(m, tuple(finite)), tuple(tails))
+
+
 def rebuilt_series(model: FieldModel, terms) -> SeriesElement:
     """The series of these terms through the sorting constructor, zero
     coefficients dropped."""
@@ -474,6 +522,57 @@ class TestCanonicalFormKept:
             assert s + theta == theta + s and s - theta == -(theta - s)
             cases += 1
         assert cases == 480 and merged >= 60  # tails of one family are merged
+
+    def test_pattern_sums_match_the_merging_constructor(self):
+        # a + b merges both tail lists without checking them again; it equals
+        # the checked constructor's pattern, and term by term the sum of a's
+        # and b's terms
+        rng = random.Random(2805)
+        patterns = seeded_patterns(rng)
+        cases = shifted = cancelled = spilled = 0
+        for (m, finite, tails), (other_m, other_finite, other_tails) in zip(
+                patterns, patterns[1:] + patterns[:1]):
+            a = PatternSeries(m, finite, tails)
+            p = m.char
+            partners = [family_partner(rng, a)]
+            if other_m is m:
+                partners.append(PatternSeries(m, other_finite, other_tails))
+            for b in partners:
+                for sign, got in ((1, a + b), (-1, a - b)):
+                    c = b if sign == 1 else -b
+                    assert got == PatternSeries(m, a.finite_part + c.finite_part,
+                                                a.tails + c.tails)
+                    assert [t.gamma for t in got.tails] == sorted(t.gamma for t in got.tails)
+                    assert terms_to_depth(got, 5) == summed_terms(
+                        terms_to_depth(a, 5), terms_to_depth(c, 5), p)
+                    finite_exponents = {e for e, _ in a.finite_part.terms + c.finite_part.terms}
+                    for s, t in itertools.product(a.tails, c.tails):
+                        shift = _family_shift(s.gamma, t.gamma, p)
+                        if shift is None:
+                            continue
+                        start = t.start - shift
+                        shifted += start != s.start
+                        cancelled += (s.coeff + t.coeff).is_zero
+                        # the heads one tail has before the other starts go finite
+                        spilled += any(s.exponent(i) in finite_exponents
+                                       for i in range(min(start, s.start), max(start, s.start)))
+                    cases += 1
+        # family tails at other starts, sums that cancel, heads spilled onto finite terms
+        assert cases >= 1800 and shifted >= 1500 and cancelled >= 900 and spilled >= 600
+
+    def test_pattern_arithmetic_keeps_its_boundary_checks(self):
+        m, other = perfect_model(3), perfect_model(3, name="L")
+        theta = abhyankar_root(m)
+        foreign = GroupDescriptor((Component.RAT,), 3)
+        with pytest.raises(StructuralError, match="different value group"):
+            PatternSeries(m, m.zero(), (Tail(GF(3).one(), foreign.element(-1), 1),))
+        with pytest.raises(StructuralError, match="finite part"):
+            PatternSeries(m, other.one(), theta.tails)
+        for x in (abhyankar_root(other), other.one(), other.zero(), 1, GF(3).one()):
+            with pytest.raises(StructuralError):
+                theta + x
+            with pytest.raises(StructuralError):
+                theta - x
 
     def test_partial_sum_matches_the_sum_of_its_terms(self):
         rng = random.Random(2804)

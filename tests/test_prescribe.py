@@ -11,10 +11,13 @@ import pytest
 from valcuts.errors import InvalidSelectionError
 from valcuts.extension import classify
 from valcuts.formlang import DEFINITIONS, Truth, evaluate, membership, value_set
+from valcuts.gpsfield import PatternSeries, Tail
 from valcuts.ogroup import Component, ConvexSubgroup, GroupElement, convex_subgroups
 from valcuts.prescribe import CharCase, build, verify
 from valcuts.scenarios import SCENARIOS, _generator_fmodel
 from valcuts.segment import coarsening_value_set, contains
+
+from conftest import rebuilt
 
 
 class TestBuild:
@@ -57,6 +60,35 @@ class TestVerify:
         assert by_level[1].found_level == 1
         assert by_level[2].found_level == 2
         assert all(w.identity_checked for w in report.witnesses)
+
+    def test_a_witness_that_is_not_a_root_is_reported_unchecked(self):
+        # theta^p - theta - 1/t != 0 for twice the root, a later start or a
+        # spare finite term; the classification still lands on the level
+        plan = build(2, {1, 2}, 3)
+        m = plan.model
+        for change in ("coefficient", "start", "finite"):
+            witnesses = []
+            for w in plan.witnesses:
+                (tail,) = w.datum.generator.tails
+                if change == "coefficient":
+                    theta = PatternSeries(m, m.zero(), (Tail(m.residue.element(2), tail.gamma,
+                                                             tail.start),))
+                elif change == "start":
+                    theta = PatternSeries(m, m.zero(), (Tail(tail.coeff, tail.gamma, 2),))
+                else:
+                    theta = w.datum.generator + m.monomial(1, plan.group.unit(1))
+                witnesses.append(rebuilt(w, datum=rebuilt(w.datum, generator=theta)))
+            report = verify(rebuilt(plan, witnesses=tuple(witnesses)), depth=8)
+            assert [w.identity_checked for w in report.witnesses] == [False, False], change
+            assert all(w["identity_checked"] is False
+                       for w in report.to_json()["witnesses"]), change
+        assert all(w.identity_checked for w in verify(plan, depth=8).witnesses)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_every_pattern_witness_is_a_root(self, p):
+        # at p = 2 the coefficients +1 and -1 of theta^p - theta coincide
+        report = verify(build(3, {1, 2, 3}, p), depth=8)
+        assert [w.identity_checked for w in report.witnesses] == [True] * 3
 
     def test_empty_selection_reports_only_exclusions(self):
         report = verify(build(3, set(), 3), depth=6)
