@@ -35,7 +35,7 @@ from .ogroup import (
     GroupDescriptor,
     GroupElement,
     _Frozen,
-    _set,
+    _slot_setters,
     is_prime,
 )
 from .segment import (
@@ -71,10 +71,10 @@ class DeclaredSchedule(_Frozen):
         if limit.group != group or scale.group != group:
             raise StructuralError("schedule data live in a different value group")
         scale.require_p_divisible(group.prime, "schedule scale")
-        _set(self, "group", group)
-        _set(self, "limit", limit)
-        _set(self, "scale", scale)
-        _set(self, "start", start)
+        _sched_group(self, group)
+        _sched_limit(self, limit)
+        _sched_scale(self, scale)
+        _sched_start(self, start)
 
     def approach(self, depth: int) -> ApproachResult:
         # limit - scale/p^(k+1) increases strictly in k exactly when scale > 0
@@ -107,6 +107,10 @@ class DeclaredSchedule(_Frozen):
         return ApproachResult(seg, tuple(schedule))
 
 
+_sched_group, _sched_limit, _sched_scale, _sched_start = _slot_setters(
+    DeclaredSchedule, *DeclaredSchedule._fields)
+
+
 class DefectDatum(_Frozen):
     """A Galois defect extension of prime degree over its base model."""
 
@@ -133,15 +137,15 @@ class DefectDatum(_Frozen):
                 raise StructuralError(f"{field} lives outside the base's value group")
         if declared_sigma is not None:
             _require_positive_final(declared_sigma)
-        _set(self, "name", name)
-        _set(self, "kind", kind)
-        _set(self, "base", base)
-        _set(self, "degree", degree)
-        _set(self, "generator", generator)
-        _set(self, "sigma_shift",   # v(sigma a - a)
-             base.value_group.zero() if sigma_shift is None else sigma_shift)
-        _set(self, "declared_sigma", declared_sigma)   # synthetic instances only
-        _set(self, "synthetic", synthetic)
+        _dd_name(self, name)
+        _dd_kind(self, kind)
+        _dd_base(self, base)
+        _dd_degree(self, degree)
+        _dd_generator(self, generator)
+        _dd_sigma_shift(self,   # v(sigma a - a)
+                        base.value_group.zero() if sigma_shift is None else sigma_shift)
+        _dd_declared_sigma(self, declared_sigma)   # synthetic instances only
+        _dd_synthetic(self, synthetic)
 
     @property
     def group(self) -> GroupDescriptor:
@@ -153,6 +157,10 @@ class DefectDatum(_Frozen):
         if isinstance(self.generator, DeclaredSchedule):
             return self.generator.approach(depth)
         return None
+
+
+(_dd_name, _dd_kind, _dd_base, _dd_degree, _dd_generator, _dd_sigma_shift, _dd_declared_sigma,
+ _dd_synthetic) = _slot_setters(DefectDatum, *DefectDatum._fields)
 
 
 def _group_of(value: PatternSeries | DeclaredSchedule | GroupElement | Segment
@@ -194,14 +202,14 @@ class DefectClassification(_Frozen):
     def __init__(self, datum: DefectDatum, kind: DefectKind, H_E: ConvexSubgroup,
                  sigma: Segment, ram_ideal: IdealDescriptor, max_ideal: IdealDescriptor,
                  approach: ApproachResult | None, depth: int):
-        _set(self, "datum", datum)
-        _set(self, "kind", kind)
-        _set(self, "H_E", H_E)
-        _set(self, "sigma", sigma)
-        _set(self, "ram_ideal", ram_ideal)
-        _set(self, "max_ideal", max_ideal)
-        _set(self, "approach", approach)   # None for a declared sigma segment
-        _set(self, "depth", depth)
+        _dc_datum(self, datum)
+        _dc_kind(self, kind)
+        _dc_H_E(self, H_E)
+        _dc_sigma(self, sigma)
+        _dc_ram_ideal(self, ram_ideal)
+        _dc_max_ideal(self, max_ideal)
+        _dc_approach(self, approach)   # None for a declared sigma segment
+        _dc_depth(self, depth)
 
     @property
     def group(self) -> GroupDescriptor:
@@ -228,6 +236,10 @@ class DefectClassification(_Frozen):
             certificate["schedule"] = [v.coord_strings() for v in self.approach.schedule]
             certificate["approach_segment"] = to_json(self.approach.segment)
         return certificate
+
+
+(_dc_datum, _dc_kind, _dc_H_E, _dc_sigma, _dc_ram_ideal, _dc_max_ideal, _dc_approach,
+ _dc_depth) = _slot_setters(DefectClassification, *DefectClassification._fields)
 
 
 def classify(datum: DefectDatum, depth: int = 12) -> DefectClassification:
@@ -278,15 +290,15 @@ class DefectlessDatum(_Frozen):
                  x0_value: GroupElement, subkind: DefectlessKind = DefectlessKind.VALUE_ONLY,
                  residue_char: int = 0, vp: GroupElement | None = None,
                  v_eta_minus_1: GroupElement | None = None):
-        _set(self, "name", name)
-        _set(self, "group", group)                # vL after scaling
-        _set(self, "q", q)                        # prime degree = (vL : vK)
-        _set(self, "star_index", star_index)      # class where vK has index q
-        _set(self, "x0_value", x0_value)          # vx0, not in vK
-        _set(self, "subkind", subkind)
-        _set(self, "residue_char", residue_char)
-        _set(self, "vp", positive_vp(vp))         # value of p when residue char divides it
-        _set(self, "v_eta_minus_1", v_eta_minus_1)   # one-unit case
+        _dld_name(self, name)
+        _dld_group(self, group)                # vL after scaling
+        _dld_q(self, q)                        # prime degree = (vL : vK)
+        _dld_star_index(self, star_index)      # class where vK has index q
+        _dld_x0_value(self, x0_value)          # vx0, not in vK
+        _dld_subkind(self, subkind)
+        _dld_residue_char(self, residue_char)
+        _dld_vp(self, positive_vp(vp))         # value of p when residue char divides it
+        _dld_v_eta_minus_1(self, v_eta_minus_1)   # one-unit case
         if not is_prime(q):
             raise InconsistentDatumError("degree q must be prime")
         if not 0 <= star_index < group.rank:
@@ -308,16 +320,20 @@ class DefectlessDatum(_Frozen):
         return self.group.coordinate_allowed(i, Fraction(x.nums[i], x.den * self.q))
 
 
+(_dld_name, _dld_group, _dld_q, _dld_star_index, _dld_x0_value, _dld_subkind, _dld_residue_char,
+ _dld_vp, _dld_v_eta_minus_1) = _slot_setters(DefectlessDatum, *DefectlessDatum._fields)
+
+
 class DefectlessAnalysis(_Frozen):
     __slots__ = _fields = ("datum", "H_E", "case", "max_ideal", "ram_ideal")
 
     def __init__(self, datum: DefectlessDatum, H_E: ConvexSubgroup, case: DefectlessCase,
                  max_ideal: IdealDescriptor, ram_ideal: IdealDescriptor | None):
-        _set(self, "datum", datum)
-        _set(self, "H_E", H_E)
-        _set(self, "case", case)
-        _set(self, "max_ideal", max_ideal)
-        _set(self, "ram_ideal", ram_ideal)
+        _dla_datum(self, datum)
+        _dla_H_E(self, H_E)
+        _dla_case(self, case)
+        _dla_max_ideal(self, max_ideal)
+        _dla_ram_ideal(self, ram_ideal)
 
     @property
     def certificate(self) -> dict:
@@ -339,6 +355,10 @@ class DefectlessAnalysis(_Frozen):
         if self.ram_ideal is not None:
             certificate["ram_ideal"] = to_json(self.ram_ideal.values)
         return certificate
+
+
+_dla_datum, _dla_H_E, _dla_case, _dla_max_ideal, _dla_ram_ideal = _slot_setters(
+    DefectlessAnalysis, *DefectlessAnalysis._fields)
 
 
 def defectless_analyze(datum: DefectlessDatum) -> DefectlessAnalysis:

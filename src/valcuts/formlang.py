@@ -40,7 +40,7 @@ from itertools import islice
 
 from .errors import EvaluationUnsupported, ParseError, StructuralError
 from .gpsfield import INF, FieldModel, PatternSeries, SeriesElement, val_diff
-from .ogroup import ConvexSubgroup, GroupElement, _Frozen, _set
+from .ogroup import ConvexSubgroup, GroupElement, _Frozen, _set, _slot_setters
 from .segment import (
     CutKind,
     Direction,
@@ -78,8 +78,11 @@ class _Node(_Frozen):
             return self._hash
         except AttributeError:
             h = _Frozen.__hash__(self)
-            _set(self, "_hash", h)
+            _node_hash(self, h)
             return h
+
+
+_node_hash, _node_free = _slot_setters(_Node, *_Node.__slots__)
 
 
 class _Pair(_Node):
@@ -88,8 +91,11 @@ class _Pair(_Node):
     __slots__ = _fields = ("left", "right")
 
     def __init__(self, left, right):
-        _set(self, "left", left)
-        _set(self, "right", right)
+        _pair_left(self, left)
+        _pair_right(self, right)
+
+
+_pair_left, _pair_right = _slot_setters(_Pair, *_Pair._fields)
 
 
 class _OfTerm(_Node):
@@ -98,21 +104,30 @@ class _OfTerm(_Node):
     __slots__ = _fields = ("term",)
 
     def __init__(self, term):
-        _set(self, "term", term)
+        _ofterm_term(self, term)
+
+
+(_ofterm_term,) = _slot_setters(_OfTerm, *_OfTerm._fields)
 
 
 class Var(_Node):
     __slots__ = _fields = ("name",)
 
     def __init__(self, name: str):
-        _set(self, "name", name)
+        _var_name(self, name)
+
+
+(_var_name,) = _slot_setters(Var, *Var._fields)
 
 
 class IntLit(_Node):
     __slots__ = _fields = ("value",)
 
     def __init__(self, value: int):
-        _set(self, "value", value)
+        _intlit_value(self, value)
+
+
+(_intlit_value,) = _slot_setters(IntLit, *IntLit._fields)
 
 
 class Add(_Pair):
@@ -131,8 +146,11 @@ class Pow(_Node):
     __slots__ = _fields = ("base", "exponent")
 
     def __init__(self, base, exponent: int | str):
-        _set(self, "base", base)
-        _set(self, "exponent", exponent)   # an integer or the symbolic prime "p"
+        _pow_base(self, base)
+        _pow_exponent(self, exponent)   # an integer or the symbolic prime "p"
+
+
+_pow_base, _pow_exponent = _slot_setters(Pow, *Pow._fields)
 
 
 class Recip(_OfTerm):
@@ -143,24 +161,33 @@ class VOf(_Node):
     __slots__ = _fields = ("term", "negated")
 
     def __init__(self, term, negated: bool = False):
-        _set(self, "term", term)
-        _set(self, "negated", negated)
+        _vof_term(self, term)
+        _vof_negated(self, negated)
+
+
+_vof_term, _vof_negated = _slot_setters(VOf, *VOf._fields)
 
 
 class RatConst(_Node):
     __slots__ = _fields = ("value",)
 
     def __init__(self, value: Fraction):
-        _set(self, "value", value)
+        _rat_value(self, value)
+
+
+(_rat_value,) = _slot_setters(RatConst, *RatConst._fields)
 
 
 class ValAtom(_Node):
     __slots__ = _fields = ("left", "rel", "right")
 
     def __init__(self, left, rel: str, right):
-        _set(self, "left", left)   # VOf | RatConst
-        _set(self, "rel", rel)
-        _set(self, "right", right)
+        _valatom_left(self, left)   # VOf | RatConst
+        _valatom_rel(self, rel)
+        _valatom_right(self, right)
+
+
+_valatom_left, _valatom_rel, _valatom_right = _slot_setters(ValAtom, *ValAtom._fields)
 
 
 class EqAtom(_Pair):
@@ -175,26 +202,35 @@ class Not(_Node):
     __slots__ = _fields = ("body",)
 
     def __init__(self, body):
-        _set(self, "body", body)
+        _not_body(self, body)
+
+
+(_not_body,) = _slot_setters(Not, *Not._fields)
 
 
 class BinOp(_Node):
     __slots__ = _fields = ("op", "left", "right")
 
     def __init__(self, op: str, left, right):
-        _set(self, "op", op)   # "and" | "or" | "->"
-        _set(self, "left", left)
-        _set(self, "right", right)
+        _binop_op(self, op)   # "and" | "or" | "->"
+        _binop_left(self, left)
+        _binop_right(self, right)
+
+
+_binop_op, _binop_left, _binop_right = _slot_setters(BinOp, *BinOp._fields)
 
 
 class Quant(_Node):
     __slots__ = _fields = ("kind", "var", "domain", "body")
 
     def __init__(self, kind: str, var: str, domain: Domain, body):
-        _set(self, "kind", kind)   # "forall" | "exists"
-        _set(self, "var", var)
-        _set(self, "domain", domain)
-        _set(self, "body", body)
+        _quant_kind(self, kind)   # "forall" | "exists"
+        _quant_var(self, var)
+        _quant_domain(self, domain)
+        _quant_body(self, body)
+
+
+_quant_kind, _quant_var, _quant_domain, _quant_body = _slot_setters(Quant, *Quant._fields)
 
 
 _BINARY = (Add, Sub, Mul, ValAtom, EqAtom, BinOp)   # nodes with .left and .right
@@ -552,11 +588,15 @@ class ImmediateElement(_Frozen):
 
     def __init__(self, name: str, segment: Segment, schedule: tuple[GroupElement, ...],
                  carrier: PatternSeries | None = None, facts: frozenset = frozenset()):
-        _set(self, "name", name)
-        _set(self, "segment", segment)     # v(x - K), initial
-        _set(self, "schedule", schedule)   # v(x - b_k) along the approximants
-        _set(self, "carrier", carrier)     # exact series form when available
-        _set(self, "facts", facts)         # e.g. "as_generator", "kummer_generator", "one_unit"
+        _imm_name(self, name)
+        _imm_segment(self, segment)     # v(x - K), initial
+        _imm_schedule(self, schedule)   # v(x - b_k) along the approximants
+        _imm_carrier(self, carrier)     # exact series form when available
+        _imm_facts(self, facts)         # e.g. "as_generator", "kummer_generator", "one_unit"
+
+
+_imm_name, _imm_segment, _imm_schedule, _imm_carrier, _imm_facts = _slot_setters(
+    ImmediateElement, *ImmediateElement._fields)
 
 
 class DeclaredValue(_Frozen):
@@ -565,7 +605,10 @@ class DeclaredValue(_Frozen):
     __slots__ = _fields = ("valuation",)
 
     def __init__(self, valuation):
-        _set(self, "valuation", valuation)   # GroupElement | INF
+        _dv_valuation(self, valuation)   # GroupElement | INF
+
+
+(_dv_valuation,) = _slot_setters(DeclaredValue, *DeclaredValue._fields)
 
 
 class SampleDraw:
@@ -596,9 +639,12 @@ class Approximant(_Frozen):
     __slots__ = _fields = ("owner", "index", "carrier")
 
     def __init__(self, owner: str, index: int, carrier: SeriesElement | None = None):
-        _set(self, "owner", owner)
-        _set(self, "index", index)
-        _set(self, "carrier", carrier)
+        _appr_owner(self, owner)
+        _appr_index(self, index)
+        _appr_carrier(self, carrier)
+
+
+_appr_owner, _appr_index, _appr_carrier = _slot_setters(Approximant, *Approximant._fields)
 
 
 _SCHEDULE_DEPTH = 12      # bounded witnesses: the first 12 approximants of each
@@ -697,14 +743,18 @@ class EvalResult(_Frozen):
 
     def __init__(self, value: Truth, mode: str, witness: str | None = None,
                  candidates_used: int = 0):
-        _set(self, "value", value)
-        _set(self, "mode", mode)   # "oracle" | "bounded"
-        _set(self, "witness", witness)
-        _set(self, "candidates_used", candidates_used)
+        _er_value(self, value)
+        _er_mode(self, mode)   # "oracle" | "bounded"
+        _er_witness(self, witness)
+        _er_candidates_used(self, candidates_used)
 
     def to_json(self) -> dict:
         return {"value": self.value.value, "mode": self.mode,
                 "witness": self.witness, "candidates_used": self.candidates_used}
+
+
+_er_value, _er_mode, _er_witness, _er_candidates_used = _slot_setters(
+    EvalResult, *EvalResult._fields)
 
 
 # The K-quantifier shapes the oracle answers exactly, in a distinguished
@@ -936,8 +986,11 @@ class _Evaluator:
         power = fact = None
         if isinstance(t, Pow):
             power, fact = t, "kummer_generator"
-        elif isinstance(t, Sub) and isinstance(t.left, Pow) and t.left.base == t.right:
-            power, fact = t.left, "as_generator"
+        elif isinstance(t, Sub):
+            # x^p - x and its negative x - x^p lie in K together
+            pw, x = (t.left, t.right) if isinstance(t.left, Pow) else (t.right, t.left)
+            if isinstance(pw, Pow) and pw.base == x:
+                power, fact = pw, "as_generator"
         if power is not None and isinstance(power.base, Var):
             v = self._try_resolve(power.base.name)
             if isinstance(v, ImmediateElement) and fact in v.facts \
@@ -1361,7 +1414,7 @@ def free_variables(node) -> frozenset:
         found = free_variables(node.body) - {node.var}
     else:
         found = frozenset()
-    _set(node, "_free", found)
+    _node_free(node, found)
     return found
 
 
@@ -1545,11 +1598,11 @@ class AgreementReport(_Frozen):
 
     def __init__(self, definition: str, total: int, agreements: int, disagreements: tuple,
                  unknowns: int):
-        _set(self, "definition", definition)
-        _set(self, "total", total)
-        _set(self, "agreements", agreements)
-        _set(self, "disagreements", disagreements)
-        _set(self, "unknowns", unknowns)
+        _agr_definition(self, definition)
+        _agr_total(self, total)
+        _agr_agreements(self, agreements)
+        _agr_disagreements(self, disagreements)
+        _agr_unknowns(self, unknowns)
 
     @property
     def unknown_rate(self) -> float:
@@ -1569,6 +1622,10 @@ class AgreementReport(_Frozen):
             "unknown_rate": self.unknown_rate,
             "passed": self.passed,
         }
+
+
+_agr_definition, _agr_total, _agr_agreements, _agr_disagreements, _agr_unknowns = _slot_setters(
+    AgreementReport, *AgreementReport._fields)
 
 
 def membership(direct, value) -> bool:

@@ -33,7 +33,7 @@ from math import gcd, lcm
 from operator import itemgetter
 
 from .errors import NotImmediateError, StructuralError
-from .ogroup import GroupDescriptor, GroupElement, _Frozen, _set
+from .ogroup import GroupDescriptor, GroupElement, _Frozen, _slot_setters
 from .residue import GF, FqElement
 from .segment import Direction, Segment, seq_cut
 
@@ -84,12 +84,12 @@ class FieldModel(_Frozen):
             raise StructuralError("characteristic 0 models must declare residue_char")
         if vp is not None and vp.group != value_group:
             raise StructuralError("vp must live in the value group")
-        _set(self, "name", name)
-        _set(self, "char", char)
-        _set(self, "value_group", value_group)
-        _set(self, "residue_char", residue_char)
-        _set(self, "vp", vp)
-        _set(self, "residue", GF(char) if char > 0 else None)
+        _fm_name(self, name)
+        _fm_char(self, char)
+        _fm_value_group(self, value_group)
+        _fm_residue_char(self, residue_char)
+        _fm_vp(self, vp)
+        _fm_residue(self, GF(char) if char > 0 else None)
 
     def __eq__(self, other) -> bool:
         # the base's comparison of the fields, after the identity test
@@ -128,6 +128,10 @@ class FieldModel(_Frozen):
         return self.monomial(1, self.value_group.zero())
 
 
+_fm_name, _fm_char, _fm_value_group, _fm_residue_char, _fm_vp, _fm_residue = _slot_setters(
+    FieldModel, *FieldModel.__slots__)
+
+
 def _ordered(terms) -> tuple:
     """terms sorted by exponent.  Each exponent is keyed by its numerators over
     one common denominator, so the sort compares integer lists; exponents
@@ -160,8 +164,8 @@ class SeriesElement(_Frozen):
             terms = _ordered(terms) if terms else ()
         elif terms and not terms[0][1].value:
             terms = ()
-        _set(self, "model", model)
-        _set(self, "terms", tuple(terms))
+        _se_model(self, model)
+        _se_terms(self, tuple(terms))
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not SeriesElement:
@@ -176,8 +180,8 @@ class SeriesElement(_Frozen):
         """The series of a terms tuple already canonical (nonzero coefficients of
         the residue field, in exponent order), built without the checks."""
         out = object.__new__(cls)
-        _set(out, "model", model)
-        _set(out, "terms", terms)
+        _se_model(out, model)
+        _se_terms(out, terms)
         return out
 
     @classmethod
@@ -234,6 +238,7 @@ class SeriesElement(_Frozen):
     def __sub__(self, other):
         if isinstance(other, PatternSeries):
             return (-other) + self
+        self._check(other)   # as `+` does, before negating an operand that may have no `-`
         return self + (-other)
 
     def __mul__(self, other):
@@ -290,6 +295,9 @@ class SeriesElement(_Frozen):
         return SeriesElement._from_ordered(self.model, tuple([(e * p, c) for e, c in self.terms]))
 
 
+_se_model, _se_terms = _slot_setters(SeriesElement, *SeriesElement._fields)
+
+
 class Tail(_Frozen):
     """The geometric tail sum_{i >= start} coeff * t^(gamma / p^i), p the
     characteristic of coeff; every gamma / p^i lies in the group."""
@@ -302,9 +310,9 @@ class Tail(_Frozen):
         if coeff.is_zero:
             raise StructuralError("tail coefficient must be nonzero")
         gamma.require_p_divisible(coeff.field.p, "tail base exponent")
-        _set(self, "coeff", coeff)
-        _set(self, "gamma", gamma)
-        _set(self, "start", start)
+        _tail_coeff(self, coeff)
+        _tail_gamma(self, gamma)
+        _tail_start(self, start)
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not Tail:
@@ -319,13 +327,16 @@ class Tail(_Frozen):
         """The tail of a nonzero coeff on a base exponent some tail already
         checked, built without the checks."""
         out = object.__new__(cls)
-        _set(out, "coeff", coeff)
-        _set(out, "gamma", gamma)
-        _set(out, "start", start)
+        _tail_coeff(out, coeff)
+        _tail_gamma(out, gamma)
+        _tail_start(out, start)
         return out
 
     def exponent(self, i: int) -> GroupElement:
         return self.gamma.over_p_power(self.coeff.field.p, i)
+
+
+_tail_coeff, _tail_gamma, _tail_start = _slot_setters(Tail, *Tail._fields)
 
 
 def _family_shift(base: GroupElement, gamma: GroupElement, p: int) -> int | None:
@@ -393,9 +404,9 @@ class PatternSeries(_Frozen):
             if t.coeff.field != model.residue:
                 raise StructuralError("tail coefficient lives in a different residue field")
         tails, finite = _merge_tails(model, tails, finite_part)
-        _set(self, "model", model)
-        _set(self, "finite_part", finite)
-        _set(self, "tails", tails)
+        _ps_model(self, model)
+        _ps_finite_part(self, finite)
+        _ps_tails(self, tails)
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not PatternSeries:
@@ -411,9 +422,9 @@ class PatternSeries(_Frozen):
         """The pattern of tails already merged and ordered by base exponent,
         built without _merge_tails."""
         out = object.__new__(cls)
-        _set(out, "model", model)
-        _set(out, "finite_part", finite)
-        _set(out, "tails", tails)
+        _ps_model(out, model)
+        _ps_finite_part(out, finite)
+        _ps_tails(out, tails)
         return out
 
     @property
@@ -444,7 +455,9 @@ class PatternSeries(_Frozen):
             tuple([Tail._from_checked(-t.coeff, t.gamma, t.start) for t in self.tails]))
 
     def __sub__(self, other):
-        return self + (-other)
+        if isinstance(other, PatternSeries):
+            return self + (-other)
+        return PatternSeries._from_merged(self.model, self.finite_part - other, self.tails)
 
     def frobenius(self) -> "PatternSeries":
         return PatternSeries._from_merged(
@@ -468,6 +481,9 @@ class PatternSeries(_Frozen):
         if self.finite_part.terms:
             return self.finite_part._plus(terms)
         return SeriesElement._from_distinct(self.model, terms)
+
+
+_ps_model, _ps_finite_part, _ps_tails = _slot_setters(PatternSeries, *PatternSeries._fields)
 
 
 def _leading_tails(theta: PatternSeries) -> list[Tail]:
@@ -519,8 +535,11 @@ class ApproachResult(_Frozen):
     __slots__ = _fields = ("segment", "schedule")
 
     def __init__(self, segment: Segment, schedule: tuple[GroupElement, ...]):
-        _set(self, "segment", segment)
-        _set(self, "schedule", schedule)
+        _ar_segment(self, segment)
+        _ar_schedule(self, schedule)
+
+
+_ar_segment, _ar_schedule = _slot_setters(ApproachResult, *ApproachResult._fields)
 
 
 def approach_segment(theta: PatternSeries, K: FieldModel, depth: int = 12) -> ApproachResult:

@@ -18,7 +18,7 @@ from enum import Enum
 
 from .errors import StructuralError
 from .extension import DefectClassification, DefectlessAnalysis
-from .ogroup import _Frozen, _set
+from .ogroup import _Frozen, _slot_setters
 from .segment import IdealDescriptor, colon, is_subset, to_json
 
 
@@ -36,14 +36,14 @@ class OmegaPresentation(_Frozen):
                  power: IdealDescriptor, form: PresentationForm, is_zero: bool,
                  provenance: str, annihilator: IdealDescriptor,
                  annihilator_is_max_ideal: bool):
-        _set(self, "numerator", numerator)
-        _set(self, "denominator_exponent", denominator_exponent)
-        _set(self, "power", power)   # numerator ** denominator_exponent
-        _set(self, "form", form)
-        _set(self, "is_zero", is_zero)
-        _set(self, "provenance", provenance)
-        _set(self, "annihilator", annihilator)
-        _set(self, "annihilator_is_max_ideal", annihilator_is_max_ideal)
+        _omega_numerator(self, numerator)
+        _omega_denominator_exponent(self, denominator_exponent)
+        _omega_power(self, power)   # numerator ** denominator_exponent
+        _omega_form(self, form)
+        _omega_is_zero(self, is_zero)
+        _omega_provenance(self, provenance)
+        _omega_annihilator(self, annihilator)
+        _omega_annihilator_is_max_ideal(self, annihilator_is_max_ideal)
 
     def to_json(self) -> dict:
         return {
@@ -55,6 +55,11 @@ class OmegaPresentation(_Frozen):
             "annihilator": to_json(self.annihilator.values),
             "annihilator_is_max_ideal": self.annihilator_is_max_ideal,
         }
+
+
+(_omega_numerator, _omega_denominator_exponent, _omega_power, _omega_form, _omega_is_zero,
+ _omega_provenance, _omega_annihilator, _omega_annihilator_is_max_ideal) = _slot_setters(
+    OmegaPresentation, *OmegaPresentation._fields)
 
 
 def present(result: DefectClassification | DefectlessAnalysis) -> OmegaPresentation:

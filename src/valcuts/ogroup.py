@@ -23,6 +23,7 @@ from __future__ import annotations
 from enum import Enum
 from fractions import Fraction
 from math import gcd, lcm
+from types import MemberDescriptorType
 
 from .errors import DegenerateInputError, StructuralError
 
@@ -65,18 +66,37 @@ def is_prime(n: int) -> bool:
     return True
 
 
-_set = object.__setattr__
+_set = object.__setattr__   # for FormulaModel only, whose fields live in a __dict__
+
+
+def _slot_setters(cls, *names):
+    """The `__set__` of each named slot descriptor of cls, in order.
+
+    A slot's own descriptor writes it without the lookup by name that
+    `object.__setattr__` makes.  A name that is no slot of cls raises here,
+    at import, where the setters are bound."""
+    setters = []
+    for name in names:
+        slot = getattr(cls, name, None)
+        if type(slot) is not MemberDescriptorType:
+            raise TypeError(f"{cls.__qualname__}.{name} is not a slot")
+        setters.append(slot.__set__)
+    return tuple(setters)
 
 
 class _Frozen:
     """Base of the immutable value classes: the constructor sets each field in
-    `_fields` once, with `_set`.  An instance refuses assignment and pickles
-    and copies through its constructor, since the default restore assigns
-    the slots.  It writes itself as `Name(field=value, ...)`, equals an
-    instance of its own class with equal fields, and hashes as the tuple of
-    its fields.  A subclass may write its `__eq__` out, about twice as fast
-    as the loop here; it then keeps `__hash__ = _Frozen.__hash__`, since
-    defining `__eq__` alone drops the inherited hash."""
+    `_fields` once, through the `__set__` of the field's slot descriptor.
+    `_slot_setters` binds those setters once, below the class, as module
+    globals `_<class abbreviation>_<field>`; an unchecked builder
+    (`_from_...`) sets the fields of `object.__new__(cls)` through them too.
+    An instance refuses assignment and pickles and copies through its
+    constructor, since the default restore assigns the slots.  It writes
+    itself as `Name(field=value, ...)`, equals an instance of its own class
+    with equal fields, and hashes as the tuple of its fields.  A subclass may
+    write its `__eq__` out, about twice as fast as the loop here; it then
+    keeps `__hash__ = _Frozen.__hash__`, since defining `__eq__` alone drops
+    the inherited hash."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
@@ -123,8 +143,8 @@ class GroupDescriptor(_Frozen):
             raise StructuralError("rank must be at least 1")
         if not is_prime(prime):
             raise StructuralError(f"{prime} is not prime")
-        _set(self, "components", tuple([Component(c) for c in components]))
-        _set(self, "prime", prime)
+        _gd_components(self, tuple([Component(c) for c in components]))
+        _gd_prime(self, prime)
 
     def __eq__(self, other) -> bool:
         # the base's comparison of the fields, after the identity test
@@ -190,7 +210,7 @@ class GroupDescriptor(_Frozen):
             return self._zero
         except AttributeError:
             zero = GroupElement(self, (0,) * self.rank)
-            _set(self, "_zero", zero)
+            _gd_zero(self, zero)
             return zero
 
     def unit(self, index: int, scale=1) -> GroupElement:
@@ -201,6 +221,10 @@ class GroupDescriptor(_Frozen):
         if type(scale) is int:
             return GroupElement(self, tuple(coords))
         return self.element(*coords)
+
+
+_gd_components, _gd_prime, _gd_zero, _gd_ring, _gd_maximal_ideal = _slot_setters(
+    GroupDescriptor, *GroupDescriptor.__slots__)
 
 
 class GroupElement(_Frozen):
@@ -220,9 +244,9 @@ class GroupElement(_Frozen):
     _fields = ("group", "nums", "den")
 
     def __init__(self, group: GroupDescriptor, nums: tuple[int, ...], den: int = 1):
-        _set(self, "group", group)
-        _set(self, "nums", nums)
-        _set(self, "den", den)
+        _ge_group(self, group)
+        _ge_nums(self, nums)
+        _ge_den(self, den)
         self.__post_init__()
 
     def __post_init__(self):
@@ -231,8 +255,8 @@ class GroupElement(_Frozen):
         if den != 1:
             g = gcd(den, *self.nums)
             if g != 1:
-                _set(self, "nums", tuple([n // g for n in self.nums]))
-                _set(self, "den", den // g)
+                _ge_nums(self, tuple([n // g for n in self.nums]))
+                _ge_den(self, den // g)
 
     @property
     def coords(self) -> tuple[Fraction, ...]:
@@ -241,7 +265,7 @@ class GroupElement(_Frozen):
             return self._coords
         except AttributeError:
             coords = tuple([Fraction(n, self.den) for n in self.nums])
-            _set(self, "_coords", coords)
+            _ge_coords(self, coords)
             return coords
 
     def coord_strings(self) -> list[str]:
@@ -376,6 +400,9 @@ class GroupElement(_Frozen):
         return "(" + ", ".join(self.coord_strings()) + ")"
 
 
+_ge_group, _ge_nums, _ge_den, _ge_coords = _slot_setters(GroupElement, *GroupElement.__slots__)
+
+
 class ConvexSubgroup(_Frozen):
     """Level k in the chain H_0 = whole group > H_1 > ... > H_n = {0}."""
 
@@ -384,13 +411,16 @@ class ConvexSubgroup(_Frozen):
     def __init__(self, group: GroupDescriptor, level: int):
         if not 0 <= level <= group.rank:
             raise StructuralError(f"level must lie in 0..{group.rank}")
-        _set(self, "group", group)
-        _set(self, "level", level)
+        _cs_group(self, group)
+        _cs_level(self, level)
 
     @property
     def is_subprincipal(self) -> bool:
         # largest convex subgroup avoiding the unit at index `level - 1`
         return self.level >= 1
+
+
+_cs_group, _cs_level = _slot_setters(ConvexSubgroup, *ConvexSubgroup._fields)
 
 
 def convex_subgroups(G: GroupDescriptor) -> tuple[ConvexSubgroup, ...]:

@@ -25,7 +25,7 @@ from .extension import (
     classify,
 )
 from .gpsfield import FieldModel, PatternSeries, Tail
-from .ogroup import Component, GroupDescriptor, _Frozen, _set, convex_subgroups
+from .ogroup import Component, GroupDescriptor, _Frozen, _slot_setters, convex_subgroups
 
 
 class CharCase(str, Enum):
@@ -37,17 +37,23 @@ class Witness(_Frozen):
     __slots__ = _fields = ("level", "kind", "datum")
 
     def __init__(self, level: int, kind: str, datum: DefectDatum):
-        _set(self, "level", level)
-        _set(self, "kind", kind)   # "pattern" or "declared"
-        _set(self, "datum", datum)
+        _wit_level(self, level)
+        _wit_kind(self, kind)   # "pattern" or "declared"
+        _wit_datum(self, datum)
+
+
+_wit_level, _wit_kind, _wit_datum = _slot_setters(Witness, *Witness._fields)
 
 
 class Exclusion(_Frozen):
     __slots__ = _fields = ("level", "note")
 
     def __init__(self, level: int, note: str):
-        _set(self, "level", level)
-        _set(self, "note", note)
+        _exc_level(self, level)
+        _exc_note(self, note)
+
+
+_exc_level, _exc_note = _slot_setters(Exclusion, *Exclusion._fields)
 
 
 class ConstructionPlan(_Frozen):
@@ -57,19 +63,23 @@ class ConstructionPlan(_Frozen):
     def __init__(self, index_size: int, selected: frozenset[int], prime: int,
                  char_case: CharCase, group: GroupDescriptor, model: FieldModel,
                  witnesses: tuple[Witness, ...], exclusions: tuple[Exclusion, ...]):
-        _set(self, "index_size", index_size)
-        _set(self, "selected", selected)
-        _set(self, "prime", prime)
-        _set(self, "char_case", char_case)
-        _set(self, "group", group)
-        _set(self, "model", model)
-        _set(self, "witnesses", witnesses)
-        _set(self, "exclusions", exclusions)
+        _plan_index_size(self, index_size)
+        _plan_selected(self, selected)
+        _plan_prime(self, prime)
+        _plan_char_case(self, char_case)
+        _plan_group(self, group)
+        _plan_model(self, model)
+        _plan_witnesses(self, witnesses)
+        _plan_exclusions(self, exclusions)
 
     def chain_bijection(self) -> tuple[tuple[int, int], ...]:
         """Input index i maps to subgroup level i + 1; note the order reversal:
         increasing index means decreasing subgroup."""
         return tuple((i, i + 1) for i in range(self.index_size))
+
+
+(_plan_index_size, _plan_selected, _plan_prime, _plan_char_case, _plan_group, _plan_model,
+ _plan_witnesses, _plan_exclusions) = _slot_setters(ConstructionPlan, *ConstructionPlan._fields)
 
 
 def build(n: int, selected, p: int, char_case: CharCase = CharCase.EQUAL) -> ConstructionPlan:
@@ -131,12 +141,16 @@ class WitnessReport(_Frozen):
 
     def __init__(self, level: int, passed: bool, found_level: int, defect_kind: str,
                  schedule: tuple, identity_checked: bool):
-        _set(self, "level", level)
-        _set(self, "passed", passed)
-        _set(self, "found_level", found_level)
-        _set(self, "defect_kind", defect_kind)
-        _set(self, "schedule", schedule)
-        _set(self, "identity_checked", identity_checked)
+        _wr_level(self, level)
+        _wr_passed(self, passed)
+        _wr_found_level(self, found_level)
+        _wr_defect_kind(self, defect_kind)
+        _wr_schedule(self, schedule)
+        _wr_identity_checked(self, identity_checked)
+
+
+(_wr_level, _wr_passed, _wr_found_level, _wr_defect_kind, _wr_schedule,
+ _wr_identity_checked) = _slot_setters(WitnessReport, *WitnessReport._fields)
 
 
 class VerificationReport(_Frozen):
@@ -144,9 +158,9 @@ class VerificationReport(_Frozen):
 
     def __init__(self, plan: ConstructionPlan, witnesses: tuple[WitnessReport, ...],
                  exclusions: tuple[Exclusion, ...]):
-        _set(self, "plan", plan)
-        _set(self, "witnesses", witnesses)
-        _set(self, "exclusions", exclusions)
+        _vr_plan(self, plan)
+        _vr_witnesses(self, witnesses)
+        _vr_exclusions(self, exclusions)
 
     @property
     def passed(self) -> bool:
@@ -177,6 +191,10 @@ class VerificationReport(_Frozen):
             "no_discrete_component": True,
             "passed": self.passed,
         }
+
+
+_vr_plan, _vr_witnesses, _vr_exclusions = _slot_setters(
+    VerificationReport, *VerificationReport._fields)
 
 
 def _check_witness_identity(plan: ConstructionPlan, witness: Witness) -> bool:

@@ -3,14 +3,14 @@
 from __future__ import annotations
 
 from .errors import StructuralError
-from .ogroup import _Frozen, _set, is_prime
+from .ogroup import _Frozen, _slot_setters, is_prime
 
 
 class FqField(_Frozen):
     __slots__ = _fields = ("p",)
 
     def __init__(self, p: int):
-        _set(self, "p", p)
+        _fqf_p(self, p)
 
     def __eq__(self, other) -> bool:
         if self is other:
@@ -28,6 +28,9 @@ class FqField(_Frozen):
         return FqElement(self, 1)
 
 
+(_fqf_p,) = _slot_setters(FqField, *FqField._fields)
+
+
 def GF(p: int) -> FqField:
     if not is_prime(p):
         raise StructuralError(f"{p} is not prime")
@@ -38,8 +41,8 @@ class FqElement(_Frozen):
     __slots__ = _fields = ("field", "value")
 
     def __init__(self, field: FqField, value: int):
-        _set(self, "field", field)
-        _set(self, "value", value)
+        _fq_field(self, field)
+        _fq_value(self, value)
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not FqElement:
@@ -81,3 +84,6 @@ class FqElement(_Frozen):
         if self.is_zero:
             raise ZeroDivisionError("inverse of zero in a finite field")
         return FqElement(self.field, pow(self.value, -1, self.field.p))
+
+
+_fq_field, _fq_value = _slot_setters(FqElement, *FqElement._fields)

@@ -20,7 +20,7 @@ from .extension import (
 )
 from .formlang import DeclaredValue, FormulaModel, ImmediateElement, SampleDraw
 from .gpsfield import FieldModel, PatternSeries, SeriesElement, Tail
-from .ogroup import Component, GroupDescriptor, GroupElement, _Frozen, _set
+from .ogroup import Component, GroupDescriptor, GroupElement, _Frozen, _slot_setters
 
 
 class Scenario(_Frozen):
@@ -28,15 +28,18 @@ class Scenario(_Frozen):
 
     def __init__(self, model: FieldModel, results: tuple[DefectClassification, ...],
                  fmodel: FormulaModel):
-        _set(self, "model", model)
-        _set(self, "results", results)
-        _set(self, "fmodel", fmodel)
+        _sc_model(self, model)
+        _sc_results(self, results)
+        _sc_fmodel(self, fmodel)
 
     def result(self, name: str) -> DefectClassification:
         for r in self.results:
             if r.datum.name == name:
                 return r
         raise KeyError(name)
+
+
+_sc_model, _sc_results, _sc_fmodel = _slot_setters(Scenario, *Scenario._fields)
 
 
 def perfect_series_model(p: int, rank: int = 1, name: str | None = None) -> FieldModel:

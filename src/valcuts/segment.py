@@ -33,7 +33,9 @@ from .ogroup import (
     GroupDescriptor,
     GroupElement,
     _Frozen,
-    _set,
+    _gd_maximal_ideal,
+    _gd_ring,
+    _slot_setters,
 )
 
 
@@ -83,20 +85,20 @@ class Segment(_Frozen):
             shift = GroupElement(group, tuple(head) + (0,) * (rank - level), shift.den)
         elif any(nums[level:]):
             shift = GroupElement(group, nums[:level] + (0,) * (rank - level), shift.den)
-        _set(self, "direction", direction)
-        _set(self, "level", level)
-        _set(self, "shift", shift)
-        _set(self, "closed", closed)
+        _seg_direction(self, direction)
+        _seg_level(self, level)
+        _seg_shift(self, shift)
+        _seg_closed(self, closed)
 
     @classmethod
     def _from_canonical(cls, direction: Direction, level: int, shift: GroupElement,
                         closed: bool) -> "Segment":
         """The cut of fields already in canonical form, built without the rules."""
         out = object.__new__(cls)
-        _set(out, "direction", direction)
-        _set(out, "level", level)
-        _set(out, "shift", shift)
-        _set(out, "closed", closed)
+        _seg_direction(out, direction)
+        _seg_level(out, level)
+        _seg_shift(out, shift)
+        _seg_closed(out, closed)
         return out
 
     def __eq__(self, other) -> bool:
@@ -122,6 +124,9 @@ class Segment(_Frozen):
         if self.closed and self.level == self.group.rank:
             return CutKind.ELEMENT
         return CutKind.SUBGROUP
+
+
+_seg_direction, _seg_level, _seg_shift, _seg_closed = _slot_setters(Segment, *Segment._fields)
 
 
 def element_cut(gamma: GroupElement, closed: bool = True,
@@ -328,7 +333,7 @@ class IdealDescriptor(_Frozen):
     def __init__(self, values: Segment):
         if values.direction is not Direction.FINAL:
             raise StructuralError("an ideal's value set is a final segment")
-        _set(self, "values", values)
+        _ideal_values(self, values)
 
     @property
     def group(self) -> GroupDescriptor:
@@ -363,7 +368,7 @@ class IdealDescriptor(_Frozen):
             return G._ring
         except AttributeError:
             ring = cls(element_cut(G.zero(), closed=True))
-            _set(G, "_ring", ring)
+            _gd_ring(G, ring)
             return ring
 
     @classmethod
@@ -373,12 +378,15 @@ class IdealDescriptor(_Frozen):
             return G._maximal_ideal
         except AttributeError:
             ideal = cls(element_cut(G.zero(), closed=False))
-            _set(G, "_maximal_ideal", ideal)
+            _gd_maximal_ideal(G, ideal)
             return ideal
 
     @classmethod
     def principal(cls, gamma: GroupElement) -> "IdealDescriptor":
         return cls(element_cut(gamma, closed=True))
+
+
+(_ideal_values,) = _slot_setters(IdealDescriptor, *IdealDescriptor._fields)
 
 
 def coarsening_value_set(H: ConvexSubgroup) -> Segment:

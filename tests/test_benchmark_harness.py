@@ -8,6 +8,7 @@ instead of in a traced benchmark run.
 
 from __future__ import annotations
 
+import hashlib
 import importlib
 import pathlib
 from fractions import Fraction
@@ -87,3 +88,53 @@ def test_tracer_counts_closed_and_checked_element_builds(monkeypatch):
         tracer.uninstall()
     assert tracer.counts["ogroup.elements_built"] == 3
     assert tracer.counts["ogroup.arith"] == 2
+
+
+# sha1 over the sha1 of each op output of round 0 and the first rounds of
+# seed 1, as the worker's `finish` writes it; generated before slot setters
+# replaced `object.__setattr__` in the value classes.  A change that means to
+# move an op output regenerates them with
+#     PYTHONPATH=src python tests/test_benchmark_harness.py
+OUTPUT_DIGESTS = {
+    "cut-algebra": (200, 3015, "3a1a8979bd4d1dbb941486fc55ee0c34ecca6424"),
+    "deep-schedule": (1, 44, "8c542584e20d2bc9f4538d144ee5d34897511ced"),
+    "definability": (20, 550, "09875265a9d5f7ff97291e1476ad2625f8ef80e4"),
+}
+
+
+def output_digests(ops, worker) -> dict:
+    """(rounds, ops run, digest) of each workload: an op that raises is
+    hashed as the worker records it."""
+    found = {}
+    for name, (count, _, _) in OUTPUT_DIGESTS.items():
+        workload = worker.Workload(name)
+        total, ran = hashlib.sha1(), 0
+        for round_ops in ops.rounds(name, 1, count):
+            for op in round_ops:
+                call, finish = workload.prepare(op)
+                try:
+                    out, _ = finish(call())
+                except Exception as exc:
+                    out = f"raised {type(exc).__name__}: {exc}".encode()
+                total.update(hashlib.sha1(out).digest())
+                ran += 1
+        found[name] = (count, ran, total.hexdigest())
+    return found
+
+
+def test_op_outputs_match_the_recorded_digests(monkeypatch):
+    """No op output of the benchmark moves: a refactor of the library keeps
+    every byte each workload's ops write."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    ops = importlib.import_module("ops")
+    worker = importlib.import_module("worker")
+    assert output_digests(ops, worker) == OUTPUT_DIGESTS
+
+
+if __name__ == "__main__":
+    import sys
+
+    sys.path.insert(0, str(PERFBENCH))
+    for name, value in output_digests(importlib.import_module("ops"),
+                                      importlib.import_module("worker")).items():
+        print(f"    {name!r}: {value!r},")

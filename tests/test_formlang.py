@@ -662,6 +662,26 @@ class TestGeneratorFacts:
                 res = evaluate(text, self._with_x(fm, (), carrier))
                 assert (res.value, res.mode) == (want, "oracle"), (carrier, text)
 
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_the_fact_answers_in_either_summand_order(self, p):
+        # x - x^p is the negative of x^p - x, so it lies in K with it
+        fm = abhyankar(p).fmodel
+        orders = ("inK(x^p - x)", "inK(x - x^p)")
+        for facts, texts, want in (
+                ({"as_generator"}, orders, Truth.TRUE),
+                ((), orders, Truth.UNKNOWN),
+                ({"kummer_generator"}, orders, Truth.UNKNOWN),
+                ({"as_generator"}, (f"inK(x^{p * p} - x)", f"inK(x - x^{p * p})"),
+                 Truth.UNKNOWN),
+                ({"as_generator"}, ("inK(t - x^p)", "inK(x^p - x^p)"), Truth.UNKNOWN)):
+            for text in texts:
+                res = evaluate(text, self._with_x(fm, facts))
+                assert (res.value, res.mode) == (want, "oracle"), (facts, text)
+        root = fm.immediates[0].carrier
+        for text in orders:   # a carrier without the fact still answers
+            res = evaluate(text, self._with_x(fm, (), root))
+            assert (res.value, res.mode) == (Truth.TRUE, "oracle"), text
+
     def test_the_definitions_compile_from_the_fact_alone(self):
         for build in (abhyankar, example_e1):
             for p in (2, 3):

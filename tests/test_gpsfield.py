@@ -574,6 +574,23 @@ class TestCanonicalFormKept:
             with pytest.raises(StructuralError):
                 theta - x
 
+    def test_a_difference_checks_its_operand_as_the_sum_does(self):
+        # the operand is checked before it is negated, so an operand without
+        # unary minus raises StructuralError, not TypeError
+        m = perfect_model(3)
+        theta = abhyankar_root(m)
+        for value in (theta, theta.finite_part, m.zero()):
+            for x in ("x", None, 3):
+                for op in (lambda a, b: a + b, lambda a, b: a - b):
+                    with pytest.raises(StructuralError, match="series from different field"):
+                        op(value, x)
+        rng = random.Random(2806)
+        for m in TestProductKernel.models(rng):
+            for _ in range(12):
+                x, y = (random_series(rng, m, rng.choice((0, 1, 3, 5))) for _ in range(2))
+                assert x - y == x + (-y)
+                assert (x - y).terms == naive_sum(x, -y)
+
     def test_partial_sum_matches_the_sum_of_its_terms(self):
         rng = random.Random(2804)
         checked = 0

@@ -10,12 +10,17 @@ reordered field fails even where the class and its `_fields` change together.
 
 from __future__ import annotations
 
+import ast
 import copy
+import importlib
 import inspect
+import pathlib
 import pickle
+import random
 from fractions import Fraction
 
 import pytest
+from conftest import random_cut, random_group
 
 from valcuts import (
     extension,
@@ -270,3 +275,104 @@ def test_models_built_without_constants_get_their_own_dict():
     a = formlang.FormulaModel(sc.model, sc.fmodel.immediates)
     b = formlang.FormulaModel(sc.model, sc.fmodel.immediates)
     assert a.constants == {} and a.constants is not b.constants
+
+
+SRC = pathlib.Path(ogroup.__file__).parent
+
+
+def _set_calls(tree):
+    """(enclosing class name or None, first argument, field name) of each
+    `_set(x, "name", ...)` call."""
+    def walk(node, cls):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                yield from walk(child, child.name)
+                continue
+            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
+                    and child.func.id == "_set"):
+                target, name = child.args[0], child.args[1]
+                assert isinstance(name, ast.Constant), ast.unparse(child)
+                yield cls, ast.unparse(target), name.value
+            yield from walk(child, cls)
+    yield from walk(tree, None)
+
+
+def _slots(cls) -> set[str]:
+    return {name for klass in cls.__mro__ for name in vars(klass).get("__slots__", ())}
+
+
+def test_slots_are_set_through_their_descriptors_only():
+    # one idiom: a slot is set through the setter _slot_setters took from its
+    # descriptor; _set is left for the fields that live in a __dict__
+    modules = {path: importlib.import_module(f"valcuts.{path.stem}")
+               for path in sorted(SRC.glob("*.py"))}
+    any_slot = set().union(*[_slots(cls) for module in modules.values()
+                             for cls in vars(module).values()
+                             if isinstance(cls, type) and issubclass(cls, ogroup._Frozen)])
+    assert {"nums", "shift", "terms", "_zero", "_free"} <= any_slot
+    left = set()
+    for path, module in modules.items():
+        for cls_name, target, name in _set_calls(ast.parse(path.read_text())):
+            where = f"{path.name}: {cls_name}: _set({target}, {name!r})"
+            if cls_name is None:
+                assert name not in any_slot, where
+                continue
+            assert name not in _slots(getattr(module, cls_name)), where
+            left.add(cls_name)
+    assert left == {"FormulaModel"}
+    assert "__slots__" not in vars(formlang.FormulaModel)
+
+
+def test_slot_setters_refuse_a_name_that_is_no_slot():
+    (set_level,) = ogroup._slot_setters(ogroup.ConvexSubgroup, "level")
+    H = object.__new__(ogroup.ConvexSubgroup)
+    set_level(H, 1)
+    assert H.level == 1
+    for cls, name in ((ogroup.GroupElement, "coords"),       # a property
+                      (ogroup.GroupElement, "leading_index"),  # a method
+                      (ogroup.GroupElement, "_fields"),        # a class attribute
+                      (ogroup.ConvexSubgroup, "missing"),
+                      (formlang.FormulaModel, "model")):       # a __dict__ field
+        with pytest.raises(TypeError, match=f"{name} is not a slot"):
+            ogroup._slot_setters(cls, name)
+    with pytest.raises(TypeError, match="levels is not a slot"):
+        ogroup._slot_setters(ogroup.ConvexSubgroup, "group", "levels")
+
+
+def _unchecked_builds():
+    """(unchecked build, checked build) of each builder that skips the checks,
+    on the fields of values the library made."""
+    rng = random.Random(4001)
+    for _ in range(60):
+        seg = random_cut(rng, random_group(rng))
+        fields = (seg.direction, seg.level, seg.shift, seg.closed)
+        yield segment.Segment._from_canonical(*fields), segment.Segment(*fields)
+    for build in (scenarios.abhyankar, scenarios.example_e1):
+        for p in (2, 3, 5):
+            for res in build(p, depth=6).results:
+                theta = res.datum.generator
+                for x in (theta, -theta, theta.frobenius(), theta + theta.finite_part):
+                    finite = x.finite_part
+                    yield (gpsfield.SeriesElement._from_ordered(finite.model, finite.terms),
+                           gpsfield.SeriesElement(finite.model, finite.terms))
+                    for t in x.tails:
+                        yield (gpsfield.Tail._from_checked(t.coeff, t.gamma, t.start),
+                               gpsfield.Tail(t.coeff, t.gamma, t.start))
+                    yield (gpsfield.PatternSeries._from_merged(x.model, finite, x.tails),
+                           gpsfield.PatternSeries(x.model, finite, x.tails))
+
+
+def test_unchecked_builders_give_the_checked_value_and_stay_frozen():
+    seen = set()
+    for fast, checked in _unchecked_builds():
+        assert type(fast) is type(checked) and fast == checked and checked == fast
+        assert hash(fast) == hash(checked) and repr(fast) == repr(checked)
+        for name in fast._fields:
+            assert getattr(fast, name) == getattr(checked, name)
+            with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+                setattr(fast, name, None)
+            with pytest.raises(AttributeError, match=f"cannot delete field '{name}'"):
+                delattr(fast, name)
+        seen.add(type(fast))
+    assert seen == {segment.Segment, gpsfield.SeriesElement, gpsfield.Tail,
+                    gpsfield.PatternSeries}
