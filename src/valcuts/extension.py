@@ -196,20 +196,12 @@ def sigma_segment(datum: DefectDatum, depth: int = 12) -> tuple[Segment, Approac
 
 
 class DefectClassification(_Frozen):
+    """The classification of a defect datum: its kind, H_E, the sigma
+    segment, the ramification and maximal ideals, and the approach (None
+    for a declared sigma segment) at the truncation depth."""
+
     __slots__ = _fields = ("datum", "kind", "H_E", "sigma", "ram_ideal", "max_ideal",
                            "approach", "depth")
-
-    def __init__(self, datum: DefectDatum, kind: DefectKind, H_E: ConvexSubgroup,
-                 sigma: Segment, ram_ideal: IdealDescriptor, max_ideal: IdealDescriptor,
-                 approach: ApproachResult | None, depth: int):
-        _dc_datum(self, datum)
-        _dc_kind(self, kind)
-        _dc_H_E(self, H_E)
-        _dc_sigma(self, sigma)
-        _dc_ram_ideal(self, ram_ideal)
-        _dc_max_ideal(self, max_ideal)
-        _dc_approach(self, approach)   # None for a declared sigma segment
-        _dc_depth(self, depth)
 
     @property
     def group(self) -> GroupDescriptor:
@@ -236,10 +228,6 @@ class DefectClassification(_Frozen):
             certificate["schedule"] = [v.coord_strings() for v in self.approach.schedule]
             certificate["approach_segment"] = to_json(self.approach.segment)
         return certificate
-
-
-(_dc_datum, _dc_kind, _dc_H_E, _dc_sigma, _dc_ram_ideal, _dc_max_ideal, _dc_approach,
- _dc_depth) = _slot_setters(DefectClassification, *DefectClassification._fields)
 
 
 def classify(datum: DefectDatum, depth: int = 12) -> DefectClassification:
@@ -325,15 +313,10 @@ class DefectlessDatum(_Frozen):
 
 
 class DefectlessAnalysis(_Frozen):
-    __slots__ = _fields = ("datum", "H_E", "case", "max_ideal", "ram_ideal")
+    """H_E, the case split, M_E and the ramification ideal (None where it is
+    not defined) of a defectless datum."""
 
-    def __init__(self, datum: DefectlessDatum, H_E: ConvexSubgroup, case: DefectlessCase,
-                 max_ideal: IdealDescriptor, ram_ideal: IdealDescriptor | None):
-        _dla_datum(self, datum)
-        _dla_H_E(self, H_E)
-        _dla_case(self, case)
-        _dla_max_ideal(self, max_ideal)
-        _dla_ram_ideal(self, ram_ideal)
+    __slots__ = _fields = ("datum", "H_E", "case", "max_ideal", "ram_ideal")
 
     @property
     def certificate(self) -> dict:
@@ -355,10 +338,6 @@ class DefectlessAnalysis(_Frozen):
         if self.ram_ideal is not None:
             certificate["ram_ideal"] = to_json(self.ram_ideal.values)
         return certificate
-
-
-_dla_datum, _dla_H_E, _dla_case, _dla_max_ideal, _dla_ram_ideal = _slot_setters(
-    DefectlessAnalysis, *DefectlessAnalysis._fields)
 
 
 def defectless_analyze(datum: DefectlessDatum) -> DefectlessAnalysis:

@@ -40,7 +40,7 @@ from itertools import islice
 
 from .errors import EvaluationUnsupported, ParseError, StructuralError
 from .gpsfield import INF, FieldModel, PatternSeries, SeriesElement, val_diff
-from .ogroup import ConvexSubgroup, GroupElement, _Frozen, _set, _slot_setters
+from .ogroup import ConvexSubgroup, GroupElement, _Frozen, _slot_setters
 from .segment import (
     CutKind,
     Direction,
@@ -90,44 +90,19 @@ class _Pair(_Node):
 
     __slots__ = _fields = ("left", "right")
 
-    def __init__(self, left, right):
-        _pair_left(self, left)
-        _pair_right(self, right)
-
-
-_pair_left, _pair_right = _slot_setters(_Pair, *_Pair._fields)
-
 
 class _OfTerm(_Node):
     """The nodes of one term: Recip and InK."""
 
     __slots__ = _fields = ("term",)
 
-    def __init__(self, term):
-        _ofterm_term(self, term)
-
-
-(_ofterm_term,) = _slot_setters(_OfTerm, *_OfTerm._fields)
-
 
 class Var(_Node):
     __slots__ = _fields = ("name",)
 
-    def __init__(self, name: str):
-        _var_name(self, name)
-
-
-(_var_name,) = _slot_setters(Var, *Var._fields)
-
 
 class IntLit(_Node):
-    __slots__ = _fields = ("value",)
-
-    def __init__(self, value: int):
-        _intlit_value(self, value)
-
-
-(_intlit_value,) = _slot_setters(IntLit, *IntLit._fields)
+    __slots__ = _fields = ("value",)   # an int
 
 
 class Add(_Pair):
@@ -143,14 +118,9 @@ class Mul(_Pair):
 
 
 class Pow(_Node):
+    """base ** exponent, the exponent an integer or the symbolic prime "p"."""
+
     __slots__ = _fields = ("base", "exponent")
-
-    def __init__(self, base, exponent: int | str):
-        _pow_base(self, base)
-        _pow_exponent(self, exponent)   # an integer or the symbolic prime "p"
-
-
-_pow_base, _pow_exponent = _slot_setters(Pow, *Pow._fields)
 
 
 class Recip(_OfTerm):
@@ -159,35 +129,17 @@ class Recip(_OfTerm):
 
 class VOf(_Node):
     __slots__ = _fields = ("term", "negated")
-
-    def __init__(self, term, negated: bool = False):
-        _vof_term(self, term)
-        _vof_negated(self, negated)
-
-
-_vof_term, _vof_negated = _slot_setters(VOf, *VOf._fields)
+    _defaults = {"negated": False}
 
 
 class RatConst(_Node):
-    __slots__ = _fields = ("value",)
-
-    def __init__(self, value: Fraction):
-        _rat_value(self, value)
-
-
-(_rat_value,) = _slot_setters(RatConst, *RatConst._fields)
+    __slots__ = _fields = ("value",)   # a Fraction
 
 
 class ValAtom(_Node):
+    """left rel right, each side a VOf or a RatConst."""
+
     __slots__ = _fields = ("left", "rel", "right")
-
-    def __init__(self, left, rel: str, right):
-        _valatom_left(self, left)   # VOf | RatConst
-        _valatom_rel(self, rel)
-        _valatom_right(self, right)
-
-
-_valatom_left, _valatom_rel, _valatom_right = _slot_setters(ValAtom, *ValAtom._fields)
 
 
 class EqAtom(_Pair):
@@ -201,36 +153,17 @@ class InK(_OfTerm):
 class Not(_Node):
     __slots__ = _fields = ("body",)
 
-    def __init__(self, body):
-        _not_body(self, body)
-
-
-(_not_body,) = _slot_setters(Not, *Not._fields)
-
 
 class BinOp(_Node):
+    """left op right, op one of "and", "or" and "->"."""
+
     __slots__ = _fields = ("op", "left", "right")
-
-    def __init__(self, op: str, left, right):
-        _binop_op(self, op)   # "and" | "or" | "->"
-        _binop_left(self, left)
-        _binop_right(self, right)
-
-
-_binop_op, _binop_left, _binop_right = _slot_setters(BinOp, *BinOp._fields)
 
 
 class Quant(_Node):
+    """kind ("forall" or "exists") var in domain: body."""
+
     __slots__ = _fields = ("kind", "var", "domain", "body")
-
-    def __init__(self, kind: str, var: str, domain: Domain, body):
-        _quant_kind(self, kind)   # "forall" | "exists"
-        _quant_var(self, var)
-        _quant_domain(self, domain)
-        _quant_body(self, body)
-
-
-_quant_kind, _quant_var, _quant_domain, _quant_body = _slot_setters(Quant, *Quant._fields)
 
 
 _BINARY = (Add, Sub, Mul, ValAtom, EqAtom, BinOp)   # nodes with .left and .right
@@ -582,33 +515,20 @@ def _kleene_or(a: Truth, b: Truth) -> Truth:
 # Models and values
 
 class ImmediateElement(_Frozen):
-    """A distinguished element of L outside K with its approach data."""
+    """A distinguished element x of L outside K with its approach data: the
+    initial segment v(x - K), the schedule v(x - b_k) along the
+    approximants, the exact series form when available (`carrier`) and
+    `facts` such as "as_generator", "kummer_generator" and "one_unit"."""
 
     __slots__ = _fields = ("name", "segment", "schedule", "carrier", "facts")
-
-    def __init__(self, name: str, segment: Segment, schedule: tuple[GroupElement, ...],
-                 carrier: PatternSeries | None = None, facts: frozenset = frozenset()):
-        _imm_name(self, name)
-        _imm_segment(self, segment)     # v(x - K), initial
-        _imm_schedule(self, schedule)   # v(x - b_k) along the approximants
-        _imm_carrier(self, carrier)     # exact series form when available
-        _imm_facts(self, facts)         # e.g. "as_generator", "kummer_generator", "one_unit"
-
-
-_imm_name, _imm_segment, _imm_schedule, _imm_carrier, _imm_facts = _slot_setters(
-    ImmediateElement, *ImmediateElement._fields)
+    _defaults = {"carrier": None, "facts": frozenset()}
 
 
 class DeclaredValue(_Frozen):
-    """A value-only carrier of K: nothing but its valuation is known."""
+    """A value-only carrier of K: nothing but its valuation, a GroupElement
+    or INF, is known."""
 
     __slots__ = _fields = ("valuation",)
-
-    def __init__(self, valuation):
-        _dv_valuation(self, valuation)   # GroupElement | INF
-
-
-(_dv_valuation,) = _slot_setters(DeclaredValue, *DeclaredValue._fields)
 
 
 class SampleDraw:
@@ -637,14 +557,7 @@ class Approximant(_Frozen):
     """The k-th schedule approximant b_k of an immediate element."""
 
     __slots__ = _fields = ("owner", "index", "carrier")
-
-    def __init__(self, owner: str, index: int, carrier: SeriesElement | None = None):
-        _appr_owner(self, owner)
-        _appr_index(self, index)
-        _appr_carrier(self, carrier)
-
-
-_appr_owner, _appr_index, _appr_carrier = _slot_setters(Approximant, *Approximant._fields)
+    _defaults = {"carrier": None}
 
 
 _SCHEDULE_DEPTH = 12      # bounded witnesses: the first 12 approximants of each
@@ -663,9 +576,9 @@ class FormulaModel(_Frozen):
 
     def __init__(self, model: FieldModel, immediates: tuple[ImmediateElement, ...],
                  constants: dict | None = None):
-        _set(self, "model", model)
-        _set(self, "immediates", immediates)
-        _set(self, "constants", {} if constants is None else constants)   # symbol -> carrier
+        # constants maps each symbol to its carrier
+        vars(self).update(model=model, immediates=immediates,
+                          constants={} if constants is None else constants)
 
     @property
     def group(self):
@@ -739,22 +652,14 @@ class FormulaModel(_Frozen):
 
 
 class EvalResult(_Frozen):
-    __slots__ = _fields = ("value", "mode", "witness", "candidates_used")
+    """A truth value and the path that answered it, "oracle" or "bounded"."""
 
-    def __init__(self, value: Truth, mode: str, witness: str | None = None,
-                 candidates_used: int = 0):
-        _er_value(self, value)
-        _er_mode(self, mode)   # "oracle" | "bounded"
-        _er_witness(self, witness)
-        _er_candidates_used(self, candidates_used)
+    __slots__ = _fields = ("value", "mode", "witness", "candidates_used")
+    _defaults = {"witness": None, "candidates_used": 0}
 
     def to_json(self) -> dict:
         return {"value": self.value.value, "mode": self.mode,
                 "witness": self.witness, "candidates_used": self.candidates_used}
-
-
-_er_value, _er_mode, _er_witness, _er_candidates_used = _slot_setters(
-    EvalResult, *EvalResult._fields)
 
 
 # The K-quantifier shapes the oracle answers exactly, in a distinguished
@@ -1596,14 +1501,6 @@ def _check_bound(ast, fmodel: FormulaModel, bound) -> None:
 class AgreementReport(_Frozen):
     __slots__ = _fields = ("definition", "total", "agreements", "disagreements", "unknowns")
 
-    def __init__(self, definition: str, total: int, agreements: int, disagreements: tuple,
-                 unknowns: int):
-        _agr_definition(self, definition)
-        _agr_total(self, total)
-        _agr_agreements(self, agreements)
-        _agr_disagreements(self, disagreements)
-        _agr_unknowns(self, unknowns)
-
     @property
     def unknown_rate(self) -> float:
         return self.unknowns / self.total if self.total else 0.0
@@ -1622,10 +1519,6 @@ class AgreementReport(_Frozen):
             "unknown_rate": self.unknown_rate,
             "passed": self.passed,
         }
-
-
-_agr_definition, _agr_total, _agr_agreements, _agr_disagreements, _agr_unknowns = _slot_setters(
-    AgreementReport, *AgreementReport._fields)
 
 
 def membership(direct, value) -> bool:

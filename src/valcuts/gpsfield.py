@@ -35,7 +35,7 @@ from operator import itemgetter
 from .errors import NotImmediateError, StructuralError
 from .ogroup import GroupDescriptor, GroupElement, _Frozen, _slot_setters
 from .residue import GF, FqElement
-from .segment import Direction, Segment, seq_cut
+from .segment import Direction, seq_cut
 
 
 class _Infinity:
@@ -146,6 +146,11 @@ def _ordered(terms) -> tuple:
 
 
 class SeriesElement(_Frozen):
+    """A finite sum of monomials: `terms` holds (exponent, coefficient) pairs
+    with nonzero coefficients of the residue field, in exponent order.
+    `_from_fields` builds a terms tuple already in that form without the
+    checks."""
+
     __slots__ = _fields = ("model", "terms")
 
     def __init__(self, model: FieldModel, terms: tuple[tuple[GroupElement, FqElement], ...]):
@@ -176,19 +181,10 @@ class SeriesElement(_Frozen):
     __hash__ = _Frozen.__hash__
 
     @classmethod
-    def _from_ordered(cls, model: FieldModel, terms: tuple) -> "SeriesElement":
-        """The series of a terms tuple already canonical (nonzero coefficients of
-        the residue field, in exponent order), built without the checks."""
-        out = object.__new__(cls)
-        _se_model(out, model)
-        _se_terms(out, terms)
-        return out
-
-    @classmethod
     def _from_distinct(cls, model: FieldModel, terms) -> "SeriesElement":
         """The series of nonzero coefficients of the residue field at distinct
         exponents, in any order: sorted once, with nothing added or dropped."""
-        return cls._from_ordered(model, _ordered(terms) if len(terms) > 1 else tuple(terms))
+        return cls._from_fields(model, _ordered(terms) if len(terms) > 1 else tuple(terms))
 
     def _check(self, other):
         if not isinstance(other, SeriesElement) or other.model != self.model:
@@ -233,7 +229,7 @@ class SeriesElement(_Frozen):
         return SeriesElement._from_distinct(self.model, list(acc.items()))
 
     def __neg__(self):
-        return SeriesElement._from_ordered(self.model, tuple([(e, -c) for e, c in self.terms]))
+        return SeriesElement._from_fields(self.model, tuple([(e, -c) for e, c in self.terms]))
 
     def __sub__(self, other):
         if isinstance(other, PatternSeries):
@@ -287,12 +283,12 @@ class SeriesElement(_Frozen):
         if len(self.terms) != 1:
             raise StructuralError("only monomials can be inverted exactly")
         e, c = self.terms[0]
-        return SeriesElement._from_ordered(self.model, ((-e, c.inverse()),))
+        return SeriesElement._from_fields(self.model, ((-e, c.inverse()),))
 
     def frobenius(self) -> "SeriesElement":
         """x -> x^p; it fixes the prime-field coefficients."""
         p = self.model.char  # p > 0 keeps the term order
-        return SeriesElement._from_ordered(self.model, tuple([(e * p, c) for e, c in self.terms]))
+        return SeriesElement._from_fields(self.model, tuple([(e * p, c) for e, c in self.terms]))
 
 
 _se_model, _se_terms = _slot_setters(SeriesElement, *SeriesElement._fields)
@@ -300,7 +296,9 @@ _se_model, _se_terms = _slot_setters(SeriesElement, *SeriesElement._fields)
 
 class Tail(_Frozen):
     """The geometric tail sum_{i >= start} coeff * t^(gamma / p^i), p the
-    characteristic of coeff; every gamma / p^i lies in the group."""
+    characteristic of coeff; every gamma / p^i lies in the group.
+    `_from_fields` builds the tail of a nonzero coeff on a base exponent
+    some tail already checked, without the checks."""
 
     __slots__ = _fields = ("coeff", "gamma", "start")
 
@@ -321,16 +319,6 @@ class Tail(_Frozen):
                 and (self.coeff is other.coeff or self.coeff == other.coeff))
 
     __hash__ = _Frozen.__hash__
-
-    @classmethod
-    def _from_checked(cls, coeff: FqElement, gamma: GroupElement, start: int) -> "Tail":
-        """The tail of a nonzero coeff on a base exponent some tail already
-        checked, built without the checks."""
-        out = object.__new__(cls)
-        _tail_coeff(out, coeff)
-        _tail_gamma(out, gamma)
-        _tail_start(out, start)
-        return out
 
     def exponent(self, i: int) -> GroupElement:
         return self.gamma.over_p_power(self.coeff.field.p, i)
@@ -373,7 +361,7 @@ def _merge_tails(model: FieldModel, tails, finite: SeriesElement):
             for base, tail in by_gamma.items():
                 m = _family_shift(base, t.gamma, model.char)
                 if m is not None:
-                    prev, t = tail, Tail._from_checked(t.coeff, base, t.start - m)
+                    prev, t = tail, Tail._from_fields(t.coeff, base, t.start - m)
                     break
         if prev is not None:
             lo, hi = (prev, t) if prev.start <= t.start else (t, prev)
@@ -382,7 +370,7 @@ def _merge_tails(model: FieldModel, tails, finite: SeriesElement):
             if c.is_zero:
                 del by_gamma[t.gamma]
             else:
-                by_gamma[t.gamma] = Tail._from_checked(c, t.gamma, hi.start)
+                by_gamma[t.gamma] = Tail._from_fields(c, t.gamma, hi.start)
         else:
             by_gamma[t.gamma] = t
     ordered = tuple(sorted(by_gamma.values(), key=lambda t: t.gamma))
@@ -390,7 +378,9 @@ def _merge_tails(model: FieldModel, tails, finite: SeriesElement):
 
 
 class PatternSeries(_Frozen):
-    """finite_part plus geometric tails; an intentionally immediate element."""
+    """finite_part plus geometric tails; an intentionally immediate element.
+    `_from_fields` builds one of tails already merged and ordered by base
+    exponent, without _merge_tails."""
 
     __slots__ = _fields = ("model", "finite_part", "tails")
 
@@ -416,17 +406,6 @@ class PatternSeries(_Frozen):
 
     __hash__ = _Frozen.__hash__
 
-    @classmethod
-    def _from_merged(cls, model: FieldModel, finite: SeriesElement,
-                     tails: tuple) -> "PatternSeries":
-        """The pattern of tails already merged and ordered by base exponent,
-        built without _merge_tails."""
-        out = object.__new__(cls)
-        _ps_model(out, model)
-        _ps_finite_part(out, finite)
-        _ps_tails(out, tails)
-        return out
-
     @property
     def has_tails(self) -> bool:
         return bool(self.tails)
@@ -443,26 +422,26 @@ class PatternSeries(_Frozen):
             # both patterns' tails were checked against this model when built
             tails, finite = _merge_tails(self.model, self.tails + other.tails,
                                          self.finite_part + other.finite_part)
-            return PatternSeries._from_merged(self.model, finite, tails)
-        return PatternSeries._from_merged(self.model, self.finite_part + other, self.tails)
+            return PatternSeries._from_fields(self.model, finite, tails)
+        return PatternSeries._from_fields(self.model, self.finite_part + other, self.tails)
 
     # negation, the Frobenius and adding a finite series keep every base
     # exponent and every relative start, so the tails stay merged and ordered
 
     def __neg__(self):
-        return PatternSeries._from_merged(
+        return PatternSeries._from_fields(
             self.model, -self.finite_part,
-            tuple([Tail._from_checked(-t.coeff, t.gamma, t.start) for t in self.tails]))
+            tuple([Tail._from_fields(-t.coeff, t.gamma, t.start) for t in self.tails]))
 
     def __sub__(self, other):
         if isinstance(other, PatternSeries):
             return self + (-other)
-        return PatternSeries._from_merged(self.model, self.finite_part - other, self.tails)
+        return PatternSeries._from_fields(self.model, self.finite_part - other, self.tails)
 
     def frobenius(self) -> "PatternSeries":
-        return PatternSeries._from_merged(
+        return PatternSeries._from_fields(
             self.model, self.finite_part.frobenius(),
-            tuple([Tail._from_checked(t.coeff, t.gamma, t.start - 1) for t in self.tails]))
+            tuple([Tail._from_fields(t.coeff, t.gamma, t.start - 1) for t in self.tails]))
 
     def pow_char_power(self, n: int) -> "PatternSeries":
         """n-th power for n a power of the characteristic (via Frobenius)."""
@@ -533,13 +512,6 @@ class ApproachResult(_Frozen):
     """v(theta - K) as a cut plus the schedule certificate."""
 
     __slots__ = _fields = ("segment", "schedule")
-
-    def __init__(self, segment: Segment, schedule: tuple[GroupElement, ...]):
-        _ar_segment(self, segment)
-        _ar_schedule(self, schedule)
-
-
-_ar_segment, _ar_schedule = _slot_setters(ApproachResult, *ApproachResult._fields)
 
 
 def approach_segment(theta: PatternSeries, K: FieldModel, depth: int = 12) -> ApproachResult:

@@ -18,7 +18,7 @@ from enum import Enum
 
 from .errors import StructuralError
 from .extension import DefectClassification, DefectlessAnalysis
-from .ogroup import _Frozen, _slot_setters
+from .ogroup import _Frozen
 from .segment import IdealDescriptor, colon, is_subset, to_json
 
 
@@ -29,21 +29,11 @@ class PresentationForm(str, Enum):
 
 
 class OmegaPresentation(_Frozen):
+    """The module numerator/power, power = numerator ** denominator_exponent,
+    with its zero test and its annihilator."""
+
     __slots__ = _fields = ("numerator", "denominator_exponent", "power", "form", "is_zero",
                            "provenance", "annihilator", "annihilator_is_max_ideal")
-
-    def __init__(self, numerator: IdealDescriptor, denominator_exponent: int,
-                 power: IdealDescriptor, form: PresentationForm, is_zero: bool,
-                 provenance: str, annihilator: IdealDescriptor,
-                 annihilator_is_max_ideal: bool):
-        _omega_numerator(self, numerator)
-        _omega_denominator_exponent(self, denominator_exponent)
-        _omega_power(self, power)   # numerator ** denominator_exponent
-        _omega_form(self, form)
-        _omega_is_zero(self, is_zero)
-        _omega_provenance(self, provenance)
-        _omega_annihilator(self, annihilator)
-        _omega_annihilator_is_max_ideal(self, annihilator_is_max_ideal)
 
     def to_json(self) -> dict:
         return {
@@ -55,11 +45,6 @@ class OmegaPresentation(_Frozen):
             "annihilator": to_json(self.annihilator.values),
             "annihilator_is_max_ideal": self.annihilator_is_max_ideal,
         }
-
-
-(_omega_numerator, _omega_denominator_exponent, _omega_power, _omega_form, _omega_is_zero,
- _omega_provenance, _omega_annihilator, _omega_annihilator_is_max_ideal) = _slot_setters(
-    OmegaPresentation, *OmegaPresentation._fields)
 
 
 def present(result: DefectClassification | DefectlessAnalysis) -> OmegaPresentation:

@@ -20,10 +20,11 @@ once, when built (`require_p_divisible`), and divides it unchecked after.
 
 from __future__ import annotations
 
+import sys
 from enum import Enum
 from fractions import Fraction
 from math import gcd, lcm
-from types import MemberDescriptorType
+from types import FunctionType, MemberDescriptorType
 
 from .errors import DegenerateInputError, StructuralError
 
@@ -66,15 +67,12 @@ def is_prime(n: int) -> bool:
     return True
 
 
-_set = object.__setattr__   # for FormulaModel only, whose fields live in a __dict__
-
-
 def _slot_setters(cls, *names):
     """The `__set__` of each named slot descriptor of cls, in order.
 
     A slot's own descriptor writes it without the lookup by name that
     `object.__setattr__` makes.  A name that is no slot of cls raises here,
-    at import, where the setters are bound."""
+    when the class or its setters are made."""
     setters = []
     for name in names:
         slot = getattr(cls, name, None)
@@ -84,22 +82,85 @@ def _slot_setters(cls, *names):
     return tuple(setters)
 
 
+_SHAPES: dict = {}   # (function name, field count) -> its code, on placeholder names
+
+
+def _generated(cls, name: str, file: str, line: int, defaults=None):
+    """`__init__(self, *fields)` or `_from_fields(cls, *fields)` of cls, which
+    sets each field through its slot's `__set__`, held in the function's
+    globals: the code a constructor would write out.  One code object is
+    compiled per name and field count and renamed to the fields.  It is
+    placed at `file` and `line`, the class statement, so that tracebacks
+    and profiles read it as the defining module's code."""
+    fields = cls._fields
+    n = len(fields)
+    code = _SHAPES.get((name, n))
+    if code is None:
+        args = "".join([f", a{i}" for i in range(n)])
+        sets = "".join([f"s{i}(self, a{i}); " for i in range(n)])
+        source = (f"def __init__(self{args}): {sets}pass" if name == "__init__" else
+                  f"def _from_fields(cls{args}): self = new(cls); {sets}return self")
+        namespace: dict = {}
+        exec(source, namespace)
+        code = _SHAPES[name, n] = namespace[name].__code__
+    names = ("self", *fields) if name == "__init__" else ("cls", *fields, "self")
+    qualname = f"{cls.__qualname__}.{name}"
+    named = {"co_qualname": qualname} if sys.version_info >= (3, 11) else {}
+    code = code.replace(co_varnames=names, co_filename=file, co_firstlineno=line, **named)
+    scope = {f"s{i}": setter for i, setter in enumerate(_slot_setters(cls, *fields))}
+    scope["new"] = object.__new__
+    function = FunctionType(code, scope, name, defaults)
+    function.__qualname__, function.__module__ = qualname, cls.__module__
+    return function
+
+
 class _Frozen:
-    """Base of the immutable value classes: the constructor sets each field in
-    `_fields` once, through the `__set__` of the field's slot descriptor.
-    `_slot_setters` binds those setters once, below the class, as module
-    globals `_<class abbreviation>_<field>`; an unchecked builder
-    (`_from_...`) sets the fields of `object.__new__(cls)` through them too.
-    An instance refuses assignment and pickles and copies through its
-    constructor, since the default restore assigns the slots.  It writes
-    itself as `Name(field=value, ...)`, equals an instance of its own class
-    with equal fields, and hashes as the tuple of its fields.  A subclass may
-    write its `__eq__` out, about twice as fast as the loop here; it then
-    keeps `__hash__ = _Frozen.__hash__`, since defining `__eq__` alone drops
-    the inherited hash."""
+    """Base of the immutable value classes.  A class lists its fields once, in
+    `_fields`, and, where trailing fields have defaults, maps them in
+    `_defaults`.  A class whose constructor only sets its fields writes
+    none: it gets `__init__(self, *fields)`, generated when the class is
+    made, which sets each slot once through the `__set__` of its descriptor.
+    A class that checks or changes an input writes its `__init__` and binds
+    its setters below it with `_slot_setters`, as module globals
+    `_<class abbreviation>_<field>`.  `cls._from_fields(*fields)` builds a
+    value without the checks a written constructor makes, for fields known
+    to pass them; it is generated when first called.  An instance refuses
+    assignment and pickles and copies through its constructor, since the
+    default restore assigns the slots.  It writes itself as
+    `Name(field=value, ...)`, equals an instance of its own class with equal
+    fields, and hashes as the tuple of its fields.  A subclass may write its
+    `__eq__` out, about twice as fast as the loop here; it then keeps
+    `__hash__ = _Frozen.__hash__`, since defining `__eq__` alone drops the
+    inherited hash."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        own = vars(cls)
+        if "_fields" not in own or "__init__" in own:
+            return
+        fields, defaults = cls._fields, own.get("_defaults", {})
+        for name in defaults:
+            if name not in fields:
+                raise TypeError(f"{cls.__qualname__}._defaults names {name!r}, no field")
+        defaulted = fields[len(fields) - len(defaults):]
+        for name in defaulted:
+            if name not in defaults:
+                raise TypeError(f"{cls.__qualname__}.{name} has no default but follows one")
+        where = sys._getframe(1)   # the frame running the class statement
+        cls.__init__ = _generated(cls, "__init__", where.f_code.co_filename, where.f_lineno,
+                                  tuple([defaults[name] for name in defaulted]) or None)
+
+    @classmethod
+    def _from_fields(cls, *fields):
+        """The value of these fields, built without the constructor's checks;
+        the builder is generated here, on the first call, and kept on cls."""
+        init = cls.__init__.__code__
+        build = _generated(cls, "_from_fields", init.co_filename, init.co_firstlineno)
+        cls._from_fields = classmethod(build)
+        return build(cls, *fields)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

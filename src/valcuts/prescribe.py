@@ -25,7 +25,7 @@ from .extension import (
     classify,
 )
 from .gpsfield import FieldModel, PatternSeries, Tail
-from .ogroup import Component, GroupDescriptor, _Frozen, _slot_setters, convex_subgroups
+from .ogroup import Component, GroupDescriptor, _Frozen, convex_subgroups
 
 
 class CharCase(str, Enum):
@@ -34,52 +34,23 @@ class CharCase(str, Enum):
 
 
 class Witness(_Frozen):
+    """The defect datum witnessing a level, of kind "pattern" or "declared"."""
+
     __slots__ = _fields = ("level", "kind", "datum")
-
-    def __init__(self, level: int, kind: str, datum: DefectDatum):
-        _wit_level(self, level)
-        _wit_kind(self, kind)   # "pattern" or "declared"
-        _wit_datum(self, datum)
-
-
-_wit_level, _wit_kind, _wit_datum = _slot_setters(Witness, *Witness._fields)
 
 
 class Exclusion(_Frozen):
     __slots__ = _fields = ("level", "note")
-
-    def __init__(self, level: int, note: str):
-        _exc_level(self, level)
-        _exc_note(self, note)
-
-
-_exc_level, _exc_note = _slot_setters(Exclusion, *Exclusion._fields)
 
 
 class ConstructionPlan(_Frozen):
     __slots__ = _fields = ("index_size", "selected", "prime", "char_case", "group", "model",
                            "witnesses", "exclusions")
 
-    def __init__(self, index_size: int, selected: frozenset[int], prime: int,
-                 char_case: CharCase, group: GroupDescriptor, model: FieldModel,
-                 witnesses: tuple[Witness, ...], exclusions: tuple[Exclusion, ...]):
-        _plan_index_size(self, index_size)
-        _plan_selected(self, selected)
-        _plan_prime(self, prime)
-        _plan_char_case(self, char_case)
-        _plan_group(self, group)
-        _plan_model(self, model)
-        _plan_witnesses(self, witnesses)
-        _plan_exclusions(self, exclusions)
-
     def chain_bijection(self) -> tuple[tuple[int, int], ...]:
         """Input index i maps to subgroup level i + 1; note the order reversal:
         increasing index means decreasing subgroup."""
         return tuple((i, i + 1) for i in range(self.index_size))
-
-
-(_plan_index_size, _plan_selected, _plan_prime, _plan_char_case, _plan_group, _plan_model,
- _plan_witnesses, _plan_exclusions) = _slot_setters(ConstructionPlan, *ConstructionPlan._fields)
 
 
 def build(n: int, selected, p: int, char_case: CharCase = CharCase.EQUAL) -> ConstructionPlan:
@@ -139,28 +110,9 @@ class WitnessReport(_Frozen):
     __slots__ = _fields = ("level", "passed", "found_level", "defect_kind", "schedule",
                            "identity_checked")
 
-    def __init__(self, level: int, passed: bool, found_level: int, defect_kind: str,
-                 schedule: tuple, identity_checked: bool):
-        _wr_level(self, level)
-        _wr_passed(self, passed)
-        _wr_found_level(self, found_level)
-        _wr_defect_kind(self, defect_kind)
-        _wr_schedule(self, schedule)
-        _wr_identity_checked(self, identity_checked)
-
-
-(_wr_level, _wr_passed, _wr_found_level, _wr_defect_kind, _wr_schedule,
- _wr_identity_checked) = _slot_setters(WitnessReport, *WitnessReport._fields)
-
 
 class VerificationReport(_Frozen):
     __slots__ = _fields = ("plan", "witnesses", "exclusions")
-
-    def __init__(self, plan: ConstructionPlan, witnesses: tuple[WitnessReport, ...],
-                 exclusions: tuple[Exclusion, ...]):
-        _vr_plan(self, plan)
-        _vr_witnesses(self, witnesses)
-        _vr_exclusions(self, exclusions)
 
     @property
     def passed(self) -> bool:
@@ -191,10 +143,6 @@ class VerificationReport(_Frozen):
             "no_discrete_component": True,
             "passed": self.passed,
         }
-
-
-_vr_plan, _vr_witnesses, _vr_exclusions = _slot_setters(
-    VerificationReport, *VerificationReport._fields)
 
 
 def _check_witness_identity(plan: ConstructionPlan, witness: Witness) -> bool:

@@ -3,14 +3,11 @@
 from __future__ import annotations
 
 from .errors import StructuralError
-from .ogroup import _Frozen, _slot_setters, is_prime
+from .ogroup import _Frozen, is_prime
 
 
 class FqField(_Frozen):
     __slots__ = _fields = ("p",)
-
-    def __init__(self, p: int):
-        _fqf_p(self, p)
 
     def __eq__(self, other) -> bool:
         if self is other:
@@ -28,9 +25,6 @@ class FqField(_Frozen):
         return FqElement(self, 1)
 
 
-(_fqf_p,) = _slot_setters(FqField, *FqField._fields)
-
-
 def GF(p: int) -> FqField:
     if not is_prime(p):
         raise StructuralError(f"{p} is not prime")
@@ -38,11 +32,9 @@ def GF(p: int) -> FqField:
 
 
 class FqElement(_Frozen):
-    __slots__ = _fields = ("field", "value")
+    """value in 0..p - 1, an element of its field F_p."""
 
-    def __init__(self, field: FqField, value: int):
-        _fq_field(self, field)
-        _fq_value(self, value)
+    __slots__ = _fields = ("field", "value")
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not FqElement:
@@ -84,6 +76,3 @@ class FqElement(_Frozen):
         if self.is_zero:
             raise ZeroDivisionError("inverse of zero in a finite field")
         return FqElement(self.field, pow(self.value, -1, self.field.p))
-
-
-_fq_field, _fq_value = _slot_setters(FqElement, *FqElement._fields)

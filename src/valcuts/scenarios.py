@@ -20,26 +20,17 @@ from .extension import (
 )
 from .formlang import DeclaredValue, FormulaModel, ImmediateElement, SampleDraw
 from .gpsfield import FieldModel, PatternSeries, SeriesElement, Tail
-from .ogroup import Component, GroupDescriptor, GroupElement, _Frozen, _slot_setters
+from .ogroup import Component, GroupDescriptor, GroupElement, _Frozen
 
 
 class Scenario(_Frozen):
     __slots__ = _fields = ("model", "results", "fmodel")
-
-    def __init__(self, model: FieldModel, results: tuple[DefectClassification, ...],
-                 fmodel: FormulaModel):
-        _sc_model(self, model)
-        _sc_results(self, results)
-        _sc_fmodel(self, fmodel)
 
     def result(self, name: str) -> DefectClassification:
         for r in self.results:
             if r.datum.name == name:
                 return r
         raise KeyError(name)
-
-
-_sc_model, _sc_results, _sc_fmodel = _slot_setters(Scenario, *Scenario._fields)
 
 
 def perfect_series_model(p: int, rank: int = 1, name: str | None = None) -> FieldModel:
@@ -174,7 +165,7 @@ def series_samples(model: FieldModel, count: int, seed: int):
         if g._outside(nums, den) is not None:
             continue
         e = GroupElement(g, nums, den)
-        out.append((f"t^{e}", SeriesElement._from_ordered(model, ((e, coeff),)), e))
+        out.append((f"t^{e}", SeriesElement._from_fields(model, ((e, coeff),)), e))
     return out
 
 

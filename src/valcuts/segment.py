@@ -62,7 +62,7 @@ class Segment(_Frozen):
 
     The constructor applies both rules in one frame, setting each field once.
     negate and scale_int map canonical cuts to canonical cuts and build their
-    result through `_from_canonical`, which skips the rules.  Equality and
+    result through `_from_fields`, which skips the rules.  Equality and
     hashing are structural on the four fields.
     """
 
@@ -89,17 +89,6 @@ class Segment(_Frozen):
         _seg_level(self, level)
         _seg_shift(self, shift)
         _seg_closed(self, closed)
-
-    @classmethod
-    def _from_canonical(cls, direction: Direction, level: int, shift: GroupElement,
-                        closed: bool) -> "Segment":
-        """The cut of fields already in canonical form, built without the rules."""
-        out = object.__new__(cls)
-        _seg_direction(out, direction)
-        _seg_level(out, level)
-        _seg_shift(out, shift)
-        _seg_closed(out, closed)
-        return out
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not Segment:
@@ -168,7 +157,7 @@ def seq_cut(limit: GroupElement, scale: GroupElement, start: int = 1,
 
 def negate(s: Segment) -> Segment:
     """Pointwise negation -S; flips the direction."""
-    return Segment._from_canonical(s.direction.flipped(), s.level, -s.shift, s.closed)
+    return Segment._from_fields(s.direction.flipped(), s.level, -s.shift, s.closed)
 
 
 def normalize(s: Segment) -> Segment:
@@ -245,7 +234,7 @@ def scale_int(s: Segment, m: int) -> Segment:
     """
     if m < 1:
         raise DegenerateInputError("scale factor must be a positive integer")
-    return Segment._from_canonical(s.direction, s.level, s.shift * m, s.closed)
+    return Segment._from_fields(s.direction, s.level, s.shift * m, s.closed)
 
 
 def is_subset(inner: Segment, outer: Segment) -> bool:

@@ -28,7 +28,9 @@ from valcuts.extension import (
     sigma_segment,
 )
 from valcuts.gpsfield import ApproachResult, FieldModel, PatternSeries, Tail
+from valcuts.kaehler import present
 from valcuts.ogroup import Component, ConvexSubgroup, GroupDescriptor
+from valcuts.scenarios import abhyankar, example_e1
 from valcuts.segment import (
     CutKind,
     contains,
@@ -187,22 +189,35 @@ class TestClassify:
         assert is_trivial_subgroup(res.H_E)  # invariance of a shifted point cut
 
     def test_sigma_independent_of_generator_translate(self):
-        # theta and theta + c generate the same extension and the same segment
-        p = 2
-        m = perfect_model(p)
-        theta = abhyankar_root(m)
-        base_res = classify(abhyankar_datum(p))
+        # theta + c for c in K, theta^p = theta + (theta^p - theta) and i*theta
+        # for i in F_p^x generate the same extension, with the same sigma b - b
+        # up to a unit: its classification and its Kaehler presentation do
+        # not depend on the generator chosen
         rng = random.Random(4)
-        for _ in range(10):
-            c = m.zero()
-            for _ in range(rng.randint(0, 3)):
-                e = m.value_group.element(Fraction(rng.randint(-6, 6), p ** rng.randint(0, 2)))
-                c = c + m.monomial(1, e)
-            shifted = theta + c
-            res = classify(DefectDatum(name="shifted", kind=ExtensionKind.AS_DEFECT,
-                                       base=m, degree=p, generator=shifted))
-            assert res.sigma == base_res.sigma
-            assert res.H_E == base_res.H_E
+        for p, build in itertools.product((2, 3, 5, 7), (abhyankar, example_e1)):
+            for base_res in build(p).results:
+                m, theta = base_res.datum.base, base_res.datum.generator
+                G = m.value_group
+                generators = [theta.pow_char_power(p)]
+                multiple = theta
+                for _ in range(2, p):   # i*theta, built as a sum of i thetas
+                    multiple = multiple + theta
+                    generators.append(multiple)
+                for _ in range(3):
+                    c = m.zero()
+                    for _ in range(rng.randint(1, 3)):
+                        e = G.element(*[Fraction(rng.randint(-6, 6), p ** rng.randint(0, 2))
+                                        for _ in range(G.rank)])
+                        c = c + m.monomial(rng.randint(1, p - 1), e)
+                    generators.append(theta + c)
+                want = present(base_res)
+                for generator in generators:
+                    res = classify(DefectDatum(name="other", kind=ExtensionKind.AS_DEFECT,
+                                               base=m, degree=p, generator=generator))
+                    assert ((res.kind, res.H_E, res.sigma, res.ram_ideal, res.max_ideal)
+                            == (base_res.kind, base_res.H_E, base_res.sigma,
+                                base_res.ram_ideal, base_res.max_ideal))
+                    assert present(res) == want
 
     def test_drvg_base_forces_independent(self):
         # no discrete component: every pattern-built instance is independent

@@ -1,11 +1,14 @@
 """Value semantics of the immutable classes built on `ogroup._Frozen`.
 
-Every class below keeps the constructor it had as a frozen record: the same
+Every public class below keeps the constructor it had as a frozen record,
+whether it writes it or the base generates it from `_fields`: the same
 parameter names, order and defaults, equality with an instance of its own
-class and equal fields, the hash of its field tuple, `Name(field=value, ...)`
-as its repr, pickle and copy round trips to an equal value, and refusal of
-assignment.  The field lists are written out here, so a renamed, dropped or
-reordered field fails even where the class and its `_fields` change together.
+class and equal fields, the hash of its field tuple (a GroupElement's leaves
+out the group), `Name(field=value, ...)` as its repr, pickle and copy round
+trips to an equal value, and refusal of assignment.  The field lists are
+written out here, so a renamed, dropped or reordered field fails even where
+the class and its `_fields` change together.  The tests at the end pin the
+generator itself and the one way a slot is set.
 """
 
 from __future__ import annotations
@@ -39,6 +42,10 @@ NEW_DICT = object()   # the default is a new empty dict for each instance
 
 CONSTRUCTORS = {
     ogroup.GroupDescriptor: ["components", "prime"],
+    ogroup.GroupElement: ["group", "nums", ("den", 1)],
+    ogroup.ConvexSubgroup: ["group", "level"],
+    segment.Segment: ["direction", "level", "shift", "closed"],
+    segment.IdealDescriptor: ["values"],
     residue.FqField: ["p"],
     residue.FqElement: ["field", "value"],
     gpsfield.FieldModel: ["name", "char", "value_group", ("residue_char", None), ("vp", None)],
@@ -127,6 +134,10 @@ def _values() -> dict:
     fm = sc.fmodel
     found = {
         G.__class__: G,
+        ogroup.GroupElement: G.element(Fraction(-2, 3)),
+        ogroup.ConvexSubgroup: res.H_E,
+        segment.Segment: res.sigma,
+        segment.IdealDescriptor: res.ram_ideal,
         residue.FqField: sc.model.residue,
         residue.FqElement: theta.tails[0].coeff,
         gpsfield.FieldModel: sc.model,
@@ -163,8 +174,16 @@ def _values() -> dict:
 VALUES = _values()
 
 
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
 def test_every_class_has_a_value_and_no_dataclass_is_left():
     assert VALUES.keys() == CONSTRUCTORS.keys()
+    public = {cls for cls in _subclasses(ogroup._Frozen) if not cls.__name__.startswith("_")}
+    assert public == CONSTRUCTORS.keys()
     assert all(issubclass(cls, ogroup._Frozen) for cls in CONSTRUCTORS)
     assert not any(hasattr(cls, "__dataclass_fields__") for cls in CONSTRUCTORS)
 
@@ -195,6 +214,10 @@ class TestValueClass:
         fields = tuple(getattr(value, name) for name in _fields(cls))
         assert repr(value) == "{}({})".format(cls.__qualname__, ", ".join(
             f"{name}={field!r}" for name, field in zip(_fields(cls), fields)))
+        if cls is ogroup.GroupElement:
+            # hashed by (nums, den) alone: equal elements have equal
+            # coordinates, so the group is left to equality
+            fields = fields[1:]
         try:
             want = hash(fields)
         except TypeError:   # a FormulaModel's dict, held directly or in a field
@@ -278,49 +301,67 @@ def test_models_built_without_constants_get_their_own_dict():
 
 
 SRC = pathlib.Path(ogroup.__file__).parent
+MODULES = {path: importlib.import_module(f"valcuts.{path.stem}")
+           for path in sorted(SRC.glob("*.py"))}
+
+# the classes that write their constructor, each because it checks or changes
+# an input; every other value class gets the generated one
+WRITTEN = {ogroup.GroupDescriptor, ogroup.GroupElement, ogroup.ConvexSubgroup,
+           segment.Segment, segment.IdealDescriptor, gpsfield.FieldModel,
+           gpsfield.SeriesElement, gpsfield.Tail, gpsfield.PatternSeries,
+           extension.DeclaredSchedule, extension.DefectDatum, extension.DefectlessDatum,
+           formlang.FormulaModel}
 
 
-def _set_calls(tree):
-    """(enclosing class name or None, first argument, field name) of each
-    `_set(x, "name", ...)` call."""
-    def walk(node, cls):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.ClassDef):
-                yield from walk(child, child.name)
-                continue
-            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
-                    and child.func.id == "_set"):
-                target, name = child.args[0], child.args[1]
-                assert isinstance(name, ast.Constant), ast.unparse(child)
-                yield cls, ast.unparse(target), name.value
-            yield from walk(child, cls)
-    yield from walk(tree, None)
+def _written_constructors():
+    """Each `_Frozen` class of src/ whose body defines `__init__`."""
+    for path, module in MODULES.items():
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef) and any(
+                    isinstance(item, ast.FunctionDef) and item.name == "__init__"
+                    for item in node.body):
+                cls = getattr(module, node.name)
+                if issubclass(cls, ogroup._Frozen):
+                    yield cls
 
 
-def _slots(cls) -> set[str]:
-    return {name for klass in cls.__mro__ for name in vars(klass).get("__slots__", ())}
+def test_only_the_classes_that_check_an_input_write_a_constructor():
+    assert set(_written_constructors()) == WRITTEN
+    for cls in CONSTRUCTORS.keys() - WRITTEN:
+        owner = next(klass for klass in cls.__mro__ if "_fields" in vars(klass))
+        init = cls.__init__
+        assert init is vars(owner)["__init__"]
+        qualname = f"{owner.__qualname__}.__init__"
+        assert init.__qualname__ == getattr(init.__code__, "co_qualname", qualname) == qualname
+        assert init.__code__.co_filename == inspect.getfile(cls) and init.__module__ == cls.__module__
+
+
+def _calls(tree):
+    """The name each call in tree calls: `f` for f(...), `a.f` for a.f(...)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            yield ast.unparse(node.func)
 
 
 def test_slots_are_set_through_their_descriptors_only():
-    # one idiom: a slot is set through the setter _slot_setters took from its
-    # descriptor; _set is left for the fields that live in a __dict__
-    modules = {path: importlib.import_module(f"valcuts.{path.stem}")
-               for path in sorted(SRC.glob("*.py"))}
-    any_slot = set().union(*[_slots(cls) for module in modules.values()
-                             for cls in vars(module).values()
-                             if isinstance(cls, type) and issubclass(cls, ogroup._Frozen)])
-    assert {"nums", "shift", "terms", "_zero", "_free"} <= any_slot
-    left = set()
-    for path, module in modules.items():
-        for cls_name, target, name in _set_calls(ast.parse(path.read_text())):
-            where = f"{path.name}: {cls_name}: _set({target}, {name!r})"
-            if cls_name is None:
-                assert name not in any_slot, where
-                continue
-            assert name not in _slots(getattr(module, cls_name)), where
-            left.add(cls_name)
-    assert left == {"FormulaModel"}
+    # one idiom: a slot is set through the __set__ of its descriptor, and the
+    # fields of FormulaModel, which live in a __dict__, through that dict
+    for path in MODULES:
+        called = set(_calls(ast.parse(path.read_text())))
+        assert not called & {"_set", "object.__setattr__"}, path.name
+    assert not hasattr(ogroup, "_set")
     assert "__slots__" not in vars(formlang.FormulaModel)
+
+
+def test_slot_setters_are_bound_only_where_a_constructor_is_written():
+    bound = set()
+    for path, module in MODULES.items():
+        for stmt in ast.parse(path.read_text()).body:
+            if (isinstance(stmt, ast.Assign) and isinstance(stmt.value, ast.Call)
+                    and ast.unparse(stmt.value.func) == "_slot_setters"):
+                bound.add(getattr(module, stmt.value.args[0].id))
+    # _Node binds the setters of the hash and free names it keeps
+    assert bound == WRITTEN - {formlang.FormulaModel} | {formlang._Node}
 
 
 def test_slot_setters_refuse_a_name_that_is_no_slot():
@@ -331,6 +372,8 @@ def test_slot_setters_refuse_a_name_that_is_no_slot():
     for cls, name in ((ogroup.GroupElement, "coords"),       # a property
                       (ogroup.GroupElement, "leading_index"),  # a method
                       (ogroup.GroupElement, "_fields"),        # a class attribute
+                      (segment.Segment, "group"),              # a property
+                      (gpsfield.SeriesElement, "valuation"),   # a method
                       (ogroup.ConvexSubgroup, "missing"),
                       (formlang.FormulaModel, "model")):       # a __dict__ field
         with pytest.raises(TypeError, match=f"{name} is not a slot"):
@@ -339,26 +382,65 @@ def test_slot_setters_refuse_a_name_that_is_no_slot():
         ogroup._slot_setters(ogroup.ConvexSubgroup, "group", "levels")
 
 
+def test_the_generator_refuses_a_field_it_cannot_set():
+    with pytest.raises(TypeError, match=r"Bad\.b is not a slot"):
+        class Bad(ogroup._Frozen):
+            __slots__ = ("a",)
+            _fields = ("a", "b")
+    with pytest.raises(TypeError, match=r"Bad\._defaults names 'c', no field"):
+        class Bad(ogroup._Frozen):
+            __slots__ = _fields = ("a", "b")
+            _defaults = {"b": 0, "c": 0}
+    with pytest.raises(TypeError, match=r"Bad\.b has no default but follows one"):
+        class Bad(ogroup._Frozen):
+            __slots__ = _fields = ("a", "b")
+            _defaults = {"a": 0}
+
+
+def test_a_generated_class_builds_as_a_written_one_would():
+    line = inspect.currentframe().f_lineno + 1
+    class Point(ogroup._Frozen):
+        __slots__ = _fields = ("x", "y", "label")
+        _defaults = {"label": None}
+
+    a = Point(1, 2)
+    assert (a.x, a.y, a.label) == (1, 2, None) and a == Point(y=2, x=1, label=None)
+    assert str(inspect.signature(Point)) == "(x, y, label=None)"
+    assert repr(Point(1, 2, "p")).endswith(".Point(x=1, y=2, label='p')")
+    assert copy.copy(a) == a and copy.deepcopy(a) == a   # rebuilt through the constructor
+    code = Point.__init__.__code__
+    assert code.co_filename == __file__ and code.co_firstlineno == line
+    with pytest.raises(TypeError):
+        Point(1)
+    with pytest.raises(AttributeError, match="cannot assign to field 'x'"):
+        a.x = 3
+    # the builder is generated on the first call and kept on the class
+    assert "_from_fields" not in vars(Point)
+    assert Point._from_fields(3, 4, "b") == Point(3, 4, "b")
+    assert vars(Point)["_from_fields"].__func__.__qualname__.endswith("Point._from_fields")
+    assert Point._from_fields(1, 2, None) == a
+
+
 def _unchecked_builds():
-    """(unchecked build, checked build) of each builder that skips the checks,
-    on the fields of values the library made."""
+    """(unchecked build, checked build) of each class whose constructor
+    checks or changes its input, on the fields of values the library made."""
     rng = random.Random(4001)
     for _ in range(60):
         seg = random_cut(rng, random_group(rng))
         fields = (seg.direction, seg.level, seg.shift, seg.closed)
-        yield segment.Segment._from_canonical(*fields), segment.Segment(*fields)
+        yield segment.Segment._from_fields(*fields), segment.Segment(*fields)
     for build in (scenarios.abhyankar, scenarios.example_e1):
         for p in (2, 3, 5):
             for res in build(p, depth=6).results:
                 theta = res.datum.generator
                 for x in (theta, -theta, theta.frobenius(), theta + theta.finite_part):
                     finite = x.finite_part
-                    yield (gpsfield.SeriesElement._from_ordered(finite.model, finite.terms),
+                    yield (gpsfield.SeriesElement._from_fields(finite.model, finite.terms),
                            gpsfield.SeriesElement(finite.model, finite.terms))
                     for t in x.tails:
-                        yield (gpsfield.Tail._from_checked(t.coeff, t.gamma, t.start),
+                        yield (gpsfield.Tail._from_fields(t.coeff, t.gamma, t.start),
                                gpsfield.Tail(t.coeff, t.gamma, t.start))
-                    yield (gpsfield.PatternSeries._from_merged(x.model, finite, x.tails),
+                    yield (gpsfield.PatternSeries._from_fields(x.model, finite, x.tails),
                            gpsfield.PatternSeries(x.model, finite, x.tails))
 
 
@@ -376,3 +458,7 @@ def test_unchecked_builders_give_the_checked_value_and_stay_frozen():
         seen.add(type(fast))
     assert seen == {segment.Segment, gpsfield.SeriesElement, gpsfield.Tail,
                     gpsfield.PatternSeries}
+    for cls in seen:
+        built = vars(cls)["_from_fields"].__func__
+        assert built.__qualname__ == f"{cls.__qualname__}._from_fields"
+        assert built.__code__.co_filename == inspect.getfile(cls)
