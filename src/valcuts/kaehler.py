@@ -4,22 +4,25 @@ The module of relative differentials of a prime-degree extension of
 valuation rings is presented by a numerator ideal and an exponent: the
 defect case uses I/I^p, wildly ramified defectless extensions use
 (I*M)/(I*M)^p, and tamely ramified value extensions use M/M^q.  Zero tests
-and annihilators are decided exactly on the value-set descriptors, the same
-way for every form: the module N/N^q is zero iff N = N^q, and its
-annihilator is the colon (N^q : N) = {a : a*N <= N^q}, met with the ring.
+and annihilators are read off the numerator's value set the same way for
+every form.  That set is a final cut S = d + H, so N^q has the values
+q*d + H: the module N/N^q is zero iff d = 0, and the colon (N^q : N) =
+{a : a*N <= N^q} is the closed cut at (q - 1)*d over the same H.  Met with
+the ring, the annihilator is that cut when d > 0 and the ring otherwise.
 
-`present` builds a presentation whole, with its annihilator: the value set
-of its denominator power is built once and read by each test and the colon.
+`present` chooses the form and `present_quotient` builds the presentation
+from (numerator, exponent) whole, with its annihilator.
 """
 
 from __future__ import annotations
 
 from enum import Enum
 
+from . import segment
 from .errors import StructuralError
 from .extension import DefectClassification, DefectlessAnalysis
 from .ogroup import _Frozen
-from .segment import IdealDescriptor, colon, is_subset, to_json
+from .segment import Direction, IdealDescriptor, Segment, to_json
 
 
 class PresentationForm(str, Enum):
@@ -48,28 +51,37 @@ class OmegaPresentation(_Frozen):
 
 
 def present(result: DefectClassification | DefectlessAnalysis) -> OmegaPresentation:
-    """Select the presentation form for the instance, decide the zero test and
-    attach the annihilator: (power : numerator) met with the ring, which is
-    the ring itself when the module is zero."""
+    """Select the presentation form for the instance and build it with
+    `present_quotient`."""
     if isinstance(result, DefectClassification):
-        num, exponent = result.ram_ideal, result.datum.degree
-        form, provenance = PresentationForm.RAM_QUOTIENT, f"defect:{result.kind.value}"
-    elif not isinstance(result, DefectlessAnalysis):
+        return present_quotient(result.ram_ideal, result.datum.degree,
+                                PresentationForm.RAM_QUOTIENT, f"defect:{result.kind.value}")
+    if not isinstance(result, DefectlessAnalysis):
         raise StructuralError("present expects a classified or analyzed extension")
-    elif result.datum.residue_char != result.datum.q:
-        num, exponent = result.max_ideal, result.datum.q
-        form, provenance = PresentationForm.MAX_QUOTIENT, "defectless:tame_value"
+    if result.datum.residue_char != result.datum.q:
+        return present_quotient(result.max_ideal, result.datum.q,
+                                PresentationForm.MAX_QUOTIENT, "defectless:tame_value")
+    return present_quotient(result.ram_ideal.multiply(result.max_ideal), result.datum.q,
+                            PresentationForm.RAM_MAX_QUOTIENT,
+                            f"defectless:{result.datum.subkind.value}")
+
+
+def present_quotient(num: IdealDescriptor, q: int, form: PresentationForm,
+                     provenance: str) -> OmegaPresentation:
+    """The presentation num/num^q, read off the numerator's value set, the
+    final cut d + H: the module is zero iff d = 0, and its annihilator is the
+    colon (num^q : num), the closed cut at (q - 1)*d over H, met with the
+    ring: that cut when d > 0, built unchecked as it is final and canonical,
+    and the ring otherwise."""
+    values = num.values
+    d = values.shift
+    if d.sign() > 0:
+        ann = IdealDescriptor._from_fields(
+            Segment._from_fields(Direction.FINAL, values.level, d * (q - 1), True))
     else:
-        num, exponent = result.ram_ideal.multiply(result.max_ideal), result.datum.q
-        form = PresentationForm.RAM_MAX_QUOTIENT
-        provenance = f"defectless:{result.datum.subkind.value}"
-    power = num.power(exponent)
-    is_zero, ann = num.same_values(power), IdealDescriptor.ring(num.group)
-    if not is_zero:   # two final cuts are nested, so their meet is the smaller one
-        values = colon(power.values, num.values)
-        ann = IdealDescriptor(values) if is_subset(values, ann.values) else ann
-    return OmegaPresentation(num, exponent, power, form, is_zero, provenance, ann,
-                             ann.same_values(IdealDescriptor.maximal_ideal(num.group)))
+        ann = IdealDescriptor.ring(d.group)
+    return OmegaPresentation(num, q, num.power(q), form, d.is_zero, provenance, ann,
+                             ann.values == IdealDescriptor.maximal_ideal(d.group).values)
 
 
 def annihilate(pres: OmegaPresentation, result) -> OmegaPresentation:
@@ -83,4 +95,4 @@ def annihilate(pres: OmegaPresentation, result) -> OmegaPresentation:
 def containment_holds(pres: OmegaPresentation) -> bool:
     """ann * numerator lands inside the denominator power, at value level."""
     prod = pres.annihilator.multiply(pres.numerator)
-    return is_subset(prod.values, pres.power.values)
+    return segment.is_subset(prod.values, pres.power.values)

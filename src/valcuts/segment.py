@@ -255,25 +255,6 @@ def is_subset(inner: Segment, outer: Segment) -> bool:
     return not reaches or (outer.closed and outer.level == level)
 
 
-def colon(outer: Segment, inner: Segment) -> Segment:
-    """The final segment {g : g + inner <= outer}, for two final segments.
-
-    It is `is_subset(shift(inner, g), outer)` solved for g: the shifts are
-    compared against the coarser subgroup H, so g passes above the coset
-    outer.shift - inner.shift + H and fails below it.  On that coset itself
-    it passes unless inner reaches into the coset while outer does not hold
-    all of it.  When outer and inner are the value sets of ideals J and I,
-    this is the value set of the ideal quotient (J : I).  Segments over
-    different groups raise StructuralError, as their shifts' difference does.
-    """
-    if inner.direction is not Direction.FINAL or outer.direction is not Direction.FINAL:
-        raise StructuralError("the colon is defined for final segments only")
-    level = min(inner.level, outer.level)
-    reaches = inner.closed or inner.level > level
-    closed = not reaches or (outer.closed and outer.level == level)
-    return Segment(Direction.FINAL, level, outer.shift - inner.shift, closed)
-
-
 def to_json(s: Segment) -> dict:
     coords = s.shift.coord_strings()
     if s.kind is CutKind.ELEMENT:

@@ -1,12 +1,44 @@
-"""Verification oracles for Kaehler presentations, used only by the tests."""
+"""Verification oracles for Kaehler presentations, used only by the tests.
+
+`colon` is the generic value-set colon that `kaehler.present_quotient`'s
+closed form is checked against; `closed_form` states the paper's
+annihilators case by case, and `maximality_witness` probes below them.
+"""
 
 from __future__ import annotations
 
+from valcuts.errors import StructuralError
 from valcuts.extension import DefectClassification, DefectlessKind
 from valcuts.kaehler import OmegaPresentation
-from valcuts.segment import IdealDescriptor, Segment, coarsening_value_set, contains, is_subset
+from valcuts.segment import (
+    Direction,
+    IdealDescriptor,
+    Segment,
+    coarsening_value_set,
+    contains,
+    is_subset,
+)
 
 from conftest import is_principal_ideal, is_trivial_subgroup, shifted_ideal
+
+
+def colon(outer: Segment, inner: Segment) -> Segment:
+    """The final segment {g : g + inner <= outer}, for two final segments.
+
+    It is `is_subset(shift(inner, g), outer)` solved for g: the shifts are
+    compared against the coarser subgroup H, so g passes above the coset
+    outer.shift - inner.shift + H and fails below it.  On that coset itself
+    it passes unless inner reaches into the coset while outer does not hold
+    all of it.  When outer and inner are the value sets of ideals J and I,
+    this is the value set of the ideal quotient (J : I).  Segments over
+    different groups raise StructuralError, as their shifts' difference does.
+    """
+    if inner.direction is not Direction.FINAL or outer.direction is not Direction.FINAL:
+        raise StructuralError("the colon is defined for final segments only")
+    level = min(inner.level, outer.level)
+    reaches = inner.closed or inner.level > level
+    closed = not reaches or (outer.closed and outer.level == level)
+    return Segment(Direction.FINAL, level, outer.shift - inner.shift, closed)
 
 
 def maximality_witness(pres: OmegaPresentation, candidates) -> bool:

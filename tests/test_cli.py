@@ -8,6 +8,8 @@ import io
 import json
 import os
 import pathlib
+import random
+import re
 import shlex
 import subprocess
 import sys
@@ -30,6 +32,7 @@ from valcuts.cli import (
     main,
 )
 from valcuts.errors import ConfigError
+from valcuts.extension import classify
 from valcuts.formlang import DEFINITIONS, DeclaredValue, evaluate
 from valcuts.scenarios import SCENARIOS
 from valcuts.segment import IdealDescriptor, shift
@@ -316,6 +319,64 @@ WILD_KUMMER = {"kind": "defectless_value", "degree": 3, "residue_char": 3,
 def pattern(p, *tails):
     return {"kind": "as_defect", "degree": p, "char": p,
             "generator": {"type": "pattern", "tails": list(tails)}}
+
+
+class TestOtherGeneratorConfig:
+    """The config-level twin of the same-extension checks: theta + c (c in K,
+    monomials added to `finite`) and theta^p (each tail's gamma and each
+    finite exponent times p; a coefficient of F_p is its own p-th power)
+    generate the extension a pattern config states, so its classification,
+    H_E, sigma-segment, ramification and maximal ideals and Kaehler module
+    must not change."""
+
+    PATTERN_CONFIGS = ("abhyankar-p3", "pattern-tails-p3")
+    MONOMIAL = re.compile(r"(?:(\d+)\*)?t\^\(([^)]*)\)")
+
+    @classmethod
+    def frobenius(cls, config):
+        gen, p = config["extension"]["generator"], config["group"]["p"]
+        for tail in gen["tails"]:
+            tail["gamma"] = [str(Fraction(x) * p) for x in tail["gamma"]]
+        if "finite" in gen:
+            terms = []
+            for term in gen["finite"].split(" + "):
+                coeff, coords = cls.MONOMIAL.fullmatch(term).groups()
+                exponent = ",".join(str(Fraction(x) * p) for x in coords.split(","))
+                terms.append(f"{coeff or 1}*t^({exponent})")
+            gen["finite"] = " + ".join(terms)
+
+    @staticmethod
+    def translate(config, rng):
+        p = config["group"]["p"]
+        terms = [config["extension"]["generator"].get("finite", "")]
+        for _ in range(rng.randint(1, 3)):
+            coords = [Fraction(rng.randint(-6, 6), 1 if kind == "int" else p ** rng.randint(0, 2))
+                      for kind in config["group"]["components"]]
+            terms.append(f"{rng.randint(1, p - 1)}*t^({','.join(map(str, coords))})")
+        config["extension"]["generator"]["finite"] = " + ".join(filter(None, terms))
+
+    @staticmethod
+    def invariants(tmp_path, config):
+        path = write_text(tmp_path, json.dumps(config))
+        (_, classified), (_, kaehler) = (run([command, "--config", path], tmp_path)
+                                         for command in ("classify", "kaehler"))
+        res = classify(*datum_from_config(config))
+        return [(report["classification"], report["certificate"]["H_E_level"],
+                 report["certificate"]["sigma_segment"]) for report in (classified, kaehler)] + [
+            res.ram_ideal, res.max_ideal, kaehler["omega"]]
+
+    def test_pattern_configs_keep_their_reports_under_another_generator(self, tmp_path):
+        rng = random.Random(4302)
+        for name in self.PATTERN_CONFIGS:
+            config = json.loads((CONFIGS / f"{name}.json").read_text())
+            want = self.invariants(tmp_path, config)
+            others = [json.loads(json.dumps(config)) for _ in range(4)]
+            self.frobenius(others[0])
+            for other in others[1:]:
+                self.translate(other, rng)
+            for other in others:
+                assert other != config
+                assert self.invariants(tmp_path, other) == want, (name, other)
 
 
 class TestLongNumbers:

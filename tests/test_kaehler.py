@@ -1,4 +1,5 @@
-"""Differential presentations, zero tests, annihilators."""
+"""Differential presentations, zero tests, annihilators, and the value-set
+colon they are checked against."""
 
 from __future__ import annotations
 
@@ -7,9 +8,11 @@ import pathlib
 import random
 from fractions import Fraction
 
+import pytest
+
 from valcuts import segment
 from valcuts.cli import load_config
-from valcuts.errors import ValcutsError
+from valcuts.errors import StructuralError, ValcutsError
 from valcuts.extension import (
     DefectDatum,
     DefectKind,
@@ -26,12 +29,30 @@ from valcuts.kaehler import (
     annihilate,
     containment_holds,
     present,
+    present_quotient,
 )
-from valcuts.ogroup import Component, ConvexSubgroup, GroupDescriptor
-from valcuts.segment import IdealDescriptor, contains, element_cut, subgroup_cut
+from valcuts.ogroup import Component, ConvexSubgroup, GroupDescriptor, GroupElement
+from valcuts.segment import (
+    IdealDescriptor,
+    Segment,
+    coarsening_value_set,
+    contains,
+    element_cut,
+    is_subset,
+    negate,
+    shift,
+    subgroup_cut,
+)
 
-from conftest import grid_points, random_cut, random_group, random_group_element, segment_set
-from kaehler_oracles import closed_form, maximality_witness
+from conftest import (
+    grid_points,
+    is_canonical,
+    random_cut,
+    random_group,
+    random_group_element,
+    segment_set,
+)
+from kaehler_oracles import closed_form, colon, maximality_witness
 from test_extension import abhyankar_datum
 
 
@@ -404,7 +425,7 @@ class TestColonMeetsTheClosedForms:
         for res in random_results(random.Random(3302), 300):
             pres = present(res)
             ring = IdealDescriptor.ring(pres.numerator.group).values
-            col = segment.colon(pres.power.values, pres.numerator.values)
+            col = colon(pres.power.values, pres.numerator.values)
             assert pres.is_zero is (pres.numerator == pres.power)
             want = col if segment.is_subset(col, ring) else ring
             assert pres.annihilator.values == want
@@ -427,3 +448,169 @@ class TestColonMeetsTheClosedForms:
                        if not contains(pres.annihilator.values, g)]
             assert containment_holds(pres) and outside, name
             assert maximality_witness(pres, outside), name
+
+
+class TestColon:
+    """colon(outer, inner) = {g : g + inner <= outer}, checked point by point."""
+
+    @staticmethod
+    def final_cut(rng, G):
+        cut = random_cut(rng, G)
+        return cut if cut.is_final else negate(cut)
+
+    @staticmethod
+    def offsets(G, values, dense_values, depth):
+        """Offsets whose first `depth` coordinates run over `values`, or
+        `dense_values` on a dense class, and whose other coordinates are 0."""
+        axes = [dense_values if G.is_dense_at(i) else values for i in range(depth)]
+        tail = [0] * (G.rank - depth)
+        return [G.element(*head, *tail) for head in itertools.product(*axes)]
+
+    def test_against_brute_force(self):
+        # g + I <= J depends on g only through g - (d_J - d_I) and on the
+        # first max(l_I, l_J) coordinates.  The probes g move by -1, 0, 1
+        # there; the witnesses x of I move by finer steps up and by 2 down,
+        # so a g outside the colon meets an x of I with g + x outside J
+        rng = random.Random(3306)
+        seen = {"member": 0, "outside": 0, "coset": 0, "open": 0}
+        for _ in range(400):
+            G = random_group(rng)
+            inner, outer = self.final_cut(rng, G), self.final_cut(rng, G)
+            col = colon(outer, inner)
+            assert col.is_final and is_canonical(col)
+            depth = max(inner.level, outer.level)
+            fine = Fraction(1, G.prime)
+            xs = [x for x in (inner.shift + o for o in
+                              self.offsets(G, (-2, -1, 0, 1), (-2, -fine, 0, fine), depth))
+                  if contains(inner, x)]
+            d = outer.shift - inner.shift
+            for delta in self.offsets(G, (-1, 0, 1), (-1, 0, 1), depth):
+                g = d + delta
+                want = all(contains(outer, g + x) for x in xs)
+                assert contains(col, g) is want, (inner, outer, g)
+                assert is_subset(shift(inner, g), outer) is want
+                seen["member" if want else "outside"] += 1
+                seen["coset"] += not any(delta.nums[:col.level])
+            seen["open"] += not col.closed
+        assert min(seen.values()) > 50, seen
+
+    def test_colon_of_ideals_is_their_quotient(self):
+        # (J : I) * I <= J, and the colon of an ideal by itself is its ring
+        rng = random.Random(3307)
+        for _ in range(300):
+            G = random_group(rng)
+            inner, outer = self.final_cut(rng, G), self.final_cut(rng, G)
+            assert is_subset(segment.sum(colon(outer, inner), inner), outer)
+            assert colon(inner, inner) == coarsening_value_set(ConvexSubgroup(G, inner.level))
+
+    def test_rejects_initial_cuts_and_other_groups(self):
+        G = GroupDescriptor((Component.PDIV,), 2)
+        final = element_cut(G.element(1))
+        for a, b in ((negate(final), final), (final, negate(final))):
+            with pytest.raises(StructuralError, match="final"):
+                colon(a, b)
+        other = element_cut(GroupDescriptor((Component.PDIV,), 3).element(1))
+        for a, b in ((final, other), (other, final)):
+            with pytest.raises(StructuralError, match="different group"):
+                colon(a, b)
+
+
+class TestTheCoreReadsTheCut:
+    """`present_quotient` reads N/N^q off the numerator's cut d + H: zero iff
+    d = 0, annihilated by the closed cut at (q - 1)*d over H when d > 0 and
+    by the ring otherwise.  The generic colon (N^q : N) met with the ring,
+    and set equality decided by `is_subset` both ways, must agree on every
+    canonical final cut."""
+
+    def test_the_core_agrees_with_the_generic_colon(self):
+        rng = random.Random(4301)
+        seen = dict.fromkeys(("negative", "zero", "positive", "open", "closed", "discrete",
+                              "flag"), 0)
+        checks = 0
+        while checks < 10_000:
+            G = random_group(rng)
+            cut = TestColon.final_cut(rng, G)
+            if rng.random() < 0.25:
+                cut = shift(cut, -cut.shift)
+            num = IdealDescriptor(cut)
+            ring = IdealDescriptor.ring(G).values
+            maximal = IdealDescriptor.maximal_ideal(G).values
+            for q in (2, 3, 5, 7):
+                pres = present_quotient(num, q, PresentationForm.RAM_QUOTIENT, "drawn")
+                power = num.power(q)
+                col = colon(power.values, cut)
+                want = col if is_subset(col, ring) else ring
+                assert pres.power == power and pres.numerator is num
+                assert pres.is_zero is (num == power), (cut, q)
+                assert pres.annihilator.values == want, (cut, q)
+                is_max = is_subset(want, maximal) and is_subset(maximal, want)
+                assert pres.annihilator_is_max_ideal is is_max, (cut, q)
+                assert containment_holds(pres)
+                checks += 1
+                seen["flag"] += is_max
+            seen[("negative", "zero", "positive")[cut.shift.sign() + 1]] += 1
+            seen["closed" if cut.closed else "open"] += 1
+            seen["discrete"] += G.components[cut.level - 1] is Component.INT
+        assert min(seen.values()) >= 20, seen
+
+    @staticmethod
+    def counted_builds(monkeypatch) -> dict:
+        """Counts of the GroupElements and Segments built from here on.  Every
+        GroupElement passes through `__post_init__`, where perfbench counts
+        it; a Segment through its constructor or `_from_fields`."""
+        counts = {"elements": 0, "segments": 0}
+        negate(element_cut(GroupDescriptor((Component.INT,), 2).zero()))  # make _from_fields
+        post_init, init = GroupElement.__post_init__, Segment.__init__
+        from_fields = Segment._from_fields.__func__
+
+        def counting_post_init(self):
+            counts["elements"] += 1
+            post_init(self)
+
+        def counting_init(self, *args):
+            counts["segments"] += 1
+            init(self, *args)
+
+        def counting_from_fields(cls, *fields):
+            counts["segments"] += 1
+            return from_fields(cls, *fields)
+
+        monkeypatch.setattr(GroupElement, "__post_init__", counting_post_init)
+        monkeypatch.setattr(Segment, "__init__", counting_init)
+        monkeypatch.setattr(Segment, "_from_fields", classmethod(counting_from_fields))
+        return counts
+
+    def test_one_presentation_builds_a_pinned_number_of_values(self, monkeypatch):
+        # (elements, segments) per presentation, once the group's ring and
+        # maximal ideal exist: the power is one of each, a nonzero annihilator
+        # one more and the IM numerator one more; a numerator below the ring
+        # is annihilated by the ring, and only its power is built
+        G = GroupDescriptor((Component.PDIV,), 2)
+        base = FieldModel(name="declared", char=2, value_group=G)
+        dependent = DefectDatum(name="dependent", kind=ExtensionKind.AS_DEFECT, base=base,
+                                degree=2, declared_sigma=element_cut(G.element(1)),
+                                synthetic=True)
+        G3 = GroupDescriptor((Component.PDIV,), 3)   # where q = 2 does not divide the class
+        wild = DefectlessDatum(name="as", group=G3, q=2, star_index=0, x0_value=G3.element(-1),
+                               subkind=DefectlessKind.ARTIN_SCHREIER, residue_char=2)
+        tame = DefectlessDatum(name="tame", group=G3, q=2, star_index=0, x0_value=G3.element(1))
+        results = {"zero I/I^p": classify(abhyankar_datum(2)),
+                   "nonzero I/I^p": classify(dependent),
+                   "zero M/M^q": defectless_analyze(tame),
+                   "nonzero IM/(IM)^p": defectless_analyze(wild)}
+        below = IdealDescriptor(subgroup_cut(ConvexSubgroup(G, 1), G.element(-1)))
+        builds = {name: (lambda res=res: present(res)) for name, res in results.items()}
+        builds["numerator below the ring"] = lambda: present_quotient(
+            below, 2, PresentationForm.RAM_QUOTIENT, "drawn")
+        for build in builds.values():
+            build()
+        counts = self.counted_builds(monkeypatch)
+        got = {}
+        for name, build in builds.items():
+            before = dict(counts)
+            pres = build()
+            got[name] = (pres.is_zero, counts["elements"] - before["elements"],
+                         counts["segments"] - before["segments"])
+        assert got == {"zero I/I^p": (True, 1, 1), "nonzero I/I^p": (False, 2, 2),
+                       "zero M/M^q": (True, 1, 1), "nonzero IM/(IM)^p": (False, 3, 3),
+                       "numerator below the ring": (False, 1, 1)}

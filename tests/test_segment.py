@@ -637,71 +637,6 @@ class TestSubset:
             assert is_subset(s1, s2) == (segment_set(s1, pts) <= segment_set(s2, pts))
 
 
-class TestColon:
-    """colon(outer, inner) = {g : g + inner <= outer}, checked point by point."""
-
-    @staticmethod
-    def final_cut(rng, G):
-        cut = random_cut(rng, G)
-        return cut if cut.is_final else negate(cut)
-
-    @staticmethod
-    def offsets(G, values, dense_values, depth):
-        """Offsets whose first `depth` coordinates run over `values`, or
-        `dense_values` on a dense class, and whose other coordinates are 0."""
-        axes = [dense_values if G.is_dense_at(i) else values for i in range(depth)]
-        tail = [0] * (G.rank - depth)
-        return [G.element(*head, *tail) for head in itertools.product(*axes)]
-
-    def test_against_brute_force(self):
-        # g + I <= J depends on g only through g - (d_J - d_I) and on the
-        # first max(l_I, l_J) coordinates.  The probes g move by -1, 0, 1
-        # there; the witnesses x of I move by finer steps up and by 2 down,
-        # so a g outside the colon meets an x of I with g + x outside J
-        rng = random.Random(3306)
-        seen = {"member": 0, "outside": 0, "coset": 0, "open": 0}
-        for _ in range(400):
-            G = random_group(rng)
-            inner, outer = self.final_cut(rng, G), self.final_cut(rng, G)
-            col = sg.colon(outer, inner)
-            assert col.is_final and is_canonical(col)
-            depth = max(inner.level, outer.level)
-            fine = Fraction(1, G.prime)
-            xs = [x for x in (inner.shift + o for o in
-                              self.offsets(G, (-2, -1, 0, 1), (-2, -fine, 0, fine), depth))
-                  if contains(inner, x)]
-            d = outer.shift - inner.shift
-            for delta in self.offsets(G, (-1, 0, 1), (-1, 0, 1), depth):
-                g = d + delta
-                want = all(contains(outer, g + x) for x in xs)
-                assert contains(col, g) is want, (inner, outer, g)
-                assert is_subset(shift(inner, g), outer) is want
-                seen["member" if want else "outside"] += 1
-                seen["coset"] += not any(delta.nums[:col.level])
-            seen["open"] += not col.closed
-        assert min(seen.values()) > 50, seen
-
-    def test_colon_of_ideals_is_their_quotient(self):
-        # (J : I) * I <= J, and the colon of an ideal by itself is its ring
-        rng = random.Random(3307)
-        for _ in range(300):
-            G = random_group(rng)
-            inner, outer = self.final_cut(rng, G), self.final_cut(rng, G)
-            assert is_subset(sg.sum(sg.colon(outer, inner), inner), outer)
-            assert sg.colon(inner, inner) == coarsening_value_set(ConvexSubgroup(G, inner.level))
-
-    def test_rejects_initial_cuts_and_other_groups(self):
-        G = GroupDescriptor((Component.PDIV,), 2)
-        final = element_cut(G.element(1))
-        for a, b in ((negate(final), final), (final, negate(final))):
-            with pytest.raises(StructuralError, match="final"):
-                sg.colon(a, b)
-        other = element_cut(GroupDescriptor((Component.PDIV,), 3).element(1))
-        for a, b in ((final, other), (other, final)):
-            with pytest.raises(StructuralError, match="different group"):
-                sg.colon(a, b)
-
-
 class TestIdeals:
     def test_unit_ideal_and_maximal_ideal(self):
         ring = IdealDescriptor.ring(ZP1)
