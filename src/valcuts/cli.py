@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
 import json
 import sys
 from json.encoder import encode_basestring_ascii
@@ -96,6 +95,8 @@ def _canonical_json(data) -> str:
 
 
 def _config_hash(config: dict) -> str:
+    import hashlib   # here, not at the top: no other command loads it and OpenSSL
+
     return hashlib.sha256(_canonical_json(config).encode()).hexdigest()
 
 

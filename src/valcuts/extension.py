@@ -20,7 +20,7 @@ smallest positive element), so the certificate reports it under both names.
 from __future__ import annotations
 
 from enum import Enum
-from fractions import Fraction
+from math import gcd
 
 from .errors import (
     InconsistentDatumError,
@@ -31,7 +31,6 @@ from .errors import (
 from .gpsfield import ApproachResult, FieldModel, PatternSeries, approach_segment
 from .ogroup import (
     Component,
-    ConvexSubgroup,
     GroupDescriptor,
     GroupElement,
     _Frozen,
@@ -42,6 +41,7 @@ from .segment import (
     Direction,
     IdealDescriptor,
     Segment,
+    coarsening,
     contains,
     invariance_ring,
     seq_cut,
@@ -233,7 +233,7 @@ class DefectClassification(_Frozen):
 def classify(datum: DefectDatum, depth: int = 12) -> DefectClassification:
     """Defect classification by the independence criterion."""
     sigma, approach = sigma_segment(datum, depth)
-    ram = IdealDescriptor(sigma)
+    ram = IdealDescriptor._from_fields(sigma)   # sigma_segment or DefectDatum checked it final
     H, max_ideal = invariance_ring(ram)
     independent = ram.same_values(max_ideal) and not max_ideal.is_principal_over(H)
     kind = DefectKind.INDEPENDENT if independent else DefectKind.DEPENDENT
@@ -304,8 +304,9 @@ class DefectlessDatum(_Frozen):
             raise WrongCaseError("vx0 lies in vK; the extension is not value-driven")
 
     def in_vK(self, x: GroupElement) -> bool:
-        i = self.star_index
-        return self.group.coordinate_allowed(i, Fraction(x.nums[i], x.den * self.q))
+        # whether x_i / q lies in the star class, by its reduced denominator
+        i, den = self.star_index, x.den * self.q
+        return self.group._denominator_allowed(i, den // gcd(x.nums[i], den))
 
 
 (_dld_name, _dld_group, _dld_q, _dld_star_index, _dld_x0_value, _dld_subkind, _dld_residue_char,
@@ -345,10 +346,9 @@ def defectless_analyze(datum: DefectlessDatum) -> DefectlessAnalysis:
     group = datum.group
     # H_E, the largest convex subgroup inside vK, lies just below the star class:
     # vK differs from vL there only, and the datum keeps that class's unit out of vK
-    H = ConvexSubgroup(group, datum.star_index + 1)
+    H, _, max_ideal = coarsening(group, datum.star_index + 1)
     case = (DefectlessCase.DL2B if group.is_dense_at(datum.star_index)
             else DefectlessCase.DL2C)
-    max_ideal = IdealDescriptor(Segment(Direction.FINAL, H.level, group.zero(), False))
     return DefectlessAnalysis(datum, H, case, max_ideal, _defectless_ram_ideal(datum))
 
 

@@ -1238,7 +1238,7 @@ def _values_cut(decomposed, negated: bool, quant: str, rel: str):
         if k < 0:
             rel = _flip_rel(rel)
         if quant == "exists" and rel == "=" and not all(   # the image k * S is a cut
-                seg.group.coordinate_allowed(i, Fraction(1, k)) for i in range(seg.group.rank)):
+                seg.group._denominator_allowed(i, abs(k)) for i in range(seg.group.rank)):
             return None   # only when every class is |k|-divisible
         cut = _decide(scale_int(seg, abs(k)), quant, rel)
         if isinstance(cut, bool):

@@ -24,6 +24,7 @@ import sys
 from enum import Enum
 from fractions import Fraction
 from math import gcd, lcm
+from operator import add, sub
 from types import FunctionType, MemberDescriptorType
 
 from .errors import DegenerateInputError, StructuralError
@@ -192,11 +193,12 @@ class GroupDescriptor(_Frozen):
     """Finite-rank Hahn sum: one component kind per archimedean class.
 
     The slots outside `_fields` keep values built once per group: `zero()`
-    here, and the valuation ring and its maximal ideal, which
-    `segment.IdealDescriptor` builds.  Equality, hashing, pickling and
-    copying read only the fields."""
+    here, and the level table of `segment.coarsening`, a dict that starts
+    empty and holds the subgroup H_k, the coarsening ring O(H_k) and its
+    maximal ideal for each level k read so far.  Equality, hashing,
+    pickling and copying read only the fields."""
 
-    __slots__ = ("components", "prime", "_zero", "_ring", "_maximal_ideal")
+    __slots__ = ("components", "prime", "_zero", "_levels")
     _fields = ("components", "prime")
 
     def __init__(self, components: tuple[Component, ...], prime: int):
@@ -206,6 +208,7 @@ class GroupDescriptor(_Frozen):
             raise StructuralError(f"{prime} is not prime")
         _gd_components(self, tuple([Component(c) for c in components]))
         _gd_prime(self, prime)
+        _gd_levels(self, {})
 
     def __eq__(self, other) -> bool:
         # the base's comparison of the fields, after the identity test
@@ -284,7 +287,7 @@ class GroupDescriptor(_Frozen):
         return self.element(*coords)
 
 
-_gd_components, _gd_prime, _gd_zero, _gd_ring, _gd_maximal_ideal = _slot_setters(
+_gd_components, _gd_prime, _gd_zero, _gd_levels = _slot_setters(
     GroupDescriptor, *GroupDescriptor.__slots__)
 
 
@@ -376,11 +379,11 @@ class GroupElement(_Frozen):
 
     def __add__(self, other: GroupElement) -> GroupElement:
         a, b, den = self._pair(other)
-        return GroupElement(self.group, tuple([x + y for x, y in zip(a, b)]), den)
+        return GroupElement(self.group, tuple(map(add, a, b)), den)
 
     def __sub__(self, other: GroupElement) -> GroupElement:
         a, b, den = self._pair(other)
-        return GroupElement(self.group, tuple([x - y for x, y in zip(a, b)]), den)
+        return GroupElement(self.group, tuple(map(sub, a, b)), den)
 
     def __neg__(self) -> GroupElement:
         return GroupElement(self.group, tuple([-a for a in self.nums]), self.den)

@@ -33,8 +33,6 @@ from .ogroup import (
     GroupDescriptor,
     GroupElement,
     _Frozen,
-    _gd_maximal_ideal,
-    _gd_ring,
     _slot_setters,
 )
 
@@ -191,7 +189,7 @@ def contains(s: Segment, x: GroupElement) -> bool:
 
 def invariance_group(s: Segment) -> ConvexSubgroup:
     """All g with S + g = S; element cuts are rigid, other cuts return their H."""
-    return ConvexSubgroup(s.group, s.level)
+    return coarsening(s.shift.group, s.level)[0]
 
 
 def shift(s: Segment, gamma: GroupElement) -> Segment:
@@ -322,46 +320,60 @@ class IdealDescriptor(_Frozen):
             raise StructuralError("quotient subgroup exceeds the invariance group")
         return v.closed and H.level == v.level
 
+    # the products, powers and principal ideals below are final cuts by
+    # construction, so they are wrapped without the constructor's check
     def multiply(self, other: "IdealDescriptor") -> "IdealDescriptor":
-        return IdealDescriptor(sum(self.values, other.values))
+        return IdealDescriptor._from_fields(sum(self.values, other.values))
 
     def power(self, m: int) -> "IdealDescriptor":
-        return IdealDescriptor(scale_int(self.values, m))
+        return IdealDescriptor._from_fields(scale_int(self.values, m))
 
     def same_values(self, other: "IdealDescriptor") -> bool:
         return self.values == other.values
 
-    @classmethod
-    def ring(cls, G: GroupDescriptor) -> "IdealDescriptor":
-        """The valuation ring, {a >= 0}, built once per group."""
-        try:
-            return G._ring
-        except AttributeError:
-            ring = cls(element_cut(G.zero(), closed=True))
-            _gd_ring(G, ring)
-            return ring
+    @staticmethod
+    def ring(G: GroupDescriptor) -> "IdealDescriptor":
+        """The valuation ring, {a >= 0}: O(H_n) of the level table."""
+        return coarsening(G, G.rank)[1]
 
-    @classmethod
-    def maximal_ideal(cls, G: GroupDescriptor) -> "IdealDescriptor":
-        """The maximal ideal, {a > 0}, built once per group."""
-        try:
-            return G._maximal_ideal
-        except AttributeError:
-            ideal = cls(element_cut(G.zero(), closed=False))
-            _gd_maximal_ideal(G, ideal)
-            return ideal
+    @staticmethod
+    def maximal_ideal(G: GroupDescriptor) -> "IdealDescriptor":
+        """The maximal ideal, {a > 0}: M_n of the level table."""
+        return coarsening(G, G.rank)[2]
 
     @classmethod
     def principal(cls, gamma: GroupElement) -> "IdealDescriptor":
-        return cls(element_cut(gamma, closed=True))
+        return cls._from_fields(element_cut(gamma, closed=True))
 
 
 (_ideal_values,) = _slot_setters(IdealDescriptor, *IdealDescriptor._fields)
 
 
+def coarsening(G: GroupDescriptor, k: int
+               ) -> tuple[ConvexSubgroup, IdealDescriptor, IdealDescriptor]:
+    """Level k of G's table: (H_k, O(H_k), M_k), the convex subgroup, the
+    ideal of its coarsening ring, {a >= H_k}, and that ring's maximal
+    ideal, {a > H_k}.  Each level is built when first read and kept on G.
+    Level 0 raises DegenerateInputError, as every cut at H_0 does."""
+    levels = G._levels
+    entry = levels.get(k)
+    if entry is not None:
+        return entry
+    # M_k through the constructor, which rejects a level outside 1..rank and
+    # closes the open cut over a discrete class; H_k and O(H_k), the closed
+    # cut at 0, are canonical as they stand
+    zero = G.zero()
+    maximal = IdealDescriptor._from_fields(Segment(Direction.FINAL, k, zero, False))
+    entry = levels[k] = (
+        ConvexSubgroup._from_fields(G, k),
+        IdealDescriptor._from_fields(Segment._from_fields(Direction.FINAL, k, zero, True)),
+        maximal)
+    return entry
+
+
 def coarsening_value_set(H: ConvexSubgroup) -> Segment:
     """Value set of the coarsening ring O(H): the coset of H and everything above."""
-    return subgroup_cut(H, closed=True)
+    return coarsening(H.group, H.level)[1].values
 
 
 def invariance_ring(I: IdealDescriptor) -> tuple[ConvexSubgroup, IdealDescriptor]:
@@ -372,9 +384,5 @@ def invariance_ring(I: IdealDescriptor) -> tuple[ConvexSubgroup, IdealDescriptor
     by any group element does not change the result.
     """
     values = I.values
-    group, level = values.shift.group, values.level
-    if level == group.rank:   # H trivial: the valuation ring's own, kept per group
-        M = IdealDescriptor.maximal_ideal(group)
-    else:
-        M = IdealDescriptor(Segment(Direction.FINAL, level, group.zero(), False))
-    return ConvexSubgroup(group, level), M
+    H, _, M = coarsening(values.shift.group, values.level)
+    return H, M

@@ -59,9 +59,10 @@ def grid_points(group: GroupDescriptor, bound: int, depth: int):
         yield group.element(*coords)
 
 
-def random_group(rng) -> GroupDescriptor:
-    """Rank 1-4, each class int, pdiv or rat, over p in {2, 3, 5}."""
-    return GroupDescriptor(tuple(rng.choice(list(Component)) for _ in range(rng.randint(1, 4))),
+def random_group(rng, max_rank: int = 4) -> GroupDescriptor:
+    """Rank 1 to max_rank, each class int, pdiv or rat, over p in {2, 3, 5}."""
+    return GroupDescriptor(tuple(rng.choice(list(Component))
+                                 for _ in range(rng.randint(1, max_rank))),
                            rng.choice((2, 3, 5)))
 
 

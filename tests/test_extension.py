@@ -8,6 +8,8 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from valcuts.errors import (
     InconsistentDatumError,
@@ -218,6 +220,63 @@ class TestClassify:
                             == (base_res.kind, base_res.H_E, base_res.sigma,
                                 base_res.ram_ideal, base_res.max_ideal))
                     assert present(res) == want
+
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    @given(st.data())
+    def test_other_generators_past_the_test_points(self, data):
+        # the same invariance over drawn patterns: p up to 31, ranks 1-5 of
+        # int, pdiv and rat classes, tail starts up to 6 and depths up to 200,
+        # each over a fresh group.  An int class holds no gamma / p^i, so
+        # tails are zero there and lead in a dense class
+        p = data.draw(st.sampled_from((2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)))
+        kinds = data.draw(st.lists(st.sampled_from(list(Component)), min_size=1, max_size=5))
+        assume(any(kind is not Component.INT for kind in kinds))
+        G = GroupDescriptor(tuple(kinds), p)
+        m = FieldModel(name="drawn", char=p, value_group=G)
+        dense = [j for j, kind in enumerate(kinds) if kind is not Component.INT]
+        coeff = st.integers(1, p - 1)
+
+        def coordinate(kind) -> Fraction:
+            den = 1 if kind is Component.INT else p ** data.draw(st.integers(0, 2))
+            return Fraction(data.draw(st.integers(-6, 6)), den)
+
+        def exponent(negative: bool):
+            lead = data.draw(st.sampled_from(dense))
+            head = Fraction(data.draw(st.integers(1, 6)), p ** data.draw(st.integers(0, 2)))
+            if not negative and data.draw(st.booleans()):
+                head = -head
+            return G.element(*[0] * lead, -head,
+                             *[0 if kind is Component.INT else coordinate(kind)
+                               for kind in kinds[lead + 1:]])
+
+        def finite(least: int):
+            out = m.zero()
+            for _ in range(data.draw(st.integers(least, 3))):
+                out = out + m.monomial(data.draw(coeff),
+                                       G.element(*[coordinate(kind) for kind in kinds]))
+            return out
+
+        # the first tail leads with a negative exponent, so theta is immediate
+        tails = tuple(Tail(m.residue.element(data.draw(coeff)), exponent(n == 0),
+                           data.draw(st.integers(0, 6)))
+                      for n in range(data.draw(st.integers(1, 3))))
+        theta = PatternSeries(m, finite(0), tails)
+        multiple, i = None, data.draw(coeff)
+        for bit in bin(i)[2:]:   # i*theta by doubling, from sums of theta alone
+            multiple = theta if multiple is None else (
+                multiple + multiple + theta if bit == "1" else multiple + multiple)
+        depth = data.draw(st.integers(1, 200))
+
+        def classified(generator):
+            return classify(DefectDatum(name="theta", kind=ExtensionKind.AS_DEFECT, base=m,
+                                        degree=p, generator=generator), depth)
+
+        want = classified(theta)
+        for other in (theta + finite(1), multiple, theta.pow_char_power(p)):
+            res = classified(other)
+            assert ((res.kind, res.H_E, res.sigma, res.ram_ideal, res.max_ideal)
+                    == (want.kind, want.H_E, want.sigma, want.ram_ideal, want.max_ideal))
+            assert present(res) == present(want)
 
     def test_drvg_base_forces_independent(self):
         # no discrete component: every pattern-built instance is independent
@@ -489,3 +548,30 @@ class TestDefectless:
         with pytest.raises(InconsistentDatumError):
             defectless_analyze(DefectlessDatum(name="bad", group=G, q=2, star_index=0,
                                                x0_value=G.element(1), residue_char=2))
+
+
+def test_in_vK_reads_the_reduced_denominator_as_the_fraction_does():
+    # vK is vL with the star coordinate times q: x lies in vK iff x_i / q lies
+    # in the star class, read off den // gcd(num, den) as Fraction reads it
+    rng = random.Random(4401)
+    seen = {True: 0, False: 0}
+    checks, qs = 0, set()
+    while checks < 10_000:
+        G = random_group(rng, max_rank=5)
+        q = rng.choice((2, 3, 5, 7))
+        stars = [i for i, kind in enumerate(G.components) if kind is Component.INT
+                 or kind is Component.PDIV and G.prime != q]
+        if not stars:
+            continue
+        qs.add(q)
+        i = rng.choice(stars)
+        datum = DefectlessDatum(name="v", group=G, q=q, star_index=i, x0_value=G.unit(i))
+        for _ in range(50):
+            x = random_group_element(rng, G, bound=rng.choice((3, 30)))
+            if rng.random() < 0.3:   # often a multiple of q in the star class
+                x = x * q
+            want = G.coordinate_allowed(i, Fraction(x.nums[i], x.den * q))
+            assert datum.in_vK(x) is want, (G, q, i, x)
+            seen[want] += 1
+            checks += 1
+    assert qs == {2, 3, 5, 7} and min(seen.values()) >= 2_000, seen

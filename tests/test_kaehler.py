@@ -14,6 +14,7 @@ from valcuts import segment
 from valcuts.cli import load_config
 from valcuts.errors import StructuralError, ValcutsError
 from valcuts.extension import (
+    DeclaredSchedule,
     DefectDatum,
     DefectKind,
     DefectlessCase,
@@ -614,3 +615,50 @@ class TestTheCoreReadsTheCut:
         assert got == {"zero I/I^p": (True, 1, 1), "nonzero I/I^p": (False, 2, 2),
                        "zero M/M^q": (True, 1, 1), "nonzero IM/(IM)^p": (False, 3, 3),
                        "numerator below the ring": (False, 1, 1)}
+
+
+class TestOneClassificationBuildsAPinnedNumberOfValues:
+    """The GroupElements and Segments one `classify` or `defectless_analyze`
+    builds, counted as `TestTheCoreReadsTheCut` counts them: on the first
+    call over a group, which fills the level it reads (H_k, O(H_k), M_k),
+    and on a second call, which reads that level and builds none of it."""
+
+    def test_first_and_second_calls(self, monkeypatch):
+        G = GroupDescriptor((Component.PDIV, Component.INT), 2)
+        declared = DefectDatum(name="dependent", kind=ExtensionKind.AS_DEFECT,
+                               base=FieldModel(name="declared", char=2, value_group=G),
+                               degree=2, declared_sigma=element_cut(G.element(1, 0)),
+                               synthetic=True)
+        M = GroupDescriptor((Component.PDIV,), 3)
+        schedule = DefectDatum(name="mixed", kind=ExtensionKind.KUMMER_DEFECT,
+                               base=FieldModel(name="Qp-style", char=0, residue_char=3,
+                                               value_group=M, vp=M.element(1)),
+                               degree=3, generator=DeclaredSchedule(M, M.zero(), M.element(1)))
+        W = GroupDescriptor((Component.PDIV, Component.INT), 3)
+        wild = DefectlessDatum(name="as", group=W, q=2, star_index=1, x0_value=W.element(0, -1),
+                               subkind=DefectlessKind.ARTIN_SCHREIER, residue_char=2)
+        calls = {"declared sigma": (G, lambda: classify(declared)),
+                 "schedule, depth 12": (M, lambda: classify(schedule, 12)),
+                 "schedule, depth 24": (M, lambda: classify(schedule, 24)),
+                 "defectless": (W, lambda: defectless_analyze(wild))}
+        counts = TestTheCoreReadsTheCut.counted_builds(monkeypatch)
+        got = {}
+        for name, (group, call) in calls.items():
+            for turn in ("first", "second"):
+                table = dict(getattr(group, "_levels", {}))
+                before = dict(counts)
+                call()
+                got[name, turn] = (counts["elements"] - before["elements"],
+                                   counts["segments"] - before["segments"])
+            # the second call found its level built and left the table as it was
+            assert group._levels.keys() == table.keys()
+            assert all(group._levels[k] is entry for k, entry in table.items())
+        # a level over an int class (the declared sigma's H_2, the defectless
+        # H_E) builds the unit its M_k shifts to and two cuts, over a dense
+        # one two cuts; a schedule builds depth + 1 elements and two cuts
+        assert got == {("declared sigma", "first"): (1, 2), ("declared sigma", "second"): (0, 0),
+                       ("schedule, depth 12", "first"): (13, 4),
+                       ("schedule, depth 12", "second"): (13, 2),
+                       ("schedule, depth 24", "first"): (25, 2),
+                       ("schedule, depth 24", "second"): (25, 2),
+                       ("defectless", "first"): (3, 3), ("defectless", "second"): (1, 1)}

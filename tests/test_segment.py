@@ -379,6 +379,63 @@ class TestOneStepBuilders:
             assert IdealDescriptor.maximal_ideal(twin) == m
 
 
+class TestLevelTable:
+    """`coarsening(G, k)` is level k of G's table, (H_k, O(H_k), M_k): built
+    when first read, kept on G, and read by `invariance_group`,
+    `invariance_ring`, `coarsening_value_set` and the ring and maximal ideal."""
+
+    def test_every_level_equals_its_checked_construction(self):
+        rng = random.Random(3304)
+        seen = set()
+        for _ in range(300):
+            G = random_group(rng, max_rank=5)
+            zero, levels = G.zero(), list(range(1, G.rank + 1))
+            rng.shuffle(levels)
+            for read, k in enumerate(levels, 1):
+                entry = sg.coarsening(G, k)
+                H, ring, maximal = entry
+                assert H == ConvexSubgroup(G, k)
+                assert ring == IdealDescriptor(Segment(Direction.FINAL, k, zero, True))
+                assert maximal == IdealDescriptor(Segment(Direction.FINAL, k, zero, False))
+                if G.components[k - 1] is Component.INT:   # {a > H_k} = {a >= u_k + H_k}
+                    assert maximal.values == Segment(Direction.FINAL, k, G.unit(k - 1), True)
+                # only the levels read so far are built, and a second read
+                # returns the same objects
+                assert sorted(G._levels) == sorted(levels[:read])
+                again = sg.coarsening(G, k)
+                assert again is entry and all(a is b for a, b in zip(again, entry))
+                assert invariance_group(Segment(Direction.INITIAL, k, zero, False)) is H
+                assert coarsening_value_set(ConvexSubgroup(G, k)) is ring.values
+                seen.add((G.rank, G.components[k - 1]))
+            assert IdealDescriptor.ring(G) is sg.coarsening(G, G.rank)[1]
+            assert IdealDescriptor.maximal_ideal(G) is sg.coarsening(G, G.rank)[2]
+            with pytest.raises(DegenerateInputError):
+                sg.coarsening(G, 0)
+            assert 0 not in G._levels
+        assert {rank for rank, _ in seen} == {1, 2, 3, 4, 5}
+        assert {kind for _, kind in seen} == set(Component)
+
+    def test_invariance_ring_matches_the_construction_it_replaced(self):
+        rng = random.Random(3305)
+        hits = {"trivial H": 0, "coarser H": 0}
+        for _ in range(400):
+            G = random_group(rng, max_rank=5)
+            cut = random_cut(rng, G)
+            if not cut.is_final:
+                cut = negate(cut)
+            level, zero = cut.level, G.zero()
+            if level == G.rank:
+                want = IdealDescriptor(element_cut(zero, closed=False))
+                hits["trivial H"] += 1
+            else:
+                want = IdealDescriptor(Segment(Direction.FINAL, level, zero, False))
+                hits["coarser H"] += 1
+            H, M = invariance_ring(IdealDescriptor(cut))
+            assert (H, M) == (ConvexSubgroup(G, level), want)
+            assert (H, M) == invariance_ring(shifted_ideal(IdealDescriptor(cut), zero))
+        assert min(hits.values()) >= 100, hits
+
+
 def _values(G: GroupDescriptor) -> list:
     """One of each slotted value class over G."""
     s = Segment(Direction.FINAL, 2, G.element(1, Fraction(1, 3), 5), False)

@@ -262,26 +262,35 @@ def test_a_field_that_differs_makes_values_unequal():
 
 
 def test_a_group_keeping_its_values_behaves_as_an_empty_one():
-    # zero(), the ring and the maximal ideal are kept in slots outside the
-    # fields: equality, hashing, repr, pickling and copying ignore them
-    kept = ("_zero", "_ring", "_maximal_ideal")
+    # zero() and the level table are kept in slots outside the fields:
+    # equality, hashing, repr, pickling and copying ignore them, and a filled
+    # table stays with its own group
+    def kept(G):
+        return hasattr(G, "_zero"), sorted(G._levels)
+
     full = ogroup.GroupDescriptor(("int", "pdiv"), 3)
     empty = ogroup.GroupDescriptor(("int", "pdiv"), 3)
     values = (full.zero(), segment.IdealDescriptor.ring(full),
               segment.IdealDescriptor.maximal_ideal(full))
-    assert all(hasattr(full, name) for name in kept)
-    assert not any(hasattr(empty, name) for name in kept)
+    levels = [segment.coarsening(full, k) for k in (1, 2)]
+    assert kept(full) == (True, [1, 2]) and kept(empty) == (False, [])
     assert full == empty and empty == full and hash(full) == hash(empty)
     assert repr(full) == repr(empty) and full.__reduce__() == empty.__reduce__()
     for trip in (lambda x: pickle.loads(pickle.dumps(x)), copy.copy, copy.deepcopy):
         other = trip(full)
         assert other == empty and hash(other) == hash(empty) and repr(other) == repr(empty)
-        assert not any(hasattr(other, name) for name in kept)
+        assert kept(other) == (False, [])
+        assert {full: 1}[other] == 1 and {other: 1}[full] == 1
     # a value holding the group round-trips too, and equals its rebuilt self
     ring = pickle.loads(pickle.dumps(values[1]))
     assert ring == values[1] and ring.group == full
-    assert segment.IdealDescriptor.ring(full) is values[1]
-    assert segment.IdealDescriptor.maximal_ideal(full) is values[2]
+    for level in levels:
+        again = pickle.loads(pickle.dumps(level))
+        assert again == level and kept(again[0].group) == (False, [])
+    assert segment.IdealDescriptor.ring(full) is values[1] is levels[1][1]
+    assert segment.IdealDescriptor.maximal_ideal(full) is values[2] is levels[1][2]
+    assert [segment.coarsening(full, k) for k in (1, 2)] == levels
+    assert all(segment.coarsening(full, k) is levels[k - 1] for k in (1, 2))
 
 
 def test_a_pickled_node_holds_only_its_fields():
