@@ -13,9 +13,10 @@ Terms are kept in exponent order and tails merged and ordered by base
 exponent, and an operation builds only what it changes.  Negation and the
 Frobenius (p > 0) keep the term order, and 0 + x is x; negation, the
 Frobenius and adding a finite series keep every base exponent and every
-relative start, so only the sum of two patterns merges tails again, and
-without checking them: each tail is checked once, when a pattern is built
-from outside.  The least term of theta - c lies on a leading tail: a
+relative start, so only the sum or difference of two patterns merges tails
+again, and without checking them: each tail is checked once, when a pattern
+is built from outside.  A difference negates its right operand's terms or
+tails into that sum or merge, with no negated copy built first.  The least term of theta - c lies on a leading tail: a
 negative one at the coarsest leading index.  Once every leading tail has
 passed its start, all divide their base exponents by the same p-power, so
 the approach schedule is gamma_min / p^(k+1) from there on.
@@ -35,7 +36,7 @@ from operator import itemgetter
 from .errors import NotImmediateError, StructuralError
 from .ogroup import GroupDescriptor, GroupElement, _Frozen, _slot_setters
 from .residue import GF, FqElement
-from .segment import Direction, seq_cut
+from .segment import Direction, Segment
 
 
 class _Infinity:
@@ -235,7 +236,12 @@ class SeriesElement(_Frozen):
         if isinstance(other, PatternSeries):
             return (-other) + self
         self._check(other)   # as `+` does, before negating an operand that may have no `-`
-        return self + (-other)
+        if not other.terms:
+            return self
+        negated = [(e, -c) for e, c in other.terms]
+        if self.terms:
+            return self._plus(negated)
+        return SeriesElement._from_fields(self.model, tuple(negated))   # 0 - x
 
     def __mul__(self, other):
         """The product, on integers: every exponent is written over one common
@@ -417,13 +423,19 @@ class PatternSeries(_Frozen):
 
     def __add__(self, other):
         if isinstance(other, PatternSeries):
-            if other.model != self.model:
-                raise StructuralError("patterns from different field models")
-            # both patterns' tails were checked against this model when built
-            tails, finite = _merge_tails(self.model, self.tails + other.tails,
-                                         self.finite_part + other.finite_part)
-            return PatternSeries._from_fields(self.model, finite, tails)
+            self._check(other)
+            return self._merged(other.tails, self.finite_part + other.finite_part)
         return PatternSeries._from_fields(self.model, self.finite_part + other, self.tails)
+
+    def _check(self, other: "PatternSeries"):
+        if other.model != self.model:
+            raise StructuralError("patterns from different field models")
+
+    def _merged(self, tails, finite: SeriesElement) -> "PatternSeries":
+        """The pattern of finite and self's tails merged with `tails`; both
+        sets were checked against this model when built."""
+        tails, finite = _merge_tails(self.model, self.tails + tails, finite)
+        return PatternSeries._from_fields(self.model, finite, tails)
 
     # negation, the Frobenius and adding a finite series keep every base
     # exponent and every relative start, so the tails stay merged and ordered
@@ -435,7 +447,11 @@ class PatternSeries(_Frozen):
 
     def __sub__(self, other):
         if isinstance(other, PatternSeries):
-            return self + (-other)
+            # the negated tails go straight into one merge
+            self._check(other)
+            return self._merged(
+                tuple([Tail._from_fields(-t.coeff, t.gamma, t.start) for t in other.tails]),
+                self.finite_part - other.finite_part)
         return PatternSeries._from_fields(self.model, self.finite_part - other, self.tails)
 
     def frobenius(self) -> "PatternSeries":
@@ -536,12 +552,13 @@ def approach_segment(theta: PatternSeries, K: FieldModel, depth: int = 12) -> Ap
         raise NotImmediateError("tail exponents decrease; v(theta - K) has a maximum")
     gamma_min = leading[0].gamma
     schedule = []
-    k = max(0, min(t.start for t in leading) - 1)
+    starts = [t.start for t in leading]
+    k = max(0, min(starts) - 1)
     # the minimum is taken while a leading tail waits at its start, and at the
     # first k past every start, whose value may repeat the last waiting one
-    last_start = max(t.start for t in leading)
+    last_start = max(starts)
     while k < last_start and len(schedule) < depth:
-        value = min(t.exponent(max(k + 1, t.start)) for t in leading)
+        value = min([t.exponent(max(k + 1, t.start)) for t in leading])
         if not schedule or schedule[-1] != value:
             schedule.append(value)
         k += 1
@@ -550,8 +567,11 @@ def approach_segment(theta: PatternSeries, K: FieldModel, depth: int = 12) -> Ap
     for _ in range(depth - len(schedule)):
         den *= p
         schedule.append(GroupElement(group, nums, den))
-    seg = seq_cut(theta.model.value_group.zero(), -gamma_min, start=1,
-                  direction=Direction.INITIAL)
+    # seq_cut(0, -gamma_min) in one step: the open initial cut at 0 over the
+    # subprincipal subgroup of gamma_min's class, which a tail's base exponent
+    # makes p-divisible, so dense, and the zero shift is canonical
+    seg = Segment._from_fields(Direction.INITIAL, gamma_min.leading_index() + 1, group.zero(),
+                               False)
     return ApproachResult(seg, tuple(schedule))
 
 

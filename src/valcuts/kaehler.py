@@ -20,8 +20,8 @@ from enum import Enum
 
 from . import segment
 from .errors import StructuralError
-from .extension import DefectClassification, DefectlessAnalysis
-from .ogroup import _Frozen
+from .extension import DefectClassification, DefectKind, DefectlessAnalysis, DefectlessKind
+from .ogroup import GroupElement, _Frozen
 from .segment import Direction, IdealDescriptor, Segment, to_json
 
 
@@ -50,12 +50,17 @@ class OmegaPresentation(_Frozen):
         }
 
 
+# each presentation's provenance, written once per kind
+_DEFECT_PROVENANCE = {kind: f"defect:{kind.value}" for kind in DefectKind}
+_DEFECTLESS_PROVENANCE = {kind: f"defectless:{kind.value}" for kind in DefectlessKind}
+
+
 def present(result: DefectClassification | DefectlessAnalysis) -> OmegaPresentation:
     """Select the presentation form for the instance and build it with
     `present_quotient`."""
     if isinstance(result, DefectClassification):
         return present_quotient(result.ram_ideal, result.datum.degree,
-                                PresentationForm.RAM_QUOTIENT, f"defect:{result.kind.value}")
+                                PresentationForm.RAM_QUOTIENT, _DEFECT_PROVENANCE[result.kind])
     if not isinstance(result, DefectlessAnalysis):
         raise StructuralError("present expects a classified or analyzed extension")
     if result.datum.residue_char != result.datum.q:
@@ -63,7 +68,7 @@ def present(result: DefectClassification | DefectlessAnalysis) -> OmegaPresentat
                                 PresentationForm.MAX_QUOTIENT, "defectless:tame_value")
     return present_quotient(result.ram_ideal.multiply(result.max_ideal), result.datum.q,
                             PresentationForm.RAM_MAX_QUOTIENT,
-                            f"defectless:{result.datum.subkind.value}")
+                            _DEFECTLESS_PROVENANCE[result.datum.subkind])
 
 
 def present_quotient(num: IdealDescriptor, q: int, form: PresentationForm,
@@ -71,17 +76,21 @@ def present_quotient(num: IdealDescriptor, q: int, form: PresentationForm,
     """The presentation num/num^q, read off the numerator's value set, the
     final cut d + H: the module is zero iff d = 0, and its annihilator is the
     colon (num^q : num), the closed cut at (q - 1)*d over H, met with the
-    ring: that cut when d > 0, built unchecked as it is final and canonical,
-    and the ring otherwise."""
+    ring: that cut when d > 0, built unchecked on d's integers as it is final
+    and canonical, and the ring otherwise."""
     values = num.values
     d = values.shift
-    if d.sign() > 0:
-        ann = IdealDescriptor._from_fields(
-            Segment._from_fields(Direction.FINAL, values.level, d * (q - 1), True))
+    G = d.group
+    _, ring, maximal = segment.coarsening(G, G.rank)
+    sign = d.sign()
+    if sign > 0:
+        ann = IdealDescriptor._from_fields(Segment._from_fields(
+            Direction.FINAL, values.level,
+            GroupElement(G, tuple([n * (q - 1) for n in d.nums]), d.den), True))
     else:
-        ann = IdealDescriptor.ring(d.group)
-    return OmegaPresentation(num, q, num.power(q), form, d.is_zero, provenance, ann,
-                             ann.values == IdealDescriptor.maximal_ideal(d.group).values)
+        ann = ring
+    return OmegaPresentation(num, q, num.power(q), form, sign == 0, provenance, ann,
+                             ann.values == maximal.values)
 
 
 def annihilate(pres: OmegaPresentation, result) -> OmegaPresentation:
@@ -93,6 +102,7 @@ def annihilate(pres: OmegaPresentation, result) -> OmegaPresentation:
 
 
 def containment_holds(pres: OmegaPresentation) -> bool:
-    """ann * numerator lands inside the denominator power, at value level."""
-    prod = pres.annihilator.multiply(pres.numerator)
-    return segment.is_subset(prod.values, pres.power.values)
+    """ann * numerator lands inside the denominator power, at value level:
+    the generic sum and containment of cuts, independent of the closed form."""
+    return segment.is_subset(segment.sum(pres.annihilator.values, pres.numerator.values),
+                             pres.power.values)

@@ -50,7 +50,8 @@ def is_prime(n: int) -> bool:
     """
     if n >= _PRIME_BOUND:
         raise StructuralError(f"{n} is too large: primality is decided below {_PRIME_BOUND}")
-    if n < 2 or any(n % a == 0 for a in _WITNESSES):
+    # up to 41 the witnesses are the primes; past it, one that divides n is a factor
+    if n <= _WITNESSES[-1] or any(n % a == 0 for a in _WITNESSES):
         return n in _WITNESSES
     d, s = n - 1, 0
     while d % 2 == 0:

@@ -25,7 +25,7 @@ from .extension import (
     classify,
 )
 from .gpsfield import FieldModel, PatternSeries, Tail
-from .ogroup import Component, GroupDescriptor, _Frozen, convex_subgroups
+from .ogroup import Component, GroupDescriptor, _Frozen
 
 
 class CharCase(str, Enum):
@@ -58,9 +58,9 @@ def build(n: int, selected, p: int, char_case: CharCase = CharCase.EQUAL) -> Con
         raise InvalidSelectionError("the index chain must be nonempty")
     levels = frozenset(int(j) for j in selected)
     group = GroupDescriptor((Component.PDIV,) * n, p)
-    chain = convex_subgroups(group)
     for j in levels:
-        if not (0 <= j <= n) or not chain[j].is_subprincipal:
+        # the subprincipal levels of the chain H_0 > ... > H_n are 1..n
+        if not 1 <= j <= n:
             raise InvalidSelectionError(f"level {j} is not subprincipal")
     char_case = CharCase(char_case)
 
@@ -68,6 +68,7 @@ def build(n: int, selected, p: int, char_case: CharCase = CharCase.EQUAL) -> Con
         model = FieldModel(
             name=f"k(t_0..t_{n - 1})^h perfect hull, p={p}",
             char=p, value_group=group)
+        zero, one = model.zero(), model.residue.one()   # shared by every witness
     else:
         # rank n >= 1 always has the largest proper convex subgroup H_1,
         # below which the equal-characteristic residue construction runs
@@ -87,9 +88,7 @@ def build(n: int, selected, p: int, char_case: CharCase = CharCase.EQUAL) -> Con
                                 degree=p, generator=sched)
             witnesses.append(Witness(j, "declared", datum))
         else:
-            theta = PatternSeries(
-                model, model.zero(),
-                (Tail(model.residue.one(), group.unit(j - 1, -1), 1),))
+            theta = PatternSeries(model, zero, (Tail(one, group.unit(j - 1, -1), 1),))
             datum = DefectDatum(name=f"level{j}_root_of_X^p-X-1/t_{j - 1}",
                                 kind=ExtensionKind.AS_DEFECT, base=model,
                                 degree=p, generator=theta)

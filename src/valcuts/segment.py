@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
+from operator import add
 
 from .errors import ConfigReader, DegenerateInputError, StructuralError
 from .ogroup import (
@@ -59,9 +60,9 @@ class Segment(_Frozen):
     """The cut (direction, level, shift, closed), canonical when built.
 
     The constructor applies both rules in one frame, setting each field once.
-    negate and scale_int map canonical cuts to canonical cuts and build their
-    result through `_from_fields`, which skips the rules.  Equality and
-    hashing are structural on the four fields.
+    negate, scale_int, sum and shift map canonical cuts to canonical cuts and
+    build their result through `_from_fields`, which skips the rules.
+    Equality and hashing are structural on the four fields.
     """
 
     __slots__ = _fields = ("direction", "level", "shift", "closed")
@@ -194,17 +195,11 @@ def invariance_group(s: Segment) -> ConvexSubgroup:
 
 def shift(s: Segment, gamma: GroupElement) -> Segment:
     """The translate gamma + S."""
-    group = s.shift.group
-    if gamma.group is not group and gamma.group != group:
-        raise StructuralError("shift element belongs to a different group descriptor")
-    return Segment(s.direction, s.level, s.shift + gamma, s.closed)
+    return _translate(s.direction, s.level, s.shift, gamma, s.closed)
 
 
 def sum(s1: Segment, s2: Segment) -> Segment:
     """Pointwise sumset of two final segments."""
-    g1, g2 = s1.shift.group, s2.shift.group
-    if g1 is not g2 and g1 != g2:
-        raise StructuralError("segments live over different group descriptors")
     if s1.direction is not Direction.FINAL or s2.direction is not Direction.FINAL:
         raise StructuralError("sum is defined for final segments only")
     # the coarser boundary wins; the result is closed only when every operand
@@ -219,7 +214,21 @@ def sum(s1: Segment, s2: Segment) -> Segment:
         level, closed = l2, s2.closed
     else:
         level, closed = l1, s1.closed and s2.closed
-    return Segment(Direction.FINAL, level, s1.shift + s2.shift, closed)
+    return _translate(Direction.FINAL, level, s1.shift, s2.shift, closed)
+
+
+def _translate(direction: Direction, level: int, a: GroupElement, b: GroupElement,
+               closed: bool) -> Segment:
+    """The cut (direction, level, a + b, closed), for a level and a closedness
+    that a canonical operand has: open only over a dense class.  The sum is
+    made on the integers, with its coordinates inside H dropped, and wrapped
+    unchecked, as it is canonical; `_pair` checks that a and b share a group."""
+    x, y, den = a._pair(b)
+    nums = tuple(map(add, x[:level], y[:level]))
+    rank = len(x)
+    if level < rank:
+        nums += (0,) * (rank - level)
+    return Segment._from_fields(direction, level, GroupElement(a.group, nums, den), closed)
 
 
 def scale_int(s: Segment, m: int) -> Segment:
@@ -343,7 +352,9 @@ class IdealDescriptor(_Frozen):
 
     @classmethod
     def principal(cls, gamma: GroupElement) -> "IdealDescriptor":
-        return cls._from_fields(element_cut(gamma, closed=True))
+        # the closed cut at rank is canonical as it stands
+        return cls._from_fields(
+            Segment._from_fields(Direction.FINAL, gamma.group.rank, gamma, True))
 
 
 (_ideal_values,) = _slot_setters(IdealDescriptor, *IdealDescriptor._fields)

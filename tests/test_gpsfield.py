@@ -630,6 +630,43 @@ def _checked_power(gamma: GroupElement, p: int, i: int):
         return str(err)
 
 
+class TestDifferencesWithoutANegatedCopy:
+    """a - b hands b's negated terms straight to one sum, and b's negated
+    tails straight to one merge, without building -b first: it must equal
+    a + (-b) on series and on patterns."""
+
+    def test_a_difference_is_the_sum_with_the_negative(self):
+        rng = random.Random(4501)
+        patterns = seeded_patterns(rng)
+        seen = dict.fromkeys(("zero", "cancelled", "shared", "family"), 0)
+        pairs = 0
+        for (m, finite, tails), (other_m, other_finite, other_tails) in zip(
+                patterns, patterns[7:] + patterns[:7]):
+            a = PatternSeries(m, finite, tails)
+            zero = PatternSeries(m, m.zero(), ())
+            partners = [a, zero, family_partner(rng, a), family_partner(rng, a)]
+            if other_m is m:
+                partners.append(PatternSeries(m, other_finite, other_tails))
+            for x, y in [(a, b) for b in partners] + [(zero, a)]:
+                assert x - y == x + (-y)
+                for s, t in itertools.product(x.tails, y.tails):
+                    shift = _family_shift(s.gamma, t.gamma, m.char)
+                    if shift is not None:
+                        seen["shared" if shift == 0 else "family"] += 1
+                pairs += 1
+            x = a.finite_part
+            extra = random_series(rng, m, rng.randint(1, 3))
+            for y in (x, m.zero(), x + extra, extra, partners[2].finite_part):
+                for u, v in ((x, y), (y, x)):
+                    got = u - v
+                    assert got == u + (-v) and got.terms == naive_sum(u, -v)
+                    seen["zero"] += u.is_zero or v.is_zero
+                    exponents = {e for e, _ in u.terms} | {e for e, _ in v.terms}
+                    seen["cancelled"] += len(got.terms) < len(exponents)
+                    pairs += 1
+        assert pairs >= 1000 and min(seen.values()) >= 100, (pairs, seen)
+
+
 class TestTailExponent:
     """A tail is checked once, when built: it is accepted exactly when every
     exponent gamma / p^i lies in the group, and exponent() then builds them
@@ -815,17 +852,18 @@ class TestApproachSegment:
         assert traded >= 20  # two leading tails with different starts trade the minimum
 
     def test_a_one_tail_schedule_builds_one_element_per_value(self, monkeypatch):
+        # the cut is built at the zero shift, without negating gamma_min, so
+        # the schedule's values are the only elements built
         built = counting_elements(monkeypatch)
         for p in (2, 3, 5):
             m = perfect_model(p)
             theta = abhyankar_root(m)
             zero = m.value_group.zero()
             built.clear()
-            seq_cut(zero, -theta.tails[0].gamma, start=1, direction=Direction.INITIAL)
-            segment = len(built)
-            built.clear()
-            assert len(approach_segment(theta, m, 12).schedule) == 12
-            assert len(built) == 12 + segment
+            res = approach_segment(theta, m, 12)
+            assert len(res.schedule) == 12 and len(built) == 12
+            assert res.segment == seq_cut(zero, -theta.tails[0].gamma, start=1,
+                                          direction=Direction.INITIAL)
 
     def test_abhyankar_negative_cone(self):
         m = perfect_model(3)

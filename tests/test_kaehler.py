@@ -33,6 +33,7 @@ from valcuts.kaehler import (
     present_quotient,
 )
 from valcuts.ogroup import Component, ConvexSubgroup, GroupDescriptor, GroupElement
+from valcuts.prescribe import build, verify
 from valcuts.segment import (
     IdealDescriptor,
     Segment,
@@ -662,3 +663,38 @@ class TestOneClassificationBuildsAPinnedNumberOfValues:
                        ("schedule, depth 24", "first"): (25, 2),
                        ("schedule, depth 24", "second"): (25, 2),
                        ("defectless", "first"): (3, 3), ("defectless", "second"): (1, 1)}
+
+
+class TestCheckAndWitnessPathsBuildPinnedCounts:
+    """The GroupElements and Segments built, counted as `TestTheCoreReadsTheCut`
+    counts them, by one `containment_holds` and by one rank-8 `verify`."""
+
+    def test_one_containment_check_per_form(self, monkeypatch):
+        # the sum of ann and the numerator is one element and one cut, wrapped
+        # as it is built; is_subset builds nothing
+        results = [classify(datum) for datum in TestPowerBuiltOnce.defect_data()]
+        results += [defectless_analyze(datum) for datum in TestDiscreteClasses.data()]
+        forms = {}
+        for res in results:
+            pres = present(res)
+            forms.setdefault((pres.form, pres.is_zero), pres)
+        assert len(forms) == 2 * len(PresentationForm)
+        counts = TestTheCoreReadsTheCut.counted_builds(monkeypatch)
+        for key, pres in forms.items():
+            before = dict(counts)
+            assert containment_holds(pres)
+            assert (counts["elements"] - before["elements"],
+                    counts["segments"] - before["segments"]) == (1, 1), key
+
+    def test_a_rank8_verify_is_affine_in_depth(self, monkeypatch):
+        # each of the 8 witnesses builds one schedule value per unit of depth
+        # and four cuts at every depth; the approach cut negates nothing
+        plans = {depth: build(8, range(1, 9), 7) for depth in (12, 18, 24)}
+        counts = TestTheCoreReadsTheCut.counted_builds(monkeypatch)
+        got = {}
+        for depth, plan in plans.items():
+            before = dict(counts)
+            assert verify(plan, depth).passed
+            got[depth] = (counts["elements"] - before["elements"],
+                          counts["segments"] - before["segments"])
+        assert got == {12: (120, 32), 18: (168, 32), 24: (216, 32)}

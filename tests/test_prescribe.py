@@ -142,6 +142,16 @@ class TestVerify:
         assert Component.INT not in plan.group.components
 
 
+class TestTheWitnessIdentity:
+    def test_every_pattern_witness_checks_its_identity(self):
+        # theta^p - theta - 1/t is a pattern difference and then a series
+        # difference, each built without a negated copy
+        for n, p in itertools.product(range(1, 7), (2, 3, 5, 7)):
+            report = verify(build(n, range(1, n + 1), p), depth=6)
+            assert report.passed and len(report.witnesses) == n
+            assert all(w.identity_checked for w in report.witnesses), (n, p)
+
+
 class TestOnlyWrittenCertificatesAreFormatted:
     """Classification formats no certificate: a report formats what it writes."""
 

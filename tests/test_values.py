@@ -23,7 +23,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import random_cut, random_group
+from conftest import random_cut, random_group, random_group_element
 
 from valcuts import (
     extension,
@@ -430,6 +430,37 @@ def test_a_generated_class_builds_as_a_written_one_would():
     assert Point._from_fields(1, 2, None) == a
 
 
+def _cut_operations(rng, seen: dict):
+    """(result, checked build) of each operation that wraps its cut through
+    `Segment._from_fields`: `sum`, `shift`, `IdealDescriptor.principal` and
+    the annihilator of `present_quotient`, on 10^4 drawn cuts.  The checked
+    build is the constructor on the result's direction, level and closedness
+    and the raw shift, the operands' shifts added as GroupElements, so a
+    coordinate inside H that the operation kept, or an open cut over a
+    discrete class, makes the two differ."""
+    final = segment.Direction.FINAL
+    for _ in range(2500):
+        G = random_group(rng)
+        a, b, c, d = [random_cut(rng, G) for _ in range(4)]
+        # sum and the ideals take final cuts; shift takes either direction
+        a, b, d = [x if x.direction is final else segment.negate(x) for x in (a, b, d)]
+        g = random_group_element(rng, G)
+        q = rng.choice((2, 3, 5, 7))
+        ann = kaehler.present_quotient(segment.IdealDescriptor(d), q,
+                                       kaehler.PresentationForm.RAM_QUOTIENT, "drawn")
+        positive = d.shift.sign() > 0
+        for out, raw in ((segment.sum(a, b), a.shift + b.shift),
+                         (segment.shift(c, g), c.shift + g),
+                         (segment.IdealDescriptor.principal(g).values, g),
+                         (ann.annihilator.values, d.shift * (q - 1) if positive else G.zero())):
+            yield out, segment.Segment(out.direction, out.level, raw, out.closed)
+            seen["inside H"] += any(raw.nums[out.level:])
+            seen["open"] += not out.closed
+        assert segment.sum(a, b).level == min(a.level, b.level)
+        seen["equal levels" if a.level == b.level else "unequal levels"] += 1
+        seen["annihilator cut" if positive else "ring"] += 1
+
+
 def _unchecked_builds():
     """(unchecked build, checked build) of each class whose constructor
     checks or changes its input, on the fields of values the library made."""
@@ -467,6 +498,13 @@ def test_unchecked_builders_give_the_checked_value_and_stay_frozen():
         seen.add(type(fast))
     assert seen == {segment.Segment, gpsfield.SeriesElement, gpsfield.Tail,
                     gpsfield.PatternSeries}
+    # the operations' cuts are Segments as above: their values are compared
+    cases = dict.fromkeys(("equal levels", "unequal levels", "open", "inside H",
+                           "annihilator cut", "ring"), 0)
+    for fast, checked in _cut_operations(random.Random(4501), cases):
+        assert type(fast) is segment.Segment and fast == checked, (fast, checked)
+        assert hash(fast) == hash(checked) and repr(fast) == repr(checked)
+    assert min(cases.values()) >= 500, cases
     for cls in seen:
         built = vars(cls)["_from_fields"].__func__
         assert built.__qualname__ == f"{cls.__qualname__}._from_fields"
