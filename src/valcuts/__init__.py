@@ -13,8 +13,6 @@ from .ogroup import (  # noqa: F401
     ConvexSubgroup,
     GroupDescriptor,
     GroupElement,
-    archimedean_class_subgroups,
-    convex_subgroups,
 )
 from .segment import (  # noqa: F401
     CutKind,

@@ -60,6 +60,14 @@ class DefectKind(str, Enum):
     DEPENDENT = "dependent"
 
 
+def _member(kinds: type[Enum], value, field: str):
+    """The member of kinds that value is or names, else StructuralError naming field."""
+    try:
+        return kinds(value)
+    except ValueError:
+        raise StructuralError(f"{field} {value!r} is not one of {', '.join(kinds)}") from None
+
+
 class DeclaredSchedule(_Frozen):
     """Approximation values limit - scale/p^(k+1), declared in closed form;
     every scale/p^(k+1) lies in the group."""
@@ -121,6 +129,7 @@ class DefectDatum(_Frozen):
                  generator: PatternSeries | DeclaredSchedule | None = None,
                  sigma_shift: GroupElement | None = None,
                  declared_sigma: Segment | None = None, synthetic: bool = False):
+        kind = _member(ExtensionKind, kind, "kind")
         if kind is ExtensionKind.DEFECTLESS_VALUE:
             raise StructuralError("defectless data use DefectlessDatum")
         if not is_prime(degree):
@@ -283,7 +292,7 @@ class DefectlessDatum(_Frozen):
         _dld_q(self, q)                        # prime degree = (vL : vK)
         _dld_star_index(self, star_index)      # class where vK has index q
         _dld_x0_value(self, x0_value)          # vx0, not in vK
-        _dld_subkind(self, subkind)
+        _dld_subkind(self, _member(DefectlessKind, subkind, "subkind"))
         _dld_residue_char(self, residue_char)
         _dld_vp(self, positive_vp(vp))         # value of p when residue char divides it
         _dld_v_eta_minus_1(self, v_eta_minus_1)   # one-unit case

@@ -46,7 +46,7 @@ from .segment import (
     Direction,
     IdealDescriptor,
     Segment,
-    coarsening_value_set,
+    coarsening,
     contains,
     element_cut,
     is_subset,
@@ -1534,7 +1534,7 @@ def _direct_values(direct):
     if isinstance(direct, IdealDescriptor):
         return direct.values
     if isinstance(direct, ConvexSubgroup):
-        return coarsening_value_set(direct) if direct.level else True
+        return coarsening(direct.group, direct.level)[1].values if direct.level else True
     raise StructuralError("direct object must be an ideal or a convex subgroup")
 
 

@@ -14,12 +14,13 @@ exponent, and an operation builds only what it changes.  Negation and the
 Frobenius (p > 0) keep the term order, and 0 + x is x; negation, the
 Frobenius and adding a finite series keep every base exponent and every
 relative start, so only the sum or difference of two patterns merges tails
-again, and without checking them: each tail is checked once, when a pattern
-is built from outside.  A difference negates its right operand's terms or
-tails into that sum or merge, with no negated copy built first.  The least term of theta - c lies on a leading tail: a
-negative one at the coarsest leading index.  Once every leading tail has
-passed its start, all divide their base exponents by the same p-power, so
-the approach schedule is gamma_min / p^(k+1) from there on.
+again, and without checking them: each term is checked once, when a series
+is built from outside, and each tail when a pattern is.  A difference adds
+its right operand's negated terms or tails, with no negated copy built.
+The least term of theta - c lies on a leading tail: a negative one at the
+coarsest leading index.  Once every leading tail has passed its start, all
+divide their base exponents by the same p-power, so the approach schedule
+is gamma_min / p^(k+1) from there on.
 
 Fields of residue characteristic p with char 0 carry no series arithmetic
 here; they enter the extension layer through declared approximation
@@ -117,12 +118,7 @@ class FieldModel(_Frozen):
 
     def monomial(self, coeff, exponent: GroupElement) -> "SeriesElement":
         self._require_series()
-        if isinstance(coeff, int):
-            coeff = self.residue.element(coeff)
-        if exponent.group != self.value_group:
-            raise StructuralError("exponent lives in a different value group")
-        if coeff.is_zero:
-            return self.zero()
+        coeff = self.residue.element(coeff) if isinstance(coeff, int) else coeff
         return SeriesElement(self, ((exponent, coeff),))
 
     def one(self) -> "SeriesElement":
@@ -134,14 +130,7 @@ _fm_name, _fm_char, _fm_value_group, _fm_residue_char, _fm_vp, _fm_residue = _sl
 
 
 def _ordered(terms) -> tuple:
-    """terms sorted by exponent.  Each exponent is keyed by its numerators over
-    one common denominator, so the sort compares integer lists; exponents
-    from different groups raise as their comparison would."""
-    first = terms[0][0]
-    for e, _ in terms:
-        if e.__class__ is not GroupElement or (
-                e.group is not first.group and e.group != first.group):
-            raise StructuralError("elements belong to different group descriptors")
+    """terms of one value group, sorted by their numerators over one denominator."""
     den = lcm(*[e.den for e, _ in terms])
     return tuple(sorted(terms, key=lambda t: [n * (den // t[0].den) for n in t[0].nums]))
 
@@ -155,11 +144,12 @@ class SeriesElement(_Frozen):
     __slots__ = _fields = ("model", "terms")
 
     def __init__(self, model: FieldModel, terms: tuple[tuple[GroupElement, FqElement], ...]):
-        # terms from outside, in any order: each coefficient must lie in the
-        # residue field, the coefficients of a repeated exponent are added and
-        # zero coefficients dropped
-        field = model.residue
-        for _, c in terms:
+        # terms from outside, in any order, each checked against the model;
+        # a repeated exponent's coefficients are added and zeros dropped
+        group, field = model.value_group, model.residue
+        for e, c in terms:
+            if e.__class__ is not GroupElement or (e.group is not group and e.group != group):
+                raise StructuralError("exponent lives in a different value group")
             if c.__class__ is not FqElement or (c.field is not field and c.field != field):
                 raise StructuralError("coefficients from different residue fields")
         if len(terms) > 1:
@@ -506,10 +496,10 @@ def val_diff(theta: PatternSeries, c: SeriesElement) -> GroupElement:
     moves that tail on by one; the first term or head that nothing cancels is
     the valuation.  Merged tails share no exponent, so a term meets one head
     at most, and each term is visited once.  theta needs a tail with negative
-    base exponent.
+    base exponent, and c must be a SeriesElement of theta's model.
     """
-    if c.model != theta.model:
-        raise StructuralError("operands from different field models")
+    if c.__class__ is not SeriesElement or c.model != theta.model:
+        raise StructuralError("val_diff needs a finite series of theta's field model")
     heads = [[t.exponent(t.start), t.coeff.value] for t in _leading_tails(theta)]
     if not heads:
         raise StructuralError("val_diff needs a tail with negative base exponent")

@@ -27,7 +27,7 @@ from math import gcd, lcm
 from operator import add, sub
 from types import FunctionType, MemberDescriptorType
 
-from .errors import DegenerateInputError, StructuralError
+from .errors import StructuralError
 
 
 class Component(str, Enum):
@@ -479,27 +479,6 @@ class ConvexSubgroup(_Frozen):
         _cs_group(self, group)
         _cs_level(self, level)
 
-    @property
-    def is_subprincipal(self) -> bool:
-        # largest convex subgroup avoiding the unit at index `level - 1`
-        return self.level >= 1
-
 
 _cs_group, _cs_level = _slot_setters(ConvexSubgroup, *ConvexSubgroup._fields)
 
-
-def convex_subgroups(G: GroupDescriptor) -> tuple[ConvexSubgroup, ...]:
-    """The full chain H_0 > H_1 > ... > H_n with principal/subprincipal tags."""
-    return tuple(ConvexSubgroup(G, k) for k in range(G.rank + 1))
-
-
-def archimedean_class_subgroups(gamma: GroupElement) -> tuple[ConvexSubgroup, ConvexSubgroup]:
-    """Principal and subprincipal convex subgroups of gamma's archimedean class.
-
-    Rejects gamma = 0: neither subgroup is well defined there and callers
-    must decide the convention explicitly.
-    """
-    lead = gamma.leading_index()
-    if lead is None:
-        raise DegenerateInputError("the zero element has no archimedean class")
-    return ConvexSubgroup(gamma.group, lead), ConvexSubgroup(gamma.group, lead + 1)

@@ -340,16 +340,6 @@ class IdealDescriptor(_Frozen):
     def same_values(self, other: "IdealDescriptor") -> bool:
         return self.values == other.values
 
-    @staticmethod
-    def ring(G: GroupDescriptor) -> "IdealDescriptor":
-        """The valuation ring, {a >= 0}: O(H_n) of the level table."""
-        return coarsening(G, G.rank)[1]
-
-    @staticmethod
-    def maximal_ideal(G: GroupDescriptor) -> "IdealDescriptor":
-        """The maximal ideal, {a > 0}: M_n of the level table."""
-        return coarsening(G, G.rank)[2]
-
     @classmethod
     def principal(cls, gamma: GroupElement) -> "IdealDescriptor":
         # the closed cut at rank is canonical as it stands
@@ -380,11 +370,6 @@ def coarsening(G: GroupDescriptor, k: int
         IdealDescriptor._from_fields(Segment._from_fields(Direction.FINAL, k, zero, True)),
         maximal)
     return entry
-
-
-def coarsening_value_set(H: ConvexSubgroup) -> Segment:
-    """Value set of the coarsening ring O(H): the coset of H and everything above."""
-    return coarsening(H.group, H.level)[1].values
 
 
 def invariance_ring(I: IdealDescriptor) -> tuple[ConvexSubgroup, IdealDescriptor]:

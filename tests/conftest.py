@@ -111,6 +111,16 @@ def is_principal_subgroup(H) -> bool:
     return H.level <= H.group.rank - 1
 
 
+def is_subprincipal_subgroup(H) -> bool:
+    """Whether H is the largest convex subgroup avoiding some element: the
+    unit at index H.level - 1, which the next coarser level holds, so every
+    H but the whole group."""
+    if H.level == 0:
+        return False
+    unit = H.group.unit(H.level - 1)
+    return not in_subgroup(H, unit) and in_subgroup(type(H)(H.group, H.level - 1), unit)
+
+
 def is_trivial_subgroup(H) -> bool:
     """Whether H is the trivial subgroup H_n, n the rank."""
     return H.level == H.group.rank

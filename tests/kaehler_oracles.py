@@ -14,7 +14,7 @@ from valcuts.segment import (
     Direction,
     IdealDescriptor,
     Segment,
-    coarsening_value_set,
+    coarsening,
     contains,
     is_subset,
 )
@@ -76,11 +76,11 @@ def closed_form(result) -> tuple[bool, IdealDescriptor, bool]:
     The flag is set where the annihilator is the maximal ideal of the ring.
     """
     group = result.max_ideal.group
-    max_ideal = IdealDescriptor.maximal_ideal(group)
+    _, ring, max_ideal = coarsening(group, group.rank)
     if isinstance(result, DefectClassification):
         num = result.ram_ideal
         if num.same_values(num.power(result.datum.degree)):
-            return True, IdealDescriptor.ring(group), False
+            return True, ring, False
         v = num.values
         ann = IdealDescriptor(Segment(v.direction, v.level,
                                       v.shift * (result.datum.degree - 1), closed=True))
@@ -89,15 +89,15 @@ def closed_form(result) -> tuple[bool, IdealDescriptor, bool]:
     n = datum.q
     if datum.residue_char != n:
         if not M.is_principal_over(H):
-            return True, IdealDescriptor.ring(group), False
+            return True, ring, False
         return False, M.power(n - 1), n == 2 and is_trivial_subgroup(H)
     if (datum.subkind is DefectlessKind.KUMMER_2A and not contains(M.values, datum.vp)
             and not M.is_principal_over(H)):
-        return True, IdealDescriptor.ring(group), False
+        return True, ring, False
     a_value = result.ram_ideal.values.shift
     if M.is_principal_over(H):
         ann = result.ram_ideal.multiply(M).power(n - 1)
     else:
-        ann = shifted_ideal(IdealDescriptor(coarsening_value_set(H)), a_value * (n - 1))
+        ann = shifted_ideal(coarsening(group, H.level)[1], a_value * (n - 1))
     return False, ann, (n == 2 and not contains(M.values, a_value) and is_trivial_subgroup(H)
                         and is_principal_ideal(max_ideal))

@@ -451,6 +451,50 @@ class TestDatumGroups:
                     declared_sigma=element_cut(other.element(1)), synthetic=True)
 
 
+class TestKindsGivenAsStrings:
+    """A kind or a subkind given as a string is read as the member it names
+    when the datum is built; any other value raises StructuralError naming
+    the field."""
+
+    def test_a_kind_string_classifies_as_its_member(self):
+        m = perfect_model(3)
+        datum = DefectDatum(name="abhyankar_p3", kind="as_defect", base=m, degree=3,
+                            generator=abhyankar_root(m))
+        assert datum.kind is ExtensionKind.AS_DEFECT and datum == abhyankar_datum(3)
+        # the certificate writes the kind's value; a kept string had none
+        assert classify(datum).certificate == classify(abhyankar_datum(3)).certificate
+
+    def test_the_defectless_kind_string_is_refused_as_its_member_is(self):
+        m = perfect_model(3)
+        for kind in ("defectless_value", ExtensionKind.DEFECTLESS_VALUE):
+            with pytest.raises(StructuralError, match="use DefectlessDatum"):
+                DefectDatum(name="d", kind=kind, base=m, degree=3,
+                            generator=abhyankar_root(m))
+
+    def test_a_subkind_string_is_analysed_as_its_member(self):
+        G = GroupDescriptor((Component.PDIV, Component.INT), 3)
+        fields = dict(name="as", group=G, q=2, star_index=1, x0_value=G.element(0, -1),
+                      residue_char=2)
+        given = DefectlessDatum(subkind="artin_schreier", **fields)
+        member = DefectlessDatum(subkind=DefectlessKind.ARTIN_SCHREIER, **fields)
+        assert given.subkind is DefectlessKind.ARTIN_SCHREIER and given == member
+        res = defectless_analyze(given)
+        assert res.case is DefectlessCase.DL2C
+        assert res.certificate == defectless_analyze(member).certificate
+
+    def test_other_values_raise_naming_the_field(self):
+        m = perfect_model(3)
+        for kind in ("as", "AS_DEFECT", 3, None):
+            with pytest.raises(StructuralError, match=r"^kind .* is not one of as_defect"):
+                DefectDatum(name="d", kind=kind, base=m, degree=3,
+                            generator=abhyankar_root(m))
+        G = GroupDescriptor((Component.PDIV,), 3)
+        for subkind in ("kummer", ExtensionKind.AS_DEFECT, None):
+            with pytest.raises(StructuralError, match=r"^subkind .* is not one of artin_"):
+                DefectlessDatum(name="d", group=G, q=2, star_index=0,
+                                x0_value=G.element(1), subkind=subkind)
+
+
 class TestDefectless:
     def test_dense_step_case(self):
         # vK = q * Z[1/p] inside vL = Z[1/p]: dense class, trivial H_E

@@ -75,7 +75,7 @@ from valcuts.segment import (
     Direction,
     IdealDescriptor,
     Segment,
-    coarsening_value_set,
+    coarsening,
     contains,
     element_cut,
     seq_cut,
@@ -989,8 +989,8 @@ class TestValueSet:
             res = sc.result(result)
             for name in names:
                 direct = self.direct(res, name)
-                want = (coarsening_value_set(direct) if name.startswith("coarse-ring")
-                        else direct.values)
+                want = (coarsening(direct.group, direct.level)[1].values
+                        if name.startswith("coarse-ring") else direct.values)
                 assert value_set(DEFINITIONS[name], sc.fmodel) == want, (
                     build.__name__, name)
                 # 0 lies in every ideal and ring

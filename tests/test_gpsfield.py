@@ -362,17 +362,23 @@ class TestSumAndTermOrder:
         assert cancelled >= 300  # coefficient sums that vanish mod p are exercised
 
     def test_exponents_from_two_groups_raise(self):
+        # the constructor checks every exponent against the model's group: one
+        # foreign term, and terms all of one foreign group, raise as a mix does
         m = perfect_model(3, rank=2)
         other = GroupDescriptor((Component.PDIV, Component.RAT), 3)
         one = m.residue.one()
         ours, theirs = m.value_group.element(1, 0), other.element(0, 1)
         for terms in (((ours, one), (theirs, one)), ((theirs, one), (ours, one)),
-                      ((ours, one), (ours + ours, one), (theirs, one))):
-            with pytest.raises(StructuralError, match="different group descriptors"):
+                      ((ours, one), (ours + ours, one), (theirs, one)),
+                      ((theirs, one),), ((theirs, one), (theirs + theirs, one)),
+                      ((Fraction(1), one),)):
+            with pytest.raises(StructuralError, match="different value group"):
                 SeriesElement(m, terms)
-        foreign = SeriesElement(m, ((theirs, one),))  # one term is never compared
-        with pytest.raises(StructuralError, match="different group descriptors"):
-            m.monomial(1, ours) + foreign
+        with pytest.raises(StructuralError, match="different value group"):
+            m.monomial(1, theirs)
+        # an equal group built apart is the same group
+        twin = GroupDescriptor(m.value_group.components, 3)
+        assert SeriesElement(m, ((twin.element(1, 0), one),)) == m.monomial(1, ours)
 
     def test_coefficient_from_another_field_raises_on_a_disjoint_exponent(self):
         # the constructor checks every coefficient, so no sum meets a foreign one
@@ -727,6 +733,13 @@ class TestValDiff:
                 built.clear()
                 val_diff(theta, b)
                 assert len(built) == k + 1
+
+    def test_an_operand_that_is_no_finite_series_of_the_model_raises(self):
+        m, other = perfect_model(3), perfect_model(3, name="L")
+        theta = abhyankar_root(m)
+        for c in (theta, PatternSeries(m, m.one(), ()), 5, GF(3).one(), other.one()):
+            with pytest.raises(StructuralError, match="finite series of theta's field model"):
+                val_diff(theta, c)
 
     def test_leading_tail_term(self):
         m = perfect_model(3)

@@ -37,7 +37,7 @@ from valcuts.prescribe import build, verify
 from valcuts.segment import (
     IdealDescriptor,
     Segment,
-    coarsening_value_set,
+    coarsening,
     contains,
     element_cut,
     is_subset,
@@ -234,7 +234,7 @@ class TestDefectlessPresentations:
         # with no discrete component the maximal ideal is never principal,
         # so the reported annihilator is never M_L
         G = GroupDescriptor((Component.PDIV,), 2)
-        m_l = IdealDescriptor.maximal_ideal(G)
+        m_l = coarsening(G, G.rank)[2]
         cases = []
         datum = DefectlessDatum(name="as", group=G, q=3, star_index=0,
                                 x0_value=G.element(-1),
@@ -426,7 +426,7 @@ class TestColonMeetsTheClosedForms:
     def test_the_annihilator_is_the_colon_met_with_the_ring(self):
         for res in random_results(random.Random(3302), 300):
             pres = present(res)
-            ring = IdealDescriptor.ring(pres.numerator.group).values
+            ring = coarsening(pres.numerator.group, pres.numerator.group.rank)[1].values
             col = colon(pres.power.values, pres.numerator.values)
             assert pres.is_zero is (pres.numerator == pres.power)
             want = col if segment.is_subset(col, ring) else ring
@@ -503,7 +503,7 @@ class TestColon:
             G = random_group(rng)
             inner, outer = self.final_cut(rng, G), self.final_cut(rng, G)
             assert is_subset(segment.sum(colon(outer, inner), inner), outer)
-            assert colon(inner, inner) == coarsening_value_set(ConvexSubgroup(G, inner.level))
+            assert colon(inner, inner) == coarsening(G, inner.level)[1].values
 
     def test_rejects_initial_cuts_and_other_groups(self):
         G = GroupDescriptor((Component.PDIV,), 2)
@@ -535,8 +535,7 @@ class TestTheCoreReadsTheCut:
             if rng.random() < 0.25:
                 cut = shift(cut, -cut.shift)
             num = IdealDescriptor(cut)
-            ring = IdealDescriptor.ring(G).values
-            maximal = IdealDescriptor.maximal_ideal(G).values
+            ring, maximal = [x.values for x in coarsening(G, G.rank)[1:]]
             for q in (2, 3, 5, 7):
                 pres = present_quotient(num, q, PresentationForm.RAM_QUOTIENT, "drawn")
                 power = num.power(q)

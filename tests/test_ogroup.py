@@ -14,14 +14,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from valcuts import segment
-from valcuts.errors import ConfigError, DegenerateInputError, StructuralError
+from valcuts.errors import ConfigError, StructuralError
 from valcuts.gpsfield import FieldModel, parse_element
 from valcuts.ogroup import (
     Component,
     ConvexSubgroup,
     GroupDescriptor,
-    archimedean_class_subgroups,
-    convex_subgroups,
     is_prime,
 )
 
@@ -30,6 +28,7 @@ from conftest import (
     grid_points,
     in_subgroup,
     is_principal_subgroup,
+    is_subprincipal_subgroup,
     is_trivial_subgroup,
     quotient_has_smallest_positive,
 )
@@ -367,19 +366,24 @@ class TestCompare:
             assert a <= c
 
 
+def convex_chain(g):
+    """H_0 > H_1 > ... > H_n, one ConvexSubgroup per level."""
+    return [ConvexSubgroup(g, k) for k in range(g.rank + 1)]
+
+
 class TestConvexSubgroups:
     def test_rank_one_chain(self):
         g = GroupDescriptor((Component.PDIV,), 2)
-        chain = convex_subgroups(g)
+        chain = convex_chain(g)
         assert [h.level for h in chain] == [0, 1]
         whole, trivial = chain
-        assert is_principal_subgroup(whole) and not whole.is_subprincipal
-        assert trivial.is_subprincipal and not is_principal_subgroup(trivial)
+        assert is_principal_subgroup(whole) and not is_subprincipal_subgroup(whole)
+        assert is_subprincipal_subgroup(trivial) and not is_principal_subgroup(trivial)
 
     def test_rank_two_proper_subgroups(self):
         g = zp2()
-        chain = convex_subgroups(g)
-        proper = [h for h in chain if h.is_subprincipal]
+        chain = convex_chain(g)
+        proper = [h for h in chain if is_subprincipal_subgroup(h)]
         assert [h.level for h in proper] == [1, 2]
         h1 = proper[0]
         # second-coordinate axis
@@ -388,12 +392,12 @@ class TestConvexSubgroups:
 
     def test_rank_three_all_proper_are_subprincipal(self):
         g = GroupDescriptor((Component.PDIV,) * 3, 2)
-        for h in convex_subgroups(g):
+        for h in convex_chain(g):
             if h.level != 0:
-                assert h.is_subprincipal
+                assert is_subprincipal_subgroup(h)
 
     def test_strict_descending_chain(self, pdiv2_rank2):
-        chain = convex_subgroups(pdiv2_rank2)
+        chain = convex_chain(pdiv2_rank2)
         pts = list(grid_points(pdiv2_rank2, 2, 1))
         for a, b in zip(chain, chain[1:]):
             sa = {x for x in pts if in_subgroup(a, x)}
@@ -463,32 +467,37 @@ class TestQuotientSmallestPositive:
         assert quotient_has_smallest_positive(g, h) is True
 
 
+def class_subgroups(x):
+    """The principal and subprincipal subgroups of x's archimedean class:
+    the levels of its leading index and the next."""
+    lead = x.leading_index()
+    return ConvexSubgroup(x.group, lead), ConvexSubgroup(x.group, lead + 1)
+
+
 class TestArchimedeanClass:
     def test_leading_index_zero(self):
         g = zp2()
-        pr, sub = archimedean_class_subgroups(g.unit(0))
+        pr, sub = class_subgroups(g.unit(0))
         assert (pr.level, sub.level) == (0, 1)
+        assert is_principal_subgroup(pr) and is_subprincipal_subgroup(sub)
+        assert in_subgroup(pr, g.unit(0)) and not in_subgroup(sub, g.unit(0))
 
     def test_leading_index_one(self):
         g = zp2()
-        pr, sub = archimedean_class_subgroups(g.unit(1))
+        pr, sub = class_subgroups(g.unit(1))
         assert (pr.level, sub.level) == (1, 2)
         assert is_trivial_subgroup(sub)
 
     def test_sign_and_scale_irrelevant(self):
         g = zp2()
         x = g.element(0, Fraction(-3, 4))
-        pr, sub = archimedean_class_subgroups(x)
+        pr, sub = class_subgroups(x)
         assert (pr.level, sub.level) == (1, 2)
-
-    def test_zero_rejected(self):
-        g = zp2()
-        with pytest.raises(DegenerateInputError):
-            archimedean_class_subgroups(g.zero())
+        assert in_subgroup(pr, x) and not in_subgroup(sub, x)
 
     @settings(max_examples=100, derandomize=True)
     @given(st.integers(-20, 20).filter(lambda n: n != 0), st.data())
     def test_invariant_under_integer_multiples(self, n, data):
         g = zp2()
         x = data.draw(coords_strategy(g).filter(lambda e: not e.is_zero))
-        assert archimedean_class_subgroups(x) == archimedean_class_subgroups(n * x)
+        assert class_subgroups(x) == class_subgroups(n * x)

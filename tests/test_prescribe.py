@@ -12,12 +12,12 @@ from valcuts.errors import InvalidSelectionError
 from valcuts.extension import classify
 from valcuts.formlang import DEFINITIONS, Truth, evaluate, membership, value_set
 from valcuts.gpsfield import PatternSeries, Tail
-from valcuts.ogroup import Component, ConvexSubgroup, GroupElement, convex_subgroups
+from valcuts.ogroup import Component, ConvexSubgroup, GroupElement
 from valcuts.prescribe import CharCase, build, verify
 from valcuts.scenarios import SCENARIOS, _generator_fmodel
-from valcuts.segment import coarsening_value_set, contains
+from valcuts.segment import coarsening, contains
 
-from conftest import rebuilt
+from conftest import is_subprincipal_subgroup, rebuilt
 
 
 class TestBuild:
@@ -137,8 +137,8 @@ class TestVerify:
         report = verify(plan, depth=6).to_json()
         assert report["chain_order_isomorphic"] and report["no_discrete_component"]
         # what the report asserts by construction
-        chain = convex_subgroups(plan.group)
-        assert all(chain[level].is_subprincipal for _, level in pairs)
+        assert all(is_subprincipal_subgroup(ConvexSubgroup(plan.group, level))
+                   for _, level in pairs)
         assert Component.INT not in plan.group.components
 
 
@@ -214,9 +214,8 @@ class TestPrescribedSubgroupsAreDefinable:
                 for w in plan.witnesses:
                     res = classify(w.datum)
                     fm = _generator_fmodel(plan.model, res, {})
-                    H_j = ConvexSubgroup(plan.group, w.level)
                     for name, want in (
-                            ("coarse-ring-as", coarsening_value_set(H_j)),
+                            ("coarse-ring-as", coarsening(plan.group, w.level)[1].values),
                             ("ram-ideal-as", res.ram_ideal.values),
                             ("max-ideal", res.max_ideal.values)):
                         compiled = value_set(DEFINITIONS[name], fm)

@@ -16,14 +16,12 @@ from valcuts.ogroup import (
     Component,
     ConvexSubgroup,
     GroupDescriptor,
-    archimedean_class_subgroups,
 )
 from valcuts.segment import (
     CutKind,
     Direction,
     IdealDescriptor,
     Segment,
-    coarsening_value_set,
     contains,
     element_cut,
     invariance_group,
@@ -333,7 +331,7 @@ class TestOneStepBuilders:
             for direction in Direction:
                 for start in (-2, 1, 3):
                     if scale.sign() > 0:
-                        _, sub = archimedean_class_subgroups(scale)
+                        sub = ConvexSubgroup(G, scale.leading_index() + 1)
                         want = subgroup_cut(sub, shift=limit, direction=direction)
                         levels.add((G.rank, sub.level))
                     else:
@@ -370,19 +368,20 @@ class TestOneStepBuilders:
         for _ in range(60):
             G = random_group(rng)
             twin = GroupDescriptor(G.components, G.prime)
-            ring, m = IdealDescriptor.ring(G), IdealDescriptor.maximal_ideal(G)
+            _, ring, m = sg.coarsening(G, G.rank)
             assert ring == IdealDescriptor(element_cut(G.zero(), closed=True))
             assert m == IdealDescriptor(element_cut(G.zero(), closed=False))
-            assert IdealDescriptor.ring(G) is ring and IdealDescriptor.maximal_ideal(G) is m
+            assert sg.coarsening(G, G.rank)[1] is ring and sg.coarsening(G, G.rank)[2] is m
             # an equal group keeps its own, equal values
-            assert IdealDescriptor.ring(twin) == ring and IdealDescriptor.ring(twin) is not ring
-            assert IdealDescriptor.maximal_ideal(twin) == m
+            _, twin_ring, twin_m = sg.coarsening(twin, twin.rank)
+            assert twin_ring == ring and twin_ring is not ring
+            assert twin_m == m
 
 
 class TestLevelTable:
     """`coarsening(G, k)` is level k of G's table, (H_k, O(H_k), M_k): built
-    when first read, kept on G, and read by `invariance_group`,
-    `invariance_ring`, `coarsening_value_set` and the ring and maximal ideal."""
+    when first read, kept on G, and read by `invariance_group` and
+    `invariance_ring`."""
 
     def test_every_level_equals_its_checked_construction(self):
         rng = random.Random(3304)
@@ -405,10 +404,7 @@ class TestLevelTable:
                 again = sg.coarsening(G, k)
                 assert again is entry and all(a is b for a, b in zip(again, entry))
                 assert invariance_group(Segment(Direction.INITIAL, k, zero, False)) is H
-                assert coarsening_value_set(ConvexSubgroup(G, k)) is ring.values
                 seen.add((G.rank, G.components[k - 1]))
-            assert IdealDescriptor.ring(G) is sg.coarsening(G, G.rank)[1]
-            assert IdealDescriptor.maximal_ideal(G) is sg.coarsening(G, G.rank)[2]
             with pytest.raises(DegenerateInputError):
                 sg.coarsening(G, 0)
             assert 0 not in G._levels
@@ -696,14 +692,13 @@ class TestSubset:
 
 class TestIdeals:
     def test_unit_ideal_and_maximal_ideal(self):
-        ring = IdealDescriptor.ring(ZP1)
-        m = IdealDescriptor.maximal_ideal(ZP1)
+        _, ring, m = sg.coarsening(ZP1, ZP1.rank)
         assert is_principal_ideal(ring)
         assert not is_principal_ideal(m)
         assert m.values.kind is CutKind.SUBGROUP
 
     def test_maximal_ideal_discrete_is_principal(self):
-        m = IdealDescriptor.maximal_ideal(ZINT)
+        m = sg.coarsening(ZINT, ZINT.rank)[2]
         assert is_principal_ideal(m)
         assert m.values == element_cut(ZINT.element(1))
 
@@ -749,7 +744,7 @@ class TestIdeals:
 
     def test_coarsening_value_set(self):
         h1 = ConvexSubgroup(ZP2, 1)
-        s = coarsening_value_set(h1)
+        s = sg.coarsening(h1.group, h1.level)[1].values
         assert contains(s, ZP2.element(0, -5))   # inside H
         assert contains(s, ZP2.element(1, -5))   # above H
         assert not contains(s, ZP2.element(-1, 5))

@@ -270,8 +270,7 @@ def test_a_group_keeping_its_values_behaves_as_an_empty_one():
 
     full = ogroup.GroupDescriptor(("int", "pdiv"), 3)
     empty = ogroup.GroupDescriptor(("int", "pdiv"), 3)
-    values = (full.zero(), segment.IdealDescriptor.ring(full),
-              segment.IdealDescriptor.maximal_ideal(full))
+    values = (full.zero(), *segment.coarsening(full, full.rank)[1:])
     levels = [segment.coarsening(full, k) for k in (1, 2)]
     assert kept(full) == (True, [1, 2]) and kept(empty) == (False, [])
     assert full == empty and empty == full and hash(full) == hash(empty)
@@ -287,8 +286,7 @@ def test_a_group_keeping_its_values_behaves_as_an_empty_one():
     for level in levels:
         again = pickle.loads(pickle.dumps(level))
         assert again == level and kept(again[0].group) == (False, [])
-    assert segment.IdealDescriptor.ring(full) is values[1] is levels[1][1]
-    assert segment.IdealDescriptor.maximal_ideal(full) is values[2] is levels[1][2]
+    assert values[1] is levels[1][1] and values[2] is levels[1][2]
     assert [segment.coarsening(full, k) for k in (1, 2)] == levels
     assert all(segment.coarsening(full, k) is levels[k - 1] for k in (1, 2))
 
