@@ -449,6 +449,15 @@ class PatternSeries(_Frozen):
             self.model, self.finite_part.frobenius(),
             tuple([Tail._from_fields(t.coeff, t.gamma, t.start - 1) for t in self.tails]))
 
+    def artin_schreier(self, c: SeriesElement) -> SeriesElement:
+        """theta^p - theta - c, a finite series: the Frobenius fixes the F_p
+        coefficients and starts each merged tail one place earlier, so a tail
+        of theta^p less the same tail of theta is its first term."""
+        F = self.finite_part
+        F._check(c)
+        return F.frobenius()._plus([(e, -a) for e, a in F.terms + c.terms]
+                                   + [(t.exponent(t.start - 1), t.coeff) for t in self.tails])
+
     def pow_char_power(self, n: int) -> "PatternSeries":
         """n-th power for n a power of the characteristic (via Frobenius)."""
         p = self.model.char
@@ -498,6 +507,8 @@ def val_diff(theta: PatternSeries, c: SeriesElement) -> GroupElement:
     at most, and each term is visited once.  theta needs a tail with negative
     base exponent, and c must be a SeriesElement of theta's model.
     """
+    if theta.__class__ is not PatternSeries:   # read first: anything else has no model
+        raise StructuralError("val_diff needs a pattern theta")
     if c.__class__ is not SeriesElement or c.model != theta.model:
         raise StructuralError("val_diff needs a finite series of theta's field model")
     heads = [[t.exponent(t.start), t.coeff.value] for t in _leading_tails(theta)]
@@ -541,22 +552,26 @@ def approach_segment(theta: PatternSeries, K: FieldModel, depth: int = 12) -> Ap
     if not leading:
         raise NotImmediateError("tail exponents decrease; v(theta - K) has a maximum")
     gamma_min = leading[0].gamma
+    group, nums, p = gamma_min.group, gamma_min.nums, theta.model.char
+    content, e = gcd(*nums), 0   # p^e divides every numerator of gamma_min
+    while content % p == 0:
+        content, e = content // p, e + 1
     schedule = []
     starts = [t.start for t in leading]
     k = max(0, min(starts) - 1)
-    # the minimum is taken while a leading tail waits at its start, and at the
-    # first k past every start, whose value may repeat the last waiting one
-    last_start = max(starts)
-    while k < last_start and len(schedule) < depth:
+    # the minimum is taken while a leading tail waits at its start, at the first k
+    # past every start, whose value may repeat the last waiting one, and while k < e
+    closed = max(*starts, e)   # the first k of the closed form
+    while k < closed and len(schedule) < depth:
         value = min([t.exponent(max(k + 1, t.start)) for t in leading])
         if not schedule or schedule[-1] != value:
             schedule.append(value)
         k += 1
-    group, nums, p = gamma_min.group, gamma_min.nums, theta.model.char
-    den = gamma_min.den * p**k
+    # then gamma_min / p^(k+1) is in lowest terms once p^e is struck from it
+    nums, den = tuple([n // p**e for n in nums]), gamma_min.den * p**max(k - e, 0)
     for _ in range(depth - len(schedule)):
         den *= p
-        schedule.append(GroupElement(group, nums, den))
+        schedule.append(GroupElement._from_fields(group, nums, den))
     # seq_cut(0, -gamma_min) in one step: the open initial cut at 0 over the
     # subprincipal subgroup of gamma_min's class, which a tail's base exponent
     # makes p-divisible, so dense, and the zero shift is canonical

@@ -21,9 +21,10 @@ once, when built (`require_p_divisible`), and divides it unchecked after.
 from __future__ import annotations
 
 import sys
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal
 from enum import Enum
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, log
 from operator import add, sub
 from types import FunctionType, MemberDescriptorType
 
@@ -315,7 +316,7 @@ class GroupElement(_Frozen):
         self.__post_init__()
 
     def __post_init__(self):
-        # every construction passes through here: reduce to lowest terms
+        # every constructor call ends here: reduce to lowest terms (`_from_fields` needs them)
         den = self.den
         if den != 1:
             g = gcd(den, *self.nums)
@@ -338,13 +339,19 @@ class GroupElement(_Frozen):
         den = self.den
         if den == 1:
             return [str(n) for n in self.nums]
+        p = self.group.prime
+        q, last, _, power = _last_power
+        if last != den or q != p:
+            power = _power_string(p, den)
         out = []
         for n in self.nums:
-            if n:
+            if not n:
+                out.append("0")
+            elif power is not None and n % p:
+                out.append(f"{n}/{power}")
+            else:
                 g = gcd(n, den)
                 out.append(str(n // g) if g == den else f"{n // g}/{den // g}")
-            else:
-                out.append("0")
         return out
 
     def __eq__(self, other) -> bool:
@@ -466,6 +473,29 @@ class GroupElement(_Frozen):
 
 
 _ge_group, _ge_nums, _ge_den, _ge_coords = _slot_setters(GroupElement, *GroupElement.__slots__)
+
+_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
+_multiply, _power = _EXACT.multiply, _EXACT.power   # bound once: the lookup costs a product
+_last_power = (0, 1, Decimal(1), "1")   # p, p^k, p^k as a Decimal, str(p^k)
+
+
+def _power_string(p: int, den: int) -> str | None:
+    """str(den) if den is a power of p, over which a numerator prime to p is in
+    lowest terms, else None.  The last power written is kept, replaced whole: a
+    thread can only miss its reuse.  str(int) is quadratic in the digits, Decimal
+    linear: the last power times p is one decimal product, any other p^k raised."""
+    global _last_power
+    q, power, digits, _ = _last_power
+    if q == p and power * p == den:
+        digits = _multiply(digits, p)
+    else:
+        k = round(log(den, p))
+        if p**k != den:
+            return None
+        digits = _power(p, k)
+    text = str(digits)
+    _last_power = (p, den, digits, text)
+    return text
 
 
 class ConvexSubgroup(_Frozen):

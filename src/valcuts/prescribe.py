@@ -15,6 +15,7 @@ VERIFIED positive checks from DECLARED negative ones.
 from __future__ import annotations
 
 from enum import Enum
+from itertools import zip_longest
 
 from .errors import InvalidSelectionError
 from .extension import (
@@ -88,7 +89,9 @@ def build(n: int, selected, p: int, char_case: CharCase = CharCase.EQUAL) -> Con
                                 degree=p, generator=sched)
             witnesses.append(Witness(j, "declared", datum))
         else:
-            theta = PatternSeries(model, zero, (Tail(one, group.unit(j - 1, -1), 1),))
+            # one tail, nonzero, over a p-divisible class: no check or merge can fail
+            theta = PatternSeries._from_fields(
+                model, zero, (Tail._from_fields(one, group.unit(j - 1, -1), 1),))
             datum = DefectDatum(name=f"level{j}_root_of_X^p-X-1/t_{j - 1}",
                                 kind=ExtensionKind.AS_DEFECT, base=model,
                                 degree=p, generator=theta)
@@ -118,6 +121,13 @@ class VerificationReport(_Frozen):
         return all(w.passed for w in self.witnesses)
 
     def to_json(self) -> dict:
+        # value i of every schedule is over p^(i + 1): walked across the witnesses,
+        # each power of p is written once (ogroup._power_string keeps the last)
+        schedules = [[] for _ in self.witnesses]
+        for values in zip_longest(*[w.schedule for w in self.witnesses]):   # None pads
+            for v, out in zip(values, schedules):
+                if v is not None:
+                    out.append(v.coord_strings())
         return {
             "index_size": self.plan.index_size,
             "selected": sorted(self.plan.selected),
@@ -126,20 +136,17 @@ class VerificationReport(_Frozen):
             "witnesses": [
                 {"level": w.level, "passed": w.passed, "found_level": w.found_level,
                  "defect": w.defect_kind, "identity_checked": w.identity_checked,
-                 "schedule": [v.coord_strings() for v in w.schedule],
-                 "status": "VERIFIED"}
-                for w in self.witnesses
+                 "schedule": schedule, "status": "VERIFIED"}
+                for w, schedule in zip(self.witnesses, schedules)
             ],
             "exclusions": [
                 {"level": e.level, "note": e.note, "status": "DECLARED"}
                 for e in self.exclusions
             ],
-            # build() uses p-divisible components only, and level i + 1 of such
-            # a group is subprincipal and shrinks as i grows: both hold by
-            # construction
-            "chain_order_isomorphic": True,
+            # each witness was classified onto the subprincipal level built for it
+            "chain_order_isomorphic": all(w.found_level == w.level for w in self.witnesses),
             "chain_bijection": [list(pair) for pair in self.plan.chain_bijection()],
-            "no_discrete_component": True,
+            "no_discrete_component": Component.INT not in self.plan.group.components,
             "passed": self.passed,
         }
 
@@ -148,10 +155,8 @@ def _check_witness_identity(plan: ConstructionPlan, witness: Witness) -> bool:
     """theta^p - theta - 1/t = 0, exactly, for pattern witnesses."""
     if witness.kind != "pattern":
         return False
-    theta = witness.datum.generator
     one_over_t = plan.model.monomial(1, plan.group.unit(witness.level - 1, -1))
-    residue = theta.frobenius() - theta - one_over_t
-    return not residue.has_tails and residue.as_series().is_zero
+    return witness.datum.generator.artin_schreier(one_over_t).is_zero
 
 
 def verify(plan: ConstructionPlan, depth: int = 10) -> VerificationReport:

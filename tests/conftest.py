@@ -10,7 +10,7 @@ import pytest
 
 from valcuts import cli, scenarios
 from valcuts.errors import StructuralError
-from valcuts.ogroup import Component, GroupDescriptor
+from valcuts.ogroup import Component, GroupDescriptor, GroupElement
 
 # Built once: jsonschema.validate would re-check the schema itself on every call.
 _REPORT_VALIDATOR = jsonschema.Draft202012Validator(cli.REPORT_SCHEMA)
@@ -192,6 +192,26 @@ def rebuilt(value, **changes):
     starting with none of its kept caches."""
     fields = {name: getattr(value, name) for name in value._fields}
     return type(value)(**{**fields, **changes})
+
+
+def count_element_builds(monkeypatch, record) -> None:
+    """Call record(element) on every GroupElement built from here on: through
+    the constructor, which ends in `__post_init__`, or unchecked through
+    `_from_fields`."""
+    GroupElement._from_fields(GroupDescriptor((Component.INT,), 2), (0,), 1)   # make it
+    post_init, from_fields = GroupElement.__post_init__, GroupElement._from_fields.__func__
+
+    def counting_post_init(self):
+        record(self)
+        post_init(self)
+
+    def counting_from_fields(cls, *fields):
+        element = from_fields(cls, *fields)
+        record(element)
+        return element
+
+    monkeypatch.setattr(GroupElement, "__post_init__", counting_post_init)
+    monkeypatch.setattr(GroupElement, "_from_fields", classmethod(counting_from_fields))
 
 
 def counted_draws(monkeypatch) -> list:

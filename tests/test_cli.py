@@ -14,6 +14,7 @@ import shlex
 import subprocess
 import sys
 import tempfile
+from collections import OrderedDict
 from enum import Enum
 from fractions import Fraction
 
@@ -1156,6 +1157,29 @@ class Kind(str, Enum):
     é = "é"
 
 
+# subclasses of the classes the writer tells apart by class: json tests them
+# with isinstance, so they must go through the same tests
+class ListOf(list):
+    pass
+
+
+class TupleOf(tuple):
+    pass
+
+
+class DictOf(dict):
+    pass
+
+
+class StrOf(str):
+    pass
+
+
+class IntOf(int):
+    def __repr__(self):   # json writes int.__repr__, not the subclass's
+        return "IntOf"
+
+
 JSON_SCALARS = st.one_of(
     st.none(), st.booleans(), st.integers(), st.integers(min_value=10**40),
     st.integers(max_value=-10**40), st.floats(allow_nan=False, allow_infinity=False),
@@ -1180,11 +1204,18 @@ class TestWriter:
     @pytest.mark.parametrize("x", [
         [], {}, [[], {}, ()], {"": {"": []}}, "\u2028\x00\"\\/\ud800", -0.0, 1e300, 5e-324,
         10**400, {2: "b", 10: "a"}, {1.5: 0, -2.0: 1}, {None: 0}, {True: 0, False: 1},
-        {Kind.alpha: Kind.é, "b": [Kind.alpha]}, float("nan"), [float("inf"), -float("inf")]])
+        {Kind.alpha: Kind.é, "b": [Kind.alpha]}, float("nan"), [float("inf"), -float("inf")],
+        ListOf(), ListOf([StrOf("a"), 1, ListOf(["b"])]), TupleOf(), TupleOf(("a", TupleOf())),
+        DictOf(), DictOf(b=StrOf("x\n"), a=IntOf(3)), {StrOf("k"): StrOf("v"), "j": DictOf()},
+        StrOf("\u00e9\""), IntOf(-7), [IntOf(0), {"n": IntOf(10**30)}], {IntOf(2): "two"},
+        OrderedDict(), OrderedDict([("b", [1, "c"]), ("a", OrderedDict(z="y"))])])
     def test_same_text_at_the_edges(self, x):
         assert written(x) == json.dumps(x, sort_keys=True, indent=2)
 
-    @pytest.mark.parametrize("x", [{(1,): 0}, {1: 0, "a": 1}, [object()], {"a": {1, 2}}])
+    @pytest.mark.parametrize("x", [
+        {(1,): 0}, {1: 0, "a": 1}, [object()], {"a": {1, 2}}, ListOf([object()]),
+        TupleOf(({1},)), DictOf({(1,): 0}), DictOf(a=object()), OrderedDict(a=1, b=b"x"),
+        {StrOf("a"): 1, 2: 0}])
     def test_same_error(self, x):
         with pytest.raises(TypeError) as want:
             json.dumps(x, sort_keys=True, indent=2)

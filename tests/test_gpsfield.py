@@ -27,6 +27,8 @@ from valcuts.residue import GF
 from valcuts.scenarios import example_e1
 from valcuts.segment import CutKind, Direction, contains, seq_cut
 
+from conftest import count_element_builds
+
 
 def perfect_model(p: int, rank: int = 1, name: str | None = None) -> FieldModel:
     group = GroupDescriptor((Component.PDIV,) * rank, p)
@@ -143,13 +145,7 @@ class TestSeriesArithmetic:
 def counting_elements(monkeypatch) -> list:
     """The list that every GroupElement built from now on is appended to."""
     built = []
-    check = GroupElement.__post_init__
-
-    def counting(self):
-        built.append(self)
-        check(self)
-
-    monkeypatch.setattr(GroupElement, "__post_init__", counting)
+    count_element_builds(monkeypatch, built.append)
     return built
 
 
@@ -401,6 +397,20 @@ class TestPatternSeries:
         theta = abhyankar_root(m)
         lhs = theta.frobenius() - theta - parse_element(m, "t^-1")
         assert not lhs.has_tails and lhs.as_series().is_zero
+
+    def test_artin_schreier_is_the_frobenius_minus_self_minus_c(self):
+        # the telescoped tails give what the merge of the two differences gives,
+        # c meeting F or not
+        rng = random.Random(4702)
+        for m, finite, tails in seeded_patterns(rng):
+            theta = PatternSeries(m, finite, tails)
+            extra = random_series(rng, m, rng.randint(1, 3))
+            for c in (m.zero(), m.one(), extra, finite, -finite, finite + extra):
+                assert theta.artin_schreier(c) == (theta.frobenius() - theta - c).as_series()
+        theta = abhyankar_root(perfect_model(3))
+        for c in (perfect_model(5).one(), perfect_model(3, 2).one(), 1, theta):
+            with pytest.raises(StructuralError, match="different field models"):
+                theta.artin_schreier(c)
 
     def test_frobenius_minus_self_telescopes(self):
         m = perfect_model(3)
@@ -739,6 +749,10 @@ class TestValDiff:
         theta = abhyankar_root(m)
         for c in (theta, PatternSeries(m, m.one(), ()), 5, GF(3).one(), other.one()):
             with pytest.raises(StructuralError, match="finite series of theta's field model"):
+                val_diff(theta, c)
+        # theta is read before c: a series or an int as theta raises as well
+        for theta, c in ((m.one(), m.one()), (5, m.one())):
+            with pytest.raises(StructuralError, match="needs a pattern theta"):
                 val_diff(theta, c)
 
     def test_leading_tail_term(self):

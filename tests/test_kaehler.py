@@ -32,7 +32,7 @@ from valcuts.kaehler import (
     present,
     present_quotient,
 )
-from valcuts.ogroup import Component, ConvexSubgroup, GroupDescriptor, GroupElement
+from valcuts.ogroup import Component, ConvexSubgroup, GroupDescriptor
 from valcuts.prescribe import build, verify
 from valcuts.segment import (
     IdealDescriptor,
@@ -47,6 +47,7 @@ from valcuts.segment import (
 )
 
 from conftest import (
+    count_element_builds,
     grid_points,
     is_canonical,
     random_cut,
@@ -556,17 +557,16 @@ class TestTheCoreReadsTheCut:
 
     @staticmethod
     def counted_builds(monkeypatch) -> dict:
-        """Counts of the GroupElements and Segments built from here on.  Every
-        GroupElement passes through `__post_init__`, where perfbench counts
-        it; a Segment through its constructor or `_from_fields`."""
+        """Counts of the GroupElements and Segments built from here on: a
+        GroupElement through its constructor or `_from_fields`
+        (`count_element_builds`), a Segment through its constructor or
+        `_from_fields`."""
         counts = {"elements": 0, "segments": 0}
         negate(element_cut(GroupDescriptor((Component.INT,), 2).zero()))  # make _from_fields
-        post_init, init = GroupElement.__post_init__, Segment.__init__
-        from_fields = Segment._from_fields.__func__
+        init, from_fields = Segment.__init__, Segment._from_fields.__func__
 
-        def counting_post_init(self):
+        def counting_element(element):
             counts["elements"] += 1
-            post_init(self)
 
         def counting_init(self, *args):
             counts["segments"] += 1
@@ -576,7 +576,7 @@ class TestTheCoreReadsTheCut:
             counts["segments"] += 1
             return from_fields(cls, *fields)
 
-        monkeypatch.setattr(GroupElement, "__post_init__", counting_post_init)
+        count_element_builds(monkeypatch, counting_element)
         monkeypatch.setattr(Segment, "__init__", counting_init)
         monkeypatch.setattr(Segment, "_from_fields", classmethod(counting_from_fields))
         return counts

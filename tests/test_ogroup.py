@@ -6,6 +6,7 @@ import copy
 import itertools
 import pickle
 import random
+import sys
 from fractions import Fraction
 from math import gcd
 
@@ -20,6 +21,7 @@ from valcuts.ogroup import (
     Component,
     ConvexSubgroup,
     GroupDescriptor,
+    GroupElement,
     is_prime,
 )
 
@@ -222,6 +224,48 @@ class TestRepresentation:
                 coords = [Fraction(rng.choice((0, 0, rng.randint(-p**(k + 1), p**(k + 1)))),
                                    p**rng.randint(0, k)) for _ in range(rank)]
                 assert g.element(*coords).coord_strings() == [str(c) for c in coords]
+
+    def test_coord_strings_agree_with_fraction_on_every_class(self):
+        # numerators with and without factors of p, over denominators of
+        # int, pdiv and rat classes: a power of p is written from the last
+        # power written, so the powers go up by p, repeat, jump, fall back
+        # and change prime, past Python's 4,300-digit limit on str(int)
+        rng = random.Random(47)
+        checked = 0
+        for p in (2, 3, 5, 7):
+            for rank in range(1, 5):
+                for kinds in itertools.product(Component, repeat=rank):
+                    g = GroupDescriptor(kinds, p)
+                    for _ in range(3):
+                        coords = []
+                        for kind in kinds:
+                            n = rng.choice((0, rng.randint(-60, 60))) * p**rng.randint(0, 3)
+                            coords.append(n if kind is Component.INT else Fraction(
+                                n, p**rng.randint(0, 14) if kind is Component.PDIV
+                                else rng.randint(1, 90)))
+                        assert g.element(*coords).coord_strings() == [str(c) for c in coords]
+                        checked += 1
+        limited = hasattr(sys, "set_int_max_str_digits")   # absent before 3.10.7
+        limit = sys.get_int_max_str_digits() if limited else None
+        if limited:
+            sys.set_int_max_str_digits(0)
+        try:
+            seven = GroupDescriptor((Component.PDIV, Component.RAT), 7)
+            three = GroupDescriptor((Component.PDIV,), 3)
+            ks = [*range(1, 30), 29, 31, 2, 4299, 4300, 5199, 5200, 5200, 12, 5200, 5201]
+            for k in ks:
+                for nums in ((-1, 0), (-1, 7**3), (7 * 2, 5), (0, -7**k)):
+                    x = GroupElement(seven, nums, 7**k)
+                    assert x.coord_strings() == [str(Fraction(n, 7**k)) for n in nums], k
+                    checked += 1
+                y = GroupElement(three, (2,), 3**k * 2)   # a denominator no power of p
+                assert y.coord_strings() == [str(Fraction(2, 3**k * 2))]
+                checked += 1
+            assert len(str(7**5200)) > 4300
+        finally:
+            if limited:
+                sys.set_int_max_str_digits(limit)
+        assert checked == 3 * 4 * (3 + 9 + 27 + 81) + 5 * len(ks)
 
     @settings(max_examples=300, derandomize=True)
     @given(st.data())

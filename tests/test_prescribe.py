@@ -12,8 +12,8 @@ from valcuts.errors import InvalidSelectionError
 from valcuts.extension import classify
 from valcuts.formlang import DEFINITIONS, Truth, evaluate, membership, value_set
 from valcuts.gpsfield import PatternSeries, Tail
-from valcuts.ogroup import Component, ConvexSubgroup, GroupElement
-from valcuts.prescribe import CharCase, build, verify
+from valcuts.ogroup import Component, ConvexSubgroup, GroupDescriptor, GroupElement
+from valcuts.prescribe import CharCase, VerificationReport, build, verify
 from valcuts.scenarios import SCENARIOS, _generator_fmodel
 from valcuts.segment import coarsening, contains
 
@@ -144,8 +144,7 @@ class TestVerify:
 
 class TestTheWitnessIdentity:
     def test_every_pattern_witness_checks_its_identity(self):
-        # theta^p - theta - 1/t is a pattern difference and then a series
-        # difference, each built without a negated copy
+        # theta^p - theta - 1/t, a finite series (PatternSeries.artin_schreier)
         for n, p in itertools.product(range(1, 7), (2, 3, 5, 7)):
             report = verify(build(n, range(1, n + 1), p), depth=6)
             assert report.passed and len(report.witnesses) == n
@@ -179,6 +178,19 @@ class TestOnlyWrittenCertificatesAreFormatted:
         assert [(w["level"], w["schedule"]) for w in data["witnesses"]] == [
             (j + 1, [unit(j, f"-1/{3 ** (k + 1)}") for k in range(8)]) for j in range(3)]
 
+    def test_schedules_of_unequal_length_are_written_whole(self, formatted):
+        # to_json walks the schedules index by index; a shorter one ends early
+        report = verify(build(3, [1, 2, 3], 3), depth=8)
+        for lengths in ((0, 3, 8), (8, 0, 1), (2, 2, 0), (0, 0, 0)):
+            witnesses = tuple(rebuilt(w, schedule=w.schedule[:n])
+                              for w, n in zip(report.witnesses, lengths))
+            data = VerificationReport(report.plan, witnesses, report.exclusions).to_json()
+            assert [w["schedule"] for w in data["witnesses"]] == [
+                [v.coord_strings() for v in w.schedule] for w in witnesses]
+            assert [len(w["schedule"]) for w in data["witnesses"]] == list(lengths)
+        data = VerificationReport(report.plan, (), report.exclusions).to_json()
+        assert data["witnesses"] == [] and data["chain_order_isomorphic"] is True
+
     def test_scenario_builds_format_nothing(self, formatted):
         for name, scenario in SCENARIOS.items():
             scenario(3 if name in ("abhyankar", "kummer-mixed") else 2, depth=20)
@@ -195,6 +207,20 @@ class TestFailureSurface:
         assert not report.passed
         (w,) = report.witnesses
         assert (w.level, w.found_level, w.passed) == (2, 1, False)
+        data = report.to_json()
+        assert (data["passed"], data["chain_order_isomorphic"]) == (False, False)
+        assert data["no_discrete_component"] is True
+
+    def test_a_discrete_class_in_the_plan_group_is_reported(self):
+        # the flag reads the plan's group: a plan over an int class says so
+        plan = build(2, {1, 2}, 3)
+        report = verify(plan, depth=4)
+        assert report.to_json()["no_discrete_component"] is True
+        for components in ((Component.INT, Component.PDIV), (Component.PDIV, Component.INT)):
+            discrete = rebuilt(plan, group=GroupDescriptor(components, 3))
+            data = VerificationReport(discrete, report.witnesses, report.exclusions).to_json()
+            assert (data["no_discrete_component"], data["chain_order_isomorphic"]) == (
+                False, True)
 
 
 class TestPrescribedSubgroupsAreDefinable:
