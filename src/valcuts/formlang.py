@@ -631,6 +631,11 @@ class FormulaModel(_Frozen):
         answers from what was compiled (_compiled)."""
         return {}
 
+    @cached_property
+    def compiled_answers(self) -> dict:
+        """The caller's formula, text or tree -> (variable, answer, term) (_compiled_answer)."""
+        return {}
+
     def _witnesses(self):
         """The approximants b_k of each distinguished element, then 0 and the
         monomials t^(n / p^d) in the last coordinate, built on integers as
@@ -1145,7 +1150,9 @@ def _bound_carrier(name: str, value):
         return value.carrier
     if isinstance(value, (SeriesElement, PatternSeries)):
         return value
-    raise EvaluationUnsupported(f"{name} is value-only")
+    if isinstance(value, DeclaredValue):
+        raise EvaluationUnsupported(f"{name} is value-only")
+    raise StructuralError(f"{name} is bound to {value!r}, which is no element of L")
 
 
 def _bound_valuation(name: str, value):
@@ -1326,11 +1333,11 @@ def free_variables(node) -> frozenset:
 def evaluate(phi, fmodel: FormulaModel, bindings: dict | None = None) -> EvalResult:
     """Three-valued evaluation; exact where the segment oracle applies.  With one
     binding it may be read off a value set compiled once per model."""
-    ast = _parse_text(phi) if isinstance(phi, str) else phi
     if bindings and len(bindings) == 1:
-        answer = _compiled_answer(ast, fmodel, bindings)   # the names are checked when compiled
+        answer = _compiled_answer(phi, fmodel, bindings)   # the names are checked when compiled
         if answer is not None:
             return answer
+    ast = _parse_text(phi) if isinstance(phi, str) else phi
     bindings = bindings or {}
     _check_bound(ast, fmodel, bindings)
     ev = _Evaluator(fmodel, bindings)
@@ -1339,18 +1346,30 @@ def evaluate(phi, fmodel: FormulaModel, bindings: dict | None = None) -> EvalRes
     return EvalResult(value, mode, ev.witness, ev.candidates_used)
 
 
-def _compiled_answer(ast, fmodel: FormulaModel, bindings: dict) -> EvalResult | None:
-    """evaluate's result, read from what was compiled of ast for the one binding
-    at the finite valuation of the term it reads; None, for a walk, when either
-    is missing.  When that term is the bound name, its valuation is read from
-    the binding (_bound_valuation); a walker is built only to value another."""
+def _compiled_answer(phi, fmodel: FormulaModel, bindings: dict) -> EvalResult | None:
+    """evaluate's result, read from what was compiled of phi as given for the one
+    binding at the finite valuation of the term it reads; None, for a walk, when
+    either is missing.  term None is the bound name, whose valuation is read from
+    the binding; a walker is built only to value another term."""
     (name, carrier), = bindings.items()
-    _values, answer, term = _compiled(ast, fmodel, name)
+    entry = fmodel.compiled_answers.get(phi)
+    if entry is None or entry[0] != name:
+        _values, answer, term = _compiled(
+            _parse_text(phi) if isinstance(phi, str) else phi, fmodel, name)
+        entry = fmodel.compiled_answers[phi] = (
+            name, answer, None if term.__class__ is Var else term)
+    _name, answer, term = entry
     if not answer:
         return None
     try:
-        w = (_bound_valuation(name, carrier) if term.__class__ is Var
-             else _Evaluator(fmodel, bindings).term_valuation(term))
+        if term is not None:
+            w = _Evaluator(fmodel, bindings).term_valuation(term)
+        elif carrier.__class__ is SeriesElement:
+            w = carrier.valuation()
+        elif carrier.__class__ is DeclaredValue:
+            w = carrier.valuation
+        else:
+            w = _bound_valuation(name, carrier)
     except EvaluationUnsupported:
         return None
     return None if w is INF else answer(w)
@@ -1371,28 +1390,37 @@ def _compiled(ast, fmodel: FormulaModel, var: str):
         if var in fmodel.names or _binds(ast, var):
             pass   # the walk reads var as the model or a quantifier binds it
         elif values is not None and not ev.bounded_used:
-            answers = (EvalResult(Truth.FALSE, "oracle"), EvalResult(Truth.TRUE, "oracle"))
-            answer = partial(_member_answer, values, answers)   # a partial pickles
+            answer = _member_kernel(values)
         else:
             answer, term = _first_stops(ast, ev, var) or (answer, term)
         entry = fmodel.value_sets[ast, var] = values, answer, term
     return entry
 
 
-def _member_answer(values, answers: tuple, w) -> EvalResult:
-    """answers[1] when w lies in the value set, else answers[0]: the test of
-    segment.contains, with its foreign-group error, in this one call."""
+def _member_kernel(values):
+    """answer(w) by membership of w in the value set: a partial, which pickles, of
+    _member_answer over the cut's integers, or of _first_stop with one result."""
+    false, true = EvalResult(Truth.FALSE, "oracle"), EvalResult(Truth.TRUE, "oracle")
     if values.__class__ is bool:
-        return answers[values]
+        return partial(_first_stop, bisect_left, (), (true if values else false,))
     d = values.shift
-    if w.group is not d.group and w.group != d.group:
+    return partial(_member_answer, d.group, d.nums[:values.level], d.den,
+                   values.direction is Direction.FINAL, true, false,
+                   true if values.closed else false)
+
+
+def _member_answer(group, nums: tuple, den: int, final: bool, inside: EvalResult,
+                   outside: EvalResult, at: EvalResult, w) -> EvalResult:
+    """segment.contains of w, with its foreign-group error, answered inside,
+    outside or at the shift through the level (nums over den)."""
+    if w.group is not group and w.group != group:
         raise StructuralError("element belongs to a different group descriptor")
-    wd, dd = w.den, d.den
-    for a, b in zip(w.nums[:values.level], d.nums):
-        a, b = a * dd, b * wd
+    wd = w.den
+    for a, b in zip(w.nums, nums):
+        a, b = a * den, b * wd
         if a != b:
-            return answers[(a > b) is (values.direction is Direction.FINAL)]
-    return answers[values.closed]
+            return inside if (a > b) is final else outside
+    return at
 
 
 _NEGATED_REL = {"<": ">=", "<=": ">", ">=": "<", ">": "<="}

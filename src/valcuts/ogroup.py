@@ -477,25 +477,38 @@ _ge_group, _ge_nums, _ge_den, _ge_coords = _slot_setters(GroupElement, *GroupEle
 _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
 _multiply, _power = _EXACT.multiply, _EXACT.power   # bound once: the lookup costs a product
 _last_power = (0, 1, Decimal(1), "1")   # p, p^k, p^k as a Decimal, str(p^k)
+_SMALL_POWER = 10**40   # below it str() is cheap, and each power is kept once made
+_small_powers: dict = {}   # p^k < _SMALL_POWER -> its _last_power tuple
 
 
 def _power_string(p: int, den: int) -> str | None:
     """str(den) if den is a power of p, over which a numerator prime to p is in
     lowest terms, else None.  The last power written is kept, replaced whole: a
-    thread can only miss its reuse.  str(int) is quadratic in the digits, Decimal
-    linear: the last power times p is one decimal product, any other p^k raised."""
+    thread can only miss its reuse.  A small power is kept once made, keyed by
+    den, a power of one prime only.  str(int) is quadratic in the digits,
+    Decimal linear: a larger power is the last power times p, one decimal
+    product, or any other p^k raised."""
     global _last_power
-    q, power, digits, _ = _last_power
-    if q == p and power * p == den:
-        digits = _multiply(digits, p)
-    else:
-        k = round(log(den, p))
-        if p**k != den:
+    if den < _SMALL_POWER:
+        last = _small_powers.get(den)
+        if last is None:
+            if pow(p, den.bit_length(), den):   # den divides a power of p only if it is one
+                return None
+            last = _small_powers[den] = (p, den, Decimal(den), str(den))
+        elif last[0] != p:
             return None
-        digits = _power(p, k)
-    text = str(digits)
-    _last_power = (p, den, digits, text)
-    return text
+    else:
+        q, power, digits, _ = _last_power
+        if q == p and power * p == den:
+            digits = _multiply(digits, p)
+        else:
+            k = round(log(den, p))
+            if p**k != den:
+                return None
+            digits = _power(p, k)
+        last = (p, den, digits, str(digits))
+    _last_power = last
+    return last[3]
 
 
 class ConvexSubgroup(_Frozen):

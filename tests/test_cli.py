@@ -1033,6 +1033,18 @@ REPORT_GOLDEN_RUNS = [
       "forall c in K : v(theta^p - theta - c^p + c) < v(b)"], golden)
     for bind, golden in (("b=v:-1/3", "eval_abhyankar_p3_coarse_declared.json"),
                          ("b=0", "eval_abhyankar_p3_coarse_zero.json"))
+] + [
+    # compiled answers at each cut's own point: an open subgroup cut, a closed
+    # element cut, a value inside H, and a declared value over a rat class
+    (["eval", "--scenario", scenario, "--p", p, "--bind", bind, "--formula",
+      DEFINITIONS[name]], golden)
+    for scenario, p, bind, name, golden in (
+        ("abhyankar", "3", "b=v:0", "ram-ideal-as", "eval_abhyankar_p3_ram_subgroup_cut.json"),
+        ("abhyankar", "3", "b=v:0", "coarse-ring-as",
+         "eval_abhyankar_p3_coarse_element_cut.json"),
+        ("example-e1", "2", "b=v:0,5", "ram-ideal-as", "eval_example_e1_p2_ram_inside_h.json"),
+        ("kummer-mixed", "3", "b=v:0", "ram-ideal-kummer",
+         "eval_kummer_mixed_p3_ram_declared_rat.json"))
 ]
 
 

@@ -9,8 +9,9 @@ import random
 import re
 import subprocess
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import islice
 from unittest.mock import patch
 
@@ -94,6 +95,23 @@ from conftest import (
     rebuilt,
     reference_witnesses,
 )
+
+
+def _unreachable(*args):
+    raise AssertionError("a forced walk reached a compiled answer")
+
+
+@contextmanager
+def forced_walk():
+    """evaluate walks: _compiled_answer gives no answer, and the two kernels a
+    compiled answer calls (membership in a value set, a first stop among the
+    candidates) raise if reached.  Their code is swapped, so the answers
+    compiled before, which hold them, raise too."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(formlang, "_compiled_answer", lambda *args: None)
+        for kernel in (formlang._member_answer, formlang._first_stop):
+            mp.setattr(kernel, "__code__", _unreachable.__code__)
+        yield
 
 
 NAMES = st.sampled_from(["b", "c", "x", "t", "theta", "eta", "p", "zeta_p"])
@@ -948,10 +966,9 @@ class TestForcedBoundedAgreesWithOracle:
                        else declared_samples(sc.model.value_group, 20, 29))
             oracle = {(name, label): evaluate(DEFINITIONS[name], fm, bindings={"b": b})
                       for name in names for label, b, _ in samples}
-            with monkeypatch.context() as patch:
+            with monkeypatch.context() as patch, forced_walk():
                 # neither the oracle nor a compiled value set answers
                 patch.setattr(_Evaluator, "_oracle", lambda self, q: None)
-                patch.setattr(formlang, "_compiled_answer", lambda *args: None)
                 for name in names:
                     for label, b, _ in samples:
                         cold = evaluate(DEFINITIONS[name], rebuilt(fm), bindings={"b": b})
@@ -1501,9 +1518,8 @@ class TestPointwiseImage:
                       f"-4/{p * p}"]
             texts = [f"exists c in K : {shape} = {w}" for shape in shapes for w in values]
             oracle = {text: evaluate(text, fm, bindings={"b": b}) for text in texts}
-            with monkeypatch.context() as patch:
+            with monkeypatch.context() as patch, forced_walk():
                 patch.setattr(_Evaluator, "_oracle", lambda self, q: None)
-                patch.setattr(formlang, "_compiled_answer", lambda *args: None)
                 for text in texts:
                     want = oracle[text]
                     assert want.mode == "oracle", text
@@ -1620,8 +1636,7 @@ class TestGeneratedShapesAgree:
                 assert got.mode == "oracle" or not names_b, (text, w)
             # without the compiled answer too, or a compiling formula would
             # be compared with its own compiled set
-            with patch.object(_Evaluator, "_oracle", lambda self, q: None), \
-                    patch.object(formlang, "_compiled_answer", lambda *args: None):
+            with patch.object(_Evaluator, "_oracle", lambda self, q: None), forced_walk():
                 forced = evaluate(text, fm, bindings={"b": b})
             if Truth.UNKNOWN not in (got.value, forced.value):
                 assert forced.value is got.value, (text, w)
@@ -1633,6 +1648,48 @@ def _outcome(text, fm, bindings):
         return evaluate(text, fm, bindings=bindings).to_json()
     except ValcutsError as err:
         return f"{type(err).__name__}: {err}"
+
+
+class TestTheMembershipKernel:
+    """The answer compiled from a value set, bound to its cut's integers
+    (formlang._member_kernel), is segment.contains against brute force: on
+    random cuts over int, pdiv and rat classes of ranks 1 to 4, at the shift,
+    at values equal to it through the level only, at random values and at
+    values of an equal group built apart; an element of a foreign group raises."""
+
+    def test_against_contains(self):
+        rng = random.Random(49)
+        seen = set()
+        for _ in range(400):
+            g = random_group(rng)
+            seg = random_cut(rng, g)
+            answer = formlang._member_kernel(seg)
+            d, level = seg.shift, seg.level
+            points = [d] + [random_group_element(rng, g) for _ in range(4)]
+            points += [g.element(*(d.coords[:level] + x.coords[level:])) for x in points[1:]]
+            apart = GroupDescriptor(g.components, g.prime)
+            points += [apart.element(*x.coords) for x in points]
+            for w in points:
+                got = answer(w)
+                assert (got.value, got.mode) == (Truth.of(contains(seg, w)), "oracle"), (seg, w)
+            foreign = GroupDescriptor(g.components, 7).zero()
+            for test in (answer, partial(contains, seg)):
+                with pytest.raises(StructuralError, match="different group"):
+                    test(foreign)
+            seen.add((g.rank, seg.direction, seg.closed, g.components[level - 1]))
+        # an open cut over an int class is built closed one unit further in
+        assert {key[0] for key in seen} == {1, 2, 3, 4}
+        assert {key[1:] for key in seen} == {
+            (direction, closed, kind) for direction in Direction for closed in (False, True)
+            for kind in Component if closed or kind is not Component.INT}
+
+    def test_every_value_or_none(self):
+        g = GroupDescriptor((Component.INT, Component.RAT), 3)
+        for values in (True, False):
+            answer = formlang._member_kernel(values)
+            for w in (g.zero(), g.element(-2, Fraction(1, 5)),
+                      GroupDescriptor((Component.PDIV,), 7).zero()):
+                assert answer(w) == formlang.EvalResult(Truth.of(values), "oracle")
 
 
 class TestCompiledAgreesWithTheWalk:
@@ -1680,7 +1737,7 @@ class TestCompiledAgreesWithTheWalk:
     def test_named_formulas_and_edge_bindings(self, build, p):
         fm = build(p).fmodel
         calls = self.calls(build(p))
-        with patch.object(formlang, "_compiled_answer", lambda *args: None):
+        with forced_walk():
             off = rebuilt(fm)
             walked = [_outcome(text, off, bindings) for text, bindings in calls]
         assert not fm.value_sets
@@ -1699,6 +1756,70 @@ class TestCompiledAgreesWithTheWalk:
             assert exact == [("b", False)] * 3 + [("b", True)] * 4 + [("b", False)] * 2 + [
                 ("b", True)] * (len(BOUNDED_ATOMS) - 1)
 
+    @pytest.mark.parametrize("build,p", [(abhyankar, 3), (example_e1, 2), (kummer_mixed, 3)])
+    def test_the_calls_reach_the_kernels_and_a_forced_walk_none(self, build, p,
+                                                                 monkeypatch):
+        # the answers compiled on a cold model call counting kernels, which
+        # call the kernels themselves; the forced walk makes those answers
+        # raise and gives the same outcomes without them
+        name = "ram-ideal-kummer" if build is kummer_mixed else "ram-ideal-as"
+        calls = self.calls(build(p))
+        fm = build(p).fmodel
+        counts = {"_member_answer": 0, "_first_stop": 0}
+        with monkeypatch.context() as patch_:
+            for kernel in counts:
+                def counting(*args, call=getattr(formlang, kernel), kernel=kernel):
+                    counts[kernel] += 1
+                    return call(*args)
+                patch_.setattr(formlang, kernel, counting)
+            compiled = [_outcome(text, fm, bindings) for text, bindings in calls]
+        # each compiled formula is answered once at each carrier of finite
+        # value, 11 of the 12 (10 on kummer-mixed, whose element has no
+        # valuation); NAMED bound at b is ram-ideal-as's text, at 3 carriers
+        sets = [values is not None for (values, answer, _t) in fm.value_sets.values() if answer]
+        finite, named = (10, 0) if build is kummer_mixed else (11, 3)
+        assert counts == {"_member_answer": sets.count(True) * finite + named,
+                          "_first_stop": sets.count(False) * finite}
+        assert counts["_member_answer"] and counts["_first_stop"]
+        answer = fm.compiled_answers[DEFINITIONS[name]][1]
+        assert answer(fm.group.zero()).value is Truth.FALSE   # 0 lies in no ideal's value set
+        with forced_walk():
+            with pytest.raises(AssertionError, match="forced walk"):
+                answer(fm.group.zero())
+            assert [_outcome(text, fm, bindings) for text, bindings in calls] == compiled
+
+    def test_one_text_bound_under_two_names(self):
+        # what was compiled is found by the text, and holds for its name only:
+        # c is quantified here, so bound alone it leaves b unbound
+        fm = abhyankar(3).fmodel
+        text = "exists c in K : v(theta - c) < v(b)"
+        b = parse_element(fm.model, "t^-1")
+        for _ in range(2):
+            assert evaluate(text, fm, bindings={"b": b}).value is Truth.TRUE
+            with pytest.raises(StructuralError, match="unbound variables"):
+                evaluate(text, fm, bindings={"c": b})
+
+    @pytest.mark.parametrize("b", [5, "t", None, 1.5])
+    def test_a_binding_that_is_no_carrier_raises(self, b):
+        # a value-only reading walked all 64 candidates to UNKNOWN here
+        fm = abhyankar(3).fmodel
+        want = re.escape(f"b is bound to {b!r}, which is no element of L")
+        for text in (DEFINITIONS["ram-ideal-as"], "v(b - 1) > 0"):
+            for model in (fm, fm, rebuilt(fm)):
+                with pytest.raises(StructuralError, match=want):
+                    evaluate(text, model, bindings={"b": b})
+            with forced_walk(), pytest.raises(StructuralError, match=want):
+                evaluate(text, rebuilt(fm), bindings={"b": b})
+
+    def test_a_declared_value_stays_value_only(self):
+        fm = abhyankar(3).fmodel
+        b = DeclaredValue(fm.group.zero())
+        for text in (DEFINITIONS["ram-ideal-as"], "v(b - 1) > 0", "inK(b * t)"):
+            with forced_walk():
+                walked = evaluate(text, rebuilt(fm), bindings={"b": b})
+            assert evaluate(text, fm, bindings={"b": b}) == walked, text
+        assert walked.value is Truth.UNKNOWN   # b * t has no carrier
+
     @pytest.mark.parametrize("p", [2, 3])
     def test_every_stop_of_a_bounded_atom(self, p):
         # v(b) on a grid through the candidates' values, so that the walk
@@ -1709,7 +1830,7 @@ class TestCompiledAgreesWithTheWalk:
                                          "forall c in K : v(c) > v(b)")
         calls = [(text, {"b": DeclaredValue(g.element(Fraction(k, p * p)))})
                  for text in formulas for k in range(-5 * p * p, 5 * p * p + 1)]
-        with patch.object(formlang, "_compiled_answer", lambda *args: None):
+        with forced_walk():
             off = rebuilt(fm)
             walked = [_outcome(text, off, bindings) for text, bindings in calls]
         assert [_outcome(text, fm, bindings) for text, bindings in calls] == walked
@@ -1729,7 +1850,7 @@ class TestCompiledAgreesWithTheWalk:
         cold = rebuilt(fm)
         for b in carriers:
             got = [_outcome(text, model, {"b": b}) for model in (cold, fm)]
-            with patch.object(formlang, "_compiled_answer", lambda *args: None):
+            with forced_walk():
                 walked = _outcome(text, fm, {"b": b})
                 with patch.object(_Evaluator, "_oracle", lambda self, q: None):
                     forced = evaluate(text, fm, bindings={"b": b}).value
@@ -1768,7 +1889,7 @@ class TestSamplesFromL:
                 for label, b, v in samples:
                     assert isinstance(b, PatternSeries) and b.has_tails, label
                     got = evaluate(DEFINITIONS[name], sc.fmodel, bindings={"b": b})
-                    with patch.object(formlang, "_compiled_answer", lambda *args: None):
+                    with forced_walk():
                         walked = evaluate(DEFINITIONS[name], rebuilt(sc.fmodel),
                                           bindings={"b": b})
                     assert got == walked, (build.__name__, name, label)
@@ -1808,7 +1929,7 @@ class TestNoWalkerForABoundName:
         answers = [evaluate(text, fm, bindings={"b": b}) for text in texts
                    for _, b, _ in samples]
         assert built == []
-        with patch.object(formlang, "_compiled_answer", lambda *args: None):
+        with forced_walk():
             assert answers == [evaluate(text, fm, bindings={"b": b}) for text in texts
                                for _, b, _ in samples]
         assert len(built) == len(answers)

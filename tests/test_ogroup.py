@@ -267,6 +267,21 @@ class TestRepresentation:
                 sys.set_int_max_str_digits(limit)
         assert checked == 3 * 4 * (3 + 9 + 27 + 81) + 5 * len(ks)
 
+    def test_kept_powers_belong_to_their_prime(self):
+        # small powers are kept by denominator: 9 = 3^2 written at p = 3, then
+        # read over rat classes at p = 2 and 5, where it is no power of p and
+        # 3/9 reduces; powers walked across the kept range to the running
+        # product and back.  The second coordinate keeps the first unreduced.
+        rat = {p: GroupDescriptor((Component.RAT, Component.RAT), p) for p in (2, 3, 5, 7)}
+        cases = [(3, 1, 9), (2, 3, 9), (5, 6, 9), (3, 3, 9), (2, 2, 8), (3, 4, 8), (7, 7, 49),
+                 (5, 35, 49), (2, 6, 2**10 * 3), (3, 6, 2**10 * 3)]
+        cases += [(7, n, 7**k) for k in range(40, 52) for n in (-1, 14)]
+        cases += [(2, 6, 2**k) for k in (130, 131, 132, 133, 3, 134, 140)]
+        cases += [(3, 6, 2**k) for k in (3, 134)] + [(7, 7, 7**k) for k in (60, 2, 61)]
+        for p, n, den in cases:
+            x = GroupElement(rat[p], (n, 1), den)
+            assert x.coord_strings() == [str(Fraction(n, den)), f"1/{den}"], (p, n, den)
+
     @settings(max_examples=300, derandomize=True)
     @given(st.data())
     def test_agrees_with_fraction_tuples(self, data):
